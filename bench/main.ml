@@ -106,18 +106,10 @@ let bench_fig5 =
     | Some r -> r.Router.Dijkstra.cost
     | None -> failwith "no route"
   in
-  let astar () =
-    match
-      Router.Astar.shortest_path graph ~weight:(Router.Congestion.weight cong ~turn_cost:10.0) ~src ~dst
-    with
-    | Some r -> r.Router.Dijkstra.cost
-    | None -> failwith "no route"
-  in
   Test.make_grouped ~name:"fig5"
     [
       Test.make ~name:"dijkstra_turn_aware" (Staged.stage (route 10.0));
       Test.make ~name:"dijkstra_turn_blind" (Staged.stage (route 0.0));
-      Test.make ~name:"astar_turn_aware" (Staged.stage astar);
     ]
 
 (* Figure 2/3 workload: QASM front end round-trip of the [[5,1,3]] program. *)
@@ -167,7 +159,7 @@ let bench_pathfinder =
         with
         | Some r ->
             let p = Router.Path.of_result ~src:net.Router.Pathfinder.src ~dst:net.Router.Pathfinder.dst r in
-            List.iter (Router.Congestion.acquire cong) (Router.Path.resources p)
+            Router.Path.iter_resources (Router.Congestion.acquire cong) p
         | None -> failwith "no route")
       nets;
     Router.Congestion.total_in_flight cong
@@ -209,11 +201,6 @@ let bench_router_workspace =
       Test.make ~name:"dijkstra_reused"
         (Staged.stage (fun () ->
              sum_costs (Router.Dijkstra.shortest_path ~workspace:ws graph ~weight:w)));
-      Test.make ~name:"astar_fresh"
-        (Staged.stage (fun () -> sum_costs (Router.Astar.shortest_path graph ~weight:w)));
-      Test.make ~name:"astar_reused"
-        (Staged.stage (fun () ->
-             sum_costs (Router.Astar.shortest_path ~workspace:ws graph ~weight:w)));
     ]
 
 (* Placement search fan-out: the same Monte-Carlo and MVFB searches run

@@ -31,8 +31,15 @@ let () =
       check_eq "dijkstra fresh vs reused"
         (cost "fresh" (Router.Dijkstra.shortest_path graph ~weight:w))
         (cost "reused" (Router.Dijkstra.shortest_path ~workspace:ws graph ~weight:w));
+      (* the PathFinder's guided search: A* over a lower-bound table *)
+      let guided ~src ~dst =
+        let lb = Router.Lower_bound.build graph ~turn_cost:10.0 ~dst in
+        Router.Dijkstra.run_into ~heuristic:(Router.Lower_bound.heuristic lb) ws graph ~weight:w ~src
+          ~dst;
+        Router.Dijkstra.path_to ws graph ~dst
+      in
       check_eq "astar vs dijkstra reused"
-        (cost "astar" (Router.Astar.shortest_path ~workspace:ws graph ~weight:w))
+        (cost "astar" guided)
         (cost "reused" (Router.Dijkstra.shortest_path ~workspace:ws graph ~weight:w)))
     [ 0; 1; 2; 3 ];
   (* parallel group: serial and pooled searches agree latency-for-latency *)

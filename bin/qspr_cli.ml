@@ -55,7 +55,7 @@ let gate_on_fabric_lint ~program fabric =
   else Error "fabric fails lint (errors above; `qspr lint` shows the full report)"
 
 let do_map circuit qasm openqasm fabric_path pmd_path placer m sa_moves seed prescreen_k
-    budget_s budget_evals incremental show_trace validate certify json_out =
+    budget_s budget_evals incremental show_trace certify json_out =
   let ( let* ) = Result.bind in
   let result =
     let* program = load_program ~circuit ~qasm ~openqasm in
@@ -137,24 +137,6 @@ let do_map circuit qasm openqasm fabric_path pmd_path placer m sa_moves seed pre
               Printf.printf "  %-14s seed=%d  failed: %s\n" a.Qspr.Mapper.stage a.Qspr.Mapper.seed
                 (Qspr.Mapper.error_to_string e))
         sol.Qspr.Mapper.attempts
-    end;
-    if validate then begin
-      let policy =
-        if placer = "quale" then (Qspr.Mapper.config ctx).Qspr.Config.quale_policy
-        else (Qspr.Mapper.config ctx).Qspr.Config.qspr_policy
-      in
-      let report =
-        Simulator.Validate.check ~graph:(Qspr.Mapper.graph ctx)
-          ~timing:(Qspr.Mapper.config ctx).Qspr.Config.timing
-          ~channel_capacity:policy.Simulator.Engine.channel_capacity
-          ~junction_capacity:policy.Simulator.Engine.junction_capacity
-          ~initial_placement:sol.Qspr.Mapper.initial_placement sol.Qspr.Mapper.trace
-      in
-      if report.Simulator.Validate.ok then Printf.printf "validation        : OK\n"
-      else begin
-        Printf.printf "validation        : FAILED\n";
-        List.iter (Printf.printf "  %s\n") report.Simulator.Validate.errors
-      end
     end;
     let* () =
       if not certify then Ok ()
@@ -269,7 +251,6 @@ let sa_moves_arg =
            20000).  Used by the portfolio placer's delta-SA streams.")
 let seed_arg = Arg.(value & opt int 2012 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
 let trace_arg = Arg.(value & flag & info [ "trace" ] ~doc:"Print the micro-command trace.")
-let validate_arg = Arg.(value & flag & info [ "validate" ] ~doc:"Run the physical trace validator.")
 
 let certify_arg =
   Arg.(
@@ -288,7 +269,7 @@ let map_cmd =
     Term.(
       const do_map $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg $ pmd_arg $ placer_arg $ m_arg
       $ sa_moves_arg $ seed_arg $ prescreen_arg $ budget_arg $ budget_evals_arg $ incremental_arg
-      $ trace_arg $ validate_arg $ certify_arg $ json_arg)
+      $ trace_arg $ certify_arg $ json_arg)
 
 (* --------------------------------------------------------------- fabric *)
 

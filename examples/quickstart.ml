@@ -49,10 +49,6 @@ let () =
     (Simulator.Trace.gate_count sol.Qspr.Mapper.trace)
     (Simulator.Trace.to_string sol.Qspr.Mapper.trace);
 
-  (* 6. independently validate the trace against the physical rules *)
-  let report =
-    Simulator.Validate.check ~graph:(Qspr.Mapper.graph ctx) ~timing:Router.Timing.paper
-      ~channel_capacity:2 ~junction_capacity:2 ~initial_placement:sol.Qspr.Mapper.initial_placement
-      sol.Qspr.Mapper.trace
-  in
-  Printf.printf "\ntrace validation: %s\n" (if report.Simulator.Validate.ok then "OK" else "FAILED")
+  (* 6. independently certify the trace against the physical rules *)
+  let cert = Analysis.Certify.of_solution ctx sol in
+  Printf.printf "\ntrace certification: %s\n" (if cert.Analysis.Certify.valid then "OK" else "FAILED")

@@ -91,8 +91,7 @@ let bottleneck_junctions lay =
 
 let max_reported_bottlenecks = 5
 
-let check ?num_qubits ?(channel_capacity = 2) ?(junction_capacity = 2) lay =
-  ignore junction_capacity;
+let check ?num_qubits ?(channel_capacity = 2) lay =
   let findings = ref (Lint.check ?num_qubits lay) in
   let emit f = findings := f :: !findings in
   (match Component.extract lay with
@@ -129,6 +128,6 @@ let check ?num_qubits ?(channel_capacity = 2) ?(junction_capacity = 2) lay =
       | None -> ()));
   F.sort !findings
 
-let check_result ?num_qubits ?channel_capacity ?junction_capacity = function
-  | Ok lay -> check ?num_qubits ?channel_capacity ?junction_capacity lay
+let check_result ?num_qubits ?channel_capacity = function
+  | Ok lay -> check ?num_qubits ?channel_capacity lay
   | Error msg -> [ F.make ~pass ~kind:"parse-error" F.Error "%s" msg ]

@@ -14,19 +14,13 @@
       [channel_capacity x segments] ions in transit; programs wider than
       that serialize their transport no matter how good the placement. *)
 
-val check :
-  ?num_qubits:int ->
-  ?channel_capacity:int ->
-  ?junction_capacity:int ->
-  Fabric.Layout.t ->
-  Finding.t list
+val check : ?num_qubits:int -> ?channel_capacity:int -> Fabric.Layout.t -> Finding.t list
 (** All findings, errors first.  [num_qubits] enables the capacity checks;
-    the capacities default to the paper's QSPR policy (2 and 2). *)
+    [channel_capacity] defaults to the paper's QSPR policy (2). *)
 
 val check_result :
   ?num_qubits:int ->
   ?channel_capacity:int ->
-  ?junction_capacity:int ->
   (Fabric.Layout.t, string) result ->
   Finding.t list
 (** Like {!check}; an [Error] (parse failure) becomes a single

@@ -17,19 +17,15 @@ let lint ?program ?fabric ?config () =
   let num_qubits =
     match program with Some (Ok p) -> Some (Qasm.Program.num_qubits p) | _ -> None
   in
-  let channel_capacity, junction_capacity =
-    match config with
-    | Some cfg ->
-        ( Some cfg.Qspr.Config.qspr_policy.Simulator.Engine.channel_capacity,
-          Some cfg.Qspr.Config.qspr_policy.Simulator.Engine.junction_capacity )
-    | None -> (None, None)
+  let channel_capacity =
+    Option.map (fun cfg -> cfg.Qspr.Config.qspr_policy.Simulator.Engine.channel_capacity) config
   in
   let program_findings =
     match program with Some r -> Program_check.check_result r | None -> []
   in
   let fabric_findings =
     match fabric with
-    | Some r -> Fabric_check.check_result ?num_qubits ?channel_capacity ?junction_capacity r
+    | Some r -> Fabric_check.check_result ?num_qubits ?channel_capacity r
     | None -> []
   in
   let config_findings = match config with Some cfg -> Config_check.check ?num_qubits cfg | None -> [] in

@@ -540,9 +540,11 @@ let fig5 () =
       ]
   in
   let model_cost turn_cost p =
-    List.fold_left
-      (fun acc (e : Fabric.Graph.edge) -> acc +. Router.Congestion.weight cong ~turn_cost e.Fabric.Graph.kind)
-      0.0 (Router.Path.edges p)
+    let c = ref 0.0 in
+    for i = 0 to Router.Path.step_count p - 1 do
+      c := !c +. Router.Congestion.weight cong ~turn_cost (Router.Path.step_kind p i)
+    done;
+    !c
   in
   let turn_aware_cost = model_cost (Router.Timing.turn_cost_in_moves Router.Timing.paper) in
   let blind_cost = model_cost 0.0 in

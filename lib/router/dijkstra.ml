@@ -5,9 +5,8 @@ type result = { cost : float; edges : Graph.edge list }
 (* Shared Dijkstra/A* core over the CSR adjacency.  Fills [ws] for the
    current generation; with a heuristic the queue priority is dist + h but
    settled distances are exact g-costs.  [dst = -1] sweeps the whole graph,
-   otherwise the search stops when [dst] settles.  [count] tallies settled
-   nodes for the search-effort instrumentation. *)
-let run_into ?heuristic ?count ?edge_weights ws graph ~weight ~src ~dst =
+   otherwise the search stops when [dst] settles. *)
+let run_into ?heuristic ?edge_weights ws graph ~weight ~src ~dst =
   let n = Graph.num_nodes graph in
   if src < 0 || src >= n then invalid_arg "Dijkstra: source out of range";
   if dst < -1 || dst >= n then invalid_arg "Dijkstra: destination out of range";
@@ -31,7 +30,6 @@ let run_into ?heuristic ?count ?edge_weights ws graph ~weight ~src ~dst =
     Ion_util.Fheap.drop_min queue;
     if settled.(u) <> gen then begin
       settled.(u) <- gen;
-      (match count with Some c -> incr c | None -> ());
       if u = dst then finished := true
       else begin
         let du = dist.(u) in

@@ -37,13 +37,12 @@ val distances :
 
 (** {2 Shared search core}
 
-    The primitives behind [shortest_path], exposed so {!Astar} (and the
-    instrumented search-effort comparison) run the exact same loop with a
-    heuristic and a settle counter plugged in. *)
+    The primitives behind [shortest_path], exposed so guided searches
+    (the PathFinder's A* over a {!Lower_bound.t} heuristic) and the
+    engine's prefilled-weight searches run the exact same loop. *)
 
 val run_into :
   ?heuristic:(Fabric.Graph.node -> float) ->
-  ?count:int ref ->
   ?edge_weights:float array ->
   Workspace.t ->
   Fabric.Graph.t ->
@@ -54,8 +53,7 @@ val run_into :
 (** Runs the search into the workspace's current generation.  [dst = -1]
     settles the whole reachable graph; otherwise the search stops once
     [dst] settles.  [heuristic] must be admissible and consistent for the
-    settled costs to be exact (A* contract); [count] is incremented once per
-    settled node.
+    settled costs to be exact (A* contract).
 
     [edge_weights], when given, must hold the weight of every CSR edge
     index (see {!Congestion.weights_into} and

@@ -151,8 +151,6 @@ let equal (a : t) (b : t) = a = b
 let moves t = t.nmoves
 let turns t = t.nturns
 
-let edges t = List.init (step_count t) (fun i -> { Graph.dst = step_dst t i; kind = step_kind t i })
-
 (* Sequential edge-order accumulation, NOT nmoves*t_move + nturns*t_turn:
    downstream timestamps must be bit-identical to the pre-flattening
    edge-list fold, and float addition is not reassociable. *)
@@ -171,8 +169,6 @@ let iter_resources f t =
     f (Resource.of_int t.res.(i))
   done
 
-let resources t = List.init (Array.length t.res) (fun i -> Resource.of_int t.res.(i))
-
 let resource_index t r =
   let n = Array.length t.res in
   let rec go i = if i >= n then -1 else if t.res.(i) = r then i else go (i + 1) in
@@ -182,7 +178,7 @@ let resource_index t r =
    next one: the exit time is the completion of the first edge that leaves
    the resource (turn edges keep the qubit inside its junction).  Releasing
    at arrival instead would free a junction while the ion still sits in it
-   turning — a capacity violation the trace validator catches.
+   turning — a capacity violation the certifier catches.
 
    [out.(i)] receives the exit offset of [resource t i]; a revisited
    resource keeps its LAST exit (matching the pre-flattening table-replace
@@ -207,12 +203,6 @@ let resource_exits_into (tm : Timing.t) t out =
     end
   done;
   if !current >= 0 then out.(!current) <- !clock
-
-let resource_exits tm t =
-  let k = Array.length t.res in
-  let out = Array.make (Int.max 1 k) 0.0 in
-  resource_exits_into tm t out;
-  List.init k (fun i -> (Resource.of_int t.res.(i), out.(i)))
 
 let cells graph t =
   let src_pos = Graph.node_pos graph t.src in

@@ -10,8 +10,8 @@
     footprint, layout in [doc/memory.md]) computed once at construction and
     immutable afterwards: consumers on the engine's hot path iterate them
     index-wise without allocating ([num_resources]/[resource],
-    [resource_exits_into], [step_*]), while the edge/tuple-list views remain
-    for tests, diagnostics and rendering. *)
+    [resource_exits_into], [step_*]); only {!cells}, for rendering, builds
+    a list. *)
 
 type t
 
@@ -70,10 +70,6 @@ val resource : t -> int -> Resource.t
 
 val iter_resources : (Resource.t -> unit) -> t -> unit
 
-val resources : t -> Resource.t list
-(** Distinct resources in first-crossing order (list view of
-    {!num_resources}/{!resource}). *)
-
 val resource_exits_into : Timing.t -> t -> float array -> unit
 (** Fill [out.(i)] with the time offset (from path departure) at which the
     qubit has fully left [resource t i] — the completion of the first edge
@@ -82,12 +78,6 @@ val resource_exits_into : Timing.t -> t -> float array -> unit
     keeps its last exit.  Allocation-free; the buffer must hold at least
     {!num_resources} slots (only that prefix is written).
     @raise Invalid_argument when the buffer is too small. *)
-
-val resource_exits : Timing.t -> t -> (Resource.t * float) list
-(** List view of {!resource_exits_into}, in first-crossing order. *)
-
-val edges : t -> Fabric.Graph.edge list
-(** Materialized edge-record view, rebuilt per call — tests and tools only. *)
 
 val cells : Fabric.Graph.t -> t -> Ion_util.Coord.t list
 (** Visited cell coordinates in order (turn edges repeat the junction cell),

@@ -43,9 +43,8 @@ type result = {
    (0 = instruction done, 1 = resource exit), the upper bits carry the
    instruction id or the packed resource.  Packing keeps the warm path free
    of per-event variant blocks and boxed priorities — the queue is an
-   {!Ion_util.Fheap}, whose binary-heap sifts mirror the former
-   [(float, event) Pqueue] comparison-for-comparison, so pop order (ties
-   included) is bit-identical. *)
+   {!Ion_util.Fheap}, whose binary-heap sifts are deterministic, so pop
+   order (ties included) depends only on the push sequence. *)
 let ev_instr_done id = id lsl 1
 let ev_resource_exit r = (Resource.to_int r lsl 1) lor 1
 

@@ -2,7 +2,7 @@
 
     The specialization the router's hot loop needs: priorities and payloads
     live in two parallel unboxed arrays, so pushing and popping allocate
-    nothing once the heap has warmed up (unlike {!Pqueue}, which boxes a
+    nothing once the heap has warmed up (a polymorphic heap would box a
     tuple per entry).  Peeking is split into {!top_prio}/{!top_data} for the
     same reason.
 

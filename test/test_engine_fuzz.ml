@@ -1,9 +1,11 @@
 (* Engine fuzzing: random circuits, random placements and both policy
-   presets, checked against the independent physical trace validator and the
-   engine's own invariants.  This is the deepest correctness net in the
+   presets, checked against the independent trace certifier and the
+   engine's own invariants; rule-breaking mutations of the same traces must
+   be rejected by the certifier.  This is the deepest correctness net in the
    suite — any scheduling, routing, capacity or bookkeeping bug the unit
    tests miss tends to surface here. *)
 
+module Coord = Ion_util.Coord
 open Qasm
 open Fabric
 open Router
@@ -65,21 +67,93 @@ let run_case (p, seed, quale) =
   let prios = Scheduler.Priority.compute Scheduler.Priority.qspr_default ~delay:(Timing.gate_delay tm) dag in
   (placement, policy, Engine.run ~graph:fuzz_graph ~timing:tm ~policy ~dag ~priorities:prios ~placement ())
 
+(* The independent certifier replays an engine trace against the fabric,
+   the timing model and the program's DAG. *)
+let certify p placement policy (r : Engine.result) trace =
+  Analysis.Certify.check ~layout:fuzz_layout ~timing:Timing.paper
+    ~channel_capacity:policy.Engine.channel_capacity
+    ~junction_capacity:policy.Engine.junction_capacity ~dag:(Dag.of_program p)
+    ~initial_placement:placement ~final_placement:r.Engine.final_placement
+    ~claimed_latency:r.Engine.latency trace
+
+let findings_report (c : Analysis.Certify.certificate) =
+  String.concat "\n" (List.map (Format.asprintf "%a" Analysis.Finding.pp) c.Analysis.Certify.findings)
+
 let prop_traces_validate =
   QCheck.Test.make ~name:"fuzz: every engine trace passes physical validation" ~count:150 arb_case
     (fun case ->
+      let (p, _, _) = case in
       let placement, policy, result = run_case case in
       match result with
       | Error e -> QCheck.Test.fail_reportf "engine failed: %s" (Engine.string_of_error e)
       | Ok r ->
-          let report =
-            Validate.check ~graph:fuzz_graph ~timing:Timing.paper
-              ~channel_capacity:policy.Engine.channel_capacity
-              ~junction_capacity:policy.Engine.junction_capacity ~initial_placement:placement
-              r.Engine.trace
-          in
-          if report.Validate.ok then true
-          else QCheck.Test.fail_reportf "invalid trace:\n%s" (String.concat "\n" report.Validate.errors))
+          let c = certify p placement policy r r.Engine.trace in
+          if c.Analysis.Certify.valid then true
+          else QCheck.Test.fail_reportf "invalid trace:\n%s" (findings_report c))
+
+(* Trace mutations that always break a physical rule, each with the
+   certifier finding kind that must report it. *)
+type mutation = Off_unit_step | Late_gate_end | Dropped_gate_end | Short_move
+
+let mutations = [| Off_unit_step; Late_gate_end; Dropped_gate_end; Short_move |]
+
+let expected_kind = function
+  | Off_unit_step -> "bad-step"
+  | Late_gate_end | Short_move -> "bad-duration"
+  | Dropped_gate_end -> "gate-pairing"
+
+(* Applies [m] to the [k]-th command it can apply to (modulo their number);
+   [None] when the trace has no such command. *)
+let mutate m k trace =
+  let applies = function
+    | Micro.Move _ -> m = Off_unit_step || m = Short_move
+    | Micro.Gate_end _ -> m = Late_gate_end || m = Dropped_gate_end
+    | Micro.Turn _ | Micro.Gate_start _ -> false
+  in
+  match List.length (List.filter applies trace) with
+  | 0 -> None
+  | n ->
+      let target = k mod n and seen = ref (-1) in
+      Some
+        (List.filter_map
+           (fun cmd ->
+             if not (applies cmd) then Some cmd
+             else begin
+               incr seen;
+               if !seen <> target then Some cmd
+               else
+                 match (m, cmd) with
+                 | Off_unit_step, Micro.Move mv ->
+                     (* double the step: same direction, two cells *)
+                     let { Coord.x = x0; y = y0 } = mv.from_ and { Coord.x = x1; y = y1 } = mv.to_ in
+                     Some (Micro.Move { mv with to_ = Coord.make ((2 * x1) - x0) ((2 * y1) - y0) })
+                 | Short_move, Micro.Move mv -> Some (Micro.Move { mv with finish = mv.finish -. 0.5 })
+                 | Late_gate_end, Micro.Gate_end g -> Some (Micro.Gate_end { g with time = g.time +. 1.0 })
+                 | Dropped_gate_end, Micro.Gate_end _ -> None
+                 | _ -> Some cmd
+             end)
+           trace)
+
+let prop_mutations_rejected =
+  QCheck.Test.make ~name:"fuzz: every rule-breaking trace mutation is rejected" ~count:120
+    QCheck.(pair arb_case (pair (int_bound (Array.length mutations - 1)) (int_bound 10_000)))
+    (fun (case, (mi, k)) ->
+      let (p, _, _) = case in
+      let placement, policy, result = run_case case in
+      match result with
+      | Error e -> QCheck.Test.fail_reportf "engine failed: %s" (Engine.string_of_error e)
+      | Ok r -> (
+          let m = mutations.(mi) in
+          match mutate m k r.Engine.trace with
+          | None -> true
+          | Some forged ->
+              let c = certify p placement policy r forged in
+              let kind = expected_kind m in
+              if
+                (not c.Analysis.Certify.valid)
+                && List.exists (fun f -> Analysis.Finding.kind f = Some kind) c.Analysis.Certify.findings
+              then true
+              else QCheck.Test.fail_reportf "mutation not reported as %s:\n%s" kind (findings_report c)))
 
 let prop_latency_at_least_baseline =
   QCheck.Test.make ~name:"fuzz: mapped latency >= ideal baseline" ~count:150 arb_case (fun case ->
@@ -187,5 +261,6 @@ let () =
              prop_gate_conservation;
              prop_routing_time_matches_trace;
              prop_trace_reverse_involution;
+             prop_mutations_rejected;
            ] );
      ])

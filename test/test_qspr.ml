@@ -83,25 +83,28 @@ let test_map_monte_carlo () =
       check_int "runs" 5 sol.Mapper.placement_runs;
       check_bool "above baseline" true (sol.Mapper.latency >= 510.0)
 
-(* Any winning solution's trace must pass full physical validation; for a
-   Backward winner this exercises Trace.reverse end-to-end. *)
+let check_certified what (c : Analysis.Certify.certificate) =
+  if not c.Analysis.Certify.valid then
+    Alcotest.failf "%s:\n%s" what
+      (String.concat "\n"
+         (List.map (Format.asprintf "%a" Analysis.Finding.pp) c.Analysis.Certify.findings))
+
+(* Any winning solution's trace must pass certification; for a Backward
+   winner this exercises Trace.reverse end-to-end. *)
 let test_solution_trace_validates () =
   let ctx = ctx_of (c513 ()) in
   match Mapper.map_mvfb ctx with
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
   | Ok sol ->
-      let report =
-        Simulator.Validate.check ~graph:(Mapper.graph ctx) ~timing:Router.Timing.paper
-          ~channel_capacity:2 ~junction_capacity:2 ~initial_placement:sol.Mapper.initial_placement
-          sol.Mapper.trace
-      in
-      if not report.Simulator.Validate.ok then
-        Alcotest.failf "winning trace invalid (direction %s):\n%s"
-          (match sol.Mapper.direction with Placer.Mvfb.Forward -> "fwd" | Placer.Mvfb.Backward -> "bwd")
-          (String.concat "\n" report.Simulator.Validate.errors)
+      check_certified
+        (Printf.sprintf "winning trace invalid (direction %s)"
+           (match sol.Mapper.direction with
+           | Placer.Mvfb.Forward -> "fwd"
+           | Placer.Mvfb.Backward -> "bwd"))
+        (Analysis.Certify.of_solution ctx sol)
 
 (* Force evaluation of a backward trace: run the backward pass directly and
-   validate its reversal from the appropriate placement. *)
+   certify its reversal from the appropriate placement. *)
 let test_backward_trace_reversed_validates () =
   let ctx = ctx_of (c513 ()) in
   let fwd =
@@ -114,14 +117,35 @@ let test_backward_trace_reversed_validates () =
     | Ok r -> r
     | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
   in
-  let reversed = Simulator.Trace.reverse bwd.Simulator.Engine.trace in
-  let report =
-    Simulator.Validate.check ~graph:(Mapper.graph ctx) ~timing:Router.Timing.paper ~channel_capacity:2
-      ~junction_capacity:2 ~initial_placement:bwd.Simulator.Engine.final_placement reversed
+  (* the backward run's gate events name UIDG nodes: its k-th gate is the
+     inverse of the (G-1-k)-th forward gate, declarations keep their ids *)
+  let dag = Mapper.dag ctx in
+  let udag = match Qasm.Dag.reverse dag with Ok u -> u | Error e -> Alcotest.fail e in
+  let gate_nodes d =
+    List.filter
+      (fun i -> Qasm.Instr.is_gate (Qasm.Dag.node d i).Qasm.Dag.instr)
+      (List.init (Qasm.Dag.num_nodes d) Fun.id)
   in
-  if not report.Simulator.Validate.ok then
-    Alcotest.failf "reversed backward trace invalid:\n%s"
-      (String.concat "\n" report.Simulator.Validate.errors)
+  let fwd_gates = Array.of_list (gate_nodes dag) in
+  let g = Array.length fwd_gates in
+  let forward_id = Array.init (Qasm.Dag.num_nodes udag) Fun.id in
+  List.iteri (fun k u -> forward_id.(u) <- fwd_gates.(g - 1 - k)) (gate_nodes udag);
+  let reversed =
+    List.map
+      (function
+        | Router.Micro.Gate_start e ->
+            Router.Micro.Gate_start { e with instr_id = forward_id.(e.instr_id) }
+        | Router.Micro.Gate_end e -> Router.Micro.Gate_end { e with instr_id = forward_id.(e.instr_id) }
+        | cmd -> cmd)
+      (Simulator.Trace.reverse bwd.Simulator.Engine.trace)
+  in
+  check_certified "reversed backward trace invalid"
+    (Analysis.Certify.check
+       ~layout:(Fabric.Component.layout (Mapper.component ctx))
+       ~timing:Router.Timing.paper ~channel_capacity:2 ~junction_capacity:2 ~dag
+       ~initial_placement:bwd.Simulator.Engine.final_placement
+       ~final_placement:fwd.Simulator.Engine.final_placement
+       ~claimed_latency:bwd.Simulator.Engine.latency reversed)
 
 let test_run_backward_requires_unitary () =
   let b = Qasm.Program.builder ~name:"meas" () in
@@ -158,13 +182,8 @@ let test_quale_trace_validates () =
   match Quale_mode.map ctx with
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
   | Ok sol ->
-      let report =
-        Simulator.Validate.check ~graph:(Mapper.graph ctx) ~timing:Router.Timing.paper
-          ~channel_capacity:1 ~junction_capacity:2 ~initial_placement:sol.Mapper.initial_placement
-          sol.Mapper.trace
-      in
-      if not report.Simulator.Validate.ok then
-        Alcotest.failf "QUALE trace invalid:\n%s" (String.concat "\n" report.Simulator.Validate.errors)
+      check_certified "QUALE trace invalid"
+        (Analysis.Certify.of_solution ~policy:Simulator.Engine.quale_policy ctx sol)
 
 (* ------------------------------------------------------------ full sweep *)
 

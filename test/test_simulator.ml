@@ -1,7 +1,7 @@
 (* Tests for the event-driven fabric simulator: exact small scenarios with
    hand-computed latencies, physical serialization of commuting gates,
-   deadlock reporting, trace reversal and full physical validation of the
-   [[5,1,3]] mapping. *)
+   deadlock reporting, trace reversal, certification of engine traces and
+   rejection of forged ones. *)
 
 module Coord = Ion_util.Coord
 open Qasm
@@ -39,6 +39,20 @@ let run_exn ?policy graph program placement =
   match run ?policy graph program placement with
   | Ok r -> r
   | Error e -> Alcotest.failf "engine: %s" (Engine.string_of_error e)
+
+(* Certifies an engine run against its program, placement and fabric, at
+   the given channel capacity (junctions hold two ions under both
+   policies). *)
+let certify ~channel_capacity graph program placement (r : Engine.result) =
+  Analysis.Certify.check ~layout:(Component.layout (Graph.component graph)) ~timing:Timing.paper
+    ~channel_capacity ~junction_capacity:2 ~dag:(Dag.of_program program) ~initial_placement:placement
+    ~final_placement:r.Engine.final_placement ~claimed_latency:r.Engine.latency r.Engine.trace
+
+let findings_report (c : Analysis.Certify.certificate) =
+  String.concat "\n" (List.map (Format.asprintf "%a" Analysis.Finding.pp) c.Analysis.Certify.findings)
+
+let check_certified what (c : Analysis.Certify.certificate) =
+  if not c.Analysis.Certify.valid then Alcotest.failf "%s:\n%s" what (findings_report c)
 
 (* small tile traps: t0=(5,1) t1=(5,3) t2=(5,6) t3=(5,8) *)
 
@@ -110,12 +124,7 @@ let test_fig3_trace_validates () =
   let center = Layout.center (Component.layout comp) in
   let placement = Array.of_list (List.filteri (fun i _ -> i < 5) (Component.nearest_traps comp center)) in
   let r = run_exn graph p placement in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:placement r.Engine.trace
-  in
-  if not report.Validate.ok then
-    Alcotest.failf "trace invalid:\n%s" (String.concat "\n" report.Validate.errors)
+  check_certified "trace invalid" (certify ~channel_capacity:2 graph p placement r)
 
 let test_fig3_quale_policy_slower () =
   let p = parse fig3_qasm in
@@ -135,12 +144,7 @@ let test_quale_policy_trace_validates_capacity_one () =
   let center = Layout.center (Component.layout comp) in
   let placement = Array.of_list (List.filteri (fun i _ -> i < 5) (Component.nearest_traps comp center)) in
   let r = run_exn ~policy:Engine.quale_policy graph p placement in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:1 ~junction_capacity:2
-      ~initial_placement:placement r.Engine.trace
-  in
-  if not report.Validate.ok then
-    Alcotest.failf "capacity-1 trace invalid:\n%s" (String.concat "\n" report.Validate.errors)
+  check_certified "capacity-1 trace invalid" (certify ~channel_capacity:1 graph p placement r)
 
 let test_engine_determinism () =
   let p = parse fig3_qasm in
@@ -265,81 +269,64 @@ let test_trace_to_string () =
 
 (* -------------------------------------------------------------- Validate *)
 
+(* Hand-forged traces on the small tile, each carrying one physical defect;
+   the certifier must reject each with the finding kind naming that defect.
+   The claimed latency is the trace's own makespan, so accounting is never
+   what fails.  Tile traps: t0=(5,1) t1=(5,3) t2=(5,6) t3=(5,8); (5,2) is a
+   cell of the top channel both t0 and t1 tap into; (2,2) is a junction.
+   In the one-gate program the gate is instruction #1, after the qubit
+   declaration. *)
+let certify_forged ?(program = "QUBIT a\n") ~placement trace =
+  Analysis.Certify.check ~layout:(Layout.small_tile ()) ~timing:Timing.paper ~channel_capacity:2
+    ~junction_capacity:2 ~dag:(Dag.of_program (parse program)) ~initial_placement:placement
+    ~claimed_latency:(Trace.latency trace) trace
+
+let check_rejected kind (c : Analysis.Certify.certificate) =
+  check_bool "rejected" false c.Analysis.Certify.valid;
+  if not (List.exists (fun f -> Analysis.Finding.kind f = Some kind) c.Analysis.Certify.findings) then
+    Alcotest.failf "no %s finding among:\n%s" kind (findings_report c)
+
+let move q (x0, y0) (x1, y1) start finish =
+  Micro.Move { qubit = q; from_ = Coord.make x0 y0; to_ = Coord.make x1 y1; start; finish }
+
 let test_validate_catches_teleport () =
-  (* a forged trace where the qubit jumps two cells *)
-  let graph = tile_graph () in
-  let trace =
-    [
-      Micro.Move { qubit = 0; from_ = Coord.make 5 1; to_ = Coord.make 5 3; start = 0.0; finish = 1.0 };
-    ]
-  in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:[| 0 |] trace
-  in
-  check_bool "rejected" false report.Validate.ok
+  (* the ion rests in t0 at (5,1) but the move departs from (4,2) *)
+  check_rejected "teleport" (certify_forged ~placement:[| 0 |] [ move 0 (4, 2) (3, 2) 0.0 1.0 ]);
+  (* a two-cell jump out of the right cell is no unit step *)
+  check_rejected "bad-step" (certify_forged ~placement:[| 0 |] [ move 0 (5, 1) (5, 3) 0.0 1.0 ])
 
 let test_validate_catches_wrong_gate_site () =
-  let graph = tile_graph () in
-  let trace =
-    [ Micro.Gate_start { instr_id = 0; trap = Coord.make 2 2; qubits = [ 0 ]; time = 0.0 } ]
-  in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:[| 0 |] trace
-  in
-  (* (2,2) is a junction, not a trap, and the gate never ends *)
-  check_bool "rejected" false report.Validate.ok
+  let trap = Coord.make 2 2 in
+  check_rejected "gate-site"
+    (certify_forged ~program:"QUBIT a\nH a\n" ~placement:[| 0 |]
+       [
+         Micro.Gate_start { instr_id = 1; trap; qubits = [ 0 ]; time = 0.0 };
+         Micro.Gate_end { instr_id = 1; trap; qubits = [ 0 ]; time = 10.0 };
+       ])
 
 let test_validate_catches_capacity_violation () =
-  let graph = tile_graph () in
-  (* three qubits squeezed through the same channel cell simultaneously *)
-  let mk q = Micro.Move { qubit = q; from_ = Coord.make 5 2; to_ = Coord.make 4 2; start = 0.0; finish = 1.0 } in
-  (* place 3 qubits on traps t0,t1,t2; forge their positions via initial
-     moves from their real taps is complex — instead forge three parallel
-     moves from the same cell, which also violates continuity; capacity check
-     still counts 3 users on the segment *)
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:[| 0; 1; 2 |]
-      [ mk 0; mk 1; mk 2 ]
+  (* two ions leave t0 and one leaves t1, all into the (5,2) channel cell
+     at once: every move is continuous and unit-step, but three ions share
+     a capacity-2 segment *)
+  let c =
+    certify_forged ~program:"QUBIT a\nQUBIT b\nQUBIT c\n" ~placement:[| 0; 0; 1 |]
+      [ move 0 (5, 1) (5, 2) 0.0 1.0; move 1 (5, 1) (5, 2) 0.0 1.0; move 2 (5, 3) (5, 2) 0.0 1.0 ]
   in
-  check_bool "rejected" false report.Validate.ok;
-  check_bool "mentions capacity" true
-    (List.exists
-       (fun e ->
-         let has_sub s sub =
-           let n = String.length sub in
-           let found = ref false in
-           for i = 0 to String.length s - n do
-             if String.sub s i n = sub then found := true
-           done;
-           !found
-         in
-         has_sub e "capacity")
-       report.Validate.errors)
+  check_rejected "capacity" c;
+  check_bool "capacity is the only error" true
+    (List.for_all
+       (fun f -> f.Analysis.Finding.severity <> Analysis.Finding.Error || Analysis.Finding.kind f = Some "capacity")
+       c.Analysis.Certify.findings)
 
 let test_validate_never_ended_gate () =
-  let graph = tile_graph () in
-  (* qubit 0 starts at trap 0 = (5,1); gate starts there but never ends *)
-  let trace = [ Micro.Gate_start { instr_id = 9; trap = Coord.make 5 1; qubits = [ 0 ]; time = 0.0 } ] in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:[| 0 |] trace
-  in
-  check_bool "rejected" false report.Validate.ok
+  (* qubit 0 rests in t0 = (5,1); its gate starts there but never ends *)
+  check_rejected "gate-pairing"
+    (certify_forged ~program:"QUBIT a\nH a\n" ~placement:[| 0 |]
+       [ Micro.Gate_start { instr_id = 1; trap = Coord.make 5 1; qubits = [ 0 ]; time = 0.0 } ])
 
 let test_validate_wrong_durations () =
-  let graph = tile_graph () in
-  let trace =
-    [ Micro.Move { qubit = 0; from_ = Coord.make 5 1; to_ = Coord.make 5 2; start = 0.0; finish = 3.0 } ]
-  in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:[| 0 |] trace
-  in
   (* a move must take exactly t_move *)
-  check_bool "rejected" false report.Validate.ok
+  check_rejected "bad-duration" (certify_forged ~placement:[| 0 |] [ move 0 (5, 1) (5, 2) 0.0 3.0 ])
 
 let () =
   Alcotest.run "simulator"

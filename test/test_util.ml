@@ -1,6 +1,6 @@
 (* Tests for the ion_util substrate: RNG determinism and uniformity bounds,
-   priority-queue ordering, pairing-heap persistence, statistics, bit-vector
-   algebra and coordinate geometry. *)
+   priority-queue ordering, statistics, bit-vector algebra and coordinate
+   geometry. *)
 
 open Ion_util
 
@@ -83,85 +83,99 @@ let test_rng_pick_member () =
     check_bool "member" true (Array.exists (( = ) (Rng.pick r a)) a)
   done
 
-(* --------------------------------------------------------------- Pqueue *)
+(* ---------------------------------------------------------------- Fheap *)
+
+(* Fheap, the repo's priority queue: float priorities, int payloads. *)
+
+(* pops every entry, returning (priority, payload) pairs in pop order *)
+let drain q =
+  let rec go acc =
+    if Fheap.is_empty q then List.rev acc
+    else begin
+      let p = Fheap.top_prio q and d = Fheap.top_data q in
+      Fheap.drop_min q;
+      go ((p, d) :: acc)
+    end
+  in
+  go []
+
+let heap_of xs =
+  let q = Fheap.create () in
+  List.iter (fun x -> Fheap.add q (float_of_int x) x) xs;
+  q
 
 let test_pqueue_ordering () =
-  let q = Pqueue.create ~compare:Int.compare () in
-  List.iter (fun p -> Pqueue.add q p (string_of_int p)) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let order = List.map fst (Pqueue.to_sorted_list q) in
-  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 5; 7; 8; 9 ] order;
-  check_int "queue untouched by to_sorted_list" 7 (Pqueue.length q)
+  let q = heap_of [ 5; 3; 8; 1; 9; 2; 7 ] in
+  check_int "length" 7 (Fheap.length q);
+  Alcotest.(check (list int)) "ascending pops" [ 1; 2; 3; 5; 7; 8; 9 ] (List.map snd (drain q));
+  check_bool "drained" true (Fheap.is_empty q)
 
 let test_pqueue_pop_sequence () =
-  let q = Pqueue.create ~compare:Int.compare () in
-  Pqueue.add q 2 "b";
-  Pqueue.add q 1 "a";
-  Pqueue.add q 3 "c";
-  Alcotest.(check (option (pair int string))) "peek min" (Some (1, "a")) (Pqueue.peek q);
-  Alcotest.(check (option (pair int string))) "pop 1" (Some (1, "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "pop 2" (Some (2, "b")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "pop 3" (Some (3, "c")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "empty" None (Pqueue.pop q)
+  let q = Fheap.create () in
+  Fheap.add q 2.0 20;
+  Fheap.add q 1.0 10;
+  Fheap.add q 3.0 30;
+  check_float "top prio" 1.0 (Fheap.top_prio q);
+  check_int "top data" 10 (Fheap.top_data q);
+  Fheap.drop_min q;
+  check_int "second" 20 (Fheap.top_data q);
+  Fheap.drop_min q;
+  check_int "third" 30 (Fheap.top_data q);
+  Fheap.drop_min q;
+  check_bool "empty" true (Fheap.is_empty q)
 
 let test_pqueue_empty () =
-  let q : (int, unit) Pqueue.t = Pqueue.create ~compare:Int.compare () in
-  check_bool "is_empty" true (Pqueue.is_empty q);
-  check_int "length" 0 (Pqueue.length q);
-  Alcotest.check_raises "pop_exn raises" (Invalid_argument "Pqueue.pop_exn: empty queue") (fun () ->
-      ignore (Pqueue.pop_exn q))
+  let q = Fheap.create () in
+  check_bool "is_empty" true (Fheap.is_empty q);
+  check_int "length" 0 (Fheap.length q);
+  Alcotest.check_raises "top_prio raises" (Invalid_argument "Fheap.top_prio: empty heap") (fun () ->
+      ignore (Fheap.top_prio q));
+  Alcotest.check_raises "top_data raises" (Invalid_argument "Fheap.top_data: empty heap") (fun () ->
+      ignore (Fheap.top_data q));
+  Alcotest.check_raises "drop_min raises" (Invalid_argument "Fheap.drop_min: empty heap") (fun () ->
+      Fheap.drop_min q)
 
 let test_pqueue_clear () =
-  let q = Pqueue.create ~compare:Int.compare () in
-  Pqueue.add q 1 ();
-  Pqueue.add q 2 ();
-  Pqueue.clear q;
-  check_bool "cleared" true (Pqueue.is_empty q)
+  let q = heap_of [ 1; 2 ] in
+  let prio = q.Fheap.prio and data = q.Fheap.data in
+  Fheap.clear q;
+  check_bool "cleared" true (Fheap.is_empty q);
+  check_bool "arrays kept" true (q.Fheap.prio == prio && q.Fheap.data == data);
+  List.iter (fun x -> Fheap.add q (float_of_int x) x) [ 9; 4; 6 ];
+  Alcotest.(check (list int)) "reusable" [ 4; 6; 9 ] (List.map snd (drain q))
 
 let test_pqueue_growth () =
-  let q = Pqueue.create ~capacity:1 ~compare:Int.compare () in
+  let q = Fheap.create ~capacity:1 () in
   for i = 1000 downto 1 do
-    Pqueue.add q i i
+    Fheap.add q (float_of_int i) i
   done;
-  check_int "length" 1000 (Pqueue.length q);
-  let p, _ = Pqueue.pop_exn q in
-  check_int "min after growth" 1 p
+  check_int "length" 1000 (Fheap.length q);
+  check_int "min after growth" 1 (Fheap.top_data q);
+  Alcotest.(check (list int)) "ascending" (List.init 1000 succ) (List.map snd (drain q))
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains any list sorted" ~count:200
     QCheck.(list small_int)
+    (fun xs -> List.map snd (drain (heap_of xs)) = List.sort compare xs)
+
+(* the allocation-free push recipe documented in fheap.mli must build the
+   same heap as [add], ties included *)
+let prop_manual_push_equals_add =
+  QCheck.Test.make ~name:"manual push recipe drains the same as add" ~count:200
+    QCheck.(list (int_bound 20))
     (fun xs ->
-      let q = Pqueue.create ~compare:Int.compare () in
-      List.iter (fun x -> Pqueue.add q x x) xs;
-      let drained = List.map fst (Pqueue.to_sorted_list q) in
-      drained = List.sort compare xs)
-
-(* --------------------------------------------------------- Pairing_heap *)
-
-let test_pheap_basic () =
-  let h = Pairing_heap.of_list ~compare:Int.compare [ (4, "d"); (1, "a"); (3, "c") ] in
-  Alcotest.(check (option (pair int string))) "peek" (Some (1, "a")) (Pairing_heap.peek h);
-  check_int "length" 3 (Pairing_heap.length h)
-
-let test_pheap_persistent () =
-  let h0 = Pairing_heap.of_list ~compare:Int.compare [ (2, ()); (1, ()) ] in
-  let h1 = Pairing_heap.add h0 0 () in
-  (* h0 is unchanged by the add *)
-  Alcotest.(check (option (pair int unit))) "h0 min" (Some (1, ())) (Pairing_heap.peek h0);
-  Alcotest.(check (option (pair int unit))) "h1 min" (Some (0, ())) (Pairing_heap.peek h1)
-
-let test_pheap_merge () =
-  let a = Pairing_heap.of_list ~compare:Int.compare [ (5, ()); (2, ()) ] in
-  let b = Pairing_heap.of_list ~compare:Int.compare [ (3, ()); (1, ()) ] in
-  let m = Pairing_heap.merge a b in
-  let keys = List.map fst (Pairing_heap.to_sorted_list m) in
-  Alcotest.(check (list int)) "merged sorted" [ 1; 2; 3; 5 ] keys
-
-let prop_pheap_sorts =
-  QCheck.Test.make ~name:"pairing heap drains any list sorted" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let h = Pairing_heap.of_list ~compare:Int.compare (List.map (fun x -> (x, x)) xs) in
-      List.map fst (Pairing_heap.to_sorted_list h) = List.sort compare xs)
+      let a = Fheap.create ~capacity:1 () and m = Fheap.create ~capacity:1 () in
+      List.iteri
+        (fun v x ->
+          let p = float_of_int x in
+          Fheap.add a p v;
+          Fheap.ensure_room m;
+          m.Fheap.prio.(m.Fheap.size) <- p;
+          m.Fheap.data.(m.Fheap.size) <- v;
+          m.Fheap.size <- m.Fheap.size + 1;
+          Fheap.sift_up m (m.Fheap.size - 1))
+        xs;
+      drain a = drain m)
 
 (* ---------------------------------------------------------------- Stats *)
 
@@ -389,14 +403,7 @@ let () =
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           Alcotest.test_case "growth" `Quick test_pqueue_growth;
         ]
-        @ qsuite [ prop_pqueue_sorts ] );
-      ( "pairing_heap",
-        [
-          Alcotest.test_case "basic" `Quick test_pheap_basic;
-          Alcotest.test_case "persistent" `Quick test_pheap_persistent;
-          Alcotest.test_case "merge" `Quick test_pheap_merge;
-        ]
-        @ qsuite [ prop_pheap_sorts ] );
+        @ qsuite [ prop_pqueue_sorts; prop_manual_push_equals_add ] );
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
