@@ -10,13 +10,27 @@ type edge = { dst : node; kind : edge_kind }
    occupy indices [row_start.(n) .. row_start.(n+1) - 1] of the flat
    [edge_dst]/[edge_kinds] arrays.  The router's Dijkstra/A* inner loop scans
    these with plain int indexing — no list traversal and no per-query edge
-   allocation; [adj] rebuilds the list view for diagnostics and tests. *)
+   allocation; [adj] rebuilds the list view for diagnostics and tests.  Two
+   more CSR indexes over the same edge numbering are built once here: the
+   in-edges of each node (the router's destination-seal check) and the
+   edges of each segment and junction (refreshed in place when that
+   resource's congestion changes). *)
 type t = {
   component : Component.t;
   num_nodes : int;
   row_start : int array; (* length num_nodes + 1 *)
   edge_dst : int array;
   edge_kinds : edge_kind array;
+  edge_src : int array; (* source node of each CSR edge *)
+  (* reverse CSR: the in-edges of node [n] are the forward edge indices
+     [in_edges.(in_start.(n)) .. in_edges.(in_start.(n+1) - 1)] *)
+  in_start : int array; (* length num_nodes + 1 *)
+  in_edges : int array;
+  (* resource CSR: the edges whose weight a resource's congestion sets —
+     [Chan s] edges under row [s], [Junc j] edges under row [num_segments + j] *)
+  num_segments : int;
+  res_start : int array; (* length num_segments + num_junctions + 1 *)
+  res_edges : int array;
   trap_nodes : node array;
   positions : Coord.t array;
   orientations : Cell.orientation option array;
@@ -37,6 +51,17 @@ let succ_stop t n = t.row_start.(n + 1)
 let succ_dst t i = t.edge_dst.(i)
 let succ_kind t i = t.edge_kinds.(i)
 let edge_at t i = { dst = t.edge_dst.(i); kind = t.edge_kinds.(i) }
+let edge_src t i = t.edge_src.(i)
+
+let pred_start t n = t.in_start.(n)
+let pred_stop t n = t.in_start.(n + 1)
+let pred_edge t k = t.in_edges.(k)
+
+let chan_edges_start t s = t.res_start.(s)
+let chan_edges_stop t s = t.res_start.(s + 1)
+let junc_edges_start t j = t.res_start.(t.num_segments + j)
+let junc_edges_stop t j = t.res_start.(t.num_segments + j + 1)
+let resource_edge t k = t.res_edges.(k)
 
 let trap_node t tid = t.trap_nodes.(tid)
 let node_pos t n = t.positions.(n)
@@ -154,19 +179,61 @@ let build comp =
   let total = row_start.(n) in
   let edge_dst = Array.make total 0 in
   let edge_kinds = Array.make total (Tap 0) in
+  let edge_src = Array.make total 0 in
   for src = 0 to n - 1 do
     List.iteri
       (fun i e ->
         edge_dst.(row_start.(src) + i) <- e.dst;
-        edge_kinds.(row_start.(src) + i) <- e.kind)
+        edge_kinds.(row_start.(src) + i) <- e.kind;
+        edge_src.(row_start.(src) + i) <- src)
       adj.(src)
   done;
+  (* counting-sort the edge indices by a row key into a CSR pair; rows
+     list their edges in ascending edge-index order, and a negative key
+     leaves the edge out *)
+  let bucket rows key =
+    let start = Array.make (rows + 1) 0 in
+    for i = 0 to total - 1 do
+      let r = key i in
+      if r >= 0 then start.(r + 1) <- start.(r + 1) + 1
+    done;
+    for r = 0 to rows - 1 do
+      start.(r + 1) <- start.(r + 1) + start.(r)
+    done;
+    let fill = Array.sub start 0 rows in
+    let edges = Array.make start.(rows) 0 in
+    for i = 0 to total - 1 do
+      let r = key i in
+      if r >= 0 then begin
+        edges.(fill.(r)) <- i;
+        fill.(r) <- fill.(r) + 1
+      end
+    done;
+    (start, edges)
+  in
+  let in_start, in_edges = bucket n (fun i -> edge_dst.(i)) in
+  let num_segments = Array.length (Component.segments comp) in
+  let res_start, res_edges =
+    bucket
+      (num_segments + Array.length (Component.junctions comp))
+      (fun i ->
+        match edge_kinds.(i) with
+        | Chan s -> s
+        | Junc j -> num_segments + j
+        | Turn _ | Tap _ -> -1)
+  in
   {
     component = comp;
     num_nodes = n;
     row_start;
     edge_dst;
     edge_kinds;
+    edge_src;
+    in_start;
+    in_edges;
+    num_segments;
+    res_start;
+    res_edges;
     trap_nodes;
     positions = Array.of_list (List.rev !positions);
     orientations = Array.of_list (List.rev !orientations);

@@ -50,6 +50,33 @@ val edge_at : t -> int -> edge
 (** The edge record at a CSR index — allocates; used to materialize the
     O(path) result of a search. *)
 
+val edge_src : t -> int -> node
+(** Source node of the edge at a CSR index. *)
+
+(** {2 Reverse CSR}
+
+    The in-edges of node [n] are [pred_edge t k] for
+    [k = pred_start t n .. pred_stop t n - 1], each a forward CSR edge index
+    (so {!edge_src} gives its source), in ascending edge-index order. *)
+
+val pred_start : t -> node -> int
+val pred_stop : t -> node -> int
+val pred_edge : t -> int -> int
+
+(** {2 Resource CSR}
+
+    The edges whose Eq. 2 weight a resource's congestion sets: the [Chan s]
+    edges of segment [s] are [resource_edge t k] for
+    [k = chan_edges_start t s .. chan_edges_stop t s - 1], and likewise the
+    [Junc j] edges of junction [j] via [junc_edges_start]/[junc_edges_stop].
+    Turn and tap edges have fixed weights and belong to no row. *)
+
+val chan_edges_start : t -> int -> int
+val chan_edges_stop : t -> int -> int
+val junc_edges_start : t -> int -> int
+val junc_edges_stop : t -> int -> int
+val resource_edge : t -> int -> int
+
 val trap_node : t -> int -> node
 (** Node of a trap id — route endpoints. *)
 

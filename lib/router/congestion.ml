@@ -1,3 +1,9 @@
+module Graph = Fabric.Graph
+
+(* the live Eq. 2 weight array of {!track_weights}, kept equal to [weight]
+   on every edge by rewriting a resource's edges when its count changes *)
+type live = { graph : Graph.t; weights : float array }
+
 type t = {
   chan_cap : int;
   junc_cap : int;
@@ -9,6 +15,7 @@ type t = {
   mutable seg_total : int;
   mutable junc_total : int;
   mutable junc_saturated : int;
+  mutable live : live option;
 }
 
 let create comp ~channel_capacity ~junction_capacity =
@@ -22,6 +29,7 @@ let create comp ~channel_capacity ~junction_capacity =
     seg_total = 0;
     junc_total = 0;
     junc_saturated = 0;
+    live = None;
   }
 
 let channel_capacity t = t.chan_cap
@@ -34,19 +42,45 @@ let capacity t r = if Resource.is_segment r then t.chan_cap else t.junc_cap
 
 let is_free t r = users t r < capacity t r
 
+(* Rewrite the tracked weights of segment [s] / junction [j] after its
+   count changed.  The Eq. 2 formula is inlined rather than calling
+   [weight]: a float returned across a call is boxed, one block per edge. *)
+let refresh_seg t s =
+  match t.live with
+  | None -> ()
+  | Some { graph; weights } ->
+      let n = t.seg_users.(s) in
+      let w = if n >= t.chan_cap then Float.infinity else float_of_int (n + 1) in
+      for k = Graph.chan_edges_start graph s to Graph.chan_edges_stop graph s - 1 do
+        weights.(Graph.resource_edge graph k) <- w
+      done
+
+let refresh_junc t j =
+  match t.live with
+  | None -> ()
+  | Some { graph; weights } ->
+      let w = if t.junc_users.(j) >= t.junc_cap then Float.infinity else 1.0 in
+      for k = Graph.junc_edges_start graph j to Graph.junc_edges_stop graph j - 1 do
+        weights.(Graph.resource_edge graph k) <- w
+      done
+
 let acquire t r =
   if not (is_free t r) then
     invalid_arg (Format.asprintf "Congestion.acquire: %a is at capacity" Resource.pp r);
   if Resource.is_segment r then begin
     let s = Resource.id r in
     t.seg_users.(s) <- t.seg_users.(s) + 1;
-    t.seg_total <- t.seg_total + 1
+    t.seg_total <- t.seg_total + 1;
+    refresh_seg t s
   end
   else begin
     let j = Resource.id r in
     t.junc_users.(j) <- t.junc_users.(j) + 1;
     t.junc_total <- t.junc_total + 1;
-    if t.junc_users.(j) = t.junc_cap then t.junc_saturated <- t.junc_saturated + 1
+    if t.junc_users.(j) = t.junc_cap then begin
+      t.junc_saturated <- t.junc_saturated + 1;
+      refresh_junc t j
+    end
   end
 
 let release t r =
@@ -55,13 +89,18 @@ let release t r =
   if Resource.is_segment r then begin
     let s = Resource.id r in
     t.seg_users.(s) <- t.seg_users.(s) - 1;
-    t.seg_total <- t.seg_total - 1
+    t.seg_total <- t.seg_total - 1;
+    refresh_seg t s
   end
   else begin
     let j = Resource.id r in
-    if t.junc_users.(j) = t.junc_cap then t.junc_saturated <- t.junc_saturated - 1;
+    let was_saturated = t.junc_users.(j) = t.junc_cap in
     t.junc_users.(j) <- t.junc_users.(j) - 1;
-    t.junc_total <- t.junc_total - 1
+    t.junc_total <- t.junc_total - 1;
+    if was_saturated then begin
+      t.junc_saturated <- t.junc_saturated - 1;
+      refresh_junc t j
+    end
   end
 
 let weight t ~turn_cost (kind : Fabric.Graph.edge_kind) =
@@ -73,22 +112,21 @@ let weight t ~turn_cost (kind : Fabric.Graph.edge_kind) =
   | Fabric.Graph.Turn _ -> turn_cost
   | Fabric.Graph.Tap _ -> 1.0
 
-(* Direct-call twin of [weight] over every CSR edge: filling a float array
-   stores the weights unboxed, where calling the closure per edge from the
-   search loop would box each returned float.  Congestion state is frozen
-   for the duration of a search (acquire/release happen between searches),
-   so an eager fill reads the exact counters the lazy calls would. *)
-let weights_into t ~turn_cost graph (out : float array) =
-  let m = Fabric.Graph.num_edges graph in
-  for i = 0 to m - 1 do
-    out.(i) <-
-      (match Fabric.Graph.succ_kind graph i with
-      | Fabric.Graph.Chan s ->
-          let n = t.seg_users.(s) in
-          if n >= t.chan_cap then Float.infinity else float_of_int (n + 1)
-      | Fabric.Graph.Junc j -> if t.junc_users.(j) >= t.junc_cap then Float.infinity else 1.0
-      | Fabric.Graph.Turn _ -> turn_cost
-      | Fabric.Graph.Tap _ -> 1.0)
+let track_weights t ~turn_cost graph weights =
+  if Array.length weights < Graph.num_edges graph then
+    invalid_arg "Congestion.track_weights: weight array too short";
+  t.live <- Some { graph; weights };
+  for i = 0 to Graph.num_edges graph - 1 do
+    match Graph.succ_kind graph i with
+    | Graph.Turn _ -> weights.(i) <- turn_cost
+    | Graph.Tap _ -> weights.(i) <- 1.0
+    | Graph.Chan _ | Graph.Junc _ -> ()
+  done;
+  for s = 0 to Array.length t.seg_users - 1 do
+    refresh_seg t s
+  done;
+  for j = 0 to Array.length t.junc_users - 1 do
+    refresh_junc t j
   done
 
 let total_in_flight t = t.seg_total + t.junc_total

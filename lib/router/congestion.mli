@@ -41,13 +41,19 @@ val weight : t -> turn_cost:float -> Fabric.Graph.edge_kind -> float
     record) lets searches scan the CSR adjacency without materializing edge
     values. *)
 
-val weights_into : t -> turn_cost:float -> Fabric.Graph.t -> float array -> unit
-(** [weights_into t ~turn_cost graph out] writes {!weight} for every CSR
-    edge index into [out] (length at least [Fabric.Graph.num_edges graph]).
-    Filling an array stores the floats unboxed; per-edge closure calls from
-    a search loop would box every result on the minor heap.  The values are
-    those {!weight} would return under the same counters — congestion does
-    not change mid-search, so an eager fill is observationally identical. *)
+val track_weights : t -> turn_cost:float -> Fabric.Graph.t -> float array -> unit
+(** [track_weights t ~turn_cost graph out] writes {!weight} for every CSR
+    edge index of [graph] into [out] and from then on keeps [out] equal to
+    {!weight} at all times: every {!acquire}/{!release} rewrites just the
+    edges of that resource (the graph's resource CSR), so a search can read
+    [out] as [Dijkstra.run_into]'s [edge_weights] with no per-search sweep.
+    Only channel and junction edges ever change; turn and tap edges keep
+    the values written here.  The array holds floats unboxed, and the
+    refresh writes them without calling {!weight}, so tracking allocates
+    nothing per acquire or release.  A later call replaces the tracked
+    array; [graph] must be built on the component [t] was created for.
+    @raise Invalid_argument when [out] is shorter than
+    [Fabric.Graph.num_edges graph]. *)
 
 val total_in_flight : t -> int
 (** Sum of users over all resources, for diagnostics and invariant checks.

@@ -10,6 +10,11 @@ let run_into ?heuristic ?edge_weights ws graph ~weight ~src ~dst =
   let n = Graph.num_nodes graph in
   if src < 0 || src >= n then invalid_arg "Dijkstra: source out of range";
   if dst < -1 || dst >= n then invalid_arg "Dijkstra: destination out of range";
+  (* the fast relax loop reads [ew] unchecked, so check its length once *)
+  (match edge_weights with
+  | Some ew when Array.length ew < Graph.num_edges graph ->
+      invalid_arg "Dijkstra: edge_weights shorter than the edge count"
+  | Some _ | None -> ());
   let h = match heuristic with Some f -> f | None -> fun _ -> 0.0 in
   Workspace.prepare ws n;
   let gen = ws.Workspace.generation in

@@ -56,13 +56,17 @@ val run_into :
     settled costs to be exact (A* contract).
 
     [edge_weights], when given, must hold the weight of every CSR edge
-    index (see {!Congestion.weights_into} and
+    index — in the engine, the live array {!Congestion.track_weights}
+    keeps equal to {!Congestion.weight} for a whole run (see
     {!Workspace.edge_weights_for}); the search then reads weights unboxed
     instead of calling [weight] per edge, which boxes every returned float.
     Values must equal what [weight] would return — the relax loop is
     otherwise identical, including the negative-weight check, so the two
     modes produce bit-identical predecessors and costs.  Without a
-    heuristic this path allocates nothing per edge or push. *)
+    heuristic this path allocates nothing per edge or push.
+    @raise Invalid_argument when [edge_weights] is shorter than
+    [Fabric.Graph.num_edges graph] (checked once per call), or on an
+    out-of-range [src]/[dst]. *)
 
 val path_to : Workspace.t -> Fabric.Graph.t -> dst:Fabric.Graph.node -> result option
 (** The path recorded by the last {!run_into} on this workspace. *)

@@ -20,9 +20,9 @@ type t = {
   mutable generation : int;
   queue : Ion_util.Fheap.t;  (** unboxed frontier: no allocation per push *)
   mutable edge_weights : float array;
-      (** per-edge weight scratch for {!Dijkstra.run_into}'s [edge_weights]
-          fast path; sized by {!edge_weights_for}, contents owned by the
-          query that filled it *)
+      (** per-edge weight slot for {!Dijkstra.run_into}'s [edge_weights]
+          fast path; sized by {!edge_weights_for}.  An engine run owns it
+          from start to finish as its live Eq. 2 weights *)
 }
 
 val create : unit -> t
@@ -45,8 +45,13 @@ val dist : t -> int -> float
 val is_settled : t -> int -> bool
 
 val edge_weights_for : t -> int -> float array
-(** [edge_weights_for t m] returns the per-edge weight scratch, grown to at
-    least [m] slots.  Callers fill it (e.g. {!Congestion.weights_into}) and
-    pass it to {!Dijkstra.run_into} as [edge_weights] so the inner loop
-    reads unboxed floats instead of calling the weight closure per edge —
-    the closure call would box every returned float on the minor heap. *)
+(** [edge_weights_for t m] returns the per-edge weight slot, grown to at
+    least [m] slots.  [Simulator.Engine.run] hands it to
+    {!Congestion.track_weights}, which keeps it equal to the live Eq. 2
+    weights for the whole run, and passes it to every
+    {!Dijkstra.run_into} as [edge_weights] — the inner loop then reads
+    unboxed floats instead of calling the weight closure per edge, and no
+    run allocates an O(edges) array of its own.  Because the slot's
+    contents must stay live between searches, nothing else on the domain
+    may write it while an engine run is in progress; a run that starts
+    refills it from scratch. *)

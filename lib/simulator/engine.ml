@@ -84,12 +84,16 @@ type state = {
   route_turns : int array;
   mutable emitted_events : int;
   workspace : Router.Workspace.t; (* per-domain scratch for route searches *)
+  edge_weights : float array;
+      (* the workspace's edge-weight slot, kept equal to [weight] on every
+         edge by [congestion] (Congestion.track_weights) for the whole run *)
   route_cache : Route_cache.t option; (* congestion-free path memo, None = legacy *)
   mutable route_searches : int;
   mutable route_cache_hits : int;
 }
 
-let turn_cost st = if st.policy.turn_aware then Timing.turn_cost_in_moves st.timing else 0.0
+let policy_turn_cost policy timing = if policy.turn_aware then Timing.turn_cost_in_moves timing else 0.0
+let turn_cost st = policy_turn_cost st.policy st.timing
 
 let weight st kind = Congestion.weight st.congestion ~turn_cost:(turn_cost st) kind
 
@@ -167,35 +171,6 @@ let trap_candidates st ~control ~target =
       preferred :: collect_avail st control target ~skip:preferred [] (k - 1) (nearest_traps st anchor)
     else collect_avail st control target ~skip:(-1) [] k (nearest_traps st anchor)
 
-(* Exact O(degree²) early-out for the dispatch_pending flood: a staged
-   operand whose trap's tap segment is still held by its partner's crossing
-   would otherwise flood-fill everything reachable under finite weights
-   before failing.  [src] is sealed when every 2-step escape is cut: each
-   out-edge is either saturated already, or leads to a node whose only
-   finite continuations return to [src] (tap edges never saturate, so the
-   depth-1 check alone can never fire from a trap).  Sealed ⇒ every walk
-   oscillates between [src] and its tap cells ⇒ Dijkstra would return None
-   after settling that same perimeter — the skip is bit-identical. *)
-let all_infinite_except st v ~back =
-  let stop = Graph.succ_stop st.graph v in
-  let rec go i =
-    i >= stop
-    || ((Graph.succ_dst st.graph i = back || weight st (Graph.succ_kind st.graph i) = Float.infinity)
-       && go (i + 1))
-  in
-  go (Graph.succ_start st.graph v)
-
-let source_sealed st ~src ~dst =
-  let stop = Graph.succ_stop st.graph src in
-  let rec go i =
-    i >= stop
-    || (let v = Graph.succ_dst st.graph i in
-        (weight st (Graph.succ_kind st.graph i) = Float.infinity
-        || (v <> dst && all_infinite_except st v ~back:src))
-        && go (i + 1))
-  in
-  go (Graph.succ_start st.graph src)
-
 (* route one qubit from its trap to the target trap under current weights;
    an already-there qubit yields the empty path.  While nothing is in
    flight the live weights equal the base weights and the search is a pure
@@ -210,7 +185,12 @@ let route_qubit st q ~to_trap =
       if from_trap = to_trap then Some (Path.empty (Graph.trap_node st.graph to_trap))
       else
         let src = Graph.trap_node st.graph from_trap and dst = Graph.trap_node st.graph to_trap in
-        if source_sealed st ~src ~dst then None
+        (* a staged operand whose tap segment its partner's crossing still
+           holds would otherwise flood everything reachable before failing;
+           both seals are exact, so the skip is bit-identical *)
+        if Seal.source_sealed st.graph st.edge_weights ~src ~dst
+           || Seal.dest_sealed st.graph st.edge_weights ~src ~dst
+        then None
         else begin
           let cache =
             match st.route_cache with
@@ -222,11 +202,10 @@ let route_qubit st q ~to_trap =
              result packs straight out of the workspace predecessors *)
           let search () =
             st.route_searches <- st.route_searches + 1;
-            (* prefill the per-edge weights so the relax loop reads them
-               unboxed — same values as the closure, zero words per edge *)
-            let ew = Workspace.edge_weights_for st.workspace (Graph.num_edges st.graph) in
-            Congestion.weights_into st.congestion ~turn_cost:tc st.graph ew;
-            Dijkstra.run_into ~edge_weights:ew st.workspace st.graph ~weight:(weight st) ~src ~dst;
+            (* the live weights equal the closure's on every edge, and the
+               relax loop reads them unboxed — zero words per edge *)
+            Dijkstra.run_into ~edge_weights:st.edge_weights st.workspace st.graph ~weight:(weight st) ~src
+              ~dst;
             Path.of_workspace st.workspace st.graph ~src ~dst
           in
           match cache with
@@ -468,6 +447,13 @@ let run ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_factor =
     else if Array.length priorities <> n then
       Error (Invalid "Engine.run: priorities length mismatch")
     else begin
+      let congestion =
+        Congestion.create comp ~channel_capacity:policy.channel_capacity
+          ~junction_capacity:policy.junction_capacity
+      in
+      let workspace = Workspace.domain_local () in
+      let edge_weights = Workspace.edge_weights_for workspace (Graph.num_edges graph) in
+      Congestion.track_weights congestion ~turn_cost:(policy_turn_cost policy timing) graph edge_weights;
       let st =
         {
           graph;
@@ -476,9 +462,7 @@ let run ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_factor =
           policy;
           dag;
           ready_set = Scheduler.Ready_set.create dag ~priorities;
-          congestion =
-            Congestion.create comp ~channel_capacity:policy.channel_capacity
-              ~junction_capacity:policy.junction_capacity;
+          congestion;
           qubit_trap = Array.map Option.some placement;
           qubit_engaged = Array.make nq false;
           occupants = Array.make ntraps [];
@@ -493,7 +477,8 @@ let run ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_factor =
           route_moves = Array.make n 0;
           route_turns = Array.make n 0;
           emitted_events = 0;
-          workspace = Workspace.domain_local ();
+          workspace;
+          edge_weights;
           route_cache;
           route_searches = 0;
           route_cache_hits = 0;

@@ -251,6 +251,51 @@ let test_graph_edges_symmetric () =
       (Graph.adj g n)
   done
 
+(* The reverse and resource CSR indexes against the forward adjacency:
+   each edge is listed exactly once as an in-edge of its destination and,
+   for channel and junction edges, exactly once under its resource, in
+   ascending edge-index order. *)
+let test_graph_reverse_and_resource_csr () =
+  let c = extract (Layout.quale_45x85 ()) in
+  let g = Graph.build c in
+  let m = Graph.num_edges g in
+  let as_in = Array.make m 0 and as_res = Array.make m 0 in
+  let ascending start stop get =
+    for k = start to stop - 2 do
+      if get k >= get (k + 1) then Alcotest.fail "CSR row not in ascending edge order"
+    done
+  in
+  for n = 0 to Graph.num_nodes g - 1 do
+    for i = Graph.succ_start g n to Graph.succ_stop g n - 1 do
+      check_int "edge source" n (Graph.edge_src g i)
+    done;
+    ascending (Graph.pred_start g n) (Graph.pred_stop g n) (Graph.pred_edge g);
+    for k = Graph.pred_start g n to Graph.pred_stop g n - 1 do
+      let i = Graph.pred_edge g k in
+      check_int "in-edge destination" n (Graph.succ_dst g i);
+      as_in.(i) <- as_in.(i) + 1
+    done
+  done;
+  let resource_rows count start stop owns =
+    for r = 0 to count - 1 do
+      ascending (start g r) (stop g r) (Graph.resource_edge g);
+      for k = start g r to stop g r - 1 do
+        let i = Graph.resource_edge g k in
+        check_bool "edge under its own resource" true (owns r (Graph.succ_kind g i));
+        as_res.(i) <- as_res.(i) + 1
+      done
+    done
+  in
+  resource_rows (Array.length (Component.segments c)) Graph.chan_edges_start Graph.chan_edges_stop (fun s ->
+    function Graph.Chan s' -> s = s' | _ -> false);
+  resource_rows (Array.length (Component.junctions c)) Graph.junc_edges_start Graph.junc_edges_stop (fun j ->
+    function Graph.Junc j' -> j = j' | _ -> false);
+  for i = 0 to m - 1 do
+    check_int "listed once as an in-edge" 1 as_in.(i);
+    let weighted = match Graph.succ_kind g i with Graph.Chan _ | Graph.Junc _ -> 1 | Graph.Turn _ | Graph.Tap _ -> 0 in
+    check_int "listed under its resource iff weighted by one" weighted as_res.(i)
+  done
+
 let test_graph_quale_connected () =
   (* BFS from trap 0 must reach every trap: the fabric is one component *)
   let c = extract (Layout.quale_45x85 ()) in
@@ -426,6 +471,7 @@ let () =
           Alcotest.test_case "edges symmetric" `Quick test_graph_edges_symmetric;
           Alcotest.test_case "quale connected" `Quick test_graph_quale_connected;
           Alcotest.test_case "junction split" `Quick test_graph_junction_split;
+          Alcotest.test_case "reverse and resource CSR" `Quick test_graph_reverse_and_resource_csr;
         ] );
       ( "dot",
         [

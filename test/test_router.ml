@@ -177,6 +177,22 @@ let test_dijkstra_negative_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative weights accepted"
 
+let test_dijkstra_short_edge_weights () =
+  let g = Graph.build (tile ()) in
+  let src = Graph.trap_node g 0 and dst = Graph.trap_node g 3 in
+  let ws = Workspace.create () in
+  List.iter
+    (fun len ->
+      match
+        Dijkstra.run_into ~edge_weights:(Array.make len 1.0) ws g ~weight:(fun _ -> 1.0) ~src ~dst
+      with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "edge_weights of length %d < %d accepted" len (Graph.num_edges g))
+    [ 0; Graph.num_edges g - 1 ];
+  (* an exactly sized array is accepted *)
+  Dijkstra.run_into ~edge_weights:(Array.make (Graph.num_edges g) 1.0) ws g ~weight:(fun _ -> 1.0) ~src ~dst;
+  check_bool "exact length routes" true (Workspace.is_settled ws dst)
+
 let test_dijkstra_trap_to_trap () =
   let comp = tile () in
   let g = Graph.build comp in
@@ -432,10 +448,61 @@ let prop_flat_path_equals_list_repr =
           && List.init n (fun i -> (Path.resource p i, buf.(i))) = reference_exits tm edges
           &&
           let ew = Workspace.edge_weights_for ws2 (Graph.num_edges g) in
-          Congestion.weights_into cong ~turn_cost:(Timing.turn_cost_in_moves tm) g ew;
+          Congestion.track_weights cong ~turn_cost:(Timing.turn_cost_in_moves tm) g ew;
           Dijkstra.run_into ~edge_weights:ew ws2 g ~weight ~src ~dst;
           (match Path.of_workspace ws2 g ~src ~dst with None -> false | Some p2 -> Path.equal p p2)
       | _ -> false)
+
+(* every segment and junction of a component *)
+let all_resources comp =
+  Array.append
+    (Array.init (Array.length (Component.segments comp)) Resource.segment)
+    (Array.init (Array.length (Component.junctions comp)) Resource.junction)
+
+(* The engine's live weight array: after every acquire or release it must
+   equal Congestion.weight on every edge, and a search reading it must
+   return the same path as the closure-weight search. *)
+let prop_live_weights_track =
+  let comp = quale () in
+  let g = Graph.build comp in
+  let turn_cost = Timing.turn_cost_in_moves Timing.paper in
+  let res = all_resources comp in
+  let ntraps = Array.length (Component.traps comp) in
+  let ws = Workspace.create () and ws2 = Workspace.create () in
+  QCheck.Test.make ~name:"live edge weights = Congestion.weight after every acquire/release" ~count:30
+    QCheck.(
+      pair (int_range 1 2)
+        (list_of_size Gen.(1 -- 40) (triple (int_bound 3) (int_bound 100_000) (pair (int_bound 10_000) (int_bound 10_000)))))
+    (fun (cap, ops) ->
+      let cong = Congestion.create comp ~channel_capacity:cap ~junction_capacity:cap in
+      let ew = Array.make (Graph.num_edges g) Float.nan in
+      Congestion.track_weights cong ~turn_cost g ew;
+      let weight = Congestion.weight cong ~turn_cost in
+      let held = ref [] in
+      List.for_all
+        (fun (op, pick, (a, b)) ->
+          (match !held with
+          | _ :: _ when op = 0 ->
+              let r = List.nth !held (pick mod List.length !held) in
+              Congestion.release cong r;
+              let rec drop = function [] -> [] | x :: tl -> if Resource.equal x r then tl else x :: drop tl in
+              held := drop !held
+          | _ ->
+              let r = res.(pick mod Array.length res) in
+              if Congestion.is_free cong r then begin
+                Congestion.acquire cong r;
+                held := r :: !held
+              end);
+          let live = ref true in
+          for i = 0 to Graph.num_edges g - 1 do
+            if not (Float.equal ew.(i) (weight (Graph.succ_kind g i))) then live := false
+          done;
+          let src = Graph.trap_node g (a mod ntraps) and dst = Graph.trap_node g (b mod ntraps) in
+          Dijkstra.run_into ws g ~weight ~src ~dst;
+          Dijkstra.run_into ~edge_weights:ew ws2 g ~weight ~src ~dst;
+          !live
+          && Option.equal Path.equal (Path.of_workspace ws g ~src ~dst) (Path.of_workspace ws2 g ~src ~dst))
+        ops)
 
 let prop_random_trap_pairs_route =
   QCheck.Test.make ~name:"all trap pairs on the QUALE fabric route cleanly" ~count:60
@@ -584,6 +651,102 @@ let prop_workspace_distances_match =
           Dijkstra.distances ~workspace:ws g ~weight:w ~src = Dijkstra.distances g ~weight:w ~src)
         srcs)
 
+(* ------------------------------------------------------------------ Seal *)
+
+(* The QUALE fabric, a grid, a linear chain and a ladder: the seals must
+   be exact on every topology, not just the paper's.  The ladder's rungs
+   are one-cell segments between two junctions, so a turn edge sits two
+   hops from a rung — the case the seals' back-edge exemptions decide. *)
+let ladder =
+  match Layout.parse (String.concat "\n" [ "  T T  "; " J-J-J "; " | | | "; " J-J-J "; "  T T  " ]) with
+  | Ok l -> l
+  | Error e -> failwith e
+
+let seal_fabrics =
+  lazy
+    (List.map
+       (fun l ->
+         let comp = match Component.extract l with Ok c -> c | Error e -> Alcotest.failf "extract: %s" e in
+         (comp, Graph.build comp))
+       [
+         Layout.quale_45x85 ();
+         Layout.make_grid ~width:23 ~height:17 ~pitch_x:7 ~pitch_y:5 ~margin:2 ~traps_per_channel:1 ();
+         Layout.linear ~traps:6 ();
+         ladder;
+       ])
+
+(* Random congestion at capacity 1 or 2: each resource is taken with
+   probability [density]%, by 1..capacity users.  Whenever a seal holds,
+   plain closure-weight Dijkstra must find no path.  The fire counters
+   let the caller reject a vacuous pass. *)
+let prop_seals_imply_no_path ~source_fires ~dest_fires ~dest_only =
+  QCheck.Test.make ~name:"a sealed search finds no path" ~count:80
+    QCheck.(quad (int_bound 3) (int_range 1 2) (int_bound 100) (int_bound 1_000_000))
+    (fun (fi, cap, density, seed) ->
+      let comp, g = List.nth (Lazy.force seal_fabrics) fi in
+      let rng = Random.State.make [| seed |] in
+      let cong = Congestion.create comp ~channel_capacity:cap ~junction_capacity:cap in
+      let turn_cost = Timing.turn_cost_in_moves Timing.paper in
+      let ew = Array.make (Graph.num_edges g) 0.0 in
+      Congestion.track_weights cong ~turn_cost g ew;
+      Array.iter
+        (fun r ->
+          if Random.State.int rng 100 < density then
+            for _ = 1 to 1 + Random.State.int rng cap do
+              if Congestion.is_free cong r then Congestion.acquire cong r
+            done)
+        (all_resources comp);
+      let ntraps = Array.length (Component.traps comp) and n = Graph.num_nodes g in
+      (* a random node one or two hops along out-edges ([`Out]) or
+         in-edges ([`In]) from [v]: near pairs are where the seals'
+         [v <> dst] / [u <> src] and back-edge exemptions decide *)
+      let hop dir v =
+        let step v =
+          match dir with
+          | `Out ->
+              let a = Graph.succ_start g v and b = Graph.succ_stop g v in
+              if a = b then v else Graph.succ_dst g (a + Random.State.int rng (b - a))
+          | `In ->
+              let a = Graph.pred_start g v and b = Graph.pred_stop g v in
+              if a = b then v else Graph.edge_src g (Graph.pred_edge g (a + Random.State.int rng (b - a)))
+        in
+        let v = step v in
+        if Random.State.bool rng then step v else v
+      in
+      (* trap pairs (the engine's queries), arbitrary node pairs and near
+         pairs in both directions *)
+      let queries =
+        List.init 40 (fun _ ->
+            (Graph.trap_node g (Random.State.int rng ntraps), Graph.trap_node g (Random.State.int rng ntraps)))
+        @ List.init 20 (fun _ -> (Random.State.int rng n, Random.State.int rng n))
+        @ List.init 20 (fun _ ->
+              let dst = Random.State.int rng n in
+              (hop `In dst, dst))
+        @ List.init 20 (fun _ ->
+              let src = Random.State.int rng n in
+              (src, hop `Out src))
+      in
+      let ws = Workspace.create () in
+      List.for_all
+        (fun (src, dst) ->
+          src = dst
+          ||
+          let s = Seal.source_sealed g ew ~src ~dst and d = Seal.dest_sealed g ew ~src ~dst in
+          if s then incr source_fires;
+          if d then incr dest_fires;
+          if d && not s then incr dest_only;
+          (not (s || d))
+          || Dijkstra.shortest_path ~workspace:ws g ~weight:(Congestion.weight cong ~turn_cost) ~src ~dst = None)
+        queries)
+
+let test_seals_sound_and_fire () =
+  let source_fires = ref 0 and dest_fires = ref 0 and dest_only = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |])
+    (prop_seals_imply_no_path ~source_fires ~dest_fires ~dest_only);
+  check_bool (Printf.sprintf "source seal fires (%d)" !source_fires) true (!source_fires > 0);
+  check_bool (Printf.sprintf "destination seal fires (%d)" !dest_fires) true (!dest_fires > 0);
+  check_bool (Printf.sprintf "destination seal alone fires (%d)" !dest_only) true (!dest_only > 0)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "router"
@@ -614,6 +777,7 @@ let () =
           Alcotest.test_case "figure 5 turn-aware" `Quick test_fig5_turn_aware_single_turn;
           Alcotest.test_case "figure 5 turn-blind" `Quick test_fig5_turn_blind_ignores_turns;
           Alcotest.test_case "congestion avoidance" `Quick test_dijkstra_congestion_avoidance;
+          Alcotest.test_case "short edge weights rejected" `Quick test_dijkstra_short_edge_weights;
         ] );
       ( "path",
         [
@@ -642,5 +806,7 @@ let () =
             prop_flat_path_equals_list_repr;
             prop_random_trap_pairs_route;
             prop_path_at_least_manhattan;
+            prop_live_weights_track;
           ] );
+      ("seal", [ Alcotest.test_case "sealed searches find no path; both seals fire" `Quick test_seals_sound_and_fire ]);
     ]
