@@ -704,22 +704,24 @@ let delta_summary () =
         let num_traps = Array.length (Fabric.Component.traps comp) in
         let pool = Array.of_list (Placer.Center.center_traps comp (min (3 * nq) num_traps)) in
         let placement = Placer.Center.place comp ~num_qubits:nq in
-        (* delta side: the hot path of search_delta — draw, apply, commit
-           or undo *)
+        (* delta side: the hot path of search_delta — draw, apply with the
+           Metropolis cut-off (greedy, so any proven-uphill move stops
+           early), commit or undo *)
         let delta_loop moves =
           let rng = Ion_util.Rng.create 2012 in
           let delta = Estimator.Delta.create model placement in
           let tracker = Placer.Annealing.Proposal.create ~num_traps pool placement in
+          let cutoff () = 0.0 in
           let t0 = Unix.gettimeofday () in
           for _ = 1 to moves do
             match Placer.Annealing.Proposal.draw tracker rng ~num_qubits:nq with
             | Placer.Annealing.Proposal.Stay -> ()
             | Placer.Annealing.Proposal.Swap (i, j) ->
-                if Estimator.Delta.apply_swap delta i j <= 0.0 then Estimator.Delta.commit delta
+                if Estimator.Delta.apply_swap ~cutoff delta i j <= 0.0 then Estimator.Delta.commit delta
                 else Estimator.Delta.undo delta
             | Placer.Annealing.Proposal.Relocate (q, dst) ->
                 let src = Estimator.Delta.trap_of delta q in
-                if Estimator.Delta.apply_move delta q dst <= 0.0 then begin
+                if Estimator.Delta.apply_move ~cutoff delta q dst <= 0.0 then begin
                   Estimator.Delta.commit delta;
                   Placer.Annealing.Proposal.relocate tracker ~src ~dst
                 end

@@ -317,10 +317,41 @@ let () =
         fail "%s: warm evaluation allocates %.0f minor words (ceiling %.0f) — arena regression"
           name words ceiling)
     [ ("[[5,1,3]]", 22_000.0); ("[[7,1,3]]", 22_000.0) ];
+  (* The delta-SA move loop must stay allocation-lean: per move, draw the
+     proposal, apply it (cut off or not), accept or undo.  Averaged over
+     50k moves of [[9,1,3]] — the few routed evaluations included, after a
+     warm-up anneal has sized the arenas — it measures about 8.5 words per
+     move (a proposal variant and the boxed floats crossing the Delta/Rng
+     boundaries).  Rebuilding the cutoff and acceptance closures per move
+     reads about 20, a boxed-int64 generator state about 105, so a 16-word
+     ceiling catches either deterministically. *)
+  let anneal_words_per_move ~moves =
+    let name = "[[9,1,3]]" in
+    let ap = List.assoc name (Circuits.Qecc.all ()) in
+    let actx = match Qspr.Mapper.create ~fabric ap with Ok c -> c | Error e -> fail "%s" e in
+    let run () =
+      match
+        Placer.Annealing.search_delta ~rng:(Ion_util.Rng.create 1) ~moves
+          ~model:(Qspr.Mapper.estimator_model actx) ~evaluate:(Qspr.Mapper.run_forward actx)
+          (Qspr.Mapper.component actx) ~num_qubits:(Qasm.Program.num_qubits ap)
+      with
+      | Ok o -> ignore o.Placer.Annealing.moves
+      | Error e -> fail "memory %s search_delta: %s" name (Simulator.Engine.string_of_error e)
+    in
+    run ();
+    let w0 = Gc.minor_words () in
+    run ();
+    (Gc.minor_words () -. w0) /. float_of_int moves
+  in
+  let words = anneal_words_per_move ~moves:50_000 and ceiling = 16.0 in
+  Printf.printf "bench-smoke: [[9,1,3]] search_delta %.1f minor words/move (ceiling %.0f)\n" words
+    ceiling;
+  if words > ceiling then
+    fail "[[9,1,3]]: search_delta allocates %.1f minor words per move (ceiling %.0f)" words ceiling;
   print_endline
     "bench-smoke: OK (workspace routing exact, parallel search exact, estimator pure, \
      prescreen consistent, winner certified, certified bound admissible and deterministic, \
      fault campaign deterministic, route cache \
      bit-identical with fewer searches, incremental on/off identical, delta transactions \
-     exact, portfolio deterministic and never worse than the anneal, service batch \
-     deterministic with shared warm caches)"
+     exact, delta-SA move loop under its allocation ceiling, portfolio deterministic and \
+     never worse than the anneal, service batch deterministic with shared warm caches)"

@@ -565,19 +565,22 @@ let delta_microbench ctx ~num_qubits ~placement n =
   let delta = Estimator.Delta.create model placement in
   let tracker = Placer.Annealing.Proposal.create ~num_traps pool placement in
   let accepted = ref 0 in
+  (* greedy: any uphill move is rejected, so it may stop propagating as
+     soon as it is proven uphill *)
+  let cutoff () = 0.0 in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to n do
     match Placer.Annealing.Proposal.draw tracker rng ~num_qubits with
     | Placer.Annealing.Proposal.Stay -> ()
     | Placer.Annealing.Proposal.Swap (i, j) ->
-        if Estimator.Delta.apply_swap delta i j <= 0.0 then begin
+        if Estimator.Delta.apply_swap ~cutoff delta i j <= 0.0 then begin
           Estimator.Delta.commit delta;
           incr accepted
         end
         else Estimator.Delta.undo delta
     | Placer.Annealing.Proposal.Relocate (q, dst) ->
         let src = Estimator.Delta.trap_of delta q in
-        if Estimator.Delta.apply_move delta q dst <= 0.0 then begin
+        if Estimator.Delta.apply_move ~cutoff delta q dst <= 0.0 then begin
           Estimator.Delta.commit delta;
           Placer.Annealing.Proposal.relocate tracker ~src ~dst;
           incr accepted

@@ -38,6 +38,7 @@ type t = {
   cnb : int array;
   first_gate : int array;  (* per qubit: first gate touching it, -1 if none *)
   sinks : int array;  (* gates with no chain successor on any operand *)
+  tail : float array;  (* gate delays on the longest path from a gate to a sink *)
   (* mutable evaluation state *)
   comp : float array;  (* completion time per node (0 for declarations) *)
   outa : int array;  (* trap of [qa] after gate i completes *)
@@ -56,6 +57,7 @@ type t = {
   j_qubit : int array;
   j_trap : int array;
   mutable old_latency : float;
+  mutable aborted : bool;  (* the open transaction was cut off by its cutoff *)
   (* propagation frontier: dirty ids processed by an increasing cursor *)
   dirty : bool array;
   mutable ndirty : int;
@@ -217,14 +219,31 @@ let create model placement =
          (Seq.init n Fun.id))
   in
   let timing = v.Model.v_timing in
+  let t_gate1 = timing.Router.Timing.t_gate1 and t_gate2 = timing.Router.Timing.t_gate2 in
+  (* [tail.(i)]: the gate delays alone along the longest DAG/chain path from
+     gate [i] to a sink, by one reverse sweep (every edge points to a higher
+     id).  Travel is never negative, so [comp.(i) +. tail.(i)] never exceeds
+     the makespan beyond the rounding of the two sums. *)
+  let tail = Array.make n 0.0 in
+  for i = n - 1 downto 0 do
+    let via s =
+      if s >= 0 && kind.(s) <> 0 then begin
+        let c = tail.(s) +. if kind.(s) = 1 then t_gate1 else t_gate2 in
+        if c > tail.(i) then tail.(i) <- c
+      end
+    in
+    Array.iter via succs.(i);
+    via cna.(i);
+    via cnb.(i)
+  done;
   let t =
     {
       dist = v.Model.v_dist;
       dtbl = fst (Distance.tables v.Model.v_dist);
       mtbl = snd (Distance.tables v.Model.v_dist);
       ntr = ntraps;
-      t_gate1 = timing.Router.Timing.t_gate1;
-      t_gate2 = timing.Router.Timing.t_gate2;
+      t_gate1;
+      t_gate2;
       t_move = timing.Router.Timing.t_move;
       nq;
       n;
@@ -240,6 +259,7 @@ let create model placement =
       cnb;
       first_gate;
       sinks;
+      tail;
       comp = Array.make n 0.0;
       outa = Array.make n (-1);
       outb = Array.make n (-1);
@@ -256,6 +276,7 @@ let create model placement =
       j_qubit = Array.make 2 0;
       j_trap = Array.make 2 0;
       old_latency = 0.0;
+      aborted = false;
       dirty = Array.make n false;
       ndirty = 0;
       lo = 0;
@@ -277,16 +298,50 @@ let mark_dirty t i =
     if i < t.lo then t.lo <- i
   end
 
+(* Relative slack on the cut-off limits.  [comp +. tail] and the sink
+   completion it bounds add the same gate delays in a different order, so
+   the bound may overshoot the true chain sum by a few ULPs per gate on the
+   path; 1e-9 covers paths of about a million gates. *)
+let cutoff_slack = 1e-9
+
+(* Abort the open transaction: clear the dirty frontier from id [j] on
+   (everything below it is already processed), so {!propagate} ends. *)
+let abort_from t j =
+  t.aborted <- true;
+  let dirty = t.dirty and j = ref j in
+  while t.ndirty > 0 do
+    if Array.unsafe_get dirty !j then begin
+      Array.unsafe_set dirty !j false;
+      t.ndirty <- t.ndirty - 1
+    end;
+    incr j
+  done
+
 (* Sweep an increasing cursor over the dirty frontier: every edge (DAG and
    chain) points from a lower id to a higher one, so nodes marked while
    processing id [i] all lie beyond the cursor, each affected gate is
    recomputed exactly once, and its predecessors are final when it is.
    Nodes whose recomputation changes nothing are neither journaled nor
-   propagated — the cone stops where the numbers stop moving. *)
-let propagate t =
+   propagated — the cone stops where the numbers stop moving.
+
+   With a [cutoff], each changed node's [comp +. tail] is a proven lower
+   bound on the new makespan.  The first one above [old_latency] (plus
+   slack) proves the move uphill and asks [cutoff] for the largest delta
+   the caller would still accept; a node above [old_latency +. dmax] (plus
+   slack) proves the move rejected, so the sweep stops there, drops the
+   rest of the frontier and marks the transaction aborted. *)
+let propagate t cutoff =
   let dirty = t.dirty and comp = t.comp and outa = t.outa and outb = t.outb in
   let kind = t.kind and succs = t.succs and cna = t.cna and cnb = t.cnb in
   let j_id = t.j_id and j_comp = t.j_comp and j_outa = t.j_outa and j_outb = t.j_outb in
+  let tail = t.tail in
+  let limit =
+    ref
+      (match cutoff with
+      | None -> infinity
+      | Some _ -> t.old_latency *. (1.0 +. cutoff_slack))
+  in
+  let uphill = ref false in
   let i = ref t.lo in
   while t.ndirty > 0 do
     if Array.unsafe_get dirty !i then begin
@@ -307,25 +362,35 @@ let propagate t =
         Array.unsafe_set j_outa jn oa;
         Array.unsafe_set j_outb jn ob;
         t.jn <- jn + 1;
-        (* nodes marked here are always beyond the cursor, so the [lo]
-           bookkeeping of {!mark_dirty} is unnecessary *)
-        let ss = Array.unsafe_get succs !i in
-        for k = 0 to Array.length ss - 1 do
-          let s = Array.unsafe_get ss k in
-          if Array.unsafe_get kind s <> 0 && not (Array.unsafe_get dirty s) then begin
-            Array.unsafe_set dirty s true;
+        let bound = Array.unsafe_get comp !i +. Array.unsafe_get tail !i in
+        if bound > !limit && not !uphill then begin
+          uphill := true;
+          match cutoff with
+          | Some f -> limit := (t.old_latency +. f ()) *. (1.0 +. cutoff_slack)
+          | None -> ()
+        end;
+        if bound > !limit then abort_from t (!i + 1)
+        else begin
+          (* nodes marked here are always beyond the cursor, so the [lo]
+             bookkeeping of {!mark_dirty} is unnecessary *)
+          let ss = Array.unsafe_get succs !i in
+          for k = 0 to Array.length ss - 1 do
+            let s = Array.unsafe_get ss k in
+            if Array.unsafe_get kind s <> 0 && not (Array.unsafe_get dirty s) then begin
+              Array.unsafe_set dirty s true;
+              t.ndirty <- t.ndirty + 1
+            end
+          done;
+          let na = Array.unsafe_get cna !i in
+          if na >= 0 && not (Array.unsafe_get dirty na) then begin
+            Array.unsafe_set dirty na true;
+            t.ndirty <- t.ndirty + 1
+          end;
+          let nb = Array.unsafe_get cnb !i in
+          if nb >= 0 && not (Array.unsafe_get dirty nb) then begin
+            Array.unsafe_set dirty nb true;
             t.ndirty <- t.ndirty + 1
           end
-        done;
-        let na = Array.unsafe_get cna !i in
-        if na >= 0 && not (Array.unsafe_get dirty na) then begin
-          Array.unsafe_set dirty na true;
-          t.ndirty <- t.ndirty + 1
-        end;
-        let nb = Array.unsafe_get cnb !i in
-        if nb >= 0 && not (Array.unsafe_get dirty nb) then begin
-          Array.unsafe_set dirty nb true;
-          t.ndirty <- t.ndirty + 1
         end
       end
     end;
@@ -340,6 +405,7 @@ let begin_txn t =
   t.jn <- 0;
   t.jq <- 0;
   t.lo <- t.n;
+  t.aborted <- false;
   t.old_latency <- t.latency
 
 let move_qubit t q trap =
@@ -348,12 +414,15 @@ let move_qubit t q trap =
   t.jq <- t.jq + 1;
   t.pos.(q) <- trap
 
-let finish_txn t =
-  propagate t;
-  if t.jn > 0 then refresh_latency t;
-  t.latency -. t.old_latency
+let finish_txn t cutoff =
+  propagate t cutoff;
+  if t.aborted then infinity
+  else begin
+    if t.jn > 0 then refresh_latency t;
+    t.latency -. t.old_latency
+  end
 
-let apply_swap t q1 q2 =
+let apply_swap ?cutoff t q1 q2 =
   if q1 < 0 || q1 >= t.nq || q2 < 0 || q2 >= t.nq then
     invalid_arg "Estimator.Delta.apply_swap: qubit out of range";
   if q1 = q2 then invalid_arg "Estimator.Delta.apply_swap: identical qubits";
@@ -365,9 +434,9 @@ let apply_swap t q1 q2 =
   t.occ_by.(p2) <- q1;
   if t.first_gate.(q1) >= 0 then mark_dirty t t.first_gate.(q1);
   if t.first_gate.(q2) >= 0 then mark_dirty t t.first_gate.(q2);
-  finish_txn t
+  finish_txn t cutoff
 
-let apply_move t q trap =
+let apply_move ?cutoff t q trap =
   if q < 0 || q >= t.nq then invalid_arg "Estimator.Delta.apply_move: qubit out of range";
   if trap < 0 || trap >= Distance.num_traps t.dist then
     invalid_arg "Estimator.Delta.apply_move: trap id out of range";
@@ -379,10 +448,11 @@ let apply_move t q trap =
   t.occ_by.(from) <- -1;
   t.occ_by.(trap) <- q;
   if t.first_gate.(q) >= 0 then mark_dirty t t.first_gate.(q);
-  finish_txn t
+  finish_txn t cutoff
 
 let commit t =
   if not t.active then invalid_arg "Estimator.Delta.commit: no open transaction";
+  if t.aborted then invalid_arg "Estimator.Delta.commit: the move was cut off (undo it)";
   t.active <- false
 
 let undo t =
@@ -407,6 +477,7 @@ let undo t =
   t.jq <- 0;
   t.jn <- 0;
   t.latency <- t.old_latency;
+  t.aborted <- false;
   t.active <- false
 
 (* Periodic full re-estimate bounding drift.  The incremental path is

@@ -9,10 +9,11 @@
     update the cached state in O(gates whose dependency cone is touched by
     the moved qubits), returning the latency delta; {!undo} reverts a
     rejected move from a journal in the same O(affected) time, so rejected
-    proposals are free.  The incremental path is bit-exact against a full
-    from-scratch evaluation of the same delta model (both run the identical
-    recomputation code over the identical inputs); {!resync} re-runs the
-    full pass anyway as a periodic drift bound.
+    proposals are free — and with a [cutoff], a move proven worse than the
+    caller would accept stops propagating there.  The incremental path is
+    bit-exact against a full from-scratch evaluation of the same delta model
+    (both run the identical recomputation code over the identical inputs);
+    {!resync} re-runs the full pass anyway as a periodic drift bound.
 
     Instances are mutable and single-owner: fan work across domains by
     giving each worker its own [create], never by sharing a [t].  The delta
@@ -48,24 +49,41 @@ val occupant : t -> int -> int
 val placement : t -> int array
 (** Copy of the current placement. *)
 
-val apply_swap : t -> int -> int -> float
+val apply_swap : ?cutoff:(unit -> float) -> t -> int -> int -> float
 (** [apply_swap t q1 q2] exchanges the traps of two distinct qubits and
     returns the latency delta, leaving a transaction open: the caller must
     {!commit} (accept) or {!undo} (reject) before the next apply.
+
+    [cutoff] lets a caller that rejects large uphill moves stop paying for
+    them.  Every recomputed gate's completion plus its static tail (the gate
+    delays on its longest path to a sink) is a lower bound on the new
+    makespan.  The first time one exceeds the old latency (by a relative
+    slack of 1e-9) the delta is proven positive and [cutoff ()] is called,
+    exactly once, to return [dmax], the largest delta the caller would still
+    accept.  Once a bound exceeds [old latency + dmax] (by the same slack),
+    propagation stops and [infinity] is returned: the move is {e aborted},
+    its true delta exceeds [dmax], and it must be {!undo}ne.  [cutoff] is
+    never called when the true delta is [<= 0.], and any result other than
+    [infinity] is bit-identical to the delta computed without [cutoff].
     @raise Invalid_argument on out-of-range or identical qubits, or when a
     transaction is already open. *)
 
-val apply_move : t -> int -> int -> float
+val apply_move : ?cutoff:(unit -> float) -> t -> int -> int -> float
 (** [apply_move t q trap] relocates qubit [q] to a currently free trap and
-    returns the latency delta, leaving a transaction open.
+    returns the latency delta, leaving a transaction open.  [cutoff] behaves
+    as in {!apply_swap}.
     @raise Invalid_argument when the trap is occupied or out of range, or
     when a transaction is already open. *)
 
 val commit : t -> unit
-(** Accept the open transaction. *)
+(** Accept the open transaction.
+    @raise Invalid_argument when no transaction is open, or when the move
+    was aborted by its cutoff (only {!undo} is allowed then). *)
 
 val undo : t -> unit
-(** Revert the open transaction exactly — bitwise — from the journal. *)
+(** Revert the open transaction exactly — bitwise — from the journal,
+    aborted or not.  Until then {!latency} reports the pre-move value of an
+    aborted move. *)
 
 val in_transaction : t -> bool
 

@@ -216,6 +216,16 @@ type delta_outcome = {
   truncated : bool;
 }
 
+(* The move loop's float state in one all-float record, whose fields are
+   stored unboxed: updating them allocates nothing, where a [float ref]
+   captured by a closure boxes every store. *)
+type sa_state = {
+  mutable temperature : float;
+  mutable u : float;  (* this move's acceptance uniform; negative until drawn *)
+  mutable cur_est : float;  (* delta-model latency of the current placement *)
+  mutable best_est : float;
+}
+
 let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
     ?(initial_temperature = 100.0) ?cooling ?(moves = 20_000) ?route_every
     ?(resync_every = 8192) ?candidate_traps ~model ~evaluate comp ~num_qubits =
@@ -248,8 +258,14 @@ let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
         | Ok r0 ->
             let delta = Estimator.Delta.create model start in
             let tracker = Proposal.create ~num_traps pool start in
-            let cur_est = ref (Estimator.Delta.latency delta) in
-            let best_est = ref !cur_est in
+            let st =
+              {
+                temperature = initial_temperature;
+                u = -1.0;
+                cur_est = Estimator.Delta.latency delta;
+                best_est = Estimator.Delta.latency delta;
+              }
+            in
             let best_place = Array.copy start in
             let best_dirty = ref false in
             let routed_place = ref (Array.copy start) in
@@ -258,9 +274,8 @@ let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
             let eval_cap = match max_evals with Some c -> max 1 c | None -> max_int in
             let engine_evals = ref 1 in
             let latencies = ref [ r0.Simulator.Engine.latency ] in
-            let curve = ref [ (0, !cur_est) ] in
+            let curve = ref [ (0, st.cur_est) ] in
             let accepted = ref 0 in
-            let temperature = ref initial_temperature in
             let max_drift = ref 0.0 in
             let error = ref None in
             let timed_out = ref false in
@@ -282,29 +297,47 @@ let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
                       routed_cost := r.Simulator.Engine.latency
                     end
             in
+            let record_improvement () =
+              st.cur_est <- Estimator.Delta.latency delta;
+              if st.cur_est < st.best_est then begin
+                st.best_est <- st.cur_est;
+                for q = 0 to num_qubits - 1 do
+                  best_place.(q) <- Estimator.Delta.trap_of delta q
+                done;
+                best_dirty := true;
+                curve := (!m, st.cur_est) :: !curve
+              end
+            in
+            (* Metropolis with an early out.  An uphill move [d > 0] is
+               accepted iff [u < exp (-d / T)] for one uniform [u], i.e.
+               about iff [d < -T ln u].  The uniform is drawn when the delta
+               model first proves the move uphill rather than after it
+               finishes — still exactly one draw per move with [d > 0], in
+               the same order — and the returned [dmax] lets it abandon the
+               cone once [d] provably exceeds it.  The extra [1e-9 T] keeps
+               that proof clear of the rounding of [exp] and [log], so an
+               aborted move is one the formula below rejects too. *)
+            let cutoff =
+              Some
+                (fun () ->
+                  let u = Rng.float rng 1.0 in
+                  st.u <- u;
+                  Float.max 1e-9 st.temperature *. (1e-9 -. log u))
+            in
+            let accepts d =
+              d <= 0.0
+              || (if st.u >= 0.0 then st.u else Rng.float rng 1.0)
+                 < exp (-.d /. Float.max 1e-9 st.temperature)
+            in
             while !error = None && !m < moves && not !timed_out do
               if !m land 511 = 0 && out_of_time () then timed_out := true
               else begin
                 incr m;
-                let record_improvement () =
-                  cur_est := Estimator.Delta.latency delta;
-                  if !cur_est < !best_est then begin
-                    best_est := !cur_est;
-                    for q = 0 to num_qubits - 1 do
-                      best_place.(q) <- Estimator.Delta.trap_of delta q
-                    done;
-                    best_dirty := true;
-                    curve := (!m, !cur_est) :: !curve
-                  end
-                in
-                let accepts d =
-                  d <= 0.0
-                  || Rng.float rng 1.0 < exp (-.d /. Float.max 1e-9 !temperature)
-                in
+                st.u <- -1.0;
                 (match Proposal.draw tracker rng ~num_qubits with
                 | Proposal.Stay -> ()
                 | Proposal.Swap (i, j) ->
-                    let d = Estimator.Delta.apply_swap delta i j in
+                    let d = Estimator.Delta.apply_swap ?cutoff delta i j in
                     if accepts d then begin
                       Estimator.Delta.commit delta;
                       incr accepted;
@@ -313,7 +346,7 @@ let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
                     else Estimator.Delta.undo delta
                 | Proposal.Relocate (q, dst) ->
                     let src = Estimator.Delta.trap_of delta q in
-                    let d = Estimator.Delta.apply_move delta q dst in
+                    let d = Estimator.Delta.apply_move ?cutoff delta q dst in
                     if accepts d then begin
                       Estimator.Delta.commit delta;
                       Proposal.relocate tracker ~src ~dst;
@@ -326,7 +359,7 @@ let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
                   if drift > !max_drift then max_drift := drift
                 end;
                 if !m mod route_every = 0 then route_incumbent ();
-                temperature := !temperature *. cooling
+                st.temperature <- st.temperature *. cooling
               end
             done;
             route_incumbent ();
@@ -340,7 +373,7 @@ let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
                     moves = !m;
                     accepted = !accepted;
                     engine_evals = !engine_evals;
-                    best_estimate = !best_est;
+                    best_estimate = st.best_est;
                     max_drift = !max_drift;
                     curve = List.rev !curve;
                     latencies = List.rev !latencies;

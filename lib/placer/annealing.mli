@@ -124,6 +124,14 @@ val search_delta :
     moves (default 8192) the delta state is rebuilt from scratch to bound
     drift; the worst correction is reported as [max_drift].
 
+    Uphill moves are applied with a Metropolis cut-off
+    ({!Estimator.Delta.apply_swap}'s [cutoff]): the acceptance uniform [u]
+    is drawn when the move is first proven uphill, and propagation stops
+    once the delta provably exceeds [T (1e-9 - ln u)], a move the
+    acceptance test would reject anyway.  The generator is still drawn
+    exactly once per uphill move and every decision is unchanged, so
+    outcomes are bit-identical to scoring every move in full.
+
     Defaults: temperature 100 us, [moves] 20_000, cooling set so the
     temperature decays to 1e-4 of its initial value across the move budget.
     [max_evals] caps routed evaluations; [out_of_time] is polled every 512

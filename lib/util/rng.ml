@@ -1,4 +1,8 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256** state s0..s3 as four little-endian int64 words at byte
+   offsets 0, 8, 16 and 24.  An int64 read from or written to a [Bytes] is
+   unboxed, where a [mutable int64] record field boxes every store, so
+   stepping the generator allocates nothing. *)
+type t = Bytes.t
 
 let ( +% ) = Int64.add
 let ( *% ) = Int64.mul
@@ -15,24 +19,37 @@ let splitmix64 state =
   let z = (z ^% Int64.shift_right_logical z 27) *% 0x94D049BB133111EBL in
   z ^% Int64.shift_right_logical z 31
 
-let create seed =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let of_splitmix st =
+  let t = Bytes.create 32 in
+  for k = 0 to 3 do
+    Bytes.set_int64_le t (8 * k) (splitmix64 st)
+  done;
+  t
 
-let int64 t =
-  let result = rotl (t.s1 *% 5L) 7 *% 9L in
-  let tt = Int64.shift_left t.s1 17 in
-  t.s2 <- t.s2 ^% t.s0;
-  t.s3 <- t.s3 ^% t.s1;
-  t.s1 <- t.s1 ^% t.s2;
-  t.s0 <- t.s0 ^% t.s3;
-  t.s2 <- t.s2 ^% tt;
-  t.s3 <- rotl t.s3 45;
-  result
+let create seed = of_splitmix (ref (Int64.of_int seed))
+
+(* One xoshiro256** state transition. *)
+let step t =
+  let s0 = Bytes.get_int64_le t 0
+  and s1 = Bytes.get_int64_le t 8
+  and s2 = Bytes.get_int64_le t 16
+  and s3 = Bytes.get_int64_le t 24 in
+  let s2 = s2 ^% s0 in
+  let s3 = s3 ^% s1 in
+  Bytes.set_int64_le t 0 (s0 ^% s3);
+  Bytes.set_int64_le t 8 (s1 ^% s2);
+  Bytes.set_int64_le t 16 (s2 ^% Int64.shift_left s1 17);
+  Bytes.set_int64_le t 24 (rotl s3 45)
+
+(* The output of a step is a function of s1 alone, so it is read before
+   stepping.  Inlined into each draw, so the int64 result stays unboxed
+   there; only [int64] itself returns a boxed value. *)
+let[@inline] next t =
+  let s1 = Bytes.get_int64_le t 8 in
+  step t;
+  rotl (s1 *% 5L) 7 *% 9L
+
+let int64 = next
 
 let derive seed ~index =
   if index < 0 then invalid_arg "Rng.derive: negative index";
@@ -41,20 +58,9 @@ let derive seed ~index =
      decorrelated as streams for unrelated seeds *)
   let st = ref (Int64.of_int seed) in
   let base = splitmix64 st in
-  let st = ref (base ^% (0x9E3779B97F4A7C15L *% Int64.of_int (index + 1))) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+  of_splitmix (ref (base ^% (0x9E3779B97F4A7C15L *% Int64.of_int (index + 1))))
 
-let split t =
-  let st = ref (int64 t) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let split t = of_splitmix (ref (int64 t))
 
 let int t bound =
   assert (bound > 0);
@@ -64,17 +70,19 @@ let int t bound =
   let r = max_int mod bound in
   let accept_all = r = bound - 1 in
   let cutoff = max_int - r in
-  let rec draw () =
-    let v = Int64.to_int (Int64.logand (int64 t) mask) in
-    if accept_all || v < cutoff then v mod bound else draw ()
-  in
-  draw ()
+  (* a loop: a local recursive function would allocate a closure per draw *)
+  let v = ref (-1) in
+  while !v < 0 do
+    let x = Int64.to_int (Int64.logand (next t) mask) in
+    if accept_all || x < cutoff then v := x mod bound
+  done;
+  !v
 
 let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

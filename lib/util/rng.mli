@@ -7,7 +7,10 @@
     quality and is trivially portable. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the four xoshiro256** words, held unboxed so
+    that drawing from {!int}, {!float} or {!bool} allocates nothing beyond
+    a returned float.  A change of representation must keep every output
+    bit-identical — the test suite pins known-answer streams. *)
 
 val create : int -> t
 (** [create seed] builds a generator from a 63-bit seed via splitmix64. *)

@@ -145,6 +145,159 @@ let test_transaction_guards () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "move onto occupied trap accepted"
 
+let test_commit_after_cutoff () =
+  let _, nq, delta = delta_of "[[9,1,3]]" in
+  let before = Estimator.Delta.latency delta in
+  let snap = Estimator.Delta.placement delta in
+  (* the first swap a greedy cut-off aborts *)
+  let rec find i j =
+    if i >= nq then Alcotest.fail "no swap was cut off on [[9,1,3]]"
+    else if j >= nq then find (i + 1) (i + 2)
+    else
+      let d = Estimator.Delta.apply_swap ~cutoff:(fun () -> 0.0) delta i j in
+      if d = infinity then ()
+      else begin
+        Estimator.Delta.undo delta;
+        find i (j + 1)
+      end
+  in
+  find 0 1;
+  (match Estimator.Delta.commit delta with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "commit after a cut-off accepted");
+  check_bool "still in transaction" true (Estimator.Delta.in_transaction delta);
+  Estimator.Delta.undo delta;
+  check_bool "undo closes it" false (Estimator.Delta.in_transaction delta);
+  check_bool "latency restored" true (Estimator.Delta.latency delta = before);
+  check_bool "placement restored" true (Estimator.Delta.placement delta = snap);
+  check_bool "zero drift" true (Estimator.Delta.resync delta = 0.0)
+
+(* --------------------------------------------------------------- cut-off *)
+
+(* The same random move applied twice from the same state — once with a
+   cutoff, undone, then without — must agree: the cutoff is called at most
+   once and only for an uphill move, a result other than [infinity] is the
+   full delta bit for bit, and [infinity] means the full delta exceeds the
+   [dmax] the cutoff returned.  The state walks by committing some full
+   moves, so later cases start from annealed-looking placements. *)
+let prop_cutoff_sound ~aborts ~fired =
+  let states = lazy (Array.of_list (List.map (fun name -> (name, delta_of name)) table1)) in
+  QCheck.Test.make ~name:"cut-off is exact and sound" ~count:600
+    QCheck.(triple (int_bound 5) (int_bound 4) (int_bound 1_000_000))
+    (fun (ci, kind, seed) ->
+      let name, (_, nq, delta) = (Lazy.force states).(ci) in
+      let rng = Ion_util.Rng.create seed in
+      let dmax =
+        match kind with
+        | 0 -> 0.0
+        | 1 -> 1e-12
+        | 2 -> Ion_util.Rng.float rng 300.0
+        | 3 -> 1e6
+        | _ -> infinity
+      in
+      let apply ?cutoff = function
+        | `Swap (i, j) -> Estimator.Delta.apply_swap ?cutoff delta i j
+        | `Move (q, trap) -> Estimator.Delta.apply_move ?cutoff delta q trap
+      in
+      let move =
+        if nq >= 2 && Ion_util.Rng.bool rng then
+          let i = Ion_util.Rng.int rng nq in
+          `Swap (i, (i + 1 + Ion_util.Rng.int rng (nq - 1)) mod nq)
+        else `Move (Ion_util.Rng.int rng nq, Ion_util.Rng.int rng (Estimator.Delta.num_traps delta))
+      in
+      match move with
+      | `Move (_, trap) when Estimator.Delta.occupant delta trap >= 0 -> true
+      | _ ->
+          let lat0 = Estimator.Delta.latency delta and place0 = Estimator.Delta.placement delta in
+          let calls = ref 0 in
+          let cut =
+            apply
+              ~cutoff:(fun () ->
+                incr calls;
+                dmax)
+              move
+          in
+          Estimator.Delta.undo delta;
+          let restored =
+            Estimator.Delta.latency delta = lat0
+            && Estimator.Delta.placement delta = place0
+            && Estimator.Delta.resync delta = 0.0
+          in
+          let full = apply move in
+          if !calls > 0 then incr fired;
+          if cut = infinity then incr aborts;
+          let ok =
+            restored && !calls <= 1
+            && (!calls = 0 || full > 0.0)
+            &&
+            if cut = infinity then !calls = 1 && full > dmax
+            else Int64.equal (Int64.bits_of_float cut) (Int64.bits_of_float full)
+          in
+          if not ok then
+            QCheck.Test.fail_reportf "%s: cut %h, full %h, dmax %h, %d calls, restored %b" name
+              cut full dmax !calls restored;
+          (* walk: keep downhill and level moves and every third other one *)
+          if full <= 0.0 || seed mod 3 = 0 then Estimator.Delta.commit delta
+          else Estimator.Delta.undo delta;
+          ok)
+
+let test_cutoff_sound () =
+  let aborts = ref 0 and fired = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 15 |]) (prop_cutoff_sound ~aborts ~fired);
+  check_bool (Printf.sprintf "cutoff fires (%d)" !fired) true (!fired > 0);
+  check_bool (Printf.sprintf "moves are aborted (%d)" !aborts) true (!aborts > 0);
+  check_bool
+    (Printf.sprintf "not every fired move is aborted (%d of %d)" !aborts !fired)
+    true (!aborts < !fired)
+
+(* -------------------------------------------------------------- anneals *)
+
+(* search_delta outcomes recorded before the Metropolis cut-off and the
+   unboxed generator existed: (circuit, seed, moves, routed latency bits,
+   accepted, engine evaluations, best estimate bits, routed placement).
+   Together with the jobs-width identity of the portfolio, this pins the
+   annealer's draw order and acceptance decisions bit for bit. *)
+let anneal_pins =
+  [
+    ("[[5,1,3]]", 1, 20000, 0x4088100000000000L, 7364, 2, 0x4083c00000000000L, [| 75; 65; 64; 74; 54 |]);
+    ("[[7,1,3]]", 1, 20000, 0x4087d00000000000L, 4807, 3, 0x4086e1999999999aL, [| 73; 75; 76; 74; 65; 63; 64 |]);
+    ("[[9,1,3]]", 1, 20000, 0x40927c0000000000L, 4313, 3, 0x4094707ae147ae14L, [| 55; 25; 64; 45; 54; 94; 74; 44; 46 |]);
+    ("[[14,8,3]]", 1, 20000, 0x40aa760000000000L, 3859, 4, 0x40b00e3d70a3d70aL, [| 25; 63; 65; 53; 55; 54; 84; 35; 44; 46; 45; 43; 56; 73 |]);
+    ("[[19,1,7]]", 1, 20000, 0x40a9ca0000000000L, 3653, 3, 0x40b1796e147ae148L, [| 4; 64; 72; 43; 52; 73; 66; 42; 55; 83; 44; 53; 57; 47; 46; 62; 45; 65; 54 |]);
+    ("[[23,1,7]]", 1, 20000, 0x409d300000000000L, 3262, 4, 0x40af38a3d70a3d71L, [| 75; 72; 62; 65; 74; 46; 54; 52; 56; 43; 44; 73; 64; 78; 66; 76; 25; 55; 45; 53; 42; 57; 51 |]);
+    ("[[5,1,3]]", 2012, 20000, 0x4088e80000000000L, 7258, 2, 0x4083c00000000000L, [| 74; 75; 66; 64; 65 |]);
+    ("[[7,1,3]]", 2012, 20000, 0x4084b00000000000L, 4510, 3, 0x4086e1999999999aL, [| 73; 76; 66; 65; 75; 63; 74 |]);
+    ("[[9,1,3]]", 2012, 20000, 0x4095240000000000L, 4316, 2, 0x4094058f5c28f5c2L, [| 56; 46; 54; 45; 24; 43; 44; 76; 55 |]);
+    ("[[14,8,3]]", 2012, 20000, 0x40a8ea0000000000L, 3893, 5, 0x40b00b547ae147aeL, [| 24; 75; 64; 93; 35; 53; 54; 44; 46; 45; 43; 55; 56; 63 |]);
+    ("[[19,1,7]]", 2012, 20000, 0x40a9ba0000000000L, 3604, 4, 0x40b16f8a3d70a3d6L, [| 87; 44; 42; 74; 52; 43; 73; 53; 62; 5; 57; 47; 46; 56; 54; 55; 45; 75; 67 |]);
+    ("[[23,1,7]]", 2012, 20000, 0x409ed40000000000L, 2971, 3, 0x40afaa8000000001L, [| 61; 62; 24; 56; 43; 53; 57; 42; 72; 63; 74; 71; 73; 33; 51; 67; 52; 54; 46; 55; 45; 44; 84 |]);
+    ("[[23,1,7]]", 1, 200000, 0x409dac0000000000L, 31485, 4, 0x40af53a8f5c28f5dL, [| 74; 35; 52; 55; 53; 44; 65; 57; 43; 72; 73; 64; 36; 47; 56; 46; 42; 45; 54; 93; 63; 71; 62 |]);
+  ]
+
+let test_anneal_pins () =
+  List.iter
+    (fun (name, seed, moves, lat_bits, accepted, evals, est_bits, placement) ->
+      let ctx = ctx_of name in
+      let nq = Qasm.Program.num_qubits (Mapper.program ctx) in
+      let label = Printf.sprintf "%s seed %d, %d moves" name seed moves in
+      match
+        Placer.Annealing.search_delta ~rng:(Ion_util.Rng.create seed) ~moves
+          ~model:(Mapper.estimator_model ctx) ~evaluate:(Mapper.run_forward ctx)
+          (Mapper.component ctx) ~num_qubits:nq
+      with
+      | Error e -> Alcotest.failf "%s: %s" label (Simulator.Engine.string_of_error e)
+      | Ok o ->
+          let bits = Int64.bits_of_float in
+          Alcotest.(check int64) (label ^ " routed latency") lat_bits
+            (bits o.Placer.Annealing.result.Simulator.Engine.latency);
+          check_int (label ^ " accepted") accepted o.Placer.Annealing.accepted;
+          check_int (label ^ " engine evals") evals o.Placer.Annealing.engine_evals;
+          Alcotest.(check int64) (label ^ " best estimate") est_bits
+            (bits o.Placer.Annealing.best_estimate);
+          Alcotest.(check (array int)) (label ^ " placement") placement
+            o.Placer.Annealing.placement)
+    anneal_pins
+
 (* -------------------------------------------------------------- portfolio *)
 
 let test_portfolio_bit_identical_across_jobs () =
@@ -203,6 +356,7 @@ let () =
           Alcotest.test_case "undo restores state" `Quick test_undo_restores_state;
           Alcotest.test_case "delta = latency difference" `Quick test_delta_equals_latency_difference;
           Alcotest.test_case "guards" `Quick test_transaction_guards;
+          Alcotest.test_case "guards: commit after a cut-off" `Quick test_commit_after_cutoff;
         ] );
       ( "chains",
         [
@@ -215,4 +369,7 @@ let () =
           Alcotest.test_case "never worse than anneal" `Slow test_portfolio_never_worse_than_annealing;
           Alcotest.test_case "solution contract" `Quick test_portfolio_solution_contract;
         ] );
+      ("cutoff", [ Alcotest.test_case "cut-off is exact and sound" `Quick test_cutoff_sound ]);
+      ( "anneal",
+        [ Alcotest.test_case "search_delta outcomes pinned" `Quick test_anneal_pins ] );
     ]

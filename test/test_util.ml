@@ -83,6 +83,61 @@ let test_rng_pick_member () =
     check_bool "member" true (Array.exists (( = ) (Rng.pick r a)) a)
   done
 
+(* Known answers: the streams below were recorded from the original
+   int64-record implementation, so any change of state representation must
+   reproduce every generator output bit for bit — seeding, derivation,
+   splitting and the three derived draws. *)
+let test_rng_known_answers () =
+  let check_stream label r expected =
+    List.iteri
+      (fun k want -> Alcotest.(check int64) (Printf.sprintf "%s #%d" label k) want (Rng.int64 r))
+      expected
+  in
+  check_stream "create 42" (Rng.create 42)
+    [
+      0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L;
+      0xfde6dc7fe2ec5e64L; 0xc50da53101795238L; 0xb82154855a65ddb2L; 0xd99a2743ebe60087L;
+    ];
+  check_stream "derive 7919 ~index:0" (Rng.derive 7919 ~index:0)
+    [
+      0xc5c79c1229920f9eL; 0x361d22d5c09f1f6bL; 0x974ff72ad2908ee2L; 0x7bdad61b818ee746L;
+      0xbd4bfa561ebb86afL; 0x4fcda94bfcce39c3L; 0x5457dfb1f2d77fcdL; 0x4bdedcaa170f0b47L;
+    ];
+  let parent = Rng.create 5 in
+  let child = Rng.split parent in
+  check_stream "split (create 5)" child
+    [
+      0x091202d77b981e85L; 0xabed1bc85f216b95L; 0xb2d17cb1bedace98L; 0x4f20ed31b795bd9cL;
+      0xf5678220f3b264beL; 0x16155b4dafb88b78L; 0xe640ff868ebf1b38L; 0xc3d2562d52bff7acL;
+    ];
+  check_stream "create 5 after split" parent
+    [
+      0x9a22115a4d2624dcL; 0xa648b1ccf0bbbbaeL; 0xd2511e20de933bc5L; 0x84475cf19f18e249L;
+      0xc8d68fcc4867a987L; 0x80feec1a8a64aa3fL; 0xcf04724063e77988L; 0x5ccf3d5b1ce60ff9L;
+    ];
+  (* one generator, drawn in sequence: 16 ints, then 16 floats, then 16 bools *)
+  let r = Rng.create 42 in
+  Alcotest.(check (list int))
+    "int r 13"
+    [ 2; 2; 9; 1; 3; 7; 9; 1; 11; 3; 2; 8; 0; 0; 5; 3 ]
+    (List.init 16 (fun _ -> Rng.int r 13));
+  Alcotest.(check (list int64))
+    "float r 2.5 (bits)"
+    [
+      0x3ff8aba360d22884L; 0x4001071e02a27465L; 0x3ffc4d36e29d127cL; 0x3ffc502bfdba54e3L;
+      0x3fcdb718a8852a7eL; 0x3fdca4c638ab47a7L; 0x3ff172a68ba73eceL; 0x3ff814a15d2dd43aL;
+      0x3fe91e7e1c4500e6L; 0x3ff39152d620cb58L; 0x3fefeb5a12cc62b8L; 0x3fff909bc803660aL;
+      0x3ff966fb2c646158L; 0x3fe281bb35360272L; 0x3ff0922254336f11L; 0x3ff8e8c4c8fa1486L;
+    ]
+    (List.init 16 (fun _ -> Int64.bits_of_float (Rng.float r 2.5)));
+  Alcotest.(check (list bool))
+    "bool r"
+    [
+      false; false; false; false; true; true; false; true;
+      true; true; true; false; true; true; false; true;
+    ]
+    (List.init 16 (fun _ -> Rng.bool r))
+
 (* ---------------------------------------------------------------- Fheap *)
 
 (* Fheap, the repo's priority queue: float priorities, int payloads. *)
@@ -394,6 +449,7 @@ let () =
           Alcotest.test_case "permutation complete" `Quick test_rng_permutation;
           Alcotest.test_case "shuffle preserves" `Quick test_rng_shuffle_preserves_elements;
           Alcotest.test_case "pick member" `Quick test_rng_pick_member;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         ] );
       ( "pqueue",
         [
