@@ -348,10 +348,39 @@ let () =
     ceiling;
   if words > ceiling then
     fail "[[9,1,3]]: search_delta allocates %.1f minor words per move (ceiling %.0f)" words ceiling;
+  (* The certificate digest streams its canonical rendering through FNV-1a
+     without Printf or a trace-sized string.  On a [[9,1,3]] center mapping
+     it allocates under half a minor word per command (the chunk buffer
+     and a boxed hash per flush); the Printf renderer read 234 and a streaming
+     hash over a captured int64 ref about 105, so a 16-word ceiling catches
+     either deterministically. *)
+  let digest_words_per_command () =
+    let name = "[[9,1,3]]" in
+    let dp = List.assoc name (Circuits.Qecc.all ()) in
+    let dctx = match Qspr.Mapper.create ~fabric dp with Ok c -> c | Error e -> fail "%s" e in
+    let trace =
+      match Qspr.Mapper.map_center dctx with
+      | Ok s -> s.Qspr.Mapper.trace
+      | Error e -> fail "memory %s digest: %s" name (Qspr.Mapper.error_to_string e)
+    in
+    ignore (Analysis.Certify.digest_trace trace);
+    let reps = 20 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      ignore (Analysis.Certify.digest_trace trace)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int (reps * List.length trace)
+  in
+  let words = digest_words_per_command () and ceiling = 16.0 in
+  Printf.printf "bench-smoke: [[9,1,3]] certificate digest %.1f minor words/command (ceiling %.0f)\n"
+    words ceiling;
+  if words > ceiling then
+    fail "[[9,1,3]]: the certificate digest allocates %.1f minor words per command (ceiling %.0f)"
+      words ceiling;
   print_endline
     "bench-smoke: OK (workspace routing exact, parallel search exact, estimator pure, \
      prescreen consistent, winner certified, certified bound admissible and deterministic, \
      fault campaign deterministic, route cache \
      bit-identical with fewer searches, incremental on/off identical, delta transactions \
-     exact, delta-SA move loop under its allocation ceiling, portfolio deterministic and \
+     exact, delta-SA move loop and certificate digest under their allocation ceilings, portfolio deterministic and \
      never worse than the anneal, service batch deterministic with shared warm caches)"

@@ -642,7 +642,7 @@ let do_estimate circuit qasm openqasm fabric_path moves measure certify =
       let policy = config.Qspr.Config.qspr_policy in
       let cert =
         Analysis.Certify.check
-          ~layout:(Fabric.Component.layout (Qspr.Mapper.component ctx))
+          ~component:(Qspr.Mapper.component ctx)
           ~timing:config.Qspr.Config.timing
           ~channel_capacity:policy.Simulator.Engine.channel_capacity
           ~junction_capacity:policy.Simulator.Engine.junction_capacity

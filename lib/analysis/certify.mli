@@ -48,7 +48,7 @@ val optimality_gap : certificate -> float option
     bound was attached or the bound is zero. *)
 
 val check :
-  layout:Fabric.Layout.t ->
+  component:Fabric.Component.t ->
   timing:Router.Timing.t ->
   channel_capacity:int ->
   junction_capacity:int ->
@@ -60,7 +60,9 @@ val check :
   claimed_latency:float ->
   Simulator.Trace.t ->
   certificate
-(** Replays the trace.  Findings are capped (a forged trace can violate
+(** Replays the trace against the fabric [component] (callers that hold
+    only a layout extract it first; the service and {!of_solution} pass the
+    mapper's prebuilt one).  Findings are capped (a forged trace can violate
     everything everywhere); the cap is noted as a final finding.
 
     [lower_bound] attaches a certified admissible latency bound to the
@@ -71,7 +73,7 @@ val check :
 
     [faulted] lists cells withdrawn from service (see the fault-injection
     subsystem): any move, turn or gate touching one of them is a
-    [faulted-resource] error.  Passing the {e pristine} layout together
+    [faulted-resource] error.  Passing the {e pristine} component together
     with the fault set catches traces forged against the undegraded fabric
     — a certified trace never uses a faulted junction, channel cell or
     trap. *)
@@ -83,7 +85,9 @@ val of_solution :
     dest-pinned/capacity-1 runs. *)
 
 val digest_trace : Simulator.Trace.t -> int64
-(** The certificate digest alone (exposed for tests). *)
+(** The certificate digest alone: FNV-1a 64 over the canonical rendering,
+    streamed one command at a time (doc/analysis.md gives the byte
+    format). *)
 
 val to_json : certificate -> Ion_util.Json.t
 (** Schema ["qspr-certificate/2"]: /1 plus [lower_bound_us], [bound_kind]

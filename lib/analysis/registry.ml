@@ -13,7 +13,7 @@ let passes =
     { name = "bound"; description = "optimality-gap audit: admissible latency lower bounds, capacity feasibility, small-instance exact optimum (qspr audit)" };
   ]
 
-let lint ?program ?fabric ?config () =
+let lint_static ?program ?fabric ?config () =
   let num_qubits =
     match program with Some (Ok p) -> Some (Qasm.Program.num_qubits p) | _ -> None
   in
@@ -25,11 +25,14 @@ let lint ?program ?fabric ?config () =
   in
   let fabric_findings =
     match fabric with
-    | Some r -> Fabric_check.check_result ?num_qubits ?channel_capacity r
+    | Some st -> Fabric_check.merge ?num_qubits ?channel_capacity st
     | None -> []
   in
   let config_findings = match config with Some cfg -> Config_check.check ?num_qubits cfg | None -> [] in
   F.sort (program_findings @ fabric_findings @ config_findings)
+
+let lint ?program ?fabric ?config () =
+  lint_static ?program ?fabric:(Option.map Fabric_check.static_result fabric) ?config ()
 
 let render findings =
   let buf = Buffer.create 256 in

@@ -29,6 +29,17 @@ val lint :
     capacity checks need it); when a config is given, its channel capacity
     feeds the transit check. *)
 
+val lint_static :
+  ?program:(Qasm.Program.t, Qasm.Parser.error) result ->
+  ?fabric:Fabric_check.static ->
+  ?config:Qspr.Config.t ->
+  unit ->
+  Finding.t list
+(** {!lint} with the fabric's static findings already computed
+    ({!Fabric_check.static_of}): only the qubit-count merge runs, so a caller
+    that keeps them per fabric lints a repeat fabric without extracting it.
+    Equal to [lint ~fabric:(Ok layout)] for the layout they came from. *)
+
 val render : Finding.t list -> string
 (** Human report: one line per finding plus a summary tail
     (["N errors, M warnings, K hints"] or ["clean"]). *)

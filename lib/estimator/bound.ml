@@ -76,16 +76,35 @@ let placement_bound ~delay ~timing ~dist ~pl nodes nq =
     end
   in
   (* w i q: gate time of ancestors of i touching qubit q.  They all finish
-     before i starts, and they pairwise share ion q, hence run serially. *)
+     before i starts, and they pairwise share ion q, hence run serially.
+     on_q.(q) lists the positive-delay nodes naming q, once each, in
+     ascending id order; summing the ancestors among them adds the same
+     terms in the same order as a sweep over anc.(i).  Ids are topological,
+     so the walk stops at i. *)
   let w =
     match anc with
     | None -> fun _ _ -> 0.0
     | Some anc ->
+        let dl = Array.map (fun (nd : D.node) -> delay nd.D.instr) nodes in
+        let on_q = Array.make nq [] in
+        for a = n - 1 downto 0 do
+          if dl.(a) > 0.0 then
+            List.iter
+              (fun q ->
+                match on_q.(q) with
+                | b :: _ when b = a -> ()
+                | l -> on_q.(q) <- a :: l)
+              (Qasm.Instr.qubits nodes.(a).D.instr)
+        done;
+        let on_q = Array.map Array.of_list on_q in
         fun i q ->
-          let acc = ref 0.0 in
-          Ion_util.Bitv.iter_set anc.(i) (fun a ->
-              let d = delay nodes.(a).D.instr in
-              if d > 0.0 && List.mem q (Qasm.Instr.qubits nodes.(a).D.instr) then acc := !acc +. d);
+          let ids = on_q.(q) and ai = anc.(i) in
+          let acc = ref 0.0 and k = ref 0 in
+          while !k < Array.length ids && ids.(!k) < i do
+            let a = ids.(!k) in
+            if Ion_util.Bitv.get ai a then acc := !acc +. dl.(a);
+            incr k
+          done;
           !acc
   in
   let t_move = timing.Timing.t_move in
@@ -169,12 +188,12 @@ type infeasibility = {
 
 let infeasibility ~num_traps dag =
   let nq = Qasm.Program.num_qubits (D.program dag) in
-  if nq = 0 then None
-  else if 2 * num_traps < nq then
-    Some { inf_qubits = nq; inf_traps = num_traps; inf_required = (nq + 1) / 2; inf_hard = true }
-  else if num_traps < nq then
-    Some { inf_qubits = nq; inf_traps = num_traps; inf_required = nq; inf_hard = false }
-  else None
+  match Fabric.Lint.trap_load ~traps:num_traps ~qubits:nq with
+  | Fabric.Lint.Impossible ->
+      Some { inf_qubits = nq; inf_traps = num_traps; inf_required = (nq + 1) / 2; inf_hard = true }
+  | Fabric.Lint.Starved ->
+      Some { inf_qubits = nq; inf_traps = num_traps; inf_required = nq; inf_hard = false }
+  | Fabric.Lint.Roomy | Fabric.Lint.Tight -> None
 
 let infeasibility_message i =
   if i.inf_hard then

@@ -106,13 +106,15 @@ let rung_of limits ~slot =
   end
 
 (* Per-fabric shared state: everything here is built once, read by every
-   job on the fabric.  [comp]/[graph]/[distance] are immutable after build;
-   [snapshot] is replaced (never mutated) between waves on the main domain. *)
+   job on the fabric.  [comp]/[graph]/[distance]/[lint] are immutable after
+   build; [snapshot] is replaced (never mutated) between waves on the main
+   domain. *)
 type fabric_entry = {
   layout : Fabric.Layout.t;
   comp : Fabric.Component.t;
   graph : Fabric.Graph.t;
   distance : Estimator.Distance.t;
+  lint : Analysis.Fabric_check.static;  (** layout-only lint findings *)
   mutable snapshot : Route_cache.snapshot option;
 }
 
@@ -190,18 +192,29 @@ let resolve_fabric = function
   | None -> Ok (Fabric.Layout.quale_45x85 ())
   | Some src -> Fabric.Layout.parse src
 
-let entry_for t layout =
-  let key = fabric_key t layout in
+(* The fabric's layout-only lint findings and its component and graph: a
+   registered fabric's are reused, looked up with [peek] so linting leaves
+   the registry's recency and counters exactly as they were; otherwise
+   they come from one cold extraction, which [entry_for] then registers. *)
+let fabric_static t ~key layout =
+  match Lru.peek t.fabrics key with
+  | Some e when Fabric.Layout.equal e.layout layout -> (e.lint, Ok (e.comp, e.graph))
+  | Some _ | None ->
+      let built =
+        Result.map (fun comp -> (comp, Fabric.Graph.build comp)) (Fabric.Component.extract layout)
+      in
+      (Analysis.Fabric_check.static_of built, built)
+
+let entry_for t ~key ~lint ~built layout =
   let build () =
-    match Fabric.Component.extract layout with
-    | Error e -> Error e
-    | Ok comp ->
-        let graph = Fabric.Graph.build comp in
+    Result.map
+      (fun (comp, graph) ->
         let distance =
           Estimator.Distance.build graph
             ~turn_cost:(Router.Timing.turn_cost_in_moves t.base.Qspr.Config.timing)
         in
-        Ok { layout; comp; graph; distance; snapshot = None }
+        { layout; comp; graph; distance; lint; snapshot = None })
+      built
   in
   match Lru.find t.fabrics key with
   | Some e when Fabric.Layout.equal e.layout layout -> Ok e
@@ -295,10 +308,24 @@ let admit t ~slot (job : Protocol.job) =
     | _ ->
         let config = job_config t ?deadline job in
         let program_r = resolve_circuit ~id:job.Protocol.id job.Protocol.circuit in
-        let fabric_r = resolve_fabric job.Protocol.fabric in
+        let fabric_r =
+          Result.map
+            (fun layout ->
+              let key = fabric_key t layout in
+              let lint, built = fabric_static t ~key layout in
+              (layout, key, lint, built))
+            (resolve_fabric job.Protocol.fabric)
+        in
+        let fabric_lint =
+          match fabric_r with
+          | Ok (_, _, lint, _) -> lint
+          | Error msg -> Analysis.Fabric_check.static_result (Error msg)
+        in
         (* mandatory lint ingress: parse failures and severity-2 findings both
            land here as structured rejections, never mapper exceptions *)
-        let findings = Analysis.Registry.lint ~program:program_r ~fabric:fabric_r ~config () in
+        let findings =
+          Analysis.Registry.lint_static ~program:program_r ~fabric:fabric_lint ~config ()
+        in
         if not (Analysis.Finding.is_clean findings) then
           Refuse
             (reject ~stage:"lint"
@@ -311,7 +338,7 @@ let admit t ~slot (job : Protocol.job) =
               (* unreachable while parse failures lint as errors; stay total *)
               Refuse (reject ~stage:"lint" (Qasm.Parser.error_to_string e))
           | _, Error e -> Refuse (reject ~stage:"lint" e)
-          | Ok program, Ok layout -> (
+          | Ok program, Ok (layout, key, lint, built) -> (
               match (job.Protocol.max_evals, t.limits.max_evals) with
               | Some req, Some cap when req > cap ->
                   Refuse
@@ -319,7 +346,7 @@ let admit t ~slot (job : Protocol.job) =
                        (Printf.sprintf "requested max_evals %d exceeds the service ceiling %d" req
                           cap))
               | _ -> (
-                  match entry_for t layout with
+                  match entry_for t ~key ~lint ~built layout with
                   | Error e -> Refuse (reject ~stage:"admission" e)
                   | Ok entry -> (
                       let cache = Route_cache.create () in

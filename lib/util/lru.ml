@@ -76,6 +76,11 @@ let find t k =
       t.hits <- t.hits + 1;
       Some n.value
 
+let peek t k =
+  match Hashtbl.find_opt t.tbl k with
+  | Some n when not (expired t n) -> Some n.value
+  | Some _ | None -> None
+
 let put t k v =
   if t.cap > 0 then
     match Hashtbl.find_opt t.tbl k with

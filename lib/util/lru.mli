@@ -26,6 +26,11 @@ val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup; a hit refreshes the entry's recency.  An entry past its TTL is
     removed and counted as an expiry, not a hit. *)
 
+val peek : ('k, 'v) t -> 'k -> 'v option
+(** Lookup that leaves the cache exactly as it was: no recency refresh, no
+    hit/miss count, no expiry (an entry past its TTL reads as absent but
+    stays until a [find] drops it). *)
+
 val put : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace, making the entry most-recent.  When the cache is
     full the least-recently-used entry is evicted first. *)

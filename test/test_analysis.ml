@@ -139,6 +139,194 @@ let test_fabric_absorbs_lint () =
   check_bool "disconnected" true (has_kind "disconnected" fs);
   check_bool "linear hint" true (has_kind "no-junctions" fs)
 
+(* The one-shot fabric pass as it stood before the static/merge split —
+   [Fabric.Lint.check] followed by the bottleneck and transit additions,
+   one extraction each — kept as the reference the split must reproduce
+   finding for finding, in order. *)
+let reference_lint_check ?num_qubits lay =
+  let module Component = Fabric.Component in
+  let module Graph = Fabric.Graph in
+  let pass = "fabric" in
+  match Component.extract lay with
+  | Error msg -> [ F.make ~pass ~kind:"malformed" F.Error "%s" msg ]
+  | Ok comp ->
+      let findings = ref [] in
+      let emit f = findings := f :: !findings in
+      let traps = Component.traps comp in
+      let ntraps = Array.length traps in
+      let graph = Graph.build comp in
+      if ntraps = 0 then emit (F.make ~pass ~kind:"no-traps" F.Error "fabric has no traps: no gate can execute")
+      else begin
+        let seen = Array.make (Graph.num_nodes graph) false in
+        let q = Queue.create () in
+        Queue.add (Graph.trap_node graph 0) q;
+        seen.(Graph.trap_node graph 0) <- true;
+        while not (Queue.is_empty q) do
+          let n = Queue.pop q in
+          List.iter
+            (fun (e : Graph.edge) ->
+              if not seen.(e.Graph.dst) then begin
+                seen.(e.Graph.dst) <- true;
+                Queue.add e.Graph.dst q
+              end)
+            (Graph.adj graph n)
+        done;
+        let unreachable =
+          Array.to_list traps
+          |> List.filter (fun (t : Component.trap) -> not seen.(Graph.trap_node graph t.Component.tid))
+        in
+        if unreachable <> [] then
+          emit
+            (F.make ~pass ~kind:"disconnected"
+               ~loc:(F.Cell (List.hd unreachable).Component.tpos)
+               F.Error "fabric is disconnected: %d of %d traps unreachable from trap 0 (e.g. the trap at %s)"
+               (List.length unreachable) ntraps
+               (Ion_util.Coord.to_string (List.hd unreachable).Component.tpos))
+      end;
+      (match num_qubits with
+      | Some nq ->
+          if ntraps < nq then
+            emit
+              (F.make ~pass ~kind:"trap-capacity" F.Error
+                 "fabric has %d traps but the program needs %d qubits" ntraps nq)
+          else if 2 * nq > ntraps then
+            emit
+              (F.make ~pass ~kind:"tight-capacity" F.Warning
+                 "only %d traps for %d qubits: placement has little slack and congestion will be high"
+                 ntraps nq)
+      | None -> ());
+      if Array.length (Component.junctions comp) = 0 then
+        emit (F.make ~pass ~kind:"no-junctions" F.Hint "no junctions: a linear fabric (no turns are possible)");
+      let dead_ends = ref 0 in
+      Array.iter
+        (fun (s : Component.segment) ->
+          let cells = s.Component.cells in
+          let len = Array.length cells in
+          let dir_lo, dir_hi =
+            match s.Component.orientation with
+            | Fabric.Cell.Horizontal -> (Ion_util.Coord.West, Ion_util.Coord.East)
+            | Fabric.Cell.Vertical -> (Ion_util.Coord.North, Ion_util.Coord.South)
+          in
+          let junction_end c step = Component.junction_at comp (Ion_util.Coord.step c step) <> None in
+          let ends =
+            (if junction_end cells.(0) dir_lo then 1 else 0)
+            + if junction_end cells.(len - 1) dir_hi then 1 else 0
+          in
+          let serves_tap =
+            Array.exists
+              (fun (t : Component.trap) ->
+                Array.exists (fun c -> Ion_util.Coord.equal c t.Component.tap) cells)
+              traps
+          in
+          if ends < 2 && not serves_tap then incr dead_ends)
+        (Component.segments comp);
+      if !dead_ends > 0 then
+        emit
+          (F.make ~pass ~kind:"dead-end" F.Warning "%d dead-end channel segment(s) serve no trap: wasted fabric area"
+             !dead_ends);
+      F.sort !findings
+
+let reference_fabric_check ?num_qubits ?(channel_capacity = 2) ~lint ~bottlenecks lay =
+  let module Component = Fabric.Component in
+  let pass = "fabric" in
+  let findings = ref lint in
+  let emit f = findings := f :: !findings in
+  (match Component.extract lay with
+  | Error _ -> ()
+  | Ok comp ->
+      let nb = List.length bottlenecks in
+      List.iteri
+        (fun i (c, s, l) ->
+          if i < 5 then
+            emit
+              (F.make ~pass ~kind:"bottleneck" ~loc:(F.Cell c)
+                 ~extra:[ ("side_a", Ion_util.Json.Int s); ("side_b", Ion_util.Json.Int l) ]
+                 F.Warning
+                 "junction %s is a cut vertex: all traffic between %d and %d traps serializes through it"
+                 (Ion_util.Coord.to_string c) s l))
+        bottlenecks;
+      if nb > 5 then
+        emit (F.make ~pass ~kind:"bottleneck" F.Warning "%d further cut-vertex junction(s) not listed" (nb - 5));
+      (match num_qubits with
+      | Some nq ->
+          let nseg = Array.length (Component.segments comp) in
+          let transit = channel_capacity * nseg in
+          if nseg > 0 && nq > transit then
+            emit
+              (F.make ~pass ~kind:"transit-capacity"
+                 ~extra:
+                   [ ("capacity", Ion_util.Json.Int transit); ("segments", Ion_util.Json.Int nseg) ]
+                 F.Warning
+                 "channels hold at most %d ions in transit (capacity %d x %d segments) but the program has %d qubits: transport serializes"
+                 transit channel_capacity nseg nq)
+      | None -> ()));
+  F.sort !findings
+
+(* A row of seven junctions, each with a trap below: every junction is a
+   cut vertex, so two are folded into the "further" finding. *)
+let comb_fabric = "T-J-J-J-J-J-J-J-T\n  | | | | | | |\n  T T T T T T T"
+
+let test_fabric_static_merge_differential () =
+  let render fs = String.concat "\n" (List.map (fun f -> Format.asprintf "%a" F.pp f) fs) in
+  let same label expected got =
+    if expected <> got then
+      Alcotest.failf "%s:\nexpected\n%s\ngot\n%s" label (render expected) (render got)
+  in
+  let fabrics =
+    List.map
+      (fun f -> (f, Fabric.Layout.parse (read_file ("corpus/bad/" ^ f))))
+      [ "blocked_channel.fabric"; "bottleneck.fabric"; "dead_junction.fabric";
+        "disconnected.fabric"; "tiny.fabric" ]
+    @ [
+        ("unparsable", Fabric.Layout.parse "T   T");
+        ("no traps", Fabric.Layout.parse "--J--");
+        ("comb", Fabric.Layout.parse comb_fabric);
+        ("small tile", Ok (Fabric.Layout.small_tile ()));
+        ("quale 45x85", Ok (Fabric.Layout.quale_45x85 ()));
+      ]
+  in
+  List.iter
+    (fun (name, r) ->
+      let static = Analysis.Fabric_check.static_result r in
+      match r with
+      | Error msg ->
+          let expected = [ F.make ~pass:"fabric" ~kind:"parse-error" F.Error "%s" msg ] in
+          same name expected (Analysis.Fabric_check.merge ~num_qubits:3 static);
+          same name expected (Analysis.Fabric_check.check_result r)
+      | Ok lay ->
+          let bottlenecks = Analysis.Fabric_check.bottleneck_junctions lay in
+          let traps =
+            match Fabric.Component.extract lay with
+            | Ok c -> Array.length (Fabric.Component.traps c)
+            | Error _ -> 0
+          in
+          let sweep = None :: List.init ((2 * traps) + 2) Option.some in
+          List.iter
+            (fun num_qubits ->
+              let lint = reference_lint_check ?num_qubits lay in
+              same (name ^ " Lint.check") lint (Fabric.Lint.check ?num_qubits lay);
+              List.iter
+                (fun channel_capacity ->
+                  let label =
+                    Printf.sprintf "%s nq=%s cap=%d" name
+                      (Option.fold ~none:"-" ~some:string_of_int num_qubits)
+                      channel_capacity
+                  in
+                  let expected =
+                    reference_fabric_check ?num_qubits ~channel_capacity ~lint ~bottlenecks lay
+                  in
+                  same label expected
+                    (Analysis.Fabric_check.merge ?num_qubits ~channel_capacity static);
+                  same label expected (Analysis.Fabric_check.check ?num_qubits ~channel_capacity lay))
+                [ 1; 2; 3 ])
+            sweep)
+    fabrics;
+  (* the comb does exercise the folded bottleneck finding *)
+  check_bool "comb folds bottlenecks" true
+    (List.exists
+       (fun f -> F.kind f = Some "bottleneck" && f.F.loc = F.Nowhere)
+       (Analysis.Fabric_check.check (parse_fabric comb_fabric)))
+
 (* -------------------------------------------------------------- config *)
 
 let test_config_prescreen () =
@@ -367,6 +555,119 @@ let test_certify_digest_tracks_trace () =
   in
   check_bool "digest sensitive" false (Int64.equal d1 (Certify.digest_trace shifted))
 
+(* The digest's specification: the Printf renderer the certifier used
+   before it streamed, hashed as one string.  The streaming digest must
+   agree with it on every command. *)
+let reference_render buf cmd =
+  let module C = Ion_util.Coord in
+  match cmd with
+  | Router.Micro.Move { qubit; from_; to_; start; finish } ->
+      Printf.bprintf buf "M%d %d,%d>%d,%d %h %h\n" qubit from_.C.x from_.C.y to_.C.x to_.C.y
+        start finish
+  | Router.Micro.Turn { qubit; at; start; finish } ->
+      Printf.bprintf buf "T%d %d,%d %h %h\n" qubit at.C.x at.C.y start finish
+  | Router.Micro.Gate_start { instr_id; trap; qubits; time } ->
+      Printf.bprintf buf "G+%d %d,%d [%s] %h\n" instr_id trap.C.x trap.C.y
+        (String.concat "," (List.map string_of_int qubits))
+        time
+  | Router.Micro.Gate_end { instr_id; trap; qubits; time } ->
+      Printf.bprintf buf "G-%d %d,%d [%s] %h\n" instr_id trap.C.x trap.C.y
+        (String.concat "," (List.map string_of_int qubits))
+        time
+
+let reference_digest trace =
+  let buf = Buffer.create 4096 in
+  List.iter (reference_render buf) trace;
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    (Buffer.contents buf);
+  !h
+
+let special_floats =
+  [
+    0.0; -0.0; infinity; neg_infinity; nan; -.nan; Int64.float_of_bits 0x7ff8000000000001L;
+    Int64.float_of_bits 0xfff0000000000001L; Int64.float_of_bits 1L; Int64.float_of_bits 0x800fffffffffffffL;
+    Float.min_float; max_float; -.max_float; 1.0; -1.5; 0.1; 1e-300; 4.9e-324;
+  ]
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map Int64.float_of_bits int64);
+        (1, oneofl special_floats);
+        (1, map float_of_int (int_range (-1000) 1000));
+      ])
+
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range (-120) 120); (1, int); (1, oneofl [ min_int; max_int; -1; 0; -10; 10 ]) ])
+
+let gen_command =
+  let open QCheck.Gen in
+  let coord = map2 Ion_util.Coord.make gen_int gen_int in
+  oneof
+    [
+      map3
+        (fun (qubit, from_, to_) start finish ->
+          Router.Micro.Move { qubit; from_; to_; start; finish })
+        (triple gen_int coord coord) gen_float gen_float;
+      map3
+        (fun (qubit, at) start finish -> Router.Micro.Turn { qubit; at; start; finish })
+        (pair gen_int coord) gen_float gen_float;
+      map3
+        (fun (start, instr_id) (trap, qubits) time ->
+          if start then Router.Micro.Gate_start { instr_id; trap; qubits; time }
+          else Router.Micro.Gate_end { instr_id; trap; qubits; time })
+        (pair bool gen_int)
+        (pair coord (list_size (int_bound 4) gen_int))
+        gen_float;
+    ]
+
+let prop_digest_matches_printf =
+  QCheck.Test.make ~name:"streaming digest = Printf digest" ~count:2000
+    (QCheck.make ~print:(fun t -> string_of_int (List.length t))
+       QCheck.Gen.(list_size (int_bound 60) gen_command))
+    (fun trace ->
+      Int64.equal (Certify.digest_trace trace) (reference_digest trace)
+      || QCheck.Test.fail_reportf "digest mismatch on:\n%s"
+           (let b = Buffer.create 256 in
+            List.iter (reference_render b) trace;
+            Buffer.contents b))
+
+let test_certify_digest_oracle () =
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 16 |]) prop_digest_matches_printf;
+  (* every float, one at a time: a Turn carries it in two positions *)
+  let at = Ion_util.Coord.make 0 0 in
+  let rand = Random.State.make [| 2012 |] in
+  let one x = [ Router.Micro.Turn { qubit = -7; at; start = x; finish = -.x } ] in
+  List.iter
+    (fun x ->
+      check_bool (Printf.sprintf "%h" x) true
+        (Int64.equal (Certify.digest_trace (one x)) (reference_digest (one x))))
+    special_floats;
+  for _ = 1 to 100_000 do
+    let x = Int64.float_of_bits (Random.State.bits64 rand) in
+    if not (Int64.equal (Certify.digest_trace (one x)) (reference_digest (one x))) then
+      Alcotest.failf "digest mismatch on %h" x
+  done
+
+(* Digests of center-placed mappings, captured with the Printf renderer:
+   the streaming digest must reproduce them bit for bit. *)
+let test_certify_digest_pins () =
+  List.iter
+    (fun (name, pinned, commands) ->
+      let ctx = ctx_of (List.assoc name (Circuits.Qecc.all ())) in
+      let sol = solution_of name (Qspr.Mapper.map_center ctx) in
+      check_int (name ^ " commands") commands (List.length sol.Qspr.Mapper.trace);
+      Alcotest.(check string)
+        (name ^ " digest")
+        (Printf.sprintf "%016Lx" pinned)
+        (Printf.sprintf "%016Lx" (Certify.digest_trace sol.Qspr.Mapper.trace)))
+    [ ("[[5,1,3]]", 0x935a3ed70dd56555L, 182); ("[[9,1,3]]", 0x7810eaaad30b7fc9L, 313) ]
+
 (* --------------------------------------------------------- determinism *)
 
 let test_determinism_clean_on_pool_paths () =
@@ -439,6 +740,8 @@ let () =
           Alcotest.test_case "mesh has no bottleneck" `Quick test_fabric_mesh_has_no_bottleneck;
           Alcotest.test_case "transit capacity" `Quick test_fabric_transit_capacity;
           Alcotest.test_case "absorbs lint" `Quick test_fabric_absorbs_lint;
+          Alcotest.test_case "static + merge = one-shot pass" `Quick
+            test_fabric_static_merge_differential;
         ] );
       ( "config",
         [
@@ -462,6 +765,8 @@ let () =
           Alcotest.test_case "rejects early gate" `Quick test_certify_rejects_early_gate;
           Alcotest.test_case "rejects overfull trap" `Quick test_certify_rejects_overfull_trap;
           Alcotest.test_case "digest tracks trace" `Quick test_certify_digest_tracks_trace;
+          Alcotest.test_case "digest oracle" `Quick test_certify_digest_oracle;
+          Alcotest.test_case "digest pins" `Quick test_certify_digest_pins;
         ] );
       ( "determinism",
         [

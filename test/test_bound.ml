@@ -83,7 +83,7 @@ let test_forged_certificate_rejected () =
   let policy = cfg.Qspr.Config.qspr_policy in
   let run lower_bound =
     Analysis.Certify.check
-      ~layout:(Fabric.Component.layout (Qspr.Mapper.component ctx))
+      ~component:(Qspr.Mapper.component ctx)
       ~timing:cfg.Qspr.Config.timing
       ~channel_capacity:policy.Simulator.Engine.channel_capacity
       ~junction_capacity:policy.Simulator.Engine.junction_capacity
@@ -254,6 +254,159 @@ let test_exact_guards () =
   check_int "declined exact audit still clean" 0
     (Analysis.Finding.count Analysis.Finding.Error r.Analysis.Bound.findings)
 
+(* ------------------------------------------------ placement-bound oracle *)
+
+(* The placement bound as it stood before per-qubit ancestor sums: w i q
+   sweeps every ancestor of gate i and tests whether it names q.  The
+   per-qubit lists must add the same terms in the same order. *)
+let reference_placement_bound ~timing ~dist ~pl dag =
+  let module D = Qasm.Dag in
+  let delay = Router.Timing.gate_delay timing in
+  let nodes = D.nodes dag in
+  let n = Array.length nodes in
+  let ntraps = Estimator.Distance.num_traps dist in
+  let anc =
+    if n > 4096 then None
+    else begin
+      let anc = Array.init n (fun _ -> Ion_util.Bitv.create n) in
+      Array.iter
+        (fun (nd : D.node) ->
+          List.iter
+            (fun p ->
+              Ion_util.Bitv.or_into ~dst:anc.(nd.D.id) ~src:anc.(p);
+              Ion_util.Bitv.set anc.(nd.D.id) p true)
+            nd.D.preds)
+        nodes;
+      Some anc
+    end
+  in
+  let w i q =
+    match anc with
+    | None -> 0.0
+    | Some anc ->
+        let acc = ref 0.0 in
+        Ion_util.Bitv.iter_set anc.(i) (fun a ->
+            let d = delay nodes.(a).D.instr in
+            if d > 0.0 && List.mem q (Qasm.Instr.qubits nodes.(a).D.instr) then acc := !acc +. d);
+        !acc
+  in
+  let release = Array.make n 0.0 in
+  Array.iter
+    (fun (nd : D.node) ->
+      match nd.D.instr with
+      | Qasm.Instr.Qubit_decl _ -> ()
+      | Qasm.Instr.Gate1 (_, q) -> release.(nd.D.id) <- w nd.D.id q
+      | Qasm.Instr.Gate2 (_, a, b) ->
+          let wa = w nd.D.id a and wb = w nd.D.id b in
+          let best = ref infinity in
+          for m = 0 to ntraps - 1 do
+            let c =
+              Float.max
+                (wa +. (Estimator.Distance.between dist pl.(a) m *. timing.Router.Timing.t_move))
+                (wb +. (Estimator.Distance.between dist pl.(b) m *. timing.Router.Timing.t_move))
+            in
+            if c < !best then best := c
+          done;
+          release.(nd.D.id) <- !best)
+    nodes;
+  let est = Array.make n 0.0 in
+  let finish = ref 0.0 in
+  Array.iter
+    (fun (nd : D.node) ->
+      let r =
+        List.fold_left
+          (fun acc p -> Float.max acc (est.(p) +. delay nodes.(p).D.instr))
+          release.(nd.D.id) nd.D.preds
+      in
+      est.(nd.D.id) <- r;
+      finish := Float.max !finish (r +. delay nd.D.instr))
+    nodes;
+  !finish
+
+let oracle_graph =
+  lazy
+    (match
+       Fabric.Component.extract
+         (Fabric.Layout.make_grid ~width:25 ~height:15 ~pitch_x:8 ~pitch_y:7 ~margin:2
+            ~traps_per_channel:1 ())
+     with
+    | Ok c -> Fabric.Graph.build c
+    | Error e -> failwith e)
+
+(* A random program over [nq] qubits with [gates] gates; [Program.make]
+   rejects a two-qubit gate on one qubit, so operands are always distinct. *)
+let random_program rng ~nq ~gates =
+  let b = Qasm.Program.builder ~name:"oracle" () in
+  let qs = Array.init nq (fun i -> Qasm.Program.add_qubit b (Printf.sprintf "q%d" i)) in
+  let g1s = [| Qasm.Gate.H; Qasm.Gate.T; Qasm.Gate.S; Qasm.Gate.Meas_z |] in
+  let g2s = [| Qasm.Gate.CX; Qasm.Gate.CY; Qasm.Gate.CZ |] in
+  for _ = 1 to gates do
+    let a = Random.State.int rng nq in
+    if Random.State.bool rng then
+      Qasm.Program.add_gate1 b g1s.(Random.State.int rng (Array.length g1s)) qs.(a)
+    else begin
+      let c = (a + 1 + Random.State.int rng (nq - 1)) mod nq in
+      Qasm.Program.add_gate2 b g2s.(Random.State.int rng (Array.length g2s)) qs.(a) qs.(c)
+    end
+  done;
+  Qasm.Program.build_exn b
+
+let bound_matches_reference ~timing ~dist ~pl dag =
+  let b =
+    Estimator.Bound.compute ~placement:pl ~distance:dist ~timing
+      ~num_traps:(Estimator.Distance.num_traps dist) dag
+  in
+  let ref_placement = reference_placement_bound ~timing ~dist ~pl dag in
+  let ref_lower =
+    List.fold_left Float.max 0.0
+      [ b.Estimator.Bound.critical_path_us; b.serialization_us; b.capacity_us; ref_placement ]
+  in
+  match b.Estimator.Bound.placement_us with
+  | Some p ->
+      Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float ref_placement)
+      && Int64.equal
+           (Int64.bits_of_float b.Estimator.Bound.lower_bound_us)
+           (Int64.bits_of_float ref_lower)
+  | None -> false
+
+let prop_placement_bound_oracle =
+  QCheck.Test.make ~name:"placement bound = ancestor-sweep reference" ~count:150
+    QCheck.(triple (int_range 2 14) (int_range 1 220) (int_bound 1_000_000))
+    (fun (nq, gates, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let graph = Lazy.force oracle_graph in
+      (* zero-delay one-qubit gates exercise the positive-delay filter *)
+      let timing =
+        {
+          Router.Timing.paper with
+          Router.Timing.t_gate1 = [| 10.0; 0.0; 1.3 |].(seed mod 3);
+          t_gate2 = [| 100.0; 0.7 |].(seed mod 2);
+        }
+      in
+      let dist =
+        Estimator.Distance.build graph ~turn_cost:(Router.Timing.turn_cost_in_moves timing)
+      in
+      let ntraps = Estimator.Distance.num_traps dist in
+      let pl = Array.init nq (fun _ -> Random.State.int rng ntraps) in
+      let dag = Qasm.Dag.of_program (random_program rng ~nq ~gates) in
+      bound_matches_reference ~timing ~dist ~pl dag
+      || QCheck.Test.fail_reportf "bound differs (nq %d, gates %d, seed %d)" nq gates seed)
+
+let test_placement_bound_oracle () =
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 16 |]) prop_placement_bound_oracle;
+  (* past the ancestor-bitset cap the bound falls back to travel only *)
+  let rng = Random.State.make [| 4097 |] in
+  let timing = Router.Timing.paper in
+  let dist =
+    Estimator.Distance.build (Lazy.force oracle_graph)
+      ~turn_cost:(Router.Timing.turn_cost_in_moves timing)
+  in
+  let nq = 12 in
+  let pl = Array.init nq (fun _ -> Random.State.int rng (Estimator.Distance.num_traps dist)) in
+  let dag = Qasm.Dag.of_program (random_program rng ~nq ~gates:4200) in
+  check_bool "above the cap" true (Qasm.Dag.num_nodes dag > 4096);
+  check_bool "fallback bound bit-identical" true (bound_matches_reference ~timing ~dist ~pl dag)
+
 let () =
   Alcotest.run "bound"
     [
@@ -262,6 +415,7 @@ let () =
           Alcotest.test_case "admissible for every placer on every Table-1 circuit" `Slow
             test_bounds_admissible_all_placers;
           Alcotest.test_case "bit-identical across job counts" `Quick test_bounds_jobs_identical;
+          Alcotest.test_case "placement bound oracle" `Quick test_placement_bound_oracle;
         ] );
       ( "certify",
         [

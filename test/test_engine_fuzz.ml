@@ -70,7 +70,7 @@ let run_case (p, seed, quale) =
 (* The independent certifier replays an engine trace against the fabric,
    the timing model and the program's DAG. *)
 let certify p placement policy (r : Engine.result) trace =
-  Analysis.Certify.check ~layout:fuzz_layout ~timing:Timing.paper
+  Analysis.Certify.check ~component:fuzz_comp ~timing:Timing.paper
     ~channel_capacity:policy.Engine.channel_capacity
     ~junction_capacity:policy.Engine.junction_capacity ~dag:(Dag.of_program p)
     ~initial_placement:placement ~final_placement:r.Engine.final_placement

@@ -257,7 +257,7 @@ let test_certify_rejects_faulted_resources () =
   let config = Qspr.Mapper.config ctx in
   let policy = config.Qspr.Config.qspr_policy in
   let certify ~faulted =
-    Analysis.Certify.check ~layout:lay ~timing:config.Qspr.Config.timing
+    Analysis.Certify.check ~component:(Qspr.Mapper.component ctx) ~timing:config.Qspr.Config.timing
       ~channel_capacity:policy.Simulator.Engine.channel_capacity
       ~junction_capacity:policy.Simulator.Engine.junction_capacity
       ~dag:(Qspr.Mapper.dag ctx) ~initial_placement:sol.Qspr.Mapper.initial_placement

@@ -61,7 +61,7 @@ let test_table1_on_off_identical () =
 let certify ctx sol =
   let cfg = Mapper.config ctx in
   let policy = cfg.Config.qspr_policy in
-  Analysis.Certify.check ~layout:(fabric ()) ~timing:cfg.Config.timing
+  Analysis.Certify.check ~component:(Mapper.component ctx) ~timing:cfg.Config.timing
     ~channel_capacity:policy.Simulator.Engine.channel_capacity
     ~junction_capacity:policy.Simulator.Engine.junction_capacity ~dag:(Mapper.dag ctx)
     ~initial_placement:sol.Mapper.initial_placement

@@ -141,7 +141,7 @@ let test_backward_trace_reversed_validates () =
   in
   check_certified "reversed backward trace invalid"
     (Analysis.Certify.check
-       ~layout:(Fabric.Component.layout (Mapper.component ctx))
+       ~component:(Mapper.component ctx)
        ~timing:Router.Timing.paper ~channel_capacity:2 ~junction_capacity:2 ~dag
        ~initial_placement:bwd.Simulator.Engine.final_placement
        ~final_placement:fwd.Simulator.Engine.final_placement

@@ -329,6 +329,57 @@ let test_stats_and_fabric_registry () =
   check_int "failures" 0 s.Scheduler.failed;
   check_bool "warm paths registered" true (s.Scheduler.shared_paths > 0)
 
+(* Lint reads the fabric registry without touching it: a job refused at
+   lint never registers its fabric, and a refusal on a registered fabric
+   does not refresh that fabric's recency. *)
+let test_lint_refusal_does_not_register () =
+  let t = Scheduler.create () in
+  let undeclared = Protocol.Inline_qasm "QUBIT a\nQUBIT b\nH a\nC-X a,ghost\n" in
+  let seven = " TTTTTTT \nJ-------J" in
+  let refused =
+    [
+      (* the program is at fault, the fabric is fine *)
+      Protocol.make_job ~fabric:seven ~placer:"center" ~id:"program" undeclared;
+      (* two traps cannot hold [[5,1,3]] *)
+      job ~fabric:"T-T" ~placer:"center" "capacity" "[[5,1,3]]";
+      (* disconnected fabric *)
+      job ~fabric:"T-- --T" ~placer:"center" "islands" "[[5,1,3]]";
+    ]
+  in
+  List.iter
+    (fun j ->
+      check_string (j.Protocol.id ^ " refused at lint") "lint" (stage_of (Scheduler.submit t j));
+      check_int (j.Protocol.id ^ ": no fabric registered") 0 (Scheduler.stats t).Scheduler.fabrics)
+    refused;
+  (* the same fabric serves once the program is fixed *)
+  let r = Scheduler.submit t (job ~fabric:seven ~placer:"center" "fixed" "[[5,1,3]]") in
+  check_string "fixed job completes" "<completed>" (stage_of r);
+  check_int "now registered" 1 (Scheduler.stats t).Scheduler.fabrics
+
+(* The eviction sequence of an LRU-capped registry with lint refusals in
+   between.  If a refusal on fabric 7 refreshed its recency, fabric 9
+   would evict fabric 8 instead and the count would read 2. *)
+let test_registry_evictions_with_refusals () =
+  let t = Scheduler.create ~limits:(limits ~max_fabrics:2 ~response_cache:0 ()) () in
+  let chain n = " " ^ String.make n 'T' ^ " \nJ" ^ String.make n '-' ^ "J" in
+  let ok n i = job ~fabric:(chain n) ~placer:"center" (Printf.sprintf "ok%d-%d" n i) "[[5,1,3]]" in
+  let refused n i =
+    Protocol.make_job ~fabric:(chain n) ~placer:"center" ~id:(Printf.sprintf "no%d-%d" n i)
+      (Protocol.Inline_qasm "QUBIT a\nH ghost\n")
+  in
+  let expect label stage j = check_string label stage (stage_of (Scheduler.submit t j)) in
+  expect "7 maps" "<completed>" (ok 7 0);
+  expect "8 maps" "<completed>" (ok 8 1);
+  expect "7 refused" "lint" (refused 7 2);
+  expect "9 maps" "<completed>" (ok 9 3);
+  expect "7 maps again" "<completed>" (ok 7 4);
+  expect "8 refused" "lint" (refused 8 5);
+  expect "9 maps again" "<completed>" (ok 9 6);
+  expect "8 maps again" "<completed>" (ok 8 7);
+  let s = Scheduler.stats t in
+  check_int "registry capped" 2 s.Scheduler.fabrics;
+  check_int "evictions" 3 s.Scheduler.fabric_evictions
+
 let () =
   Alcotest.run "service"
     [
@@ -359,5 +410,9 @@ let () =
           Alcotest.test_case "service = independent mapper" `Quick
             test_service_matches_independent_mapper;
           Alcotest.test_case "stats and fabric registry" `Quick test_stats_and_fabric_registry;
+          Alcotest.test_case "lint refusal does not register" `Quick
+            test_lint_refusal_does_not_register;
+          Alcotest.test_case "registry evictions with refusals" `Quick
+            test_registry_evictions_with_refusals;
         ] );
     ]

@@ -44,7 +44,7 @@ let run_exn ?policy graph program placement =
    the given channel capacity (junctions hold two ions under both
    policies). *)
 let certify ~channel_capacity graph program placement (r : Engine.result) =
-  Analysis.Certify.check ~layout:(Component.layout (Graph.component graph)) ~timing:Timing.paper
+  Analysis.Certify.check ~component:(Graph.component graph) ~timing:Timing.paper
     ~channel_capacity ~junction_capacity:2 ~dag:(Dag.of_program program) ~initial_placement:placement
     ~final_placement:r.Engine.final_placement ~claimed_latency:r.Engine.latency r.Engine.trace
 
@@ -277,7 +277,7 @@ let test_trace_to_string () =
    In the one-gate program the gate is instruction #1, after the qubit
    declaration. *)
 let certify_forged ?(program = "QUBIT a\n") ~placement trace =
-  Analysis.Certify.check ~layout:(Layout.small_tile ()) ~timing:Timing.paper ~channel_capacity:2
+  Analysis.Certify.check ~component:(Graph.component (tile_graph ())) ~timing:Timing.paper ~channel_capacity:2
     ~junction_capacity:2 ~dag:(Dag.of_program (parse program)) ~initial_placement:placement
     ~claimed_latency:(Trace.latency trace) trace
 
