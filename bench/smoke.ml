@@ -1,8 +1,18 @@
-(* Bench smoke test, wired into `dune runtest` via the bench-smoke alias: a
-   tiny iteration of each bench group in main.ml, asserting the invariants
-   the full harness relies on — reused-workspace routing returns exactly
-   what fresh arrays return, and parallel placement search returns exactly
-   the sequential latencies.  Fails loudly instead of measuring. *)
+(* Bench smoke test, wired into `dune runtest` via the bench-smoke alias
+   (`dune build @bench-smoke` runs it alone).  Each group below exercises
+   one subsystem's performance machinery at a small size and fails loudly
+   when it stops being exact or stops paying off: the reused routing
+   workspace, the domain-pool searches, the estimator and its pre-screen,
+   certification and the certified bound, fault campaigns, the engine's
+   route cache over the six Table-1 circuits, the incremental delta
+   estimator and its >= 10x speedup over from-scratch estimates, the
+   portfolio race, the service batch against cold single-job services, and
+   the allocation ceilings of the warm engine run, the delta-SA move loop
+   and the certificate digest.  The measured figures are printed next to
+   their bounds.  Throughput is measured by qbench/; the only wall-clock
+   checks here are two relative floors, each timed within this process:
+   delta-SA >= 10x the full-estimate loop, and the warm service batch
+   <= 1.15x the cold single-job services. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("bench-smoke: " ^ m); exit 1) fmt
 
@@ -138,38 +148,56 @@ let () =
   in
   if not (String.equal (campaign 1) (campaign 2)) then
     fail "fault campaign: jobs=1 vs jobs=2 reports differ";
-  (* router group: the engine's route cache must change counters only — a
-     warm cache serves strictly fewer live searches yet returns the same
-     bits — and the MVFB search must be bit-identical with the incremental
-     stack on or off, with the incremental winner certifying *)
+  (* router group: the engine's route cache must change counters only — on
+     every Table-1 circuit a warm cache serves strictly fewer live searches
+     yet returns the same latency bits and trace — and the MVFB search must
+     be bit-identical with the incremental stack on or off, with the
+     incremental winner certifying *)
   let placement = Placer.Center.place (Qspr.Mapper.component ctx) ~num_qubits:nq in
-  let cfg = Qspr.Mapper.config ctx in
-  let engine route_cache =
-    match
-      Simulator.Engine.run ~graph:(Qspr.Mapper.graph ctx) ~timing:cfg.Qspr.Config.timing
-        ~policy:cfg.Qspr.Config.qspr_policy ~dag:(Qspr.Mapper.dag ctx)
-        ~priorities:(Qspr.Mapper.qspr_priorities ctx) ~placement ?route_cache ()
-    with
-    | Ok r -> r
-    | Error e -> fail "engine: %s" (Simulator.Engine.string_of_error e)
-  in
-  let r0 = engine None in
-  let cache = Router.Route_cache.create () in
-  let r1 = engine (Some cache) in
-  let r2 = engine (Some cache) in
-  check_eq "engine no-cache vs cold-cache latency" r0.Simulator.Engine.latency
-    r1.Simulator.Engine.latency;
-  check_eq "engine cold vs warm cache latency" r1.Simulator.Engine.latency
-    r2.Simulator.Engine.latency;
-  if r0.Simulator.Engine.trace <> r2.Simulator.Engine.trace then
-    fail "warm route cache changed the trace";
-  if r1.Simulator.Engine.route_searches <> r0.Simulator.Engine.route_searches then
-    fail "cold route cache changed the search count (%d vs %d)"
-      r1.Simulator.Engine.route_searches r0.Simulator.Engine.route_searches;
-  if r2.Simulator.Engine.route_searches >= r1.Simulator.Engine.route_searches then
-    fail "warm route cache did not reduce searches (%d vs %d)"
-      r2.Simulator.Engine.route_searches r1.Simulator.Engine.route_searches;
-  if r2.Simulator.Engine.route_cache_hits = 0 then fail "warm route cache never hit";
+  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  List.iter
+    (fun (name, cp) ->
+      let cctx = match Qspr.Mapper.create ~fabric cp with Ok c -> c | Error e -> fail "%s" e in
+      let cplace =
+        Placer.Center.place (Qspr.Mapper.component cctx) ~num_qubits:(Qasm.Program.num_qubits cp)
+      in
+      let cfg = Qspr.Mapper.config cctx in
+      let engine route_cache =
+        match
+          Simulator.Engine.run ~graph:(Qspr.Mapper.graph cctx) ~timing:cfg.Qspr.Config.timing
+            ~policy:cfg.Qspr.Config.qspr_policy ~dag:(Qspr.Mapper.dag cctx)
+            ~priorities:(Qspr.Mapper.qspr_priorities cctx) ~placement:cplace ?route_cache ()
+        with
+        | Ok r -> r
+        | Error e -> fail "%s engine: %s" name (Simulator.Engine.string_of_error e)
+      in
+      let r0 = engine None in
+      let cache = Router.Route_cache.create () in
+      let r1 = engine (Some cache) in
+      let r2 = engine (Some cache) in
+      if
+        not
+          (same_bits r0.Simulator.Engine.latency r1.Simulator.Engine.latency
+          && same_bits r0.Simulator.Engine.latency r2.Simulator.Engine.latency)
+      then
+        fail "%s: cached engine latency diverged from uncached (%.9g, %.9g, %.9g)" name
+          r0.Simulator.Engine.latency r1.Simulator.Engine.latency r2.Simulator.Engine.latency;
+      if r0.Simulator.Engine.trace <> r2.Simulator.Engine.trace then
+        fail "%s: warm route cache changed the trace" name;
+      (* a cache serves lookups, it never adds or drops one: hits plus live
+         searches equal the uncached run's searches, cold (repeats within
+         the run) and warm *)
+      List.iter
+        (fun (label, (r : Simulator.Engine.result)) ->
+          if r.route_searches + r.route_cache_hits <> r0.Simulator.Engine.route_searches then
+            fail "%s: %s route cache ran %d searches + %d hits, uncached %d" name label
+              r.route_searches r.route_cache_hits r0.Simulator.Engine.route_searches)
+        [ ("cold", r1); ("warm", r2) ];
+      if r2.Simulator.Engine.route_searches >= r1.Simulator.Engine.route_searches then
+        fail "%s: warm route cache did not reduce searches (%d vs %d)" name
+          r2.Simulator.Engine.route_searches r1.Simulator.Engine.route_searches;
+      if r2.Simulator.Engine.route_cache_hits = 0 then fail "%s: warm route cache never hit" name)
+    (Circuits.Qecc.all ());
   let mvfb incremental =
     let config = Qspr.Config.(default |> with_incremental incremental) in
     let ctx =
@@ -208,6 +236,79 @@ let () =
     fail "delta swap chain diverged from a from-scratch evaluation (%.9g vs %.9g)"
       (Estimator.Delta.latency delta) scratch;
   if Estimator.Delta.resync delta <> 0.0 then fail "delta resync reported drift";
+  (* delta speedup: on every Table-1 circuit a greedy delta-SA proposal
+     loop (draw, apply with the Metropolis cut-off, commit or undo) must
+     run at least 10x the candidates per second of the same loop paying one
+     from-scratch estimate per candidate.  Each side keeps the best of
+     three identical windows so scheduler noise cannot mask the gap. *)
+  let best_of_3 f =
+    ignore (f ());
+    Float.max (f ()) (Float.max (f ()) (f ()))
+  in
+  let timed f =
+    let t0 = Ion_util.Clock.now_s () in
+    let v = f () in
+    (v, Ion_util.Clock.now_s () -. t0)
+  in
+  let per_s n f =
+    let (), seconds = timed f in
+    float_of_int n /. Float.max 1e-9 seconds
+  in
+  let min_speedup =
+    List.fold_left
+      (fun acc (name, dp) ->
+        let dctx = match Qspr.Mapper.create ~fabric dp with Ok c -> c | Error e -> fail "%s" e in
+        let dmodel = Qspr.Mapper.estimator_model dctx in
+        let comp = Qspr.Mapper.component dctx in
+        let nq = Qasm.Program.num_qubits dp in
+        let num_traps = Array.length (Fabric.Component.traps comp) in
+        let pool = Array.of_list (Placer.Center.center_traps comp (min (3 * nq) num_traps)) in
+        let start = Placer.Center.place comp ~num_qubits:nq in
+        let delta_loop moves () =
+          let d = Estimator.Delta.create dmodel start in
+          per_s moves (fun () ->
+              ignore
+                (Placer.Annealing.greedy_delta ~rng:(Ion_util.Rng.create 2012) ~pool d ~moves))
+        in
+        let module P = Placer.Annealing.Proposal in
+        let full_loop evals () =
+          let rng = Ion_util.Rng.create 2012 in
+          let tracker = P.create ~num_traps pool start in
+          let current = Array.copy start in
+          let cur = ref (Estimator.Model.estimate dmodel current) in
+          let try_candidate cand =
+            let lat = Estimator.Model.estimate dmodel cand in
+            if lat <= !cur then begin
+              Array.blit cand 0 current 0 nq;
+              cur := lat;
+              true
+            end
+            else false
+          in
+          per_s evals (fun () ->
+              for _ = 1 to evals do
+                match P.draw tracker rng ~num_qubits:nq with
+                | P.Stay -> ()
+                | P.Swap (i, j) ->
+                    let cand = Array.copy current in
+                    cand.(i) <- current.(j);
+                    cand.(j) <- current.(i);
+                    ignore (try_candidate cand)
+                | P.Relocate (q, dst) ->
+                    let cand = Array.copy current in
+                    let src = cand.(q) in
+                    cand.(q) <- dst;
+                    if try_candidate cand then P.relocate tracker ~src ~dst
+              done)
+        in
+        let ratio = best_of_3 (delta_loop 20_000) /. best_of_3 (full_loop 1_000) in
+        if ratio < 10.0 then
+          fail "%s: delta-SA only %.1fx faster than full-estimate SA (need >= 10x)" name ratio;
+        Float.min acc ratio)
+      infinity (Circuits.Qecc.all ())
+  in
+  Printf.printf "bench-smoke: delta-SA vs full-estimate SA at least %.1fx faster (floor 10x)\n"
+    min_speedup;
   (* portfolio group: the five-strategy race is bit-identical across job
      counts and never loses to the classic anneal at a matched budget *)
   let race jobs =
@@ -222,69 +323,97 @@ let () =
   let anneal = solution_latency "sa" (Qspr.Mapper.map_annealing ~evaluations:2 ctx) in
   if race1.Qspr.Mapper.latency > anneal then
     fail "portfolio %.1f us lost to the classic anneal %.1f us" race1.Qspr.Mapper.latency anneal;
-  (* service group: the throughput bench's contracts at smoke scale — a
-     batch is byte-identical at any width and to sequential submission, the
-     warm second job does strictly fewer searches than the cold first, and
-     the batch result matches an independent Mapper run bit for bit *)
+  (* service group: the six Table-1 circuits as one mvfb m=2 batch
+     (seeds 2012+i).  Its deterministic lines are byte-identical at jobs
+     1/2/4 and to sequential submission; every response equals an
+     independent Mapper run (latency bits, certificate digest) and
+     certifies; the shared warm caches do strictly fewer searches and bound
+     builds than six cold single-job services, in no more than 1.15x their
+     wall time (slack for scheduler noise on a loaded machine); and a repeat of the first job on the warm service searches
+     less, hits the shared snapshot and keeps its digest *)
   let module P = Service.Protocol in
   let module S = Service.Scheduler in
   let sjobs =
-    [
-      P.make_job ~seed:7 ~placer:"mvfb" ~m:2 ~id:"cold" (P.Builtin "[[5,1,3]]");
-      P.make_job ~seed:7 ~placer:"mvfb" ~m:2 ~id:"warm" (P.Builtin "[[5,1,3]]");
-    ]
+    List.mapi
+      (fun i (name, _) -> P.make_job ~seed:(2012 + i) ~placer:"mvfb" ~m:2 ~id:name (P.Builtin name))
+      (Circuits.Qecc.all ())
   in
   let det r = P.response_to_line ~deterministic:true r in
+  let same_lines label a b =
+    List.iter2
+      (fun (x : P.response) y ->
+        if not (String.equal (det x) (det y)) then fail "service: %s differ on %s" label x.P.job_id)
+      a b
+  in
   let batch width = S.run_batch (S.create ~limits:{ S.default_limits with S.jobs = width } ()) sjobs in
-  let b1 = batch 1 and b2 = batch 2 in
-  let seq =
-    let t = S.create () in
-    List.map (S.submit t) sjobs
+  let warm, warm_s = timed (fun () -> batch 1) in
+  same_lines "jobs=1 vs jobs=2 responses" warm (batch 2);
+  same_lines "jobs=1 vs jobs=4 responses" warm (batch 4);
+  let cold, cold_s = timed (fun () -> List.map (fun j -> S.submit (S.create ()) j) sjobs) in
+  let service = S.create () in
+  same_lines "batch vs sequential responses" warm (List.map (S.submit service) sjobs);
+  let completed (r : P.response) =
+    match (r.P.verdict, r.P.cache) with
+    | P.Completed { latency_us; certificate_digest; certificate_valid; _ }, Some stats ->
+        (latency_us, certificate_digest, certificate_valid, stats)
+    | _ -> fail "service: %s did not complete with cache counters" r.P.job_id
   in
   List.iter2
-    (fun a b ->
-      if not (String.equal (det a) (det b)) then fail "service: jobs=1 vs jobs=2 responses differ")
-    b1 b2;
-  List.iter2
-    (fun a b ->
-      if not (String.equal (det a) (det b)) then
-        fail "service: batch vs sequential responses differ")
-    b1 seq;
-  (match (List.map (fun (r : P.response) -> r.P.cache) seq, List.map (fun (r : P.response) -> r.P.verdict) seq) with
-  | ( [ Some c0; Some c1 ],
-      [
-        P.Completed { latency_us = lat0; certificate_digest = dig0; _ };
-        P.Completed { certificate_digest = dig1; _ };
-      ] ) ->
-      if c1.P.misses >= c0.P.misses then
-        fail "service: warm job ran %d searches, cold ran %d (want strictly fewer)" c1.P.misses
-          c0.P.misses;
-      if c1.P.shared_hits = 0 then fail "service: warm job never hit the shared snapshot";
-      if not (Int64.equal dig0 dig1) then
-        fail "service: warm job's certificate digest diverged from the cold job";
-      let sol =
-        let config =
-          Qspr.Config.(
-            default |> with_jobs 1 |> with_seed 7 |> with_m 2
-            |> with_budget no_budget)
-        in
-        let sctx =
-          match Qspr.Mapper.create ~fabric ~config p with Ok c -> c | Error e -> fail "%s" e
-        in
-        solution_latency "service reference" (Qspr.Mapper.map_mvfb ~jobs:1 sctx)
+    (fun (r : P.response) (j : P.job) ->
+      let latency, digest, valid, _ = completed r in
+      let config =
+        Qspr.Config.(default |> with_jobs 1 |> with_seed j.P.seed |> with_m 2 |> with_budget no_budget)
       in
-      check_eq "service batch vs independent mapper" lat0 sol
-  | _ -> fail "service: expected two completed responses with cache counters");
+      let program = List.assoc j.P.id (Circuits.Qecc.all ()) in
+      let jctx = match Qspr.Mapper.create ~fabric ~config program with Ok c -> c | Error e -> fail "%s" e in
+      let sol =
+        match Qspr.Mapper.map_mvfb ~jobs:1 jctx with
+        | Ok s -> s
+        | Error e -> fail "service reference %s: %s" j.P.id (Qspr.Mapper.error_to_string e)
+      in
+      if not (same_bits latency sol.Qspr.Mapper.latency) then
+        fail "service: %s batch latency %.9g diverged from the independent run %.9g" j.P.id latency
+          sol.Qspr.Mapper.latency;
+      if not (Int64.equal digest (Analysis.Certify.of_solution jctx sol).Analysis.Certify.digest)
+      then fail "service: %s certificate digest diverged from the independent run" j.P.id;
+      if not valid then fail "service: %s did not certify" j.P.id)
+    warm sjobs;
+  let searches responses =
+    List.fold_left
+      (fun acc r ->
+        let _, _, _, stats = completed r in
+        acc + stats.P.misses + stats.P.bound_builds)
+      0 responses
+  in
+  let warm_searches = searches warm and cold_searches = searches cold in
+  if warm_searches >= cold_searches then
+    fail "service: warm batch ran %d searches, cold services %d (want strictly fewer)" warm_searches
+      cold_searches;
+  Printf.printf "bench-smoke: service batch %.2f s warm vs %.2f s cold, ratio %.2f (ceiling 1.15)\n"
+    warm_s cold_s (warm_s /. cold_s);
+  if warm_s > cold_s *. 1.15 then
+    fail "service: warm batch %.2f s slower than cold services %.2f s" warm_s cold_s;
+  let first = List.hd sjobs in
+  let _, dig0, _, s0 = completed (List.hd cold) in
+  let _, dig1, _, s1 = completed (S.submit service { first with P.id = "repeat" }) in
+  if s1.P.misses >= s0.P.misses then
+    fail "service: warm repeat ran %d searches, cold ran %d (want strictly fewer)" s1.P.misses
+      s0.P.misses;
+  if s1.P.shared_hits = 0 then fail "service: warm repeat never hit the shared snapshot";
+  if not (Int64.equal dig0 dig1) then
+    fail "service: warm repeat's certificate digest diverged from the cold job";
   (* memory group: the flat-arena warm path must stay allocation-lean.
      After two warm-up evaluations (route cache filled, arenas sized), the
      per-evaluation minor-word cost of a forward schedule-and-route on the
-     two small Table-1 circuits is bounded by a fixed ceiling — about 2x
-     the ~10.5k-word steady state measured with the packed-path/arena
-     engine (the pre-arena engine allocated ~69-73k words per evaluation).
-     A regression that reintroduces per-edge or per-event list allocation
-     on the engine's hot path trips this immediately, long before it shows
-     in wall-clock noise.  Domain-local accounting: jobs=1 runs inline, so
-     Gc.minor_words sees exactly this domain's allocations. *)
+     two small Table-1 circuits must stay at least 5x below the pre-arena
+     engine: the ceilings are a fifth of the qspr/circuits/[[5_1_3]]
+     (69,091 words) and qspr/circuits/[[7_1_3]] (72,714 words)
+     minor_words_per_run rows of BENCH_pr8.json.  The packed-path/arena
+     engine measures about 10.1k and 10.7k.  A regression that
+     reintroduces per-edge or per-event list allocation on the engine's hot
+     path trips this immediately, long before it shows in wall-clock noise.
+     Domain-local accounting: jobs=1 runs inline, so Gc.minor_words sees
+     exactly this domain's allocations. *)
   let warm_minor_words name =
     let wp = List.assoc name (Circuits.Qecc.all ()) in
     let wctx = match Qspr.Mapper.create ~fabric wp with Ok c -> c | Error e -> fail "%s" e in
@@ -316,7 +445,7 @@ let () =
       if words > ceiling then
         fail "%s: warm evaluation allocates %.0f minor words (ceiling %.0f) — arena regression"
           name words ceiling)
-    [ ("[[5,1,3]]", 22_000.0); ("[[7,1,3]]", 22_000.0) ];
+    [ ("[[5,1,3]]", 13_818.0); ("[[7,1,3]]", 14_542.0) ];
   (* The delta-SA move loop must stay allocation-lean: per move, draw the
      proposal, apply it (cut off or not), accept or undo.  Averaged over
      50k moves of [[9,1,3]] — the few routed evaluations included, after a
@@ -380,7 +509,10 @@ let () =
   print_endline
     "bench-smoke: OK (workspace routing exact, parallel search exact, estimator pure, \
      prescreen consistent, winner certified, certified bound admissible and deterministic, \
-     fault campaign deterministic, route cache \
-     bit-identical with fewer searches, incremental on/off identical, delta transactions \
-     exact, delta-SA move loop and certificate digest under their allocation ceilings, portfolio deterministic and \
-     never worse than the anneal, service batch deterministic with shared warm caches)"
+     fault campaign deterministic, route cache bit-identical with fewer searches on all six \
+     Table-1 circuits, incremental on/off identical, delta transactions exact, delta-SA >= 10x \
+     full-estimate SA on all six, portfolio deterministic and never worse than the anneal, \
+     six-circuit service batch identical at jobs 1/2/4 and to independent certified runs with \
+     fewer searches than cold services in <= 1.15x their wall time, warm evaluations >= 5x \
+     leaner than BENCH_pr8, delta-SA move loop and certificate digest under their allocation \
+     ceilings)"

@@ -236,6 +236,12 @@ let run_priorities () =
     (fun (name, latency) -> Printf.printf "  %-26s %8.1f us\n" name latency)
     (Qspr.Experiments.priority_study ())
 
+let run_ablation () =
+  line "Design-choice ablation ([[9,1,3]], center placement)";
+  List.iter
+    (fun (name, latency) -> Printf.printf "  %-22s %8.1f us\n" name latency)
+    (Qspr.Experiments.ablation_study ())
+
 let run_faults () =
   line "Fault-injection survivability ([[5,1,3]], retry cascade on degraded fabrics)";
   let levels = if !fast then [ 0; 2; 6 ] else [ 0; 2; 6; 12; 24 ] in
@@ -305,6 +311,7 @@ let () =
       ("table2", run_table2);
       ("sensitivity", run_sensitivity);
       ("priorities", run_priorities);
+      ("ablation", run_ablation);
       ("noise", run_noise);
       ("empirical", run_empirical);
       ("noise-sweep", run_noise_sweep);

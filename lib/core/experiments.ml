@@ -423,6 +423,20 @@ let noise_sweep ?(circuit = "[[9,1,3]]") ?(scales = [ 0.5; 1.0; 2.0; 4.0 ]) ?(tr
       (scale, rate qspr.Mapper.trace, rate quale.Mapper.trace))
     scales
 
+(* mapped latency of the center placement under each (name, engine policy,
+   priorities) row; both engine studies below are tables of such rows *)
+let center_latencies who ctx rows =
+  let placement =
+    Placer.Center.place (Mapper.component ctx)
+      ~num_qubits:(Qasm.Program.num_qubits (Mapper.program ctx))
+  in
+  List.map
+    (fun (name, policy, priorities) ->
+      match Mapper.run_with ctx ~policy ~priorities ~placement with
+      | Ok r -> (name, r.Simulator.Engine.latency)
+      | Error e -> failwith (who ^ ": " ^ Simulator.Engine.string_of_error e))
+    rows
+
 let priority_study ?(circuit = "[[9,1,3]]") () =
   let p =
     match List.assoc_opt circuit (default_circuits ()) with
@@ -432,29 +446,39 @@ let priority_study ?(circuit = "[[9,1,3]]") () =
   let ctx = context p in
   let cfg = Mapper.config ctx in
   let delay = Router.Timing.gate_delay cfg.Config.timing in
-  let placement =
-    Placer.Center.place (Mapper.component ctx) ~num_qubits:(Qasm.Program.num_qubits p)
-  in
   let n = Qasm.Dag.num_nodes (Mapper.dag ctx) in
-  let policies =
-    [
-      ("qspr (dependents + path)", Scheduler.Priority.qspr_default);
-      ("alap (QUALE)", Scheduler.Priority.Alap);
-      ("dependents count (QPOS)", Scheduler.Priority.Dependents_count);
-      ("dependent delay ([5])", Scheduler.Priority.Dependent_delay);
-      (* adversarial control: issue late instructions first — shows the
-         priority machinery is load-bearing even where the published
-         policies coincide *)
-      ("anti-priority (control)", Scheduler.Priority.Fixed (Array.init n float_of_int));
-    ]
+  let row (name, priority) =
+    (name, cfg.Config.qspr_policy, Scheduler.Priority.compute priority ~delay (Mapper.dag ctx))
   in
-  List.map
-    (fun (name, policy) ->
-      let priorities = Scheduler.Priority.compute policy ~delay (Mapper.dag ctx) in
-      match Mapper.run_with ctx ~policy:cfg.Config.qspr_policy ~priorities ~placement with
-      | Ok r -> (name, r.Simulator.Engine.latency)
-      | Error e -> failwith ("Experiments.priority_study: " ^ Simulator.Engine.string_of_error e))
-    policies
+  center_latencies "Experiments.priority_study" ctx
+    (List.map row
+       [
+         ("qspr (dependents + path)", Scheduler.Priority.qspr_default);
+         ("alap (QUALE)", Scheduler.Priority.Alap);
+         ("dependents count (QPOS)", Scheduler.Priority.Dependents_count);
+         ("dependent delay ([5])", Scheduler.Priority.Dependent_delay);
+         (* adversarial control: issue late instructions first — shows the
+            priority machinery is load-bearing even where the published
+            policies coincide *)
+         ("anti-priority (control)", Scheduler.Priority.Fixed (Array.init n float_of_int));
+       ])
+
+(* each row disables one QSPR design choice of the engine policy and
+   re-runs the same center placement under the paper's priorities *)
+let ablation_study () =
+  let ctx = context (Circuits.Qecc.c913 ()) in
+  let qspr = (Mapper.config ctx).Config.qspr_policy in
+  let priorities = Mapper.qspr_priorities ctx in
+  center_latencies "Experiments.ablation_study" ctx
+    (List.map
+       (fun (name, policy) -> (name, policy, priorities))
+       [
+         ("full_qspr", qspr);
+         ("turn_blind", { qspr with Simulator.Engine.turn_aware = false });
+         ("capacity_1", { qspr with Simulator.Engine.channel_capacity = 1 });
+         ("dest_pinned", { qspr with Simulator.Engine.routing = Simulator.Engine.Dest_pinned });
+         ("single_trap_candidate", { qspr with Simulator.Engine.trap_candidates = 1 });
+       ])
 
 (* every solution already carries its certified lower bound; the study just
    lines them up against the achieved latencies so the optimality gap of

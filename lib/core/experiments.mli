@@ -1,5 +1,5 @@
 (** Reproduction of every table and figure in the paper's evaluation
-    (Section V), shared by the experiment driver and the benchmark harness.
+    (Section V), shared by the experiment driver, bench-smoke and the tests.
 
     All functions are deterministic given the seed in the supplied config.
     [fast] variants shrink [m] so smoke runs stay interactive; the defaults
@@ -136,6 +136,14 @@ val priority_study : ?circuit:string -> unit -> (string * float) list
     under each scheduling-priority policy — the paper's linear combination,
     QUALE's ALAP, QPOS's dependents count and the dependent-delay tweak of
     reference [5].  Default circuit [[9,1,3]]. *)
+
+val ablation_study : unit -> (string * float) list
+(** Design-choice ablation: mapped latency (center placement, QSPR
+    priorities) with the full QSPR engine policy and with each of four
+    choices disabled in turn — turn-blind routing, channel capacity 1,
+    destination-pinned routing and a single trap candidate.  Rows are
+    [full_qspr; turn_blind; capacity_1; dest_pinned; single_trap_candidate].
+    Circuit [[9,1,3]]. *)
 
 val gaps_study :
   ?m:int ->

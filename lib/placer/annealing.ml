@@ -89,6 +89,36 @@ module Proposal = struct
     remove_free t dst
 end
 
+(* Zero-temperature delta-SA: an uphill move is always rejected, so the
+   cut-off lets it stop propagating as soon as it is proven uphill. *)
+let greedy_delta ~rng ~pool delta ~moves =
+  let num_qubits = Estimator.Delta.num_qubits delta in
+  let tracker =
+    Proposal.create ~num_traps:(Estimator.Delta.num_traps delta) pool
+      (Estimator.Delta.placement delta)
+  in
+  let cutoff () = 0.0 in
+  let accepted = ref 0 in
+  for _ = 1 to moves do
+    match Proposal.draw tracker rng ~num_qubits with
+    | Proposal.Stay -> ()
+    | Proposal.Swap (i, j) ->
+        if Estimator.Delta.apply_swap ~cutoff delta i j <= 0.0 then begin
+          Estimator.Delta.commit delta;
+          incr accepted
+        end
+        else Estimator.Delta.undo delta
+    | Proposal.Relocate (q, dst) ->
+        let src = Estimator.Delta.trap_of delta q in
+        if Estimator.Delta.apply_move ~cutoff delta q dst <= 0.0 then begin
+          Estimator.Delta.commit delta;
+          Proposal.relocate tracker ~src ~dst;
+          incr accepted
+        end
+        else Estimator.Delta.undo delta
+  done;
+  !accepted
+
 (* Draw [n] random starts and return the best-estimated one (ties keep the
    earliest draw).  The draws consume the rng sequentially before any
    fan-out, and the estimates are pure, so the choice is deterministic for
@@ -211,7 +241,6 @@ type delta_outcome = {
   engine_evals : int;
   best_estimate : float;
   max_drift : float;
-  curve : (int * float) list;
   latencies : float list;
   truncated : bool;
 }
@@ -274,7 +303,6 @@ let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
             let eval_cap = match max_evals with Some c -> max 1 c | None -> max_int in
             let engine_evals = ref 1 in
             let latencies = ref [ r0.Simulator.Engine.latency ] in
-            let curve = ref [ (0, st.cur_est) ] in
             let accepted = ref 0 in
             let max_drift = ref 0.0 in
             let error = ref None in
@@ -304,8 +332,7 @@ let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
                 for q = 0 to num_qubits - 1 do
                   best_place.(q) <- Estimator.Delta.trap_of delta q
                 done;
-                best_dirty := true;
-                curve := (!m, st.cur_est) :: !curve
+                best_dirty := true
               end
             in
             (* Metropolis with an early out.  An uphill move [d > 0] is
@@ -375,7 +402,6 @@ let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
                     engine_evals = !engine_evals;
                     best_estimate = st.best_est;
                     max_drift = !max_drift;
-                    curve = List.rev !curve;
                     latencies = List.rev !latencies;
                     truncated = !timed_out || (!best_dirty && !engine_evals >= eval_cap);
                   }))

@@ -41,6 +41,15 @@ module Proposal : sig
       [draw] never mutates. *)
 end
 
+val greedy_delta :
+  rng:Ion_util.Rng.t -> pool:int array -> Estimator.Delta.t -> moves:int -> int
+(** [greedy_delta ~rng ~pool delta ~moves] runs [moves] zero-temperature
+    delta-SA proposals over the candidate trap [pool]: draw a {!Proposal}
+    move, apply it with a zero Metropolis cut-off, commit it when it does
+    not raise the estimate and undo it otherwise.  Returns the accepted
+    count; [delta] holds the final placement.  The timing loop behind
+    [qspr estimate --moves] and bench-smoke's delta speedup floor. *)
+
 type outcome = {
   placement : int array;
   result : Simulator.Engine.result;
@@ -93,8 +102,6 @@ type delta_outcome = {
   max_drift : float;
       (** largest correction any periodic {!Estimator.Delta.resync} made —
           expected [0.], the incremental updates being bit-exact *)
-  curve : (int * float) list;
-      (** (move index, delta-model incumbent latency) at every improvement *)
   latencies : float list;  (** routed latencies, in evaluation order *)
   truncated : bool;
 }

@@ -295,7 +295,8 @@ let test_anneal_pins () =
           Alcotest.(check int64) (label ^ " best estimate") est_bits
             (bits o.Placer.Annealing.best_estimate);
           Alcotest.(check (array int)) (label ^ " placement") placement
-            o.Placer.Annealing.placement)
+            o.Placer.Annealing.placement;
+          Alcotest.(check (float 0.0)) (label ^ " resync drift") 0.0 o.Placer.Annealing.max_drift)
     anneal_pins
 
 (* -------------------------------------------------------------- portfolio *)
@@ -312,6 +313,7 @@ let test_portfolio_bit_identical_across_jobs () =
       Alcotest.failf "portfolio diverges across job counts: %s"
         (String.concat "; " (List.map (Format.asprintf "%a" Analysis.Finding.pp) fs))
 
+(* at a small and at the 4000-move delta-SA budget *)
 let test_portfolio_never_worse_than_annealing () =
   List.iter
     (fun name ->
@@ -321,16 +323,19 @@ let test_portfolio_never_worse_than_annealing () =
         | Ok s -> s
         | Error e -> Alcotest.failf "%s map_annealing: %s" name (Mapper.error_to_string e)
       in
-      let portfolio =
-        match Mapper.map_portfolio ~m:3 ~sa_moves:600 ctx with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "%s map_portfolio: %s" name (Mapper.error_to_string e)
-      in
-      if portfolio.Mapper.latency > anneal.Mapper.latency then
-        Alcotest.failf "%s: portfolio %.1f us worse than anneal %.1f us" name
-          portfolio.Mapper.latency anneal.Mapper.latency;
-      (* all five strategies stay visible in the audit *)
-      check_int (name ^ " portfolio attempts") 5 (List.length portfolio.Mapper.attempts))
+      List.iter
+        (fun sa_moves ->
+          let portfolio =
+            match Mapper.map_portfolio ~m:3 ~sa_moves ctx with
+            | Ok s -> s
+            | Error e -> Alcotest.failf "%s map_portfolio: %s" name (Mapper.error_to_string e)
+          in
+          if portfolio.Mapper.latency > anneal.Mapper.latency then
+            Alcotest.failf "%s, %d moves: portfolio %.1f us worse than anneal %.1f us" name sa_moves
+              portfolio.Mapper.latency anneal.Mapper.latency;
+          (* all five strategies stay visible in the audit *)
+          check_int (name ^ " portfolio attempts") 5 (List.length portfolio.Mapper.attempts))
+        [ 600; 4_000 ])
     table1
 
 let test_portfolio_solution_contract () =

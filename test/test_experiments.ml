@@ -57,6 +57,19 @@ let test_priority_study_rows () =
   check_int "five policies" 5 (List.length rows);
   List.iter (fun (_, l) -> check_bool "positive latency" true (l > 0.0)) rows
 
+let test_ablation_study_rows () =
+  let rows = Experiments.ablation_study () in
+  check_int "five policies" 5 (List.length rows);
+  let ctx = Experiments.context (List.assoc "[[9,1,3]]" (Circuits.Qecc.all ())) in
+  let placement = Placer.Center.place (Mapper.component ctx) ~num_qubits:9 in
+  match (Mapper.run_forward ctx placement, List.assoc_opt "full_qspr" rows) with
+  | Ok r, Some full ->
+      Alcotest.(check int64) "full_qspr = run_forward, bit for bit"
+        (Int64.bits_of_float r.Simulator.Engine.latency)
+        (Int64.bits_of_float full)
+  | Error e, _ -> Alcotest.fail (Simulator.Engine.string_of_error e)
+  | _, None -> Alcotest.fail "no full_qspr row"
+
 let test_noise_study_qspr_wins () =
   let rows = Experiments.noise_study ~m:2 ~circuits:(small_circuits ()) () in
   List.iter
@@ -162,6 +175,7 @@ let () =
           Alcotest.test_case "sensitivity" `Quick test_sensitivity_monotone_budget;
           Alcotest.test_case "figures render" `Quick test_figures_render;
           Alcotest.test_case "priority study" `Quick test_priority_study_rows;
+          Alcotest.test_case "ablation study" `Quick test_ablation_study_rows;
           Alcotest.test_case "noise study" `Slow test_noise_study_qspr_wins;
           Alcotest.test_case "congestion maps" `Quick test_congestion_maps_render;
           Alcotest.test_case "empirical noise" `Slow test_empirical_noise_agrees;

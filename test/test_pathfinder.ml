@@ -122,6 +122,26 @@ let test_incremental_matches_legacy_uncongested () =
   check_int "same iterations" leg.Pathfinder.iterations inc.Pathfinder.iterations;
   check_int "same searches" leg.Pathfinder.searches inc.Pathfinder.searches
 
+let check_fewer_searches label g ~capacity nets =
+  let run incremental =
+    match Pathfinder.route_all g ~incremental ~capacity nets with
+    | Ok o -> o
+    | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
+  in
+  let inc = run true and leg = run false in
+  check_int (label ^ ": incremental converges") 0 inc.Pathfinder.overused;
+  check_int (label ^ ": legacy converges") 0 leg.Pathfinder.overused;
+  check_int (label ^ ": legacy fixpoint within capacity") 0
+    (Pathfinder.max_overuse g ~capacity leg.Pathfinder.routes);
+  check_int (label ^ ": incremental fixpoint within capacity") 0
+    (Pathfinder.max_overuse g ~capacity inc.Pathfinder.routes);
+  check_bool (label ^ ": negotiation actually iterated") true (leg.Pathfinder.iterations > 1);
+  check_bool
+    (Printf.sprintf "%s: strictly fewer searches (%d < %d)" label inc.Pathfinder.searches
+       leg.Pathfinder.searches)
+    true
+    (inc.Pathfinder.searches < leg.Pathfinder.searches)
+
 let test_incremental_fewer_searches_when_congested () =
   (* two nets contest the top row at channel capacity 1 while a third runs
      disjointly along the bottom row: negotiation needs a second iteration,
@@ -130,37 +150,29 @@ let test_incremental_fewer_searches_when_congested () =
   let lay =
     Layout.make_grid ~width:17 ~height:13 ~pitch_x:6 ~pitch_y:5 ~margin:2 ~traps_per_channel:0 ()
   in
-  let comp = comp_of lay in
-  let g = Graph.build comp in
+  let g = Graph.build (comp_of lay) in
   let top_src = node_at g (Ion_util.Coord.make 2 2) (Some Cell.Horizontal) in
   let top_dst = node_at g (Ion_util.Coord.make 14 2) (Some Cell.Horizontal) in
   let bot_src = node_at g (Ion_util.Coord.make 2 12) (Some Cell.Horizontal) in
   let bot_dst = node_at g (Ion_util.Coord.make 14 12) (Some Cell.Horizontal) in
-  let nets =
+  check_fewer_searches "tile" g ~capacity:cap1
     [
       { Pathfinder.net_id = 0; src = top_src; dst = top_dst };
       { Pathfinder.net_id = 1; src = top_src; dst = top_dst };
       { Pathfinder.net_id = 2; src = bot_src; dst = bot_dst };
-    ]
-  in
-  let run incremental =
-    match Pathfinder.route_all g ~incremental ~capacity:cap1 nets with
-    | Ok o -> o
-    | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
-  in
-  let inc = run true and leg = run false in
-  check_int "incremental converges" 0 inc.Pathfinder.overused;
-  check_int "legacy converges" 0 leg.Pathfinder.overused;
-  check_int "legacy fixpoint within capacity" 0
-    (Pathfinder.max_overuse g ~capacity:cap1 leg.Pathfinder.routes);
-  check_int "incremental fixpoint within capacity" 0
-    (Pathfinder.max_overuse g ~capacity:cap1 inc.Pathfinder.routes);
-  check_bool "negotiation actually iterated" true (leg.Pathfinder.iterations > 1);
-  check_bool
-    (Printf.sprintf "strictly fewer searches (%d < %d)" inc.Pathfinder.searches
-       leg.Pathfinder.searches)
-    true
-    (inc.Pathfinder.searches < leg.Pathfinder.searches)
+    ];
+  (* wave10: ten crossing trap-to-trap nets on the 45x85 fabric at the
+     paper's capacity 2 negotiate for several iterations *)
+  let comp = quale () in
+  let g = Graph.build comp in
+  let traps = Array.length (Component.traps comp) in
+  check_fewer_searches "wave10" g ~capacity:cap2
+    (List.init 10 (fun i ->
+         {
+           Pathfinder.net_id = i;
+           src = Graph.trap_node g (i * 5 mod traps);
+           dst = Graph.trap_node g (traps - 1 - (i * 9 mod traps));
+         }))
 
 let test_cache_seeds_across_calls () =
   let comp = tile () in
