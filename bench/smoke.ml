@@ -22,6 +22,16 @@ let solution_latency label = function
   | Ok (s : Qspr.Mapper.solution) -> s.Qspr.Mapper.latency
   | Error e -> fail "%s: %s" label (Qspr.Mapper.error_to_string e)
 
+(* [strategy] on [ctx] at [m] seeds or runs, on [jobs] domains, routing
+   only the [prescreen] best-estimated candidates *)
+let map_at ~m ?(jobs = 1) ?prescreen ?(sa_moves = Qspr.Config.default.Qspr.Config.sa_moves)
+    strategy ctx =
+  let tune c =
+    Qspr.Config.(
+      c |> with_m m |> with_jobs jobs |> with_prescreen prescreen |> with_sa_moves sa_moves)
+  in
+  Qspr.Mapper.map strategy (Qspr.Mapper.with_search tune ctx)
+
 let () =
   let fabric = Qspr.Experiments.fabric () in
   (* workspace group: fresh vs reused routing on a few trap pairs *)
@@ -56,11 +66,11 @@ let () =
   let p = List.assoc "[[5,1,3]]" (Circuits.Qecc.all ()) in
   let ctx = match Qspr.Mapper.create ~fabric p with Ok c -> c | Error e -> fail "%s" e in
   check_eq "monte carlo jobs1 vs jobs2"
-    (solution_latency "mc jobs1" (Qspr.Mapper.map_monte_carlo ~runs:4 ~jobs:1 ctx))
-    (solution_latency "mc jobs2" (Qspr.Mapper.map_monte_carlo ~runs:4 ~jobs:2 ctx));
+    (solution_latency "mc jobs1" (map_at ~m:4 ~jobs:1 Monte_carlo ctx))
+    (solution_latency "mc jobs2" (map_at ~m:4 ~jobs:2 Monte_carlo ctx));
   check_eq "mvfb jobs1 vs jobs2"
-    (solution_latency "mvfb jobs1" (Qspr.Mapper.map_mvfb ~m:2 ~jobs:1 ctx))
-    (solution_latency "mvfb jobs2" (Qspr.Mapper.map_mvfb ~m:2 ~jobs:2 ctx));
+    (solution_latency "mvfb jobs1" (map_at ~m:2 ~jobs:1 Mvfb ctx))
+    (solution_latency "mvfb jobs2" (map_at ~m:2 ~jobs:2 Mvfb ctx));
   (* estimator group: pure estimates, pooled fan-out bit-identity, and the
      pre-screened search contract *)
   let model = Qspr.Mapper.estimator_model ctx in
@@ -78,17 +88,17 @@ let () =
   Array.iteri (fun i a -> check_eq "estimate pooled vs sequential" a fanned.(i)) seq;
   Array.iteri (fun i a -> check_eq "estimate repeated" a (Estimator.Model.estimate model pool.(i))) seq;
   let plain =
-    match Qspr.Mapper.map_monte_carlo ~runs:8 ~prescreen_k:0 ctx with
+    match map_at ~m:8 Monte_carlo ctx with
     | Ok s -> s
     | Error e -> fail "mc plain: %s" (Qspr.Mapper.error_to_string e)
   in
   let pre1 =
-    match Qspr.Mapper.map_monte_carlo ~runs:8 ~jobs:1 ~prescreen_k:3 ctx with
+    match map_at ~m:8 ~jobs:1 ~prescreen:3 Monte_carlo ctx with
     | Ok s -> s
     | Error e -> fail "mc prescreen jobs1: %s" (Qspr.Mapper.error_to_string e)
   in
   let pre2 =
-    match Qspr.Mapper.map_monte_carlo ~runs:8 ~jobs:2 ~prescreen_k:3 ctx with
+    match map_at ~m:8 ~jobs:2 ~prescreen:3 Monte_carlo ctx with
     | Ok s -> s
     | Error e -> fail "mc prescreen jobs2: %s" (Qspr.Mapper.error_to_string e)
   in
@@ -107,7 +117,7 @@ let () =
       (Format.asprintf "%a" Analysis.Certify.pp cert);
   (match
      Analysis.Determinism.check ~label:"mc runs=4" ~jobs:2 (fun ~jobs ->
-         Qspr.Mapper.map_monte_carlo ~runs:4 ~jobs ctx)
+         map_at ~m:4 ~jobs Monte_carlo ctx)
    with
   | [] -> ()
   | f :: _ ->
@@ -204,7 +214,7 @@ let () =
       match Qspr.Mapper.create ~fabric ~config p with Ok c -> c | Error e -> fail "%s" e
     in
     let sol =
-      match Qspr.Mapper.map_mvfb ~m:2 ctx with
+      match map_at ~m:2 Mvfb ctx with
       | Ok s -> s
       | Error e -> fail "mvfb incremental=%b: %s" incremental (Qspr.Mapper.error_to_string e)
     in
@@ -312,7 +322,7 @@ let () =
   (* portfolio group: the five-strategy race is bit-identical across job
      counts and never loses to the classic anneal at a matched budget *)
   let race jobs =
-    match Qspr.Mapper.map_portfolio ~m:2 ~sa_moves:1_000 ~jobs ctx with
+    match map_at ~m:2 ~sa_moves:1_000 ~jobs Portfolio ctx with
     | Ok s -> s
     | Error e -> fail "portfolio jobs=%d: %s" jobs (Qspr.Mapper.error_to_string e)
   in
@@ -320,7 +330,7 @@ let () =
   check_eq "portfolio jobs1 vs jobs2" race1.Qspr.Mapper.latency race2.Qspr.Mapper.latency;
   if race1.Qspr.Mapper.initial_placement <> race2.Qspr.Mapper.initial_placement then
     fail "portfolio jobs1 vs jobs2: placements differ";
-  let anneal = solution_latency "sa" (Qspr.Mapper.map_annealing ~evaluations:2 ctx) in
+  let anneal = solution_latency "sa" (map_at ~m:2 Annealing ctx) in
   if race1.Qspr.Mapper.latency > anneal then
     fail "portfolio %.1f us lost to the classic anneal %.1f us" race1.Qspr.Mapper.latency anneal;
   (* service group: the six Table-1 circuits as one mvfb m=2 batch
@@ -367,7 +377,7 @@ let () =
       let program = List.assoc j.P.id (Circuits.Qecc.all ()) in
       let jctx = match Qspr.Mapper.create ~fabric ~config program with Ok c -> c | Error e -> fail "%s" e in
       let sol =
-        match Qspr.Mapper.map_mvfb ~jobs:1 jctx with
+        match Qspr.Mapper.map Mvfb jctx with
         | Ok s -> s
         | Error e -> fail "service reference %s: %s" j.P.id (Qspr.Mapper.error_to_string e)
       in
@@ -488,7 +498,7 @@ let () =
     let dp = List.assoc name (Circuits.Qecc.all ()) in
     let dctx = match Qspr.Mapper.create ~fabric dp with Ok c -> c | Error e -> fail "%s" e in
     let trace =
-      match Qspr.Mapper.map_center dctx with
+      match Qspr.Mapper.map Center dctx with
       | Ok s -> s.Qspr.Mapper.trace
       | Error e -> fail "memory %s digest: %s" name (Qspr.Mapper.error_to_string e)
     in

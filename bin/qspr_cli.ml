@@ -31,6 +31,28 @@ let load_program ~circuit ~qasm ~openqasm =
   | None, Some path, None -> Qasm.Parser.parse_file path
   | None, None, Some path -> Qasm.Openqasm.parse_file path
 
+(* The QSPR_* environment overrides (Config.of_env) on top of a base
+   config: the library never reads the environment, the tools do. *)
+let env_config base = Qspr.Config.of_env Sys.getenv_opt base
+
+(* The fabric and base config of a mapping run: a PMD file supplies both,
+   otherwise the ASCII fabric (or the paper's grid) with the paper's
+   constants. *)
+let load_target ~fabric_path ~pmd_path =
+  let ( let* ) = Result.bind in
+  let* fabric, config =
+    match pmd_path with
+    | Some path ->
+        if fabric_path <> None then Error "give --fabric or --pmd, not both"
+        else
+          let* pmd = Qspr.Pmd.parse_file path in
+          Ok (pmd.Qspr.Pmd.layout, Qspr.Pmd.config pmd)
+    | None ->
+        let* fabric = load_fabric fabric_path in
+        Ok (fabric, Qspr.Config.default)
+  in
+  Ok (fabric, env_config config)
+
 (* Same resolution, but errors keep their file:line:col structure so lint
    and audit findings can point at the offending token. *)
 let load_program_located ~circuit ~qasm ~openqasm =
@@ -54,22 +76,12 @@ let gate_on_fabric_lint ~program fabric =
   if Analysis.Finding.is_clean findings then Ok ()
   else Error "fabric fails lint (errors above; `qspr lint` shows the full report)"
 
-let do_map circuit qasm openqasm fabric_path pmd_path placer m sa_moves seed prescreen_k
-    budget_s budget_evals incremental show_trace certify json_out =
+let do_map circuit qasm openqasm fabric_path pmd_path (placer, strategy) m sa_moves seed
+    prescreen_k budget_s budget_evals show_trace certify json_out =
   let ( let* ) = Result.bind in
   let result =
     let* program = load_program ~circuit ~qasm ~openqasm in
-    let* fabric, base_config =
-      match pmd_path with
-      | Some path ->
-          if fabric_path <> None then Error "give --fabric or --pmd, not both"
-          else
-            let* pmd = Qspr.Pmd.parse_file path in
-            Ok (pmd.Qspr.Pmd.layout, Qspr.Pmd.config pmd)
-      | None ->
-          let* fabric = load_fabric fabric_path in
-          Ok (fabric, Qspr.Config.default)
-    in
+    let* fabric, base_config = load_target ~fabric_path ~pmd_path in
     let* () = gate_on_fabric_lint ~program fabric in
     (* explicit flags win; otherwise keep the config's (env-derived) budget *)
     let base_budget = base_config.Qspr.Config.budget in
@@ -88,25 +100,13 @@ let do_map circuit qasm openqasm fabric_path pmd_path placer m sa_moves seed pre
       Qspr.Config.(
         base_config |> with_m m |> with_seed seed |> with_budget budget
         |> (match sa_moves with Some n -> with_sa_moves n | None -> Fun.id)
-        |> match incremental with Some b -> with_incremental b | None -> Fun.id)
+        |> match prescreen_k with
+           | Some 0 -> with_prescreen None
+           | Some k -> with_prescreen (Some k)
+           | None -> Fun.id)
     in
     let* ctx = Qspr.Mapper.create ~fabric ~config program in
-    let* sol =
-      Result.map_error Qspr.Mapper.error_to_string
-        (match placer with
-        | "mvfb" -> Qspr.Mapper.map_mvfb ?prescreen_k ctx
-        | "mc" -> Qspr.Mapper.map_monte_carlo ~runs:m ?prescreen_k ctx
-        | "sa" -> Qspr.Mapper.map_annealing ~evaluations:m ?prescreen_k ctx
-        | "portfolio" -> Qspr.Mapper.map_portfolio ~m ctx
-        | "center" -> Qspr.Mapper.map_center ctx
-        | "quale" -> Qspr.Quale_mode.map ctx
-        | "robust" -> Qspr.Mapper.map_robust ctx
-        | other ->
-            Error
-              (Qspr.Mapper.Invalid
-                 (Printf.sprintf "unknown placer %s (mvfb|mc|sa|portfolio|center|quale|robust)"
-                    other)))
-    in
+    let* sol = Result.map_error Qspr.Mapper.error_to_string (Qspr.Mapper.map strategy ctx) in
     let baseline = Qspr.Mapper.ideal_latency ctx in
     Printf.printf "circuit           : %s (%d qubits, %d gates)\n" program.Qasm.Program.name
       (Qasm.Program.num_qubits program) (Qasm.Program.gate_count program);
@@ -142,7 +142,7 @@ let do_map circuit qasm openqasm fabric_path pmd_path placer m sa_moves seed pre
       if not certify then Ok ()
       else begin
         let policy =
-          if placer = "quale" then (Qspr.Mapper.config ctx).Qspr.Config.quale_policy
+          if strategy = Qspr.Mapper.Quale then (Qspr.Mapper.config ctx).Qspr.Config.quale_policy
           else (Qspr.Mapper.config ctx).Qspr.Config.qspr_policy
         in
         let cert = Analysis.Certify.of_solution ~policy ctx sol in
@@ -192,13 +192,16 @@ let pmd_arg =
     & opt (some string) None
     & info [ "pmd" ] ~docv:"FILE" ~doc:"Physical machine description file (fabric + timing + capacities).")
 
+(* parsed to (name, strategy) so reports can print the name as given *)
 let placer_arg =
+  let named = List.map (fun (name, s) -> (name, (name, s))) Qspr.Mapper.strategies in
   Arg.(
-    value & opt string "mvfb"
+    value
+    & opt (enum named) ("mvfb", Qspr.Mapper.Mvfb)
     & info [ "placer" ] ~docv:"P"
         ~doc:
-          "Placer: mvfb, mc, sa, portfolio (race mvfb/mc/sa/delta-SA across domains and keep \
-           the best), center, quale, or robust (the retry cascade mvfb/reseed/mc/sa/relaxed).")
+          ("Placement strategy (Mapper.strategy): " ^ Arg.doc_alts_enum Qspr.Mapper.strategies
+         ^ "."))
 
 let budget_arg =
   Arg.(
@@ -227,16 +230,6 @@ let prescreen_arg =
           "Estimator pre-screening: score every candidate placement with the fast latency \
            estimator and fully route only the $(docv) best (0 disables; default: \
            QSPR_PRESCREEN, else off).")
-
-let incremental_arg =
-  Arg.(
-    value
-    & opt (some bool) None
-    & info [ "incremental" ] ~docv:"BOOL"
-        ~doc:
-          "Incremental routing stack: dirty-net Pathfinder negotiation and the cross-candidate \
-           route cache.  Results are unchanged either way; false retains the legacy \
-           full-reroute/uncached path for A/B timing (default: QSPR_INCREMENTAL, else true).")
 
 let m_arg = Arg.(value & opt int 25 & info [ "m"; "seeds" ] ~docv:"M" ~doc:"MVFB seeds / MC runs (-m or --seeds).")
 
@@ -268,7 +261,7 @@ let map_cmd =
     (Cmd.info "map" ~doc:"Schedule, place and route a circuit onto an ion-trap fabric")
     Term.(
       const do_map $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg $ pmd_arg $ placer_arg $ m_arg
-      $ sa_moves_arg $ seed_arg $ prescreen_arg $ budget_arg $ budget_evals_arg $ incremental_arg
+      $ sa_moves_arg $ seed_arg $ prescreen_arg $ budget_arg $ budget_evals_arg
       $ trace_arg $ certify_arg $ json_arg)
 
 (* --------------------------------------------------------------- fabric *)
@@ -316,7 +309,10 @@ let do_flow circuit qasm openqasm fabric_path threshold =
   let result =
     let* program = load_program ~circuit ~qasm ~openqasm in
     let* fabric = load_fabric fabric_path in
-    let* o = Qspr.Flow.run ~error_threshold:threshold ~fabric program in
+    let* o =
+      Qspr.Flow.run ~error_threshold:threshold ~fabric ~config:(env_config Qspr.Config.default)
+        program
+    in
     Printf.printf "synthesis optimization: %d gate(s) removed, %d remain\n" o.Qspr.Flow.gates_removed
       (Qasm.Program.gate_count o.Qspr.Flow.program);
     List.iter
@@ -363,9 +359,9 @@ let map_for_viz circuit qasm openqasm fabric_path m seed =
   let ( let* ) = Result.bind in
   let* program = load_program ~circuit ~qasm ~openqasm in
   let* fabric = load_fabric fabric_path in
-  let config = Qspr.Config.(default |> with_m m |> with_seed seed) in
+  let config = Qspr.Config.(env_config default |> with_m m |> with_seed seed) in
   let* ctx = Qspr.Mapper.create ~fabric ~config program in
-  let* sol = Result.map_error Qspr.Mapper.error_to_string (Qspr.Mapper.map_mvfb ctx) in
+  let* sol = Result.map_error Qspr.Mapper.error_to_string (Qspr.Mapper.map Mvfb ctx) in
   Ok (program, ctx, sol)
 
 let do_gantt circuit qasm openqasm fabric_path m seed =
@@ -419,10 +415,11 @@ let do_lint circuit qasm openqasm fabric_path pmd_path json_out =
       match pmd_path with
       | Some path -> (
           match Qspr.Pmd.parse_file path with
-          | Ok pmd -> (Some (Ok pmd.Qspr.Pmd.layout), Qspr.Pmd.config pmd)
-          | Error e -> (Some (Error e), Qspr.Config.default))
+          | Ok pmd -> (Some (Ok pmd.Qspr.Pmd.layout), env_config (Qspr.Pmd.config pmd))
+          | Error e -> (Some (Error e), env_config Qspr.Config.default))
       | None ->
-          ((if fabric_given then Some (load_fabric fabric_path) else None), Qspr.Config.default)
+          ( (if fabric_given then Some (load_fabric fabric_path) else None),
+            env_config Qspr.Config.default )
     in
     let findings = Analysis.Registry.lint ?program ?fabric ~config () in
     if json_out then
@@ -449,7 +446,8 @@ let lint_cmd =
    `qspr lint` (2 on errors, 1 on warnings, 0 otherwise — the gap itself is
    a hint).  Infeasible instances are refused with a typed finding before
    any placement search runs. *)
-let do_audit circuit qasm openqasm fabric_path pmd_path placer m seed exact node_budget json_out =
+let do_audit circuit qasm openqasm fabric_path pmd_path (placer, strategy) m seed exact node_budget
+    json_out =
   let emit_findings findings =
     if json_out then
       print_endline (Ion_util.Json.to_string (Analysis.Finding.report_json findings))
@@ -459,19 +457,7 @@ let do_audit circuit qasm openqasm fabric_path pmd_path placer m seed exact node
   match load_program_located ~circuit ~qasm ~openqasm with
   | Error e -> emit_findings (Analysis.Program_check.check_result (Error e))
   | Ok program -> (
-      let resolved =
-        let ( let* ) = Result.bind in
-        match pmd_path with
-        | Some path ->
-            if fabric_path <> None then Error "give --fabric or --pmd, not both"
-            else
-              let* pmd = Qspr.Pmd.parse_file path in
-              Ok (pmd.Qspr.Pmd.layout, Qspr.Pmd.config pmd)
-        | None ->
-            let* fabric = load_fabric fabric_path in
-            Ok (fabric, Qspr.Config.default)
-      in
-      match resolved with
+      match load_target ~fabric_path ~pmd_path with
       | Error e ->
           Printf.eprintf "error: %s\n" e;
           2
@@ -490,19 +476,7 @@ let do_audit circuit qasm openqasm fabric_path pmd_path placer m seed exact node
                 let ( let* ) = Result.bind in
                 let* ctx = Qspr.Mapper.create ~fabric ~config program in
                 let* sol =
-                  Result.map_error Qspr.Mapper.error_to_string
-                    (match placer with
-                    | "mvfb" -> Qspr.Mapper.map_mvfb ctx
-                    | "mc" -> Qspr.Mapper.map_monte_carlo ~runs:m ctx
-                    | "sa" -> Qspr.Mapper.map_annealing ~evaluations:m ctx
-                    | "portfolio" -> Qspr.Mapper.map_portfolio ~m ctx
-                    | "center" -> Qspr.Mapper.map_center ctx
-                    | "robust" -> Qspr.Mapper.map_robust ctx
-                    | other ->
-                        Error
-                          (Qspr.Mapper.Invalid
-                             (Printf.sprintf
-                                "unknown placer %s (mvfb|mc|sa|portfolio|center|robust)" other)))
+                  Result.map_error Qspr.Mapper.error_to_string (Qspr.Mapper.map strategy ctx)
                 in
                 Ok (Analysis.Bound.audit ~exact ?node_budget ctx sol)
               in
@@ -710,7 +684,7 @@ let do_serve batch jobs deterministic max_pending max_quote_us max_evals shed_st
       response_ttl_s;
     }
   in
-  let t = Service.Scheduler.create ~limits () in
+  let t = Service.Scheduler.create ~limits ~config:(env_config Qspr.Config.default) () in
   match batch with
   | Some path -> (
       match In_channel.with_open_text path In_channel.input_lines with
@@ -923,7 +897,10 @@ let do_faults circuit qasm openqasm fabric_path seed levels_s trials jobs json_o
       try Ok (List.map (fun s -> int_of_string (String.trim s)) (String.split_on_char ',' levels_s))
       with Failure _ -> Error (Printf.sprintf "bad --levels %s (expected e.g. 0,1,2,4)" levels_s)
     in
-    let* report = Fault.campaign ~jobs ~seed ~levels ~trials ~fabric program in
+    let* report =
+      Fault.campaign ~jobs ~config:(env_config Qspr.Config.default) ~seed ~levels ~trials ~fabric
+        program
+    in
     Format.printf "@[<v>%a@]@." Fault.pp report;
     (match json_out with
     | None -> ()

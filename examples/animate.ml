@@ -11,7 +11,7 @@ let () =
     | Ok c -> c
     | Error e -> failwith e
   in
-  let sol = match Qspr.Mapper.map_mvfb ctx with Ok s -> s | Error e -> failwith (Qspr.Mapper.error_to_string e) in
+  let sol = match Qspr.Mapper.map Mvfb ctx with Ok s -> s | Error e -> failwith (Qspr.Mapper.error_to_string e) in
   let nq = Qasm.Program.num_qubits program in
 
   Printf.printf "%s mapped in %.0f us (ideal %.0f us)\n\n" program.Qasm.Program.name

@@ -46,7 +46,7 @@ let () =
     | Ok c -> c
     | Error e -> failwith e
   in
-  let sol = match Qspr.Mapper.map_mvfb ctx with Ok s -> s | Error e -> failwith (Qspr.Mapper.error_to_string e) in
+  let sol = match Qspr.Mapper.map Mvfb ctx with Ok s -> s | Error e -> failwith (Qspr.Mapper.error_to_string e) in
 
   (* initial placement rendered on the fabric *)
   let traps = Fabric.Component.traps comp in

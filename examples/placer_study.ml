@@ -18,9 +18,10 @@ let () =
         | Ok c -> c
         | Error e -> failwith e
       in
-      let mvfb = match Qspr.Mapper.map_mvfb ctx with Ok s -> s | Error e -> failwith (Qspr.Mapper.error_to_string e) in
+      let mvfb = match Qspr.Mapper.map Mvfb ctx with Ok s -> s | Error e -> failwith (Qspr.Mapper.error_to_string e) in
       let mc =
-        match Qspr.Mapper.map_monte_carlo ~runs:mvfb.Qspr.Mapper.placement_runs ctx with
+        let runs = Qspr.Config.with_m mvfb.Qspr.Mapper.placement_runs in
+        match Qspr.Mapper.(map Monte_carlo (with_search runs ctx)) with
         | Ok s -> s
         | Error e -> failwith (Qspr.Mapper.error_to_string e)
       in
@@ -34,7 +35,7 @@ let () =
   let ctx =
     match Qspr.Mapper.create ~fabric ~config program with Ok c -> c | Error e -> failwith e
   in
-  let sol = match Qspr.Mapper.map_mvfb ctx with Ok s -> s | Error e -> failwith (Qspr.Mapper.error_to_string e) in
+  let sol = match Qspr.Mapper.map Mvfb ctx with Ok s -> s | Error e -> failwith (Qspr.Mapper.error_to_string e) in
   let lats = sol.Qspr.Mapper.run_latencies in
   let best = List.fold_left Float.min Float.infinity lats in
   let worst = List.fold_left Float.max 0.0 lats in

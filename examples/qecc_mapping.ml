@@ -17,10 +17,10 @@ let () =
       in
       let baseline = Qspr.Mapper.ideal_latency ctx in
       let quale =
-        match Qspr.Quale_mode.map ctx with Ok s -> s.Qspr.Mapper.latency | Error e -> failwith (Qspr.Mapper.error_to_string e)
+        match Qspr.Mapper.map Quale ctx with Ok s -> s.Qspr.Mapper.latency | Error e -> failwith (Qspr.Mapper.error_to_string e)
       in
       let qspr =
-        match Qspr.Mapper.map_mvfb ctx with Ok s -> s.Qspr.Mapper.latency | Error e -> failwith (Qspr.Mapper.error_to_string e)
+        match Qspr.Mapper.map Mvfb ctx with Ok s -> s.Qspr.Mapper.latency | Error e -> failwith (Qspr.Mapper.error_to_string e)
       in
       Printf.printf "%-12s %9.0fus %9.0fus %9.0fus %10.1f%%\n" name baseline quale qspr
         (Qspr.Report.improvement_pct ~quale ~qspr))

@@ -37,7 +37,7 @@ let () =
 
   (* 4. run the full QSPR flow (MVFB placement, turn-aware routing) *)
   let sol =
-    match Qspr.Mapper.map_mvfb ctx with Ok s -> s | Error e -> failwith (Qspr.Mapper.error_to_string e)
+    match Qspr.Mapper.map Mvfb ctx with Ok s -> s | Error e -> failwith (Qspr.Mapper.error_to_string e)
   in
   Printf.printf "QSPR mapped latency   : %.0f us (after %d placement runs)\n" sol.Qspr.Mapper.latency
     sol.Qspr.Mapper.placement_runs;

@@ -54,14 +54,22 @@ type t = {
 
 val default : t
 (** Paper values: T_move=1us, T_turn=10us, T_1q=10us, T_2q=100us, channel
-    capacity 2, m=100, patience 3.  [jobs] comes from the [QSPR_JOBS]
-    environment variable (default 1; invalid values fall back to 1);
-    [prescreen_k] from [QSPR_PRESCREEN] (default off; invalid values stay
-    off); [budget] from [QSPR_BUDGET] (wall-clock seconds, float) and
-    [QSPR_BUDGET_EVALS] (evaluation cap), both off by default; [sa_moves]
-    from [QSPR_SA_MOVES] (default 20_000; invalid values keep the default);
-    [incremental_routing] from [QSPR_INCREMENTAL] (default on; "0", "false",
-    "off" and "no" turn it off). *)
+    capacity 2, m=100, patience 3, seed 2012; sequential ([jobs] 1), no
+    pre-screening, no budget, 20_000 delta-annealing moves, incremental
+    routing on.  A constant: the library never reads the environment. *)
+
+val of_env : (string -> string option) -> t -> t
+(** [of_env getenv base] applies the environment overrides that the
+    command-line tools honour, looking each variable up with [getenv]:
+    - [QSPR_JOBS] sets [jobs];
+    - [QSPR_PRESCREEN] sets [prescreen_k];
+    - [QSPR_SA_MOVES] sets [sa_moves];
+    - [QSPR_BUDGET] sets [budget.wall_s] (seconds, a float);
+    - [QSPR_BUDGET_EVALS] sets [budget.max_evals].
+
+    Values are trimmed; integers must be at least 1 and the wall-clock
+    budget positive.  An unset, unparsable or out-of-range variable leaves
+    [base]'s field as it was. *)
 
 val with_m : int -> t -> t
 val with_sa_moves : int -> t -> t

@@ -14,24 +14,26 @@ let solve_exn label = function
   | Error e ->
       failwith (Printf.sprintf "Experiments: %s failed: %s" label (Mapper.error_to_string e))
 
+(* [m] is MVFB's seed count or Monte-Carlo's run count *)
+let map_exn ~m strategy label ctx =
+  solve_exn label (Mapper.map strategy (Mapper.with_search (Config.with_m m) ctx))
+
 let cell_of (s : Mapper.solution) =
   { Report.latency = s.Mapper.latency; cpu_ms = s.Mapper.cpu_time_s *. 1000.0; runs = s.Mapper.placement_runs }
 
 (* one circuit, one seed count: MVFB then MC at the same run budget *)
 let placer_pair ctx ~m =
-  let mvfb = solve_exn "MVFB" (Mapper.map_mvfb ~m ctx) in
-  let mc = solve_exn "MC" (Mapper.map_monte_carlo ~runs:mvfb.Mapper.placement_runs ctx) in
+  let mvfb = map_exn ~m Mvfb "MVFB" ctx in
+  let mc = map_exn ~m:mvfb.Mapper.placement_runs Monte_carlo "MC" ctx in
   (cell_of mvfb, cell_of mc)
 
-let table1 ?(m_small = 25) ?(m_large = 100) ?jobs ?circuits () =
-  let jobs = match jobs with Some j -> j | None -> Config.default.Config.jobs in
+let table1 ?(m_small = 25) ?(m_large = 100) ?(jobs = 1) ?circuits () =
   let circuits = match circuits with Some c -> c | None -> default_circuits () in
-  (* With a multi-domain pool the sweep parallelizes across circuits, so the
-     per-circuit searches are pinned to sequential to avoid nested fan-out;
-     every search is bit-identical at any job count, so the rows are too. *)
-  let config = if jobs > 1 then Config.with_jobs 1 Config.default else Config.default in
+  (* The sweep parallelizes across circuits; each circuit's searches run
+     sequentially ([Config.default]'s one job), so there is no nested
+     fan-out, and every search is bit-identical at any job count. *)
   let one (name, p) =
-    let ctx = context ~config p in
+    let ctx = context p in
     let mvfb_25, mc_25 = placer_pair ctx ~m:m_small in
     let mvfb_100, mc_100 = placer_pair ctx ~m:m_large in
     { Report.circuit = name; mvfb_25; mc_25; mvfb_100; mc_100 }
@@ -46,8 +48,8 @@ let table2 ?(m = 100) ?circuits () =
     (fun (name, p) ->
       let ctx = context p in
       let baseline = Mapper.ideal_latency ctx in
-      let quale = solve_exn "QUALE" (Quale_mode.map ctx) in
-      let qspr = solve_exn "QSPR" (Mapper.map_mvfb ~m ctx) in
+      let quale = solve_exn "QUALE" (Mapper.map Quale ctx) in
+      let qspr = map_exn ~m Mvfb "QSPR" ctx in
       { Report.circuit = name; baseline; quale = quale.Mapper.latency; qspr = qspr.Mapper.latency })
     circuits
 
@@ -98,8 +100,8 @@ let sensitivity ?(ms = [ 1; 5; 10; 25; 50; 100 ]) ?(circuit = "[[9,1,3]]") () =
   let ctx = context p in
   List.map
     (fun m ->
-      let mvfb = solve_exn "MVFB" (Mapper.map_mvfb ~m ctx) in
-      let mc = solve_exn "MC" (Mapper.map_monte_carlo ~runs:mvfb.Mapper.placement_runs ctx) in
+      let mvfb = map_exn ~m Mvfb "MVFB" ctx in
+      let mc = map_exn ~m:mvfb.Mapper.placement_runs Monte_carlo "MC" ctx in
       (m, mvfb.Mapper.latency, mvfb.Mapper.placement_runs, mc.Mapper.latency))
     ms
 
@@ -111,8 +113,8 @@ let congestion_maps ?(circuit = "[[19,1,7]]") () =
   in
   let ctx = context p in
   let comp = Mapper.component ctx in
-  let qspr = solve_exn "QSPR" (Mapper.map_mvfb ~m:3 ctx) in
-  let quale = solve_exn "QUALE" (Quale_mode.map ctx) in
+  let qspr = map_exn ~m:3 Mvfb "QSPR" ctx in
+  let quale = solve_exn "QUALE" (Mapper.map Quale ctx) in
   ( Simulator.Heatmap.render comp qspr.Mapper.trace,
     Simulator.Heatmap.render comp quale.Mapper.trace )
 
@@ -123,7 +125,7 @@ let scaling_study ?(cases = [ (5, 30); (10, 60); (15, 120); (20, 200) ]) () =
       let p = Circuits.Library.random_clifford rng ~num_qubits:nq ~gates in
       let ctx = context p in
       let t0 = Sys.time () in
-      let sol = solve_exn "MVFB" (Mapper.map_mvfb ~m:3 ctx) in
+      let sol = map_exn ~m:3 Mvfb "MVFB" ctx in
       (nq, gates, sol.Mapper.latency, Sys.time () -. t0))
     cases
 
@@ -143,9 +145,9 @@ let placer_comparison ?(circuit = "[[9,1,3]]") () =
         failwith
           ("Experiments.placer_comparison: " ^ label ^ ": " ^ Simulator.Engine.string_of_error e)
   in
-  let mvfb = solve_exn "MVFB" (Mapper.map_mvfb ~m:5 ctx) in
+  let mvfb = map_exn ~m:5 Mvfb "MVFB" ctx in
   let budget = mvfb.Mapper.placement_runs in
-  let mc = solve_exn "MC" (Mapper.map_monte_carlo ~runs:budget ctx) in
+  let mc = map_exn ~m:budget Monte_carlo "MC" ctx in
   let sa =
     match
       Placer.Annealing.search
@@ -197,8 +199,12 @@ let prescreen_study ?(circuit = "[[9,1,3]]") ?(runs = 25) ?(k = 5) () =
     | None -> failwith ("Experiments.prescreen_study: unknown circuit " ^ circuit)
   in
   let ctx = context p in
-  let plain = solve_exn "MC" (Mapper.map_monte_carlo ~runs ~prescreen_k:0 ctx) in
-  let pre = solve_exn "MC+prescreen" (Mapper.map_monte_carlo ~runs ~prescreen_k:k ctx) in
+  let mc label prescreen_k =
+    solve_exn label
+      (Mapper.map Monte_carlo
+         (Mapper.with_search (fun c -> Config.(c |> with_m runs |> with_prescreen prescreen_k)) ctx))
+  in
+  let plain = mc "MC" None and pre = mc "MC+prescreen" (Some k) in
   {
     plain_latency = plain.Mapper.latency;
     plain_evals = plain.Mapper.engine_evals;
@@ -215,7 +221,7 @@ let fabric_study ?(circuit = "[[9,1,3]]") () =
   let solve ?config lay =
     match Mapper.create ~fabric:lay ?config p with
     | Error e -> failwith ("Experiments.fabric_study: " ^ e)
-    | Ok ctx -> (solve_exn "MVFB" (Mapper.map_mvfb ~m:5 ctx)).Mapper.latency
+    | Ok ctx -> (map_exn ~m:5 Mvfb "MVFB" ctx).Mapper.latency
   in
   let geometry =
     List.map
@@ -262,9 +268,9 @@ let optimality_study ?(circuit = "[[5,1,3]]") ?(candidate_traps = 6) () =
     | Ok o -> o
     | Error e -> failwith ("Experiments.optimality_study: " ^ Simulator.Engine.string_of_error e)
   in
-  let center = solve_exn "center" (Mapper.map_center ctx) in
-  let mvfb = solve_exn "MVFB" (Mapper.map_mvfb ~m:10 ctx) in
-  let mc = solve_exn "MC" (Mapper.map_monte_carlo ~runs:mvfb.Mapper.placement_runs ctx) in
+  let center = solve_exn "center" (Mapper.map Center ctx) in
+  let mvfb = map_exn ~m:10 Mvfb "MVFB" ctx in
+  let mc = map_exn ~m:mvfb.Mapper.placement_runs Monte_carlo "MC" ctx in
   [
     ("ideal baseline", Mapper.ideal_latency ctx);
     ( Printf.sprintf "exhaustive optimum (%d placements)" exhaustive.Placer.Exhaustive.evaluated,
@@ -282,8 +288,8 @@ let noise_study ?(m = 10) ?circuits () =
     (fun (name, p) ->
       let ctx = context p in
       let nq = Qasm.Program.num_qubits p in
-      let qspr = solve_exn "QSPR" (Mapper.map_mvfb ~m ctx) in
-      let quale = solve_exn "QUALE" (Quale_mode.map ctx) in
+      let qspr = map_exn ~m Mvfb "QSPR" ctx in
+      let quale = solve_exn "QUALE" (Mapper.map Quale ctx) in
       ( name,
         Noise.Estimate.of_trace model ~num_qubits:nq qspr.Mapper.trace,
         Noise.Estimate.of_trace model ~num_qubits:nq quale.Mapper.trace ))
@@ -299,8 +305,8 @@ let empirical_noise ?(circuit = "[[9,1,3]]") ?(trials = 300) () =
   let nq = Qasm.Program.num_qubits p in
   (* transport-heavy model so mapping quality matters *)
   let model = Noise.Model.make ~eps_move:0.004 ~eps_turn:0.02 ~t2_us:20_000.0 () in
-  let qspr = solve_exn "QSPR" (Mapper.map_mvfb ~m:5 ctx) in
-  let quale = solve_exn "QUALE" (Quale_mode.map ctx) in
+  let qspr = map_exn ~m:5 Mvfb "QSPR" ctx in
+  let quale = solve_exn "QUALE" (Mapper.map Quale ctx) in
   List.map
     (fun (label, (sol : Mapper.solution)) ->
       let analytic = Noise.Estimate.of_trace model ~num_qubits:nq sol.Mapper.trace in
@@ -356,7 +362,7 @@ let wave_study ?(m = 5) ?circuits () =
         List.fold_left (fun acc (l : Wave_mapper.level_stat) -> acc + l.Wave_mapper.overused) 0
           wave.Wave_mapper.levels
       in
-      let qspr = solve_exn "QSPR" (Mapper.map_mvfb ~m ctx) in
+      let qspr = map_exn ~m Mvfb "QSPR" ctx in
       (name, wave.Wave_mapper.latency, qspr.Mapper.latency, overused))
     circuits
 
@@ -364,8 +370,8 @@ let basis_study ?(m = 5) ?circuits () =
   let circuits = match circuits with Some c -> c | None -> default_circuits () in
   List.map
     (fun (name, p) ->
-      let native = solve_exn "native" (Mapper.map_mvfb ~m (context p)) in
-      let cx = solve_exn "cx" (Mapper.map_mvfb ~m (context (Qasm.Basis.to_cx_basis p))) in
+      let native = map_exn ~m Mvfb "native" (context p) in
+      let cx = map_exn ~m Mvfb "cx" (context (Qasm.Basis.to_cx_basis p)) in
       (name, native.Mapper.latency, cx.Mapper.latency))
     circuits
 
@@ -382,13 +388,13 @@ let eq1_breakdown ?(m = 5) ?circuits () =
         | Error e -> failwith ("Experiments.eq1_breakdown: " ^ Simulator.Engine.string_of_error e)
       in
       (* engine-level runs so per-instruction stats are available *)
-      let qspr_sol = solve_exn "QSPR" (Mapper.map_mvfb ~m ctx) in
+      let qspr_sol = map_exn ~m Mvfb "QSPR" ctx in
       let qspr = breakdown (Mapper.run_forward ctx qspr_sol.Mapper.initial_placement) in
       let center = Placer.Center.place (Mapper.component ctx) ~num_qubits:(Qasm.Program.num_qubits p) in
       let quale =
         breakdown
           (Mapper.run_with ctx ~policy:(Mapper.config ctx).Config.quale_policy
-             ~priorities:(Quale_mode.alap_priorities ctx) ~placement:center)
+             ~priorities:(Mapper.quale_priorities ctx) ~placement:center)
       in
       (name, qspr, quale))
     circuits
@@ -400,8 +406,8 @@ let noise_sweep ?(circuit = "[[9,1,3]]") ?(scales = [ 0.5; 1.0; 2.0; 4.0 ]) ?(tr
     | None -> failwith ("Experiments.noise_sweep: unknown circuit " ^ circuit)
   in
   let ctx = context p in
-  let qspr = solve_exn "QSPR" (Mapper.map_mvfb ~m:5 ctx) in
-  let quale = solve_exn "QUALE" (Quale_mode.map ctx) in
+  let qspr = map_exn ~m:5 Mvfb "QSPR" ctx in
+  let quale = solve_exn "QUALE" (Mapper.map Quale ctx) in
   List.map
     (fun scale ->
       (* dephasing off: the sweep isolates the transport-error axis where
@@ -488,7 +494,7 @@ let gaps_study ?(m = 5) ?circuits () =
   List.map
     (fun (name, p) ->
       let ctx = context p in
-      let s = solve_exn "MVFB" (Mapper.map_mvfb ~m ctx) in
+      let s = map_exn ~m Mvfb "MVFB" ctx in
       let gap =
         if s.Mapper.lower_bound_us > 0.0 then
           (s.Mapper.latency -. s.Mapper.lower_bound_us) /. s.Mapper.lower_bound_us

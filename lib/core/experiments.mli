@@ -21,7 +21,7 @@ val table1 :
   Report.table1_row list
 (** Table 1: MVFB vs Monte-Carlo at two seed counts (defaults 25 and 100),
     with the MC run budget set to MVFB's total placement runs — the paper's
-    equal-CPU protocol.  [jobs] (default: [QSPR_JOBS], else 1) sweeps the
+    equal-CPU protocol.  [jobs] (default 1) sweeps the
     circuits on a domain pool; rows are bit-identical at any job count. *)
 
 val table2 : ?m:int -> ?circuits:(string * Qasm.Program.t) list -> unit -> Report.table2_row list

@@ -25,7 +25,7 @@ let run ?(noise = Noise.Model.default) ?(error_threshold = 0.05) ?(efforts = [ 5
                   Ok { program = optimized; gates_removed; solution; attempts = List.rev attempts; met_threshold = false }
               | None -> Error "Flow.run: no mapping attempt succeeded")
           | m :: rest -> (
-              match Mapper.map_mvfb ~m ctx with
+              match Mapper.map Mvfb (Mapper.with_search (Config.with_m m) ctx) with
               | Error e -> Error (Mapper.error_to_string e)
               | Ok sol ->
                   let exposures = Noise.Exposure.of_trace ~num_qubits:nq sol.Mapper.trace in

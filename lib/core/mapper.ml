@@ -79,7 +79,6 @@ let program t = t.program
 let dag t = t.dag
 let config t = t.config
 let qspr_priorities t = t.priorities
-let t_udag t = t.udag
 
 let ideal_latency t = Baseline.latency_of_dag t.config.Config.timing t.dag
 
@@ -177,7 +176,7 @@ let route_cache_of t =
 (* The request deadline's cancellation checkpoint, armed from the config's
    budget: raises Ion_util.Clock.Expired once the deadline passes.  Handed
    to the engine (polled per event batch); [guarded] below translates the
-   raise into the typed error at every map_* boundary. *)
+   raise into the typed error at the [map] boundary. *)
 let cancel_of t = Ion_util.Clock.guard t.config.Config.budget.Config.deadline
 
 let guarded f =
@@ -243,24 +242,28 @@ let certified_bound t ~initial_placement =
     ~num_traps:(Array.length (Fabric.Component.traps t.comp))
     t.dag
 
-let solution_of_engine ~ctx ~runs ~run_latencies ~evals ~cpu ~direction ~initial
-    ?(attempts = []) ?(degraded = false) (r : Engine.result) =
+(* Finish a search's success record into a solution: a backward winner is
+   reported as its time-reversed trace, and the certified bound is computed
+   for the forward-view initial placement. *)
+let solution_of t ~cpu ~attempts (o : Placer.Portfolio.strategy_outcome) =
+  let { Placer.Portfolio.placement; result = r; direction; runs; evaluations; latencies; truncated } =
+    o
+  in
   let trace, initial_placement, final_placement =
     match direction with
-    | Placer.Mvfb.Forward -> (r.Engine.trace, initial, r.Engine.final_placement)
+    | Placer.Mvfb.Forward -> (r.Engine.trace, placement, r.Engine.final_placement)
     | Placer.Mvfb.Backward ->
         (* a backward winner executes forward as the time-reversed trace (with
            instruction ids rewritten to the forward program); its input
            placement in the forward view is the backward run's final one *)
         let trace =
-          match t_udag ctx with
-          | Some udag ->
-              remap_trace_ids (backward_id_map ctx.dag udag) (Trace.reverse r.Engine.trace)
+          match t.udag with
+          | Some udag -> remap_trace_ids (backward_id_map t.dag udag) (Trace.reverse r.Engine.trace)
           | None -> Trace.reverse r.Engine.trace
         in
-        (trace, r.Engine.final_placement, initial)
+        (trace, r.Engine.final_placement, placement)
   in
-  let bound = certified_bound ctx ~initial_placement in
+  let bound = certified_bound t ~initial_placement in
   {
     latency = r.Engine.latency;
     trace;
@@ -268,11 +271,11 @@ let solution_of_engine ~ctx ~runs ~run_latencies ~evals ~cpu ~direction ~initial
     final_placement;
     direction;
     placement_runs = runs;
-    run_latencies;
-    engine_evals = evals;
+    run_latencies = latencies;
+    engine_evals = evaluations;
     cpu_time_s = cpu;
     attempts;
-    degraded;
+    degraded = truncated;
     lower_bound_us = bound.Estimator.Bound.lower_bound_us;
     bound_kind = bound.Estimator.Bound.kind;
   }
@@ -280,20 +283,6 @@ let solution_of_engine ~ctx ~runs ~run_latencies ~evals ~cpu ~direction ~initial
 let estimator_model t = Lazy.force t.estimator
 
 let estimate t placement = Estimator.Model.estimate (Lazy.force t.estimator) placement
-
-(* Resolve the effective pre-screening width: an explicit argument wins
-   (0 = off, overriding the config), otherwise the config's default.
-   Forcing the model here — on the calling domain, before any fan-out —
-   keeps Lazy.force off the worker domains. *)
-let prescreen_of t arg =
-  let k =
-    match arg with Some 0 -> None | Some k -> Some k | None -> t.config.Config.prescreen_k
-  in
-  match k with
-  | None -> None
-  | Some k ->
-      let model = Lazy.force t.estimator in
-      Some (k, Estimator.Model.estimate model)
 
 (* Arm the wall-clock side of a budget: the clock starts when the search
    starts, on the monotonized Ion_util.Clock — a stepped system wall clock
@@ -322,275 +311,212 @@ let out_of_time_of (budget : Config.budget) =
         deadline_check ();
         Ion_util.Clock.now_s () > cutoff
 
+(* ------------------------------------------------------------------ *)
+(* One entry point over one strategy table                            *)
+
+type strategy = Mvfb | Monte_carlo | Annealing | Portfolio | Center | Quale | Robust
+
+let strategies =
+  [
+    ("mvfb", Mvfb);
+    ("mc", Monte_carlo);
+    ("sa", Annealing);
+    ("portfolio", Portfolio);
+    ("center", Center);
+    ("quale", Quale);
+    ("robust", Robust);
+  ]
+
+let name_of strategy = fst (List.find (fun (_, s) -> s = strategy) strategies)
+
+let with_search f t =
+  let config = f t.config in
+  if config.Config.timing <> t.config.Config.timing then
+    invalid_arg "Mapper.with_search: timing is fixed when the context is created";
+  match Config.validate config with
+  | Ok config -> { t with config }
+  | Error msg -> invalid_arg ("Mapper.with_search: " ^ msg)
+
+let quale_priorities t =
+  Scheduler.Priority.compute Scheduler.Priority.Alap
+    ~delay:(Router.Timing.gate_delay t.config.Config.timing)
+    t.dag
+
+(* One placement search, every parameter from the context's config: [m]
+   seeds, runs or anneal steps, [jobs] domains, [prescreen_k] estimator
+   pre-screening and the evaluation cap.  The model is forced here, on
+   the calling domain, before any fan-out (Lazy.force is not domain-safe).
+   [out_of_time] is the armed wall-clock and deadline poll, shared by every
+   member of a portfolio. *)
+let search ~out_of_time t strategy =
+  let cfg = t.config in
+  let seed = cfg.Config.rng_seed and m = cfg.Config.m in
+  let max_evals = cfg.Config.budget.Config.max_evals in
+  let num_qubits = Program.num_qubits t.program in
+  let prescreen =
+    Option.map
+      (fun k -> (k, Estimator.Model.estimate (Lazy.force t.estimator)))
+      cfg.Config.prescreen_k
+  in
+  let pooled f = Ion_util.Domain_pool.with_pool ~jobs:cfg.Config.jobs f in
+  let found ?(direction = Placer.Mvfb.Forward) ?(truncated = false) ~runs ~evaluations ~latencies
+      placement result =
+    { Placer.Portfolio.placement; result; direction; runs; evaluations; latencies; truncated }
+  in
+  let single_run placement = function
+    | Ok (r : Engine.result) ->
+        Ok (found ~runs:1 ~evaluations:1 ~latencies:[ r.Engine.latency ] placement r)
+    | Error _ as e -> e
+  in
+  match strategy with
+  | Mvfb ->
+      pooled (fun pool ->
+          Placer.Mvfb.search ~pool ?prescreen ~seed ~m ~patience:cfg.Config.patience
+            ~forward:(run_forward t) ~backward:(run_backward t) t.comp ~num_qubits)
+      |> Result.map (fun (o : Placer.Mvfb.outcome) ->
+             found ~direction:o.direction ~runs:o.runs ~evaluations:o.evaluations
+               ~latencies:o.latencies o.initial_placement o.result)
+  | Monte_carlo ->
+      pooled (fun pool ->
+          Placer.Monte_carlo.search ~pool ?prescreen ?max_evals ~out_of_time ~seed ~runs:m
+            ~evaluate:(run_forward t) t.comp ~num_qubits)
+      |> Result.map (fun (o : Placer.Monte_carlo.outcome) ->
+             found ~truncated:o.truncated ~runs:o.runs ~evaluations:o.evaluations
+               ~latencies:o.latencies o.placement o.result)
+  | Annealing ->
+      pooled (fun pool ->
+          Placer.Annealing.search ~pool ?prescreen ?max_evals ~out_of_time
+            ~rng:(Ion_util.Rng.create seed) ~evaluations:m ~evaluate:(run_forward t) t.comp
+            ~num_qubits)
+      |> Result.map (fun (o : Placer.Annealing.outcome) ->
+             found ~truncated:o.truncated ~runs:o.evaluations ~evaluations:o.evaluations
+               ~latencies:o.latencies o.placement o.result)
+  | Center ->
+      let placement = Placer.Center.place t.comp ~num_qubits in
+      single_run placement (run_forward t placement)
+  | Quale ->
+      (* QUALE's policy (the paper's comparator): center placement, ALAP
+         priorities, turn-blind capacity-1 routing with the destination
+         operand pinned; fabric, timing and event simulation are shared *)
+      let placement = Placer.Center.place t.comp ~num_qubits in
+      single_run placement
+        (run_with t ~policy:cfg.Config.quale_policy ~priorities:(quale_priorities t) ~placement)
+  | Portfolio | Robust -> Error (Engine.Invalid "Mapper.search: not a single placement search")
+
 let attempt_of ~stage ~seed outcome = { stage; seed; outcome }
 
-let map_mvfb ?m ?jobs ?prescreen_k t =
-  guarded @@ fun () ->
-  let m = Option.value ~default:t.config.Config.m m in
-  let jobs = Option.value ~default:t.config.Config.jobs jobs in
-  let prescreen = prescreen_of t prescreen_k in
-  let seed = t.config.Config.rng_seed in
+let single strategy t =
   let t0 = Sys.time () in
-  match
-    Ion_util.Domain_pool.with_pool ~jobs (fun pool ->
-        Placer.Mvfb.search ~pool ?prescreen ~seed ~m
-          ~patience:t.config.Config.patience ~forward:(run_forward t) ~backward:(run_backward t)
-          t.comp
-          ~num_qubits:(Program.num_qubits t.program))
-  with
+  match search ~out_of_time:(out_of_time_of t.config.Config.budget) t strategy with
   | Error e -> Error (of_engine_error e)
   | Ok o ->
-      let cpu = Sys.time () -. t0 in
-      let latency = o.Placer.Mvfb.result.Engine.latency in
+      let stage = name_of strategy and latency = o.Placer.Portfolio.result.Engine.latency in
       Ok
-        (solution_of_engine ~ctx:t ~runs:o.Placer.Mvfb.runs ~run_latencies:o.Placer.Mvfb.latencies
-           ~evals:o.Placer.Mvfb.evaluations ~cpu ~direction:o.Placer.Mvfb.direction
-           ~initial:o.Placer.Mvfb.initial_placement
-           ~attempts:[ attempt_of ~stage:"mvfb" ~seed (Ok latency) ]
-           o.Placer.Mvfb.result)
+        (solution_of t ~cpu:(Sys.time () -. t0)
+           ~attempts:[ attempt_of ~stage ~seed:t.config.Config.rng_seed (Ok latency) ]
+           o)
 
-let map_monte_carlo ~runs ?jobs ?prescreen_k t =
-  guarded @@ fun () ->
-  let jobs = Option.value ~default:t.config.Config.jobs jobs in
-  let prescreen = prescreen_of t prescreen_k in
-  let budget = t.config.Config.budget in
-  let seed = t.config.Config.rng_seed in
-  let t0 = Sys.time () in
-  let out_of_time = out_of_time_of budget in
-  match
-    Ion_util.Domain_pool.with_pool ~jobs (fun pool ->
-        Placer.Monte_carlo.search ~pool ?prescreen ?max_evals:budget.Config.max_evals ~out_of_time
-          ~seed ~runs ~evaluate:(run_forward t) t.comp
-          ~num_qubits:(Program.num_qubits t.program))
-  with
-  | Error e -> Error (of_engine_error e)
-  | Ok o ->
-      let cpu = Sys.time () -. t0 in
-      let latency = o.Placer.Monte_carlo.result.Engine.latency in
-      Ok
-        (solution_of_engine ~ctx:t ~runs:o.Placer.Monte_carlo.runs
-           ~run_latencies:o.Placer.Monte_carlo.latencies ~evals:o.Placer.Monte_carlo.evaluations
-           ~cpu ~direction:Placer.Mvfb.Forward ~initial:o.Placer.Monte_carlo.placement
-           ~attempts:[ attempt_of ~stage:"mc" ~seed (Ok latency) ]
-           ~degraded:o.Placer.Monte_carlo.truncated o.Placer.Monte_carlo.result)
-
-let map_annealing ?evaluations ?jobs ?prescreen_k t =
-  guarded @@ fun () ->
-  let evaluations = Option.value ~default:t.config.Config.m evaluations in
-  let jobs = Option.value ~default:t.config.Config.jobs jobs in
-  let prescreen = prescreen_of t prescreen_k in
-  let budget = t.config.Config.budget in
-  let seed = t.config.Config.rng_seed in
-  let t0 = Sys.time () in
-  let out_of_time = out_of_time_of budget in
-  match
-    Ion_util.Domain_pool.with_pool ~jobs (fun pool ->
-        Placer.Annealing.search ~pool ?prescreen ?max_evals:budget.Config.max_evals ~out_of_time
-          ~rng:(Ion_util.Rng.create seed)
-          ~evaluations ~evaluate:(run_forward t) t.comp
-          ~num_qubits:(Program.num_qubits t.program))
-  with
-  | Error e -> Error (of_engine_error e)
-  | Ok o ->
-      let cpu = Sys.time () -. t0 in
-      let latency = o.Placer.Annealing.result.Engine.latency in
-      Ok
-        (solution_of_engine ~ctx:t ~runs:o.Placer.Annealing.evaluations
-           ~run_latencies:o.Placer.Annealing.latencies ~evals:o.Placer.Annealing.evaluations ~cpu
-           ~direction:Placer.Mvfb.Forward ~initial:o.Placer.Annealing.placement
-           ~attempts:[ attempt_of ~stage:"sa" ~seed (Ok latency) ]
-           ~degraded:o.Placer.Annealing.truncated o.Placer.Annealing.result)
-
-(* The racing portfolio: seeded MVFB, Monte-Carlo, the classic routed
-   anneal (exactly [map_annealing]'s search, so the portfolio can never do
-   worse than it at matched parameters), and two delta-SA streams.  Every
-   strategy derives its own randomness from the root seed — the classic
-   placers use it exactly as their [map_*] counterparts do, the delta
-   streams use [Rng.derive] on an offset root so no stream collides with
-   MVFB's per-seed derivations — and runs sequentially inside one
-   [Domain_pool] slot, so the race is bit-identical at any job count. *)
-let map_portfolio ?m ?sa_moves ?jobs t =
-  guarded @@ fun () ->
-  let m = Option.value ~default:t.config.Config.m m in
-  let sa_moves = Option.value ~default:t.config.Config.sa_moves sa_moves in
-  let jobs = Option.value ~default:t.config.Config.jobs jobs in
-  let budget = t.config.Config.budget in
-  let max_evals = budget.Config.max_evals in
-  let seed = t.config.Config.rng_seed in
-  let nq = Program.num_qubits t.program in
+(* The racing portfolio: the MVFB, MC and SA searches exactly as [single]
+   runs them (so it never does worse than any of them at matched
+   parameters), each sequential inside one pool slot and without
+   pre-screening, plus two delta-SA streams seeded by [Rng.derive] on an
+   offset root so no stream collides with MVFB's per-seed derivations.
+   The race is bit-identical at any job count. *)
+let portfolio t =
+  let cfg = t.config in
+  let seed = cfg.Config.rng_seed in
   (* forced here, on the main domain, before any fan-out *)
   let model = Lazy.force t.estimator in
   let t0 = Sys.time () in
-  let out_of_time = out_of_time_of budget in
-  let ok ~placement ~result ~direction ~evaluations ~latencies ~truncated =
-    Ok
-      {
-        Placer.Portfolio.placement;
-        result;
-        direction;
-        evaluations;
-        latencies;
-        truncated;
-      }
+  let out_of_time = out_of_time_of cfg.Config.budget in
+  let member_ctx = { t with config = { cfg with Config.jobs = 1; prescreen_k = None } } in
+  let member strategy =
+    let run ~rng:_ = search ~out_of_time member_ctx strategy in
+    { Placer.Portfolio.name = name_of strategy; run }
   in
-  (* the classic strategies seed themselves exactly as their map_* twins do
-     (bit-compatibility); the race's derived stream is ignored *)
-  let mvfb ~rng:_ =
-    match
-      Placer.Mvfb.search ~seed ~m ~patience:t.config.Config.patience ~forward:(run_forward t)
-        ~backward:(run_backward t) t.comp ~num_qubits:nq
-    with
-    | Error _ as e -> e
-    | Ok o ->
-        ok ~placement:o.Placer.Mvfb.initial_placement ~result:o.Placer.Mvfb.result
-          ~direction:o.Placer.Mvfb.direction ~evaluations:o.Placer.Mvfb.evaluations
-          ~latencies:o.Placer.Mvfb.latencies ~truncated:false
-  in
-  let mc ~rng:_ =
-    match
-      Placer.Monte_carlo.search ?max_evals ~out_of_time ~seed ~runs:m
-        ~evaluate:(run_forward t) t.comp ~num_qubits:nq
-    with
-    | Error _ as e -> e
-    | Ok o ->
-        ok ~placement:o.Placer.Monte_carlo.placement ~result:o.Placer.Monte_carlo.result
-          ~direction:Placer.Mvfb.Forward ~evaluations:o.Placer.Monte_carlo.evaluations
-          ~latencies:o.Placer.Monte_carlo.latencies ~truncated:o.Placer.Monte_carlo.truncated
-  in
-  let sa ~rng:_ =
-    match
-      Placer.Annealing.search ?max_evals ~out_of_time ~rng:(Ion_util.Rng.create seed)
-        ~evaluations:m ~evaluate:(run_forward t) t.comp ~num_qubits:nq
-    with
-    | Error _ as e -> e
-    | Ok o ->
-        ok ~placement:o.Placer.Annealing.placement ~result:o.Placer.Annealing.result
-          ~direction:Placer.Mvfb.Forward ~evaluations:o.Placer.Annealing.evaluations
-          ~latencies:o.Placer.Annealing.latencies ~truncated:o.Placer.Annealing.truncated
-  in
-  let delta_sa k ~rng:_ =
-    match
-      Placer.Annealing.search_delta ?max_evals ~out_of_time
+  let delta_sa k =
+    let run ~rng:_ =
+      Placer.Annealing.search_delta ?max_evals:cfg.Config.budget.Config.max_evals ~out_of_time
         ~rng:(Ion_util.Rng.derive (seed + 7919) ~index:k)
-        ~moves:sa_moves ~model ~evaluate:(run_forward t) t.comp ~num_qubits:nq
-    with
-    | Error _ as e -> e
-    | Ok o ->
-        ok ~placement:o.Placer.Annealing.placement ~result:o.Placer.Annealing.result
-          ~direction:Placer.Mvfb.Forward ~evaluations:o.Placer.Annealing.engine_evals
-          ~latencies:o.Placer.Annealing.latencies ~truncated:o.Placer.Annealing.truncated
+        ~moves:cfg.Config.sa_moves ~model ~evaluate:(run_forward t) t.comp
+        ~num_qubits:(Program.num_qubits t.program)
+      |> Result.map (fun (o : Placer.Annealing.delta_outcome) ->
+             {
+               Placer.Portfolio.placement = o.placement;
+               result = o.result;
+               direction = Placer.Mvfb.Forward;
+               runs = o.engine_evals;
+               evaluations = o.engine_evals;
+               latencies = o.latencies;
+               truncated = o.truncated;
+             })
+    in
+    { Placer.Portfolio.name = Printf.sprintf "delta-sa-%d" k; run }
   in
-  let strategies =
-    [
-      { Placer.Portfolio.name = "mvfb"; run = mvfb };
-      { Placer.Portfolio.name = "mc"; run = mc };
-      { Placer.Portfolio.name = "sa"; run = sa };
-      { Placer.Portfolio.name = "delta-sa-0"; run = delta_sa 0 };
-      { Placer.Portfolio.name = "delta-sa-1"; run = delta_sa 1 };
-    ]
-  in
+  let racers = List.map member [ Mvfb; Monte_carlo; Annealing ] @ [ delta_sa 0; delta_sa 1 ] in
   match
-    Ion_util.Domain_pool.with_pool ~jobs (fun pool ->
-        Placer.Portfolio.race ~pool ~seed strategies)
+    Ion_util.Domain_pool.with_pool ~jobs:cfg.Config.jobs (fun pool ->
+        Placer.Portfolio.race ~pool ~seed racers)
   with
   | Error e -> Error (of_engine_error e)
   | Ok o ->
-      let cpu = Sys.time () -. t0 in
-      let best = o.Placer.Portfolio.best in
-      let attempts =
-        List.map
-          (fun e ->
-            let outcome =
-              match e.Placer.Portfolio.entry_outcome with
-              | Ok s -> Ok s.Placer.Portfolio.result.Engine.latency
-              | Error err -> Error (of_engine_error err)
+      let attempts, evals =
+        List.fold_right
+          (fun (e : Placer.Portfolio.entry) (attempts, evals) ->
+            let outcome, evals =
+              match e.entry_outcome with
+              | Ok s -> (Ok s.result.Engine.latency, evals + s.evaluations)
+              | Error err -> (Error (of_engine_error err), evals)
             in
-            attempt_of ~stage:("portfolio:" ^ e.Placer.Portfolio.entry_name) ~seed outcome)
-          o.Placer.Portfolio.entries
-      in
-      let evals =
-        List.fold_left
-          (fun acc e ->
-            match e.Placer.Portfolio.entry_outcome with
-            | Ok s -> acc + s.Placer.Portfolio.evaluations
-            | Error _ -> acc)
-          0 o.Placer.Portfolio.entries
+            (attempt_of ~stage:("portfolio:" ^ e.entry_name) ~seed outcome :: attempts, evals))
+          o.Placer.Portfolio.entries ([], 0)
       in
       Ok
-        (solution_of_engine ~ctx:t ~runs:evals
-           ~run_latencies:best.Placer.Portfolio.latencies ~evals ~cpu
-           ~direction:best.Placer.Portfolio.direction
-           ~initial:best.Placer.Portfolio.placement ~attempts
-           ~degraded:best.Placer.Portfolio.truncated best.Placer.Portfolio.result)
+        (solution_of t ~cpu:(Sys.time () -. t0) ~attempts
+           { o.Placer.Portfolio.best with runs = evals; evaluations = evals })
 
-let map_center t =
-  guarded @@ fun () ->
-  let placement = Placer.Center.place t.comp ~num_qubits:(Program.num_qubits t.program) in
+(* The hardened pipeline: re-seed the placer, switch placer, then widen
+   the engine's per-issue trap candidates (the Pathfinder-style congestion
+   relaxation available to the event-driven router).  Stage [i] runs
+   under seed [rng_seed + i]; the first success wins.  An expired deadline
+   raises out of the cascade, since every later stage would abort at its
+   first checkpoint too. *)
+let robust t =
   let seed = t.config.Config.rng_seed in
-  let t0 = Sys.time () in
-  match run_forward t placement with
-  | Error e -> Error (of_engine_error e)
-  | Ok r ->
-      let cpu = Sys.time () -. t0 in
-      Ok
-        (solution_of_engine ~ctx:t ~runs:1 ~run_latencies:[ r.Engine.latency ] ~evals:1 ~cpu
-           ~direction:Placer.Mvfb.Forward ~initial:placement
-           ~attempts:[ attempt_of ~stage:"center" ~seed (Ok r.Engine.latency) ]
-           r)
-
-(* ------------------------------------------------------------------ *)
-(* Hardened pipeline: bounded deterministic retry/fallback cascade     *)
-
-type retry = { max_attempts : int; reseed_step : int; relax_trap_candidates : int }
-
-let default_retry = { max_attempts = 5; reseed_step = 1; relax_trap_candidates = 2 }
-
-let with_seed seed t = { t with config = Config.with_seed seed t.config }
-
-(* widen the engine's per-issue trap candidate fan-out — the Pathfinder-style
-   congestion relaxation available to the event-driven router *)
-let relax_policy extra t =
-  let p = t.config.Config.qspr_policy in
-  let qspr_policy =
-    { p with Engine.trap_candidates = p.Engine.trap_candidates + max 0 extra }
+  let relax (c : Config.t) =
+    let p = c.Config.qspr_policy in
+    { c with Config.qspr_policy = { p with Engine.trap_candidates = p.Engine.trap_candidates + 2 } }
   in
-  { t with config = { t.config with Config.qspr_policy } }
-
-let map_robust ?(retry = default_retry) ?jobs t =
-  let seed = t.config.Config.rng_seed in
-  let step i = seed + (i * retry.reseed_step) in
-  (* the escalation ladder: re-seed the placer, switch placer
-     (mvfb -> mc -> annealing), then relax the routing policy *)
   let stages =
     [
-      ("mvfb", fun () -> map_mvfb ?jobs t);
-      ("mvfb+reseed", fun () -> map_mvfb ?jobs (with_seed (step 1) t));
-      ("mc", fun () -> map_monte_carlo ~runs:t.config.Config.m ?jobs (with_seed (step 2) t));
-      ("sa", fun () -> map_annealing ?jobs (with_seed (step 3) t));
-      ( "mvfb+relaxed",
-        fun () -> map_mvfb ?jobs (relax_policy retry.relax_trap_candidates (with_seed (step 4) t))
-      );
+      ("mvfb", Mvfb, Fun.id);
+      ("mvfb+reseed", Mvfb, Fun.id);
+      ("mc", Monte_carlo, Fun.id);
+      ("sa", Annealing, Fun.id);
+      ("mvfb+relaxed", Mvfb, relax);
     ]
   in
-  let rec go n failures = function
+  let rec go i failures = function
     | [] -> (
         match failures with
-        | [] -> Error (Invalid "Mapper.map_robust: no stages attempted")
-        | { outcome = Error last; _ } :: _ -> Error (Budget_exhausted { attempts = n; last })
-        | { outcome = Ok _; _ } :: _ -> assert false)
-    | _ when n >= retry.max_attempts -> (
-        match failures with
-        | { outcome = Error last; _ } :: _ -> Error (Budget_exhausted { attempts = n; last })
-        | _ -> Error (Invalid "Mapper.map_robust: retry budget must allow at least one attempt"))
-    | (stage, run) :: rest -> (
-        let stage_seed = step (List.length failures) in
-        match run () with
+        | { outcome = Error last; _ } :: _ -> Error (Budget_exhausted { attempts = i; last })
+        | _ -> Error (Invalid "Mapper.map: the robust cascade has no stages"))
+    | (stage, strategy, adjust) :: rest -> (
+        let stage_seed = seed + i in
+        match single strategy (with_search (fun c -> adjust (Config.with_seed stage_seed c)) t) with
         | Ok s ->
             let audit = List.rev (attempt_of ~stage ~seed:stage_seed (Ok s.latency) :: failures) in
             Ok { s with attempts = audit; degraded = s.degraded || failures <> [] }
-        (* past the deadline every later stage would abort at its first
-           checkpoint too — escalating is pure waste, so stop typed here *)
-        | Error (Deadline_exceeded _ as e) -> Error e
-        | Error e -> go (n + 1) (attempt_of ~stage ~seed:stage_seed (Error e) :: failures) rest)
+        | Error e -> go (i + 1) (attempt_of ~stage ~seed:stage_seed (Error e) :: failures) rest)
   in
   go 0 [] stages
+
+let map strategy t =
+  guarded @@ fun () ->
+  match strategy with Portfolio -> portfolio t | Robust -> robust t | s -> single s t
+
+(* Kept for the benchmark harness until it calls [map]. *)
+let jobs_of jobs t = match jobs with Some j -> with_search (Config.with_jobs j) t | None -> t
+let map_mvfb ?jobs t = map Mvfb (jobs_of jobs t)
+let map_center t = map Center t
+let map_portfolio ?jobs t = map Portfolio (jobs_of jobs t)

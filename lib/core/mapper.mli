@@ -4,9 +4,13 @@
     Typical use:
     {[
       let ctx = Mapper.create ~fabric (Qasm.Parser.parse_file "circuit.qasm") in
-      let sol = Mapper.map_mvfb ctx in
+      let sol = Mapper.map Mapper.Mvfb ctx in
       print_float sol.latency
-    ]} *)
+    ]}
+
+    Every search parameter ([m], [sa_moves], [jobs], [prescreen_k],
+    [rng_seed], [budget]) comes from the context's {!Config.t}; use
+    {!with_search} to run with other values on an existing context. *)
 
 type t
 (** A prepared mapping context: fabric graph, QIDG, UIDG (when the program
@@ -32,8 +36,8 @@ val create :
     tables; [shared_routes] is a frozen per-fabric table snapshot attached
     to the engine's route cache before every run; [route_cache] overrides
     the domain-local cache with an explicit per-context one — the caller
-    promises the context then runs on a single domain (use [jobs:1]), in
-    exchange for exact per-context hit/miss counters. *)
+    promises the context then runs on a single domain (a config with
+    [jobs] 1), in exchange for exact per-context hit/miss counters. *)
 
 val graph : t -> Fabric.Graph.t
 val component : t -> Fabric.Component.t
@@ -44,9 +48,9 @@ val config : t -> Config.t
 val ideal_latency : t -> float
 (** The Section V.A baseline: QIDG critical path, no routing or congestion. *)
 
-(** Why a mapping attempt failed — every search entry point returns these
-    instead of strings, so callers (the retry cascade, fault campaigns, the
-    CLI) can react to the failure class. *)
+(** Why a mapping attempt failed — {!map} returns these instead of
+    strings, so callers (the retry cascade, fault campaigns, the CLI) can
+    react to the failure class. *)
 type error =
   | Unroutable of { net_id : int; src_trap : int; dst_trap : int; iterations : int }
       (** a routing net's endpoint traps are not connected (Pathfinder-style
@@ -119,86 +123,75 @@ val run_with :
   priorities:float array ->
   placement:int array ->
   (Simulator.Engine.result, Simulator.Engine.error) result
-(** Escape hatch for custom policies (used by the QUALE mode and the
-    ablation benches). *)
+(** Escape hatch for custom policies (used by the [Quale] strategy and the
+    priority and ablation studies). *)
 
-val map_mvfb : ?m:int -> ?jobs:int -> ?prescreen_k:int -> t -> (solution, error) result
-(** The full QSPR flow: MVFB placement (defaulting to the config's [m]),
-    best of all forward/backward runs; backward winners are reported as
-    reversed traces (Section IV.A).  [jobs] (default: the config's [jobs])
-    fans the [m] independent seeds out over that many domains; any job
-    count returns a bit-identical solution.
+type strategy =
+  | Mvfb
+      (** the full QSPR flow: MVFB placement over [m] seeds, best of all
+          forward/backward runs; backward winners are reported as reversed
+          traces (Section IV.A) *)
+  | Monte_carlo  (** best of [m] random center placements *)
+  | Annealing
+      (** simulated annealing ({!Placer.Annealing.search}) over [m]
+          evaluations, seeded from [rng_seed]; the anneal itself is
+          sequential, and [prescreen_k] draws that many starts and anneals
+          from the best-estimated one *)
+  | Portfolio
+      (** a race ({!Placer.Portfolio}) of the [Mvfb], [Monte_carlo] and
+          [Annealing] searches, each sequential and without pre-screening,
+          and two delta-annealing streams ({!Placer.Annealing.search_delta},
+          [sa_moves] proposals each, routing only improved incumbents).  The
+          winner is the lowest [(latency, member order)]; every member shows
+          in [attempts] as ["portfolio:<name>"] and the result is [Error]
+          only when every member fails (the first failure) *)
+  | Center  (** one deterministic center placement *)
+  | Quale
+      (** QUALE's mapping policy, the paper's comparator: center placement
+          independent of the QIDG, ALAP priorities ({!quale_priorities}),
+          turn-blind routing, no ion multiplexing (channel capacity 1) and
+          the destination operand pinned.  Fabric, timing and event
+          simulation are shared with QSPR, so latency differences measure
+          the policy gap of Table 2 *)
+  | Robust
+      (** the hardened pipeline: [Mvfb], [Mvfb] re-seeded, [Monte_carlo],
+          [Annealing], then [Mvfb] with two extra per-issue trap candidates
+          (stages ["mvfb"], ["mvfb+reseed"], ["mc"], ["sa"],
+          ["mvfb+relaxed"], stage [i] under seed [rng_seed + i]), stopping
+          at the first success.  The solution carries every attempt and is
+          [degraded] when an earlier stage failed; when all five fail the
+          result is [Budget_exhausted] with the last failure *)
 
-    [prescreen_k] (default: the config's [prescreen_k], itself off unless
-    [QSPR_PRESCREEN] is set) estimates every unique seed placement with the
-    {!estimate} model and locally searches only the [k] best-estimated;
-    [0] forces pre-screening off regardless of the config. *)
+val strategies : (string * strategy) list
+(** The placer names the CLI, the service and the docs accept:
+    [mvfb mc sa portfolio center quale robust]. *)
 
-val map_monte_carlo : runs:int -> ?jobs:int -> ?prescreen_k:int -> t -> (solution, error) result
-(** Best of [runs] random center placements under the QSPR engine.  [jobs]
-    and [prescreen_k] behave as in {!map_mvfb}: parallel fan-out of the
-    independent runs with bit-identical results at any job count, and
-    estimator pre-screening routing only the [k] best-estimated unique
-    candidates.
+val map : strategy -> t -> (solution, error) result
+(** Map the context's program with one strategy.  [jobs] fans the MVFB
+    seeds, MC runs, pre-screening estimates or portfolio members out over
+    that many domains; any job count returns a bit-identical solution.
+    [prescreen_k] estimates every unique candidate placement with the
+    {!estimate} model and routes only the [k] best-estimated.  The
+    {!Config.budget} makes Monte-Carlo, annealing and the portfolio
+    anytime: an evaluation cap truncates deterministically in run order, a
+    wall-clock budget stops between evaluations, and either marks the
+    solution [degraded]; an expired deadline returns [Deadline_exceeded].
+    Single-strategy solutions record one attempt, named as in
+    {!strategies}. *)
 
-    The config's {!Config.budget} makes the search anytime: an evaluation
-    cap truncates candidates deterministically in run order, a wall-clock
-    budget stops between evaluation chunks; either marks the solution
-    [degraded]. *)
+val with_search : (Config.t -> Config.t) -> t -> t
+(** [with_search f ctx] is [ctx] with the search parameters of [f config]
+    (seed, [m], [jobs], pre-screening, budgets, engine policies), sharing
+    the fabric, graphs and estimator.
+    @raise Invalid_argument when [f] changes [timing] (the priorities and
+    distance tables are built from it) or the new config fails
+    {!Config.validate}. *)
 
-val map_annealing : ?evaluations:int -> ?jobs:int -> ?prescreen_k:int -> t -> (solution, error) result
-(** Simulated-annealing placement ({!Placer.Annealing}) under the QSPR
-    engine, seeded from the config's [rng_seed].  [evaluations] defaults to
-    the config's [m] so the budget matches the MVFB/MC comparison.  The
-    anneal itself is sequential; [prescreen_k] draws that many candidate
-    starts and anneals from the best-estimated one, with [jobs] fanning the
-    estimates out.  The config's {!Config.budget} caps the cooling schedule
-    (deterministic) and the wall clock (anytime), marking the solution
-    [degraded] when cut. *)
-
-val map_portfolio : ?m:int -> ?sa_moves:int -> ?jobs:int -> t -> (solution, error) result
-(** Racing placer portfolio ({!Placer.Portfolio}): seeded MVFB, Monte-Carlo,
-    the classic routed anneal (exactly {!map_annealing}'s search, so at
-    matched parameters the portfolio's best latency is never worse than it)
-    and two delta-annealing streams ({!Placer.Annealing.search_delta}, each
-    spending [sa_moves] incremental {!Estimator.Delta} proposals and routing
-    only improved incumbents), fanned over [jobs] domains.
-
-    [m] (default config [m]) is the per-strategy routed-evaluation budget:
-    MVFB seeds, MC runs, classic-SA schedule length.  [sa_moves] defaults to
-    the config's [sa_moves] ([QSPR_SA_MOVES], default 20_000).  Every
-    strategy derives its randomness from the config seed alone, strategies
-    map over the pool in fixed order, and the winner is the lowest
-    [(latency, strategy order)], so the solution is bit-identical at any
-    [jobs] count.  Failed strategies stay visible in [attempts]
-    (stage ["portfolio:<name>"]); the solution is [Error] only when every
-    strategy fails (the first failure).  The config's {!Config.budget}
-    applies per strategy; a truncated winner marks the solution
-    [degraded]. *)
-
+val map_mvfb : ?jobs:int -> t -> (solution, error) result
 val map_center : t -> (solution, error) result
-(** Single deterministic center placement under the QSPR engine. *)
-
-type retry = {
-  max_attempts : int;  (** total stages tried before giving up (default 5) *)
-  reseed_step : int;  (** seed increment between stages (default 1) *)
-  relax_trap_candidates : int;
-      (** extra per-issue trap candidates for the final relaxed stage
-          (default 2) — the event-driven router's congestion relaxation *)
-}
-
-val default_retry : retry
-
-val map_robust : ?retry:retry -> ?jobs:int -> t -> (solution, error) result
-(** The hardened pipeline: escalate deterministically through
-    mvfb -> mvfb re-seeded -> monte-carlo -> annealing -> mvfb under a
-    relaxed routing policy, stopping at the first success, bounded by
-    [retry.max_attempts].  The winning solution carries the full [attempts]
-    audit (failures included) and is marked [degraded] when any earlier
-    stage failed.  When every attempt fails the result is
-    [Budget_exhausted] carrying the last underlying failure.  The cascade
-    is a pure function of the context and [retry] — same inputs, same
-    stages, same seeds. *)
+val map_portfolio : ?jobs:int -> t -> (solution, error) result
+(** [map Mvfb], [map Center] and [map Portfolio], with [jobs] overriding the
+    config's; kept only for the benchmark harness until it calls {!map}. *)
 
 val estimate : t -> int array -> float
 (** LEQA-style latency estimate ({!Estimator.Model}) of an initial
@@ -218,3 +211,6 @@ val certified_bound : t -> initial_placement:int array -> Estimator.Bound.t
 
 val qspr_priorities : t -> float array
 (** The Section III priorities driving the forward schedule. *)
+
+val quale_priorities : t -> float array
+(** QUALE's ALAP priorities, used by the [Quale] strategy. *)

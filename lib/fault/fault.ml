@@ -142,21 +142,23 @@ type report = {
   histogram : (string * int) list;
 }
 
-let campaign ?(jobs = 1) ?(retry = Qspr.Mapper.default_retry) ?(config = Qspr.Config.default) ~seed
+let campaign ?(jobs = 1) ?(config = Qspr.Config.default) ~seed
     ~levels ~trials ~fabric program =
   if trials < 1 then Error "Fault.campaign: trials must be >= 1"
   else if levels = [] then Error "Fault.campaign: no fault levels given"
   else if List.exists (fun l -> l < 0) levels then Error "Fault.campaign: negative fault count"
   else begin
     (* wall-clock budgets are nondeterministic across job counts; strip them
-       and keep only the (deterministic) evaluation budget *)
+       and keep only the (deterministic) evaluation budget.  Parallelism is
+       across trials, so each trial's search is sequential. *)
     let config =
-      { config with Qspr.Config.budget = { config.Qspr.Config.budget with Qspr.Config.wall_s = None } }
+      Qspr.Config.with_jobs 1
+        { config with Qspr.Config.budget = { config.Qspr.Config.budget with Qspr.Config.wall_s = None } }
     in
     match Qspr.Mapper.create ~fabric ~config program with
     | Error e -> Error (Printf.sprintf "pristine fabric rejects the circuit: %s" e)
     | Ok ctx -> (
-        match Qspr.Mapper.map_robust ~retry ~jobs:1 ctx with
+        match Qspr.Mapper.map Robust ctx with
         | Error e ->
             Error
               (Printf.sprintf "pristine fabric fails to map: %s" (Qspr.Mapper.error_to_string e))
@@ -193,7 +195,7 @@ let campaign ?(jobs = 1) ?(retry = Qspr.Mapper.default_retry) ?(config = Qspr.Co
                     match Qspr.Mapper.create ~fabric:degraded ~config program with
                     | Error msg -> Unmappable msg
                     | Ok dctx -> (
-                        match Qspr.Mapper.map_robust ~retry ~jobs:1 dctx with
+                        match Qspr.Mapper.map Robust dctx with
                         | Ok s ->
                             Mapped
                               {

@@ -108,7 +108,6 @@ type report = {
 
 val campaign :
   ?jobs:int ->
-  ?retry:Qspr.Mapper.retry ->
   ?config:Qspr.Config.t ->
   seed:int ->
   levels:int list ->
@@ -118,14 +117,14 @@ val campaign :
   (report, string) result
 (** [campaign ~seed ~levels ~trials ~fabric program] samples [trials]
     fault sets per entry of [levels] (each entry a fault count), degrades
-    the fabric, and drives {!Qspr.Mapper.map_robust} on every surviving
-    fabric, fanning trials over a {!Ion_util.Domain_pool} of [jobs]
+    the fabric, and maps with the {!Qspr.Mapper.Robust} cascade on every
+    surviving fabric, fanning trials over a {!Ion_util.Domain_pool} of [jobs]
     (default 1) domains.  Trial [i] of level [l] draws from
     [Rng.derive seed ~index:(l * trials + i)], so the report is
     bit-identical at any job count.  The per-trial search itself runs
-    sequentially ([jobs:1]) — parallelism is across trials.  Wall-clock
-    budgets in [config] are ignored (they would break determinism); the
-    evaluation budget is honoured.  Fails only if the pristine fabric
+    sequentially ([config]'s [jobs] is ignored) — parallelism is across
+    trials.  Wall-clock budgets in [config] are ignored (they would break
+    determinism); the evaluation budget is honoured.  Fails only if the pristine fabric
     itself rejects the program. *)
 
 val to_json : report -> Ion_util.Json.t

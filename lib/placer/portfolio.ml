@@ -10,6 +10,7 @@ type strategy_outcome = {
   placement : int array;
   result : Simulator.Engine.result;
   direction : Mvfb.direction;
+  runs : int;
   evaluations : int;
   latencies : float list;
   truncated : bool;

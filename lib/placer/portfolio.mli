@@ -20,6 +20,10 @@ type strategy_outcome = {
   direction : Mvfb.direction;
       (** [Backward] when an MVFB strategy won on a backward run — the
           caller must time-reverse the trace, as for {!Mvfb.search} *)
+  runs : int;
+      (** placement runs the strategy reports: MVFB and Monte-Carlo count
+          deduplicated and pre-screened-out runs, the others their
+          evaluations *)
   evaluations : int;  (** routed engine evaluations the strategy spent *)
   latencies : float list;  (** routed latencies, in evaluation order *)
   truncated : bool;
@@ -30,8 +34,8 @@ type strategy = {
   run : rng:Ion_util.Rng.t -> (strategy_outcome, Simulator.Engine.error) result;
       (** [rng] is the strategy's slot in the race's derived-stream space;
           strategies carrying their own seeding discipline (the classic
-          placers, matching their [map_*] counterparts bit-for-bit) may
-          ignore it *)
+          placers, matching their standalone runs bit-for-bit) may ignore
+          it *)
 }
 
 type entry = {

@@ -24,8 +24,8 @@ type job = {
       (** ASCII fabric layout; [None] = the paper's QUALE 45x85 grid *)
   seed : int;  (** root seed for all randomized placement (default 2012) *)
   placer : string;
-      (** ["portfolio"] (default), ["mvfb"], ["mc"], ["sa"], ["center"]
-          or ["robust"] *)
+      (** a name in {!Qspr.Mapper.strategies}, ["portfolio"] by default;
+          admission refuses any other *)
   m : int option;  (** placer width (MVFB seeds / MC runs / SA schedule) *)
   max_evals : int option;  (** deterministic engine-evaluation budget *)
   max_quote_us : float option;

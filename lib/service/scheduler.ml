@@ -175,8 +175,6 @@ let fabric_key t layout =
   let tc = Router.Timing.turn_cost_in_moves t.base.Qspr.Config.timing in
   fnv1a64 (Printf.sprintf "%.17g|%s" tc (Fabric.Layout.to_ascii layout))
 
-let allowed_placers = [ "portfolio"; "mvfb"; "mc"; "sa"; "center"; "robust" ]
-
 let resolve_circuit ~id = function
   | Protocol.Builtin name -> (
       match List.assoc_opt name (Circuits.Qecc.all ()) with
@@ -234,6 +232,7 @@ type prepared = {
   p_job : Protocol.job;
   p_entry : fabric_entry;
   p_ctx : Qspr.Mapper.t;
+  p_strategy : Qspr.Mapper.strategy;
   p_cache : Route_cache.t;
   p_quote : float;
   p_rung : rung;
@@ -290,12 +289,13 @@ let cache_store t job response =
    depend only on upstream admission order, never on worker timing), and
    is advanced here exactly once per such job. *)
 let admit t ~slot (job : Protocol.job) =
-  if not (List.mem job.Protocol.placer allowed_placers) then
-    Refuse
-      (reject ~stage:"request"
-         (Printf.sprintf "unknown placer %s (%s)" job.Protocol.placer
-            (String.concat "|" allowed_placers)))
-  else begin
+  match List.assoc_opt job.Protocol.placer Qspr.Mapper.strategies with
+  | None ->
+      Refuse
+        (reject ~stage:"request"
+           (Printf.sprintf "unknown placer %s (%s)" job.Protocol.placer
+              (String.concat "|" (List.map fst Qspr.Mapper.strategies))))
+  | Some strategy -> begin
     (* the deadline tier: arm the request's end-to-end budget first — a
        request that arrives already out of time is refused before any
        lint/estimation work is spent on it *)
@@ -408,6 +408,7 @@ let admit t ~slot (job : Protocol.job) =
                                         p_job = job;
                                         p_entry = entry;
                                         p_ctx = ctx;
+                                        p_strategy = strategy;
                                         p_cache = cache;
                                         p_quote = quote;
                                         p_rung = rung;
@@ -434,19 +435,12 @@ let attempts_of = function
    estimated, only the top 2 are routed — the cheap end of the placer
    spectrum that still searches); [Budgeted] routes exactly one
    deterministic center placement. *)
-let map_with_placer (job : Protocol.job) rung ctx =
-  match rung with
-  | Prescreen -> Qspr.Mapper.map_mvfb ~jobs:1 ~prescreen_k:2 ctx
-  | Budgeted -> Qspr.Mapper.map_center ctx
-  | Full | Quote_only | Refused -> (
-      match job.Protocol.placer with
-      | "mvfb" -> Qspr.Mapper.map_mvfb ~jobs:1 ctx
-      | "mc" ->
-          Qspr.Mapper.map_monte_carlo ~runs:(Qspr.Mapper.config ctx).Qspr.Config.m ~jobs:1 ctx
-      | "sa" -> Qspr.Mapper.map_annealing ~jobs:1 ctx
-      | "center" -> Qspr.Mapper.map_center ctx
-      | "robust" -> Qspr.Mapper.map_robust ~jobs:1 ctx
-      | _ -> Qspr.Mapper.map_portfolio ~jobs:1 ctx)
+let map_rung p =
+  match p.p_rung with
+  | Prescreen ->
+      Qspr.Mapper.map Mvfb (Qspr.Mapper.with_search (Qspr.Config.with_prescreen (Some 2)) p.p_ctx)
+  | Budgeted -> Qspr.Mapper.map Center p.p_ctx
+  | Full | Quote_only | Refused -> Qspr.Mapper.map p.p_strategy p.p_ctx
 
 (* Runs on a worker domain: map, certify, return pure data.  The private
    route cache's counters are read on the main domain after the wave.
@@ -470,7 +464,7 @@ let run_one p =
         ]
   in
   let verdict =
-    match map_with_placer p.p_job p.p_rung p.p_ctx with
+    match map_rung p with
     | Error e ->
         Protocol.Failed
           {

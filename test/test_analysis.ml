@@ -20,6 +20,14 @@ let parse_fabric src =
 
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
+(* [strategy] on [ctx] at [m] seeds or runs, on [jobs] domains, routing
+   only the [prescreen] best-estimated candidates *)
+let map_at ~m ?(jobs = 1) ?prescreen strategy ctx =
+  Qspr.Mapper.map strategy
+    (Qspr.Mapper.with_search
+       Qspr.Config.(fun c -> c |> with_m m |> with_jobs jobs |> with_prescreen prescreen)
+       ctx)
+
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -431,12 +439,12 @@ let test_certify_all_mappers_small () =
   List.iter
     (fun name ->
       let ctx = ctx_of (List.assoc name (Circuits.Qecc.all ())) in
-      assert_certified (name ^ "/mvfb") ctx (solution_of "mvfb" (Qspr.Mapper.map_mvfb ctx));
+      assert_certified (name ^ "/mvfb") ctx (solution_of "mvfb" (Qspr.Mapper.map Mvfb ctx));
       assert_certified (name ^ "/mc") ctx
-        (solution_of "mc" (Qspr.Mapper.map_monte_carlo ~runs:2 ctx));
+        (solution_of "mc" (map_at ~m:2 Monte_carlo ctx));
       assert_certified (name ^ "/sa") ctx
-        (solution_of "sa" (Qspr.Mapper.map_annealing ~evaluations:2 ctx));
-      assert_certified (name ^ "/center") ctx (solution_of "center" (Qspr.Mapper.map_center ctx)))
+        (solution_of "sa" (map_at ~m:2 Annealing ctx));
+      assert_certified (name ^ "/center") ctx (solution_of "center" (Qspr.Mapper.map Center ctx)))
     [ "[[5,1,3]]"; "[[7,1,3]]"; "[[9,1,3]]" ]
 
 let test_certify_large_circuits_mvfb () =
@@ -445,19 +453,19 @@ let test_certify_large_circuits_mvfb () =
   List.iter
     (fun name ->
       let ctx = ctx_of (List.assoc name (Circuits.Qecc.all ())) in
-      assert_certified (name ^ "/mvfb") ctx (solution_of "mvfb" (Qspr.Mapper.map_mvfb ctx)))
+      assert_certified (name ^ "/mvfb") ctx (solution_of "mvfb" (Qspr.Mapper.map Mvfb ctx)))
     [ "[[14,8,3]]"; "[[19,1,7]]"; "[[23,1,7]]" ]
 
 let test_certify_quale_policy () =
   let program = List.assoc "[[5,1,3]]" (Circuits.Qecc.all ()) in
   let ctx = ctx_of program in
-  let sol = solution_of "quale" (Qspr.Quale_mode.map ctx) in
+  let sol = solution_of "quale" (Qspr.Mapper.map Quale ctx) in
   let policy = (Qspr.Mapper.config ctx).Qspr.Config.quale_policy in
   assert_certified "quale" ~policy ctx sol
 
 let small_solution () =
   let ctx = ctx_of (List.assoc "[[5,1,3]]" (Circuits.Qecc.all ())) in
-  (ctx, solution_of "mvfb" (Qspr.Mapper.map_mvfb ctx))
+  (ctx, solution_of "mvfb" (Qspr.Mapper.map Mvfb ctx))
 
 let cert_kinds_of ctx (sol : Qspr.Mapper.solution) =
   kinds (Certify.of_solution ctx sol).Certify.findings
@@ -660,7 +668,7 @@ let test_certify_digest_pins () =
   List.iter
     (fun (name, pinned, commands) ->
       let ctx = ctx_of (List.assoc name (Circuits.Qecc.all ())) in
-      let sol = solution_of name (Qspr.Mapper.map_center ctx) in
+      let sol = solution_of name (Qspr.Mapper.map Center ctx) in
       check_int (name ^ " commands") commands (List.length sol.Qspr.Mapper.trace);
       Alcotest.(check string)
         (name ^ " digest")
@@ -675,9 +683,9 @@ let test_determinism_clean_on_pool_paths () =
   let ctx = ctx_of program in
   let checks =
     [
-      ("mc", fun ~jobs -> Qspr.Mapper.map_monte_carlo ~runs:4 ~jobs ctx);
-      ("mvfb", fun ~jobs -> Qspr.Mapper.map_mvfb ~m:2 ~jobs ctx);
-      ("mc prescreen", fun ~jobs -> Qspr.Mapper.map_monte_carlo ~runs:6 ~jobs ~prescreen_k:2 ctx);
+      ("mc", fun ~jobs -> map_at ~m:4 ~jobs Monte_carlo ctx);
+      ("mvfb", fun ~jobs -> map_at ~m:2 ~jobs Mvfb ctx);
+      ("mc prescreen", fun ~jobs -> map_at ~m:6 ~jobs ~prescreen:2 Monte_carlo ctx);
     ]
   in
   List.iter
@@ -700,7 +708,7 @@ let test_determinism_detects_divergence () =
       | Ok c -> c
       | Error e -> Alcotest.failf "mapper: %s" e
     in
-    Qspr.Mapper.map_monte_carlo ~runs:3 ctx
+    map_at ~m:3 Monte_carlo ctx
   in
   let fs =
     Analysis.Determinism.check ~label:"seed-leak" ~jobs:2 (fun ~jobs -> solution_for_seed jobs)

@@ -20,6 +20,11 @@ let solve label = function
   | Ok (s : Qspr.Mapper.solution) -> s
   | Error e -> Alcotest.fail (label ^ ": " ^ Qspr.Mapper.error_to_string e)
 
+(* [strategy] on [ctx] at [m] seeds or runs, on [jobs] domains *)
+let map_at ~m ?(jobs = 1) strategy ctx =
+  Qspr.Mapper.map strategy
+    (Qspr.Mapper.with_search Qspr.Config.(fun c -> c |> with_m m |> with_jobs jobs) ctx)
+
 (* Every placer's solution on every Table-1 circuit carries a bound that
    (a) never exceeds the achieved latency (admissibility), (b) dominates
    the ideal baseline (the critical path is in the catalog), and (c) is
@@ -30,10 +35,10 @@ let test_bounds_admissible_all_placers () =
       let ctx = context p in
       let placers =
         [
-          ("mvfb", fun () -> Qspr.Mapper.map_mvfb ~m:2 ctx);
-          ("mc", fun () -> Qspr.Mapper.map_monte_carlo ~runs:2 ctx);
-          ("sa", fun () -> Qspr.Mapper.map_annealing ~evaluations:2 ctx);
-          ("center", fun () -> Qspr.Mapper.map_center ctx);
+          ("mvfb", fun () -> map_at ~m:2 Mvfb ctx);
+          ("mc", fun () -> map_at ~m:2 Monte_carlo ctx);
+          ("sa", fun () -> map_at ~m:2 Annealing ctx);
+          ("center", fun () -> Qspr.Mapper.map Center ctx);
         ]
       in
       List.iter
@@ -64,8 +69,8 @@ let test_bounds_jobs_identical () =
   List.iter
     (fun (name, p) ->
       let ctx = context p in
-      let j1 = solve (name ^ " jobs=1") (Qspr.Mapper.map_mvfb ~m:4 ~jobs:1 ctx) in
-      let j4 = solve (name ^ " jobs=4") (Qspr.Mapper.map_mvfb ~m:4 ~jobs:4 ctx) in
+      let j1 = solve (name ^ " jobs=1") (map_at ~m:4 ~jobs:1 Mvfb ctx) in
+      let j4 = solve (name ^ " jobs=4") (map_at ~m:4 ~jobs:4 Mvfb ctx) in
       check_bool (name ^ ": bound bit-identical across jobs") true
         (Int64.bits_of_float j1.Qspr.Mapper.lower_bound_us
         = Int64.bits_of_float j4.Qspr.Mapper.lower_bound_us);
@@ -78,7 +83,7 @@ let test_bounds_jobs_identical () =
 let test_forged_certificate_rejected () =
   let p = Circuits.Qecc.c513 () in
   let ctx = context p in
-  let s = solve "center" (Qspr.Mapper.map_center ctx) in
+  let s = solve "center" (Qspr.Mapper.map Center ctx) in
   let cfg = Qspr.Mapper.config ctx in
   let policy = cfg.Qspr.Config.qspr_policy in
   let run lower_bound =
@@ -108,7 +113,7 @@ let test_forged_certificate_rejected () =
 let test_audit_honest_and_forged () =
   let p = Circuits.Qecc.c513 () in
   let ctx = context p in
-  let s = solve "mvfb" (Qspr.Mapper.map_mvfb ~m:2 ctx) in
+  let s = solve "mvfb" (map_at ~m:2 Mvfb ctx) in
   let clean = Analysis.Bound.audit ctx s in
   check_int "honest audit has no errors" 0
     (Analysis.Finding.count Analysis.Finding.Error clean.Analysis.Bound.findings);
@@ -213,7 +218,7 @@ let test_exact_small_instances () =
       let fabric = Fabric.Layout.linear ~traps () in
       let audit_with jobs =
         let ctx = context ~fabric p in
-        let s = solve name (Qspr.Mapper.map_mvfb ~m:3 ~jobs ctx) in
+        let s = solve name (map_at ~m:3 ~jobs Mvfb ctx) in
         (s, Analysis.Bound.audit ~exact:true ctx s)
       in
       let s1, r1 = audit_with 1 in
@@ -241,7 +246,7 @@ let test_exact_small_instances () =
 let test_exact_guards () =
   let p = Circuits.Qecc.c913 () in
   let ctx = context p in
-  let s = solve "mvfb" (Qspr.Mapper.map_mvfb ~m:2 ctx) in
+  let s = solve "mvfb" (map_at ~m:2 Mvfb ctx) in
   let r = Analysis.Bound.audit ~exact:true ctx s in
   check_bool "large instance declines exact search" true
     (r.Analysis.Bound.exact = None && r.Analysis.Bound.exact_skipped <> None);

@@ -110,7 +110,7 @@ let test_library_steane_round_maps () =
     | Ok c -> c
     | Error e -> Alcotest.fail e
   in
-  match Qspr.Mapper.map_monte_carlo ~runs:2 ctx with
+  match Qspr.Mapper.map Monte_carlo ctx with
   | Ok sol -> check_bool "mapped" true (sol.Qspr.Mapper.latency > 0.0)
   | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
 
@@ -130,7 +130,7 @@ let test_library_memory_experiment () =
     | Ok c -> c
     | Error e -> Alcotest.fail e
   in
-  match Qspr.Mapper.map_mvfb ctx with
+  match Qspr.Mapper.map Mvfb ctx with
   | Ok sol -> check_bool "latency above encode+decode baseline" true (sol.Qspr.Mapper.latency >= 1020.0)
   | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
 

@@ -21,6 +21,12 @@ let ctx_of ?(config = Config.default) name =
   | Ok c -> c
   | Error e -> Alcotest.failf "Mapper.create: %s" e
 
+(* [strategy] on [ctx] at [m] seeds or anneal steps, [sa_moves] delta-SA
+   moves per stream, on [jobs] domains *)
+let map_at ~m ?(jobs = 1) ?(sa_moves = Config.default.Config.sa_moves) strategy ctx =
+  let tune c = Config.(c |> with_m m |> with_jobs jobs |> with_sa_moves sa_moves) in
+  Mapper.map strategy (Mapper.with_search tune ctx)
+
 let delta_of name =
   let ctx = ctx_of name in
   let model = Mapper.estimator_model ctx in
@@ -305,7 +311,7 @@ let test_portfolio_bit_identical_across_jobs () =
   let ctx = ctx_of "[[9,1,3]]" in
   let findings =
     Analysis.Determinism.check ~label:"portfolio" ~jobs:4 (fun ~jobs ->
-        Mapper.map_portfolio ~m:3 ~sa_moves:800 ~jobs ctx)
+        map_at ~m:3 ~sa_moves:800 ~jobs Portfolio ctx)
   in
   match findings with
   | [] -> ()
@@ -319,16 +325,16 @@ let test_portfolio_never_worse_than_annealing () =
     (fun name ->
       let ctx = ctx_of name in
       let anneal =
-        match Mapper.map_annealing ~evaluations:3 ctx with
+        match map_at ~m:3 Annealing ctx with
         | Ok s -> s
-        | Error e -> Alcotest.failf "%s map_annealing: %s" name (Mapper.error_to_string e)
+        | Error e -> Alcotest.failf "%s map Annealing: %s" name (Mapper.error_to_string e)
       in
       List.iter
         (fun sa_moves ->
           let portfolio =
-            match Mapper.map_portfolio ~m:3 ~sa_moves ctx with
+            match map_at ~m:3 ~sa_moves Portfolio ctx with
             | Ok s -> s
-            | Error e -> Alcotest.failf "%s map_portfolio: %s" name (Mapper.error_to_string e)
+            | Error e -> Alcotest.failf "%s map Portfolio: %s" name (Mapper.error_to_string e)
           in
           if portfolio.Mapper.latency > anneal.Mapper.latency then
             Alcotest.failf "%s, %d moves: portfolio %.1f us worse than anneal %.1f us" name sa_moves
@@ -340,8 +346,8 @@ let test_portfolio_never_worse_than_annealing () =
 
 let test_portfolio_solution_contract () =
   let ctx = ctx_of "[[7,1,3]]" in
-  match Mapper.map_portfolio ~m:3 ~sa_moves:500 ctx with
-  | Error e -> Alcotest.failf "map_portfolio: %s" (Mapper.error_to_string e)
+  match map_at ~m:3 ~sa_moves:500 Portfolio ctx with
+  | Error e -> Alcotest.failf "map Portfolio: %s" (Mapper.error_to_string e)
   | Ok s ->
       check_bool "positive latency" true (s.Mapper.latency > 0.0);
       check_int "initial placement arity" 7 (Array.length s.Mapper.initial_placement);

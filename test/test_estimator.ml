@@ -16,6 +16,12 @@ let ctx_of ?(config = Config.default) name =
   | Ok c -> c
   | Error e -> Alcotest.failf "Mapper.create: %s" e
 
+(* [strategy] on [ctx] at [m] seeds or runs, on [jobs] domains, routing
+   only the [prescreen] best-estimated candidates *)
+let map_at ~m ?(jobs = 1) ?prescreen strategy ctx =
+  let tune c = Config.(c |> with_m m |> with_jobs jobs |> with_prescreen prescreen) in
+  Mapper.map strategy (Mapper.with_search tune ctx)
+
 let measured ctx placement =
   match Mapper.run_forward ctx placement with
   | Ok r -> r.Simulator.Engine.latency
@@ -144,7 +150,7 @@ let solution_shape ctx (s : Mapper.solution) =
 let test_prescreened_solution_contract () =
   let ctx = ctx_of "[[9,1,3]]" in
   let center =
-    match Mapper.map_center ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
+    match Mapper.map Center ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
   List.iter
     (fun (label, sol) ->
@@ -155,9 +161,9 @@ let test_prescreened_solution_contract () =
           check_bool (label ^ " no worse than center") true
             (s.Mapper.latency <= center.Mapper.latency))
     [
-      ("mc", Mapper.map_monte_carlo ~runs:25 ~prescreen_k:5 ctx);
-      ("mvfb", Mapper.map_mvfb ~m:5 ~prescreen_k:2 ctx);
-      ("sa", Mapper.map_annealing ~evaluations:10 ~prescreen_k:5 ctx);
+      ("mc", map_at ~m:25 ~prescreen:5 Monte_carlo ctx);
+      ("mvfb", map_at ~m:5 ~prescreen:2 Mvfb ctx);
+      ("sa", map_at ~m:10 ~prescreen:5 Annealing ctx);
     ]
 
 let test_prescreen_cuts_evaluations () =
@@ -166,12 +172,12 @@ let test_prescreen_cuts_evaluations () =
      are distinct, so the plain search routes all 25) *)
   let ctx = ctx_of "[[9,1,3]]" in
   let plain =
-    match Mapper.map_monte_carlo ~runs:25 ~prescreen_k:0 ctx with
+    match map_at ~m:25 Monte_carlo ctx with
     | Ok s -> s
     | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
   let pre =
-    match Mapper.map_monte_carlo ~runs:25 ~prescreen_k:5 ctx with
+    match map_at ~m:25 ~prescreen:5 Monte_carlo ctx with
     | Ok s -> s
     | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
@@ -185,7 +191,7 @@ let test_prescreen_cuts_evaluations () =
 let test_prescreen_jobs_bit_identical () =
   let ctx = ctx_of "[[7,1,3]]" in
   let run jobs =
-    match Mapper.map_monte_carlo ~runs:12 ~jobs ~prescreen_k:4 ctx with
+    match map_at ~m:12 ~jobs ~prescreen:4 Monte_carlo ctx with
     | Ok s -> (s.Mapper.latency, s.Mapper.initial_placement, s.Mapper.run_latencies)
     | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in

@@ -152,12 +152,12 @@ let test_golden_latencies () =
       let p = List.assoc name (Circuits.Qecc.all ()) in
       let ctx = match Mapper.create ~fabric p with Ok c -> c | Error e -> Alcotest.fail e in
       let center =
-        match Mapper.map_center ctx with
+        match Mapper.map Center ctx with
         | Ok s -> s.Mapper.latency
         | Error e -> Alcotest.fail (Mapper.error_to_string e)
       in
       let quale =
-        match Quale_mode.map ctx with
+        match Mapper.map Quale ctx with
         | Ok s -> s.Mapper.latency
         | Error e -> Alcotest.fail (Mapper.error_to_string e)
       in

@@ -95,7 +95,7 @@ let mapped_solution () =
     | Ok c -> c
     | Error e -> Alcotest.fail e
   in
-  match Qspr.Mapper.map_mvfb ctx with
+  match Qspr.Mapper.map Mvfb ctx with
   | Ok s -> (program, s)
   | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
 

@@ -120,25 +120,47 @@ let test_mappers_fail_typed_on_disconnected () =
   match Qspr.Mapper.create ~fabric:(disconnected ()) ~config (parse_program bell) with
   | Error e -> Alcotest.failf "create: %s" e
   | Ok ctx ->
-      expect_deadlock "center" (Qspr.Mapper.map_center ctx);
-      expect_deadlock "mvfb" (Qspr.Mapper.map_mvfb ctx);
-      expect_deadlock "mc" (Qspr.Mapper.map_monte_carlo ~runs:2 ctx);
-      expect_deadlock "sa" (Qspr.Mapper.map_annealing ~evaluations:2 ctx)
+      expect_deadlock "center" (Qspr.Mapper.map Center ctx);
+      expect_deadlock "mvfb" (Qspr.Mapper.map Mvfb ctx);
+      expect_deadlock "mc" (Qspr.Mapper.map Monte_carlo ctx);
+      expect_deadlock "sa" (Qspr.Mapper.map Annealing ctx)
+
+let robust_stages = [ "mvfb"; "mvfb+reseed"; "mc"; "sa"; "mvfb+relaxed" ]
 
 let test_robust_cascade_exhausts_budget () =
   let config = Qspr.Config.(default |> with_m 2) in
-  match Qspr.Mapper.create ~fabric:(disconnected ()) ~config (parse_program bell) with
+  (match Qspr.Mapper.create ~fabric:(disconnected ()) ~config (parse_program bell) with
   | Error e -> Alcotest.failf "create: %s" e
   | Ok ctx -> (
-      match Qspr.Mapper.map_robust ctx with
+      match Qspr.Mapper.map Robust ctx with
       | Ok _ -> Alcotest.fail "robust cascade mapped a disconnected fabric"
       | Error (Qspr.Mapper.Budget_exhausted { attempts; last }) -> (
-          check_int "every cascade stage ran" Qspr.Mapper.default_retry.Qspr.Mapper.max_attempts
-            attempts;
+          check_int "every cascade stage ran" (List.length robust_stages) attempts;
           match last with
           | Qspr.Mapper.Deadlock _ -> ()
           | e -> Alcotest.failf "last failure should be Deadlock: %s" (Qspr.Mapper.error_to_string e))
-      | Error e -> Alcotest.failf "expected Budget_exhausted: %s" (Qspr.Mapper.error_to_string e))
+      | Error e -> Alcotest.failf "expected Budget_exhausted: %s" (Qspr.Mapper.error_to_string e)));
+  (* with no per-issue trap candidates no two-qubit gate can issue, so every
+     stage deadlocks until the last one relaxes the policy by two: the
+     audit lists the five stages in order, each under its own seed *)
+  let p = config.Qspr.Config.qspr_policy in
+  let starved =
+    { config with Qspr.Config.qspr_policy = { p with Simulator.Engine.trap_candidates = -1 } }
+  in
+  let fabric = Fabric.Layout.small_tile () in
+  match Qspr.Mapper.create ~fabric ~config:starved (parse_program bell) with
+  | Error e -> Alcotest.failf "create: %s" e
+  | Ok ctx -> (
+      match Qspr.Mapper.map Robust ctx with
+      | Error e -> Alcotest.failf "relaxed stage should map: %s" (Qspr.Mapper.error_to_string e)
+      | Ok s ->
+          let stages = List.map (fun (a : Qspr.Mapper.attempt) -> a.stage) s.Qspr.Mapper.attempts in
+          Alcotest.(check (list string)) "cascade stage labels" robust_stages stages;
+          Alcotest.(check (list int))
+            "stage i runs under seed + i"
+            (List.init 5 (fun i -> config.Qspr.Config.rng_seed + i))
+            (List.map (fun (a : Qspr.Mapper.attempt) -> a.seed) s.Qspr.Mapper.attempts);
+          check_bool "earlier failures mark the solution degraded" true s.Qspr.Mapper.degraded)
 
 let test_livelock_reported_typed () =
   (* an absurdly small event budget forces the livelock branch on a healthy
@@ -250,7 +272,7 @@ let test_certify_rejects_faulted_resources () =
      moves into the trace (MVFB would converge to a co-located, move-free
      solution here) *)
   let sol =
-    match Qspr.Mapper.map_center ctx with
+    match Qspr.Mapper.map Center ctx with
     | Ok s -> s
     | Error e -> Alcotest.failf "center: %s" (Qspr.Mapper.error_to_string e)
   in

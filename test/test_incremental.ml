@@ -22,10 +22,10 @@ let ctx_of ~incremental program =
   | Ok c -> c
   | Error e -> Alcotest.failf "Mapper.create: %s" e
 
-let solve ?jobs ~incremental program =
-  match Mapper.map_mvfb ?jobs (ctx_of ~incremental program) with
+let solve ~incremental program =
+  match Mapper.map Mvfb (ctx_of ~incremental program) with
   | Ok s -> s
-  | Error e -> Alcotest.failf "map_mvfb: %s" (Mapper.error_to_string e)
+  | Error e -> Alcotest.failf "map Mvfb: %s" (Mapper.error_to_string e)
 
 let float_bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -73,9 +73,9 @@ let test_both_modes_certify () =
   let run incremental =
     let ctx = ctx_of ~incremental program in
     let sol =
-      match Mapper.map_mvfb ctx with
+      match Mapper.map Mvfb ctx with
       | Ok s -> s
-      | Error e -> Alcotest.failf "map_mvfb: %s" (Mapper.error_to_string e)
+      | Error e -> Alcotest.failf "map Mvfb: %s" (Mapper.error_to_string e)
     in
     certify ctx sol
   in
@@ -133,7 +133,7 @@ let test_determinism_with_cache () =
   let ctx = ctx_of ~incremental:true program in
   let findings =
     Analysis.Determinism.check ~label:"mvfb incremental" ~jobs:3 (fun ~jobs ->
-        Mapper.map_mvfb ~jobs ctx)
+        Mapper.map Mvfb (Mapper.with_search (Config.with_jobs jobs) ctx))
   in
   if findings <> [] then
     Alcotest.failf "determinism findings with route cache on:\n%s"

@@ -74,7 +74,7 @@ let mapped_fig3 () =
     | Error e -> Alcotest.fail e
   in
   let sol =
-    match Qspr.Mapper.map_mvfb ctx with
+    match Qspr.Mapper.map Mvfb ctx with
     | Ok s -> s
     | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
   in
@@ -142,12 +142,12 @@ let test_mc_qspr_beats_quale_empirically () =
     | Error e -> Alcotest.fail e
   in
   let qspr =
-    match Qspr.Mapper.map_mvfb ctx with
+    match Qspr.Mapper.map Mvfb ctx with
     | Ok s -> s
     | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
   in
   let quale =
-    match Qspr.Quale_mode.map ctx with
+    match Qspr.Mapper.map Quale ctx with
     | Ok s -> s
     | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
   in

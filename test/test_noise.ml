@@ -128,12 +128,12 @@ let test_qspr_mapping_has_lower_error_than_quale () =
     | Error e -> Alcotest.fail e
   in
   let qspr =
-    match Qspr.Mapper.map_mvfb ctx with
+    match Qspr.Mapper.map Mvfb ctx with
     | Ok s -> s
     | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
   in
   let quale =
-    match Qspr.Quale_mode.map ctx with
+    match Qspr.Mapper.map Quale ctx with
     | Ok s -> s
     | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
   in

@@ -102,10 +102,10 @@ let test_mapped_end_to_end () =
   in
   (* the program measures, so MVFB's backward pass is unavailable; the MC
      placer must still work *)
-  (match Qspr.Mapper.map_mvfb ctx with
+  (match Qspr.Mapper.map Mvfb ctx with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "MVFB accepted a non-unitary program");
-  match Qspr.Mapper.map_monte_carlo ~runs:3 ctx with
+  match Qspr.Mapper.(map Monte_carlo (with_search (Qspr.Config.with_m 3) ctx)) with
   | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
   | Ok sol -> check_bool "mapped" true (sol.Qspr.Mapper.latency > 0.0)
 

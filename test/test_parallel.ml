@@ -11,6 +11,10 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-12))
 
+(* [strategy] on [ctx] at [m] seeds or runs, on [jobs] domains *)
+let map_at ~m ~jobs strategy ctx =
+  Mapper.map strategy (Mapper.with_search Config.(fun c -> c |> with_m m |> with_jobs jobs) ctx)
+
 (* ---------------------------------------------------------- Domain_pool *)
 
 let test_pool_map_orders_results () =
@@ -91,14 +95,14 @@ let same_solution name (a : Mapper.solution) (b : Mapper.solution) =
 
 let test_monte_carlo_jobs_bit_identical () =
   let ctx = context () in
-  let serial = solve "MC serial" (Mapper.map_monte_carlo ~runs:8 ~jobs:1 ctx) in
-  let parallel = solve "MC parallel" (Mapper.map_monte_carlo ~runs:8 ~jobs:4 ctx) in
+  let serial = solve "MC serial" (map_at ~m:8 ~jobs:1 Monte_carlo ctx) in
+  let parallel = solve "MC parallel" (map_at ~m:8 ~jobs:4 Monte_carlo ctx) in
   same_solution "monte carlo" serial parallel
 
 let test_mvfb_jobs_bit_identical () =
   let ctx = context () in
-  let serial = solve "MVFB serial" (Mapper.map_mvfb ~m:3 ~jobs:1 ctx) in
-  let parallel = solve "MVFB parallel" (Mapper.map_mvfb ~m:3 ~jobs:3 ctx) in
+  let serial = solve "MVFB serial" (map_at ~m:3 ~jobs:1 Mvfb ctx) in
+  let parallel = solve "MVFB parallel" (map_at ~m:3 ~jobs:3 Mvfb ctx) in
   same_solution "mvfb" serial parallel
 
 let test_table1_jobs_bit_identical () =
@@ -134,8 +138,8 @@ let test_table1_traces_and_digests_jobs4 () =
         | Error e -> Alcotest.failf "Mapper.create %s: %s" name e
       in
       let c1 = ctx () and c4 = ctx () in
-      let a = solve (name ^ " jobs=1") (Mapper.map_mvfb ~m:2 ~jobs:1 c1) in
-      let b = solve (name ^ " jobs=4") (Mapper.map_mvfb ~m:2 ~jobs:4 c4) in
+      let a = solve (name ^ " jobs=1") (map_at ~m:2 ~jobs:1 Mvfb c1) in
+      let b = solve (name ^ " jobs=4") (map_at ~m:2 ~jobs:4 Mvfb c4) in
       check_bool (name ^ ": latency bits") true
         (Int64.equal (Int64.bits_of_float a.Mapper.latency) (Int64.bits_of_float b.Mapper.latency));
       check_bool (name ^ ": trace") true (a.Mapper.trace = b.Mapper.trace);

@@ -92,7 +92,7 @@ let test_map_with_custom_pmd () =
   in
   (* ideal baseline under the PMD's gate delays: 5 + 5*50 = 255 *)
   check_float "pmd baseline" 255.0 (Mapper.ideal_latency ctx);
-  match Mapper.map_mvfb ctx with
+  match Mapper.map Mvfb ctx with
   | Ok sol -> check_bool "mapped above baseline" true (sol.Mapper.latency >= 255.0)
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
 

@@ -28,7 +28,23 @@ let test_config_default_is_paper () =
   check_int "channel capacity" 2 c.Config.qspr_policy.Simulator.Engine.channel_capacity;
   check_int "quale capacity" 1 c.Config.quale_policy.Simulator.Engine.channel_capacity;
   check_int "m" 100 c.Config.m;
-  check_bool "validates" true (Config.validate c = Ok c)
+  check_bool "validates" true (Config.validate c = Ok c);
+  (* a constant, whatever the environment says *)
+  check_bool "default is the literal paper constants" true
+    (c
+    = {
+        Config.timing = Router.Timing.paper;
+        qspr_policy = Simulator.Engine.qspr_policy;
+        quale_policy = Simulator.Engine.quale_policy;
+        m = 100;
+        sa_moves = 20_000;
+        patience = 3;
+        rng_seed = 2012;
+        jobs = 1;
+        prescreen_k = None;
+        budget = Config.no_budget;
+        incremental_routing = true;
+      })
 
 let test_config_guards () =
   (match Config.validate (Config.with_m 0 Config.default) with
@@ -37,6 +53,52 @@ let test_config_guards () =
   match Config.validate { Config.default with Config.patience = 0 } with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "patience=0 accepted"
+
+(* Config.of_env over a fake environment: each variable valid, unparsable,
+   out of range and unset.  Only a valid value moves its field off the base;
+   the base is not the default, so "keeps the base" is observable. *)
+let test_config_of_env () =
+  let base =
+    Config.(
+      default |> with_jobs 3 |> with_prescreen (Some 4) |> with_sa_moves 777
+      |> with_budget { no_budget with wall_s = Some 9.0; max_evals = Some 11 })
+  in
+  let apply bindings = Config.of_env (fun name -> List.assoc_opt name bindings) base in
+  let cases name ~valid ~set =
+    check_bool (name ^ " valid") true (apply [ (name, valid) ] = set base);
+    List.iter
+      (fun (label, bindings) -> check_bool (name ^ " " ^ label) true (apply bindings = base))
+      [
+        ("unparsable", [ (name, "lots") ]);
+        ("out of range", [ (name, "0") ]);
+        ("unset", [ ("OTHER", valid) ]);
+      ]
+  in
+  let budget f c = Config.with_budget (f c.Config.budget) c in
+  cases "QSPR_JOBS" ~valid:" 4 " ~set:(Config.with_jobs 4);
+  cases "QSPR_PRESCREEN" ~valid:"2" ~set:(Config.with_prescreen (Some 2));
+  cases "QSPR_SA_MOVES" ~valid:"50" ~set:(Config.with_sa_moves 50);
+  cases "QSPR_BUDGET" ~valid:"0.5" ~set:(budget (fun b -> { b with Config.wall_s = Some 0.5 }));
+  cases "QSPR_BUDGET_EVALS" ~valid:"1" ~set:(budget (fun b -> { b with Config.max_evals = Some 1 }));
+  check_bool "an empty environment changes nothing" true (apply [] = base);
+  check_bool "a negative wall-clock budget is out of range" true
+    ((apply [ ("QSPR_BUDGET", "-1") ]).Config.budget.Config.wall_s = Some 9.0)
+
+let test_with_search () =
+  let ctx = ctx_of (c513 ()) in
+  let ctx' = Mapper.with_search (Config.with_m 7) ctx in
+  check_int "search parameters change" 7 (Mapper.config ctx').Config.m;
+  check_int "the original is untouched" 3 (Mapper.config ctx).Config.m;
+  let raises f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  check_bool "timing is fixed at create" true
+    (raises (fun () ->
+         Mapper.with_search
+           (fun c -> { c with Config.timing = { c.Config.timing with Router.Timing.t_move = 2.0 } })
+           ctx));
+  check_bool "the new config is validated" true
+    (raises (fun () -> Mapper.with_search (Config.with_m 0) ctx))
 
 (* --------------------------------------------------------------- Mapper *)
 
@@ -54,30 +116,30 @@ let test_ideal_latency_513 () =
   let ctx = ctx_of (c513 ()) in
   check_float "baseline 510" 510.0 (Mapper.ideal_latency ctx)
 
-let test_map_center () =
+let test_center_flow () =
   let ctx = ctx_of (c513 ()) in
-  match Mapper.map_center ctx with
+  match Mapper.map Center ctx with
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
   | Ok sol ->
       check_int "one run" 1 sol.Mapper.placement_runs;
       check_bool "above baseline" true (sol.Mapper.latency >= 510.0);
       check_bool "direction forward" true (sol.Mapper.direction = Placer.Mvfb.Forward)
 
-let test_map_mvfb_beats_or_equals_center () =
+let test_mvfb_beats_or_equals_center () =
   let ctx = ctx_of (c513 ()) in
   let center =
-    match Mapper.map_center ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
+    match Mapper.map Center ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
   let mvfb =
-    match Mapper.map_mvfb ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
+    match Mapper.map Mvfb ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
   check_bool "mvfb <= center" true (mvfb.Mapper.latency <= center.Mapper.latency +. 1e-9);
   check_bool "several runs" true (mvfb.Mapper.placement_runs > 1);
   check_int "latencies recorded" mvfb.Mapper.placement_runs (List.length mvfb.Mapper.run_latencies)
 
-let test_map_monte_carlo () =
+let test_monte_carlo_flow () =
   let ctx = ctx_of (c513 ()) in
-  match Mapper.map_monte_carlo ~runs:5 ctx with
+  match Mapper.map Monte_carlo (Mapper.with_search (Config.with_m 5) ctx) with
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
   | Ok sol ->
       check_int "runs" 5 sol.Mapper.placement_runs;
@@ -93,7 +155,7 @@ let check_certified what (c : Analysis.Certify.certificate) =
    winner this exercises Trace.reverse end-to-end. *)
 let test_solution_trace_validates () =
   let ctx = ctx_of (c513 ()) in
-  match Mapper.map_mvfb ctx with
+  match Mapper.map Mvfb ctx with
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
   | Ok sol ->
       check_certified
@@ -158,28 +220,28 @@ let test_run_backward_requires_unitary () =
 
 let test_mapper_deterministic () =
   let run () =
-    match Mapper.map_mvfb (ctx_of (c513 ())) with
+    match Mapper.map Mvfb (ctx_of (c513 ())) with
     | Ok s -> s.Mapper.latency
     | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
   check_float "reproducible" (run ()) (run ())
 
-(* ----------------------------------------------------------- Quale_mode *)
+(* ---------------------------------------------------------------- Quale *)
 
 let test_quale_slower_than_qspr () =
   let ctx = ctx_of (c513 ()) in
   let quale =
-    match Quale_mode.map ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
+    match Mapper.map Quale ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
   let qspr =
-    match Mapper.map_mvfb ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
+    match Mapper.map Mvfb ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
   check_bool "baseline <= qspr" true (510.0 <= qspr.Mapper.latency +. 1e-9);
   check_bool "qspr <= quale" true (qspr.Mapper.latency <= quale.Mapper.latency +. 1e-9)
 
 let test_quale_trace_validates () =
   let ctx = ctx_of (c513 ()) in
-  match Quale_mode.map ctx with
+  match Mapper.map Quale ctx with
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
   | Ok sol ->
       check_certified "QUALE trace invalid"
@@ -198,10 +260,10 @@ let test_ordering_all_circuits () =
       | Some expect -> check_float (name ^ " baseline") expect base
       | None -> Alcotest.failf "missing expected baseline for %s" name);
       let quale =
-    match Quale_mode.map ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
+    match Mapper.map Quale ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
       let qspr =
-    match Mapper.map_mvfb ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
+    match Mapper.map Mvfb ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
       check_bool (name ^ ": baseline <= qspr") true (base <= qspr.Mapper.latency +. 1e-9);
       check_bool
@@ -231,7 +293,7 @@ let test_wave_slower_than_event_driven () =
     match Wave_mapper.map ctx with Ok o -> o | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
   let qspr =
-    match Mapper.map_mvfb ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
+    match Mapper.map Mvfb ctx with Ok s -> s | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
   check_bool
     (Printf.sprintf "wave (%g) > qspr (%g)" wave.Wave_mapper.latency qspr.Mapper.latency)
@@ -316,14 +378,16 @@ let () =
         [
           Alcotest.test_case "paper defaults" `Quick test_config_default_is_paper;
           Alcotest.test_case "guards" `Quick test_config_guards;
+          Alcotest.test_case "of_env" `Quick test_config_of_env;
+          Alcotest.test_case "with_search" `Quick test_with_search;
         ] );
       ( "mapper",
         [
           Alcotest.test_case "oversized program rejected" `Quick test_create_rejects_oversized_program;
           Alcotest.test_case "ideal latency" `Quick test_ideal_latency_513;
-          Alcotest.test_case "center flow" `Quick test_map_center;
-          Alcotest.test_case "mvfb beats center" `Quick test_map_mvfb_beats_or_equals_center;
-          Alcotest.test_case "monte carlo flow" `Quick test_map_monte_carlo;
+          Alcotest.test_case "center flow" `Quick test_center_flow;
+          Alcotest.test_case "mvfb beats center" `Quick test_mvfb_beats_or_equals_center;
+          Alcotest.test_case "monte carlo flow" `Quick test_monte_carlo_flow;
           Alcotest.test_case "winning trace validates" `Quick test_solution_trace_validates;
           Alcotest.test_case "reversed backward trace validates" `Quick
             test_backward_trace_reversed_validates;

@@ -147,11 +147,11 @@ let test_deadline_aborts_search_typed () =
       | Error e -> Alcotest.failf "%s: expected Deadline_exceeded, got %s" name (Qspr.Mapper.error_to_string e)
       | Ok _ -> Alcotest.failf "%s: expected Deadline_exceeded, got a solution" name)
     [
-      ("mvfb", fun c -> Qspr.Mapper.map_mvfb ~jobs:1 c);
-      ("mc", fun c -> Qspr.Mapper.map_monte_carlo ~runs:2 ~jobs:1 c);
-      ("sa", fun c -> Qspr.Mapper.map_annealing ~jobs:1 c);
-      ("portfolio", fun c -> Qspr.Mapper.map_portfolio ~jobs:1 c);
-      ("robust", fun c -> Qspr.Mapper.map_robust ~jobs:1 c);
+      ("mvfb", Qspr.Mapper.map Mvfb);
+      ("mc", Qspr.Mapper.map Monte_carlo);
+      ("sa", Qspr.Mapper.map Annealing);
+      ("portfolio", Qspr.Mapper.map Portfolio);
+      ("robust", Qspr.Mapper.map Robust);
     ];
   (* the wave mapper's Pathfinder checkpoint goes through the same guard *)
   match Qspr.Wave_mapper.map ctx with

@@ -184,10 +184,24 @@ let test_json_parse_edges () =
 (* ------------------------------------------------------------ admission *)
 
 let test_reject_unknown_placer () =
-  let t = Scheduler.create () in
+  let config = Qspr.Config.(default |> with_sa_moves 500) in
+  let t = Scheduler.create ~config () in
   let r = Scheduler.submit t (job ~placer:"magic" "p" "[[5,1,3]]") in
   check_string "stage" "request" (stage_of r);
-  check_int "exit code" 2 (Protocol.exit_code [ r ])
+  check_int "exit code" 2 (Protocol.exit_code [ r ]);
+  let names = List.map fst Qspr.Mapper.strategies in
+  (match r.Protocol.verdict with
+  | Protocol.Rejected { reason; _ } ->
+      check_string "the refusal lists the strategy table"
+        ("unknown placer magic (" ^ String.concat "|" names ^ ")")
+        reason
+  | _ -> Alcotest.fail "expected a rejection");
+  (* every name in the table is admitted and maps *)
+  List.iter
+    (fun placer ->
+      let r = Scheduler.submit t (job ~placer placer "[[5,1,3]]") in
+      check_string (placer ^ " is admitted and maps") "<completed>" (stage_of r))
+    names
 
 let test_reject_lint () =
   let t = Scheduler.create () in
@@ -301,9 +315,9 @@ let test_service_matches_independent_mapper () =
     | Error e -> Alcotest.failf "Mapper.create: %s" e
   in
   let sol =
-    match Qspr.Mapper.map_mvfb ~jobs:1 ctx with
+    match Qspr.Mapper.map Mvfb ctx with
     | Ok s -> s
-    | Error e -> Alcotest.failf "map_mvfb: %s" (Qspr.Mapper.error_to_string e)
+    | Error e -> Alcotest.failf "map Mvfb: %s" (Qspr.Mapper.error_to_string e)
   in
   match r.Protocol.verdict with
   | Protocol.Completed c ->
