@@ -16,20 +16,23 @@ let load_fabric = function
       | exception Sys_error e -> Error e
       | src -> Fabric.Layout.parse src)
 
-let load_program ~circuit ~qasm ~openqasm =
-  match (circuit, qasm, openqasm) with
-  | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-      Error "give exactly one of --circuit, --qasm or --openqasm"
-  | None, None, None -> Error "give --circuit NAME (see `qspr circuits`), --qasm FILE or --openqasm FILE"
-  | Some name, None, None -> (
+(* A builtin circuit or a QASM file of either dialect; errors keep their
+   file:line:col so lint and audit findings can point at the offending
+   token. *)
+let load_program ~circuit ~qasm =
+  match (circuit, qasm) with
+  | Some _, Some _ -> Error (Qasm.Parser.error_of_string "give --circuit or --qasm, not both")
+  | None, None ->
+      Error (Qasm.Parser.error_of_string "give --circuit NAME (see `qspr circuits`) or --qasm FILE")
+  | Some name, None -> (
       match List.assoc_opt name (Circuits.Qecc.all ()) with
       | Some p -> Ok p
       | None ->
           Error
-            (Printf.sprintf "unknown circuit %s; known: %s" name
-               (String.concat ", " (List.map fst (Circuits.Qecc.all ())))))
-  | None, Some path, None -> Qasm.Parser.parse_file path
-  | None, None, Some path -> Qasm.Openqasm.parse_file path
+            (Qasm.Parser.error_of_string
+               (Printf.sprintf "unknown circuit %s; known: %s" name
+                  (String.concat ", " (List.map fst (Circuits.Qecc.all ()))))))
+  | None, Some path -> Qasm.Parser.parse_file_located path
 
 (* The QSPR_* environment overrides (Config.of_env) on top of a base
    config: the library never reads the environment, the tools do. *)
@@ -53,17 +56,6 @@ let load_target ~fabric_path ~pmd_path =
   in
   Ok (fabric, env_config config)
 
-(* Same resolution, but errors keep their file:line:col structure so lint
-   and audit findings can point at the offending token. *)
-let load_program_located ~circuit ~qasm ~openqasm =
-  match (circuit, qasm, openqasm) with
-  | None, Some path, None -> (
-      match Qasm.Parser.parse_file_located path with
-      | exception Sys_error e -> Error (Qasm.Parser.error_of_string e)
-      | r -> r)
-  | _ ->
-      Result.map_error Qasm.Parser.error_of_string (load_program ~circuit ~qasm ~openqasm)
-
 (* ------------------------------------------------------------------ map *)
 
 (* Surface fabric lint on every mapping run (the findings are cheap and the
@@ -76,11 +68,11 @@ let gate_on_fabric_lint ~program fabric =
   if Analysis.Finding.is_clean findings then Ok ()
   else Error "fabric fails lint (errors above; `qspr lint` shows the full report)"
 
-let do_map circuit qasm openqasm fabric_path pmd_path (placer, strategy) m sa_moves seed
+let do_map circuit qasm fabric_path pmd_path (placer, strategy) m sa_moves seed
     prescreen_k budget_s budget_evals show_trace certify json_out =
   let ( let* ) = Result.bind in
   let result =
-    let* program = load_program ~circuit ~qasm ~openqasm in
+    let* program = Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm) in
     let* fabric, base_config = load_target ~fabric_path ~pmd_path in
     let* () = gate_on_fabric_lint ~program fabric in
     (* explicit flags win; otherwise keep the config's (env-derived) budget *)
@@ -172,13 +164,12 @@ let do_map circuit qasm openqasm fabric_path pmd_path (placer, strategy) m sa_mo
 let circuit_arg =
   Arg.(value & opt (some string) None & info [ "circuit" ] ~docv:"NAME" ~doc:"Builtin benchmark circuit.")
 
-let qasm_arg = Arg.(value & opt (some string) None & info [ "qasm" ] ~docv:"FILE" ~doc:"QASM input file.")
-
-let openqasm_arg =
+let qasm_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "openqasm" ] ~docv:"FILE" ~doc:"OpenQASM 2.0 input file (Clifford+T subset).")
+    & info [ "qasm" ] ~docv:"FILE"
+        ~doc:"QASM input file: the paper's dialect or OpenQASM 2.0, told apart by its first word.")
 
 let fabric_arg =
   Arg.(
@@ -260,7 +251,7 @@ let map_cmd =
   Cmd.v
     (Cmd.info "map" ~doc:"Schedule, place and route a circuit onto an ion-trap fabric")
     Term.(
-      const do_map $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg $ pmd_arg $ placer_arg $ m_arg
+      const do_map $ circuit_arg $ qasm_arg $ fabric_arg $ pmd_arg $ placer_arg $ m_arg
       $ sa_moves_arg $ seed_arg $ prescreen_arg $ budget_arg $ budget_evals_arg
       $ trace_arg $ certify_arg $ json_arg)
 
@@ -304,10 +295,10 @@ let fabric_cmd =
 
 (* ----------------------------------------------------------------- flow *)
 
-let do_flow circuit qasm openqasm fabric_path threshold =
+let do_flow circuit qasm fabric_path threshold =
   let ( let* ) = Result.bind in
   let result =
-    let* program = load_program ~circuit ~qasm ~openqasm in
+    let* program = Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm) in
     let* fabric = load_fabric fabric_path in
     let* o =
       Qspr.Flow.run ~error_threshold:threshold ~fabric ~config:(env_config Qspr.Config.default)
@@ -334,15 +325,15 @@ let flow_cmd =
   Cmd.v
     (Cmd.info "flow" ~doc:"Run the full CAD loop: optimize, map with escalating effort, check the error threshold")
     Term.(
-      const do_flow $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg
+      const do_flow $ circuit_arg $ qasm_arg $ fabric_arg
       $ Arg.(value & opt float 0.05 & info [ "threshold" ] ~docv:"E" ~doc:"Error-probability threshold."))
 
 (* -------------------------------------------------------------- metrics *)
 
-let do_metrics circuit qasm openqasm =
-  match load_program ~circuit ~qasm ~openqasm with
+let do_metrics circuit qasm =
+  match load_program ~circuit ~qasm with
   | Error e ->
-      Printf.eprintf "error: %s\n" e;
+      Printf.eprintf "error: %s\n" (Qasm.Parser.error_to_string e);
       1
   | Ok p ->
       Format.printf "%a@." Qasm.Metrics.pp (Qasm.Metrics.of_program p);
@@ -351,21 +342,21 @@ let do_metrics circuit qasm openqasm =
 let metrics_cmd =
   Cmd.v
     (Cmd.info "metrics" ~doc:"Static circuit metrics (depth, parallelism, interactions)")
-    Term.(const do_metrics $ circuit_arg $ qasm_arg $ openqasm_arg)
+    Term.(const do_metrics $ circuit_arg $ qasm_arg)
 
 (* ---------------------------------------------------------- gantt/heatmap *)
 
-let map_for_viz circuit qasm openqasm fabric_path m seed =
+let map_for_viz circuit qasm fabric_path m seed =
   let ( let* ) = Result.bind in
-  let* program = load_program ~circuit ~qasm ~openqasm in
+  let* program = Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm) in
   let* fabric = load_fabric fabric_path in
   let config = Qspr.Config.(env_config default |> with_m m |> with_seed seed) in
   let* ctx = Qspr.Mapper.create ~fabric ~config program in
   let* sol = Result.map_error Qspr.Mapper.error_to_string (Qspr.Mapper.map Mvfb ctx) in
   Ok (program, ctx, sol)
 
-let do_gantt circuit qasm openqasm fabric_path m seed =
-  match map_for_viz circuit qasm openqasm fabric_path m seed with
+let do_gantt circuit qasm fabric_path m seed =
+  match map_for_viz circuit qasm fabric_path m seed with
   | Error e ->
       Printf.eprintf "error: %s\n" e;
       1
@@ -377,10 +368,10 @@ let do_gantt circuit qasm openqasm fabric_path m seed =
 let gantt_cmd =
   Cmd.v
     (Cmd.info "gantt" ~doc:"Per-qubit activity chart of a mapped circuit")
-    Term.(const do_gantt $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg $ m_arg $ seed_arg)
+    Term.(const do_gantt $ circuit_arg $ qasm_arg $ fabric_arg $ m_arg $ seed_arg)
 
-let do_heatmap circuit qasm openqasm fabric_path m seed =
-  match map_for_viz circuit qasm openqasm fabric_path m seed with
+let do_heatmap circuit qasm fabric_path m seed =
+  match map_for_viz circuit qasm fabric_path m seed with
   | Error e ->
       Printf.eprintf "error: %s\n" e;
       1
@@ -391,16 +382,16 @@ let do_heatmap circuit qasm openqasm fabric_path m seed =
 let heatmap_cmd =
   Cmd.v
     (Cmd.info "heatmap" ~doc:"Channel-utilization heatmap of a mapped circuit")
-    Term.(const do_heatmap $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg $ m_arg $ seed_arg)
+    Term.(const do_heatmap $ circuit_arg $ qasm_arg $ fabric_arg $ m_arg $ seed_arg)
 
 (* ----------------------------------------------------------------- lint *)
 
-let do_lint circuit qasm openqasm fabric_path pmd_path json_out =
-  let prog_given = circuit <> None || qasm <> None || openqasm <> None in
+let do_lint circuit qasm fabric_path pmd_path json_out =
+  let prog_given = circuit <> None || qasm <> None in
   let fabric_given = fabric_path <> None || pmd_path <> None in
   if (not prog_given) && not fabric_given then begin
     Printf.eprintf
-      "error: nothing to lint; give --circuit/--qasm/--openqasm and/or --fabric/--pmd\n";
+      "error: nothing to lint; give --circuit/--qasm and/or --fabric/--pmd\n";
     2
   end
   else if fabric_path <> None && pmd_path <> None then begin
@@ -409,7 +400,7 @@ let do_lint circuit qasm openqasm fabric_path pmd_path json_out =
   end
   else begin
     let program =
-      if prog_given then Some (load_program_located ~circuit ~qasm ~openqasm) else None
+      if prog_given then Some (load_program ~circuit ~qasm) else None
     in
     let fabric, config =
       match pmd_path with
@@ -435,7 +426,7 @@ let lint_cmd =
          "Run the static-analysis passes on a circuit, a fabric, or both; exit 2 on errors, 1 \
           on warnings, 0 otherwise")
     Term.(
-      const do_lint $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg $ pmd_arg
+      const do_lint $ circuit_arg $ qasm_arg $ fabric_arg $ pmd_arg
       $ Arg.(value & flag & info [ "json" ] ~doc:"Print the findings report as JSON."))
 
 (* ---------------------------------------------------------------- audit *)
@@ -446,7 +437,7 @@ let lint_cmd =
    `qspr lint` (2 on errors, 1 on warnings, 0 otherwise — the gap itself is
    a hint).  Infeasible instances are refused with a typed finding before
    any placement search runs. *)
-let do_audit circuit qasm openqasm fabric_path pmd_path (placer, strategy) m seed exact node_budget
+let do_audit circuit qasm fabric_path pmd_path (placer, strategy) m seed exact node_budget
     json_out =
   let emit_findings findings =
     if json_out then
@@ -454,7 +445,7 @@ let do_audit circuit qasm openqasm fabric_path pmd_path (placer, strategy) m see
     else print_string (Analysis.Registry.render findings);
     Analysis.Finding.exit_code findings
   in
-  match load_program_located ~circuit ~qasm ~openqasm with
+  match load_program ~circuit ~qasm with
   | Error e -> emit_findings (Analysis.Program_check.check_result (Error e))
   | Ok program -> (
       match load_target ~fabric_path ~pmd_path with
@@ -509,7 +500,7 @@ let audit_cmd =
           can prove the mapping optimal.  Exit 2 on errors (bound violations, infeasible \
           instances), 1 on warnings, 0 otherwise")
     Term.(
-      const do_audit $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg $ pmd_arg $ placer_arg
+      const do_audit $ circuit_arg $ qasm_arg $ fabric_arg $ pmd_arg $ placer_arg
       $ m_arg $ seed_arg
       $ Arg.(
           value & flag
@@ -555,10 +546,10 @@ let delta_microbench ctx ~num_qubits ~placement n =
   Printf.printf "full estimates    : %d in %.1f ms (%.0f evals/s) — delta is %.0fx faster per proposal\n"
     k (dt_full *. 1000.0) evals_s (moves_s /. evals_s)
 
-let do_estimate circuit qasm openqasm fabric_path moves measure certify =
+let do_estimate circuit qasm fabric_path moves measure certify =
   let ( let* ) = Result.bind in
   let result =
-    let* program = load_program ~circuit ~qasm ~openqasm in
+    let* program = Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm) in
     let* fabric = load_fabric fabric_path in
     let* ctx = Qspr.Mapper.create ~fabric program in
     let placement =
@@ -618,7 +609,7 @@ let estimate_cmd =
     (Cmd.info "estimate"
        ~doc:"Fast latency estimate of a circuit's center placement, optionally vs the measured engine")
     Term.(
-      const do_estimate $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg
+      const do_estimate $ circuit_arg $ qasm_arg $ fabric_arg
       $ Arg.(
           value
           & opt (some int) None
@@ -888,10 +879,10 @@ let serve_cmd =
 
 (* --------------------------------------------------------------- faults *)
 
-let do_faults circuit qasm openqasm fabric_path seed levels_s trials jobs json_out =
+let do_faults circuit qasm fabric_path seed levels_s trials jobs json_out =
   let ( let* ) = Result.bind in
   let result =
-    let* program = load_program ~circuit ~qasm ~openqasm in
+    let* program = Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm) in
     let* fabric = load_fabric fabric_path in
     let* levels =
       try Ok (List.map (fun s -> int_of_string (String.trim s)) (String.split_on_char ',' levels_s))
@@ -923,7 +914,7 @@ let faults_cmd =
          "Run a fault-injection survivability campaign: sample fault sets at each level, degrade \
           the fabric, and map the circuit on every surviving fabric through the retry cascade")
     Term.(
-      const do_faults $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg $ seed_arg
+      const do_faults $ circuit_arg $ qasm_arg $ fabric_arg $ seed_arg
       $ Arg.(
           value & opt string "0,1,2,4"
           & info [ "levels" ] ~docv:"N,N,..." ~doc:"Comma-separated fault counts to sweep.")

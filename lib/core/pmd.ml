@@ -177,11 +177,9 @@ let parse src =
                   }))
 
 let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse src
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e)
+  | src -> parse src
 
 let paper =
   {

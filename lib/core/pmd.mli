@@ -37,6 +37,7 @@ val parse : string -> (t, string) result
     carry line numbers. *)
 
 val parse_file : string -> (t, string) result
+(** Reads and parses the file; an unreadable file is an error naming the path. *)
 
 val paper : t
 (** The paper's experimental setup as a PMD value. *)

@@ -241,7 +241,7 @@ let decode_cache json =
 let digest_to_string d = Printf.sprintf "%016Lx" d
 
 let digest_of_string s =
-  match Scanf.sscanf_opt s "%Lx%!" Fun.id with
+  match Int64.of_string_opt ("0x" ^ s) with
   | Some d -> Ok d
   | None -> Error (Printf.sprintf "bad certificate digest %S" s)
 

@@ -1,7 +1,8 @@
 (* Seeded mutational fuzzing of the service ingress: qspr-job request
-   lines (well-formed, mutated, and spliced) and inline QASM programs are
-   pushed through the full decode + admission pipeline, which must answer
-   every input with a well-formed response line — never an exception.
+   lines (well-formed, mutated, and spliced) and inline QASM programs of
+   both dialects are pushed through the full decode + admission pipeline,
+   which must answer every input with a well-formed response line — never
+   an exception.
 
    The harness is deterministic (fixed xoshiro seed, no wall-clock input)
    and exit-coded: 0 when every iteration held the invariants, 1 with a
@@ -20,6 +21,11 @@ let qasm_seeds =
     "qubit q0\nqubit q1\nqubit q2\nh q0\ncnot q0, q1\ncnot q1, q2\n";
     "qubit a\nprepare a\nx a\nmeasure a\n";
     "qubit a\nqubit b\nqubit c\ncnot a, b\ncnot b, c\ncnot c, a\n";
+    (* OpenQASM: the same inline field, the dialect read from the text *)
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
+     gate bell a,b { h a; cx a,b; }\nbell q[0],q[1];\nmeasure q[0] -> c[0];\n";
+    "qreg q[3];\ncreg m[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\nbarrier q[0],q[2];\n\
+     measure q[2] -> m[2];\n";
   ]
 
 let job_seeds () =
@@ -30,6 +36,7 @@ let job_seeds () =
                    ~deadline_ms:1000.0 ~fabric:"T-T" (Builtin "[[7,1,3]]"));
     job_to_line (make_job ~id:"qasm" (Inline_qasm (List.nth qasm_seeds 0)));
     job_to_line (make_job ~id:"deep" ~placer:"center" (Inline_qasm (List.nth qasm_seeds 1)));
+    job_to_line (make_job ~id:"openqasm" (Inline_qasm (List.nth qasm_seeds 4)));
     {|{"schema":"qspr-job/1","id":"v1","circuit":{"builtin":"[[5,1,3]]"}}|};
     {|{"schema":"qspr-job/2","id":"v2","circuit":{"builtin":"[[5,1,3]]"},"deadline_ms":0.001}|};
   ]
@@ -43,6 +50,7 @@ let dictionary =
     "{"; "}"; "["; "]"; ":"; ","; "\""; "\\"; "\\u0000"; "\\ud83d"; "null"; "true"; "false";
     "-1"; "0"; "1e308"; "-1e308"; "1e-308"; "nan"; "inf"; "9007199254740993"; "0.001";
     "qubit"; "cnot"; "measure"; "prepare"; "%"; "\n"; "\t"; "\x00"; "\xff";
+    "OPENQASM 2.0;"; "qreg"; "creg"; "gate"; ";"; "->"; "99999999999999999999";
   |]
 
 let mutate rng line =

@@ -113,6 +113,17 @@ let test_program_parse_error () =
        fs);
   check_int "exit 2" 2 (F.exit_code fs)
 
+let test_program_parse_error_openqasm () =
+  (* an OpenQASM error points at the offending token, not the line start *)
+  let p = "corpus/bad/openqasm_register.qasm" in
+  let fs = Analysis.Program_check.check_result (Qasm.Parser.parse_located ~file:p (read_file p)) in
+  check_bool "unknown register at its token" true
+    (List.exists
+       (fun f ->
+         F.kind f = Some "parse-error"
+         && match f.F.loc with F.Source { file; line = 5; col = 9 } -> file = Some p | _ -> false)
+       fs)
+
 (* -------------------------------------------------------------- fabric *)
 
 let test_fabric_bottleneck () =
@@ -741,6 +752,7 @@ let () =
           Alcotest.test_case "removable and commuting" `Quick test_program_removable_and_commuting;
           Alcotest.test_case "basis hint" `Quick test_program_basis_hint;
           Alcotest.test_case "parse error" `Quick test_program_parse_error;
+          Alcotest.test_case "OpenQASM parse error column" `Quick test_program_parse_error_openqasm;
         ] );
       ( "fabric",
         [

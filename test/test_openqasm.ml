@@ -1,6 +1,7 @@
-(* Tests for the OpenQASM 2.0 subset front end: parsing, lowering to the
-   mapper's program representation, diagnostics, and semantic equivalence of
-   the paper-dialect and OpenQASM renderings of the same circuit. *)
+(* Tests for the OpenQASM 2.0 subset of the QASM front end: parsing,
+   lowering to the mapper's program representation, diagnostics, and
+   semantic equivalence of the paper-dialect and OpenQASM renderings of the
+   same circuit. *)
 
 open Qasm
 
@@ -8,7 +9,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let parse_exn src =
-  match Openqasm.parse src with Ok p -> p | Error e -> Alcotest.failf "parse: %s" e
+  match Parser.parse src with Ok p -> p | Error e -> Alcotest.failf "parse: %s" e
 
 let bell_src =
   {|OPENQASM 2.0;
@@ -45,7 +46,7 @@ let test_parse_comments () =
   check_int "one gate" 1 (Program.gate_count p)
 
 let expect_error src fragment =
-  match Openqasm.parse src with
+  match Parser.parse src with
   | Ok _ -> Alcotest.failf "expected error containing %S" fragment
   | Error msg ->
       let contains s sub =
@@ -60,7 +61,7 @@ let expect_error src fragment =
 
 let test_parse_errors () =
   expect_error "qreg q[2];\ncx q[0],q[0];\n" "identical operands";
-  expect_error "h q[0];\n" "unknown quantum register";
+  expect_error "OPENQASM 2.0;\nh q[0];\n" "unknown quantum register";
   expect_error "qreg q[2];\nh q[5];\n" "out of range";
   expect_error "qreg q[2];\nqreg q[2];\n" "declared twice";
   expect_error "qreg q[2];\nu1 q[0];\n" "unsupported";
@@ -73,7 +74,7 @@ let test_roundtrip_via_openqasm () =
   (* paper circuit -> OpenQASM text -> back: same instruction stream modulo
      declarations' init flags *)
   let p = Circuits.Qecc.c513 () in
-  let text = Openqasm.to_openqasm p in
+  let text = Printer.to_openqasm p in
   let p' = parse_exn text in
   check_int "same qubits" (Program.num_qubits p) (Program.num_qubits p');
   check_int "same gate count" (Program.gate_count p) (Program.gate_count p');
@@ -145,6 +146,18 @@ let test_macro_errors () =
   expect_error "gate bad { h x; }\nqreg q[1];\n" "takes no qubits";
   expect_error "gate bad a { h a;\nqreg q[1];\n" "missing '}'"
 
+(* a short source must not ask for an unbounded program *)
+let test_size_limits () =
+  expect_error "qreg q[999999999999999999];\n" "past 65536 qubits";
+  let b = Buffer.create 256 in
+  Buffer.add_string b "OPENQASM 2.0;\ngate g0 a { h a; }\n";
+  for k = 1 to 10 do
+    Buffer.add_string b (Printf.sprintf "gate g%d a { g%d a; g%d a; g%d a; g%d a; }\n" k (k - 1) (k - 1) (k - 1) (k - 1))
+  done;
+  (* each g10 call expands to 4^10 gates *)
+  Buffer.add_string b "qreg q[1];\ng10 q[0];\ng10 q[0];\n";
+  expect_error (Buffer.contents b) "past 1048576 instructions"
+
 let gen_random_program =
   QCheck.Gen.(
     let* nq = 2 -- 5 in
@@ -165,16 +178,20 @@ let gen_random_program =
       seeds;
     return (Program.build_exn b))
 
+let gates (p : Program.t) = List.filter Instr.is_gate (Array.to_list p.Program.instrs)
+
+let same_gates p q = List.equal Instr.equal (gates p) (gates q)
+
+(* both renderings of a program parse back to its gate stream *)
 let prop_roundtrip_any_program =
   QCheck.Test.make ~name:"to_openqasm/parse preserves the gate stream" ~count:100
     (QCheck.make ~print:Qasm.Printer.to_string gen_random_program)
     (fun p ->
-      match Openqasm.parse (Openqasm.to_openqasm p) with
-      | Error _ -> false
-      | Ok p' ->
-          Program.num_qubits p = Program.num_qubits p'
-          && Program.gate_count p = Program.gate_count p'
-          && Program.two_qubit_count p = Program.two_qubit_count p')
+      match (Parser.parse (Printer.to_string p), Parser.parse (Printer.to_openqasm p)) with
+      | Ok paper, Ok openqasm ->
+          Program.num_qubits p = Program.num_qubits openqasm
+          && same_gates p paper && same_gates paper openqasm
+      | Error _, _ | _, Error _ -> false)
 
 let () =
   Alcotest.run "openqasm"
@@ -200,5 +217,6 @@ let () =
           Alcotest.test_case "nested" `Quick test_macro_nested;
           Alcotest.test_case "semantics" `Quick test_macro_semantics;
           Alcotest.test_case "errors" `Quick test_macro_errors;
+          Alcotest.test_case "size limits" `Quick test_size_limits;
         ] );
     ]

@@ -73,6 +73,14 @@ let test_parse_errors () =
   expect_error "fabric = inline\n" "--- fabric ---";
   expect_error "t_move_us = 1 t_turn_us\n" "expected a number"
 
+let test_missing_file () =
+  let path = "no-such-dir/machine.pmd" in
+  match Pmd.parse_file path with
+  | Ok _ -> Alcotest.fail "parsed a missing file"
+  | Error msg ->
+      check_bool (Printf.sprintf "%S names the path" msg) true
+        (String.starts_with ~prefix:path msg)
+
 let test_roundtrip () =
   let p = Pmd.paper in
   let p' = parse_exn (Pmd.to_string p) in
@@ -106,6 +114,7 @@ let () =
           Alcotest.test_case "inline" `Quick test_parse_inline;
           Alcotest.test_case "defaults" `Quick test_defaults_are_paper;
           Alcotest.test_case "diagnostics" `Quick test_parse_errors;
+          Alcotest.test_case "missing file" `Quick test_missing_file;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "map with custom machine" `Quick test_map_with_custom_pmd;
         ] );

@@ -82,32 +82,59 @@ let test_gate_unitarity () =
 
 (* ---------------------------------------------------------------- Lexer *)
 
-let test_lexer_basic () =
-  match Lexer.tokenize "H q0\nC-X q3,q2\n" with
+let paper_tokens src =
+  match Lexer.tokenize Lexer.Paper src with
+  | Ok toks -> toks
   | Error e -> Alcotest.fail (Lexer.error_to_string e)
-  | Ok lines ->
-      check_int "two lines" 2 (List.length lines);
-      let l1 = List.nth lines 0 and l2 = List.nth lines 1 in
-      check_int "line numbers" 1 l1.Lexer.number;
-      check_int "line numbers" 2 l2.Lexer.number;
-      check_bool "tokens of line 2" true
-        (l2.Lexer.tokens = [ Lexer.Ident "C-X"; Lexer.Ident "q3"; Lexer.Comma; Lexer.Ident "q2" ])
+
+let test_lexer_basic () =
+  let toks = paper_tokens "H q0\nC-X q3,q2\n" in
+  Alcotest.(check (list int)) "line numbers" [ 1; 1; 2; 2; 2; 2 ]
+    (List.map (fun (t : Lexer.t) -> t.line) toks);
+  let line2 = List.filter (fun (t : Lexer.t) -> t.line = 2) toks in
+  check_bool "tokens of line 2" true
+    (List.map (fun (t : Lexer.t) -> t.token) line2
+    = [ Lexer.Ident "C-X"; Lexer.Ident "q3"; Lexer.Comma; Lexer.Ident "q2" ]);
+  Alcotest.(check (list int)) "columns of line 2" [ 1; 5; 7; 8 ]
+    (List.map (fun (t : Lexer.t) -> t.col) line2)
 
 let test_lexer_comments_and_blanks () =
-  match Lexer.tokenize "# full comment\n\nH q0 // trailing\n   \n" with
-  | Error e -> Alcotest.fail (Lexer.error_to_string e)
-  | Ok lines ->
-      check_int "one effective line" 1 (List.length lines);
-      check_int "its number" 3 (List.nth lines 0).Lexer.number
+  let toks = paper_tokens "# full comment\n\nH q0 // trailing\n   \n" in
+  check_bool "only the instruction's tokens" true
+    (List.map (fun (t : Lexer.t) -> t.token) toks = [ Lexer.Ident "H"; Lexer.Ident "q0" ]);
+  check_bool "all on line 3" true (List.for_all (fun (t : Lexer.t) -> t.line = 3) toks)
 
 let test_lexer_error () =
-  match Lexer.tokenize "H q0\n@bad\n" with
+  match Lexer.tokenize Lexer.Paper "H q0\n@bad\n" with
   | Ok _ -> Alcotest.fail "expected lexer error"
   | Error e ->
       check_int "error line" 2 e.Lexer.line;
       check_int "error col" 1 e.Lexer.col;
       let msg = Lexer.error_to_string e in
       check_bool "mentions line 2" true (String.length msg > 0 && String.sub msg 0 6 = "line 2")
+
+let bell_openqasm =
+  "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
+   gate bell a,b { h a; cx a,b; }\nbell q[0],q[1];\nmeasure q[0] -> c[0];\n\
+   measure q[1] -> c[1];\n"
+
+let test_dialect_detection () =
+  List.iter
+    (fun (label, src, expected) ->
+      check_bool label true (Lexer.detect src = expected))
+    [
+      ("header", "OPENQASM 2.0;\nqreg q[1];\n", Lexer.Openqasm);
+      ("headerless qreg-first", "qreg q[2];\nh q[0];\n", Lexer.Openqasm);
+      ("keywords in any case", "  Include \"qelib1.inc\";\n", Lexer.Openqasm);
+      ("gate-first", "gate g a { h a; }\n", Lexer.Openqasm);
+      ("comment-first OpenQASM", "// c\n# d\n\ncreg c[1];\n", Lexer.Openqasm);
+      ("comment-first paper", "# [[5,1,3]]\nQUBIT a\n", Lexer.Paper);
+      ("QUBIT-first", "QUBIT a,0\nH a\n", Lexer.Paper);
+      ("gate mnemonic first", "H q0\n", Lexer.Paper);
+      ("garbage", "%% not qasm", Lexer.Paper);
+      ("empty", "", Lexer.Paper);
+      ("keyword prefix only", "qregs a\n", Lexer.Paper);
+    ]
 
 (* --------------------------------------------------------------- Parser *)
 
@@ -142,6 +169,37 @@ let test_parse_errors () =
   expect_parse_error "QUBIT a\nQUBIT b\nH a,b\n" "expects one operand";
   expect_parse_error "QUBIT a,7\n" "initializer";
   expect_parse_error "QUBIT a\nQUBIT b\nC-X a\n" "expects two operands"
+
+let expect_located label src ~line ~col =
+  match Parser.parse_located src with
+  | Ok _ -> Alcotest.failf "%s: expected an error" label
+  | Error e ->
+      check_int (label ^ ": line") line e.Parser.line;
+      check_int (label ^ ": col") col e.Parser.col
+
+let test_parse_overflow () =
+  (* digit runs too long for an int are located errors, never exceptions *)
+  expect_located "paper initializer" "QUBIT a,99999999999999999999" ~line:1 ~col:9;
+  expect_located "OpenQASM register size" "OPENQASM 2.0;\nqreg q[99999999999999999999];" ~line:2
+    ~col:1
+
+let test_parse_missing_file () =
+  let path = "no-such-dir/missing.qasm" in
+  match Parser.parse_file_located path with
+  | Ok _ -> Alcotest.fail "parsed a missing file"
+  | Error e ->
+      check_int "positionless" 0 e.Parser.line;
+      let msg = Parser.error_to_string e in
+      check_bool (Printf.sprintf "%S names the path" msg) true
+        (String.starts_with ~prefix:path msg)
+
+let test_parse_either_dialect () =
+  match (Parser.parse bell_openqasm, Parser.parse "QUBIT a,0\nQUBIT b,0\nH a\nC-X a,b\n") with
+  | Ok q, Ok p ->
+      check_string "default name" "qasm" q.Program.name;
+      check_int "OpenQASM gates" 4 (Program.gate_count q);
+      check_int "paper gates" 2 (Program.gate_count p)
+  | Error e, _ | _, Error e -> Alcotest.fail e
 
 let test_parse_roundtrip_fig3 () =
   let p = fig3_program () in
@@ -357,6 +415,38 @@ let prop_parse_print_roundtrip =
           Program.num_instrs p = Program.num_instrs p'
           && Array.for_all2 Instr.equal p.Program.instrs p'.Program.instrs)
 
+(* Byte mutations of both dialects' texts: parsing is total, and every
+   error is positionless or points inside the source. *)
+let fuzz_dictionary =
+  [| "99999999999999999999"; ";"; "->"; "["; "]"; "{"; "}"; "\""; "#"; "//"; "\n"; ","; "gate ";
+     "qreg "; "OPENQASM 2.0;"; "QUBIT "; "(" |]
+
+let gen_mutant =
+  QCheck.Gen.(
+    let* base = oneofl [ fig3_qasm; bell_openqasm ] in
+    let* edits = list_size (1 -- 6) (triple (int_bound 4) nat char) in
+    let apply s (op, at, c) =
+      let n = String.length s in
+      let i = if n = 0 then 0 else at mod n in
+      let cut k = String.sub s 0 i ^ String.sub s (min n (i + k)) (n - min n (i + k)) in
+      match op with
+      | 0 -> if n = 0 then String.make 1 c else String.mapi (fun j x -> if j = i then c else x) s
+      | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | 2 -> cut 1
+      | 3 -> String.sub s 0 i ^ fuzz_dictionary.(at mod Array.length fuzz_dictionary) ^ String.sub s i (n - i)
+      | _ -> cut (at mod 16)
+    in
+    return (List.fold_left apply base edits))
+
+let prop_parse_total =
+  QCheck.Test.make ~name:"parse_located is total and locates its errors" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutant)
+    (fun src ->
+      let lines = List.length (String.split_on_char '\n' src) in
+      match Parser.parse_located src with
+      | Ok _ -> true
+      | Error e -> e.Parser.line = 0 || (1 <= e.Parser.line && e.Parser.line <= lines && e.Parser.col >= 1))
+
 (* ------------------------------------------------------------ Optimizer *)
 
 let parse_exn src = match Parser.parse src with Ok p -> p | Error e -> Alcotest.failf "parse: %s" e
@@ -504,14 +594,19 @@ let () =
           Alcotest.test_case "basic" `Quick test_lexer_basic;
           Alcotest.test_case "comments and blanks" `Quick test_lexer_comments_and_blanks;
           Alcotest.test_case "error position" `Quick test_lexer_error;
+          Alcotest.test_case "dialect detection" `Quick test_dialect_detection;
         ] );
       ( "parser",
         [
           Alcotest.test_case "figure 3" `Quick test_parse_fig3;
           Alcotest.test_case "diagnostics" `Quick test_parse_errors;
+          Alcotest.test_case "over-long literals" `Quick test_parse_overflow;
+          Alcotest.test_case "missing file" `Quick test_parse_missing_file;
+          Alcotest.test_case "either dialect" `Quick test_parse_either_dialect;
           Alcotest.test_case "round-trip figure 3" `Quick test_parse_roundtrip_fig3;
           Alcotest.test_case "listing" `Quick test_listing_numbers;
-        ] );
+        ]
+        @ qsuite [ prop_parse_total ] );
       ( "program",
         [
           Alcotest.test_case "validation" `Quick test_program_validation;

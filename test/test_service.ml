@@ -253,6 +253,28 @@ let test_handle_line_malformed () =
       check_string "stage" "request" (stage_of r);
       check_string "status" "rejected" (Protocol.status_of r.Protocol.verdict)
 
+let test_handle_line_overflowing_qasm () =
+  (* a digit run too long for an int is a located lint finding, and the
+     service keeps serving *)
+  let t = Scheduler.create () in
+  let line =
+    Scheduler.handle_line t
+      {|{"schema":"qspr-job/1","id":"big","circuit":{"qasm":"QUBIT a,99999999999999999999\nH a\n"}}|}
+  in
+  (match Protocol.response_of_line line with
+  | Error e -> Alcotest.failf "response line must decode: %s" e
+  | Ok r -> (
+      check_string "stage" "lint" (stage_of r);
+      match r.Protocol.verdict with
+      | Protocol.Rejected { findings; _ } ->
+          check_bool "parse-error finding" true
+            (List.exists (fun f -> Json.member "kind" f = Some (Json.String "parse-error")) findings)
+      | _ -> Alcotest.fail "expected a rejection"));
+  let next = Scheduler.handle_line t (Protocol.job_to_line (job "next" "[[5,1,3]]")) in
+  match Protocol.response_of_line next with
+  | Error e -> Alcotest.failf "response line must decode: %s" e
+  | Ok r -> check_string "next line served" "<completed>" (stage_of r)
+
 (* ---------------------------------------------- determinism and sharing *)
 
 let batch_jobs () =
@@ -414,6 +436,7 @@ let () =
           Alcotest.test_case "quote ceiling" `Quick test_reject_quote;
           Alcotest.test_case "queue full" `Quick test_reject_queue;
           Alcotest.test_case "malformed request line" `Quick test_handle_line_malformed;
+          Alcotest.test_case "over-long QASM literal" `Quick test_handle_line_overflowing_qasm;
         ] );
       ( "determinism",
         [
