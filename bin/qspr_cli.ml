@@ -11,10 +11,7 @@ open Cmdliner
 
 let load_fabric = function
   | None -> Ok (Fabric.Layout.quale_45x85 ())
-  | Some path -> (
-      match In_channel.with_open_text path In_channel.input_all with
-      | exception Sys_error e -> Error e
-      | src -> Fabric.Layout.parse src)
+  | Some path -> Result.bind (Ion_util.File.read path) Fabric.Layout.parse
 
 (* A builtin circuit or a QASM file of either dialect; errors keep their
    file:line:col so lint and audit findings can point at the offending
@@ -33,6 +30,10 @@ let load_program ~circuit ~qasm =
                (Printf.sprintf "unknown circuit %s; known: %s" name
                   (String.concat ", " (List.map fst (Circuits.Qecc.all ()))))))
   | None, Some path -> Qasm.Parser.parse_file_located path
+
+(* [load_program] for subcommands that only print the error *)
+let load_program_msg ~circuit ~qasm =
+  Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm)
 
 (* The QSPR_* environment overrides (Config.of_env) on top of a base
    config: the library never reads the environment, the tools do. *)
@@ -72,7 +73,7 @@ let do_map circuit qasm fabric_path pmd_path (placer, strategy) m sa_moves seed
     prescreen_k budget_s budget_evals show_trace certify json_out =
   let ( let* ) = Result.bind in
   let result =
-    let* program = Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm) in
+    let* program = load_program_msg ~circuit ~qasm in
     let* fabric, base_config = load_target ~fabric_path ~pmd_path in
     let* () = gate_on_fabric_lint ~program fabric in
     (* explicit flags win; otherwise keep the config's (env-derived) budget *)
@@ -298,7 +299,7 @@ let fabric_cmd =
 let do_flow circuit qasm fabric_path threshold =
   let ( let* ) = Result.bind in
   let result =
-    let* program = Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm) in
+    let* program = load_program_msg ~circuit ~qasm in
     let* fabric = load_fabric fabric_path in
     let* o =
       Qspr.Flow.run ~error_threshold:threshold ~fabric ~config:(env_config Qspr.Config.default)
@@ -348,7 +349,7 @@ let metrics_cmd =
 
 let map_for_viz circuit qasm fabric_path m seed =
   let ( let* ) = Result.bind in
-  let* program = Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm) in
+  let* program = load_program_msg ~circuit ~qasm in
   let* fabric = load_fabric fabric_path in
   let config = Qspr.Config.(env_config default |> with_m m |> with_seed seed) in
   let* ctx = Qspr.Mapper.create ~fabric ~config program in
@@ -549,7 +550,7 @@ let delta_microbench ctx ~num_qubits ~placement n =
 let do_estimate circuit qasm fabric_path moves measure certify =
   let ( let* ) = Result.bind in
   let result =
-    let* program = Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm) in
+    let* program = load_program_msg ~circuit ~qasm in
     let* fabric = load_fabric fabric_path in
     let* ctx = Qspr.Mapper.create ~fabric program in
     let placement =
@@ -882,7 +883,7 @@ let serve_cmd =
 let do_faults circuit qasm fabric_path seed levels_s trials jobs json_out =
   let ( let* ) = Result.bind in
   let result =
-    let* program = Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm) in
+    let* program = load_program_msg ~circuit ~qasm in
     let* fabric = load_fabric fabric_path in
     let* levels =
       try Ok (List.map (fun s -> int_of_string (String.trim s)) (String.split_on_char ',' levels_s))

@@ -176,10 +176,7 @@ let parse src =
                     layout;
                   }))
 
-let parse_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e)
-  | src -> parse src
+let parse_file path = Result.bind (Ion_util.File.read path) parse
 
 let paper =
   {

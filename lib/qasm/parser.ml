@@ -28,14 +28,10 @@ type acc = {
   mutable names_rev : string list;
   mutable instrs_rev : Instr.t list;
   mutable qubits : int;
-  mutable instrs : int;
 }
 
-let acc () = { index = Hashtbl.create 16; names_rev = []; instrs_rev = []; qubits = 0; instrs = 0 }
-
-let emit a instr =
-  a.instrs_rev <- instr :: a.instrs_rev;
-  a.instrs <- a.instrs + 1
+let acc () = { index = Hashtbl.create 16; names_rev = []; instrs_rev = []; qubits = 0 }
+let emit a instr = a.instrs_rev <- instr :: a.instrs_rev
 
 let declare a name init =
   let q = a.qubits in
@@ -131,12 +127,15 @@ type registers = {
   qregs : (string, int array) Hashtbl.t;  (* register -> qubit indices *)
   cregs : (string, int) Hashtbl.t;  (* register -> size *)
   macros : (string, macro) Hashtbl.t;  (* lower-cased name -> definition *)
+  mutable steps : int;  (* statements run, macro bodies included *)
 }
 
 (* Bounds on what a short source may ask for: register sizes and nested
-   macro expansion would otherwise grow a program without limit. *)
+   macro expansion would otherwise grow a program, or the work of
+   expanding it, without limit.  Steps bound the work, so macros that
+   emit nothing are stopped too. *)
 let max_qubits = 1 lsl 16
-let max_instrs = 1 lsl 20
+let max_steps = 1 lsl 20
 let max_macro_depth = 16
 
 (* the tokens before the first [tok], and those after it *)
@@ -211,7 +210,10 @@ let qubit_ref r (head : L.t) = function
 
 let rec openqasm_statement r depth = function
   | [] -> Ok ()
+  | head :: _ when r.steps >= max_steps ->
+      err head "expansion takes the program past %d statements" max_steps
   | ({ L.token = L.Ident kw; _ } as head) :: rest -> (
+      r.steps <- r.steps + 1;
       let gate1 g operand =
         let* q = qubit_ref r head operand in
         Ok (emit r.prog (Instr.Gate1 (g, q)))
@@ -280,9 +282,6 @@ let rec openqasm_statement r depth = function
                   let operands = operands rest in
                   if depth >= max_macro_depth then
                     err head "gate %s: expansion too deep (recursive?)" name
-                  else if r.prog.instrs > max_instrs then
-                    err head "gate %s: expansion takes the program past %d instructions" name
-                      max_instrs
                   else if List.length operands <> List.length params then
                     err head "gate %s expects %d operand(s)" name (List.length params)
                   else
@@ -306,7 +305,7 @@ let rec openqasm_statement r depth = function
 
 let parse_openqasm ~name tokens =
   let* tokens, macros = extract_macros tokens in
-  let r = { prog = acc (); qregs = Hashtbl.create 4; cregs = Hashtbl.create 4; macros } in
+  let r = { prog = acc (); qregs = Hashtbl.create 4; cregs = Hashtbl.create 4; macros; steps = 0 } in
   let* () = iter_result (openqasm_statement r 0) (statements tokens) in
   finish ~name r.prog
 
@@ -327,10 +326,8 @@ let parse_located ?file ?(name = "qasm") src =
 let parse ?name src = Result.map_error error_to_string (parse_located ?name src)
 
 let parse_file_located path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e ->
-      let message = if String.starts_with ~prefix:path e then e else path ^ ": " ^ e in
-      Error { file = Some path; line = 0; col = 0; message }
-  | src -> parse_located ~file:path ~name:(Filename.remove_extension (Filename.basename path)) src
+  match Ion_util.File.read path with
+  | Error message -> Error { file = Some path; line = 0; col = 0; message }
+  | Ok src -> parse_located ~file:path ~name:(Filename.remove_extension (Filename.basename path)) src
 
 let parse_file path = Result.map_error error_to_string (parse_file_located path)

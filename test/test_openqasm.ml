@@ -156,7 +156,21 @@ let test_size_limits () =
   done;
   (* each g10 call expands to 4^10 gates *)
   Buffer.add_string b "qreg q[1];\ng10 q[0];\ng10 q[0];\n";
-  expect_error (Buffer.contents b) "past 1048576 instructions"
+  expect_error (Buffer.contents b) "past 1048576 statements";
+  (* the bound counts work, not output: leaves that emit nothing, 10^15
+     calls deep, must stop too *)
+  List.iter
+    (fun leaf ->
+      let b = Buffer.create 512 in
+      Buffer.add_string b (Printf.sprintf "OPENQASM 2.0;\ngate g0 a { %s}\n" leaf);
+      for k = 1 to 15 do
+        Buffer.add_string b
+          (Printf.sprintf "gate g%d a {%s }\n" k
+             (String.concat "" (List.init 10 (fun _ -> Printf.sprintf " g%d a;" (k - 1)))))
+      done;
+      Buffer.add_string b "qreg q[1];\ng15 q[0];\n";
+      expect_error (Buffer.contents b) "past 1048576 statements")
+    [ ""; "barrier a; " ]
 
 let gen_random_program =
   QCheck.Gen.(

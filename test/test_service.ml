@@ -253,13 +253,19 @@ let test_handle_line_malformed () =
       check_string "stage" "request" (stage_of r);
       check_string "status" "rejected" (Protocol.status_of r.Protocol.verdict)
 
-let test_handle_line_overflowing_qasm () =
-  (* a digit run too long for an int is a located lint finding, and the
-     service keeps serving *)
+(* [src] is refused at lint with a parse-error finding, and the service
+   goes on to serve the next line *)
+let expect_parse_rejection src =
   let t = Scheduler.create () in
   let line =
     Scheduler.handle_line t
-      {|{"schema":"qspr-job/1","id":"big","circuit":{"qasm":"QUBIT a,99999999999999999999\nH a\n"}}|}
+      (Json.to_string
+         (Json.Obj
+            [
+              ("schema", Json.String "qspr-job/1");
+              ("id", Json.String "bad");
+              ("circuit", Json.Obj [ ("qasm", Json.String src) ]);
+            ]))
   in
   (match Protocol.response_of_line line with
   | Error e -> Alcotest.failf "response line must decode: %s" e
@@ -274,6 +280,23 @@ let test_handle_line_overflowing_qasm () =
   match Protocol.response_of_line next with
   | Error e -> Alcotest.failf "response line must decode: %s" e
   | Ok r -> check_string "next line served" "<completed>" (stage_of r)
+
+(* a digit run too long for an int is a located lint finding *)
+let test_handle_line_overflowing_qasm () =
+  expect_parse_rejection "QUBIT a,99999999999999999999\nH a\n"
+
+(* macros that emit nothing still count against the expansion bound, so a
+   short request cannot hold the service in 10^15 nested calls *)
+let test_handle_line_nested_empty_macros () =
+  let b = Buffer.create 512 in
+  Buffer.add_string b "OPENQASM 2.0;\ngate g0 a { }\n";
+  for k = 1 to 15 do
+    Buffer.add_string b
+      (Printf.sprintf "gate g%d a {%s }\n" k
+         (String.concat "" (List.init 10 (fun _ -> Printf.sprintf " g%d a;" (k - 1)))))
+  done;
+  Buffer.add_string b "qreg q[1];\ng15 q[0];\n";
+  expect_parse_rejection (Buffer.contents b)
 
 (* ---------------------------------------------- determinism and sharing *)
 
@@ -437,6 +460,7 @@ let () =
           Alcotest.test_case "queue full" `Quick test_reject_queue;
           Alcotest.test_case "malformed request line" `Quick test_handle_line_malformed;
           Alcotest.test_case "over-long QASM literal" `Quick test_handle_line_overflowing_qasm;
+          Alcotest.test_case "nested empty QASM macros" `Quick test_handle_line_nested_empty_macros;
         ] );
       ( "determinism",
         [
