@@ -7,12 +7,12 @@
    route cache over the six Table-1 circuits, the incremental delta
    estimator and its >= 10x speedup over from-scratch estimates, the
    portfolio race, the service batch against cold single-job services, and
-   the allocation ceilings of the warm engine run, the delta-SA move loop
-   and the certificate digest.  The measured figures are printed next to
-   their bounds.  Throughput is measured by qbench/; the only wall-clock
-   checks here are two relative floors, each timed within this process:
-   delta-SA >= 10x the full-estimate loop, and the warm service batch
-   <= 1.15x the cold single-job services. *)
+   the allocation ceilings of the warm engine run, the delta-SA move loop,
+   the certificate digest and the whole certification.  The measured
+   figures are printed next to their bounds.  Throughput is measured by
+   qbench/; the only wall-clock checks here are two relative floors, each
+   timed within this process: delta-SA >= 10x the full-estimate loop, and
+   the warm service batch <= 1.15x the cold single-job services. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("bench-smoke: " ^ m); exit 1) fmt
 
@@ -489,33 +489,51 @@ let () =
     fail "[[9,1,3]]: search_delta allocates %.1f minor words per move (ceiling %.0f)" words ceiling;
   (* The certificate digest streams its canonical rendering through FNV-1a
      without Printf or a trace-sized string.  On a [[9,1,3]] center mapping
-     it allocates under half a minor word per command (the chunk buffer
-     and a boxed hash per flush); the Printf renderer read 234 and a streaming
+     it allocates about 1.4 minor words per command (the chunk buffer, the
+     cache of rendered floats and a boxed hash per flush); the Printf
+     renderer read 234 and a streaming
      hash over a captured int64 ref about 105, so a 16-word ceiling catches
      either deterministically. *)
-  let digest_words_per_command () =
-    let name = "[[9,1,3]]" in
-    let dp = List.assoc name (Circuits.Qecc.all ()) in
-    let dctx = match Qspr.Mapper.create ~fabric dp with Ok c -> c | Error e -> fail "%s" e in
-    let trace =
-      match Qspr.Mapper.map Center dctx with
-      | Ok s -> s.Qspr.Mapper.trace
-      | Error e -> fail "memory %s digest: %s" name (Qspr.Mapper.error_to_string e)
-    in
-    ignore (Analysis.Certify.digest_trace trace);
+  let cname = "[[9,1,3]]" in
+  let cctx =
+    match Qspr.Mapper.create ~fabric (List.assoc cname (Circuits.Qecc.all ())) with
+    | Ok c -> c
+    | Error e -> fail "%s" e
+  in
+  let csol =
+    match Qspr.Mapper.map Center cctx with
+    | Ok s -> s
+    | Error e -> fail "memory %s certify: %s" cname (Qspr.Mapper.error_to_string e)
+  in
+  let words_per_command f =
+    ignore (f ());
     let reps = 20 in
     let w0 = Gc.minor_words () in
     for _ = 1 to reps do
-      ignore (Analysis.Certify.digest_trace trace)
+      ignore (f ())
     done;
-    (Gc.minor_words () -. w0) /. float_of_int (reps * List.length trace)
+    (Gc.minor_words () -. w0) /. float_of_int (reps * List.length csol.Qspr.Mapper.trace)
   in
-  let words = digest_words_per_command () and ceiling = 16.0 in
-  Printf.printf "bench-smoke: [[9,1,3]] certificate digest %.1f minor words/command (ceiling %.0f)\n"
+  let words = words_per_command (fun () -> Analysis.Certify.digest_trace csol.Qspr.Mapper.trace)
+  and ceiling = 16.0 in
+  Printf.printf "bench-smoke: %s certificate digest %.1f minor words/command (ceiling %.0f)\n"
+    cname words ceiling;
+  if words > ceiling then
+    fail "%s: the certificate digest allocates %.1f minor words per command (ceiling %.0f)" cname
+      words ceiling;
+  (* The whole certification replays into int-indexed arrays and reuses
+     its fabric- and trace-sized columns per domain, so the same mapping
+     certifies in about 10 minor words per command: the program-sized
+     arrays, the digest's buffers and a boxed gate delay per gate event.
+     The replay keyed on (qubit, resource) tuples in a polymorphic
+     Hashtbl read about 77, so a 24-word ceiling catches a return to it. *)
+  let words = words_per_command (fun () -> Analysis.Certify.of_solution cctx csol)
+  and ceiling = 24.0 in
+  Printf.printf "bench-smoke: %s certification %.1f minor words/command (ceiling %.0f)\n" cname
     words ceiling;
   if words > ceiling then
-    fail "[[9,1,3]]: the certificate digest allocates %.1f minor words per command (ceiling %.0f)"
-      words ceiling;
+    fail "%s: certification allocates %.1f minor words per command (ceiling %.0f)" cname words
+      ceiling;
   print_endline
     "bench-smoke: OK (workspace routing exact, parallel search exact, estimator pure, \
      prescreen consistent, winner certified, certified bound admissible and deterministic, \
@@ -524,5 +542,5 @@ let () =
      full-estimate SA on all six, portfolio deterministic and never worse than the anneal, \
      six-circuit service batch identical at jobs 1/2/4 and to independent certified runs with \
      fewer searches than cold services in <= 1.15x their wall time, warm evaluations >= 5x \
-     leaner than BENCH_pr8, delta-SA move loop and certificate digest under their allocation \
-     ceilings)"
+     leaner than BENCH_pr8, delta-SA move loop, certificate digest and certification under their \
+     allocation ceilings)"

@@ -62,8 +62,16 @@ val check :
   certificate
 (** Replays the trace against the fabric [component] (callers that hold
     only a layout extract it first; the service and {!of_solution} pass the
-    mapper's prebuilt one).  Findings are capped (a forged trace can violate
-    everything everywhere); the cap is noted as a final finding.
+    mapper's prebuilt one).
+
+    Findings come out in a fixed order: initial-placement errors, then the
+    replay's errors in time order (command by command), then gates that
+    start but never end by instruction id, missing gates, dependency
+    errors by instruction id, [capacity] errors by resource id (segments in
+    component order, then junctions), and the accounting and bound checks.
+    They are capped at 40 errors (a forged trace can violate everything
+    everywhere); past the cap a final [truncated] warning says how many
+    were dropped.
 
     [lower_bound] attaches a certified admissible latency bound to the
     certificate.  A bound above the claimed latency is a [bound-violation]

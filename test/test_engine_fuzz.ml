@@ -155,6 +155,151 @@ let prop_mutations_rejected =
               then true
               else QCheck.Test.fail_reportf "mutation not reported as %s:\n%s" kind (findings_report c)))
 
+(* Capacity oracle.  Random walks of 2-6 ions on the small tile, each a
+   chain of unit steps (with a turn wherever the axis changes at a
+   junction) at random start times, so that ions crowd the same segments
+   and junctions.  For every resource the worst occupancy is counted by
+   brute force — at each touch start [t], the number of distinct ions with
+   a touch [lo, hi) containing [t] — and compared with the certifier's
+   [capacity] findings: the same resources in id order, the same levels
+   and first times. *)
+let tile_comp =
+  match Component.extract (Layout.small_tile ()) with Ok c -> c | Error e -> failwith e
+
+let tile_traps = Component.traps tile_comp
+let in_trap c = Component.trap_at tile_comp c <> None
+
+(* a cell's resource, numbered as the certifier does: segments, then
+   junctions *)
+let tile_resource c =
+  match (Component.segment_at tile_comp c, Component.junction_at tile_comp c) with
+  | Some s, _ -> Some s
+  | None, Some j -> Some (Array.length (Component.segments tile_comp) + j)
+  | None, None -> None
+
+(* the cells an ion at [c] may step to: a trap is left only to its tap
+   and entered only from it *)
+let steps_from c =
+  match Component.trap_at tile_comp c with
+  | Some t -> [ tile_traps.(t).Component.tap ]
+  | None ->
+      List.filter
+        (fun n ->
+          match Component.trap_at tile_comp n with
+          | Some t -> Coord.equal tile_traps.(t).Component.tap c
+          | None -> not (Cell.equal (Layout.get (Component.layout tile_comp) n) Cell.Empty))
+        (List.map (Coord.step c) Coord.all_dirs)
+
+(* ion [q]'s walk out of trap [q mod 4], starting at [t0] half-microseconds:
+   each step waits [wait] half-microseconds, then takes the [pick]-th legal
+   step *)
+let walk q t0 steps =
+  let tm = Timing.paper in
+  let here = ref tile_traps.(q mod Array.length tile_traps).Component.tpos in
+  let clock = ref (0.5 *. float_of_int t0) and axis = ref None and out = ref [] in
+  let emit cmd duration =
+    out := cmd :: !out;
+    clock := !clock +. duration
+  in
+  List.iter
+    (fun (wait, pick) ->
+      let options = steps_from !here in
+      let next = List.nth options (pick mod List.length options) in
+      let ax = if next.Coord.y = !here.Coord.y then `H else `V in
+      clock := !clock +. (0.5 *. float_of_int wait);
+      (match (!axis, Component.junction_at tile_comp !here) with
+      | Some a, Some _ when a <> ax ->
+          let finish = !clock +. tm.Timing.t_turn in
+          emit (Micro.Turn { qubit = q; at = !here; start = !clock; finish }) tm.Timing.t_turn
+      | _ -> ());
+      let finish = !clock +. tm.Timing.t_move in
+      emit
+        (Micro.Move { qubit = q; from_ = !here; to_ = next; start = !clock; finish })
+        tm.Timing.t_move;
+      axis := if in_trap next || in_trap !here then None else Some ax;
+      here := next)
+    steps;
+  List.rev !out
+
+let gen_walks =
+  QCheck.Gen.(
+    let* nq = 2 -- 6 in
+    let* caps = pair (1 -- 2) (1 -- 2) in
+    let step = pair (int_bound 3) (int_bound 3) in
+    let* walks = list_repeat nq (pair (int_bound 20) (list_size (1 -- 12) step)) in
+    return (nq, caps, List.concat (List.mapi (fun q (t0, steps) -> walk q t0 steps) walks)))
+
+(* (resource, worst level, first time at it) over capacity, by resource *)
+let oracle_capacity ~caps:(chan, junc) cmds =
+  let nsegs = Array.length (Component.segments tile_comp) in
+  let touches = Array.make (nsegs + Array.length (Component.junctions tile_comp)) [] in
+  let touch q c lo hi =
+    Option.iter (fun r -> touches.(r) <- (q, lo, hi) :: touches.(r)) (tile_resource c)
+  in
+  List.iter
+    (function
+      | Micro.Move { qubit; from_; to_; start; finish } ->
+          touch qubit from_ start finish;
+          touch qubit to_ start finish
+      | Micro.Turn { qubit; at; start; finish } -> touch qubit at start finish
+      | Micro.Gate_start _ | Micro.Gate_end _ -> ())
+    cmds;
+  List.concat
+    (List.mapi
+       (fun r ts ->
+         let level t =
+           let inside (q, lo, hi) = if lo <= t && t < hi then Some q else None in
+           List.length (List.sort_uniq compare (List.filter_map inside ts))
+         in
+         let worst, at =
+           List.fold_left
+             (fun (w, at) (_, t, _) ->
+               let l = level t in
+               if l > w || (l = w && t < at) then (l, t) else (w, at))
+             (0, infinity) ts
+         in
+         if worst > (if r < nsegs then chan else junc) then [ (r, worst, at) ] else [])
+       (Array.to_list touches))
+
+let prop_capacity_oracle =
+  QCheck.Test.make ~name:"fuzz: capacity findings = brute-force occupancy count" ~count:300
+    (QCheck.make
+       ~print:(fun (_, (c, j), cmds) ->
+         Printf.sprintf "channel %d junction %d\n%s" c j (Trace.to_string cmds))
+       gen_walks)
+    (fun (nq, ((chan, junc) as caps), cmds) ->
+      let c =
+        Analysis.Certify.check ~component:tile_comp ~timing:Timing.paper ~channel_capacity:chan
+          ~junction_capacity:junc
+          ~dag:(Dag.of_program (Program.build_exn (Program.builder ~name:"walks" ())))
+          ~initial_placement:(Array.init nq (fun q -> q mod Array.length tile_traps))
+          ~claimed_latency:(Trace.latency cmds) cmds
+      in
+      let found =
+        List.filter_map
+          (fun f ->
+            let data key = Ion_util.Json.member key f.Analysis.Finding.json in
+            match
+              (Analysis.Finding.kind f, f.Analysis.Finding.loc, data "level", data "time_us")
+            with
+            | ( Some "capacity",
+                Analysis.Finding.Cell cell,
+                Some (Ion_util.Json.Int l),
+                Some (Ion_util.Json.Float t) ) ->
+                Some (Option.value ~default:(-1) (tile_resource cell), l, t)
+            | _ -> None)
+          c.Analysis.Certify.findings
+      in
+      let expected = oracle_capacity ~caps cmds in
+      let show l =
+        String.concat "; "
+          (List.map
+             (fun (r, level, at) -> Printf.sprintf "resource %d level %d at %g" r level at)
+             l)
+      in
+      found = expected
+      || QCheck.Test.fail_reportf "certifier: [%s]\noracle:    [%s]" (show found) (show expected))
+
 let prop_latency_at_least_baseline =
   QCheck.Test.make ~name:"fuzz: mapped latency >= ideal baseline" ~count:150 arb_case (fun case ->
       let (p, _, _) = case in
@@ -262,5 +407,6 @@ let () =
              prop_routing_time_matches_trace;
              prop_trace_reverse_involution;
              prop_mutations_rejected;
+             prop_capacity_oracle;
            ] );
      ])

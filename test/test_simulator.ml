@@ -276,10 +276,10 @@ let test_trace_to_string () =
    cell of the top channel both t0 and t1 tap into; (2,2) is a junction.
    In the one-gate program the gate is instruction #1, after the qubit
    declaration. *)
-let certify_forged ?(program = "QUBIT a\n") ~placement trace =
-  Analysis.Certify.check ~component:(Graph.component (tile_graph ())) ~timing:Timing.paper ~channel_capacity:2
-    ~junction_capacity:2 ~dag:(Dag.of_program (parse program)) ~initial_placement:placement
-    ~claimed_latency:(Trace.latency trace) trace
+let certify_forged ?(program = "QUBIT a\n") ?(capacity = 2) ~placement trace =
+  Analysis.Certify.check ~component:(Graph.component (tile_graph ())) ~timing:Timing.paper
+    ~channel_capacity:capacity ~junction_capacity:capacity ~dag:(Dag.of_program (parse program))
+    ~initial_placement:placement ~claimed_latency:(Trace.latency trace) trace
 
 let check_rejected kind (c : Analysis.Certify.certificate) =
   check_bool "rejected" false c.Analysis.Certify.valid;
@@ -324,6 +324,66 @@ let test_validate_never_ended_gate () =
     (certify_forged ~program:"QUBIT a\nH a\n" ~placement:[| 0 |]
        [ Micro.Gate_start { instr_id = 1; trap = Coord.make 5 1; qubits = [ 0 ]; time = 0.0 } ])
 
+(* Findings come out in a documented order: the replay's, then dangling
+   gates by instruction id, then capacity by resource id (segments before
+   junctions).  Here q0 and q1 leave t0 and t1 together and ride the top
+   segment into the junction (2,2) side by side, at capacity 1; q3 and q2
+   start H d (#5) and H c (#4), in that order, and never end them. *)
+let test_validate_finding_order () =
+  let walk q (x0, y0) =
+    [
+      move q (x0, y0) (5, 2) 0.0 1.0;
+      move q (5, 2) (4, 2) 1.0 2.0;
+      move q (4, 2) (3, 2) 2.0 3.0;
+      move q (3, 2) (2, 2) 3.0 4.0;
+    ]
+  in
+  let start instr_id q (x, y) =
+    Micro.Gate_start { instr_id; trap = Coord.make x y; qubits = [ q ]; time = 0.0 }
+  in
+  let c =
+    certify_forged ~capacity:1 ~program:"QUBIT a\nQUBIT b\nQUBIT c\nQUBIT d\nH c\nH d\n"
+      ~placement:[| 0; 1; 2; 3 |]
+      ((start 5 3 (5, 8) :: start 4 2 (5, 6) :: walk 0 (5, 1)) @ walk 1 (5, 3))
+  in
+  let show f =
+    Printf.sprintf "%s@%s"
+      (Option.value ~default:"?" (Analysis.Finding.kind f))
+      (Option.value ~default:"-" (Analysis.Finding.loc_string f.Analysis.Finding.loc))
+  in
+  Alcotest.(check (list string))
+    "kind@loc sequence"
+    [ "gate-pairing@instr#4"; "gate-pairing@instr#5"; "capacity@(3,2)"; "capacity@(2,2)" ]
+    (List.map show c.Analysis.Certify.findings);
+  let level_time f =
+    let data key = Ion_util.Json.member key f.Analysis.Finding.json in
+    match (data "level", data "time_us") with
+    | Some (Ion_util.Json.Int l), Some (Ion_util.Json.Float t) -> (l, t)
+    | _ -> Alcotest.fail "capacity finding without level and time_us"
+  in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "capacity level and time" [ (2, 0.0); (2, 3.0) ]
+    (List.filter_map
+       (fun f -> if Analysis.Finding.kind f = Some "capacity" then Some (level_time f) else None)
+       c.Analysis.Certify.findings)
+
+(* A forged trace can break a rule on every command; the certificate keeps
+   the first 40 errors and then says how many it dropped. *)
+let test_validate_truncation_noted () =
+  (* the ion rests in t0 at (5,1); every one of 60 moves departs (4,2) *)
+  let trace =
+    List.init 60 (fun i -> move 0 (4, 2) (3, 2) (float_of_int i) (float_of_int (i + 1)))
+  in
+  let c = certify_forged ~placement:[| 0 |] trace in
+  let fs = c.Analysis.Certify.findings in
+  check_bool "rejected" false c.Analysis.Certify.valid;
+  check_int "40 errors" 40 (Analysis.Finding.count Analysis.Finding.Error fs);
+  check_int "41 findings" 41 (List.length fs);
+  let last = List.nth fs 40 in
+  check_bool "truncated last" true (Analysis.Finding.kind last = Some "truncated");
+  check_bool "a warning" true (last.Analysis.Finding.severity = Analysis.Finding.Warning);
+  Alcotest.(check string) "count" "20 further finding(s) suppressed" last.Analysis.Finding.message
+
 let test_validate_wrong_durations () =
   (* a move must take exactly t_move *)
   check_rejected "bad-duration" (certify_forged ~placement:[| 0 |] [ move 0 (5, 1) (5, 2) 0.0 3.0 ])
@@ -366,5 +426,7 @@ let () =
           Alcotest.test_case "capacity violation rejected" `Quick test_validate_catches_capacity_violation;
           Alcotest.test_case "never-ended gate rejected" `Quick test_validate_never_ended_gate;
           Alcotest.test_case "wrong durations rejected" `Quick test_validate_wrong_durations;
+          Alcotest.test_case "finding order" `Quick test_validate_finding_order;
+          Alcotest.test_case "truncation noted" `Quick test_validate_truncation_noted;
         ] );
     ]
