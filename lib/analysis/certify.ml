@@ -278,9 +278,12 @@ let digest_trace trace =
 let[@inline] fmax x y =
   if y > x then y else if x > y || (x = y && x <> 0.0) then x else Float.max x y
 
-(* The hot loop's small predicates, local so they inline: [Coord.equal],
-   [Coord.manhattan _ _ = 1], [Micro.time] and [Qasm.Instr.is_gate]. *)
-let[@inline] same_cell (a : Coord.t) (b : Coord.t) = a.Coord.x = b.Coord.x && a.Coord.y = b.Coord.y
+(* The hot loop's small predicates: [Coord.equal], [Coord.manhattan _ _ =
+   1], [Micro.time] and [Qasm.Instr.is_gate], restated here because dune's
+   default profile compiles libraries [-opaque], so calls across libraries
+   are never inlined. *)
+let[@inline] same_cell (a : Coord.t) (b : Coord.t) =
+  a.Coord.x = b.Coord.x && a.Coord.y = b.Coord.y
 
 let[@inline] unit_step (a : Coord.t) (b : Coord.t) =
   abs (a.Coord.x - b.Coord.x) + abs (a.Coord.y - b.Coord.y) = 1
@@ -298,7 +301,9 @@ let[@inline] is_gate = function
    The fabric- and trace-sized state of a check lives in columns that each
    domain reuses from check to check (a check never re-enters itself) and
    grows on demand, so certifying a job puts no fabric- or trace-sized
-   block on the major heap.  A check owns the columns until it returns.
+   block on the major heap; what a domain retains is bounded by the
+   largest fabric and trace it has certified.  A check owns the columns
+   until it returns.
 
    [code] is the cell index: one int per layout cell, refilled from the
    component's own tables at the start of every check.  A channel cell
