@@ -160,9 +160,7 @@ let () =
     fail "fault campaign: jobs=1 vs jobs=2 reports differ";
   (* router group: the engine's route cache must change counters only — on
      every Table-1 circuit a warm cache serves strictly fewer live searches
-     yet returns the same latency bits and trace — and the MVFB search must
-     be bit-identical with the incremental stack on or off, with the
-     incremental winner certifying *)
+     yet returns the same latency bits and trace *)
   let placement = Placer.Center.place (Qspr.Mapper.component ctx) ~num_qubits:nq in
   let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
   List.iter
@@ -208,27 +206,6 @@ let () =
           r2.Simulator.Engine.route_searches r1.Simulator.Engine.route_searches;
       if r2.Simulator.Engine.route_cache_hits = 0 then fail "%s: warm route cache never hit" name)
     (Circuits.Qecc.all ());
-  let mvfb incremental =
-    let config = Qspr.Config.(default |> with_incremental incremental) in
-    let ctx =
-      match Qspr.Mapper.create ~fabric ~config p with Ok c -> c | Error e -> fail "%s" e
-    in
-    let sol =
-      match map_at ~m:2 Mvfb ctx with
-      | Ok s -> s
-      | Error e -> fail "mvfb incremental=%b: %s" incremental (Qspr.Mapper.error_to_string e)
-    in
-    (ctx, sol)
-  in
-  let _, on = mvfb true in
-  let off_ctx, off = mvfb false in
-  check_eq "mvfb incremental on vs off" on.Qspr.Mapper.latency off.Qspr.Mapper.latency;
-  if on.Qspr.Mapper.trace <> off.Qspr.Mapper.trace then
-    fail "mvfb incremental on vs off: traces differ";
-  let cert_off = Analysis.Certify.of_solution off_ctx off in
-  if not cert_off.Analysis.Certify.valid then
-    fail "legacy-routing solution fails certification: %s"
-      (Format.asprintf "%a" Analysis.Certify.pp cert_off);
   (* delta group: the incremental estimator's transactional contract — undo
      restores the latency bitwise, a committed chain of swaps agrees with a
      from-scratch evaluation, and resync reports zero drift *)
@@ -538,7 +515,7 @@ let () =
     "bench-smoke: OK (workspace routing exact, parallel search exact, estimator pure, \
      prescreen consistent, winner certified, certified bound admissible and deterministic, \
      fault campaign deterministic, route cache bit-identical with fewer searches on all six \
-     Table-1 circuits, incremental on/off identical, delta transactions exact, delta-SA >= 10x \
+     Table-1 circuits, delta transactions exact, delta-SA >= 10x \
      full-estimate SA on all six, portfolio deterministic and never worse than the anneal, \
      six-circuit service batch identical at jobs 1/2/4 and to independent certified runs with \
      fewer searches than cold services in <= 1.15x their wall time, warm evaluations >= 5x \

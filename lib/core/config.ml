@@ -17,7 +17,6 @@ type t = {
   jobs : int;
   prescreen_k : int option;
   budget : budget;
-  incremental_routing : bool;
 }
 
 let default =
@@ -32,7 +31,6 @@ let default =
     jobs = 1;
     prescreen_k = None;
     budget = no_budget;
-    incremental_routing = true;
   }
 
 let with_m m t = { t with m }
@@ -41,7 +39,9 @@ let with_seed rng_seed t = { t with rng_seed }
 let with_jobs jobs t = { t with jobs }
 let with_prescreen prescreen_k t = { t with prescreen_k }
 let with_budget budget t = { t with budget }
-let with_incremental incremental_routing t = { t with incremental_routing }
+let with_incremental on t =
+  if on then t
+  else invalid_arg "Config.with_incremental false: the legacy routing stack was removed"
 
 (* Each variable overrides one field when it parses and is in range;
    unset, unparsable or out-of-range values keep the base's value. *)

@@ -42,21 +42,13 @@ type t = {
           candidate placements per search; [None] routes every candidate. *)
   budget : budget;
       (** anytime-search budgets for the randomized placers; see {!budget}. *)
-  incremental_routing : bool;
-      (** the incremental routing stack: dirty-net rerouting in the
-          Pathfinder and the cross-candidate route cache in the engine.
-          Engine latencies and traces are bit-identical either way (cache
-          hits replay the uncached search verbatim); Pathfinder negotiation
-          converges to an equal-quality fixpoint that may pick different
-          equal-cost routes past iteration 1.  Off retains the legacy
-          full-reroute / uncached path for A/B comparison. *)
 }
 
 val default : t
 (** Paper values: T_move=1us, T_turn=10us, T_1q=10us, T_2q=100us, channel
     capacity 2, m=100, patience 3, seed 2012; sequential ([jobs] 1), no
-    pre-screening, no budget, 20_000 delta-annealing moves, incremental
-    routing on.  A constant: the library never reads the environment. *)
+    pre-screening, no budget, 20_000 delta-annealing moves.  A constant:
+    the library never reads the environment. *)
 
 val of_env : (string -> string option) -> t -> t
 (** [of_env getenv base] applies the environment overrides that the
@@ -78,6 +70,13 @@ val with_jobs : int -> t -> t
 val with_prescreen : int option -> t -> t
 val with_budget : budget -> t -> t
 val with_incremental : bool -> t -> t
+(** A shim kept only for the benchmark harness's [with_incremental true]
+    call ([qbench/bench.ml]): [true] returns the config unchanged.  The
+    route cache and dirty-net rerouting are the only routing stack, so
+    there is nothing to switch off.  Delete this together with that call
+    (ROADMAP item D).
+    @raise Invalid_argument on [false]: the legacy routing stack was
+    removed. *)
 
 val validate : t -> (t, string) result
 (** Checks positivity of [m], [patience], [jobs], [prescreen_k] and the

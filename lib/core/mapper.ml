@@ -14,9 +14,6 @@ type t = {
   estimator : Estimator.Model.t Lazy.t;
       (* built on first use (one Dijkstra per trap); forced on the main
          domain before any pool fan-out — Lazy.force is not domain-safe *)
-  shared_routes : Router.Route_cache.snapshot option;
-      (* per-fabric warm tables published by the service; attached to the
-         engine's route cache before every run *)
   route_cache : Router.Route_cache.t option;
       (* explicit per-context cache overriding the domain-local one; the
          holder promises the context runs on a single domain *)
@@ -82,6 +79,11 @@ let qspr_priorities t = t.priorities
 
 let ideal_latency t = Baseline.latency_of_dag t.config.Config.timing t.dag
 
+(* The gate nodes of a dependency graph, in id (program) order. *)
+let gate_nodes d =
+  Array.of_list
+    (List.filter (fun i -> Instr.is_gate (Dag.node d i).Dag.instr) (List.init (Dag.num_nodes d) Fun.id))
+
 (* Priorities that make the backward (UIDG) run follow S*, the reverse of
    the forward schedule S (Section IV.A).  UIDG gate k corresponds to QIDG
    gate (G-1-k); its priority is the forward rank of that gate, so the last
@@ -92,18 +94,13 @@ let backward_priorities_of dag udag fprios =
   let order = Scheduler.Priority.order_of_priorities fprios in
   let rank = Array.make n 0 in
   Array.iteri (fun r id -> rank.(id) <- r) order;
-  let gate_nodes d =
-    Array.of_list
-      (List.filter (fun i -> Instr.is_gate (Dag.node d i).Dag.instr) (List.init (Dag.num_nodes d) Fun.id))
-  in
   let fg = gate_nodes dag and bg = gate_nodes udag in
   let g = Array.length fg in
   let prios = Array.make (Dag.num_nodes udag) (float_of_int (2 * n)) in
   Array.iteri (fun k u -> prios.(u) <- float_of_int rank.(fg.(g - 1 - k))) bg;
   prios
 
-let create ~fabric ?(config = Config.default) ?prebuilt ?distance ?shared_routes ?route_cache
-    program =
+let create ~fabric ?(config = Config.default) ?prebuilt ?distance ?route_cache program =
   match Config.validate config with
   | Error _ as e -> e
   | Ok config -> (
@@ -148,7 +145,6 @@ let create ~fabric ?(config = Config.default) ?prebuilt ?distance ?shared_routes
                 priorities;
                 backward_priorities;
                 estimator;
-                shared_routes;
                 route_cache;
               }
           end)
@@ -157,21 +153,11 @@ let create ~fabric ?(config = Config.default) ?prebuilt ?distance ?shared_routes
    run_forward/run_backward out over pool workers, each of which keeps its
    own), so it must be fetched inside the engine call, not captured when the
    closure is built on the main domain.  A context-held cache overrides the
-   domain-local one (the holder promises single-domain use); any shared
-   snapshot for this context's graph is attached as the cache's read-only
-   fallback layer before the run. *)
+   domain-local one (the holder promises single-domain use). *)
 let route_cache_of t =
-  if not t.config.Config.incremental_routing then None
-  else begin
-    let cache =
-      match t.route_cache with Some c -> c | None -> Router.Route_cache.domain_local ()
-    in
-    (match t.shared_routes with
-    | Some snap when Router.Route_cache.snapshot_graph snap == t.graph ->
-        Router.Route_cache.attach cache snap
-    | Some _ | None -> Router.Route_cache.for_graph cache t.graph);
-    Some cache
-  end
+  let cache = match t.route_cache with Some c -> c | None -> Router.Route_cache.domain_local () in
+  Router.Route_cache.for_graph cache t.graph;
+  cache
 
 (* The request deadline's cancellation checkpoint, armed from the config's
    budget: raises Ion_util.Clock.Expired once the deadline passes.  Handed
@@ -185,18 +171,18 @@ let guarded f =
 
 let run_with t ~policy ~priorities ~placement =
   Engine.run ~graph:t.graph ~timing:t.config.Config.timing ~policy ~dag:t.dag ~priorities ~placement
-    ?route_cache:(route_cache_of t) ?cancel:(cancel_of t) ()
+    ~route_cache:(route_cache_of t) ?cancel:(cancel_of t) ()
 
 let run_forward t placement =
   Engine.run ~graph:t.graph ~timing:t.config.Config.timing ~policy:t.config.Config.qspr_policy
-    ~dag:t.dag ~priorities:t.priorities ~placement ?route_cache:(route_cache_of t)
+    ~dag:t.dag ~priorities:t.priorities ~placement ~route_cache:(route_cache_of t)
     ?cancel:(cancel_of t) ()
 
 let run_backward t placement =
   match (t.udag, t.backward_priorities) with
   | Some udag, Some prios ->
       Engine.run ~graph:t.graph ~timing:t.config.Config.timing ~policy:t.config.Config.qspr_policy
-        ~dag:udag ~priorities:prios ~placement ?route_cache:(route_cache_of t)
+        ~dag:udag ~priorities:prios ~placement ~route_cache:(route_cache_of t)
         ?cancel:(cancel_of t) ()
   | None, _ | _, None ->
       Error
@@ -209,10 +195,6 @@ let run_backward t placement =
    map so a reversed trace's gate events reference the forward program —
    consumers (noise replay, JSON export) look gates up there. *)
 let backward_id_map dag udag =
-  let gate_nodes d =
-    Array.of_list
-      (List.filter (fun i -> Instr.is_gate (Dag.node d i).Dag.instr) (List.init (Dag.num_nodes d) Fun.id))
-  in
   let fg = gate_nodes dag and bg = gate_nodes udag in
   let g = Array.length fg in
   let map = Array.init (Dag.num_nodes udag) Fun.id in

@@ -21,7 +21,6 @@ val create :
   ?config:Config.t ->
   ?prebuilt:Fabric.Component.t * Fabric.Graph.t ->
   ?distance:Estimator.Distance.t ->
-  ?shared_routes:Router.Route_cache.snapshot ->
   ?route_cache:Router.Route_cache.t ->
   Qasm.Program.t ->
   (t, string) result
@@ -33,11 +32,11 @@ val create :
     already-extracted component and its graph (skipping re-extraction and,
     critically, giving every context the same physical graph so warm route
     tables key correctly); [distance] supplies prebuilt estimator distance
-    tables; [shared_routes] is a frozen per-fabric table snapshot attached
-    to the engine's route cache before every run; [route_cache] overrides
-    the domain-local cache with an explicit per-context one — the caller
-    promises the context then runs on a single domain (a config with
-    [jobs] 1), in exchange for exact per-context hit/miss counters. *)
+    tables; [route_cache] overrides the domain-local cache with an explicit
+    per-context one — the caller promises the context then runs on a single
+    domain (a config with [jobs] 1), in exchange for exact per-context
+    hit/miss counters.  Every engine run goes through a route cache: this
+    one when given, else the evaluating domain's. *)
 
 val graph : t -> Fabric.Graph.t
 val component : t -> Fabric.Component.t

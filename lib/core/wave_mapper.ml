@@ -71,7 +71,6 @@ let map_unguarded ?placement ctx =
     (* one cache across all wave levels: lower-bound tables and the
        congestion-free routes of earlier levels seed the later ones *)
     let cache = Router.Route_cache.create () in
-    let incremental = cfg.Config.incremental_routing in
     let error = ref None in
     let stats = ref [] in
     let clock = ref 0.0 in
@@ -132,8 +131,7 @@ let map_unguarded ?placement ctx =
               let nets = List.rev !nets in
               match
                 Router.Pathfinder.route_all graph
-                  ~turn_cost:(Router.Timing.turn_cost_in_moves tm)
-                  ~incremental ~cache
+                  ~turn_cost:(Router.Timing.turn_cost_in_moves tm) ~cache
                   ?cancel:(Ion_util.Clock.guard cfg.Config.budget.Config.deadline)
                   ~capacity nets
               with

@@ -15,25 +15,6 @@ let qubits_of = function
   | Move { qubit; _ } | Turn { qubit; _ } -> [ qubit ]
   | Gate_start { qubits; _ } | Gate_end { qubits; _ } -> qubits
 
-let lower_path graph (tm : Timing.t) ~qubit ~start (p : Path.t) =
-  let clock = ref start in
-  let pos = ref (Graph.node_pos graph (Path.src p)) in
-  let cmds = ref [] in
-  for i = 0 to Path.step_count p - 1 do
-    let t0 = !clock in
-    if Path.step_is_turn p i then begin
-      clock := t0 +. tm.Timing.t_turn;
-      cmds := Turn { qubit; at = !pos; start = t0; finish = !clock } :: !cmds
-    end
-    else begin
-      let dst_pos = Graph.node_pos graph (Path.step_dst p i) in
-      clock := t0 +. tm.Timing.t_move;
-      cmds := Move { qubit; from_ = !pos; to_ = dst_pos; start = t0; finish = !clock } :: !cmds;
-      pos := dst_pos
-    end
-  done;
-  (List.rev !cmds, !clock)
-
 let reverse_command ~total = function
   | Move { qubit; from_; to_; start; finish } ->
       Move { qubit; from_ = to_; to_ = from_; start = total -. finish; finish = total -. start }
@@ -145,7 +126,8 @@ module Builder = struct
   let add_gate_end b ~instr_id ~trap ~q0 ~q1 ~time =
     push b ~tag:tag_gate_end ~qa:instr_id ~t0:time ~t1:time ~ca:trap ~cb:trap ~q0 ~q1
 
-  (* Identical clock/position walk to [lower_path], appended in place. *)
+  (* One command per path step, departing at [start]: the clock advances by
+     t_turn per junction turn and t_move per move. *)
   let lower_path b graph (tm : Timing.t) ~qubit ~start (p : Path.t) =
     let clock = ref start in
     let pos = ref (Graph.node_pos graph (Path.src p)) in

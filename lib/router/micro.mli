@@ -22,11 +22,6 @@ val time : command -> float
 
 val qubits_of : command -> int list
 
-val lower_path :
-  Fabric.Graph.t -> Timing.t -> qubit:int -> start:float -> Path.t -> command list * float
-(** Lowers a routed path departing at [start] into Move/Turn commands,
-    returning them in order together with the arrival time. *)
-
 val reverse_command : total:float -> command -> command
 (** Time-mirrors a command around [total] (and swaps move endpoints,
     gate start/end): reversing a full trace of a backward MVFB run yields a
@@ -79,8 +74,9 @@ module Builder : sig
 
   val lower_path :
     t -> Fabric.Graph.t -> Timing.t -> qubit:int -> start:float -> Path.t -> float
-  (** Append the Move/Turn commands of a routed path (same walk as the
-      top-level {!lower_path}) and return the arrival time.  Allocation-free. *)
+  (** Lower a routed path departing at [start] into Move/Turn commands,
+      appended in path order, and return the arrival time.
+      Allocation-free. *)
 
   val to_commands : t -> command list
   (** Materialize all appended commands, stably sorted by {!time}. *)

@@ -36,7 +36,7 @@ let max_overuse _graph ~capacity routes =
   Resource.Tbl.fold (fun r users acc -> max acc (users - capacity r)) tbl 0
 
 let route_all graph ?(max_iterations = 30) ?(present_factor = 0.5) ?(history_increment = 1.0)
-    ?(turn_cost = 10.0) ?(incremental = true) ?cache ?cancel ~capacity nets =
+    ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
   if max_iterations < 1 then Error (Bad_parameters "max_iterations must be positive")
   else if present_factor < 0.0 || history_increment < 0.0 || turn_cost < 0.0 then
     Error (Bad_parameters "negative parameters")
@@ -133,12 +133,11 @@ let route_all graph ?(max_iterations = 30) ?(present_factor = 0.5) ?(history_inc
        function of (turn_cost, src, dst), so a caller-owned cache can seed
        it from an earlier call and absorb its result for later ones.  The
        seed substitutes verbatim for the search it skips: only exact
-       replays, never merely-equal-cost ones.  Seeding rides the same gate
-       as dirty-net rerouting so the legacy path stays a true baseline. *)
+       replays, never merely-equal-cost ones. *)
     let route net =
       let clean = !at_capacity = 0 && not !history_dirty in
       let seed =
-        if clean && incremental then
+        if clean then
           Route_cache.find cache Route_cache.Guided ~turn_cost ~src:net.src ~dst:net.dst
         else None
       in
@@ -152,7 +151,7 @@ let route_all graph ?(max_iterations = 30) ?(present_factor = 0.5) ?(history_inc
           Dijkstra.run_into ~heuristic:(Lower_bound.heuristic lb) workspace graph ~weight
             ~src:net.src ~dst:net.dst;
           let result = Path.of_workspace workspace graph ~src:net.src ~dst:net.dst in
-          if clean && incremental then
+          if clean then
             Route_cache.store cache Route_cache.Guided ~turn_cost ~src:net.src ~dst:net.dst result;
           result
     in
@@ -165,14 +164,13 @@ let route_all graph ?(max_iterations = 30) ?(present_factor = 0.5) ?(history_inc
     while (not !converged) && !error = None && !iterations < max_iterations do
       checkpoint ();
       incr iterations;
-      (* Iteration 1 routes everything.  Later iterations: the legacy path
-         rips up and re-routes every net; the incremental path only the
-         dirty nets — those whose current route crosses an overused resource
-         (straight off the reverse index), in input order.  An overused
-         resource always has users, so the worklist is never empty before
-         convergence. *)
+      (* Iteration 1 routes everything.  Later iterations rip up and
+         re-route only the dirty nets — those whose current route crosses an
+         overused resource (straight off the reverse index), in input order.
+         An overused resource always has users, so the worklist is never
+         empty before convergence. *)
       let worklist =
-        if !iterations = 1 || not incremental then nets
+        if !iterations = 1 then nets
         else begin
           let dirty = Hashtbl.create 16 in
           for r = 0 to nres - 1 do

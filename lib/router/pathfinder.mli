@@ -11,15 +11,10 @@
 
     Occupancy, the resource->nets reverse index and the overused set are
     maintained incrementally across rip-ups — never rebuilt — so the
-    convergence check is O(1) and, in the default {e incremental} mode, each
-    iteration after the first rips up and re-routes only the {e dirty} nets
-    (those whose current route crosses an overused resource).  Clean nets
-    keep their routes.  The legacy full-reroute schedule remains available
-    ([incremental:false]) for A/B comparison; both modes run the same
-    guided search, so single-iteration instances produce identical results
-    and multi-iteration ones differ only in which equal-quality fixpoint
-    negotiation lands on.  [doc/router.md] walks through the loop and the
-    admissibility argument.
+    convergence check is O(1), and each iteration after the first rips up
+    and re-routes only the {e dirty} nets (those whose current route crosses
+    an overused resource).  Clean nets keep their routes.  [doc/router.md]
+    walks through the loop and the admissibility argument.
 
     QSPR's own engine routes incrementally in event order instead; this
     module exists as the faithful baseline substrate, and the bench harness
@@ -51,18 +46,17 @@ val route_all :
   ?present_factor:float ->
   ?history_increment:float ->
   ?turn_cost:float ->
-  ?incremental:bool ->
   ?cache:Route_cache.t ->
   ?cancel:(unit -> unit) ->
   capacity:(Resource.t -> int) ->
   net list ->
   (outcome, error) result
 (** Defaults: 30 iterations, present factor 0.5 (scaled by the iteration
-    number), history increment 1.0, turn cost 10.0 move units, incremental
-    dirty-net rerouting on.  [cache], when given, carries lower-bound
-    tables and congestion-free routes across calls (it is rebound to this
-    graph, dropping entries from any other fabric); without one a private
-    per-call cache still shares tables between nets.  [Error] when some net
+    number), history increment 1.0, turn cost 10.0 move units.  [cache],
+    when given, carries lower-bound tables and congestion-free routes across
+    calls (it is rebound to this graph, dropping entries from any other
+    fabric); without one a private per-call cache still shares tables
+    between nets.  [Error] when some net
     has no route at all (disconnected endpoints) or arguments are invalid.
     [overused > 0] in the result means negotiation did not converge within
     the budget — the caller decides whether to accept the shared routes

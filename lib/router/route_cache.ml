@@ -93,7 +93,6 @@ let freeze t =
 
 let snapshot_paths s = Hashtbl.length s.snap_plain + Hashtbl.length s.snap_guided
 let snapshot_bounds s = Hashtbl.length s.snap_bounds
-let snapshot_graph s = s.snap_graph
 
 let workspace t = t.workspace
 

@@ -101,9 +101,6 @@ val snapshot_paths : snapshot -> int
 val snapshot_bounds : snapshot -> int
 (** Lower-bound tables in the snapshot. *)
 
-val snapshot_graph : snapshot -> Fabric.Graph.t
-(** The fabric graph the snapshot's entries were computed on. *)
-
 val hits : t -> int
 
 val misses : t -> int

@@ -113,8 +113,8 @@ type response = {
   job_id : string;
   verdict : verdict;
   cache : cache_stats option;
-      (** present for jobs that reached the engine when incremental
-          routing is on; omitted from deterministic encodings *)
+      (** present for mapped jobs (absent on refusals and response-cache
+          hits); omitted from deterministic encodings *)
   cpu_s : float;  (** omitted from deterministic encodings *)
   cached : bool;
       (** the response was served verbatim from the response cache;
@@ -123,23 +123,16 @@ type response = {
           there by construction) *)
 }
 
-val encode_job : job -> Ion_util.Json.t
-val decode_job : Ion_util.Json.t -> (job, string) result
-
 val job_of_line : string -> (job, string) result
-(** Parse one request line (JSON parse + [decode_job]). *)
+(** Parse one request line (JSON parse, then field decoding). *)
 
 val job_to_line : job -> string
-(** Compact single-line rendering of [encode_job]. *)
-
-val encode_response : ?deterministic:bool -> response -> Ion_util.Json.t
-(** [deterministic] (default false) omits the [cache] and [cpu_s]
-    sections, leaving only fields that are a pure function of the job. *)
-
-val decode_response : Ion_util.Json.t -> (response, string) result
+(** Compact single-line JSON rendering of a job. *)
 
 val response_to_line : ?deterministic:bool -> response -> string
-(** Compact single-line rendering of [encode_response]. *)
+(** Compact single-line JSON rendering of a response.  [deterministic]
+    (default false) omits the [cache] and [cpu_s] sections, leaving only
+    fields that are a pure function of the job. *)
 
 val response_of_line : string -> (response, string) result
 

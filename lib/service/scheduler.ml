@@ -2,54 +2,6 @@ module Route_cache = Router.Route_cache
 module Clock = Ion_util.Clock
 module Lru = Ion_util.Lru
 
-module type SERVICE = sig
-  type t
-
-  type limits = {
-    jobs : int;
-    max_pending : int;
-    max_quote_us : float option;
-    max_evals : int option;
-    shed_start : int option;
-    max_fabrics : int;
-    response_cache : int;
-    response_ttl_s : float option;
-  }
-
-  val default_limits : limits
-  val create : ?limits:limits -> ?config:Qspr.Config.t -> unit -> t
-  val submit : t -> Protocol.job -> Protocol.response
-
-  val run_batch :
-    ?first_slot:int ->
-    ?on_result:(Protocol.job -> Protocol.response -> unit) ->
-    t ->
-    Protocol.job list ->
-    Protocol.response list
-
-  val handle_line : ?deterministic:bool -> t -> string -> string
-
-  type rung = Full | Prescreen | Budgeted | Quote_only | Refused
-
-  val rung_of : limits -> slot:int -> rung
-  val rung_name : rung -> string
-
-  type stats = {
-    fabrics : int;
-    fabric_evictions : int;
-    shared_paths : int;
-    shared_bounds : int;
-    response_hits : int;
-    response_evictions : int;
-    completed : int;
-    rejected : int;
-    failed : int;
-    shed : int;
-  }
-
-  val stats : t -> stats
-end
-
 type limits = {
   jobs : int;
   max_pending : int;
@@ -503,17 +455,14 @@ let run_one p =
   (verdict, Sys.time () -. t0)
 
 let cache_stats_of t p =
-  if not t.base.Qspr.Config.incremental_routing then None
-  else
-    Some
-      {
-        Protocol.hits = Route_cache.hits p.p_cache;
-        misses = Route_cache.misses p.p_cache;
-        shared_hits = Route_cache.shared_hits p.p_cache;
-        bound_builds = Route_cache.bound_builds p.p_cache;
-        warm_paths = p.p_warm_paths;
-        fabric_evictions = Lru.evictions t.fabrics;
-      }
+  {
+    Protocol.hits = Route_cache.hits p.p_cache;
+    misses = Route_cache.misses p.p_cache;
+    shared_hits = Route_cache.shared_hits p.p_cache;
+    bound_builds = Route_cache.bound_builds p.p_cache;
+    warm_paths = p.p_warm_paths;
+    fabric_evictions = Lru.evictions t.fabrics;
+  }
 
 let count_verdict t = function
   | Protocol.Completed _ -> t.completed <- t.completed + 1
@@ -604,14 +553,13 @@ let run_batch ?(first_slot = 0) ?on_result t jobs =
         in
         (* fold this wave's private caches back into the per-fabric
            snapshots, in wave order, so the next wave starts warmer *)
-        if t.base.Qspr.Config.incremental_routing then
-          Array.iter
-            (fun p ->
-              (match p.p_entry.snapshot with
-              | Some s -> Route_cache.attach p.p_cache s
-              | None -> Route_cache.for_graph p.p_cache p.p_entry.graph);
-              p.p_entry.snapshot <- Some (Route_cache.freeze p.p_cache))
-            wave;
+        Array.iter
+          (fun p ->
+            (match p.p_entry.snapshot with
+            | Some s -> Route_cache.attach p.p_cache s
+            | None -> Route_cache.for_graph p.p_cache p.p_entry.graph);
+            p.p_entry.snapshot <- Some (Route_cache.freeze p.p_cache))
+          wave;
         Array.iteri
           (fun j (verdict, cpu_s) ->
             let p = wave.(j) in
@@ -620,7 +568,7 @@ let run_batch ?(first_slot = 0) ?on_result t jobs =
               {
                 Protocol.job_id = jobs.(i).Protocol.id;
                 verdict;
-                cache = cache_stats_of t p;
+                cache = Some (cache_stats_of t p);
                 cpu_s;
                 cached = false;
               }

@@ -1,8 +1,8 @@
 (** The mapping-as-a-service engine behind [qspr serve].
 
-    One contract ({!SERVICE}) drives the CLI daemon, the batch runner, the
-    tests and the throughput bench, so every consumer exercises the
-    identical admission, scheduling and cache-sharing machinery.
+    This one interface drives the CLI daemon, the batch runner, the tests
+    and the throughput bench, so every consumer exercises the identical
+    admission, scheduling and cache-sharing machinery.
 
     {2 Admission control}
 
@@ -82,91 +82,87 @@
     produce byte-identical deterministic response encodings.  Only the
     [cache]/[cpu_s] observability sections vary. *)
 
-module type SERVICE = sig
-  type t
+type t
 
-  type limits = {
-    jobs : int;  (** wave width: jobs mapped concurrently (1 = sequential) *)
-    max_pending : int;  (** admitted jobs per submission before queue-full *)
-    max_quote_us : float option;
-        (** refuse jobs whose estimator quote exceeds this latency *)
-    max_evals : int option;
-        (** ceiling on requested [max_evals]; also the default per-job
-            evaluation budget when a job requests none *)
-    shed_start : int option;
-        (** admission slot where the degradation ladder starts
-            (default [max_pending / 2], min 1); clamped to
-            [\[0, max_pending\]] *)
-    max_fabrics : int;
-        (** warm-state registry capacity; least-recently-served fabric
-            evicted beyond it (0 disables warm sharing entirely) *)
-    response_cache : int;
-        (** response cache capacity in entries (0 disables) *)
-    response_ttl_s : float option;
-        (** optional response time-to-live on the service clock *)
-  }
+type limits = {
+  jobs : int;  (** wave width: jobs mapped concurrently (1 = sequential) *)
+  max_pending : int;  (** admitted jobs per submission before queue-full *)
+  max_quote_us : float option;
+      (** refuse jobs whose estimator quote exceeds this latency *)
+  max_evals : int option;
+      (** ceiling on requested [max_evals]; also the default per-job
+          evaluation budget when a job requests none *)
+  shed_start : int option;
+      (** admission slot where the degradation ladder starts
+          (default [max_pending / 2], min 1); clamped to
+          [\[0, max_pending\]] *)
+  max_fabrics : int;
+      (** warm-state registry capacity; least-recently-served fabric
+          evicted beyond it (0 disables warm sharing entirely) *)
+  response_cache : int;
+      (** response cache capacity in entries (0 disables) *)
+  response_ttl_s : float option;
+      (** optional response time-to-live on the service clock *)
+}
 
-  val default_limits : limits
-  (** [jobs = 1], [max_pending = 64], no quote or eval ceilings, ladder at
-      [max_pending / 2], [max_fabrics = 8], [response_cache = 256], no
-      response TTL. *)
+val default_limits : limits
+(** [jobs = 1], [max_pending = 64], no quote or eval ceilings, ladder at
+    [max_pending / 2], [max_fabrics = 8], [response_cache = 256], no
+    response TTL. *)
 
-  val create : ?limits:limits -> ?config:Qspr.Config.t -> unit -> t
-  (** A fresh service: empty fabric registry, zeroed counters.  [config]
-      (default {!Qspr.Config.default}) supplies timing, policies and placer
-      parameters; its wall-clock budget is stripped and its [jobs] field is
-      overridden to 1 per job (parallelism is across jobs, not within). *)
+val create : ?limits:limits -> ?config:Qspr.Config.t -> unit -> t
+(** A fresh service: empty fabric registry, zeroed counters.  [config]
+    (default {!Qspr.Config.default}) supplies timing, policies and placer
+    parameters; its wall-clock budget is stripped and its [jobs] field is
+    overridden to 1 per job (parallelism is across jobs, not within). *)
 
-  val submit : t -> Protocol.job -> Protocol.response
-  (** Admit and run one job synchronously.  Warm per-fabric state persists
-      on [t], so repeated submissions against one fabric get warmer. *)
+val submit : t -> Protocol.job -> Protocol.response
+(** Admit and run one job synchronously.  Warm per-fabric state persists
+    on [t], so repeated submissions against one fabric get warmer. *)
 
-  val run_batch :
-    ?first_slot:int ->
-    ?on_result:(Protocol.job -> Protocol.response -> unit) ->
-    t ->
-    Protocol.job list ->
-    Protocol.response list
-  (** Admit every job, then map the admitted ones across [limits.jobs]
-      domains in waves, merging warm tables between waves.  Responses are
-      in input order, and their deterministic encodings are byte-identical
-      to [submit]ting each job sequentially.
+val run_batch :
+  ?first_slot:int ->
+  ?on_result:(Protocol.job -> Protocol.response -> unit) ->
+  t ->
+  Protocol.job list ->
+  Protocol.response list
+(** Admit every job, then map the admitted ones across [limits.jobs]
+    domains in waves, merging warm tables between waves.  Responses are
+    in input order, and their deterministic encodings are byte-identical
+    to [submit]ting each job sequentially.
 
-      [first_slot] (default 0) pre-advances the ladder slot counter — the
-      journal replay path uses it so a resumed batch sheds exactly as the
-      interrupted run would have.  [on_result] streams each (job, response)
-      pair in input order as soon as it is final: refusals immediately,
-      mapped jobs as their wave completes — the crash-only journal appends
-      from this callback. *)
+    [first_slot] (default 0) pre-advances the ladder slot counter — the
+    journal replay path uses it so a resumed batch sheds exactly as the
+    interrupted run would have.  [on_result] streams each (job, response)
+    pair in input order as soon as it is final: refusals immediately,
+    mapped jobs as their wave completes — the crash-only journal appends
+    from this callback. *)
 
-  val handle_line : ?deterministic:bool -> t -> string -> string
-  (** One protocol round: parse a request line, run it, render the response
-      line.  Malformed requests become structured [Rejected]/["request"]
-      responses rather than exceptions. *)
+val handle_line : ?deterministic:bool -> t -> string -> string
+(** One protocol round: parse a request line, run it, render the response
+    line.  Malformed requests become structured [Rejected]/["request"]
+    responses rather than exceptions. *)
 
-  (** The degradation-ladder rungs, cheapest-to-serve last. *)
-  type rung = Full | Prescreen | Budgeted | Quote_only | Refused
+(** The degradation-ladder rungs, cheapest-to-serve last. *)
+type rung = Full | Prescreen | Budgeted | Quote_only | Refused
 
-  val rung_of : limits -> slot:int -> rung
-  (** Pure ladder policy: the rung a job admitted at [slot] receives. *)
+val rung_of : limits -> slot:int -> rung
+(** Pure ladder policy: the rung a job admitted at [slot] receives. *)
 
-  val rung_name : rung -> string
-  (** The wire name carried in [Completed.shed] (["none"] for [Full]). *)
+val rung_name : rung -> string
+(** The wire name carried in [Completed.shed] (["none"] for [Full]). *)
 
-  type stats = {
-    fabrics : int;  (** distinct fabrics in the registry *)
-    fabric_evictions : int;  (** warm fabric entries dropped by the LRU cap *)
-    shared_paths : int;  (** warm path entries across all snapshots *)
-    shared_bounds : int;  (** warm lower-bound tables across all snapshots *)
-    response_hits : int;  (** responses served from the response cache *)
-    response_evictions : int;  (** response entries evicted or expired *)
-    completed : int;
-    rejected : int;
-    failed : int;
-    shed : int;  (** jobs answered below full service (rungs + quote-only) *)
-  }
+type stats = {
+  fabrics : int;  (** distinct fabrics in the registry *)
+  fabric_evictions : int;  (** warm fabric entries dropped by the LRU cap *)
+  shared_paths : int;  (** warm path entries across all snapshots *)
+  shared_bounds : int;  (** warm lower-bound tables across all snapshots *)
+  response_hits : int;  (** responses served from the response cache *)
+  response_evictions : int;  (** response entries evicted or expired *)
+  completed : int;
+  rejected : int;
+  failed : int;
+  shed : int;  (** jobs answered below full service (rungs + quote-only) *)
+}
 
-  val stats : t -> stats
-end
-
-include SERVICE
+val stats : t -> stats

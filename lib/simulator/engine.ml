@@ -87,7 +87,7 @@ type state = {
   edge_weights : float array;
       (* the workspace's edge-weight slot, kept equal to [weight] on every
          edge by [congestion] (Congestion.track_weights) for the whole run *)
-  route_cache : Route_cache.t option; (* congestion-free path memo, None = legacy *)
+  route_cache : Route_cache.t option; (* congestion-free path memo; None = uncached *)
   mutable route_searches : int;
   mutable route_cache_hits : int;
 }

@@ -88,7 +88,8 @@ val run :
     result bit-for-bit, so the trace and latency are identical with or
     without a cache — only {!result.route_searches} shrinks.  The cache is
     single-domain state; pass each domain its own
-    ({!Router.Route_cache.domain_local}).
+    ({!Router.Route_cache.domain_local}).  Every [Mapper] run passes one;
+    an uncached run is the reference the cache tests compare against.
 
     [cancel], when given, is a cooperative cancellation checkpoint polled
     once per event batch.  It returns unit on "keep going" and signals

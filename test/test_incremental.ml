@@ -1,10 +1,8 @@
-(* Equivalence and performance-counter tests for the incremental routing
-   stack (dirty-net PathFinder, lower-bound A*, cross-candidate route
-   cache): Table-1 circuits must map to bit-identical latencies and traces
-   with the cache on or off, both solutions must certify, a warm engine
-   cache must strictly reduce single-net searches without changing the
-   trace, and the parallel-determinism detector must stay silent with the
-   cache enabled. *)
+(* Equivalence and performance-counter tests for the route cache: an
+   engine run through a cache warmed by other placements, forward or
+   backward, is bit-identical to an uncached run, a warm cache strictly
+   reduces single-net searches without changing the trace, and the
+   parallel-determinism detector stays silent with the cache armed. *)
 
 open Qspr
 
@@ -13,81 +11,14 @@ let check_bool = Alcotest.(check bool)
 
 let fabric () = Fabric.Layout.quale_45x85 ()
 
-let config incremental =
-  Config.default |> Config.with_m 3 |> Config.with_seed 99
-  |> Config.with_incremental incremental
+let config = Config.default |> Config.with_m 3 |> Config.with_seed 99
 
-let ctx_of ~incremental program =
-  match Mapper.create ~fabric:(fabric ()) ~config:(config incremental) program with
+let ctx_of program =
+  match Mapper.create ~fabric:(fabric ()) ~config program with
   | Ok c -> c
   | Error e -> Alcotest.failf "Mapper.create: %s" e
 
-let solve ~incremental program =
-  match Mapper.map Mvfb (ctx_of ~incremental program) with
-  | Ok s -> s
-  | Error e -> Alcotest.failf "map Mvfb: %s" (Mapper.error_to_string e)
-
 let float_bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-(* ----------------------------------------- Table 1: on/off bit identity *)
-
-let table1 () = [ ("[[5,1,3]]", Circuits.Qecc.c513 ()); ("[[7,1,3]]", Circuits.Qecc.c713 ()) ]
-
-let test_table1_on_off_identical () =
-  List.iter
-    (fun (name, program) ->
-      let on = solve ~incremental:true program in
-      let off = solve ~incremental:false program in
-      check_bool
-        (Printf.sprintf "%s: latency bits identical" name)
-        true
-        (float_bits_eq on.Mapper.latency off.Mapper.latency);
-      check_bool
-        (Printf.sprintf "%s: traces identical" name)
-        true
-        (on.Mapper.trace = off.Mapper.trace);
-      check_bool
-        (Printf.sprintf "%s: initial placements identical" name)
-        true
-        (on.Mapper.initial_placement = off.Mapper.initial_placement);
-      check_bool
-        (Printf.sprintf "%s: final placements identical" name)
-        true
-        (on.Mapper.final_placement = off.Mapper.final_placement))
-    (table1 ())
-
-(* ------------------------------------- both modes certify, same digest *)
-
-let certify ctx sol =
-  let cfg = Mapper.config ctx in
-  let policy = cfg.Config.qspr_policy in
-  Analysis.Certify.check ~component:(Mapper.component ctx) ~timing:cfg.Config.timing
-    ~channel_capacity:policy.Simulator.Engine.channel_capacity
-    ~junction_capacity:policy.Simulator.Engine.junction_capacity ~dag:(Mapper.dag ctx)
-    ~initial_placement:sol.Mapper.initial_placement
-    ~final_placement:sol.Mapper.final_placement
-    ~claimed_latency:sol.Mapper.latency sol.Mapper.trace
-
-let test_both_modes_certify () =
-  let program = Circuits.Qecc.c513 () in
-  let run incremental =
-    let ctx = ctx_of ~incremental program in
-    let sol =
-      match Mapper.map Mvfb ctx with
-      | Ok s -> s
-      | Error e -> Alcotest.failf "map Mvfb: %s" (Mapper.error_to_string e)
-    in
-    certify ctx sol
-  in
-  let on = run true and off = run false in
-  if not on.Analysis.Certify.valid then
-    Alcotest.failf "incremental trace fails certification:\n%s"
-      (String.concat "\n" (List.map (Format.asprintf "%a" Analysis.Finding.pp) on.Analysis.Certify.findings));
-  if not off.Analysis.Certify.valid then
-    Alcotest.failf "legacy trace fails certification:\n%s"
-      (String.concat "\n" (List.map (Format.asprintf "%a" Analysis.Finding.pp) off.Analysis.Certify.findings));
-  check_bool "same certified schedule digest" true
-    (Int64.equal on.Analysis.Certify.digest off.Analysis.Certify.digest)
 
 (* --------------------------------- engine: warm cache cuts searches only *)
 
@@ -103,7 +34,7 @@ let engine_run ?route_cache ctx placement =
 
 let test_engine_cache_bit_identical_and_fewer_searches () =
   let program = Circuits.Qecc.c513 () in
-  let ctx = ctx_of ~incremental:true program in
+  let ctx = ctx_of program in
   let center =
     Placer.Center.place (Mapper.component ctx)
       ~num_qubits:(Qasm.Program.num_qubits program)
@@ -130,7 +61,7 @@ let test_engine_cache_bit_identical_and_fewer_searches () =
 
 let test_determinism_with_cache () =
   let program = Circuits.Qecc.c513 () in
-  let ctx = ctx_of ~incremental:true program in
+  let ctx = ctx_of program in
   let findings =
     Analysis.Determinism.check ~label:"mvfb incremental" ~jobs:3 (fun ~jobs ->
         Mapper.map Mvfb (Mapper.with_search (Config.with_jobs jobs) ctx))
@@ -139,15 +70,93 @@ let test_determinism_with_cache () =
     Alcotest.failf "determinism findings with route cache on:\n%s"
       (String.concat "\n" (List.map (Format.asprintf "%a" Analysis.Finding.pp) findings))
 
+(* ---------------- warm cache = uncached, forward and backward (UIDG) *)
+
+(* One engine view per Table-1 circuit and direction: the forward QIDG
+   under the mapper's priorities, and the UIDG (the reversed dependency
+   graph) that MVFB's backward runs execute.  The cache contract does not
+   depend on which priorities order a run, so the UIDG takes its own QSPR
+   priorities. *)
+type view = { ctx : Mapper.t; dag : Qasm.Dag.t; priorities : float array }
+
+let views =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (_, program) ->
+            let ctx = ctx_of program in
+            let udag =
+              match Qasm.Dag.reverse (Mapper.dag ctx) with
+              | Ok u -> u
+              | Error e -> Alcotest.failf "Dag.reverse: %s" e
+            in
+            let delay = Router.Timing.gate_delay config.Config.timing in
+            ( { ctx; dag = Mapper.dag ctx; priorities = Mapper.qspr_priorities ctx },
+              {
+                ctx;
+                dag = udag;
+                priorities = Scheduler.Priority.compute Scheduler.Priority.qspr_default ~delay udag;
+              } ))
+          (Circuits.Qecc.all ())))
+
+(* qubits on distinct traps drawn from the 3n traps nearest the centre *)
+let random_placement ctx ~seed =
+  let comp = Mapper.component ctx in
+  let nq = Qasm.Program.num_qubits (Mapper.program ctx) in
+  let pool =
+    Array.of_list
+      (Placer.Center.center_traps comp (min (3 * nq) (Array.length (Fabric.Component.traps comp))))
+  in
+  let rng = Random.State.make seed in
+  for i = Array.length pool - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = pool.(i) in
+    pool.(i) <- pool.(j);
+    pool.(j) <- t
+  done;
+  Array.sub pool 0 nq
+
+let engine_view ?route_cache v placement =
+  match
+    Simulator.Engine.run ~graph:(Mapper.graph v.ctx) ~timing:config.Config.timing
+      ~policy:config.Config.qspr_policy ~dag:v.dag ~priorities:v.priorities ~placement ?route_cache ()
+  with
+  | Ok r -> r
+  | Error e -> QCheck.Test.fail_reportf "engine: %s" (Simulator.Engine.string_of_error e)
+
+(* property: a cache warmed the way MVFB warms it — forward runs from other
+   placements, each followed by a backward run from its final placement —
+   serves a new run, in either direction, the same latency bits, trace and
+   final placement as an uncached run, and serves every lookup the uncached
+   run searched, as a hit or a live search *)
+let prop_warm_cache_equals_uncached =
+  QCheck.Test.make ~name:"warm cache = uncached, both ways" ~count:40
+    QCheck.(quad (int_bound 5) bool (int_range 1 3) int)
+    (fun (circuit, backward, warmers, seed) ->
+      let fwd, bwd = (Lazy.force views).(circuit) in
+      let cache = Router.Route_cache.create () in
+      for k = 1 to warmers do
+        let r = engine_view ~route_cache:cache fwd (random_placement fwd.ctx ~seed:[| seed; k |]) in
+        ignore (engine_view ~route_cache:cache bwd r.Simulator.Engine.final_placement)
+      done;
+      let v = if backward then bwd else fwd in
+      let placement = random_placement v.ctx ~seed:[| seed; 0 |] in
+      let uncached = engine_view v placement in
+      let warm = engine_view ~route_cache:cache v placement in
+      float_bits_eq uncached.Simulator.Engine.latency warm.Simulator.Engine.latency
+      && uncached.Simulator.Engine.trace = warm.Simulator.Engine.trace
+      && uncached.Simulator.Engine.final_placement = warm.Simulator.Engine.final_placement
+      && warm.Simulator.Engine.route_searches + warm.Simulator.Engine.route_cache_hits
+         = uncached.Simulator.Engine.route_searches)
+
 let () =
   Alcotest.run "incremental"
     [
       ( "incremental",
         [
-          Alcotest.test_case "table-1 on/off bit identity" `Quick test_table1_on_off_identical;
-          Alcotest.test_case "both modes certify" `Quick test_both_modes_certify;
           Alcotest.test_case "engine cache: identical, fewer searches" `Quick
             test_engine_cache_bit_identical_and_fewer_searches;
           Alcotest.test_case "determinism with cache" `Quick test_determinism_with_cache;
+          QCheck_alcotest.to_alcotest prop_warm_cache_equals_uncached;
         ] );
     ]

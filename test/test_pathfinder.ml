@@ -93,7 +93,7 @@ let test_unroutable_reported () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "disconnected net accepted"
 
-(* ------------------------------------------------ incremental vs legacy *)
+(* ------------------------------------------------- dirty-net schedule *)
 
 let same_routes a b =
   List.length a = List.length b
@@ -101,52 +101,32 @@ let same_routes a b =
        (fun (ida, pa) (idb, pb) -> ida = idb && Path.equal pa pb)
        a b
 
-let test_incremental_matches_legacy_uncongested () =
-  (* plenty of capacity: both schedules converge in one iteration, so the
-     outcomes must be identical, search for search *)
-  let comp = quale () in
-  let g = Graph.build comp in
-  let traps = Array.length (Component.traps comp) in
-  let nets =
-    List.init 6 (fun i ->
-        { Pathfinder.net_id = i; src = Graph.trap_node g (i * 7); dst = Graph.trap_node g (traps - 1 - (i * 11)) })
-  in
-  let run incremental =
-    match Pathfinder.route_all g ~incremental ~capacity:cap2 nets with
+(* After iteration 1 only dirty nets are re-searched, so a negotiation that
+   needs [iterations] rounds over [nets] nets must run fewer searches than
+   the [nets * iterations] a full reroute of every net would.  The counts
+   are pinned: the schedule is deterministic. *)
+let check_fewer_searches label g ~capacity ~searches ~iterations nets =
+  let o =
+    match Pathfinder.route_all g ~capacity nets with
     | Ok o -> o
     | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
   in
-  let inc = run true and leg = run false in
-  check_int "both converge" 0 (inc.Pathfinder.overused + leg.Pathfinder.overused);
-  check_bool "identical routes" true (same_routes inc.Pathfinder.routes leg.Pathfinder.routes);
-  check_int "same iterations" leg.Pathfinder.iterations inc.Pathfinder.iterations;
-  check_int "same searches" leg.Pathfinder.searches inc.Pathfinder.searches
-
-let check_fewer_searches label g ~capacity nets =
-  let run incremental =
-    match Pathfinder.route_all g ~incremental ~capacity nets with
-    | Ok o -> o
-    | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
-  in
-  let inc = run true and leg = run false in
-  check_int (label ^ ": incremental converges") 0 inc.Pathfinder.overused;
-  check_int (label ^ ": legacy converges") 0 leg.Pathfinder.overused;
-  check_int (label ^ ": legacy fixpoint within capacity") 0
-    (Pathfinder.max_overuse g ~capacity leg.Pathfinder.routes);
-  check_int (label ^ ": incremental fixpoint within capacity") 0
-    (Pathfinder.max_overuse g ~capacity inc.Pathfinder.routes);
-  check_bool (label ^ ": negotiation actually iterated") true (leg.Pathfinder.iterations > 1);
+  check_int (label ^ ": converges") 0 o.Pathfinder.overused;
+  check_int (label ^ ": fixpoint within capacity") 0
+    (Pathfinder.max_overuse g ~capacity o.Pathfinder.routes);
+  let full = List.length nets * o.Pathfinder.iterations in
   check_bool
-    (Printf.sprintf "%s: strictly fewer searches (%d < %d)" label inc.Pathfinder.searches
-       leg.Pathfinder.searches)
+    (Printf.sprintf "%s: fewer searches than a full reroute (%d < %d)" label o.Pathfinder.searches
+       full)
     true
-    (inc.Pathfinder.searches < leg.Pathfinder.searches)
+    (o.Pathfinder.searches < full);
+  check_int (label ^ ": iterations") iterations o.Pathfinder.iterations;
+  check_int (label ^ ": searches") searches o.Pathfinder.searches
 
 let test_incremental_fewer_searches_when_congested () =
   (* two nets contest the top row at channel capacity 1 while a third runs
-     disjointly along the bottom row: negotiation needs a second iteration,
-     where the legacy schedule re-searches all three nets but the dirty-net
-     schedule leaves the clean bottom net alone *)
+     disjointly along the bottom row: negotiation iterates, and the rounds
+     after the first leave the clean bottom net alone *)
   let lay =
     Layout.make_grid ~width:17 ~height:13 ~pitch_x:6 ~pitch_y:5 ~margin:2 ~traps_per_channel:0 ()
   in
@@ -155,7 +135,7 @@ let test_incremental_fewer_searches_when_congested () =
   let top_dst = node_at g (Ion_util.Coord.make 14 2) (Some Cell.Horizontal) in
   let bot_src = node_at g (Ion_util.Coord.make 2 12) (Some Cell.Horizontal) in
   let bot_dst = node_at g (Ion_util.Coord.make 14 12) (Some Cell.Horizontal) in
-  check_fewer_searches "tile" g ~capacity:cap1
+  check_fewer_searches "tile" g ~capacity:cap1 ~searches:7 ~iterations:3
     [
       { Pathfinder.net_id = 0; src = top_src; dst = top_dst };
       { Pathfinder.net_id = 1; src = top_src; dst = top_dst };
@@ -166,7 +146,7 @@ let test_incremental_fewer_searches_when_congested () =
   let comp = quale () in
   let g = Graph.build comp in
   let traps = Array.length (Component.traps comp) in
-  check_fewer_searches "wave10" g ~capacity:cap2
+  check_fewer_searches "wave10" g ~capacity:cap2 ~searches:46 ~iterations:8
     (List.init 10 (fun i ->
          {
            Pathfinder.net_id = i;
@@ -192,30 +172,39 @@ let test_cache_seeds_across_calls () =
   check_int "warm call searches nothing" 0 warm.Pathfinder.searches;
   check_bool "identical routes" true (same_routes cold.Pathfinder.routes warm.Pathfinder.routes)
 
-(* property: incremental and legacy schedules agree exactly whenever the
-   wave converges without negotiation (one iteration) *)
-let prop_incremental_equals_legacy_when_clean =
-  QCheck.Test.make ~name:"incremental = legacy on one-iteration waves" ~count:25
-    QCheck.(list_of_size Gen.(2 -- 8) (pair (int_bound 1000) (int_bound 1000)))
-    (fun pairs ->
-      let comp = quale () in
-      let g = Graph.build comp in
-      let traps = Array.length (Component.traps comp) in
+(* property: a warm cache changes counters only.  A wave routed a second
+   time on the cache its first routing filled returns the same routes in the
+   same number of iterations, and serves every lookup the fresh routing
+   made, as a seed or a search: seeds are exact replays, taken only while
+   the negotiation weights still equal the base weights.  Capacities 1 and
+   2 make many waves negotiate over several iterations. *)
+let quale_graph = lazy (Graph.build (quale ()))
+
+let prop_warm_cache_equals_fresh =
+  QCheck.Test.make ~name:"warm cache = fresh cache" ~count:100
+    QCheck.(pair bool (list_of_size Gen.(2 -- 10) (pair (int_bound 1000) (int_bound 1000))))
+    (fun (tight, pairs) ->
+      let g = Lazy.force quale_graph in
+      let capacity = if tight then cap1 else cap2 in
+      let traps = Array.length (Component.traps (Graph.component g)) in
       let nets =
         List.mapi
           (fun i (a, b) ->
             { Pathfinder.net_id = i; src = Graph.trap_node g (a mod traps); dst = Graph.trap_node g (b mod traps) })
           pairs
       in
-      let run incremental = Pathfinder.route_all g ~incremental ~capacity:cap2 nets in
-      match (run true, run false) with
+      let cache = Route_cache.create () in
+      let run () = Pathfinder.route_all g ~cache ~capacity nets in
+      let fresh = run () in
+      let warm = run () in
+      match (fresh, warm) with
       | Error _, Error _ -> true
-      | Ok inc, Ok leg ->
-          (* multi-iteration negotiations may land on different equal-quality
-             fixpoints; single-iteration waves must agree exactly *)
-          leg.Pathfinder.iterations > 1
-          || (same_routes inc.Pathfinder.routes leg.Pathfinder.routes
-             && inc.Pathfinder.searches = leg.Pathfinder.searches)
+      | Ok f, Ok w ->
+          same_routes f.Pathfinder.routes w.Pathfinder.routes
+          && f.Pathfinder.iterations = w.Pathfinder.iterations
+          && f.Pathfinder.overused = w.Pathfinder.overused
+          && w.Pathfinder.searches + w.Pathfinder.seeded
+             = f.Pathfinder.searches + f.Pathfinder.seeded
       | _ -> false)
 
 let test_parameter_guards () =
@@ -256,12 +245,10 @@ let () =
           Alcotest.test_case "contested nets negotiate" `Quick test_contested_nets_negotiate_apart;
           Alcotest.test_case "wave on 45x85" `Quick test_wave_on_quale_capacity2;
           Alcotest.test_case "unroutable reported" `Quick test_unroutable_reported;
-          Alcotest.test_case "incremental = legacy uncongested" `Quick
-            test_incremental_matches_legacy_uncongested;
           Alcotest.test_case "incremental saves searches" `Quick
             test_incremental_fewer_searches_when_congested;
           Alcotest.test_case "cache seeds across calls" `Quick test_cache_seeds_across_calls;
           Alcotest.test_case "guards" `Quick test_parameter_guards;
         ]
-        @ qsuite [ prop_fixpoint_within_capacity; prop_incremental_equals_legacy_when_clean ] );
+        @ qsuite [ prop_fixpoint_within_capacity; prop_warm_cache_equals_fresh ] );
     ]

@@ -43,7 +43,6 @@ let test_config_default_is_paper () =
         jobs = 1;
         prescreen_k = None;
         budget = Config.no_budget;
-        incremental_routing = true;
       })
 
 let test_config_guards () =

@@ -334,9 +334,15 @@ let test_path_cells_adjacent () =
 
 (* ---------------------------------------------------------------- Micro *)
 
+(* lower a path through the engine's trace arena and materialize it *)
+let lower g tm ~qubit ~start p =
+  let b = Micro.Builder.create () in
+  let arrival = Micro.Builder.lower_path b g tm ~qubit ~start p in
+  (Micro.Builder.to_commands b, arrival)
+
 let test_micro_lowering () =
   let g, tm, p = route_tile 0 3 in
-  let cmds, arrival = Micro.lower_path g tm ~qubit:7 ~start:100.0 p in
+  let cmds, arrival = lower g tm ~qubit:7 ~start:100.0 p in
   check_int "one command per edge" (Path.step_count p) (List.length cmds);
   check_float "arrival" (100.0 +. Path.duration tm p) arrival;
   (* commands are time-contiguous *)
@@ -353,7 +359,7 @@ let test_micro_lowering () =
 
 let test_micro_turn_durations () =
   let g, tm, p = route_tile 0 3 in
-  let cmds, _ = Micro.lower_path g tm ~qubit:0 ~start:0.0 p in
+  let cmds, _ = lower g tm ~qubit:0 ~start:0.0 p in
   let nturn = List.length (List.filter (function Micro.Turn _ -> true | _ -> false) cmds) in
   let nmove = List.length (List.filter (function Micro.Move _ -> true | _ -> false) cmds) in
   check_int "turns" (Path.turns p) nturn;
