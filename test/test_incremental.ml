@@ -1,8 +1,10 @@
-(* Equivalence and performance-counter tests for the route cache: an
-   engine run through a cache warmed by other placements, forward or
-   backward, is bit-identical to an uncached run, a warm cache strictly
-   reduces single-net searches without changing the trace, and the
-   parallel-determinism detector stays silent with the cache armed. *)
+(* Equivalence and performance-counter tests for the route cache: the
+   Table-1 MVFB winners, found with the cache on, replay bit-identically and
+   certify with it off; an engine run through a cache warmed by other
+   placements, forward or backward, is bit-identical to an uncached run; a
+   warm cache strictly reduces single-net searches without changing the
+   trace; and the parallel-determinism detector stays silent with the cache
+   armed. *)
 
 open Qspr
 
@@ -31,6 +33,78 @@ let engine_run ?route_cache ctx placement =
   with
   | Ok r -> r
   | Error e -> Alcotest.failf "engine: %s" (Simulator.Engine.string_of_error e)
+
+(* ----------------------------------------- Table 1: on/off bit identity *)
+
+(* Cache on: the MVFB search, whose every engine run goes through the
+   domain's route cache, warmed by all the candidates before the winner.
+   Cache off: the winner's placement replayed through an uncached engine
+   run.  The Table-1 winners at this seed are forward runs, so the replay
+   is a forward run from the solution's initial placement. *)
+
+let table1 () = [ ("[[5,1,3]]", Circuits.Qecc.c513 ()); ("[[7,1,3]]", Circuits.Qecc.c713 ()) ]
+
+let solve ctx =
+  match Mapper.map Mvfb ctx with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "map Mvfb: %s" (Mapper.error_to_string e)
+
+let replay_uncached name ctx sol =
+  match sol.Mapper.direction with
+  | Placer.Mvfb.Forward -> engine_run ctx sol.Mapper.initial_placement
+  | Placer.Mvfb.Backward -> Alcotest.failf "%s: winner is a backward run, expected forward" name
+
+let test_table1_on_off_identical () =
+  List.iter
+    (fun (name, program) ->
+      let ctx = ctx_of program in
+      let on = solve ctx in
+      let off = replay_uncached name ctx on in
+      check_bool
+        (Printf.sprintf "%s: latency bits identical" name)
+        true
+        (float_bits_eq on.Mapper.latency off.Simulator.Engine.latency);
+      check_bool
+        (Printf.sprintf "%s: traces identical" name)
+        true
+        (on.Mapper.trace = off.Simulator.Engine.trace);
+      check_bool
+        (Printf.sprintf "%s: final placements identical" name)
+        true
+        (on.Mapper.final_placement = off.Simulator.Engine.final_placement))
+    (table1 ())
+
+(* ------------------------------------- both modes certify, same digest *)
+
+let certify ctx ~initial_placement ~final_placement ~latency trace =
+  let cfg = Mapper.config ctx in
+  let policy = cfg.Config.qspr_policy in
+  Analysis.Certify.check ~component:(Mapper.component ctx) ~timing:cfg.Config.timing
+    ~channel_capacity:policy.Simulator.Engine.channel_capacity
+    ~junction_capacity:policy.Simulator.Engine.junction_capacity ~dag:(Mapper.dag ctx)
+    ~initial_placement ~final_placement ~claimed_latency:latency trace
+
+let test_both_modes_certify () =
+  let ctx = ctx_of (Circuits.Qecc.c513 ()) in
+  let sol = solve ctx in
+  let off = replay_uncached "[[5,1,3]]" ctx sol in
+  let on =
+    certify ctx ~initial_placement:sol.Mapper.initial_placement
+      ~final_placement:sol.Mapper.final_placement ~latency:sol.Mapper.latency sol.Mapper.trace
+  in
+  let off =
+    certify ctx ~initial_placement:sol.Mapper.initial_placement
+      ~final_placement:off.Simulator.Engine.final_placement ~latency:off.Simulator.Engine.latency
+      off.Simulator.Engine.trace
+  in
+  let fail label (c : Analysis.Certify.certificate) =
+    Alcotest.failf "%s trace fails certification:\n%s" label
+      (String.concat "\n" (List.map (Format.asprintf "%a" Analysis.Finding.pp) c.Analysis.Certify.findings))
+  in
+  if not on.Analysis.Certify.valid then fail "cached" on;
+  if not off.Analysis.Certify.valid then fail "uncached" off;
+  check_bool "same certified schedule digest" true
+    (Int64.equal on.Analysis.Certify.digest off.Analysis.Certify.digest)
 
 let test_engine_cache_bit_identical_and_fewer_searches () =
   let program = Circuits.Qecc.c513 () in
@@ -154,6 +228,8 @@ let () =
     [
       ( "incremental",
         [
+          Alcotest.test_case "table-1 on/off bit identity" `Quick test_table1_on_off_identical;
+          Alcotest.test_case "both modes certify" `Quick test_both_modes_certify;
           Alcotest.test_case "engine cache: identical, fewer searches" `Quick
             test_engine_cache_bit_identical_and_fewer_searches;
           Alcotest.test_case "determinism with cache" `Quick test_determinism_with_cache;

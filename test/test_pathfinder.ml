@@ -1,6 +1,7 @@
 (* Tests for the PathFinder negotiated router (reference [3]): convergence on
-   contested fabrics, capacity respect at the fixpoint, and equivalence with
-   plain Dijkstra for a single net. *)
+   contested fabrics, capacity respect at the fixpoint, equivalence with
+   plain Dijkstra for a single net, and with a full-reroute reference model
+   of the legacy schedule on waves that converge in one iteration. *)
 
 open Fabric
 open Router
@@ -100,6 +101,101 @@ let same_routes a b =
   && List.for_all2
        (fun (ida, pa) (idb, pb) -> ida = idb && Path.equal pa pb)
        a b
+
+(* The legacy schedule of reference [3], kept here as a reference model:
+   every iteration rips up and re-routes every net, in input order, with no
+   route seeding; [None] when some net has no route.  Costs and the A*
+   search are those of [Pathfinder] at its default parameters, so where
+   both schedules converge in one iteration they must agree search for
+   search. *)
+let legacy_route_all g ~capacity nets =
+  let turn_cost = 10.0 and present_factor = 0.5 and history_increment = 1.0 in
+  let cache = Route_cache.create () in
+  Route_cache.for_graph cache g;
+  let ws = Route_cache.workspace cache in
+  let get tbl r = Option.value ~default:0 (Hashtbl.find_opt tbl r) in
+  let occupancy = Hashtbl.create 64 and history = Hashtbl.create 64 in
+  let routes = Hashtbl.create 16 in
+  let cap r = capacity (Resource.of_int r) in
+  let bump path d =
+    Path.iter_resources
+      (fun r ->
+        let r = Resource.to_int r in
+        Hashtbl.replace occupancy r (get occupancy r + d))
+      path
+  in
+  let iterations = ref 0 and searches = ref 0 in
+  let weight (kind : Graph.edge_kind) =
+    let base = match kind with Graph.Turn _ -> turn_cost | _ -> 1.0 in
+    let r = Resource.pack_of_edge kind in
+    if r = Resource.none then base
+    else begin
+      let over = max 0 (get occupancy r + 1 - cap r) in
+      let p_fac = 1.0 +. (present_factor *. float_of_int !iterations) in
+      let h = Option.value ~default:0.0 (Hashtbl.find_opt history r) in
+      (base +. h) *. (1.0 +. (float_of_int over *. p_fac))
+    end
+  in
+  let overused () = Hashtbl.fold (fun r n acc -> if n > cap r then r :: acc else acc) occupancy [] in
+  let rec loop () =
+    incr iterations;
+    List.iter
+      (fun net ->
+        Option.iter (fun p -> bump p (-1)) (Hashtbl.find_opt routes net.Pathfinder.net_id);
+        incr searches;
+        let lb = Route_cache.lower_bound cache g ~turn_cost ~dst:net.Pathfinder.dst in
+        Dijkstra.run_into ~heuristic:(Lower_bound.heuristic lb) ws g ~weight ~src:net.Pathfinder.src
+          ~dst:net.Pathfinder.dst;
+        match Path.of_workspace ws g ~src:net.Pathfinder.src ~dst:net.Pathfinder.dst with
+        | None -> raise Exit
+        | Some p ->
+            Hashtbl.replace routes net.Pathfinder.net_id p;
+            bump p 1)
+      nets;
+    match overused () with
+    | [] -> ()
+    | over when !iterations < 30 ->
+        List.iter
+          (fun r ->
+            Hashtbl.replace history r
+              (history_increment +. Option.value ~default:0.0 (Hashtbl.find_opt history r)))
+          over;
+        loop ()
+    | _ -> ()
+  in
+  match loop () with
+  | exception Exit -> None
+  | () ->
+      Some
+        ( List.map (fun net -> (net.Pathfinder.net_id, Hashtbl.find routes net.Pathfinder.net_id)) nets,
+          !iterations,
+          !searches )
+
+let test_incremental_matches_legacy_uncongested () =
+  (* plenty of capacity: both schedules converge in one iteration, so the
+     outcomes must be identical, search for search *)
+  let comp = quale () in
+  let g = Graph.build comp in
+  let traps = Array.length (Component.traps comp) in
+  let nets =
+    List.init 6 (fun i ->
+        { Pathfinder.net_id = i; src = Graph.trap_node g (i * 7); dst = Graph.trap_node g (traps - 1 - (i * 11)) })
+  in
+  let inc =
+    match Pathfinder.route_all g ~capacity:cap2 nets with
+    | Ok o -> o
+    | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
+  in
+  let routes, iterations, searches =
+    match legacy_route_all g ~capacity:cap2 nets with
+    | Some l -> l
+    | None -> Alcotest.fail "legacy: unroutable net"
+  in
+  check_int "incremental converges" 0 inc.Pathfinder.overused;
+  check_int "legacy fixpoint within capacity" 0 (Pathfinder.max_overuse g ~capacity:cap2 routes);
+  check_bool "identical routes" true (same_routes inc.Pathfinder.routes routes);
+  check_int "same iterations" iterations inc.Pathfinder.iterations;
+  check_int "same searches" searches inc.Pathfinder.searches
 
 (* After iteration 1 only dirty nets are re-searched, so a negotiation that
    needs [iterations] rounds over [nets] nets must run fewer searches than
@@ -207,6 +303,29 @@ let prop_warm_cache_equals_fresh =
              = f.Pathfinder.searches + f.Pathfinder.seeded
       | _ -> false)
 
+(* property: incremental and legacy schedules agree exactly whenever the
+   wave converges without negotiation (one iteration) *)
+let prop_incremental_equals_legacy_when_clean =
+  QCheck.Test.make ~name:"incremental = legacy on one-iteration waves" ~count:25
+    QCheck.(list_of_size Gen.(2 -- 8) (pair (int_bound 1000) (int_bound 1000)))
+    (fun pairs ->
+      let g = Lazy.force quale_graph in
+      let traps = Array.length (Component.traps (Graph.component g)) in
+      let nets =
+        List.mapi
+          (fun i (a, b) ->
+            { Pathfinder.net_id = i; src = Graph.trap_node g (a mod traps); dst = Graph.trap_node g (b mod traps) })
+          pairs
+      in
+      match (Pathfinder.route_all g ~capacity:cap2 nets, legacy_route_all g ~capacity:cap2 nets) with
+      | Error _, None -> true
+      | Ok inc, Some (routes, iterations, searches) ->
+          (* multi-iteration negotiations may land on different equal-quality
+             fixpoints; single-iteration waves must agree exactly *)
+          iterations > 1
+          || (same_routes inc.Pathfinder.routes routes && inc.Pathfinder.searches = searches)
+      | _ -> false)
+
 let test_parameter_guards () =
   let comp = tile () in
   let g = Graph.build comp in
@@ -245,10 +364,17 @@ let () =
           Alcotest.test_case "contested nets negotiate" `Quick test_contested_nets_negotiate_apart;
           Alcotest.test_case "wave on 45x85" `Quick test_wave_on_quale_capacity2;
           Alcotest.test_case "unroutable reported" `Quick test_unroutable_reported;
+          Alcotest.test_case "incremental = legacy uncongested" `Quick
+            test_incremental_matches_legacy_uncongested;
           Alcotest.test_case "incremental saves searches" `Quick
             test_incremental_fewer_searches_when_congested;
           Alcotest.test_case "cache seeds across calls" `Quick test_cache_seeds_across_calls;
           Alcotest.test_case "guards" `Quick test_parameter_guards;
         ]
-        @ qsuite [ prop_fixpoint_within_capacity; prop_warm_cache_equals_fresh ] );
+        @ qsuite
+             [
+               prop_fixpoint_within_capacity;
+               prop_incremental_equals_legacy_when_clean;
+               prop_warm_cache_equals_fresh;
+             ] );
     ]
