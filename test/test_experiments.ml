@@ -22,6 +22,31 @@ let test_table1_shape_and_claims () =
       check_bool "m_large uses more runs" true (r.Report.mvfb_100.Report.runs > r.Report.mvfb_25.Report.runs))
     rows
 
+(* Table 1 at the `experiments --fast` budgets (m 3 and 6), all six
+   circuits: every MVFB and Monte-Carlo cell's latency bits and run count,
+   so both halves of the paper's equal-budget comparison are pinned bit for
+   bit. *)
+let render_table1_row (r : Report.table1_row) =
+  let cell (c : Report.placer_cell) =
+    Printf.sprintf "0x%LxL/%d" (Int64.bits_of_float c.Report.latency) c.Report.runs
+  in
+  Printf.sprintf "%s mvfb3 %s mc3 %s mvfb6 %s mc6 %s" r.Report.circuit (cell r.Report.mvfb_25)
+    (cell r.Report.mc_25) (cell r.Report.mvfb_100) (cell r.Report.mc_100)
+
+let table1_pinned =
+  [
+    "[[5,1,3]] mvfb3 0x4086a00000000000L/13 mc3 0x4086a00000000000L/13 mvfb6 0x4086100000000000L/30 mc6 0x4086200000000000L/30";
+    "[[7,1,3]] mvfb3 0x4085380000000000L/18 mc3 0x4086200000000000L/18 mvfb6 0x4085380000000000L/36 mc6 0x4085480000000000L/36";
+    "[[9,1,3]] mvfb3 0x4093400000000000L/16 mc3 0x4092e80000000000L/16 mvfb6 0x4091c80000000000L/36 mc6 0x4092d00000000000L/36";
+    "[[14,8,3]] mvfb3 0x40a88a0000000000L/26 mc3 0x40a9380000000000L/26 mvfb6 0x40a8520000000000L/50 mc6 0x40a9380000000000L/50";
+    "[[19,1,7]] mvfb3 0x40a8ba0000000000L/21 mc3 0x40a9840000000000L/21 mvfb6 0x40a83e0000000000L/44 mc6 0x40a9740000000000L/44";
+    "[[23,1,7]] mvfb3 0x409c480000000000L/20 mc3 0x409de00000000000L/20 mvfb6 0x409c480000000000L/36 mc6 0x409d540000000000L/36";
+  ]
+
+let test_table1_pins () =
+  let rows = Experiments.table1 ~m_small:3 ~m_large:6 () in
+  Alcotest.(check (list string)) "table1 cells" table1_pinned (List.map render_table1_row rows)
+
 let test_table2_claims () =
   let rows = Experiments.table2 ~m:2 ~circuits:(small_circuits ()) () in
   List.iter
@@ -171,6 +196,7 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "table1 shape and claims" `Slow test_table1_shape_and_claims;
+          Alcotest.test_case "table1 pins at --fast budgets" `Quick test_table1_pins;
           Alcotest.test_case "table2 claims" `Slow test_table2_claims;
           Alcotest.test_case "sensitivity" `Quick test_sensitivity_monotone_budget;
           Alcotest.test_case "figures render" `Quick test_figures_render;

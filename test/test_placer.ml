@@ -21,9 +21,9 @@ let fig3 () =
   match Qasm.Parser.parse ~name:"fig3" src with Ok p -> p | Error e -> Alcotest.failf "parse: %s" e
 
 (* forward evaluation shared by the search tests *)
-let make_forward comp =
+let make_forward ?(program = fig3 ()) comp =
   let graph = Graph.build comp in
-  let p = fig3 () in
+  let p = program in
   let dag = Qasm.Dag.of_program p in
   let tm = Router.Timing.paper in
   let prios =
@@ -106,6 +106,123 @@ let test_mc_deterministic_given_seed () =
     | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
   in
   Alcotest.(check (float 1e-9)) "reproducible" (run ()) (run ())
+
+(* The Monte-Carlo search loop as it stood before MVFB and Monte-Carlo
+   shared one multi-start pool, kept as the reference the pool must
+   reproduce: draw [runs] permuted center placements, route each distinct
+   one (optionally only the [k] best-estimated, and only the first
+   [max_evals] in run order, in chunks of 8 with an [out_of_time] poll
+   between chunks), then reduce in run order — first error wins, strict
+   [<] keeps the earliest run.  Returns (placement, result, latencies,
+   runs, evaluations, truncated). *)
+let legacy_mc ?prescreen ?max_evals ?(out_of_time = fun () -> false) ~seed ~runs ~evaluate comp
+    ~num_qubits =
+  let placements =
+    Array.init runs (fun i -> Center.place_permuted (Ion_util.Rng.derive seed ~index:i) comp ~num_qubits)
+  in
+  let first = Hashtbl.create 16 in
+  let canon =
+    Array.mapi
+      (fun i p ->
+        match Hashtbl.find_opt first p with
+        | Some j -> j
+        | None ->
+            Hashtbl.add first p i;
+            i)
+      placements
+  in
+  let uniques = List.filter (fun i -> canon.(i) = i) (List.init runs Fun.id) in
+  let routed =
+    match prescreen with
+    | Some (k, estimate) when k < List.length uniques ->
+        let scored = List.map (fun i -> (estimate placements.(i), i)) uniques in
+        List.filteri (fun r _ -> r < k) (List.sort compare scored) |> List.map snd |> List.sort compare
+    | _ -> uniques
+  in
+  let capped = match max_evals with Some cap -> cap < List.length routed | None -> false in
+  let routed =
+    match max_evals with Some cap -> List.filteri (fun r _ -> r < max 1 cap) routed | None -> routed
+  in
+  let results = Hashtbl.create 16 in
+  let timed_out = ref false in
+  List.iteri
+    (fun r i ->
+      if not !timed_out then begin
+        Hashtbl.add results i (evaluate placements.(i));
+        if (r + 1) mod 8 = 0 && r + 1 < List.length routed && out_of_time () then timed_out := true
+      end)
+    routed;
+  let best = ref None and latencies = ref [] and error = ref None in
+  for i = 0 to runs - 1 do
+    if !error = None then
+      match Hashtbl.find_opt results canon.(i) with
+      | None -> ()
+      | Some (Error e) -> error := Some e
+      | Some (Ok r) ->
+          let l = r.Simulator.Engine.latency in
+          latencies := l :: !latencies;
+          (match !best with
+          | Some (_, b) when not (l < b.Simulator.Engine.latency) -> ()
+          | _ -> best := Some (placements.(i), r))
+  done;
+  match (!error, !best) with
+  | Some e, _ -> Error e
+  | None, None -> Error (Simulator.Engine.Invalid "no successful run")
+  | None, Some (placement, result) ->
+      Ok (placement, result, List.rev !latencies, runs, Hashtbl.length results, capped || !timed_out)
+
+(* A small chain program on [nq] qubits: few enough permutations that
+   Monte-Carlo draws repeat and the dedup path is exercised. *)
+let chain nq =
+  let decls = List.init nq (Printf.sprintf "QUBIT q%d,0\n") in
+  let gates = List.init (nq - 1) (fun i -> Printf.sprintf "C-X q%d,q%d\n" i (i + 1)) in
+  match Qasm.Parser.parse ~name:"chain" (String.concat "" (decls @ ("H q0\n" :: gates))) with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "parse: %s" e
+
+(* Monte-Carlo through the placer equals the reference loop above: same
+   winning placement and result, latencies, runs, evaluations and
+   truncation, over random seeds, run counts, pre-screening widths,
+   evaluation caps and a poll that stops after the first chunk. *)
+let prop_mc_matches_legacy_loop =
+  let comp = quale_comp () in
+  let forwards = Array.init 4 (fun i -> make_forward ~program:(chain (i + 2)) comp) in
+  QCheck.Test.make ~count:200 ~name:"monte-carlo = the reference multi-start loop"
+    QCheck.(
+      pair (pair small_nat (int_range 1 12))
+        (triple (option (int_range 1 12)) (option (int_range 0 12)) (pair (int_range 2 5) bool)))
+    (fun ((seed, runs), (k, max_evals, (nq, stop))) ->
+      let evaluate = forwards.(nq - 2) in
+      (* a cheap pure score with many ties, standing in for the estimator *)
+      let estimate p = float_of_int (Hashtbl.hash p mod 5) in
+      let prescreen = Option.map (fun k -> (k, estimate)) k in
+      let poll () = if stop then fun () -> true else fun () -> false in
+      let expected =
+        legacy_mc ?prescreen ?max_evals ~out_of_time:(poll ()) ~seed ~runs ~evaluate comp
+          ~num_qubits:nq
+      in
+      let got =
+        match
+          Monte_carlo.search ?prescreen ?max_evals ~out_of_time:(poll ()) ~seed ~runs ~evaluate comp
+            ~num_qubits:nq
+        with
+        | Ok { placement; result; latencies; runs; evaluations; truncated; _ } ->
+            Ok (placement, result, latencies, runs, evaluations, truncated)
+        | Error e -> Error e
+      in
+      let view = function
+        | Ok (p, (r : Simulator.Engine.result), ls, runs, evals, trunc) ->
+            Ok
+              ( p,
+                Int64.bits_of_float r.Simulator.Engine.latency,
+                r.Simulator.Engine.final_placement,
+                List.map Int64.bits_of_float ls,
+                runs,
+                evals,
+                trunc )
+        | Error e -> Error (Simulator.Engine.string_of_error e)
+      in
+      view expected = view got)
 
 (* ----------------------------------------------------------------- Mvfb *)
 
@@ -378,6 +495,7 @@ let () =
           Alcotest.test_case "run budget" `Quick test_mc_runs_budget;
           Alcotest.test_case "zero runs rejected" `Quick test_mc_zero_runs_rejected;
           Alcotest.test_case "deterministic" `Quick test_mc_deterministic_given_seed;
+          QCheck_alcotest.to_alcotest prop_mc_matches_legacy_loop;
         ] );
       ( "mvfb",
         [

@@ -370,6 +370,79 @@ let test_report_tables_render () =
   let csv = Report.csv_table2 [ { Report.circuit = "x"; baseline = 1.0; quale = 2.0; qspr = 1.5 } ] in
   check_bool "csv has header and row" true (List.length (String.split_on_char '\n' csv) >= 3)
 
+(* -------------------------------------------------------------- Pins *)
+
+(* Every search strategy that reports a placement-search outcome, on two
+   small codes at the paper's seed: latency bits, run and evaluation
+   counts, each attempt (stage, seed, latency bits or error) and the
+   certificate digest.  A refactor of the placers must keep these bit for
+   bit. *)
+let search_pins =
+  let prescreen = Config.with_prescreen (Some 2) in
+  let cap = Config.with_budget { Config.wall_s = None; max_evals = Some 2; deadline = None } in
+  [
+    ("mc", Mapper.Monte_carlo, Fun.id);
+    ("sa", Mapper.Annealing, Fun.id);
+    ("portfolio", Mapper.Portfolio, Fun.id);
+    ("robust", Mapper.Robust, Fun.id);
+    ("mvfb+prescreen", Mapper.Mvfb, prescreen);
+    ("mc+prescreen", Mapper.Monte_carlo, prescreen);
+    ("mc+cap", Mapper.Monte_carlo, cap);
+    ("sa+cap", Mapper.Annealing, cap);
+  ]
+
+let render_solution ctx (s : Mapper.solution) =
+  let bits f = Printf.sprintf "0x%LxL" (Int64.bits_of_float f) in
+  let attempt (a : Mapper.attempt) =
+    Printf.sprintf "%s@%d=%s" a.Mapper.stage a.Mapper.seed
+      (match a.Mapper.outcome with Ok l -> bits l | Error e -> Mapper.error_to_string e)
+  in
+  Printf.sprintf "%s runs %d evals %d%s [%s] digest %016Lx" (bits s.Mapper.latency)
+    s.Mapper.placement_runs s.Mapper.engine_evals
+    (if s.Mapper.degraded then " degraded" else "")
+    (String.concat "; " (List.map attempt s.Mapper.attempts))
+    (Analysis.Certify.of_solution ctx s).Analysis.Certify.digest
+
+let search_pinned =
+  [
+    "[[5,1,3]] mc: 0x4086a00000000000L runs 4 evals 4 [mc@2012=0x4086a00000000000L] digest a47cac75f9971341";
+    "[[5,1,3]] sa: 0x4089280000000000L runs 4 evals 4 [sa@2012=0x4089280000000000L] digest 69ebefcde10fb7d9";
+    "[[5,1,3]] portfolio: 0x4086100000000000L runs 31 evals 31 [portfolio:mvfb@2012=0x4086100000000000L; portfolio:mc@2012=0x4086a00000000000L; portfolio:sa@2012=0x4089280000000000L; portfolio:delta-sa-0@2012=0x4086600000000000L; portfolio:delta-sa-1@2012=0x4087880000000000L] digest 0d4258a2732792aa";
+    "[[5,1,3]] robust: 0x4086100000000000L runs 19 evals 19 [mvfb@2012=0x4086100000000000L] digest 0d4258a2732792aa";
+    "[[5,1,3]] mvfb+prescreen: 0x4086a00000000000L runs 8 evals 8 [mvfb@2012=0x4086a00000000000L] digest a47cac75f9971341";
+    "[[5,1,3]] mc+prescreen: 0x4086a00000000000L runs 4 evals 2 [mc@2012=0x4086a00000000000L] digest a47cac75f9971341";
+    "[[5,1,3]] mc+cap: 0x4086a00000000000L runs 4 evals 2 degraded [mc@2012=0x4086a00000000000L] digest a47cac75f9971341";
+    "[[5,1,3]] sa+cap: 0x4089280000000000L runs 2 evals 2 degraded [sa@2012=0x4089280000000000L] digest 69ebefcde10fb7d9";
+    "[[7,1,3]] mc: 0x4086600000000000L runs 4 evals 4 [mc@2012=0x4086600000000000L] digest 2bfbe962c36935f2";
+    "[[7,1,3]] sa: 0x4088100000000000L runs 4 evals 4 [sa@2012=0x4088100000000000L] digest 870fb556edd02770";
+    "[[7,1,3]] portfolio: 0x4085380000000000L runs 38 evals 38 [portfolio:mvfb@2012=0x4085380000000000L; portfolio:mc@2012=0x4086600000000000L; portfolio:sa@2012=0x4088100000000000L; portfolio:delta-sa-0@2012=0x4086a00000000000L; portfolio:delta-sa-1@2012=0x4088e80000000000L] digest a963cf19714ad05e";
+    "[[7,1,3]] robust: 0x4085380000000000L runs 24 evals 24 [mvfb@2012=0x4085380000000000L] digest a963cf19714ad05e";
+    "[[7,1,3]] mvfb+prescreen: 0x4085380000000000L runs 12 evals 12 [mvfb@2012=0x4085380000000000L] digest a963cf19714ad05e";
+    "[[7,1,3]] mc+prescreen: 0x4086600000000000L runs 4 evals 2 [mc@2012=0x4086600000000000L] digest 2bfbe962c36935f2";
+    "[[7,1,3]] mc+cap: 0x4086600000000000L runs 4 evals 2 degraded [mc@2012=0x4086600000000000L] digest 2bfbe962c36935f2";
+    "[[7,1,3]] sa+cap: 0x4088100000000000L runs 2 evals 2 degraded [sa@2012=0x4088100000000000L] digest 870fb556edd02770";
+  ]
+
+let test_search_pins () =
+  let got =
+    List.concat_map
+      (fun circuit ->
+        let p = List.assoc circuit (Circuits.Qecc.all ()) in
+        let config =
+          Config.(Config.default |> with_seed 2012 |> with_m 4 |> with_sa_moves 2000)
+        in
+        let ctx = ctx_of ~config p in
+        List.map
+          (fun (name, strategy, adjust) ->
+            let ctx = Mapper.with_search adjust ctx in
+            match Mapper.map strategy ctx with
+            | Error e -> Printf.sprintf "%s %s: %s" circuit name (Mapper.error_to_string e)
+            | Ok s -> Printf.sprintf "%s %s: %s" circuit name (render_solution ctx s))
+          search_pins)
+      [ "[[5,1,3]]"; "[[7,1,3]]" ]
+  in
+  Alcotest.(check (list string)) "search outcomes" search_pinned got
+
 let () =
   Alcotest.run "qspr"
     [
@@ -398,6 +471,7 @@ let () =
           Alcotest.test_case "slower than QSPR" `Quick test_quale_slower_than_qspr;
           Alcotest.test_case "trace validates" `Quick test_quale_trace_validates;
         ] );
+      ("pins", [ Alcotest.test_case "search outcomes at seed 2012" `Quick test_search_pins ]);
       ("sweep", [ Alcotest.test_case "ordering on all six circuits" `Slow test_ordering_all_circuits ]);
       ( "wave",
         [
