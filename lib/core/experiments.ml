@@ -164,7 +164,7 @@ let placer_comparison ?(circuit = "[[9,1,3]]") () =
     ("center (QUALE-style)", center, 1);
     ("connectivity-greedy", conn, 1);
     ("monte-carlo", mc.Mapper.latency, budget);
-    ("simulated annealing", sa.Placer.Annealing.result.Simulator.Engine.latency, sa.Placer.Annealing.evaluations);
+    ("simulated annealing", sa.Placer.Search.result.Simulator.Engine.latency, sa.Placer.Search.evaluations);
     ("MVFB (m=5)", mvfb.Mapper.latency, budget);
   ]
 

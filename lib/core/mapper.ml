@@ -227,8 +227,8 @@ let certified_bound t ~initial_placement =
 (* Finish a search's success record into a solution: a backward winner is
    reported as its time-reversed trace, and the certified bound is computed
    for the forward-view initial placement. *)
-let solution_of t ~cpu ~attempts (o : Placer.Portfolio.strategy_outcome) =
-  let { Placer.Portfolio.placement; result = r; direction; runs; evaluations; latencies; truncated } =
+let solution_of t ~cpu ~attempts (o : Placer.Search.outcome) =
+  let { Placer.Search.placement; result = r; direction; runs; evaluations; latencies; truncated } =
     o
   in
   let trace, initial_placement, final_placement =
@@ -341,38 +341,25 @@ let search ~out_of_time t strategy =
       cfg.Config.prescreen_k
   in
   let pooled f = Ion_util.Domain_pool.with_pool ~jobs:cfg.Config.jobs f in
-  let found ?(direction = Placer.Mvfb.Forward) ?(truncated = false) ~runs ~evaluations ~latencies
-      placement result =
-    { Placer.Portfolio.placement; result; direction; runs; evaluations; latencies; truncated }
-  in
-  let single_run placement = function
-    | Ok (r : Engine.result) ->
-        Ok (found ~runs:1 ~evaluations:1 ~latencies:[ r.Engine.latency ] placement r)
-    | Error _ as e -> e
+  let single_run placement =
+    Result.map (fun (r : Engine.result) ->
+        { Placer.Search.placement; result = r; direction = Placer.Search.Forward; runs = 1;
+          evaluations = 1; latencies = [ r.Engine.latency ]; truncated = false })
   in
   match strategy with
   | Mvfb ->
       pooled (fun pool ->
           Placer.Mvfb.search ~pool ?prescreen ~seed ~m ~patience:cfg.Config.patience
             ~forward:(run_forward t) ~backward:(run_backward t) t.comp ~num_qubits)
-      |> Result.map (fun (o : Placer.Mvfb.outcome) ->
-             found ~direction:o.direction ~runs:o.runs ~evaluations:o.evaluations
-               ~latencies:o.latencies o.initial_placement o.result)
   | Monte_carlo ->
       pooled (fun pool ->
           Placer.Monte_carlo.search ~pool ?prescreen ?max_evals ~out_of_time ~seed ~runs:m
             ~evaluate:(run_forward t) t.comp ~num_qubits)
-      |> Result.map (fun (o : Placer.Monte_carlo.outcome) ->
-             found ~truncated:o.truncated ~runs:o.runs ~evaluations:o.evaluations
-               ~latencies:o.latencies o.placement o.result)
   | Annealing ->
       pooled (fun pool ->
           Placer.Annealing.search ~pool ?prescreen ?max_evals ~out_of_time
             ~rng:(Ion_util.Rng.create seed) ~evaluations:m ~evaluate:(run_forward t) t.comp
             ~num_qubits)
-      |> Result.map (fun (o : Placer.Annealing.outcome) ->
-             found ~truncated:o.truncated ~runs:o.evaluations ~evaluations:o.evaluations
-               ~latencies:o.latencies o.placement o.result)
   | Center ->
       let placement = Placer.Center.place t.comp ~num_qubits in
       single_run placement (run_forward t placement)
@@ -392,7 +379,7 @@ let single strategy t =
   match search ~out_of_time:(out_of_time_of t.config.Config.budget) t strategy with
   | Error e -> Error (of_engine_error e)
   | Ok o ->
-      let stage = name_of strategy and latency = o.Placer.Portfolio.result.Engine.latency in
+      let stage = name_of strategy and latency = o.Placer.Search.result.Engine.latency in
       Ok
         (solution_of t ~cpu:(Sys.time () -. t0)
            ~attempts:[ attempt_of ~stage ~seed:t.config.Config.rng_seed (Ok latency) ]
@@ -413,20 +400,20 @@ let portfolio t =
   let out_of_time = out_of_time_of cfg.Config.budget in
   let member_ctx = { t with config = { cfg with Config.jobs = 1; prescreen_k = None } } in
   let member strategy =
-    let run ~rng:_ = search ~out_of_time member_ctx strategy in
+    let run () = search ~out_of_time member_ctx strategy in
     { Placer.Portfolio.name = name_of strategy; run }
   in
   let delta_sa k =
-    let run ~rng:_ =
+    let run () =
       Placer.Annealing.search_delta ?max_evals:cfg.Config.budget.Config.max_evals ~out_of_time
         ~rng:(Ion_util.Rng.derive (seed + 7919) ~index:k)
         ~moves:cfg.Config.sa_moves ~model ~evaluate:(run_forward t) t.comp
         ~num_qubits:(Program.num_qubits t.program)
       |> Result.map (fun (o : Placer.Annealing.delta_outcome) ->
              {
-               Placer.Portfolio.placement = o.placement;
+               Placer.Search.placement = o.placement;
                result = o.result;
-               direction = Placer.Mvfb.Forward;
+               direction = Placer.Search.Forward;
                runs = o.engine_evals;
                evaluations = o.engine_evals;
                latencies = o.latencies;
@@ -438,7 +425,7 @@ let portfolio t =
   let racers = List.map member [ Mvfb; Monte_carlo; Annealing ] @ [ delta_sa 0; delta_sa 1 ] in
   match
     Ion_util.Domain_pool.with_pool ~jobs:cfg.Config.jobs (fun pool ->
-        Placer.Portfolio.race ~pool ~seed racers)
+        Placer.Portfolio.race ~pool racers)
   with
   | Error e -> Error (of_engine_error e)
   | Ok o ->

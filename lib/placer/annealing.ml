@@ -1,14 +1,5 @@
 module Rng = Ion_util.Rng
 
-type outcome = {
-  placement : int array;
-  result : Simulator.Engine.result;
-  evaluations : int;
-  accepted : int;
-  latencies : float list;
-  truncated : bool;
-}
-
 (* Occupancy-tracked neighbour proposal: the candidate free traps are a
    maintained array with a trap->slot index, so drawing a move is O(1) and
    allocation-free where the old code filtered the whole pool against the
@@ -172,7 +163,6 @@ let search ?pool:domain_pool ?prescreen ?max_evals ?(out_of_time = fun () -> fal
             let best = ref (Array.copy !current, r0) in
             let best_cost = ref !current_cost in
             let latencies = ref [ !current_cost ] in
-            let accepted = ref 0 in
             let temperature = ref initial_temperature in
             let error = ref None in
             let evals = ref 1 in
@@ -201,7 +191,6 @@ let search ?pool:domain_pool ?prescreen ?max_evals ?(out_of_time = fun () -> fal
                       || Rng.float rng 1.0 < exp (-.delta /. Float.max 1e-9 !temperature)
                     in
                     if accept then begin
-                      incr accepted;
                       (match move with
                       | Proposal.Relocate (q, dst) ->
                           Proposal.relocate tracker ~src:!current.(q) ~dst
@@ -222,10 +211,11 @@ let search ?pool:domain_pool ?prescreen ?max_evals ?(out_of_time = fun () -> fal
                 let placement, result = !best in
                 Ok
                   {
-                    placement;
+                    Search.placement;
                     result;
+                    direction = Search.Forward;
+                    runs = !evals;
                     evaluations = !evals;
-                    accepted = !accepted;
                     latencies = List.rev !latencies;
                     truncated = capped || !timed_out;
                   }))

@@ -50,17 +50,6 @@ val greedy_delta :
     count; [delta] holds the final placement.  The timing loop behind
     [qspr estimate --moves] and bench-smoke's delta speedup floor. *)
 
-type outcome = {
-  placement : int array;
-  result : Simulator.Engine.result;
-  evaluations : int;
-  accepted : int;  (** accepted proposals (including improvements) *)
-  latencies : float list;  (** cost of every evaluated placement, in order *)
-  truncated : bool;
-      (** the anneal stopped early on an evaluation or wall-clock budget —
-          the result is the best placement seen so far *)
-}
-
 val search :
   ?pool:Ion_util.Domain_pool.t ->
   ?prescreen:int * (int array -> float) ->
@@ -74,11 +63,12 @@ val search :
   evaluate:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
   Fabric.Component.t ->
   num_qubits:int ->
-  (outcome, Simulator.Engine.error) result
+  (Search.outcome, Simulator.Engine.error) result
 (** Defaults: temperature 100 us, cooling 0.95 per step, 60 evaluations,
     candidate pool of [3 * num_qubits] nearest-center traps.  [Error] on
     invalid parameters (as {!Simulator.Engine.Invalid}) or a failing
-    evaluation.
+    evaluation.  The outcome's [runs] and [evaluations] both count the
+    routed evaluations, and [latencies] the cost of each, in order.
 
     Budgets make the anneal anytime: [max_evals] deterministically caps the
     cooling schedule length, and [out_of_time] is polled before each

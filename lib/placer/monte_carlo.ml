@@ -1,138 +1,7 @@
-type outcome = {
-  placement : int array;
-  result : Simulator.Engine.result;
-  latencies : float list;
-  runs : int;
-  evaluations : int;
-  truncated : bool;
-}
-
-(* Map each run index to the index of the first run with an identical
-   placement.  [Center.place_permuted] repeats permutations on small
-   components, and the evaluation is a pure function of the placement, so
-   only canonical runs need routing (or estimating). *)
-let canonicalize placements =
-  let tbl = Hashtbl.create (2 * Array.length placements) in
-  Array.mapi
-    (fun i p ->
-      match Hashtbl.find_opt tbl p with
-      | Some j -> j
-      | None ->
-          Hashtbl.add tbl p i;
-          i)
-    placements
-
-(* Indices of the [k] best-estimated candidates among [uniques], returned in
-   ascending run order so downstream reductions keep sequential tie-breaks.
-   Estimate ties are broken by run index, making the selection a pure
-   function of (placements, estimate). *)
-let select_top_k ~k scores uniques =
-  let order = Array.init (Array.length uniques) Fun.id in
-  Array.sort
-    (fun x y ->
-      match Float.compare scores.(x) scores.(y) with
-      | 0 -> Int.compare uniques.(x) uniques.(y)
-      | c -> c)
-    order;
-  let keep = Array.map (fun x -> uniques.(x)) (Array.sub order 0 k) in
-  Array.sort Int.compare keep;
-  keep
-
-(* Anytime evaluation: map [f] over [items] in fixed-size chunks, stopping
-   between chunks once [out_of_time] fires.  Each chunk is fanned out with
-   [amap], so jobs=1 vs jobs=N stay bit-identical over whichever prefix was
-   evaluated; where the wall-clock cut lands is inherently run-dependent. *)
-let chunk_size = 8
-
-let eval_prefix ~out_of_time amap f items =
-  let n = Array.length items in
-  let acc = ref [] in
-  let taken = ref 0 in
-  let stopped = ref false in
-  while !taken < n && not !stopped do
-    let len = min chunk_size (n - !taken) in
-    let chunk = Array.sub items !taken len in
-    acc := amap f chunk :: !acc;
-    taken := !taken + len;
-    if !taken < n && out_of_time () then stopped := true
-  done;
-  (Array.concat (List.rev !acc), !taken, !stopped)
-
-let search ?pool ?prescreen ?max_evals ?(out_of_time = fun () -> false) ~seed ~runs ~evaluate comp
-    ~num_qubits =
-  if runs < 1 then Error (Simulator.Engine.Invalid "Monte_carlo.search: need at least one run")
-  else
-    match prescreen with
-    | Some (k, _) when k < 1 ->
-        Error (Simulator.Engine.Invalid "Monte_carlo.search: prescreen_k must be at least 1")
-    | _ ->
-        (* Each run's randomness is a pure function of (seed, run index), so
-           every fan-out below is bit-identical whether it executes
-           sequentially or on a domain pool. *)
-        let placements =
-          Array.init runs (fun i ->
-              let rng = Ion_util.Rng.derive seed ~index:i in
-              Center.place_permuted rng comp ~num_qubits)
-        in
-        let amap f arr =
-          match pool with Some p -> Ion_util.Domain_pool.map p f arr | None -> Array.map f arr
-        in
-        let canon = canonicalize placements in
-        let uniques =
-          Array.of_seq
-            (Seq.filter (fun i -> canon.(i) = i) (Seq.init runs Fun.id))
-        in
-        let routed =
-          match prescreen with
-          | Some (k, estimate) when k < Array.length uniques ->
-              let scores = amap (fun i -> estimate placements.(i)) uniques in
-              select_top_k ~k scores uniques
-          | _ -> uniques
-        in
-        (* deterministic evaluation budget: keep the first [max_evals]
-           candidates in run order — best-so-far over a stable prefix *)
-        let routed, capped =
-          match max_evals with
-          | Some cap when cap < Array.length routed -> (Array.sub routed 0 (max 1 cap), true)
-          | _ -> (routed, false)
-        in
-        let routed_results, evaluated, timed_out =
-          eval_prefix ~out_of_time amap (fun i -> evaluate placements.(i)) routed
-        in
-        let routed = Array.sub routed 0 evaluated in
-        let result_of = Hashtbl.create (Array.length routed) in
-        Array.iteri (fun slot i -> Hashtbl.add result_of i routed_results.(slot)) routed;
-        (* Reduce in run order: the first error wins, and latency ties keep
-           the earliest run — exactly the sequential loop's behavior.
-           Duplicate runs replay their canonical run's result, pre-screened-out
-           runs contribute nothing. *)
-        let best = ref None in
-        let latencies = ref [] in
-        let error = ref None in
-        for i = 0 to runs - 1 do
-          if !error = None then
-            match Hashtbl.find_opt result_of canon.(i) with
-            | None -> ()
-            | Some (Error e) -> error := Some e
-            | Some (Ok r) ->
-                latencies := r.Simulator.Engine.latency :: !latencies;
-                let better =
-                  match !best with
-                  | None -> true
-                  | Some (_, prev) -> r.Simulator.Engine.latency < prev.Simulator.Engine.latency
-                in
-                if better then best := Some (placements.(i), r)
-        done;
-        (match (!error, !best) with
-        | Some e, _ -> Error e
-        | None, None -> Error (Simulator.Engine.Invalid "Monte_carlo.search: no successful run")
-        | None, Some (placement, result) ->
-            Ok
-              {
-                placement;
-                result;
-                latencies = List.rev !latencies;
-                runs;
-                evaluations = Array.length routed;
-                truncated = capped || timed_out;
-              })
+(* One forward run per start: MVFB's local search capped at one run never
+   reaches its backward step. *)
+let search ?pool ?prescreen ?max_evals ?out_of_time ~seed ~runs ~evaluate comp ~num_qubits =
+  Search.multistart ?pool ?prescreen ?max_evals ?out_of_time ~seed ~starts:runs
+    (Mvfb.search_seed ~patience:1 ~max_runs_per_seed:1 ~forward:evaluate ~backward:evaluate)
+    comp ~num_qubits
+  |> Result.map (fun o -> { o with Search.runs })

@@ -5,40 +5,13 @@
     count to match MVFB's total placement runs so the two placers spend the
     same CPU time.
 
-    Each run's randomness is derived from [(seed, run index)] with
-    {!Ion_util.Rng.derive}, so runs are independent and the search returns
-    bit-identical outcomes whether it executes sequentially or fanned out on
-    a {!Ion_util.Domain_pool.t}.
-
-    Identical candidate placements are deduplicated before evaluation
-    ([Center.place_permuted] repeats permutations on small components);
-    duplicate runs replay their canonical run's result, so reported run
-    counts and latency lists are unchanged while [evaluations] counts the
-    actual engine calls.  With [?prescreen], candidates are first scored by
-    the (cheap, pure) estimate function — fanned out on the pool — and only
-    the [k] best-estimated unique placements are routed. *)
-
-type outcome = {
-  placement : int array;  (** the winning initial placement *)
-  result : Simulator.Engine.result;
-  latencies : float list;
-      (** latency of every run that was routed (or replays a routed
-          duplicate), in run order; pre-screened-out runs are absent *)
-  runs : int;  (** requested runs, pruned or not *)
-  evaluations : int;  (** full engine evaluations actually performed *)
-  truncated : bool;
-      (** the search stopped early on an evaluation or wall-clock budget —
-          the result is the best of the evaluated prefix, not of all runs *)
-}
-
-val canonicalize : int array array -> int array
-(** [canonicalize placements].(i) is the lowest index whose placement equals
-    [placements.(i)] — the dedup map shared by the MC and MVFB sweeps. *)
-
-val select_top_k : k:int -> float array -> int array -> int array
-(** [select_top_k ~k scores uniques] — the [k] members of [uniques] with the
-    lowest scores ([scores.(i)] scoring [uniques.(i)]), ties broken by the
-    lower member, returned sorted ascending.  Requires [k <= length uniques]. *)
+    Monte-Carlo is the MVFB seed pool ({!Search.multistart}) with one
+    forward run per start — {!Mvfb.search_seed} capped at one run — so it
+    shares MVFB's per-run randomness ([Rng.derive seed ~index]), dedup,
+    pre-screening and run-order merge, and is bit-identical at any pool
+    size.  It reports the requested [runs], deduplicated and
+    pre-screened-out runs included; [latencies] holds every run that was
+    routed or replays a routed duplicate. *)
 
 val search :
   ?pool:Ion_util.Domain_pool.t ->
@@ -50,7 +23,7 @@ val search :
   evaluate:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
   Fabric.Component.t ->
   num_qubits:int ->
-  (outcome, Simulator.Engine.error) result
+  (Search.outcome, Simulator.Engine.error) result
 (** [Error] if [runs < 1] or [prescreen] carries [k < 1] (both as
     {!Simulator.Engine.Invalid}), or any routed evaluation fails (the first
     failing run in run order is reported).  [prescreen = (k, estimate)]

@@ -1,145 +1,57 @@
-type direction = Forward | Backward
+type direction = Search.direction = Forward | Backward
 
-type outcome = {
-  direction : direction;
-  result : Simulator.Engine.result;
-  initial_placement : int array;
-  latencies : float list;
-  runs : int;
-  seeds_used : int;
-  evaluations : int;
-}
-
-type best = {
-  b_latency : float;
-  b_direction : direction;
-  b_result : Simulator.Engine.result;
-  b_initial : int array;
-}
-
-(* Outcome of one seed's local forward/backward search.  Given its initial
-   placement the search is deterministic (no further randomness), so seeds
-   run sequentially or fan out on a domain pool with identical results, and
+(* One seed's local forward/backward search.  Given its initial placement
+   the search is deterministic (no further randomness), so seeds run
+   sequentially or fan out on a domain pool with identical results, and
    seeds sharing an initial placement can share one search. *)
-type seed_outcome = {
-  s_best : best option;
-  s_latencies : float list; (* in run order *)
-  s_runs : int;
-  s_error : Simulator.Engine.error option;
-}
-
 let search_seed ~patience ~max_runs_per_seed ~forward ~backward initial =
-  let best = ref None in
-  let latencies = ref [] in
-  let runs = ref 0 in
-  let error = ref None in
-  let consider latency direction result initial =
+  let best = ref None and latencies = ref [] and runs = ref 0 and error = ref None in
+  let local_best = ref Float.infinity and no_improve = ref 0 in
+  let searching () = !error = None && !no_improve < patience && !runs < max_runs_per_seed in
+  let consider direction placement (r : Simulator.Engine.result) =
+    let latency = r.Simulator.Engine.latency in
     latencies := latency :: !latencies;
     incr runs;
-    let better = match !best with None -> true | Some b -> latency < b.b_latency in
-    if better then
-      best := Some { b_latency = latency; b_direction = direction; b_result = result; b_initial = initial }
-  in
-  (* local neighborhood search around one random center placement *)
-  let placement = ref initial in
-  let local_best = ref Float.infinity in
-  let no_improve = ref 0 in
-  let local_runs = ref 0 in
-  let note latency =
+    (match !best with
+    | Some (_, _, (b : Simulator.Engine.result)) when not (latency < b.Simulator.Engine.latency) -> ()
+    | _ -> best := Some (direction, placement, r));
     if latency < !local_best -. 1e-9 then begin
       local_best := latency;
       no_improve := 0
     end
     else incr no_improve
   in
-  while !error = None && !no_improve < patience && !local_runs < max_runs_per_seed do
+  (* local neighborhood search around one random center placement *)
+  let placement = ref initial in
+  while searching () do
     match forward !placement with
     | Error e -> error := Some e
-    | Ok rf ->
-        incr local_runs;
-        consider rf.Simulator.Engine.latency Forward rf !placement;
-        note rf.Simulator.Engine.latency;
-        if !no_improve < patience && !local_runs < max_runs_per_seed then begin
+    | Ok rf -> (
+        consider Forward !placement rf;
+        if searching () then
           match backward rf.Simulator.Engine.final_placement with
           | Error e -> error := Some e
           | Ok rb ->
-              incr local_runs;
-              consider rb.Simulator.Engine.latency Backward rb rf.Simulator.Engine.final_placement;
-              note rb.Simulator.Engine.latency;
-              placement := rb.Simulator.Engine.final_placement
-        end
+              consider Backward rf.Simulator.Engine.final_placement rb;
+              placement := rb.Simulator.Engine.final_placement)
   done;
-  { s_best = !best; s_latencies = List.rev !latencies; s_runs = !runs; s_error = !error }
+  match (!error, !best) with
+  | Some e, _ -> Error e
+  | None, None -> Error (Simulator.Engine.Invalid "Mvfb.search: no successful run")
+  | None, Some (direction, placement, result) ->
+      Ok
+        {
+          Search.placement;
+          result;
+          direction;
+          runs = !runs;
+          evaluations = !runs;
+          latencies = List.rev !latencies;
+          truncated = false;
+        }
 
 let search ?pool ?prescreen ~seed ~m ?(patience = 3) ?(max_runs_per_seed = 64) ~forward ~backward
     comp ~num_qubits =
-  if m < 1 then Error (Simulator.Engine.Invalid "Mvfb.search: need at least one seed")
-  else
-    match prescreen with
-    | Some (k, _) when k < 1 ->
-        Error (Simulator.Engine.Invalid "Mvfb.search: prescreen_k must be at least 1")
-    | _ ->
-        (* Seed randomness is a pure function of (seed, seed index): draw all
-           initial placements up front, then dedup and (optionally) pre-screen
-           before the expensive local searches. *)
-        let initials =
-          Array.init m (fun i ->
-              let rng = Ion_util.Rng.derive seed ~index:i in
-              Center.place_permuted rng comp ~num_qubits)
-        in
-        let amap f arr =
-          match pool with Some p -> Ion_util.Domain_pool.map p f arr | None -> Array.map f arr
-        in
-        let canon = Monte_carlo.canonicalize initials in
-        let uniques = Array.of_seq (Seq.filter (fun i -> canon.(i) = i) (Seq.init m Fun.id)) in
-        let searched =
-          match prescreen with
-          | Some (k, estimate) when k < Array.length uniques ->
-              let scores = amap (fun i -> estimate initials.(i)) uniques in
-              Monte_carlo.select_top_k ~k scores uniques
-          | _ -> uniques
-        in
-        let one = search_seed ~patience ~max_runs_per_seed ~forward ~backward in
-        let outcomes = amap (fun i -> one initials.(i)) searched in
-        let outcome_of = Hashtbl.create (Array.length searched) in
-        Array.iteri (fun slot i -> Hashtbl.add outcome_of i outcomes.(slot)) searched;
-        (* Merge in seed order: latencies concatenate, the first error wins
-           and latency ties keep the earliest seed — the sequential loop
-           visits runs in exactly this order.  Duplicate seeds replay their
-           canonical seed's search, pre-screened-out seeds contribute
-           nothing. *)
-        let best = ref None in
-        let latencies_rev = ref [] in
-        let runs = ref 0 in
-        let error = ref None in
-        for i = 0 to m - 1 do
-          if !error = None then
-            match Hashtbl.find_opt outcome_of canon.(i) with
-            | None -> ()
-            | Some s ->
-                List.iter (fun l -> latencies_rev := l :: !latencies_rev) s.s_latencies;
-                runs := !runs + s.s_runs;
-                (match s.s_best with
-                | None -> ()
-                | Some b ->
-                    let better =
-                      match !best with None -> true | Some p -> b.b_latency < p.b_latency
-                    in
-                    if better then best := Some b);
-                (match s.s_error with Some e -> error := Some e | None -> ())
-        done;
-        let evaluations = Array.fold_left (fun acc s -> acc + s.s_runs) 0 outcomes in
-        (match (!error, !best) with
-        | Some e, _ -> Error e
-        | None, None -> Error (Simulator.Engine.Invalid "Mvfb.search: no successful run")
-        | None, Some b ->
-            Ok
-              {
-                direction = b.b_direction;
-                result = b.b_result;
-                initial_placement = b.b_initial;
-                latencies = List.rev !latencies_rev;
-                runs = !runs;
-                seeds_used = m;
-                evaluations;
-              })
+  Search.multistart ?pool ?prescreen ~seed ~starts:m
+    (search_seed ~patience ~max_runs_per_seed ~forward ~backward)
+    comp ~num_qubits

@@ -16,29 +16,26 @@
     placement is the measured latency of the full scheduled-and-routed run,
     not a netlist wirelength proxy.
 
-    The [m] seeds are independent local searches whose randomness is derived
-    from [(seed, seed index)] with {!Ion_util.Rng.derive}; fanning them out
-    on a {!Ion_util.Domain_pool.t} returns bit-identical outcomes to the
-    sequential search.
+    The seeds are the starts of {!Search.multistart}, the pool Monte-Carlo
+    shares: it derives each seed's randomness from [(seed, seed index)],
+    dedups identical starts, pre-screens and merges in seed order, so the
+    search is bit-identical at any pool size.  MVFB reports [runs] summed
+    over its seeds (duplicates replayed). *)
 
-    Seeds drawing an identical initial placement share one local search
-    (the search is deterministic given its start), with reported run counts
-    and latency lists replayed per seed so outcomes are unchanged;
-    [evaluations] counts the engine calls actually made.  With [?prescreen],
-    initial placements are scored by the estimate function and only the [k]
-    best-estimated unique seeds are locally searched. *)
+type direction = Search.direction = Forward | Backward
 
-type direction = Forward | Backward
-
-type outcome = {
-  direction : direction;
-  result : Simulator.Engine.result;  (** the winning run, as executed *)
-  initial_placement : int array;  (** input placement of the winning run *)
-  latencies : float list;  (** latency of every placement run, in order *)
-  runs : int;  (** total placement runs — sizes the MC comparison *)
-  seeds_used : int;
-  evaluations : int;  (** full engine evaluations actually performed *)
-}
+val search_seed :
+  patience:int ->
+  max_runs_per_seed:int ->
+  forward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
+  backward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
+  int array ->
+  (Search.outcome, Simulator.Engine.error) result
+(** One seed's local search from its initial placement: forward, backward,
+    forward, … until [patience] runs in a row bring no improvement or
+    [max_runs_per_seed] runs are spent.  Deterministic given the placement.
+    With [max_runs_per_seed = 1] it is one forward run — a Monte-Carlo
+    start.  [Error] on the first failing run. *)
 
 val search :
   ?pool:Ion_util.Domain_pool.t ->
@@ -51,7 +48,7 @@ val search :
   backward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
   Fabric.Component.t ->
   num_qubits:int ->
-  (outcome, Simulator.Engine.error) result
+  (Search.outcome, Simulator.Engine.error) result
 (** [patience] defaults to 3 (the paper's stopping rule); [max_runs_per_seed]
     (default 64) bounds pathological non-converging seeds.  [Error] on
     [m < 1], a [prescreen] with [k < 1] (both as {!Simulator.Engine.Invalid}),
@@ -59,4 +56,5 @@ val search :
     reported).  [prescreen = (k, estimate)]
     locally searches only the [k] best-estimated unique seeds; [estimate],
     [forward], and [backward] must be safe to call from several domains at
-    once when a multi-domain [pool] is supplied. *)
+    once when a multi-domain [pool] is supplied.  The evaluation budget is
+    not applied: every searched seed runs to its stopping rule. *)

@@ -85,12 +85,12 @@ let test_mc_runs_budget () =
   match Monte_carlo.search ~seed:7 ~runs:6 ~evaluate:(make_forward comp) comp ~num_qubits:5 with
   | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
   | Ok o ->
-      check_int "runs" 6 o.Monte_carlo.runs;
-      check_int "latencies recorded" 6 (List.length o.Monte_carlo.latencies);
+      check_int "runs" 6 o.Search.runs;
+      check_int "latencies recorded" 6 (List.length o.Search.latencies);
       (* winner is the minimum of the recorded latencies *)
-      let best = List.fold_left Float.min Float.infinity o.Monte_carlo.latencies in
+      let best = List.fold_left Float.min Float.infinity o.Search.latencies in
       check_bool "winner is minimum" true
-        (Float.abs (best -. o.Monte_carlo.result.Simulator.Engine.latency) < 1e-9)
+        (Float.abs (best -. o.Search.result.Simulator.Engine.latency) < 1e-9)
 
 let test_mc_zero_runs_rejected () =
   let comp = quale_comp () in
@@ -102,7 +102,7 @@ let test_mc_deterministic_given_seed () =
   let comp = quale_comp () in
   let run () =
     match Monte_carlo.search ~seed:42 ~runs:4 ~evaluate:(make_forward comp) comp ~num_qubits:5 with
-    | Ok o -> o.Monte_carlo.result.Simulator.Engine.latency
+    | Ok o -> o.Search.result.Simulator.Engine.latency
     | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
   in
   Alcotest.(check (float 1e-9)) "reproducible" (run ()) (run ())
@@ -234,12 +234,11 @@ let test_mvfb_basic () =
   with
   | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
   | Ok o ->
-      check_int "seeds" 2 o.Mvfb.seeds_used;
-      check_bool "at least patience+1 runs per seed" true (o.Mvfb.runs >= 2 * 4);
-      check_int "latencies recorded" o.Mvfb.runs (List.length o.Mvfb.latencies);
-      let best = List.fold_left Float.min Float.infinity o.Mvfb.latencies in
+      check_bool "at least patience+1 runs per seed" true (o.Search.runs >= 2 * 4);
+      check_int "latencies recorded" o.Search.runs (List.length o.Search.latencies);
+      let best = List.fold_left Float.min Float.infinity o.Search.latencies in
       check_bool "winner is minimum" true
-        (Float.abs (best -. o.Mvfb.result.Simulator.Engine.latency) < 1e-9)
+        (Float.abs (best -. o.Search.result.Simulator.Engine.latency) < 1e-9)
 
 let test_mvfb_m_guard () =
   let comp = quale_comp () in
@@ -257,7 +256,7 @@ let test_mvfb_max_runs_cap () =
       ~backward:(make_backward comp) comp ~num_qubits:5
   with
   | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
-  | Ok o -> check_bool "capped" true (o.Mvfb.runs <= 4)
+  | Ok o -> check_bool "capped" true (o.Search.runs <= 4)
 
 (* The paper's Table 1 claim: at the same number of placement runs, MVFB
    finds a latency at least as good as Monte-Carlo (deterministic here given
@@ -276,7 +275,7 @@ let test_mvfb_beats_mc_at_equal_budget () =
       in
       let mc =
         match
-          Monte_carlo.search ~seed ~runs:mvfb.Mvfb.runs ~evaluate:(make_forward comp) comp
+          Monte_carlo.search ~seed ~runs:mvfb.Search.runs ~evaluate:(make_forward comp) comp
             ~num_qubits:5
         with
         | Ok o -> o
@@ -284,10 +283,10 @@ let test_mvfb_beats_mc_at_equal_budget () =
       in
       check_bool
         (Printf.sprintf "seed %d: MVFB (%g) <= MC (%g)" seed
-           mvfb.Mvfb.result.Simulator.Engine.latency mc.Monte_carlo.result.Simulator.Engine.latency)
+           mvfb.Search.result.Simulator.Engine.latency mc.Search.result.Simulator.Engine.latency)
         true
-        (mvfb.Mvfb.result.Simulator.Engine.latency
-        <= mc.Monte_carlo.result.Simulator.Engine.latency +. 1e-9))
+        (mvfb.Search.result.Simulator.Engine.latency
+        <= mc.Search.result.Simulator.Engine.latency +. 1e-9))
     [ 11; 23 ]
 
 let test_mvfb_backward_winner_consistency () =
@@ -303,8 +302,8 @@ let test_mvfb_backward_winner_consistency () =
       let ntraps = Array.length (Component.traps comp) in
       Array.iter
         (fun t -> check_bool "trap in range" true (t >= 0 && t < ntraps))
-        o.Mvfb.initial_placement;
-      check_int "placement arity" 5 (Array.length o.Mvfb.initial_placement)
+        o.Search.placement;
+      check_int "placement arity" 5 (Array.length o.Search.placement)
 
 (* ----------------------------------------------------------- Exhaustive *)
 
@@ -366,14 +365,14 @@ let test_annealing_improves_or_matches_start () =
   with
   | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
   | Ok o ->
-      check_int "evaluations" 20 o.Annealing.evaluations;
-      check_int "latencies recorded" 20 (List.length o.Annealing.latencies);
-      let first = List.hd o.Annealing.latencies in
-      check_bool "best <= first" true (o.Annealing.result.Simulator.Engine.latency <= first +. 1e-9);
+      check_int "evaluations" 20 o.Search.evaluations;
+      check_int "latencies recorded" 20 (List.length o.Search.latencies);
+      let first = List.hd o.Search.latencies in
+      check_bool "best <= first" true (o.Search.result.Simulator.Engine.latency <= first +. 1e-9);
       (* best really is the minimum of the recorded costs *)
-      let best = List.fold_left Float.min Float.infinity o.Annealing.latencies in
+      let best = List.fold_left Float.min Float.infinity o.Search.latencies in
       check_bool "best is min" true
-        (Float.abs (best -. o.Annealing.result.Simulator.Engine.latency) < 1e-9)
+        (Float.abs (best -. o.Search.result.Simulator.Engine.latency) < 1e-9)
 
 let test_annealing_guards () =
   let comp = quale_comp () in
@@ -390,7 +389,7 @@ let test_annealing_deterministic () =
   let run () =
     let rng = Ion_util.Rng.create 33 in
     match Annealing.search ~rng ~evaluations:12 ~evaluate:(make_forward comp) comp ~num_qubits:5 with
-    | Ok o -> o.Annealing.result.Simulator.Engine.latency
+    | Ok o -> o.Search.result.Simulator.Engine.latency
     | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
   in
   Alcotest.(check (float 1e-9)) "reproducible" (run ()) (run ())
