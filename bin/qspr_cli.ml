@@ -63,8 +63,11 @@ let load_target ~fabric_path ~pmd_path =
    failure modes they catch — disconnected islands, starved capacity — waste
    a whole placement search otherwise): warnings and hints go to stderr,
    errors abort before any search runs. *)
-let gate_on_fabric_lint ~program fabric =
-  let findings = Fabric.Lint.check ~num_qubits:(Qasm.Program.num_qubits program) fabric in
+let gate_on_fabric_lint ~program ~config fabric =
+  let findings =
+    Analysis.Fabric_check.check ~num_qubits:(Qasm.Program.num_qubits program)
+      ~channel_capacity:config.Qspr.Config.qspr_policy.Simulator.Engine.channel_capacity fabric
+  in
   List.iter (fun f -> Format.eprintf "%a@." Analysis.Finding.pp f) findings;
   if Analysis.Finding.is_clean findings then Ok ()
   else Error "fabric fails lint (errors above; `qspr lint` shows the full report)"
@@ -75,7 +78,7 @@ let do_map circuit qasm fabric_path pmd_path (placer, strategy) m sa_moves seed
   let result =
     let* program = load_program_msg ~circuit ~qasm in
     let* fabric, base_config = load_target ~fabric_path ~pmd_path in
-    let* () = gate_on_fabric_lint ~program fabric in
+    let* () = gate_on_fabric_lint ~program ~config:base_config fabric in
     (* explicit flags win; otherwise keep the config's (env-derived) budget *)
     let base_budget = base_config.Qspr.Config.budget in
     let budget =
@@ -276,13 +279,17 @@ let do_fabric fabric_path lint qubits =
             (Array.length (Fabric.Component.traps comp))
             Fabric.Render.legend (Fabric.Render.fabric lay);
           if lint then begin
-            let findings = Fabric.Lint.check ?num_qubits:qubits lay in
+            let config = env_config Qspr.Config.default in
+            let findings =
+              Analysis.Fabric_check.check ?num_qubits:qubits
+                ~channel_capacity:config.Qspr.Config.qspr_policy.Simulator.Engine.channel_capacity lay
+            in
             if findings = [] then print_endline "\nlint: clean"
             else begin
               print_newline ();
-              List.iter (fun f -> Format.printf "lint %a@." Fabric.Lint.pp_finding f) findings
+              List.iter (fun f -> Format.printf "lint %a@." Analysis.Finding.pp f) findings
             end;
-            if Fabric.Lint.is_clean ?num_qubits:qubits lay then 0 else 1
+            if Analysis.Finding.is_clean findings then 0 else 1
           end
           else 0)
 

@@ -1,9 +1,10 @@
-(** Fabric analysis (pass ["fabric"]): absorbs {!Fabric.Lint} and extends it
-    with whole-mapper context.
+(** Fabric analysis (pass ["fabric"]): the one fabric lint.  [qspr lint],
+    [qspr map]'s pre-search gate, [qspr fabric --lint] and the service all
+    report through it.
 
-    From {!Fabric.Lint.check} (structural): [malformed], [no-traps],
-    [disconnected], [trap-capacity], [tight-capacity], [no-junctions],
-    [dead-end].
+    From {!Fabric.Lint.structural} and {!Fabric.Lint.capacity_findings}:
+    [malformed], [no-traps], [disconnected], [trap-capacity],
+    [tight-capacity], [no-junctions], [dead-end].
 
     Added here:
     - [bottleneck] (warning): a junction that is an articulation point of

@@ -1,7 +1,5 @@
 module F = Analysis_finding
 
-let pp_finding = F.pp
-
 let pass = "fabric"
 
 type trap_load = Roomy | Tight | Starved | Impossible
@@ -103,18 +101,3 @@ let structural comp graph =
       (F.make ~pass ~kind:"dead-end" F.Warning "%d dead-end channel segment(s) serve no trap: wasted fabric area"
          !dead_ends);
   List.rev !findings
-
-let check ?num_qubits lay =
-  match Component.extract lay with
-  | Error msg -> [ F.make ~pass ~kind:"malformed" F.Error "%s" msg ]
-  | Ok comp ->
-      let found = structural comp (Graph.build comp) in
-      let error, warning =
-        match num_qubits with
-        | Some nq -> capacity_findings ~num_qubits:nq ~traps:(Array.length (Component.traps comp))
-        | None -> (None, None)
-      in
-      (* trap-capacity leads the errors, tight-capacity trails the warnings *)
-      F.sort (Option.to_list error @ found @ Option.to_list warning)
-
-let is_clean ?num_qubits lay = F.is_clean (check ?num_qubits lay)

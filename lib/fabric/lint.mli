@@ -1,28 +1,26 @@
-(** Fabric linting: structural diagnostics for user-authored fabrics.
+(** Fabric linting primitives: the structural diagnostics of a
+    user-authored fabric and the one trap-count predicate.
 
     ASCII fabrics are easy to mistype; beyond the hard errors
-    {!Layout.parse} and {!Component.extract} reject, this pass finds the
-    soft problems that make mapping fail or perform badly:
+    {!Layout.parse} and {!Component.extract} reject, {!structural} finds
+    the soft problems that make mapping fail or perform badly:
 
     - disconnected islands: traps that cannot reach each other over the
       turn-aware routing graph;
     - dead-end channels: segments with fewer than two junction endpoints
       (legal, but they only serve taps and waste fabric area otherwise);
-    - starved regions: a fabric whose trap count cannot host the intended
-      qubit count;
     - turn-free fabrics (no junctions): fine for linear machines, flagged so
-      grid users notice a parse surprise.
+      grid users notice a parse surprise;
+
+    and {!capacity_findings} the starved regions: a fabric whose trap count
+    cannot host the intended qubit count.
 
     Findings are reported in the shared {!Analysis_finding.t} currency
-    (pass ["fabric"]) so the CLI, the [analysis] library and CI render them
-    uniformly; [Analysis.Fabric_check] absorbs this pass and extends it with
-    whole-mapper context (bottleneck cut vertices, transit capacity). *)
-
-val check : ?num_qubits:int -> Layout.t -> Analysis_finding.t list
-(** All findings, errors first.  [num_qubits] enables the capacity check. *)
-
-val is_clean : ?num_qubits:int -> Layout.t -> bool
-(** No [Error]-severity findings. *)
+    (pass ["fabric"]).  They are not a lint pass of their own: the one
+    fabric lint is [Analysis.Fabric_check], which builds on these and
+    adds whole-mapper context (bottleneck cut vertices, transit
+    capacity); every surface ([qspr lint], [qspr map], [qspr fabric
+    --lint], the service) reports through it. *)
 
 type trap_load =
   | Roomy  (** at least two traps per qubit *)
@@ -51,6 +49,4 @@ val capacity_findings :
 val structural : Component.t -> Graph.t -> Analysis_finding.t list
 (** The layout-only findings of a well-formed fabric, in emission order:
     [no-traps] or [disconnected] (errors), [no-junctions] (hint), then
-    [dead-end] (warning).  [check] is these plus {!capacity_findings}. *)
-
-val pp_finding : Format.formatter -> Analysis_finding.t -> unit
+    [dead-end] (warning). *)

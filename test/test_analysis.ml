@@ -159,9 +159,9 @@ let test_fabric_absorbs_lint () =
   check_bool "linear hint" true (has_kind "no-junctions" fs)
 
 (* The one-shot fabric pass as it stood before the static/merge split —
-   [Fabric.Lint.check] followed by the bottleneck and transit additions,
-   one extraction each — kept as the reference the split must reproduce
-   finding for finding, in order. *)
+   the since-removed [Fabric.Lint.check] followed by the bottleneck and
+   transit additions, one extraction each — kept as the reference the
+   split must reproduce finding for finding, in order. *)
 let reference_lint_check ?num_qubits lay =
   let module Component = Fabric.Component in
   let module Graph = Fabric.Graph in
@@ -323,7 +323,6 @@ let test_fabric_static_merge_differential () =
           List.iter
             (fun num_qubits ->
               let lint = reference_lint_check ?num_qubits lay in
-              same (name ^ " Lint.check") lint (Fabric.Lint.check ?num_qubits lay);
               List.iter
                 (fun channel_capacity ->
                   let label =

@@ -361,14 +361,19 @@ let test_dot_routing_graph () =
 
 (* ----------------------------------------------------------------- Lint *)
 
+(* The one fabric lint, [Analysis.Fabric_check], over the structural and
+   capacity findings [Lint] supplies. *)
+let lint ?num_qubits lay = Analysis.Fabric_check.check ?num_qubits lay
+let lint_clean ?num_qubits lay = Analysis.Finding.is_clean (lint ?num_qubits lay)
+
 let test_lint_clean_fabrics () =
-  check_bool "45x85 clean" true (Lint.is_clean ~num_qubits:23 (Layout.quale_45x85 ()));
-  check_bool "small tile clean for 2 qubits" true (Lint.is_clean ~num_qubits:2 (Layout.small_tile ()))
+  check_bool "45x85 clean" true (lint_clean ~num_qubits:23 (Layout.quale_45x85 ()));
+  check_bool "small tile clean for 2 qubits" true (lint_clean ~num_qubits:2 (Layout.small_tile ()))
 
 let test_lint_disconnected () =
   let lay = match Layout.parse "J-JT\n\nJ-JT\n" with Ok l -> l | Error e -> Alcotest.fail e in
-  let findings = Lint.check lay in
-  check_bool "errors" false (Lint.is_clean lay);
+  let findings = lint lay in
+  check_bool "errors" false (lint_clean lay);
   check_bool "mentions disconnection" true
     (List.exists
        (fun f ->
@@ -381,20 +386,21 @@ let test_lint_disconnected () =
 let test_lint_capacity () =
   let lay = Layout.small_tile () in
   (* 4 traps: 10 qubits is an error, 3 qubits a warning *)
-  check_bool "overfull is error" false (Lint.is_clean ~num_qubits:10 lay);
-  let warnings = Lint.check ~num_qubits:3 lay in
+  check_bool "overfull is error" false (lint_clean ~num_qubits:10 lay);
+  let warnings = lint ~num_qubits:3 lay in
   check_bool "tight is warning" true
     (List.exists (fun f -> f.Analysis_finding.severity = Analysis_finding.Warning) warnings)
 
 let test_lint_linear_info () =
-  let findings = Lint.check (Layout.linear ~traps:4 ()) in
-  check_bool "no errors" true (Lint.is_clean (Layout.linear ~traps:4 ()));
+  let findings = lint (Layout.linear ~traps:4 ()) in
+  check_bool "no errors" true (lint_clean (Layout.linear ~traps:4 ()));
   check_bool "junction-free hint" true (List.exists (fun f -> f.Analysis_finding.severity = Analysis_finding.Hint) findings)
 
 let test_lint_pp () =
-  let findings = Lint.check ~num_qubits:10 (Layout.small_tile ()) in
+  let findings = lint ~num_qubits:10 (Layout.small_tile ()) in
   List.iter
-    (fun f -> check_bool "prints" true (String.length (Format.asprintf "%a" Lint.pp_finding f) > 0))
+    (fun f ->
+      check_bool "prints" true (String.length (Format.asprintf "%a" Analysis.Finding.pp f) > 0))
     findings
 
 (* --------------------------------------------------------------- Render *)
