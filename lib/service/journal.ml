@@ -1,13 +1,11 @@
 let magic = "qspr-journal/1"
 
-let fnv1a64 s =
+let key s =
   let h = ref 0xcbf29ce484222325L in
   String.iter
     (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
     s;
   !h
-
-let key = fnv1a64
 
 type entry = { key : int64; response_line : string; response : Protocol.response }
 

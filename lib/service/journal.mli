@@ -16,8 +16,10 @@
     with anything after it. *)
 
 val key : string -> int64
-(** FNV-1a digest of a request's canonical line — the journal's join key
-    between a batch input and its recorded response. *)
+(** FNV-1a 64 digest of a string.  Of a request's canonical line it is the
+    journal's join key between a batch input and its recorded response;
+    the scheduler keys its response cache and per-fabric registry with it
+    too. *)
 
 type entry = {
   key : int64;  (** digest of the request line this record answers *)

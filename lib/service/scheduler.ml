@@ -113,19 +113,12 @@ let create ?(limits = default_limits) ?(config = Qspr.Config.default) () =
 
 (* ------------------------------------------------------------ admission *)
 
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
 (* Fabric digest: canonical ASCII rendering plus the base-weight turn cost
    (the only base-weight parameter the cached tables depend on — channel
    and junction capacities shape live weights, not base ones). *)
 let fabric_key t layout =
   let tc = Router.Timing.turn_cost_in_moves t.base.Qspr.Config.timing in
-  fnv1a64 (Printf.sprintf "%.17g|%s" tc (Fabric.Layout.to_ascii layout))
+  Journal.key (Printf.sprintf "%.17g|%s" tc (Fabric.Layout.to_ascii layout))
 
 let resolve_circuit ~id = function
   | Protocol.Builtin name -> (
@@ -214,7 +207,7 @@ let job_config t ?deadline (job : Protocol.job) =
    level, not for the job. *)
 let response_key job =
   let line = Protocol.job_to_line job in
-  (fnv1a64 line, line)
+  (Journal.key line, line)
 
 let cache_lookup t job =
   if Lru.capacity t.responses = 0 then None
@@ -547,9 +540,7 @@ let run_batch ?(first_slot = 0) ?on_result t jobs =
             | None -> ())
           wave;
         let outs =
-          Ion_util.Domain_pool.map_seeded ~pool ~jobs:width ~seed:t.base.Qspr.Config.rng_seed
-            (fun ~index:_ ~rng:_ p -> run_one p)
-            wave
+          Ion_util.Domain_pool.map pool run_one wave
         in
         (* fold this wave's private caches back into the per-fabric
            snapshots, in wave order, so the next wave starts warmer *)

@@ -102,11 +102,9 @@ let map t f arr =
     | None -> Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_seeded ?pool ~jobs ~seed f arr =
-  let run pool =
-    (* index array rather than [map pool g arr] so [f] sees the task index
-       even when a future change reorders internal scheduling *)
-    let indices = Array.init (Array.length arr) Fun.id in
-    map pool (fun i -> f ~index:i ~rng:(Rng.derive seed ~index:i) arr.(i)) indices
-  in
-  match pool with Some p -> run p | None -> with_pool ~jobs run
+let map_seeded ~jobs ~seed f arr =
+  with_pool ~jobs (fun pool ->
+      (* index array rather than [map pool g arr] so [f] sees the task index
+         even when a future change reorders internal scheduling *)
+      let indices = Array.init (Array.length arr) Fun.id in
+      map pool (fun i -> f ~index:i ~rng:(Rng.derive seed ~index:i) arr.(i)) indices)

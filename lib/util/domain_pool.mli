@@ -38,13 +38,10 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
     [jobs <= 1] reuses {!sequential} without spawning anything. *)
 
 val map_seeded :
-  ?pool:t ->
   jobs:int ->
   seed:int ->
   (index:int -> rng:Rng.t -> 'a -> 'b) -> 'a array -> 'b array
-(** The shared seeded fan-out used by fault campaigns, the placer
-    portfolio and the service scheduler: task [i] receives its index and
-    the derived stream [Rng.derive seed ~index:i], so results are
-    bit-identical at any [jobs] count.  When [pool] is given it is used
-    directly (and [jobs] is ignored); otherwise a pool of size [jobs] is
-    created for the call via {!with_pool}. *)
+(** The seeded fan-out behind fault campaigns: task [i] receives its index
+    and the derived stream [Rng.derive seed ~index:i], so results are
+    bit-identical at any [jobs] count.  A pool of size [jobs] is created
+    for the call via {!with_pool}. *)
