@@ -59,15 +59,17 @@ let load_target ~fabric_path ~pmd_path =
 
 (* ------------------------------------------------------------------ map *)
 
+(* The fabric findings `qspr lint` reports, at the config's channel capacity. *)
+let fabric_lint ~config ?num_qubits fabric =
+  Analysis.Fabric_check.check ?num_qubits
+    ~channel_capacity:config.Qspr.Config.qspr_policy.Simulator.Engine.channel_capacity fabric
+
 (* Surface fabric lint on every mapping run (the findings are cheap and the
    failure modes they catch — disconnected islands, starved capacity — waste
    a whole placement search otherwise): warnings and hints go to stderr,
    errors abort before any search runs. *)
 let gate_on_fabric_lint ~program ~config fabric =
-  let findings =
-    Analysis.Fabric_check.check ~num_qubits:(Qasm.Program.num_qubits program)
-      ~channel_capacity:config.Qspr.Config.qspr_policy.Simulator.Engine.channel_capacity fabric
-  in
+  let findings = fabric_lint ~config ~num_qubits:(Qasm.Program.num_qubits program) fabric in
   List.iter (fun f -> Format.eprintf "%a@." Analysis.Finding.pp f) findings;
   if Analysis.Finding.is_clean findings then Ok ()
   else Error "fabric fails lint (errors above; `qspr lint` shows the full report)"
@@ -279,10 +281,8 @@ let do_fabric fabric_path lint qubits =
             (Array.length (Fabric.Component.traps comp))
             Fabric.Render.legend (Fabric.Render.fabric lay);
           if lint then begin
-            let config = env_config Qspr.Config.default in
             let findings =
-              Analysis.Fabric_check.check ?num_qubits:qubits
-                ~channel_capacity:config.Qspr.Config.qspr_policy.Simulator.Engine.channel_capacity lay
+              fabric_lint ~config:(env_config Qspr.Config.default) ?num_qubits:qubits lay
             in
             if findings = [] then print_endline "\nlint: clean"
             else begin

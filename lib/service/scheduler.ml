@@ -539,9 +539,7 @@ let run_batch ?(first_slot = 0) ?on_result t jobs =
                 Route_cache.attach p.p_cache s
             | None -> ())
           wave;
-        let outs =
-          Ion_util.Domain_pool.map pool run_one wave
-        in
+        let outs = Ion_util.Domain_pool.map pool run_one wave in
         (* fold this wave's private caches back into the per-fabric
            snapshots, in wave order, so the next wave starts warmer *)
         Array.iter
