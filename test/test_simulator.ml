@@ -388,6 +388,81 @@ let test_validate_wrong_durations () =
   (* a move must take exactly t_move *)
   check_rejected "bad-duration" (certify_forged ~placement:[| 0 |] [ move 0 (5, 1) (5, 2) 0.0 3.0 ])
 
+(* ----------------------------------------------------------- ingress pins *)
+
+(* Engine outputs on ingress-shaped jobs: 40 seeded random Clifford
+   programs (6-19 qubits, 40-440 gates), each mapped with center placement
+   on the service benchmark's four fabrics.  One route cache per fabric is
+   shared by its 40 jobs in order, so warm-cache hits are pinned too.  Per
+   fabric, the pin is an FNV-1a 64 fold over every job's latency bits,
+   certificate digest, route searches and route-cache hits, plus the
+   search and hit totals.  Scheduler, router and engine rewrites must leave
+   all four rows untouched. *)
+let ingress_fabrics () =
+  [
+    ("quale 45x85", Layout.quale_45x85 ());
+    ( "grid 45x27",
+      Layout.make_grid ~width:45 ~height:27 ~pitch_x:8 ~pitch_y:6 ~margin:2 ~traps_per_channel:1 () );
+    ( "grid 29x21",
+      Layout.make_grid ~width:29 ~height:21 ~pitch_x:6 ~pitch_y:5 ~margin:2 ~traps_per_channel:1 () );
+    ("linear 40", Layout.linear ~traps:40 ());
+  ]
+
+let ingress_programs () =
+  let rng = Ion_util.Rng.create 2023 in
+  List.init 40 (fun _ ->
+      let num_qubits = 6 + Ion_util.Rng.int rng 14 in
+      let gates = 40 + Ion_util.Rng.int rng 401 in
+      Circuits.Library.random_clifford rng ~num_qubits ~gates)
+
+let fnv_add h (x : int64) =
+  let h = ref h in
+  for i = 0 to 7 do
+    let byte = Int64.logand (Int64.shift_right_logical x (8 * i)) 0xffL in
+    h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+  done;
+  !h
+
+(* (fold, searches, hits) for one fabric *)
+let ingress_row programs lay =
+  let graph = build_graph lay in
+  let comp = Graph.component graph in
+  let cache = Route_cache.create () in
+  Route_cache.for_graph cache graph;
+  List.fold_left
+    (fun (h, searches, hits) p ->
+      let placement = Placer.Center.place comp ~num_qubits:(Program.num_qubits p) in
+      let tm = Timing.paper and policy = Engine.qspr_policy in
+      let dag = Dag.of_program p in
+      let priorities =
+        Scheduler.Priority.compute Scheduler.Priority.qspr_default ~delay:(paper_delay tm) dag
+      in
+      match Engine.run ~graph ~timing:tm ~policy ~dag ~priorities ~placement ~route_cache:cache () with
+      | Error e -> Alcotest.failf "engine: %s" (Engine.string_of_error e)
+      | Ok r ->
+          let c = certify ~channel_capacity:policy.Engine.channel_capacity graph p placement r in
+          check_certified "ingress job" c;
+          let h = fnv_add h (Int64.bits_of_float r.Engine.latency) in
+          let h = fnv_add h c.Analysis.Certify.digest in
+          let h = fnv_add h (Int64.of_int r.Engine.route_searches) in
+          let h = fnv_add h (Int64.of_int r.Engine.route_cache_hits) in
+          (h, searches + r.Engine.route_searches, hits + r.Engine.route_cache_hits))
+    (0xcbf29ce484222325L, 0, 0) programs
+
+let ingress_pins =
+  [
+    ("quale 45x85", (-4083567073653792407L, 4560, 1768));
+    ("grid 45x27", (-2847217218187899708L, 4455, 1891));
+    ("grid 29x21", (8407068184133523162L, 4376, 1967));
+    ("linear 40", (-4307074857731519715L, 3447, 2565));
+  ]
+
+let test_ingress_pins () =
+  let programs = ingress_programs () in
+  let rows = List.map (fun (name, lay) -> (name, ingress_row programs lay)) (ingress_fabrics ()) in
+  let show (name, (h, s, k)) = Printf.sprintf "%s: fold %LdL, %d searches, %d hits" name h s k in
+  Alcotest.(check (list string)) "ingress rows" (List.map show ingress_pins) (List.map show rows)
+
 let () =
   Alcotest.run "simulator"
     [
@@ -407,6 +482,7 @@ let () =
           Alcotest.test_case "placement validation" `Quick test_placement_validation;
           Alcotest.test_case "deadlock reported" `Quick test_deadlock_reported;
           Alcotest.test_case "final placement consistent" `Quick test_final_placement_consistent;
+          Alcotest.test_case "ingress pins" `Quick test_ingress_pins;
         ] );
       ( "breakdown",
         [
