@@ -2,62 +2,90 @@ open Qasm
 
 type status = Waiting | Ready | Deferred | In_flight | Done
 
+(* The frontier is kept incrementally, so no operation scans all [n]
+   statuses after [create]:
+   - [bag.(0 .. n_ready-1)] holds the ready ids in no particular order and
+     [pos.(i)] is the slot of ready id [i], for O(1) add and swap-remove;
+   - [deferred.(0 .. n_busy-1)] is the busy queue, a stack that
+     [requeue_busy] empties back into the bag.
+   [status] stays the source of truth for [is_ready] and the state checks. *)
 type t = {
   dag : Dag.t;
   priorities : float array;
   status : status array;
   pending_preds : int array;
-  scratch : int array; (* reusable ready-id buffer for iter_ready *)
+  bag : int array;
+  pos : int array;
+  deferred : int array;
+  scratch : int array; (* reusable snapshot buffer for iter_ready *)
+  mutable n_ready : int;
   mutable n_done : int;
   mutable n_busy : int;
   mutable n_flight : int;
 }
 
+let add t i =
+  t.status.(i) <- Ready;
+  t.bag.(t.n_ready) <- i;
+  t.pos.(i) <- t.n_ready;
+  t.n_ready <- t.n_ready + 1
+
+(* swap-remove: the last bag entry takes [i]'s slot *)
+let remove t i =
+  let p = t.pos.(i) in
+  let last = t.bag.(t.n_ready - 1) in
+  t.bag.(p) <- last;
+  t.pos.(last) <- p;
+  t.n_ready <- t.n_ready - 1
+
 let create dag ~priorities =
   let n = Dag.num_nodes dag in
   if Array.length priorities <> n then invalid_arg "Ready_set.create: priorities length mismatch";
   let pending_preds = Array.init n (fun i -> List.length (Dag.node dag i).Dag.preds) in
-  let status = Array.init n (fun i -> if pending_preds.(i) = 0 then Ready else Waiting) in
-  {
-    dag;
-    priorities;
-    status;
-    pending_preds;
-    scratch = Array.make n 0;
-    n_done = 0;
-    n_busy = 0;
-    n_flight = 0;
-  }
+  let t =
+    {
+      dag;
+      priorities;
+      status = Array.make n Waiting;
+      pending_preds;
+      bag = Array.make n 0;
+      pos = Array.make n 0;
+      deferred = Array.make n 0;
+      scratch = Array.make n 0;
+      n_ready = 0;
+      n_done = 0;
+      n_busy = 0;
+      n_flight = 0;
+    }
+  in
+  for i = 0 to n - 1 do
+    if pending_preds.(i) = 0 then add t i
+  done;
+  t
 
 (* highest priority first, ties toward lower id — a total order, so every
    correct sort (the insertion sort below, List.sort in [ready]) yields the
-   same sequence *)
+   same sequence whatever order the bag holds its ids in *)
 let before t a b =
   match Float.compare t.priorities.(b) t.priorities.(a) with 0 -> a < b | c -> c < 0
 
 let ready t =
-  let ids = ref [] in
-  Array.iteri (fun i s -> if s = Ready then ids := i :: !ids) t.status;
   List.sort
     (fun a b ->
       match Float.compare t.priorities.(b) t.priorities.(a) with 0 -> Int.compare a b | c -> c)
-    !ids
+    (List.init t.n_ready (fun k -> t.bag.(k)))
+
+let ready_count t = t.n_ready
 
 let iter_ready t f =
-  (* allocation-free [ready]: collect into the reusable scratch, insertion
-     sort the prefix (ready sets are small), iterate.  The buffer is only
-     valid during this call — [f] may mutate statuses freely, the snapshot
+  (* allocation-free [ready]: copy the bag into the reusable scratch,
+     insertion sort it (ready sets are small), iterate.  The buffer is only
+     valid during this call — [f] may mutate the set freely, the snapshot
      is already taken, exactly like iterating the list [ready] built. *)
   let buf = t.scratch in
-  let k = ref 0 in
-  Array.iteri
-    (fun i s ->
-      if s = Ready then begin
-        buf.(!k) <- i;
-        incr k
-      end)
-    t.status;
-  for i = 1 to !k - 1 do
+  let k = t.n_ready in
+  Array.blit t.bag 0 buf 0 k;
+  for i = 1 to k - 1 do
     let x = buf.(i) in
     let j = ref (i - 1) in
     while !j >= 0 && before t x buf.(!j) do
@@ -66,7 +94,7 @@ let iter_ready t f =
     done;
     buf.(!j + 1) <- x
   done;
-  for i = 0 to !k - 1 do
+  for i = 0 to k - 1 do
     f buf.(i)
   done
 
@@ -74,13 +102,14 @@ let is_ready t i = t.status.(i) = Ready
 
 let mark_issued t i =
   if t.status.(i) <> Ready then invalid_arg "Ready_set.mark_issued: instruction not ready";
+  remove t i;
   t.status.(i) <- In_flight;
   t.n_flight <- t.n_flight + 1
 
 let mark_done t i =
   (match t.status.(i) with
   | In_flight -> t.n_flight <- t.n_flight - 1
-  | Ready -> () (* declarations complete without issue *)
+  | Ready -> remove t i (* declarations complete without issue *)
   | Waiting | Deferred | Done -> invalid_arg "Ready_set.mark_done: bad state");
   t.status.(i) <- Done;
   t.n_done <- t.n_done + 1;
@@ -88,7 +117,7 @@ let mark_done t i =
     (fun s ->
       t.pending_preds.(s) <- t.pending_preds.(s) - 1;
       if t.pending_preds.(s) = 0 && t.status.(s) = Waiting then begin
-        t.status.(s) <- Ready;
+        add t s;
         true
       end
       else false)
@@ -96,11 +125,15 @@ let mark_done t i =
 
 let defer t i =
   if t.status.(i) <> Ready then invalid_arg "Ready_set.defer: instruction not ready";
+  remove t i;
   t.status.(i) <- Deferred;
+  t.deferred.(t.n_busy) <- i;
   t.n_busy <- t.n_busy + 1
 
 let requeue_busy t =
-  Array.iteri (fun i s -> if s = Deferred then t.status.(i) <- Ready) t.status;
+  for k = 0 to t.n_busy - 1 do
+    add t t.deferred.(k)
+  done;
   t.n_busy <- 0
 
 let busy_count t = t.n_busy

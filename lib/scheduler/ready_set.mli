@@ -4,16 +4,26 @@
     unfinished; exposes the ready instructions in priority order; and keeps
     the paper's {e busy queue} of instructions that were ready but could not
     be routed — those return to the ready set when the fabric state changes
-    ({!requeue_busy}). *)
+    ({!requeue_busy}).
+
+    The frontier is kept incrementally: after {!create} no operation scans
+    all [n] instructions.  With [k] ready ids, {!mark_issued}, {!defer},
+    {!is_ready} and the counts are O(1), {!mark_done} is O(successors),
+    {!iter_ready} is O(k{^ 2}) (an insertion sort of the snapshot), {!ready}
+    is O(k log k) and {!requeue_busy} is O(deferred ids). *)
 
 type t
 
 val create : Qasm.Dag.t -> priorities:float array -> t
-(** @raise Invalid_argument on length mismatch. *)
+(** O(n) in the instruction count.
+    @raise Invalid_argument on length mismatch. *)
 
 val ready : t -> int list
 (** Ready, unissued, non-deferred instructions, highest priority first
     (ties toward lower id). *)
+
+val ready_count : t -> int
+(** [List.length (ready t)], in O(1). *)
 
 val iter_ready : t -> (int -> unit) -> unit
 (** [iter_ready t f] applies [f] to exactly the ids [ready] would return,
@@ -38,7 +48,7 @@ val defer : t -> int -> unit
 (** Moves a ready instruction to the busy queue. *)
 
 val requeue_busy : t -> unit
-(** Busy-queue instructions become ready again. *)
+(** Busy-queue instructions become ready again; O(deferred ids). *)
 
 val busy_count : t -> int
 val done_count : t -> int

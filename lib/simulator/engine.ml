@@ -509,7 +509,7 @@ let run ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_factor =
                  {
                    stuck =
                      Scheduler.Ready_set.busy_count st.ready_set
-                     + List.length (Scheduler.Ready_set.ready st.ready_set)
+                     + Scheduler.Ready_set.ready_count st.ready_set
                      + Hashtbl.length st.flights;
                  })
         else begin

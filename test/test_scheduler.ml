@@ -171,6 +171,174 @@ let prop_drain_respects_deps =
         !ok
       end)
 
+(* The whole-array scan the incremental ready set replaced, kept as the
+   reference: every query walks all [n] statuses. *)
+module Scan = struct
+  type status = Waiting | Ready | Deferred | In_flight | Done
+
+  type t = {
+    dag : Dag.t;
+    priorities : float array;
+    status : status array;
+    pending_preds : int array;
+    mutable n_done : int;
+    mutable n_busy : int;
+    mutable n_flight : int;
+  }
+
+  let create dag ~priorities =
+    let n = Dag.num_nodes dag in
+    let pending_preds = Array.init n (fun i -> List.length (Dag.node dag i).Dag.preds) in
+    let status = Array.init n (fun i -> if pending_preds.(i) = 0 then Ready else Waiting) in
+    { dag; priorities; status; pending_preds; n_done = 0; n_busy = 0; n_flight = 0 }
+
+  let ready t =
+    let ids = ref [] in
+    Array.iteri (fun i s -> if s = Ready then ids := i :: !ids) t.status;
+    List.sort
+      (fun a b ->
+        match Float.compare t.priorities.(b) t.priorities.(a) with 0 -> Int.compare a b | c -> c)
+      !ids
+
+  let ready_count t = List.length (ready t)
+  let iter_ready t f = List.iter f (ready t)
+  let is_ready t i = t.status.(i) = Ready
+
+  let mark_issued t i =
+    if t.status.(i) <> Ready then invalid_arg "Scan.mark_issued";
+    t.status.(i) <- In_flight;
+    t.n_flight <- t.n_flight + 1
+
+  let mark_done t i =
+    (match t.status.(i) with
+    | In_flight -> t.n_flight <- t.n_flight - 1
+    | Ready -> ()
+    | Waiting | Deferred | Done -> invalid_arg "Scan.mark_done");
+    t.status.(i) <- Done;
+    t.n_done <- t.n_done + 1;
+    List.filter
+      (fun s ->
+        t.pending_preds.(s) <- t.pending_preds.(s) - 1;
+        if t.pending_preds.(s) = 0 && t.status.(s) = Waiting then begin
+          t.status.(s) <- Ready;
+          true
+        end
+        else false)
+      (Dag.node t.dag i).Dag.succs
+
+  let defer t i =
+    if t.status.(i) <> Ready then invalid_arg "Scan.defer";
+    t.status.(i) <- Deferred;
+    t.n_busy <- t.n_busy + 1
+
+  let requeue_busy t =
+    Array.iteri (fun i s -> if s = Deferred then t.status.(i) <- Ready) t.status;
+    t.n_busy <- 0
+
+  let busy_count t = t.n_busy
+  let done_count t = t.n_done
+  let in_flight_count t = t.n_flight
+end
+
+module type FRONTIER = sig
+  type t
+
+  val create : Dag.t -> priorities:float array -> t
+  val ready : t -> int list
+  val ready_count : t -> int
+  val iter_ready : t -> (int -> unit) -> unit
+  val is_ready : t -> int -> bool
+  val mark_issued : t -> int -> unit
+  val mark_done : t -> int -> int list
+  val defer : t -> int -> unit
+  val requeue_busy : t -> unit
+  val busy_count : t -> int
+  val done_count : t -> int
+  val in_flight_count : t -> int
+end
+
+(* Drives one frontier through an operation script and logs every
+   observation: [iter_ready] visit sequences (the callback itself issues,
+   defers or completes), [mark_done]'s newly-ready lists, refused
+   operations, and after each step [ready] and the four counts.  The
+   in-flight ids are tracked here, in issue order. *)
+let frontier_log (module F : FRONTIER) dag priorities ops =
+  let n = Dag.num_nodes dag in
+  let t = F.create dag ~priorities in
+  let log = Buffer.create 1024 in
+  let say fmt = Printf.bprintf log fmt in
+  let flying = ref [] in
+  let nth l k = List.nth l (k mod List.length l) in
+  let issue i =
+    F.mark_issued t i;
+    flying := !flying @ [ i ]
+  in
+  let complete i =
+    flying := List.filter (( <> ) i) !flying;
+    say "done %d -> [%s]\n" i (String.concat "," (List.map string_of_int (F.mark_done t i)))
+  in
+  let guarded what f = try f () with Invalid_argument _ -> say "refused %s\n" what in
+  List.iter
+    (fun (op, k) ->
+      (match op with
+      | 0 | 1 ->
+          let rng = Ion_util.Rng.create k in
+          say "visit";
+          F.iter_ready t (fun i ->
+              say " %d" i;
+              if F.is_ready t i then
+                match Ion_util.Rng.int rng 4 with
+                | 0 -> issue i
+                | 1 -> F.defer t i
+                | 2 -> complete i
+                | _ -> ());
+          say "\n"
+      | 2 -> if F.ready t <> [] then issue (nth (F.ready t) k)
+      | 3 -> if F.ready t <> [] then F.defer t (nth (F.ready t) k)
+      | 4 | 5 -> if !flying <> [] then complete (nth !flying k)
+      | 6 -> if F.ready t <> [] then complete (nth (F.ready t) k)
+      | 7 -> F.requeue_busy t
+      | _ ->
+          let i = k mod n in
+          guarded "issue" (fun () -> issue i);
+          guarded "done" (fun () -> complete i);
+          guarded "defer" (fun () -> F.defer t i));
+      say "ready [%s] count %d busy %d done %d flight %d\n"
+        (String.concat "," (List.map string_of_int (F.ready t)))
+        (F.ready_count t) (F.busy_count t) (F.done_count t) (F.in_flight_count t))
+    ops;
+  Buffer.contents log
+
+(* random Clifford programs, priorities from four levels (so ties are
+   common), and 0..300 operations *)
+let arb_frontier_case =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* qubits = 2 -- 8 in
+      let* gates = 0 -- 60 in
+      let* levels = int_bound 1_000_000 in
+      let* ops = list_size (0 -- 300) (pair (int_bound 8) (int_bound 1_000_000)) in
+      return (seed, qubits, gates, levels, ops))
+  in
+  QCheck.make
+    ~print:(fun (seed, qubits, gates, levels, ops) ->
+      Printf.sprintf "seed=%d qubits=%d gates=%d levels=%d ops=[%s]" seed qubits gates levels
+        (String.concat ";" (List.map (fun (o, k) -> Printf.sprintf "%d,%d" o k) ops)))
+    gen
+
+let prop_frontier_matches_scan =
+  QCheck.Test.make ~name:"incremental frontier = status-array scan" ~count:300 arb_frontier_case
+    (fun (seed, qubits, gates, levels, ops) ->
+      let p = Circuits.Library.random_clifford (Ion_util.Rng.create seed) ~num_qubits:qubits ~gates in
+      let dag = Dag.of_program p in
+      let rng = Ion_util.Rng.create levels in
+      let priorities = Array.init (Dag.num_nodes dag) (fun _ -> float_of_int (Ion_util.Rng.int rng 4)) in
+      let incremental = frontier_log (module Ready_set) dag priorities ops in
+      let scan = frontier_log (module Scan) dag priorities ops in
+      if incremental = scan then true
+      else QCheck.Test.fail_reportf "incremental:\n%s\nscan:\n%s" incremental scan)
+
 (* --------------------------------------------------------------- Static *)
 
 let test_static_asap_equals_critical_path () =
@@ -243,7 +411,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_ready_errors;
           Alcotest.test_case "full drain" `Quick test_ready_full_drain;
         ]
-        @ qsuite [ prop_drain_respects_deps ] );
+        @ qsuite [ prop_drain_respects_deps; prop_frontier_matches_scan ] );
       ( "static",
         [
           Alcotest.test_case "asap = critical path" `Quick test_static_asap_equals_critical_path;
