@@ -348,9 +348,13 @@ let search ~out_of_time t strategy =
   in
   match strategy with
   | Mvfb ->
+      (* a program with prepare/measure has no uncompute graph, so there is
+         no backward pass: one forward run per start *)
+      let max_runs_per_seed = if t.udag = None then Some 1 else None in
       pooled (fun pool ->
           Placer.Mvfb.search ~pool ?prescreen ~seed ~m ~patience:cfg.Config.patience
-            ~forward:(run_forward t) ~backward:(run_backward t) t.comp ~num_qubits)
+            ?max_runs_per_seed ~forward:(run_forward t) ~backward:(run_backward t) t.comp
+            ~num_qubits)
   | Monte_carlo ->
       pooled (fun pool ->
           Placer.Monte_carlo.search ~pool ?prescreen ?max_evals ~out_of_time ~seed ~runs:m

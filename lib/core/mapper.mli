@@ -129,7 +129,8 @@ type strategy =
   | Mvfb
       (** the full QSPR flow: MVFB placement over [m] seeds, best of all
           forward/backward runs; backward winners are reported as reversed
-          traces (Section IV.A) *)
+          traces (Section IV.A).  A program with prepare/measure has no
+          backward pass, so each seed gets one forward run *)
   | Monte_carlo  (** best of [m] random center placements *)
   | Annealing
       (** simulated annealing ({!Placer.Annealing.search}) over [m]

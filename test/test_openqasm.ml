@@ -101,11 +101,11 @@ let test_mapped_end_to_end () =
     | Ok c -> c
     | Error e -> Alcotest.fail e
   in
-  (* the program measures, so MVFB's backward pass is unavailable; the MC
-     placer must still work *)
+  (* the program measures, so MVFB's backward pass is unavailable: MVFB
+     searches forward only, and the MC placer works too *)
   (match Qspr.Mapper.map Mvfb ctx with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "MVFB accepted a non-unitary program");
+  | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
+  | Ok sol -> check_bool "mvfb wins forward" true (sol.Qspr.Mapper.direction = Placer.Mvfb.Forward));
   match Qspr.Mapper.(map Monte_carlo (with_search (Qspr.Config.with_m 3) ctx)) with
   | Error e -> Alcotest.fail (Qspr.Mapper.error_to_string e)
   | Ok sol -> check_bool "mapped" true (sol.Qspr.Mapper.latency > 0.0)

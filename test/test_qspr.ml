@@ -217,6 +217,23 @@ let test_run_backward_requires_unitary () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "backward run on non-unitary program accepted"
 
+(* A program with measurements has no uncompute graph, so MVFB searches
+   forward only: it maps, certifies and wins Forward instead of failing on
+   the missing backward pass. *)
+let test_mvfb_forward_only_on_non_unitary () =
+  let p =
+    match Qasm.Parser.parse_file "corpus/good/bell_openqasm.qasm" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  check_bool "not unitary" true (Result.is_error (Qasm.Dag.reverse (Qasm.Dag.of_program p)));
+  let ctx = ctx_of p in
+  match Mapper.map Mvfb ctx with
+  | Error e -> Alcotest.fail (Mapper.error_to_string e)
+  | Ok sol ->
+      check_bool "forward wins" true (sol.Mapper.direction = Placer.Mvfb.Forward);
+      check_certified "forward-only mvfb trace invalid" (Analysis.Certify.of_solution ctx sol)
+
 let test_mapper_deterministic () =
   let run () =
     match Mapper.map Mvfb (ctx_of (c513 ())) with
@@ -464,6 +481,8 @@ let () =
           Alcotest.test_case "reversed backward trace validates" `Quick
             test_backward_trace_reversed_validates;
           Alcotest.test_case "backward requires unitary" `Quick test_run_backward_requires_unitary;
+          Alcotest.test_case "mvfb forward-only on non-unitary" `Quick
+            test_mvfb_forward_only_on_non_unitary;
           Alcotest.test_case "deterministic" `Quick test_mapper_deterministic;
         ] );
       ( "quale",
