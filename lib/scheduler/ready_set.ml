@@ -71,8 +71,7 @@ let before t a b =
 
 let ready t =
   List.sort
-    (fun a b ->
-      match Float.compare t.priorities.(b) t.priorities.(a) with 0 -> Int.compare a b | c -> c)
+    (fun a b -> if a = b then 0 else if before t a b then -1 else 1)
     (List.init t.n_ready (fun k -> t.bag.(k)))
 
 let ready_count t = t.n_ready
