@@ -84,6 +84,42 @@ let test_estimate_rejects_bad_placements () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-range trap accepted"
 
+(* Estimate bits on all six Table-1 circuits at center placement and the
+   first three Monte-Carlo starts of seed 2012: pins the calibrated
+   congestion stretch and the event-driven mirror bit for bit. *)
+let estimate_pinned =
+  [
+    "[[5,1,3]] 0x4089280000000000L 0x4086a00000000000L 0x4086f80000000000L 0x4088500000000000L";
+    "[[7,1,3]] 0x408778cccccccccdL 0x40866028f5c28f5cL 0x408812f5c28f5c29L 0x408812f5c28f5c29L";
+    "[[9,1,3]] 0x4093fd7ae147ae14L 0x40944d7ae147ae14L 0x409429c28f5c28f6L 0x409541c28f5c28f6L";
+    "[[14,8,3]] 0x40a8f93333333332L 0x40a9eec28f5c28f6L 0x40ab054cccccccccL 0x40aab99999999998L";
+    "[[19,1,7]] 0x40aa7b6666666666L 0x40aa630a3d70a3d7L 0x40aadd147ae147aeL 0x40a9b0051eb851ecL";
+    "[[23,1,7]] 0x409e32999999999aL 0x409e7b6666666666L 0x409e62999999999aL 0x409e4fa3d70a3d70L";
+  ]
+
+let render_estimates (name, program) =
+  let ctx =
+    match Mapper.create ~fabric:(fabric ()) program with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "Mapper.create: %s" e
+  in
+  let comp = Mapper.component ctx and nq = Qasm.Program.num_qubits program in
+  let placements =
+    Placer.Center.place comp ~num_qubits:nq
+    :: List.init 3 (fun i -> Placer.Center.place_permuted (Ion_util.Rng.derive 2012 ~index:i) comp ~num_qubits:nq)
+  in
+  let model = Mapper.estimator_model ctx in
+  String.concat " "
+    (name
+    :: List.map
+         (fun p -> Printf.sprintf "0x%LxL" (Int64.bits_of_float (Estimator.Model.estimate model p)))
+         placements)
+
+let test_estimate_pins () =
+  Alcotest.(check (list string))
+    "estimate bits" estimate_pinned
+    (List.map render_estimates (Circuits.Qecc.all ()))
+
 (* ------------------------------------------------------------- accuracy *)
 
 let test_mean_relative_error_within_bound () =
@@ -214,6 +250,7 @@ let () =
           Alcotest.test_case "Domain_pool fan-out is bit-identical" `Quick
             test_estimate_domain_pool_bit_identical;
           Alcotest.test_case "bad placements rejected" `Quick test_estimate_rejects_bad_placements;
+          Alcotest.test_case "estimate pins on the Table-1 circuits" `Quick test_estimate_pins;
         ] );
       ( "accuracy",
         [

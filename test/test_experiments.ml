@@ -139,6 +139,30 @@ let test_wave_study_rows () =
       check_bool (name ^ ": wave slower than event-driven QSPR") true (wave > qspr))
     rows
 
+(* The wave study at m 2 on all six circuits: wave latency bits, the QSPR
+   latency bits and the leftover overuses.  It is the only caller of
+   PathFinder's negotiation, so this pins its iteration cap and cost
+   schedule end to end. *)
+let wave_pinned =
+  [
+    "[[5,1,3]] wave 0x4090700000000000L qspr 0x4086a00000000000L overused 0";
+    "[[7,1,3]] wave 0x408f300000000000L qspr 0x4085380000000000L overused 1";
+    "[[9,1,3]] wave 0x409c3c0000000000L qspr 0x4093400000000000L overused 0";
+    "[[14,8,3]] wave 0x40bf280000000000L qspr 0x40a88a0000000000L overused 1";
+    "[[19,1,7]] wave 0x40b19b0000000000L qspr 0x40a8c20000000000L overused 24";
+    "[[23,1,7]] wave 0x40a55e0000000000L qspr 0x409df40000000000L overused 24";
+  ]
+
+let test_wave_study_pins () =
+  let rows = Experiments.wave_study ~m:2 () in
+  Alcotest.(check (list string))
+    "wave study rows" wave_pinned
+    (List.map
+       (fun (name, wave, qspr, over) ->
+         Printf.sprintf "%s wave 0x%LxL qspr 0x%LxL overused %d" name (Int64.bits_of_float wave)
+           (Int64.bits_of_float qspr) over)
+       rows)
+
 let test_basis_study_rows () =
   let rows = Experiments.basis_study ~m:2 ~circuits:(small_circuits ()) () in
   List.iter
@@ -208,6 +232,7 @@ let () =
           Alcotest.test_case "scaling study" `Quick test_scaling_study_runs;
           Alcotest.test_case "fabric study" `Slow test_fabric_study_rows;
           Alcotest.test_case "wave study" `Slow test_wave_study_rows;
+          Alcotest.test_case "wave study pins" `Quick test_wave_study_pins;
           Alcotest.test_case "objective study" `Quick test_objective_study;
           Alcotest.test_case "basis study" `Slow test_basis_study_rows;
           Alcotest.test_case "golden latencies" `Slow test_golden_latencies;
