@@ -139,11 +139,7 @@ let do_map circuit qasm fabric_path pmd_path (placer, strategy) m sa_moves seed
     let* () =
       if not certify then Ok ()
       else begin
-        let policy =
-          if strategy = Qspr.Mapper.Quale then (Qspr.Mapper.config ctx).Qspr.Config.quale_policy
-          else (Qspr.Mapper.config ctx).Qspr.Config.qspr_policy
-        in
-        let cert = Analysis.Certify.of_solution ~policy ctx sol in
+        let cert = Analysis.Certify.of_solution ctx sol in
         Format.printf "%a@." Analysis.Certify.pp cert;
         if cert.Analysis.Certify.valid then Ok ()
         else Error "trace certification failed: the reported solution is not physically executable"

@@ -9,6 +9,11 @@ type exact_result = { optimum_us : float; proved : bool; nodes : int }
 
 let default_node_budget = 400_000
 
+(* exact searches past any of these limits are declined, not run *)
+let max_qubits = 8
+let max_two_qubit = 20
+let max_traps = 16
+
 (* Exact optimum of the relaxed machine model by branch-and-bound over
    dispatch sequences.  The model keeps, for the solution's fixed initial
    placement: per-ion position and free time, a per-trap two-qubit gate
@@ -28,8 +33,7 @@ let default_node_budget = 400_000
    orders — the enumeration is complete.  The DFS iterates gates then
    traps in ascending id with a deterministic prune, so the optimum and
    the node count are bit-identical on every run at any jobs width. *)
-let exact_optimum ?(node_budget = default_node_budget) ?(max_qubits = 8) ?(max_two_qubit = 20)
-    ?(max_traps = 16) ~distance ~timing ~placement ~incumbent dag =
+let exact_optimum ?(node_budget = default_node_budget) ~distance ~timing ~placement ~incumbent dag =
   let nodes = D.nodes dag in
   let n = Array.length nodes in
   let nq = Qasm.Program.num_qubits (D.program dag) in

@@ -35,9 +35,6 @@ val default_node_budget : int
 
 val exact_optimum :
   ?node_budget:int ->
-  ?max_qubits:int ->
-  ?max_two_qubit:int ->
-  ?max_traps:int ->
   distance:Estimator.Distance.t ->
   timing:Router.Timing.t ->
   placement:int array ->
@@ -48,9 +45,9 @@ val exact_optimum :
     travel, serialized ions, one two-qubit gate per trap at a time, QIDG
     dependencies) from the given initial placement.  [incumbent] seeds the
     upper bound — pass the achieved latency; the relaxed optimum can never
-    exceed it.  Guarded by instance size ([max_qubits], default 8;
-    [max_two_qubit], default 20; [max_traps], default 16): [Error reason]
-    when the instance is too large for exhaustive search. *)
+    exceed it.  Guarded by fixed instance-size limits (at most 8 qubits,
+    20 two-qubit gates and 16 traps): [Error reason] when the instance is
+    too large for exhaustive search. *)
 
 type report = {
   latency_us : float;

@@ -965,9 +965,8 @@ let check ~component:comp ~timing ~channel_capacity ~junction_capacity ~dag ~ini
     findings;
   }
 
-let of_solution ?policy ctx (sol : Qspr.Mapper.solution) =
-  let config = Qspr.Mapper.config ctx in
-  let policy = Option.value ~default:config.Qspr.Config.qspr_policy policy in
+let of_solution ctx (sol : Qspr.Mapper.solution) =
+  let config = Qspr.Mapper.config ctx and policy = sol.Qspr.Mapper.policy in
   check ~component:(Qspr.Mapper.component ctx) ~timing:config.Qspr.Config.timing
     ~channel_capacity:policy.Simulator.Engine.channel_capacity
     ~junction_capacity:policy.Simulator.Engine.junction_capacity ~dag:(Qspr.Mapper.dag ctx)

@@ -86,11 +86,10 @@ val check :
     — a certified trace never uses a faulted junction, channel cell or
     trap. *)
 
-val of_solution :
-  ?policy:Simulator.Engine.policy -> Qspr.Mapper.t -> Qspr.Mapper.solution -> certificate
-(** Certifies a mapper solution against its own context.  [policy] defaults
-    to the context's QSPR policy — pass the QUALE policy for
-    dest-pinned/capacity-1 runs. *)
+val of_solution : Qspr.Mapper.t -> Qspr.Mapper.solution -> certificate
+(** Certifies a mapper solution against its own context, at the channel and
+    junction capacities of the policy the solution records
+    ([Qspr.Mapper.solution.policy]): capacity 1 for a [Quale] run. *)
 
 val digest_trace : Simulator.Trace.t -> int64
 (** The certificate digest alone: FNV-1a 64 over the canonical rendering,

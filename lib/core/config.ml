@@ -9,10 +9,8 @@ let no_budget = { wall_s = None; max_evals = None; deadline = None }
 type t = {
   timing : Router.Timing.t;
   qspr_policy : Simulator.Engine.policy;
-  quale_policy : Simulator.Engine.policy;
   m : int;
   sa_moves : int;
-  patience : int;
   rng_seed : int;
   jobs : int;
   prescreen_k : int option;
@@ -23,10 +21,8 @@ let default =
   {
     timing = Router.Timing.paper;
     qspr_policy = Simulator.Engine.qspr_policy;
-    quale_policy = Simulator.Engine.quale_policy;
     m = 100;
     sa_moves = 20_000;
-    patience = 3;
     rng_seed = 2012;
     jobs = 1;
     prescreen_k = None;
@@ -71,7 +67,6 @@ let of_env getenv t =
 let validate t =
   if t.m < 1 then Error "Config: m must be at least 1"
   else if t.sa_moves < 1 then Error "Config: sa_moves must be at least 1"
-  else if t.patience < 1 then Error "Config: patience must be at least 1"
   else if t.jobs < 1 then Error "Config: jobs must be at least 1"
   else if (match t.prescreen_k with Some k -> k < 1 | None -> false) then
     Error "Config: prescreen_k must be at least 1"

@@ -1,5 +1,12 @@
-(** Mapper configuration: technology timing, engine policies and placer
-    parameters, defaulting to the paper's experimental setup (Section V.A). *)
+(** Mapper configuration: technology timing, the QSPR engine policy and
+    placer parameters, defaulting to the paper's experimental setup
+    (Section V.A).  The paper's fixed values are constants in the modules
+    that use them, not fields: MVFB's stopping rule (3 non-improving runs,
+    {!Placer.Mvfb}), the QUALE comparator's policy (turn-blind, capacity 1,
+    destination pinned; {!Simulator.Engine}), the estimator's congestion
+    stretch (1% per two-qubit gate past 2 in a level, {!Estimator.Model})
+    and the annealing schedules (100 us start, 0.95 per routed evaluation or
+    decay to 1e-4 over a delta-SA move budget, {!Placer.Annealing}). *)
 
 type budget = {
   wall_s : float option;
@@ -27,12 +34,10 @@ val no_budget : budget
 type t = {
   timing : Router.Timing.t;
   qspr_policy : Simulator.Engine.policy;
-  quale_policy : Simulator.Engine.policy;
   m : int;  (** MVFB random seeds (the paper evaluates 25 and 100) *)
   sa_moves : int;
       (** delta-annealing move budget per stream — proposals scored by the
           incremental {!Estimator.Delta} model, not routed evaluations *)
-  patience : int;  (** stop a local search after this many non-improving runs *)
   rng_seed : int;  (** root seed for all randomized placement *)
   jobs : int;
       (** worker domains for placement search fan-out; 1 = sequential.
@@ -46,7 +51,7 @@ type t = {
 
 val default : t
 (** Paper values: T_move=1us, T_turn=10us, T_1q=10us, T_2q=100us, channel
-    capacity 2, m=100, patience 3, seed 2012; sequential ([jobs] 1), no
+    capacity 2, m=100, seed 2012; sequential ([jobs] 1), no
     pre-screening, no budget, 20_000 delta-annealing moves.  A constant:
     the library never reads the environment. *)
 
@@ -79,5 +84,5 @@ val with_incremental : bool -> t -> t
     removed. *)
 
 val validate : t -> (t, string) result
-(** Checks positivity of [m], [patience], [jobs], [prescreen_k] and the
+(** Checks positivity of [m], [sa_moves], [jobs], [prescreen_k] and the
     budget limits, and capacity sanity. *)

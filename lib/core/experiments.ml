@@ -393,7 +393,7 @@ let eq1_breakdown ?(m = 5) ?circuits () =
       let center = Placer.Center.place (Mapper.component ctx) ~num_qubits:(Qasm.Program.num_qubits p) in
       let quale =
         breakdown
-          (Mapper.run_with ctx ~policy:(Mapper.config ctx).Config.quale_policy
+          (Mapper.run_with ctx ~policy:Simulator.Engine.quale_policy
              ~priorities:(Mapper.quale_priorities ctx) ~placement:center)
       in
       (name, qspr, quale))

@@ -68,6 +68,7 @@ type solution = {
   degraded : bool;
   lower_bound_us : float;
   bound_kind : Estimator.Bound.kind;
+  policy : Engine.policy;
 }
 
 let graph t = t.graph
@@ -227,7 +228,7 @@ let certified_bound t ~initial_placement =
 (* Finish a search's success record into a solution: a backward winner is
    reported as its time-reversed trace, and the certified bound is computed
    for the forward-view initial placement. *)
-let solution_of t ~cpu ~attempts (o : Placer.Search.outcome) =
+let solution_of t ~policy ~cpu ~attempts (o : Placer.Search.outcome) =
   let { Placer.Search.placement; result = r; direction; runs; evaluations; latencies; truncated } =
     o
   in
@@ -260,6 +261,7 @@ let solution_of t ~cpu ~attempts (o : Placer.Search.outcome) =
     degraded = truncated;
     lower_bound_us = bound.Estimator.Bound.lower_bound_us;
     bound_kind = bound.Estimator.Bound.kind;
+    policy;
   }
 
 let estimator_model t = Lazy.force t.estimator
@@ -352,9 +354,8 @@ let search ~out_of_time t strategy =
          no backward pass: one forward run per start *)
       let max_runs_per_seed = if t.udag = None then Some 1 else None in
       pooled (fun pool ->
-          Placer.Mvfb.search ~pool ?prescreen ~seed ~m ~patience:cfg.Config.patience
-            ?max_runs_per_seed ~forward:(run_forward t) ~backward:(run_backward t) t.comp
-            ~num_qubits)
+          Placer.Mvfb.search ~pool ?prescreen ~seed ~m ?max_runs_per_seed
+            ~forward:(run_forward t) ~backward:(run_backward t) t.comp ~num_qubits)
   | Monte_carlo ->
       pooled (fun pool ->
           Placer.Monte_carlo.search ~pool ?prescreen ?max_evals ~out_of_time ~seed ~runs:m
@@ -373,7 +374,7 @@ let search ~out_of_time t strategy =
          operand pinned; fabric, timing and event simulation are shared *)
       let placement = Placer.Center.place t.comp ~num_qubits in
       single_run placement
-        (run_with t ~policy:cfg.Config.quale_policy ~priorities:(quale_priorities t) ~placement)
+        (run_with t ~policy:Engine.quale_policy ~priorities:(quale_priorities t) ~placement)
   | Portfolio | Robust -> Error (Engine.Invalid "Mapper.search: not a single placement search")
 
 let attempt_of ~stage ~seed outcome = { stage; seed; outcome }
@@ -384,8 +385,9 @@ let single strategy t =
   | Error e -> Error (of_engine_error e)
   | Ok o ->
       let stage = name_of strategy and latency = o.Placer.Search.result.Engine.latency in
+      let policy = if strategy = Quale then Engine.quale_policy else t.config.Config.qspr_policy in
       Ok
-        (solution_of t ~cpu:(Sys.time () -. t0)
+        (solution_of t ~policy ~cpu:(Sys.time () -. t0)
            ~attempts:[ attempt_of ~stage ~seed:t.config.Config.rng_seed (Ok latency) ]
            o)
 
@@ -445,7 +447,7 @@ let portfolio t =
           o.Placer.Portfolio.entries ([], 0)
       in
       Ok
-        (solution_of t ~cpu:(Sys.time () -. t0) ~attempts
+        (solution_of t ~policy:cfg.Config.qspr_policy ~cpu:(Sys.time () -. t0) ~attempts
            { o.Placer.Portfolio.best with runs = evals; evaluations = evals })
 
 (* The hardened pipeline: re-seed the placer, switch placer, then widen

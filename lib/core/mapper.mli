@@ -106,6 +106,10 @@ type solution = {
           beat it, so [latency /. lower_bound_us - 1.] is a certified
           optimality gap *)
   bound_kind : Estimator.Bound.kind;  (** which bound attains [lower_bound_us] *)
+  policy : Simulator.Engine.policy;
+      (** the engine policy the trace ran under — the context's QSPR policy,
+          or {!Simulator.Engine.quale_policy} for [Quale]; the certifier
+          checks capacities against it *)
 }
 
 val run_forward : t -> int array -> (Simulator.Engine.result, Simulator.Engine.error) result

@@ -3,7 +3,6 @@ type t = {
   turn_cost : float;  (* the turn-edge weight the tables were built at *)
   dist : float array;  (* n*n, move units, row = source trap *)
   meet_tbl : int array;  (* n*n, meeting trap per operand pair *)
-  makespan : float array;  (* n*n, max distance of either operand to the meet *)
 }
 
 let num_traps t = t.n
@@ -11,14 +10,13 @@ let turn_cost t = t.turn_cost
 let tables t = (t.dist, t.meet_tbl)
 let between t a b = t.dist.((a * t.n) + b)
 let meet t a b = t.meet_tbl.((a * t.n) + b)
-let meet_makespan t a b = t.makespan.((a * t.n) + b)
 
-let build ?workspace graph ~turn_cost =
+let build graph ~turn_cost =
   if turn_cost < 0.0 || Float.is_nan turn_cost then
     invalid_arg "Estimator.Distance.build: turn cost must be non-negative";
   let comp = Fabric.Graph.component graph in
   let n = Array.length (Fabric.Component.traps comp) in
-  let ws = match workspace with Some w -> w | None -> Router.Workspace.create () in
+  let ws = Router.Workspace.create () in
   (* Row a is trap a's lower-bound table sampled at the trap nodes: the
      router's per-destination sweeps and these trap-to-trap tables are the
      same machinery (Lower_bound owns the base-weight definition), and the
@@ -31,7 +29,6 @@ let build ?workspace graph ~turn_cost =
     done
   done;
   let meet_tbl = Array.make (n * n) 0 in
-  let makespan = Array.make (n * n) 0.0 in
   for a = 0 to n - 1 do
     meet_tbl.((a * n) + a) <- a;
     for b = a + 1 to n - 1 do
@@ -50,9 +47,7 @@ let build ?workspace graph ~turn_cost =
       done;
       let best = if !best < 0 then a (* no finite meet: disconnected pair *) else !best in
       meet_tbl.((a * n) + b) <- best;
-      meet_tbl.((b * n) + a) <- best;
-      makespan.((a * n) + b) <- !best_mk;
-      makespan.((b * n) + a) <- !best_mk
+      meet_tbl.((b * n) + a) <- best
     done
   done;
-  { n; turn_cost; dist; meet_tbl; makespan }
+  { n; turn_cost; dist; meet_tbl }

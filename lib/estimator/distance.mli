@@ -13,11 +13,10 @@
 
 type t
 
-val build : ?workspace:Router.Workspace.t -> Fabric.Graph.t -> turn_cost:float -> t
-(** One Dijkstra per trap plus the pairwise meeting-trap scan; [turn_cost]
-    is the turn-edge weight in move units (see
-    {!Router.Timing.turn_cost_in_moves}).  [workspace] is reused across the
-    sweeps when supplied.
+val build : Fabric.Graph.t -> turn_cost:float -> t
+(** One Dijkstra per trap, all on one fresh workspace, plus the pairwise
+    meeting-trap scan; [turn_cost] is the turn-edge weight in move units
+    (see {!Router.Timing.turn_cost_in_moves}).
     @raise Invalid_argument on a negative turn cost. *)
 
 val num_traps : t -> int
@@ -39,7 +38,3 @@ val between : t -> int -> int -> float
 val meet : t -> int -> int -> int
 (** The meeting trap for operands at [a] and [b]; [meet t a a = a]. *)
 
-val meet_makespan : t -> int -> int -> float
-(** [max (between a m) (between b m)] for [m = meet t a b] — the modeled
-    dual-operand travel time to the meeting trap, in move units
-    ([infinity] when the traps cannot reach each other). *)

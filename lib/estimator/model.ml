@@ -95,11 +95,13 @@ let view t =
     v_succs = t.succs;
   }
 
-let create ~graph ~timing ?distance ?(congestion_alpha = 0.01) ?(congestion_threshold = 2) dag =
-  if congestion_alpha < 0.0 || Float.is_nan congestion_alpha then
-    invalid_arg "Estimator.Model.create: congestion_alpha must be non-negative";
-  if congestion_threshold < 0 then
-    invalid_arg "Estimator.Model.create: congestion_threshold must be non-negative";
+(* The calibrated congestion stretch: a two-qubit gate's travel grows by
+   [congestion_alpha] for every two-qubit gate beyond [congestion_threshold]
+   in its QIDG level. *)
+let congestion_alpha = 0.01
+let congestion_threshold = 2
+
+let create ~graph ~timing ?distance dag =
   let turn_cost = Router.Timing.turn_cost_in_moves timing in
   let dist =
     match distance with

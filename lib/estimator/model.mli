@@ -28,8 +28,6 @@ val create :
   graph:Fabric.Graph.t ->
   timing:Router.Timing.t ->
   ?distance:Distance.t ->
-  ?congestion_alpha:float ->
-  ?congestion_threshold:int ->
   Qasm.Dag.t ->
   t
 (** Builds the distance tables (one Dijkstra per trap), the engine's issue
@@ -37,13 +35,12 @@ val create :
     [distance] supplies prebuilt tables instead (the expensive per-fabric
     half — the service batch path shares one set across all jobs on a
     fabric); it must have been built on the same fabric at this timing's
-    turn cost.  [congestion_alpha] (default [0.01]) is the fractional
-    travel-time penalty per concurrent two-qubit gate beyond
-    [congestion_threshold] (default [2]) in the same level; the defaults
-    are calibrated against the measured engine on the paper's Table-1
-    circuits (mean absolute relative error about 1%).
-    @raise Invalid_argument on a negative alpha or threshold, or a
-    [distance] that doesn't match the graph and timing. *)
+    turn cost.  The congestion stretch is a constant: a two-qubit gate's
+    travel time grows by 1% for every concurrent two-qubit gate beyond 2 in
+    its level, calibrated against the measured engine on the paper's
+    Table-1 circuits (mean absolute relative error about 1%).
+    @raise Invalid_argument on a [distance] that doesn't match the graph
+    and timing. *)
 
 val distance : t -> Distance.t
 val num_qubits : t -> int

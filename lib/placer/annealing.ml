@@ -126,24 +126,29 @@ let prescreen_start ?domain_pool ~rng ~n ~estimate comp ~num_qubits =
   done;
   candidates.(!best)
 
+(* Both anneals start at [initial_temperature] us and propose over the
+   [candidates_per_qubit * num_qubits] traps nearest the center.  [search]
+   cools by [cooling] per routed evaluation; [search_delta] derives its
+   cooling from the move budget and rebuilds its delta state every
+   [resync_every] moves. *)
+let initial_temperature = 100.0
+let cooling = 0.95
+let candidates_per_qubit = 3
+let resync_every = 8192
+
 let search ?pool:domain_pool ?prescreen ?max_evals ?(out_of_time = fun () -> false) ~rng
-    ?(initial_temperature = 100.0) ?(cooling = 0.95) ?(evaluations = 60) ?candidate_traps
-    ~evaluate comp ~num_qubits =
-  let candidate_traps = Option.value ~default:(3 * num_qubits) candidate_traps in
+    ?(evaluations = 60) ~evaluate comp ~num_qubits =
   let invalid msg = Error (Simulator.Engine.Invalid msg) in
   (* deterministic evaluation budget: cap the schedule length up front *)
   let capped = match max_evals with Some cap -> max 1 cap < evaluations | None -> false in
   let evaluations =
     match max_evals with Some cap -> min evaluations (max 1 cap) | None -> evaluations
   in
-  if initial_temperature <= 0.0 || cooling <= 0.0 || cooling >= 1.0 then
-    invalid "Annealing.search: bad temperature schedule"
-  else if evaluations < 1 then invalid "Annealing.search: need at least one evaluation"
-  else if candidate_traps < num_qubits then invalid "Annealing.search: candidate pool too small"
+  if evaluations < 1 then invalid "Annealing.search: need at least one evaluation"
   else if (match prescreen with Some (n, _) -> n < 1 | None -> false) then
     invalid "Annealing.search: prescreen candidates must be at least 1"
   else begin
-    match Center.center_traps comp candidate_traps with
+    match Center.center_traps comp (candidates_per_qubit * num_qubits) with
     | exception Invalid_argument msg -> invalid msg
     | pool_list -> (
         let pool = Array.of_list pool_list in
@@ -245,28 +250,17 @@ type sa_state = {
   mutable best_est : float;
 }
 
-let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng
-    ?(initial_temperature = 100.0) ?cooling ?(moves = 20_000) ?route_every
-    ?(resync_every = 8192) ?candidate_traps ~model ~evaluate comp ~num_qubits =
-  let candidate_traps = Option.value ~default:(3 * num_qubits) candidate_traps in
-  let route_every = Option.value ~default:(max 1 (moves / 4)) route_every in
-  (* default schedule: decay to 1e-4 of the initial temperature over the
-     whole move budget, whatever its length *)
-  let cooling =
-    match cooling with
-    | Some c -> c
-    | None -> exp (log 1e-4 /. float_of_int (max 1 moves))
-  in
+let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng ?(moves = 20_000) ~model
+    ~evaluate comp ~num_qubits =
+  let route_every = max 1 (moves / 4) in
+  (* decay to 1e-4 of the initial temperature over the whole move budget,
+     whatever its length; past ~1e17 moves the factor rounds to 1 *)
+  let cooling = exp (log 1e-4 /. float_of_int (max 1 moves)) in
   let invalid msg = Error (Simulator.Engine.Invalid msg) in
-  if initial_temperature <= 0.0 || cooling <= 0.0 || cooling >= 1.0 then
-    invalid "Annealing.search_delta: bad temperature schedule"
+  if cooling >= 1.0 then invalid "Annealing.search_delta: bad temperature schedule"
   else if moves < 1 then invalid "Annealing.search_delta: need at least one move"
-  else if route_every < 1 || resync_every < 1 then
-    invalid "Annealing.search_delta: bad cadence"
-  else if candidate_traps < num_qubits then
-    invalid "Annealing.search_delta: candidate pool too small"
   else begin
-    match Center.center_traps comp candidate_traps with
+    match Center.center_traps comp (candidates_per_qubit * num_qubits) with
     | exception Invalid_argument msg -> invalid msg
     | pool_list -> (
         let pool = Array.of_list pool_list in

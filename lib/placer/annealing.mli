@@ -56,17 +56,16 @@ val search :
   ?max_evals:int ->
   ?out_of_time:(unit -> bool) ->
   rng:Ion_util.Rng.t ->
-  ?initial_temperature:float ->
-  ?cooling:float ->
   ?evaluations:int ->
-  ?candidate_traps:int ->
   evaluate:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
   Fabric.Component.t ->
   num_qubits:int ->
   (Search.outcome, Simulator.Engine.error) result
-(** Defaults: temperature 100 us, cooling 0.95 per step, 60 evaluations,
-    candidate pool of [3 * num_qubits] nearest-center traps.  [Error] on
-    invalid parameters (as {!Simulator.Engine.Invalid}) or a failing
+(** The schedule is fixed: initial temperature 100 us, cooling 0.95 per
+    routed evaluation, a candidate pool of the [3 * num_qubits]
+    nearest-center traps.  [evaluations] defaults to 60.  [Error] on
+    [evaluations < 1], a [prescreen] with [n < 1], a fabric with fewer
+    candidate traps (all as {!Simulator.Engine.Invalid}), or a failing
     evaluation.  The outcome's [runs] and [evaluations] both count the
     routed evaluations, and [latencies] the cost of each, in order.
 
@@ -100,12 +99,7 @@ val search_delta :
   ?max_evals:int ->
   ?out_of_time:(unit -> bool) ->
   rng:Ion_util.Rng.t ->
-  ?initial_temperature:float ->
-  ?cooling:float ->
   ?moves:int ->
-  ?route_every:int ->
-  ?resync_every:int ->
-  ?candidate_traps:int ->
   model:Estimator.Model.t ->
   evaluate:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
   Fabric.Component.t ->
@@ -115,11 +109,11 @@ val search_delta :
     each proposal is scored by {!Estimator.Delta.apply_swap}/[apply_move]
     in O(affected gates) — rejected moves cost one [undo] — so the move
     budget runs to the millions where {!search} runs to tens.  Only the
-    start and periodically-improved incumbents (every [route_every] moves,
-    default [moves / 4], plus a final pass) pay a routed [evaluate]; the
-    returned result is the best {e routed} placement.  Every [resync_every]
-    moves (default 8192) the delta state is rebuilt from scratch to bound
-    drift; the worst correction is reported as [max_drift].
+    start and periodically-improved incumbents (every [moves / 4] moves,
+    plus a final pass) pay a routed [evaluate]; the returned result is the
+    best {e routed} placement.  Every 8192 moves the delta state is rebuilt
+    from scratch to bound drift; the worst correction is reported as
+    [max_drift].
 
     Uphill moves are applied with a Metropolis cut-off
     ({!Estimator.Delta.apply_swap}'s [cutoff]): the acceptance uniform [u]
@@ -129,8 +123,10 @@ val search_delta :
     exactly once per uphill move and every decision is unchanged, so
     outcomes are bit-identical to scoring every move in full.
 
-    Defaults: temperature 100 us, [moves] 20_000, cooling set so the
-    temperature decays to 1e-4 of its initial value across the move budget.
+    The schedule is fixed: initial temperature 100 us, cooling set so the
+    temperature decays to 1e-4 of its initial value across the move budget,
+    the same [3 * num_qubits] candidate pool as {!search}.  [moves]
+    defaults to 20_000; [Error] on [moves < 1].
     [max_evals] caps routed evaluations; [out_of_time] is polled every 512
     moves.  Deterministic given [rng]: a pure function of the model,
     component and generator state. *)

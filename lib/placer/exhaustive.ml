@@ -41,7 +41,10 @@ let iter_injections pool k f =
   in
   if k > 0 then go 0 else f slot
 
-let search ?candidate_traps ?(max_evaluations = 50_000) ~evaluate comp ~num_qubits =
+(* searches past this many placements are refused, not run *)
+let max_evaluations = 50_000
+
+let search ?candidate_traps ~evaluate comp ~num_qubits =
   let candidate_traps = Option.value ~default:(num_qubits + 1) candidate_traps in
   let invalid msg = Error (Simulator.Engine.Invalid msg) in
   if candidate_traps < num_qubits then

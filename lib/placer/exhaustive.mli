@@ -19,12 +19,11 @@ val search_space : candidate_traps:int -> num_qubits:int -> int
 
 val search :
   ?candidate_traps:int ->
-  ?max_evaluations:int ->
   evaluate:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
   Fabric.Component.t ->
   num_qubits:int ->
   (outcome, Simulator.Engine.error) result
-(** [candidate_traps] defaults to [num_qubits + 1]; [max_evaluations]
-    (default 50_000) rejects searches that would run too long.  [Error] when
-    the space exceeds the cap or the fabric is too small (both as
+(** [candidate_traps] defaults to [num_qubits + 1].  Searches over more
+    than 50_000 placements are refused rather than run.  [Error] when the
+    space exceeds that cap or the fabric is too small (both as
     {!Simulator.Engine.Invalid}), or an evaluation fails. *)

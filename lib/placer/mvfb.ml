@@ -1,10 +1,14 @@
 type direction = Search.direction = Forward | Backward
 
+(* The paper's stopping rule: a seed's local search ends after this many
+   consecutive runs without improvement. *)
+let patience = 3
+
 (* One seed's local forward/backward search.  Given its initial placement
    the search is deterministic (no further randomness), so seeds run
    sequentially or fan out on a domain pool with identical results, and
    seeds sharing an initial placement can share one search. *)
-let search_seed ~patience ~max_runs_per_seed ~forward ~backward initial =
+let search_seed ~max_runs_per_seed ~forward ~backward initial =
   let best = ref None and latencies = ref [] and runs = ref 0 and error = ref None in
   let local_best = ref Float.infinity and no_improve = ref 0 in
   let searching () = !error = None && !no_improve < patience && !runs < max_runs_per_seed in
@@ -50,8 +54,7 @@ let search_seed ~patience ~max_runs_per_seed ~forward ~backward initial =
           truncated = false;
         }
 
-let search ?pool ?prescreen ~seed ~m ?(patience = 3) ?(max_runs_per_seed = 64) ~forward ~backward
-    comp ~num_qubits =
+let search ?pool ?prescreen ~seed ~m ?(max_runs_per_seed = 64) ~forward ~backward comp ~num_qubits =
   Search.multistart ?pool ?prescreen ~seed ~starts:m
-    (search_seed ~patience ~max_runs_per_seed ~forward ~backward)
+    (search_seed ~max_runs_per_seed ~forward ~backward)
     comp ~num_qubits

@@ -6,11 +6,11 @@
     seeds it alternates forward runs (QIDG, schedule S) and backward runs
     (UIDG, under the reversed schedule), feeding each run's final placement to the
     next, until the best latency seen in the local search has not improved
-    for [patience] consecutive runs.  The reported solution is the best
-    forward or backward computation over all seeds — a backward solution's
-    control trace must be time-reversed to execute (the caller does this, see
-    {!Simulator.Trace.reverse}), and its {e final} placement is the forward
-    input placement.
+    for 3 consecutive runs (the paper's stopping rule, a constant).  The
+    reported solution is the best forward or backward computation over all
+    seeds — a backward solution's control trace must be time-reversed to
+    execute (the caller does this, see {!Simulator.Trace.reverse}), and its
+    {e final} placement is the forward input placement.
 
     Unlike standard VLSI placers, MVFB is schedule-aware: the cost of a
     placement is the measured latency of the full scheduled-and-routed run,
@@ -25,14 +25,13 @@
 type direction = Search.direction = Forward | Backward
 
 val search_seed :
-  patience:int ->
   max_runs_per_seed:int ->
   forward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
   backward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
   int array ->
   (Search.outcome, Simulator.Engine.error) result
 (** One seed's local search from its initial placement: forward, backward,
-    forward, … until [patience] runs in a row bring no improvement or
+    forward, … until 3 runs in a row bring no improvement or
     [max_runs_per_seed] runs are spent.  Deterministic given the placement.
     With [max_runs_per_seed = 1] it is one forward run — a Monte-Carlo
     start.  [Error] on the first failing run. *)
@@ -42,16 +41,14 @@ val search :
   ?prescreen:int * (int array -> float) ->
   seed:int ->
   m:int ->
-  ?patience:int ->
   ?max_runs_per_seed:int ->
   forward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
   backward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
   Fabric.Component.t ->
   num_qubits:int ->
   (Search.outcome, Simulator.Engine.error) result
-(** [patience] defaults to 3 (the paper's stopping rule); [max_runs_per_seed]
-    (default 64) bounds pathological non-converging seeds.  [Error] on
-    [m < 1], a [prescreen] with [k < 1] (both as {!Simulator.Engine.Invalid}),
+(** [max_runs_per_seed] (default 64) bounds pathological non-converging
+    seeds.  [Error] on [m < 1], a [prescreen] with [k < 1] (both as {!Simulator.Engine.Invalid}),
     or when an evaluation fails (the first failure in seed order is
     reported).  [prescreen = (k, estimate)]
     locally searches only the [k] best-estimated unique seeds; [estimate],

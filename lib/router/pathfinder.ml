@@ -35,11 +35,16 @@ let max_overuse _graph ~capacity routes =
   let tbl = usage_table routes in
   Resource.Tbl.fold (fun r users acc -> max acc (users - capacity r)) tbl 0
 
-let route_all graph ?(max_iterations = 30) ?(present_factor = 0.5) ?(history_increment = 1.0)
-    ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
-  if max_iterations < 1 then Error (Bad_parameters "max_iterations must be positive")
-  else if present_factor < 0.0 || history_increment < 0.0 || turn_cost < 0.0 then
-    Error (Bad_parameters "negative parameters")
+(* The negotiation schedule of reference [3]: at most [max_iterations]
+   rounds; round [i]'s present-congestion penalty is scaled by
+   [1 + present_factor * i]; every round a resource ends overused adds
+   [history_increment] to its history cost. *)
+let max_iterations = 30
+let present_factor = 0.5
+let history_increment = 1.0
+
+let route_all graph ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
+  if turn_cost < 0.0 then Error (Bad_parameters "negative turn cost")
   else begin
     (* The cache supplies the per-destination lower-bound tables guiding
        every search; a caller-owned cache additionally carries tables and

@@ -17,8 +17,9 @@
     walks through the loop and the admissibility argument.
 
     QSPR's own engine routes incrementally in event order instead; this
-    module exists as the faithful baseline substrate, and the bench harness
-    compares the two styles on simultaneous route waves. *)
+    module exists as the faithful baseline substrate: [Wave_mapper] routes
+    every QIDG level through it, and [experiments wave] compares the two
+    styles. *)
 
 type net = { net_id : int; src : Fabric.Graph.node; dst : Fabric.Graph.node }
 
@@ -35,29 +36,27 @@ type error =
       (** A net's endpoints are not connected at all — carries the net, its
           endpoint nodes, and the negotiation round in which the dead end was
           discovered, so callers can name the offending traps. *)
-  | Bad_parameters of string  (** Invalid arguments (non-positive budget, negative costs). *)
+  | Bad_parameters of string  (** A negative turn cost. *)
 
 val string_of_error : error -> string
 (** Human-readable rendering of a routing failure. *)
 
 val route_all :
   Fabric.Graph.t ->
-  ?max_iterations:int ->
-  ?present_factor:float ->
-  ?history_increment:float ->
   ?turn_cost:float ->
   ?cache:Route_cache.t ->
   ?cancel:(unit -> unit) ->
   capacity:(Resource.t -> int) ->
   net list ->
   (outcome, error) result
-(** Defaults: 30 iterations, present factor 0.5 (scaled by the iteration
-    number), history increment 1.0, turn cost 10.0 move units.  [cache],
+(** The negotiation schedule is fixed: at most 30 rounds, present factor
+    0.5 (scaled by the round number), history increment 1.0.  [turn_cost]
+    defaults to 10.0 move units.  [cache],
     when given, carries lower-bound tables and congestion-free routes across
     calls (it is rebound to this graph, dropping entries from any other
     fabric); without one a private per-call cache still shares tables
     between nets.  [Error] when some net
-    has no route at all (disconnected endpoints) or arguments are invalid.
+    has no route at all (disconnected endpoints) or [turn_cost] is negative.
     [overused > 0] in the result means negotiation did not converge within
     the budget — the caller decides whether to accept the shared routes
     (the engine's busy queue would instead serialize).  [cancel] is a

@@ -33,8 +33,6 @@ type result = {
   trace : Micro.command list;
   final_placement : int array;
   stats : instr_stats array;
-  total_congestion_wait : float;
-  total_routing_time : float;
   route_searches : int;
   route_cache_hits : int;
 }
@@ -561,26 +559,13 @@ let run ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_factor =
                   })
             in
             let latency = Array.fold_left (fun acc (s : instr_stats) -> Float.max acc s.completed_at) 0.0 stats in
-            let total_congestion_wait =
-              Array.fold_left (fun acc (s : instr_stats) -> acc +. Float.max 0.0 (s.issued_at -. s.ready_at)) 0.0 stats
-            in
             let trace = Micro.Builder.to_commands st.trace_buf in
-            let total_routing_time =
-              Array.fold_left
-                (fun acc (s : instr_stats) ->
-                  acc
-                  +. (float_of_int s.route_moves *. timing.Timing.t_move)
-                  +. (float_of_int s.route_turns *. timing.Timing.t_turn))
-                0.0 stats
-            in
             Ok
               {
                 latency;
                 trace;
                 final_placement;
                 stats;
-                total_congestion_wait;
-                total_routing_time;
                 route_searches = st.route_searches;
                 route_cache_hits = st.route_cache_hits;
               }

@@ -43,8 +43,6 @@ type result = {
   trace : Router.Micro.command list;  (** time-ordered *)
   final_placement : int array;  (** qubit -> trap id at completion *)
   stats : instr_stats array;
-  total_congestion_wait : float;
-  total_routing_time : float;
   route_searches : int;  (** single-net Dijkstra searches actually run *)
   route_cache_hits : int;  (** searches served verbatim from the route cache *)
 }

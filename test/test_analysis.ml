@@ -437,8 +437,8 @@ let solution_of label = function
   | Ok s -> s
   | Error e -> Alcotest.failf "%s: %s" label (Qspr.Mapper.error_to_string e)
 
-let assert_certified label ?policy ctx sol =
-  let cert = Certify.of_solution ?policy ctx sol in
+let assert_certified label ctx sol =
+  let cert = Certify.of_solution ctx sol in
   if not cert.Certify.valid then
     Alcotest.failf "%s: %s" label (Format.asprintf "%a" Certify.pp cert);
   check_bool (label ^ " makespan = latency") true
@@ -470,8 +470,22 @@ let test_certify_quale_policy () =
   let program = List.assoc "[[5,1,3]]" (Circuits.Qecc.all ()) in
   let ctx = ctx_of program in
   let sol = solution_of "quale" (Qspr.Mapper.map Quale ctx) in
-  let policy = (Qspr.Mapper.config ctx).Qspr.Config.quale_policy in
-  assert_certified "quale" ~policy ctx sol
+  check_bool "quale solution records the QUALE policy" true
+    (sol.Qspr.Mapper.policy = Simulator.Engine.quale_policy);
+  assert_certified "quale" ctx sol
+
+(* The certifier reads the capacity from the solution's recorded policy: an
+   MVFB trace that puts two ions in one segment at once is valid at QSPR's
+   capacity 2 and a [capacity] error once relabelled as a QUALE run. *)
+let test_certify_reads_solution_policy () =
+  let ctx = ctx_of (List.assoc "[[5,1,3]]" (Circuits.Qecc.all ())) in
+  let sol = solution_of "mvfb" (Qspr.Mapper.map Mvfb ctx) in
+  check_bool "mvfb solution records the QSPR policy" true
+    (sol.Qspr.Mapper.policy = (Qspr.Mapper.config ctx).Qspr.Config.qspr_policy);
+  assert_certified "mvfb" ctx sol;
+  let relabelled = { sol with Qspr.Mapper.policy = Simulator.Engine.quale_policy } in
+  check_bool "capacity error at the QUALE policy" true
+    (List.mem "capacity" (kinds (Certify.of_solution ctx relabelled).Certify.findings))
 
 let small_solution () =
   let ctx = ctx_of (List.assoc "[[5,1,3]]" (Circuits.Qecc.all ())) in
@@ -786,6 +800,8 @@ let () =
           Alcotest.test_case "digest tracks trace" `Quick test_certify_digest_tracks_trace;
           Alcotest.test_case "digest oracle" `Quick test_certify_digest_oracle;
           Alcotest.test_case "digest pins" `Quick test_certify_digest_pins;
+          Alcotest.test_case "capacity from the solution's policy" `Quick
+            test_certify_reads_solution_policy;
         ] );
       ( "determinism",
         [

@@ -359,11 +359,12 @@ let prop_gate_conservation =
       | Error _ -> false
       | Ok r -> Trace.gate_count r.Engine.trace = Program.gate_count p)
 
-(* congestion accounting must fully drain: total wait is finite and the
-   total routing time matches the trace's move/turn counts *)
+(* routing accounting must fully drain: the Eq. 1 breakdown's routing time
+   matches the trace's move/turn counts *)
 let prop_routing_time_matches_trace =
   QCheck.Test.make ~name:"fuzz: routing-time stat equals trace movement time" ~count:100 arb_case
     (fun case ->
+      let p, _, _ = case in
       let _, _, result = run_case case in
       match result with
       | Error _ -> false
@@ -373,7 +374,8 @@ let prop_routing_time_matches_trace =
             (float_of_int (Trace.move_count r.Engine.trace) *. tm.Timing.t_move)
             +. (float_of_int (Trace.turn_count r.Engine.trace) *. tm.Timing.t_turn)
           in
-          Float.abs (from_trace -. r.Engine.total_routing_time) < 1e-6)
+          let breakdown = Breakdown.of_result ~timing:tm ~dag:(Dag.of_program p) r in
+          Float.abs (from_trace -. breakdown.Breakdown.routing_us) < 1e-6)
 
 let prop_trace_reverse_involution =
   QCheck.Test.make ~name:"fuzz: trace reversal preserves counts and latency" ~count:60 arb_case

@@ -232,9 +232,9 @@ let () =
           Alcotest.test_case "scaling study" `Quick test_scaling_study_runs;
           Alcotest.test_case "fabric study" `Slow test_fabric_study_rows;
           Alcotest.test_case "wave study" `Slow test_wave_study_rows;
-          Alcotest.test_case "wave study pins" `Quick test_wave_study_pins;
           Alcotest.test_case "objective study" `Quick test_objective_study;
           Alcotest.test_case "basis study" `Slow test_basis_study_rows;
           Alcotest.test_case "golden latencies" `Slow test_golden_latencies;
+          Alcotest.test_case "wave study pins" `Quick test_wave_study_pins;
         ] );
     ]

@@ -329,9 +329,10 @@ let prop_incremental_equals_legacy_when_clean =
 let test_parameter_guards () =
   let comp = tile () in
   let g = Graph.build comp in
-  match Pathfinder.route_all g ~max_iterations:0 ~capacity:cap2 [] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "zero iterations accepted"
+  match Pathfinder.route_all g ~turn_cost:(-1.0) ~capacity:cap2 [] with
+  | Error (Pathfinder.Bad_parameters _) -> ()
+  | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
+  | Ok _ -> Alcotest.fail "negative turn cost accepted"
 
 (* property: on random net sets over the big fabric, a converged outcome
    never exceeds capacity *)

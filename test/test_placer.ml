@@ -351,7 +351,7 @@ let test_exhaustive_guards () =
   (match Exhaustive.search ~candidate_traps:3 ~evaluate:forward comp ~num_qubits:5 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "too few candidates accepted");
-  match Exhaustive.search ~candidate_traps:12 ~max_evaluations:100 ~evaluate:forward comp ~num_qubits:5 with
+  match Exhaustive.search ~candidate_traps:12 ~evaluate:forward comp ~num_qubits:5 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "oversized space accepted"
 
@@ -377,12 +377,15 @@ let test_annealing_improves_or_matches_start () =
 let test_annealing_guards () =
   let comp = quale_comp () in
   let rng = Ion_util.Rng.create 1 in
-  (match Annealing.search ~rng ~cooling:1.5 ~evaluate:(make_forward comp) comp ~num_qubits:5 with
+  (match Annealing.search ~rng ~evaluations:0 ~evaluate:(make_forward comp) comp ~num_qubits:5 with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad cooling accepted");
-  match Annealing.search ~rng ~candidate_traps:2 ~evaluate:(make_forward comp) comp ~num_qubits:5 with
+  | Ok _ -> Alcotest.fail "zero evaluations accepted");
+  let estimate _ = 0.0 in
+  match
+    Annealing.search ~rng ~prescreen:(0, estimate) ~evaluate:(make_forward comp) comp ~num_qubits:5
+  with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "tiny pool accepted"
+  | Ok _ -> Alcotest.fail "zero prescreen candidates accepted"
 
 let test_annealing_deterministic () =
   let comp = quale_comp () in

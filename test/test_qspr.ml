@@ -26,7 +26,7 @@ let test_config_default_is_paper () =
   let c = Config.default in
   check_float "t2q" 100.0 c.Config.timing.Router.Timing.t_gate2;
   check_int "channel capacity" 2 c.Config.qspr_policy.Simulator.Engine.channel_capacity;
-  check_int "quale capacity" 1 c.Config.quale_policy.Simulator.Engine.channel_capacity;
+  check_int "quale capacity" 1 Simulator.Engine.quale_policy.Simulator.Engine.channel_capacity;
   check_int "m" 100 c.Config.m;
   check_bool "validates" true (Config.validate c = Ok c);
   (* a constant, whatever the environment says *)
@@ -35,10 +35,8 @@ let test_config_default_is_paper () =
     = {
         Config.timing = Router.Timing.paper;
         qspr_policy = Simulator.Engine.qspr_policy;
-        quale_policy = Simulator.Engine.quale_policy;
         m = 100;
         sa_moves = 20_000;
-        patience = 3;
         rng_seed = 2012;
         jobs = 1;
         prescreen_k = None;
@@ -46,12 +44,9 @@ let test_config_default_is_paper () =
       })
 
 let test_config_guards () =
-  (match Config.validate (Config.with_m 0 Config.default) with
+  match Config.validate (Config.with_m 0 Config.default) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "m=0 accepted");
-  match Config.validate { Config.default with Config.patience = 0 } with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "patience=0 accepted"
+  | Ok _ -> Alcotest.fail "m=0 accepted"
 
 (* Config.of_env over a fake environment: each variable valid, unparsable,
    out of range and unset.  Only a valid value moves its field off the base;
@@ -261,7 +256,7 @@ let test_quale_trace_validates () =
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
   | Ok sol ->
       check_certified "QUALE trace invalid"
-        (Analysis.Certify.of_solution ~policy:Simulator.Engine.quale_policy ctx sol)
+        (Analysis.Certify.of_solution ctx sol)
 
 (* ------------------------------------------------------------ full sweep *)
 

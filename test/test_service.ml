@@ -376,6 +376,35 @@ let test_service_matches_independent_mapper () =
       check_bool "certificate valid" true c.certificate_valid
   | _ -> Alcotest.failf "expected completion, got %s" (stage_of r)
 
+(* A quale job is mapped at channel capacity 1 and certified at the policy
+   its solution records: it completes with a valid certificate whose
+   digest matches an independent Quale run. *)
+let test_quale_job_certified () =
+  let t = Scheduler.create () in
+  let r = Scheduler.submit t (job ~placer:"quale" "q" "[[5,1,3]]") in
+  let ctx =
+    match
+      Qspr.Mapper.create ~fabric:(Fabric.Layout.quale_45x85 ())
+        (List.assoc "[[5,1,3]]" (Circuits.Qecc.all ()))
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "Mapper.create: %s" e
+  in
+  let sol =
+    match Qspr.Mapper.map Quale ctx with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "map Quale: %s" (Qspr.Mapper.error_to_string e)
+  in
+  check_bool "solution records the QUALE policy" true
+    (sol.Qspr.Mapper.policy = Simulator.Engine.quale_policy);
+  match r.Protocol.verdict with
+  | Protocol.Completed c ->
+      check_bool "certificate valid" true c.certificate_valid;
+      check_bool "same certificate digest" true
+        (Int64.equal (Analysis.Certify.of_solution ctx sol).Analysis.Certify.digest
+           c.certificate_digest)
+  | _ -> Alcotest.failf "expected completion, got %s" (stage_of r)
+
 let test_stats_and_fabric_registry () =
   let t = Scheduler.create () in
   ignore (Scheduler.submit t (job ~seed:7 "one" "[[5,1,3]]"));
@@ -475,5 +504,6 @@ let () =
             test_lint_refusal_does_not_register;
           Alcotest.test_case "registry evictions with refusals" `Quick
             test_registry_evictions_with_refusals;
+          Alcotest.test_case "quale job certified at capacity 1" `Quick test_quale_job_certified;
         ] );
     ]

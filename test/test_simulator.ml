@@ -97,7 +97,8 @@ let test_congestion_wait_accounted () =
   let p = parse "QUBIT a\nQUBIT b\nQUBIT c\nC-X a,b\nC-X a,c\n" in
   let r = run_exn (tile_graph ()) p [| 0; 1; 2 |] in
   (* the second gate waited for ion a: its congestion wait is positive *)
-  check_bool "wait recorded" true (r.Engine.total_congestion_wait > 0.0)
+  let breakdown = Breakdown.of_result ~timing:Timing.paper ~dag:(Dag.of_program p) r in
+  check_bool "wait recorded" true (breakdown.Breakdown.congestion_us > 0.0)
 
 let test_fig3_on_quale () =
   let p = parse fig3_qasm in
