@@ -326,6 +326,10 @@ let quale_priorities t =
     ~delay:(Router.Timing.gate_delay t.config.Config.timing)
     t.dag
 
+(* The engine policy a single strategy's runs use, recorded on its solution
+   for the certifier. *)
+let policy_of t = function Quale -> Engine.quale_policy | _ -> t.config.Config.qspr_policy
+
 (* One placement search, every parameter from the context's config: [m]
    seeds, runs or anneal steps, [jobs] domains, [prescreen_k] estimator
    pre-screening and the evaluation cap.  The model is forced here, on
@@ -374,7 +378,7 @@ let search ~out_of_time t strategy =
          operand pinned; fabric, timing and event simulation are shared *)
       let placement = Placer.Center.place t.comp ~num_qubits in
       single_run placement
-        (run_with t ~policy:Engine.quale_policy ~priorities:(quale_priorities t) ~placement)
+        (run_with t ~policy:(policy_of t strategy) ~priorities:(quale_priorities t) ~placement)
   | Portfolio | Robust -> Error (Engine.Invalid "Mapper.search: not a single placement search")
 
 let attempt_of ~stage ~seed outcome = { stage; seed; outcome }
@@ -385,9 +389,8 @@ let single strategy t =
   | Error e -> Error (of_engine_error e)
   | Ok o ->
       let stage = name_of strategy and latency = o.Placer.Search.result.Engine.latency in
-      let policy = if strategy = Quale then Engine.quale_policy else t.config.Config.qspr_policy in
       Ok
-        (solution_of t ~policy ~cpu:(Sys.time () -. t0)
+        (solution_of t ~policy:(policy_of t strategy) ~cpu:(Sys.time () -. t0)
            ~attempts:[ attempt_of ~stage ~seed:t.config.Config.rng_seed (Ok latency) ]
            o)
 
