@@ -393,25 +393,32 @@ let () =
      After two warm-up evaluations (route cache filled, arenas sized), the
      per-evaluation minor-word cost of a forward schedule-and-route on the
      two small Table-1 circuits must stay at least 5x below the pre-arena
-     engine: the ceilings are a fifth of the qspr/circuits/[[5_1_3]]
-     (69,091 words) and qspr/circuits/[[7_1_3]] (72,714 words)
-     minor_words_per_run rows of BENCH_pr8.json.  The packed-path/arena
-     engine measures about 10.1k and 10.7k.  A regression that
-     reintroduces per-edge or per-event list allocation on the engine's hot
-     path trips this immediately, long before it shows in wall-clock noise.
-     Domain-local accounting: jobs=1 runs inline, so Gc.minor_words sees
-     exactly this domain's allocations. *)
-  let warm_minor_words name =
+     engine: the full-run ceilings are a fifth of the
+     qspr/circuits/[[5_1_3]] (69,091 words) and qspr/circuits/[[7_1_3]]
+     (72,714 words) minor_words_per_run rows of BENCH_pr8.json, and the
+     full run ([Mapper.replay]) measures about 9.5k and 10.1k.  A scored
+     run ([Mapper.run_forward], what every placement candidate costs)
+     builds no command list and no statistics array and measures about
+     5.2k and 5.5k; its ceilings sit below the full run's readings, so a
+     scored run that materializes its trace again trips them.  A
+     regression that reintroduces per-edge or per-event list allocation on
+     the engine's hot path trips either gate immediately, long before it
+     shows in wall-clock noise.  Domain-local accounting: jobs=1 runs
+     inline, so Gc.minor_words sees exactly this domain's allocations. *)
+  let warm_minor_words ~scored name =
     let wp = List.assoc name (Circuits.Qecc.all ()) in
     let wctx = match Qspr.Mapper.create ~fabric wp with Ok c -> c | Error e -> fail "%s" e in
     let wplace =
       Placer.Center.place (Qspr.Mapper.component wctx)
         ~num_qubits:(Qasm.Program.num_qubits wp)
     in
-    let eval () =
-      match Qspr.Mapper.run_forward wctx wplace with
-      | Ok r -> ignore r.Simulator.Engine.latency
+    let check = function
+      | Ok _ -> ()
       | Error e -> fail "memory %s: %s" name (Simulator.Engine.string_of_error e)
+    in
+    let eval () =
+      if scored then check (Qspr.Mapper.run_forward wctx wplace)
+      else check (Qspr.Mapper.replay wctx Placer.Search.Forward wplace)
     in
     eval ();
     eval ();
@@ -425,14 +432,19 @@ let () =
     (Gc.minor_words () -. w0) /. float_of_int reps
   in
   List.iter
-    (fun (name, ceiling) ->
-      let words = warm_minor_words name in
-      Printf.printf "bench-smoke: %s warm eval %.0f minor words (ceiling %.0f)\n" name words
-        ceiling;
+    (fun (name, kind, scored, ceiling) ->
+      let words = warm_minor_words ~scored name in
+      Printf.printf "bench-smoke: %s warm %s eval %.0f minor words (ceiling %.0f)\n" name kind
+        words ceiling;
       if words > ceiling then
-        fail "%s: warm evaluation allocates %.0f minor words (ceiling %.0f) — arena regression"
-          name words ceiling)
-    [ ("[[5,1,3]]", 13_818.0); ("[[7,1,3]]", 14_542.0) ];
+        fail "%s: warm %s evaluation allocates %.0f minor words (ceiling %.0f) — arena regression"
+          name kind words ceiling)
+    [
+      ("[[5,1,3]]", "full", false, 13_818.0);
+      ("[[7,1,3]]", "full", false, 14_542.0);
+      ("[[5,1,3]]", "scored", true, 7_000.0);
+      ("[[7,1,3]]", "scored", true, 7_400.0);
+    ];
   (* The delta-SA move loop must stay allocation-lean: per move, draw the
      proposal, apply it (cut off or not), accept or undo.  Averaged over
      50k moves of [[9,1,3]] — the few routed evaluations included, after a
@@ -518,6 +530,6 @@ let () =
      Table-1 circuits, delta transactions exact, delta-SA >= 10x \
      full-estimate SA on all six, portfolio deterministic and never worse than the anneal, \
      six-circuit service batch identical at jobs 1/2/4 and to independent certified runs with \
-     fewer searches than cold services in <= 1.15x their wall time, warm evaluations >= 5x \
-     leaner than BENCH_pr8, delta-SA move loop, certificate digest and certification under their \
-     allocation ceilings)"
+     fewer searches than cold services in <= 1.15x their wall time, warm full runs >= 5x \
+     leaner than BENCH_pr8, scored runs, delta-SA move loop, certificate digest and certification \
+     under their allocation ceilings)"

@@ -578,7 +578,8 @@ let do_estimate circuit qasm fabric_path moves measure certify =
     if not (measure || certify) then Ok ()
     else
       let* r =
-        Result.map_error Simulator.Engine.string_of_error (Qspr.Mapper.run_forward ctx placement)
+        Result.map_error Simulator.Engine.string_of_error
+          (Qspr.Mapper.replay ctx Placer.Search.Forward placement)
       in
       let meas = r.Simulator.Engine.latency in
       Printf.printf "measured latency  : %.1f us (full schedule-and-route)\n" meas;

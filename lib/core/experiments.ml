@@ -140,7 +140,7 @@ let placer_comparison ?(circuit = "[[9,1,3]]") () =
   let nq = Qasm.Program.num_qubits p in
   let evaluate = Mapper.run_forward ctx in
   let engine_of label = function
-    | Ok (r : Simulator.Engine.result) -> r.Simulator.Engine.latency
+    | Ok (r : Simulator.Engine.score) -> r.Simulator.Engine.latency
     | Error e ->
         failwith
           ("Experiments.placer_comparison: " ^ label ^ ": " ^ Simulator.Engine.string_of_error e)
@@ -334,7 +334,7 @@ let objective_study ?(circuit = "[[9,1,3]]") ?(samples = 40) () =
   let evaluated =
     List.init samples (fun _ ->
         let placement = Placer.Center.place_permuted rng (Mapper.component ctx) ~num_qubits:nq in
-        match Mapper.run_forward ctx placement with
+        match Mapper.replay ctx Placer.Search.Forward placement with
         | Ok r ->
             let err =
               Noise.Estimate.error_probability model
@@ -389,7 +389,9 @@ let eq1_breakdown ?(m = 5) ?circuits () =
       in
       (* engine-level runs so per-instruction stats are available *)
       let qspr_sol = map_exn ~m Mvfb "QSPR" ctx in
-      let qspr = breakdown (Mapper.run_forward ctx qspr_sol.Mapper.initial_placement) in
+      let qspr =
+        breakdown (Mapper.replay ctx Placer.Search.Forward qspr_sol.Mapper.initial_placement)
+      in
       let center = Placer.Center.place (Mapper.component ctx) ~num_qubits:(Qasm.Program.num_qubits p) in
       let quale =
         breakdown

@@ -174,21 +174,35 @@ let run_with t ~policy ~priorities ~placement =
   Engine.run ~graph:t.graph ~timing:t.config.Config.timing ~policy ~dag:t.dag ~priorities ~placement
     ~route_cache:(route_cache_of t) ?cancel:(cancel_of t) ()
 
-let run_forward t placement =
-  Engine.run ~graph:t.graph ~timing:t.config.Config.timing ~policy:t.config.Config.qspr_policy
-    ~dag:t.dag ~priorities:t.priorities ~placement ~route_cache:(route_cache_of t)
-    ?cancel:(cancel_of t) ()
+(* The dependency graph and priorities of one MVFB direction: the QIDG
+   under S forward, the UIDG under S* backward. *)
+let program_of t = function
+  | Placer.Search.Forward -> Ok (t.dag, t.priorities)
+  | Placer.Search.Backward -> (
+      match (t.udag, t.backward_priorities) with
+      | Some udag, Some prios -> Ok (udag, prios)
+      | None, _ | _, None ->
+          Error
+            (Engine.Invalid "Mapper: program is not unitary, the uncompute graph does not exist"))
 
-let run_backward t placement =
-  match (t.udag, t.backward_priorities) with
-  | Some udag, Some prios ->
-      Engine.run ~graph:t.graph ~timing:t.config.Config.timing ~policy:t.config.Config.qspr_policy
-        ~dag:udag ~priorities:prios ~placement ~route_cache:(route_cache_of t)
-        ?cancel:(cancel_of t) ()
-  | None, _ | _, None ->
-      Error
-        (Engine.Invalid
-           "Mapper.run_backward: program is not unitary, the uncompute graph does not exist")
+(* The placers' evaluators: score a run under the QSPR policy, building no
+   trace, with the request deadline armed. *)
+let score t direction placement =
+  Result.bind (program_of t direction) (fun (dag, priorities) ->
+      Engine.score ~graph:t.graph ~timing:t.config.Config.timing
+        ~policy:t.config.Config.qspr_policy ~dag ~priorities ~placement
+        ~route_cache:(route_cache_of t) ?cancel:(cancel_of t) ())
+
+let run_forward t placement = score t Placer.Search.Forward placement
+let run_backward t placement = score t Placer.Search.Backward placement
+
+(* No cancel hook: the replay materializes a winner the search has already
+   found, so a deadline passing now cannot lose it. *)
+let replay t direction placement =
+  Result.bind (program_of t direction) (fun (dag, priorities) ->
+      Engine.run ~graph:t.graph ~timing:t.config.Config.timing
+        ~policy:t.config.Config.qspr_policy ~dag ~priorities ~placement
+        ~route_cache:(route_cache_of t) ())
 
 (* UIDG node k corresponds to forward node: declarations map to themselves,
    the j-th gate (in UIDG program order) to the (G-1-j)-th forward gate.
@@ -225,13 +239,25 @@ let certified_bound t ~initial_placement =
     ~num_traps:(Array.length (Fabric.Component.traps t.comp))
     t.dag
 
-(* Finish a search's success record into a solution: a backward winner is
-   reported as its time-reversed trace, and the certified bound is computed
-   for the forward-view initial placement. *)
-let solution_of t ~policy ~cpu ~attempts (o : Placer.Search.outcome) =
-  let { Placer.Search.placement; result = r; direction; runs; evaluations; latencies; truncated } =
-    o
-  in
+let same_score (s : Engine.score) (r : Engine.result) =
+  Int64.equal (Int64.bits_of_float s.latency) (Int64.bits_of_float r.latency)
+  && s.final_placement = r.final_placement
+
+(* Materialize a search's winner, once per job: replay its direction and
+   placement with a full run.  The run is deterministic, so the replay
+   reproduces the score the search compared; a mismatch is an engine bug
+   and fails the job rather than reporting a trace nobody scored. *)
+let materialize t (o : Placer.Search.outcome) =
+  Result.bind (replay t o.direction o.placement) (fun r ->
+      if same_score o.result r then Ok r
+      else Error (Engine.Invalid "Mapper: the winner's replay diverged from its score"))
+
+(* Finish a search's success record and the winner's full run [r] into a
+   solution: a backward winner is reported as its time-reversed trace, and
+   the certified bound is computed for the forward-view initial
+   placement. *)
+let solution_of t ~policy ~cpu ~attempts (o : Placer.Search.outcome) (r : Engine.result) =
+  let { Placer.Search.placement; direction; runs; evaluations; latencies; truncated; _ } = o in
   let trace, initial_placement, final_placement =
     match direction with
     | Placer.Mvfb.Forward -> (r.Engine.trace, placement, r.Engine.final_placement)
@@ -347,11 +373,6 @@ let search ~out_of_time t strategy =
       cfg.Config.prescreen_k
   in
   let pooled f = Ion_util.Domain_pool.with_pool ~jobs:cfg.Config.jobs f in
-  let single_run placement =
-    Result.map (fun (r : Engine.result) ->
-        { Placer.Search.placement; result = r; direction = Placer.Search.Forward; runs = 1;
-          evaluations = 1; latencies = [ r.Engine.latency ]; truncated = false })
-  in
   match strategy with
   | Mvfb ->
       (* a program with prepare/measure has no uncompute graph, so there is
@@ -369,30 +390,46 @@ let search ~out_of_time t strategy =
           Placer.Annealing.search ~pool ?prescreen ?max_evals ~out_of_time
             ~rng:(Ion_util.Rng.create seed) ~evaluations:m ~evaluate:(run_forward t) t.comp
             ~num_qubits)
-  | Center ->
-      let placement = Placer.Center.place t.comp ~num_qubits in
-      single_run placement (run_forward t placement)
-  | Quale ->
-      (* QUALE's policy (the paper's comparator): center placement, ALAP
-         priorities, turn-blind capacity-1 routing with the destination
-         operand pinned; fabric, timing and event simulation are shared *)
-      let placement = Placer.Center.place t.comp ~num_qubits in
-      single_run placement
-        (run_with t ~policy:(policy_of t strategy) ~priorities:(quale_priorities t) ~placement)
-  | Portfolio | Robust -> Error (Engine.Invalid "Mapper.search: not a single placement search")
+  | Center | Quale | Portfolio | Robust ->
+      Error (Engine.Invalid "Mapper.search: not a single placement search")
+
+(* Center and Quale search nothing: their one full run from the center
+   placement is the solution's trace, so they need no replay.  Quale runs
+   QUALE's policy (the paper's comparator): ALAP priorities, turn-blind
+   capacity-1 routing with the destination operand pinned; fabric, timing
+   and event simulation are shared. *)
+let fixed_run t strategy =
+  let placement = Placer.Center.place t.comp ~num_qubits:(Program.num_qubits t.program) in
+  let priorities = match strategy with Quale -> quale_priorities t | _ -> t.priorities in
+  run_with t ~policy:(policy_of t strategy) ~priorities ~placement
+  |> Result.map (fun (r : Engine.result) ->
+         let result =
+           { Engine.latency = r.latency; final_placement = r.final_placement;
+             route_searches = r.route_searches; route_cache_hits = r.route_cache_hits }
+         in
+         ( { Placer.Search.placement; result; direction = Placer.Search.Forward; runs = 1;
+             evaluations = 1; latencies = [ r.latency ]; truncated = false },
+           r ))
 
 let attempt_of ~stage ~seed outcome = { stage; seed; outcome }
 
 let single strategy t =
   let t0 = Sys.time () in
-  match search ~out_of_time:(out_of_time_of t.config.Config.budget) t strategy with
+  let found =
+    match strategy with
+    | Center | Quale -> fixed_run t strategy
+    | _ ->
+        Result.bind (search ~out_of_time:(out_of_time_of t.config.Config.budget) t strategy)
+          (fun o -> Result.map (fun r -> (o, r)) (materialize t o))
+  in
+  match found with
   | Error e -> Error (of_engine_error e)
-  | Ok o ->
-      let stage = name_of strategy and latency = o.Placer.Search.result.Engine.latency in
+  | Ok (o, r) ->
+      let stage = name_of strategy in
       Ok
         (solution_of t ~policy:(policy_of t strategy) ~cpu:(Sys.time () -. t0)
-           ~attempts:[ attempt_of ~stage ~seed:t.config.Config.rng_seed (Ok latency) ]
-           o)
+           ~attempts:[ attempt_of ~stage ~seed:t.config.Config.rng_seed (Ok r.Engine.latency) ]
+           o r)
 
 (* The racing portfolio: the MVFB, MC and SA searches exactly as [single]
    runs them (so it never does worse than any of them at matched
@@ -437,7 +474,7 @@ let portfolio t =
         Placer.Portfolio.race ~pool racers)
   with
   | Error e -> Error (of_engine_error e)
-  | Ok o ->
+  | Ok o -> (
       let attempts, evals =
         List.fold_right
           (fun (e : Placer.Portfolio.entry) (attempts, evals) ->
@@ -449,9 +486,11 @@ let portfolio t =
             (attempt_of ~stage:("portfolio:" ^ e.entry_name) ~seed outcome :: attempts, evals))
           o.Placer.Portfolio.entries ([], 0)
       in
-      Ok
-        (solution_of t ~policy:cfg.Config.qspr_policy ~cpu:(Sys.time () -. t0) ~attempts
-           { o.Placer.Portfolio.best with runs = evals; evaluations = evals })
+      let best = { o.Placer.Portfolio.best with runs = evals; evaluations = evals } in
+      match materialize t best with
+      | Error e -> Error (of_engine_error e)
+      | Ok r ->
+          Ok (solution_of t ~policy:cfg.Config.qspr_policy ~cpu:(Sys.time () -. t0) ~attempts best r))
 
 (* The hardened pipeline: re-seed the placer, switch placer, then widen
    the engine's per-issue trap candidates (the Pathfinder-style congestion

@@ -112,13 +112,26 @@ type solution = {
           checks capacities against it *)
 }
 
-val run_forward : t -> int array -> (Simulator.Engine.result, Simulator.Engine.error) result
-(** One forward engine run (QIDG, schedule S, QSPR policy) from a given
-    placement — the building block of all placers. *)
+val run_forward : t -> int array -> (Simulator.Engine.score, Simulator.Engine.error) result
+(** Score one forward engine run (QIDG, schedule S, QSPR policy) from a
+    given placement ({!Simulator.Engine.score}: latency and final
+    placement, no trace) — the evaluator every placer calls.  Polls the
+    request deadline. *)
 
-val run_backward : t -> int array -> (Simulator.Engine.result, Simulator.Engine.error) result
-(** One backward run: UIDG under the reversed schedule S*.  Fails for
+val run_backward : t -> int array -> (Simulator.Engine.score, Simulator.Engine.error) result
+(** Score one backward run: UIDG under the reversed schedule S*.  Fails for
     non-unitary programs. *)
+
+val replay :
+  t -> Placer.Mvfb.direction -> int array -> (Simulator.Engine.result, Simulator.Engine.error) result
+(** The full run behind {!run_forward} ([Forward]) or {!run_backward}
+    ([Backward]) from the same placement: the same latency bits, final
+    placement and route counters, plus the materialized trace and
+    per-instruction statistics.  {!map} replays each job's winning
+    placement with it once — the score the search kept is materialized
+    once per job.  Uses the route cache and has no cancel hook, so a
+    deadline passing during the replay cannot lose a found solution.  A
+    backward trace names UIDG instructions and runs time-reversed. *)
 
 val run_with :
   t ->
@@ -126,8 +139,9 @@ val run_with :
   priorities:float array ->
   placement:int array ->
   (Simulator.Engine.result, Simulator.Engine.error) result
-(** Escape hatch for custom policies (used by the [Quale] strategy and the
-    priority and ablation studies). *)
+(** Escape hatch for custom policies: one full forward run (used by the
+    [Center] and [Quale] strategies and the priority and ablation
+    studies).  Polls the request deadline. *)
 
 type strategy =
   | Mvfb
@@ -149,7 +163,7 @@ type strategy =
           winner is the lowest [(latency, member order)]; every member shows
           in [attempts] as ["portfolio:<name>"] and the result is [Error]
           only when every member fails (the first failure) *)
-  | Center  (** one deterministic center placement *)
+  | Center  (** one deterministic center placement, one full run *)
   | Quale
       (** QUALE's mapping policy, the paper's comparator: center placement
           independent of the QIDG, ALAP priorities ({!quale_priorities}),
@@ -181,7 +195,15 @@ val map : strategy -> t -> (solution, error) result
     wall-clock budget stops between evaluations, and either marks the
     solution [degraded]; an expired deadline returns [Deadline_exceeded].
     Single-strategy solutions record one attempt, named as in
-    {!strategies}. *)
+    {!strategies}.
+
+    Placement searches score candidates ({!run_forward},
+    {!run_backward}) and the job's winner — the single search's, the
+    portfolio race's or the succeeding robust stage's — is replayed once
+    ({!replay}) to materialize its trace; the replay must reproduce the
+    winner's latency bits and final placement, or the job fails with
+    [Invalid].  [cpu_time_s] includes the replay.  [Center] and [Quale]
+    have no search: their one full run is the trace. *)
 
 val with_search : (Config.t -> Config.t) -> t -> t
 (** [with_search f ctx] is [ctx] with the search parameters of [f config]

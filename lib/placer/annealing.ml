@@ -137,7 +137,7 @@ let candidates_per_qubit = 3
 let resync_every = 8192
 
 let search ?pool:domain_pool ?prescreen ?max_evals ?(out_of_time = fun () -> false) ~rng
-    ?(evaluations = 60) ~evaluate comp ~num_qubits =
+    ?(evaluations = 60) ~(evaluate : Search.evaluator) comp ~num_qubits =
   let invalid msg = Error (Simulator.Engine.Invalid msg) in
   (* deterministic evaluation budget: cap the schedule length up front *)
   let capped = match max_evals with Some cap -> max 1 cap < evaluations | None -> false in
@@ -230,7 +230,7 @@ let search ?pool:domain_pool ?prescreen ?max_evals ?(out_of_time = fun () -> fal
 
 type delta_outcome = {
   placement : int array;
-  result : Simulator.Engine.result;
+  result : Simulator.Engine.score;
   moves : int;
   accepted : int;
   engine_evals : int;
@@ -251,7 +251,7 @@ type sa_state = {
 }
 
 let search_delta ?max_evals ?(out_of_time = fun () -> false) ~rng ?(moves = 20_000) ~model
-    ~evaluate comp ~num_qubits =
+    ~(evaluate : Search.evaluator) comp ~num_qubits =
   let route_every = max 1 (moves / 4) in
   (* decay to 1e-4 of the initial temperature over the whole move budget,
      whatever its length; past ~1e17 moves the factor rounds to 1 *)

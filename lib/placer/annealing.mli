@@ -57,7 +57,7 @@ val search :
   ?out_of_time:(unit -> bool) ->
   rng:Ion_util.Rng.t ->
   ?evaluations:int ->
-  evaluate:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
+  evaluate:Search.evaluator ->
   Fabric.Component.t ->
   num_qubits:int ->
   (Search.outcome, Simulator.Engine.error) result
@@ -83,7 +83,7 @@ val search :
 
 type delta_outcome = {
   placement : int array;  (** best routed placement *)
-  result : Simulator.Engine.result;  (** its routed result *)
+  result : Simulator.Engine.score;  (** its routed score *)
   moves : int;  (** delta-model proposals evaluated *)
   accepted : int;
   engine_evals : int;  (** routed evaluations (start + incumbents) *)
@@ -101,7 +101,7 @@ val search_delta :
   rng:Ion_util.Rng.t ->
   ?moves:int ->
   model:Estimator.Model.t ->
-  evaluate:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
+  evaluate:Search.evaluator ->
   Fabric.Component.t ->
   num_qubits:int ->
   (delta_outcome, Simulator.Engine.error) result
@@ -111,9 +111,9 @@ val search_delta :
     budget runs to the millions where {!search} runs to tens.  Only the
     start and periodically-improved incumbents (every [moves / 4] moves,
     plus a final pass) pay a routed [evaluate]; the returned result is the
-    best {e routed} placement.  Every 8192 moves the delta state is rebuilt
-    from scratch to bound drift; the worst correction is reported as
-    [max_drift].
+    best {e routed} placement's score.  Every 8192 moves the delta state is
+    rebuilt from scratch to bound drift; the worst correction is reported
+    as [max_drift].
 
     Uphill moves are applied with a Metropolis cut-off
     ({!Estimator.Delta.apply_swap}'s [cutoff]): the acceptance uniform [u]

@@ -1,6 +1,6 @@
 type outcome = {
   placement : int array;
-  result : Simulator.Engine.result;
+  result : Simulator.Engine.score;
   evaluated : int;
   worst_latency : float;
 }
@@ -44,7 +44,7 @@ let iter_injections pool k f =
 (* searches past this many placements are refused, not run *)
 let max_evaluations = 50_000
 
-let search ?candidate_traps ~evaluate comp ~num_qubits =
+let search ?candidate_traps ~(evaluate : Search.evaluator) comp ~num_qubits =
   let candidate_traps = Option.value ~default:(num_qubits + 1) candidate_traps in
   let invalid msg = Error (Simulator.Engine.Invalid msg) in
   if candidate_traps < num_qubits then
@@ -77,7 +77,8 @@ let search ?candidate_traps ~evaluate comp ~num_qubits =
                        let better =
                          match !best with
                          | None -> true
-                         | Some (_, prev) -> r.Simulator.Engine.latency < prev.Simulator.Engine.latency
+                         | Some (_, (prev : Simulator.Engine.score)) ->
+                             r.Simulator.Engine.latency < prev.Simulator.Engine.latency
                        in
                        if better then best := Some (placement, r)
                  end)

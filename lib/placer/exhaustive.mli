@@ -8,7 +8,7 @@
 
 type outcome = {
   placement : int array;  (** the optimal placement over the candidate set *)
-  result : Simulator.Engine.result;
+  result : Simulator.Engine.score;  (** the optimal placement's score *)
   evaluated : int;  (** number of placements tried *)
   worst_latency : float;  (** the worst placement's latency, for spread *)
 }
@@ -19,7 +19,7 @@ val search_space : candidate_traps:int -> num_qubits:int -> int
 
 val search :
   ?candidate_traps:int ->
-  evaluate:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
+  evaluate:Search.evaluator ->
   Fabric.Component.t ->
   num_qubits:int ->
   (outcome, Simulator.Engine.error) result

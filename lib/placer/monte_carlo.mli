@@ -20,7 +20,7 @@ val search :
   ?out_of_time:(unit -> bool) ->
   seed:int ->
   runs:int ->
-  evaluate:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
+  evaluate:Search.evaluator ->
   Fabric.Component.t ->
   num_qubits:int ->
   (Search.outcome, Simulator.Engine.error) result

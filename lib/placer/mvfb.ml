@@ -12,12 +12,12 @@ let search_seed ~max_runs_per_seed ~forward ~backward initial =
   let best = ref None and latencies = ref [] and runs = ref 0 and error = ref None in
   let local_best = ref Float.infinity and no_improve = ref 0 in
   let searching () = !error = None && !no_improve < patience && !runs < max_runs_per_seed in
-  let consider direction placement (r : Simulator.Engine.result) =
+  let consider direction placement (r : Simulator.Engine.score) =
     let latency = r.Simulator.Engine.latency in
     latencies := latency :: !latencies;
     incr runs;
     (match !best with
-    | Some (_, _, (b : Simulator.Engine.result)) when not (latency < b.Simulator.Engine.latency) -> ()
+    | Some (_, _, (b : Simulator.Engine.score)) when not (latency < b.Simulator.Engine.latency) -> ()
     | _ -> best := Some (direction, placement, r));
     if latency < !local_best -. 1e-9 then begin
       local_best := latency;

@@ -8,9 +8,9 @@
     next, until the best latency seen in the local search has not improved
     for 3 consecutive runs (the paper's stopping rule, a constant).  The
     reported solution is the best forward or backward computation over all
-    seeds — a backward solution's control trace must be time-reversed to
-    execute (the caller does this, see {!Simulator.Trace.reverse}), and its
-    {e final} placement is the forward input placement.
+    seeds — a backward solution's control trace, replayed by the caller,
+    must be time-reversed to execute (see {!Simulator.Trace.reverse}), and
+    its {e final} placement is the forward input placement.
 
     Unlike standard VLSI placers, MVFB is schedule-aware: the cost of a
     placement is the measured latency of the full scheduled-and-routed run,
@@ -26,8 +26,8 @@ type direction = Search.direction = Forward | Backward
 
 val search_seed :
   max_runs_per_seed:int ->
-  forward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
-  backward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
+  forward:Search.evaluator ->
+  backward:Search.evaluator ->
   int array ->
   (Search.outcome, Simulator.Engine.error) result
 (** One seed's local search from its initial placement: forward, backward,
@@ -42,8 +42,8 @@ val search :
   seed:int ->
   m:int ->
   ?max_runs_per_seed:int ->
-  forward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
-  backward:(int array -> (Simulator.Engine.result, Simulator.Engine.error) result) ->
+  forward:Search.evaluator ->
+  backward:Search.evaluator ->
   Fabric.Component.t ->
   num_qubits:int ->
   (Search.outcome, Simulator.Engine.error) result

@@ -1,8 +1,10 @@
 type direction = Forward | Backward
 
+type evaluator = int array -> (Simulator.Engine.score, Simulator.Engine.error) result
+
 type outcome = {
   placement : int array;
-  result : Simulator.Engine.result;
+  result : Simulator.Engine.score;
   direction : direction;
   runs : int;
   evaluations : int;

@@ -15,17 +15,29 @@
     ([Center.place_permuted] repeats permutations on small components)
     share one local search: the duplicates replay its run counts and
     latencies, so reported [runs] and [latencies] are unchanged while
-    [evaluations] counts the engine calls actually made. *)
+    [evaluations] counts the engine calls actually made.
+
+    Every evaluator a placer takes scores a run ({!Simulator.Engine.score})
+    rather than building its trace: a search compares latencies and keeps
+    one winner, so only the winner is worth materializing, and the mapper
+    replays it once per job. *)
 
 type direction = Forward | Backward
 
+type evaluator = int array -> (Simulator.Engine.score, Simulator.Engine.error) result
+(** Scores one placement: MVFB's [forward] and [backward] and every other
+    placer's [evaluate]. *)
+
 type outcome = {
   placement : int array;  (** input placement of the winning run *)
-  result : Simulator.Engine.result;  (** the winning run, as executed *)
+  result : Simulator.Engine.score;
+      (** the winning run's score; the search builds no trace — the mapper
+          replays [(direction, placement)] to materialize it, once per
+          job *)
   direction : direction;
       (** [Backward] when a backward (UIDG) run won — the caller must
-          time-reverse the trace, see {!Simulator.Trace.reverse}; its
-          {e final} placement is the forward input placement *)
+          time-reverse the replayed trace, see {!Simulator.Trace.reverse};
+          its {e final} placement is the forward input placement *)
   runs : int;
       (** placement runs the search reports: MVFB sums its seeds' runs,
           Monte-Carlo reports the requested runs (deduplicated and

@@ -61,6 +61,7 @@ module Builder = struct
     mutable q0 : int array; (* gate operand, -1 = absent *)
     mutable q1 : int array;
     mutable len : int;
+    mutable materialized : int; (* [to_commands] calls so far *)
   }
 
   let origin = Coord.make 0 0
@@ -76,6 +77,7 @@ module Builder = struct
       q0 = [||];
       q1 = [||];
       len = 0;
+      materialized = 0;
     }
 
   let reset b = b.len <- 0
@@ -83,6 +85,8 @@ module Builder = struct
   let length b = b.len
 
   let capacity b = Array.length b.tag
+
+  let materialized b = b.materialized
 
   let grow_to b cap =
     let g_int a = let n = Array.make cap 0 in Array.blit a 0 n 0 b.len; n in
@@ -158,6 +162,7 @@ module Builder = struct
      [List.sort Float.compare] (stable) over the emission-order list
      produced before the arena, so traces stay bit-identical. *)
   let to_commands b =
+    b.materialized <- b.materialized + 1;
     let n = b.len in
     let order = Array.init n Fun.id in
     let t0 = b.t0 in

@@ -31,11 +31,13 @@ val pp : Format.formatter -> command -> unit
 
 (** Trace arena: commands-in-flight as reusable flat columns.
 
-    The engine appends every command here during a run and materializes the
-    final, time-sorted [command list] exactly once at the end — replacing a
-    cons + record per emission plus a whole-list sort with amortized array
-    writes.  The materialized list is bit-identical to the former
-    emission-list path (same values, same stable order).  A builder is
+    The engine appends every command here during a run; a full
+    [Engine.run] materializes the final, time-sorted [command list] once at
+    the end — replacing a cons + record per emission plus a whole-list sort
+    with amortized array writes — and an [Engine.score] never does.  A
+    mapped job scores every placement candidate and materializes once per
+    job, for its winner.  The materialized list is bit-identical to the
+    former emission-list path (same values, same stable order).  A builder is
     single-domain mutable state; {!Builder.domain_local} reuses one arena
     across all runs (and service jobs) on a domain. *)
 module Builder : sig
@@ -54,6 +56,10 @@ module Builder : sig
 
   val capacity : t -> int
   (** Current column capacity in commands (monotone under [reset]). *)
+
+  val materialized : t -> int
+  (** How many times {!to_commands} has run on this builder — what tests
+      read to check that a mapped job materializes one trace. *)
 
   val reserve : t -> int -> unit
   (** Grow the columns to hold at least that many commands, keeping any

@@ -28,6 +28,13 @@ type instr_stats = {
   route_turns : int;
 }
 
+type score = {
+  latency : float;
+  final_placement : int array;
+  route_searches : int;
+  route_cache_hits : int;
+}
+
 type result = {
   latency : float;
   trace : Micro.command list;
@@ -420,7 +427,10 @@ let string_of_error = function
       Printf.sprintf "Engine.run: event budget exceeded (livelock? %d events > budget %d)" events
         budget
 
-let run ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_factor = max_events_factor)
+(* The one event loop behind [score] and [run]: validate the arguments,
+   simulate the program to completion and hand back the final state.  The
+   trace arena is filled as a side effect; only [run] materializes it. *)
+let simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_factor = max_events_factor)
     ?route_cache ?cancel () =
   let comp = Graph.component graph in
   let nq = Program.num_qubits (Dag.program dag) in
@@ -542,33 +552,49 @@ let run ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_factor =
       | None ->
           if not (Scheduler.Ready_set.all_done st.ready_set) then
             Error (Livelock { events = st.emitted_events; budget })
-          else begin
-            let final_placement =
-              Array.map
-                (function Some tid -> tid | None -> -1 (* unreachable: all done *))
-                st.qubit_trap
-            in
-            let stats =
-              Array.init n (fun i ->
-                  {
-                    ready_at = st.ready_at.(i);
-                    issued_at = st.issued_at.(i);
-                    completed_at = st.completed_at.(i);
-                    route_moves = st.route_moves.(i);
-                    route_turns = st.route_turns.(i);
-                  })
-            in
-            let latency = Array.fold_left (fun acc (s : instr_stats) -> Float.max acc s.completed_at) 0.0 stats in
-            let trace = Micro.Builder.to_commands st.trace_buf in
-            Ok
-              {
-                latency;
-                trace;
-                final_placement;
-                stats;
-                route_searches = st.route_searches;
-                route_cache_hits = st.route_cache_hits;
-              }
-          end
+          else Ok st
     end
   end
+
+(* the latest completion: a left-to-right fold over instruction ids, the
+   same in [score] and [run], so both report the same bits *)
+let latency_of st = Array.fold_left Float.max 0.0 st.completed_at
+
+let final_placement_of st =
+  Array.map (function Some tid -> tid | None -> -1 (* unreachable: all done *)) st.qubit_trap
+
+let score ~graph ~timing ~policy ~dag ~priorities ~placement ?max_events_factor ?route_cache ?cancel
+    () =
+  simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?max_events_factor ?route_cache ?cancel
+    ()
+  |> Result.map (fun st ->
+         {
+           latency = latency_of st;
+           final_placement = final_placement_of st;
+           route_searches = st.route_searches;
+           route_cache_hits = st.route_cache_hits;
+         })
+
+let run ~graph ~timing ~policy ~dag ~priorities ~placement ?max_events_factor ?route_cache ?cancel ()
+    =
+  simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?max_events_factor ?route_cache ?cancel
+    ()
+  |> Result.map (fun st ->
+         let stats =
+           Array.init (Dag.num_nodes st.dag) (fun i ->
+               {
+                 ready_at = st.ready_at.(i);
+                 issued_at = st.issued_at.(i);
+                 completed_at = st.completed_at.(i);
+                 route_moves = st.route_moves.(i);
+                 route_turns = st.route_turns.(i);
+               })
+         in
+         {
+           latency = latency_of st;
+           trace = Micro.Builder.to_commands st.trace_buf;
+           final_placement = final_placement_of st;
+           stats;
+           route_searches = st.route_searches;
+           route_cache_hits = st.route_cache_hits;
+         })

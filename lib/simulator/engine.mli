@@ -9,6 +9,14 @@
     micro-command trace and the final placement — everything the MVFB placer
     and the experiment harness need.
 
+    Two entry points share one event loop.  {!score} runs a program to
+    completion and reports only what a placement search compares — the
+    latency and the final placement — without sorting or materializing the
+    trace; {!run} is the same loop plus the materialized trace and the
+    per-instruction statistics.  Placement searches score every candidate
+    and [Mapper] runs the winner once more with {!run}, so a mapped job
+    materializes one trace.
+
     Two policy knobs reproduce the published tools:
     - {!qspr_policy}: turn-aware routing, both operands move toward the trap
       nearest the median of their positions, channel capacity 2 (ion
@@ -38,6 +46,16 @@ type instr_stats = {
   route_turns : int;
 }
 
+type score = {
+  latency : float;  (** the latest instruction completion, us *)
+  final_placement : int array;  (** qubit -> trap id at completion *)
+  route_searches : int;  (** single-net Dijkstra searches actually run *)
+  route_cache_hits : int;  (** searches served verbatim from the route cache *)
+}
+(** What a placement search needs from a run: {!score}'s answer.  Its
+    fields are bit-equal to the same-named fields of {!result} for the same
+    arguments and cache contents. *)
+
 type result = {
   latency : float;
   trace : Router.Micro.command list;  (** time-ordered *)
@@ -59,6 +77,22 @@ type error =
 
 val string_of_error : error -> string
 (** Human-readable rendering of an engine failure. *)
+
+val score :
+  graph:Fabric.Graph.t ->
+  timing:Router.Timing.t ->
+  policy:policy ->
+  dag:Qasm.Dag.t ->
+  priorities:float array ->
+  placement:int array ->
+  ?max_events_factor:int ->
+  ?route_cache:Router.Route_cache.t ->
+  ?cancel:(unit -> unit) ->
+  unit ->
+  (score, error) Stdlib.result
+(** {!run} without materialization: the same validation, event loop,
+    errors, cache use and cancellation, but no trace sort, no command list
+    and no statistics array.  The placers' evaluators call this. *)
 
 val run :
   graph:Fabric.Graph.t ->

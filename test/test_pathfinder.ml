@@ -106,7 +106,13 @@ let same_routes a b =
    every iteration rips up and re-routes every net, in input order, with no
    route seeding; [None] when some net has no route.  Costs and the A*
    search are those of [Pathfinder] at its default parameters, so where
-   both schedules converge in one iteration they must agree search for
+   both schedules converge in one iteration they must agree route for
+   route.  They need not agree search for search: [Pathfinder] seeds a net
+   from its per-call cache when an earlier net of the same call has the
+   same (src, dst) pair and was searched while the live weights still
+   equalled the base weights (no resource at capacity, no history), and the
+   weights are still base now.  The model counts those nets as [seedable]:
+   in a one-iteration wave every seedable net is a seed, every other net a
    search. *)
 let legacy_route_all g ~capacity nets =
   let turn_cost = 10.0 and present_factor = 0.5 and history_increment = 1.0 in
@@ -124,7 +130,11 @@ let legacy_route_all g ~capacity nets =
         Hashtbl.replace occupancy r (get occupancy r + d))
       path
   in
-  let iterations = ref 0 and searches = ref 0 in
+  let iterations = ref 0 and searches = ref 0 and seedable = ref 0 in
+  let stored = Hashtbl.create 16 in
+  let base_weights () =
+    !iterations = 1 && not (Hashtbl.fold (fun r n acc -> acc || n >= cap r) occupancy false)
+  in
   let weight (kind : Graph.edge_kind) =
     let base = match kind with Graph.Turn _ -> turn_cost | _ -> 1.0 in
     let r = Resource.pack_of_edge kind in
@@ -143,6 +153,9 @@ let legacy_route_all g ~capacity nets =
       (fun net ->
         Option.iter (fun p -> bump p (-1)) (Hashtbl.find_opt routes net.Pathfinder.net_id);
         incr searches;
+        let pair = (net.Pathfinder.src, net.Pathfinder.dst) in
+        if base_weights () then
+          if Hashtbl.mem stored pair then incr seedable else Hashtbl.replace stored pair ();
         let lb = Route_cache.lower_bound cache g ~turn_cost ~dst:net.Pathfinder.dst in
         Dijkstra.run_into ~heuristic:(Lower_bound.heuristic lb) ws g ~weight ~src:net.Pathfinder.src
           ~dst:net.Pathfinder.dst;
@@ -169,7 +182,8 @@ let legacy_route_all g ~capacity nets =
       Some
         ( List.map (fun net -> (net.Pathfinder.net_id, Hashtbl.find routes net.Pathfinder.net_id)) nets,
           !iterations,
-          !searches )
+          !searches,
+          !seedable )
 
 let test_incremental_matches_legacy_uncongested () =
   (* plenty of capacity: both schedules converge in one iteration, so the
@@ -186,7 +200,7 @@ let test_incremental_matches_legacy_uncongested () =
     | Ok o -> o
     | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
   in
-  let routes, iterations, searches =
+  let routes, iterations, searches, seedable =
     match legacy_route_all g ~capacity:cap2 nets with
     | Some l -> l
     | None -> Alcotest.fail "legacy: unroutable net"
@@ -195,7 +209,35 @@ let test_incremental_matches_legacy_uncongested () =
   check_int "legacy fixpoint within capacity" 0 (Pathfinder.max_overuse g ~capacity:cap2 routes);
   check_bool "identical routes" true (same_routes inc.Pathfinder.routes routes);
   check_int "same iterations" iterations inc.Pathfinder.iterations;
+  check_int "no duplicate pair, nothing seeded" 0 seedable;
   check_int "same searches" searches inc.Pathfinder.searches
+
+(* Two nets with the same endpoints (both reduce to trap 7 -> trap 18 on
+   the 45x85 fabric's 130 traps, as QCHECK_SEED=985047121 drew them): the
+   wave converges in one iteration with both on one route, and the second
+   net is seeded from the call's own cache where the legacy schedule
+   searches it again. *)
+let test_duplicate_nets_seeded () =
+  let g = Graph.build (quale ()) in
+  let net i = { Pathfinder.net_id = i; src = Graph.trap_node g 7; dst = Graph.trap_node g 18 } in
+  let nets = [ net 0; net 1 ] in
+  let inc =
+    match Pathfinder.route_all g ~capacity:cap2 nets with
+    | Ok o -> o
+    | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
+  in
+  let routes, iterations, searches, seedable =
+    match legacy_route_all g ~capacity:cap2 nets with
+    | Some l -> l
+    | None -> Alcotest.fail "legacy: unroutable net"
+  in
+  check_int "one iteration" 1 iterations;
+  check_int "incremental one iteration" 1 inc.Pathfinder.iterations;
+  check_bool "identical routes" true (same_routes inc.Pathfinder.routes routes);
+  check_int "legacy searches both" 2 searches;
+  check_int "the duplicate is seedable" 1 seedable;
+  check_int "one search" 1 inc.Pathfinder.searches;
+  check_int "one seed: nets - distinct pairs" 1 inc.Pathfinder.seeded
 
 (* After iteration 1 only dirty nets are re-searched, so a negotiation that
    needs [iterations] rounds over [nets] nets must run fewer searches than
@@ -304,7 +346,11 @@ let prop_warm_cache_equals_fresh =
       | _ -> false)
 
 (* property: incremental and legacy schedules agree exactly whenever the
-   wave converges without negotiation (one iteration) *)
+   wave converges without negotiation (one iteration): the same routes,
+   every net served once (searches + seeded = nets), and exactly the
+   model's seedable nets seeded.  Seeds come only from earlier nets of the
+   call, so at most nets - distinct (src, dst) pairs are seeded, and
+   exactly that many while no resource reaches capacity. *)
 let prop_incremental_equals_legacy_when_clean =
   QCheck.Test.make ~name:"incremental = legacy on one-iteration waves" ~count:25
     QCheck.(list_of_size Gen.(2 -- 8) (pair (int_bound 1000) (int_bound 1000)))
@@ -319,11 +365,20 @@ let prop_incremental_equals_legacy_when_clean =
       in
       match (Pathfinder.route_all g ~capacity:cap2 nets, legacy_route_all g ~capacity:cap2 nets) with
       | Error _, None -> true
-      | Ok inc, Some (routes, iterations, searches) ->
+      | Ok inc, Some (routes, iterations, searches, seedable) ->
           (* multi-iteration negotiations may land on different equal-quality
              fixpoints; single-iteration waves must agree exactly *)
+          let n = List.length nets in
+          let distinct =
+            List.length (List.sort_uniq compare (List.map (fun net -> (net.Pathfinder.src, net.Pathfinder.dst)) nets))
+          in
+          let seeded = inc.Pathfinder.seeded in
           iterations > 1
-          || (same_routes inc.Pathfinder.routes routes && inc.Pathfinder.searches = searches)
+          || same_routes inc.Pathfinder.routes routes
+             && searches = n
+             && inc.Pathfinder.searches + seeded = n
+             && seeded = seedable
+             && seeded <= n - distinct
       | _ -> false)
 
 let test_parameter_guards () =
@@ -369,6 +424,7 @@ let () =
             test_incremental_matches_legacy_uncongested;
           Alcotest.test_case "incremental saves searches" `Quick
             test_incremental_fewer_searches_when_congested;
+          Alcotest.test_case "duplicate nets seeded" `Quick test_duplicate_nets_seeded;
           Alcotest.test_case "cache seeds across calls" `Quick test_cache_seeds_across_calls;
           Alcotest.test_case "guards" `Quick test_parameter_guards;
         ]

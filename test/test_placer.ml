@@ -20,7 +20,7 @@ let fig3 () =
   in
   match Qasm.Parser.parse ~name:"fig3" src with Ok p -> p | Error e -> Alcotest.failf "parse: %s" e
 
-(* forward evaluation shared by the search tests *)
+(* forward and backward scoring shared by the search tests *)
 let make_forward ?(program = fig3 ()) comp =
   let graph = Graph.build comp in
   let p = program in
@@ -30,7 +30,7 @@ let make_forward ?(program = fig3 ()) comp =
     Scheduler.Priority.compute Scheduler.Priority.qspr_default ~delay:(Router.Timing.gate_delay tm) dag
   in
   fun placement ->
-    Simulator.Engine.run ~graph ~timing:tm ~policy:Simulator.Engine.qspr_policy ~dag ~priorities:prios
+    Simulator.Engine.score ~graph ~timing:tm ~policy:Simulator.Engine.qspr_policy ~dag ~priorities:prios
       ~placement ()
 
 let make_backward comp =
@@ -43,7 +43,7 @@ let make_backward comp =
     Scheduler.Priority.compute Scheduler.Priority.qspr_default ~delay:(Router.Timing.gate_delay tm) udag
   in
   fun placement ->
-    Simulator.Engine.run ~graph ~timing:tm ~policy:Simulator.Engine.qspr_policy ~dag:udag
+    Simulator.Engine.score ~graph ~timing:tm ~policy:Simulator.Engine.qspr_policy ~dag:udag
       ~priorities:prios ~placement ()
 
 (* --------------------------------------------------------------- Center *)
@@ -115,8 +115,8 @@ let test_mc_deterministic_given_seed () =
    between chunks), then reduce in run order — first error wins, strict
    [<] keeps the earliest run.  Returns (placement, result, latencies,
    runs, evaluations, truncated). *)
-let legacy_mc ?prescreen ?max_evals ?(out_of_time = fun () -> false) ~seed ~runs ~evaluate comp
-    ~num_qubits =
+let legacy_mc ?prescreen ?max_evals ?(out_of_time = fun () -> false) ~seed ~runs
+    ~(evaluate : Placer.Search.evaluator) comp ~num_qubits =
   let placements =
     Array.init runs (fun i -> Center.place_permuted (Ion_util.Rng.derive seed ~index:i) comp ~num_qubits)
   in
@@ -162,7 +162,7 @@ let legacy_mc ?prescreen ?max_evals ?(out_of_time = fun () -> false) ~seed ~runs
           let l = r.Simulator.Engine.latency in
           latencies := l :: !latencies;
           (match !best with
-          | Some (_, b) when not (l < b.Simulator.Engine.latency) -> ()
+          | Some (_, (b : Simulator.Engine.score)) when not (l < b.Simulator.Engine.latency) -> ()
           | _ -> best := Some (placements.(i), r))
   done;
   match (!error, !best) with
@@ -211,7 +211,7 @@ let prop_mc_matches_legacy_loop =
         | Error e -> Error e
       in
       let view = function
-        | Ok (p, (r : Simulator.Engine.result), ls, runs, evals, trunc) ->
+        | Ok (p, (r : Simulator.Engine.score), ls, runs, evals, trunc) ->
             Ok
               ( p,
                 Int64.bits_of_float r.Simulator.Engine.latency,

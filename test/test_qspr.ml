@@ -159,8 +159,9 @@ let test_solution_trace_validates () =
            | Placer.Mvfb.Backward -> "bwd"))
         (Analysis.Certify.of_solution ctx sol)
 
-(* Force evaluation of a backward trace: run the backward pass directly and
-   certify its reversal from the appropriate placement. *)
+(* Force evaluation of a backward trace: score a forward run, replay the
+   backward pass from its final placement and certify its reversal from the
+   appropriate placement. *)
 let test_backward_trace_reversed_validates () =
   let ctx = ctx_of (c513 ()) in
   let fwd =
@@ -169,7 +170,7 @@ let test_backward_trace_reversed_validates () =
     | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
   in
   let bwd =
-    match Mapper.run_backward ctx fwd.Simulator.Engine.final_placement with
+    match Mapper.replay ctx Placer.Search.Backward fwd.Simulator.Engine.final_placement with
     | Ok r -> r
     | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
   in
@@ -236,6 +237,26 @@ let test_mapper_deterministic () =
     | Error e -> Alcotest.fail (Mapper.error_to_string e)
   in
   check_float "reproducible" (run ()) (run ())
+
+(* Placement searches score their candidates and the mapper replays only
+   the winner: every strategy materializes exactly one trace per job —
+   Center and Quale their single run, the searches one replay, the
+   portfolio and the robust cascade one for the job's winner.  At jobs 1
+   every engine run is on this domain, so its trace arena counts them
+   all. *)
+let test_one_trace_per_job () =
+  let ctx = ctx_of ~config:(Config.with_sa_moves 500 small_config) (c513 ()) in
+  let arena = Router.Micro.Builder.domain_local () in
+  List.iter
+    (fun (name, strategy) ->
+      let before = Router.Micro.Builder.materialized arena in
+      match Mapper.map strategy ctx with
+      | Error e -> Alcotest.failf "%s: %s" name (Mapper.error_to_string e)
+      | Ok sol ->
+          check_int (name ^ ": traces materialized") 1
+            (Router.Micro.Builder.materialized arena - before);
+          check_bool (name ^ ": the trace is the solution's") true (sol.Mapper.trace <> []))
+    Mapper.strategies
 
 (* ---------------------------------------------------------------- Quale *)
 
@@ -479,6 +500,7 @@ let () =
           Alcotest.test_case "mvfb forward-only on non-unitary" `Quick
             test_mvfb_forward_only_on_non_unitary;
           Alcotest.test_case "deterministic" `Quick test_mapper_deterministic;
+          Alcotest.test_case "one trace per job" `Quick test_one_trace_per_job;
         ] );
       ( "quale",
         [

@@ -464,6 +464,59 @@ let test_ingress_pins () =
   let show (name, (h, s, k)) = Printf.sprintf "%s: fold %LdL, %d searches, %d hits" name h s k in
   Alcotest.(check (list string)) "ingress rows" (List.map show ingress_pins) (List.map show rows)
 
+(* property: [Engine.score] is [Engine.run] without materialization.  On
+   random Clifford programs, placements and fabrics, under both engine
+   policies, forward (QIDG) and backward (UIDG, started from the forward
+   run's final placement, where gate pairs share traps as in MVFB), both
+   entry points agree bit for bit on latency, final placement and route
+   counters — or fail with the same error.  Each side gets a fresh route
+   cache, so the counters compare like for like. *)
+let score_fabrics =
+  lazy
+    (List.map
+       (fun (_, lay) -> build_graph lay)
+       (List.filter (fun (name, _) -> name <> "grid 45x27") (ingress_fabrics ())))
+
+let prop_score_equals_run =
+  QCheck.Test.make ~count:60 ~name:"score = run on latency, placement and route counters"
+    QCheck.(quad small_nat (int_range 0 2) bool bool)
+    (fun (seed, fabric, quale, backward) ->
+      let graph = List.nth (Lazy.force score_fabrics) fabric in
+      let comp = Graph.component graph in
+      let rng = Ion_util.Rng.create seed in
+      let num_qubits = 2 + Ion_util.Rng.int rng 9 in
+      let p = Circuits.Library.random_clifford rng ~num_qubits ~gates:(5 + Ion_util.Rng.int rng 80) in
+      let tm = Timing.paper in
+      let policy = if quale then Engine.quale_policy else Engine.qspr_policy in
+      let priorities_of dag =
+        Scheduler.Priority.compute Scheduler.Priority.qspr_default ~delay:(paper_delay tm) dag
+      in
+      let fresh () = Some (Route_cache.create ()) in
+      let both dag placement =
+        let priorities = priorities_of dag in
+        ( Engine.score ~graph ~timing:tm ~policy ~dag ~priorities ~placement ?route_cache:(fresh ()) (),
+          Engine.run ~graph ~timing:tm ~policy ~dag ~priorities ~placement ?route_cache:(fresh ()) () )
+      in
+      let agree = function
+        | Ok (s : Engine.score), Ok (r : Engine.result) ->
+            Int64.equal (Int64.bits_of_float s.latency) (Int64.bits_of_float r.latency)
+            && s.final_placement = r.final_placement
+            && s.route_searches = r.route_searches
+            && s.route_cache_hits = r.route_cache_hits
+        | Error a, Error b -> a = b
+        | Ok _, Error _ | Error _, Ok _ -> false
+      in
+      let dag = Dag.of_program p in
+      let start = Placer.Center.place_permuted rng comp ~num_qubits in
+      let forward = both dag start in
+      agree forward
+      && ((not backward)
+         ||
+         match (snd forward, Dag.reverse dag) with
+         | Ok r, Ok udag -> agree (both udag r.Engine.final_placement)
+         | Ok _, Error e -> QCheck.Test.fail_reportf "Dag.reverse: %s" e
+         | Error _, _ -> true (* both failed alike: no final placement to start from *)))
+
 let () =
   Alcotest.run "simulator"
     [
@@ -484,7 +537,8 @@ let () =
           Alcotest.test_case "deadlock reported" `Quick test_deadlock_reported;
           Alcotest.test_case "final placement consistent" `Quick test_final_placement_consistent;
           Alcotest.test_case "ingress pins" `Quick test_ingress_pins;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_score_equals_run ] );
       ( "breakdown",
         [
           Alcotest.test_case "single gate" `Quick test_breakdown_single_gate;
