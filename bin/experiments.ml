@@ -1,7 +1,8 @@
 (* Experiment driver: regenerates every table and figure of the paper's
    evaluation (Section V).
 
-   Usage:  experiments [table1|table2|sensitivity|fig23|fig4|fig5|all] [--fast]
+   Usage:  experiments [--fast] [--certify] [--json=DIR] [STUDY...]
+   (`experiments --help` lists the studies)
 
    --fast shrinks the MVFB seed counts (m) so a full sweep completes in
    seconds; the default reproduces the paper's protocol (m = 25 / 100). *)
@@ -301,53 +302,69 @@ let run_fig5 () =
   line "Figure 5";
   print_string (Qspr.Experiments.fig5 ())
 
+let studies =
+  [
+    ("table1", run_table1);
+    ("table2", run_table2);
+    ("sensitivity", run_sensitivity);
+    ("priorities", run_priorities);
+    ("ablation", run_ablation);
+    ("noise", run_noise);
+    ("empirical", run_empirical);
+    ("noise-sweep", run_noise_sweep);
+    ("eq1", run_eq1);
+    ("basis", run_basis);
+    ("wave", run_wave);
+    ("objective", run_objective);
+    ("optimality", run_optimality);
+    ("fabric-study", run_fabric_study);
+    ("placers", run_placers);
+    ("estimator", run_estimator);
+    ("prescreen", run_prescreen);
+    ("congestion", run_congestion);
+    ("faults", run_faults);
+    ("scaling", run_scaling);
+    ("gaps", run_gaps);
+    ("fig23", run_fig23);
+    ("fig4", run_fig4);
+    ("fig5", run_fig5);
+  ]
+
+let usage =
+  Printf.sprintf
+    "usage: experiments [--fast] [--certify] [--json=DIR] [STUDY...]\n\
+     \  --fast        shrink the MVFB seed counts so a full sweep takes seconds\n\
+     \  --certify     with table1, replay every Table-1 trace through the certifier\n\
+     \  --json=DIR    also write each study's JSON report into DIR\n\
+     \  --help        print this message\n\
+     studies (default: all): %s all\n"
+    (String.concat " " (List.map fst studies))
+
+(* argument errors print the usage and exit 2, like any other CLI misuse *)
+let usage_error msg =
+  Printf.eprintf "experiments: %s\n%s" msg usage;
+  exit 2
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let commands, flags = List.partition (fun a -> not (String.length a > 2 && String.sub a 0 2 = "--")) args in
   List.iter
     (fun f ->
-      if f = "--fast" then fast := true
+      if f = "--help" then begin
+        print_string usage;
+        exit 0
+      end
+      else if f = "--fast" then fast := true
       else if f = "--certify" then certify := true
       else if String.length f > 7 && String.sub f 0 7 = "--json=" then
         json_path := Some (String.sub f 7 (String.length f - 7))
-      else failwith ("unknown flag " ^ f))
+      else usage_error ("unknown flag " ^ f))
     flags;
-  let known =
-    [
-      ("table1", run_table1);
-      ("table2", run_table2);
-      ("sensitivity", run_sensitivity);
-      ("priorities", run_priorities);
-      ("ablation", run_ablation);
-      ("noise", run_noise);
-      ("empirical", run_empirical);
-      ("noise-sweep", run_noise_sweep);
-      ("eq1", run_eq1);
-      ("basis", run_basis);
-      ("wave", run_wave);
-      ("objective", run_objective);
-      ("optimality", run_optimality);
-      ("fabric-study", run_fabric_study);
-      ("placers", run_placers);
-      ("estimator", run_estimator);
-      ("prescreen", run_prescreen);
-      ("congestion", run_congestion);
-      ("faults", run_faults);
-      ("scaling", run_scaling);
-      ("gaps", run_gaps);
-      ("fig23", run_fig23);
-      ("fig4", run_fig4);
-      ("fig5", run_fig5);
-    ]
-  in
-  let run name =
-    match List.assoc_opt name known with
-    | Some f -> f ()
-    | None ->
-        Printf.eprintf "unknown experiment %S; available: %s all\n" name
-          (String.concat " " (List.map fst known));
-        exit 1
+  let study name =
+    match List.assoc_opt name studies with
+    | Some f -> f
+    | None -> usage_error (Printf.sprintf "unknown study %S" name)
   in
   match commands with
-  | [] | [ "all" ] -> List.iter (fun (_, f) -> f ()) known
-  | names -> List.iter run names
+  | [] | [ "all" ] -> List.iter (fun (_, f) -> f ()) studies
+  | names -> List.iter (fun f -> f ()) (List.map study names)

@@ -656,16 +656,6 @@ let circuits_cmd =
 
 (* ---------------------------------------------------------------- serve *)
 
-let request_rejection msg =
-  {
-    Service.Protocol.job_id = "?";
-    verdict =
-      Service.Protocol.Rejected { stage = "request"; reason = msg; quote_us = None; findings = [] };
-    cache = None;
-    cpu_s = 0.0;
-    cached = false;
-  }
-
 let do_serve batch jobs deterministic max_pending max_quote_us max_evals shed_start max_fabrics
     response_cache response_ttl_s journal =
   let limits : Service.Scheduler.limits =
@@ -687,105 +677,14 @@ let do_serve batch jobs deterministic max_pending max_quote_us max_evals shed_st
       | exception Sys_error e ->
           Printf.eprintf "error: %s\n" e;
           1
-      | lines ->
-          let lines = Array.of_list (List.filter (fun l -> String.trim l <> "") lines) in
-          let decoded = Array.map Service.Protocol.job_of_line lines in
-          (* the journal's join key: the canonical encoding for well-formed
-             requests (so reformatted-but-identical lines still match), the
-             raw line for malformed ones *)
-          let keys =
-            Array.map2
-              (fun line d ->
-                match d with
-                | Ok job -> Service.Journal.key (Service.Protocol.job_to_line job)
-                | Error _ -> Service.Journal.key line)
-              lines decoded
-          in
-          let n = Array.length lines in
-          let replayed =
-            match journal with Some p -> Service.Journal.replay p | None -> []
-          in
-          let mismatch =
-            List.length replayed > n
-            || List.exists2 (fun (e : Service.Journal.entry) k -> not (Int64.equal e.key k))
-                 replayed
-                 (Array.to_list (Array.sub keys 0 (List.length replayed)))
-          in
-          if mismatch then begin
-            Printf.eprintf
-              "error: journal %s does not match this batch input; refusing to resume\n"
-              (Option.get journal);
-            1
-          end
-          else begin
-            (* replay the journaled prefix byte-for-byte, then resume at the
-               first unjournaled request with the ladder slot counter the
-               interrupted run had reached *)
-            List.iter
-              (fun (e : Service.Journal.entry) -> print_endline e.response_line)
-              replayed;
-            let replay_n = List.length replayed in
-            let first_slot =
-              List.length
-                (List.filter (fun (e : Service.Journal.entry) -> Service.Journal.consumed_slot e.response) replayed)
-            in
-            let jnl = Option.map Service.Journal.open_append journal in
-            let all = ref (List.rev_map (fun (e : Service.Journal.entry) -> e.response) replayed) in
-            (* responses materialize out of input order (malformed lines
-               instantly, mapped jobs per wave); emit and journal strictly in
-               input order so a later resume replays a positional prefix *)
-            let out : (Service.Protocol.response * string) option array =
-              Array.make (n - replay_n) None
-            in
-            let next = ref 0 in
-            let flush_ready () =
-              while
-                !next < Array.length out
-                &&
-                match out.(!next) with
-                | Some (r, line) ->
-                    print_endline line;
-                    Option.iter
-                      (fun j ->
-                        Service.Journal.append j ~key:keys.(replay_n + !next) ~response_line:line)
-                      jnl;
-                    all := r :: !all;
-                    true
-                | None -> false
-              do
-                incr next
-              done
-            in
-            let place i r =
-              out.(i) <- Some (r, Service.Protocol.response_to_line ~deterministic r)
-            in
-            let job_positions = ref [] in
-            let fresh_jobs = ref [] in
-            for i = n - 1 downto replay_n do
-              match decoded.(i) with
-              | Error msg -> place (i - replay_n) (request_rejection msg)
-              | Ok job ->
-                  job_positions := (i - replay_n) :: !job_positions;
-                  fresh_jobs := job :: !fresh_jobs
-            done;
-            let positions = ref !job_positions in
-            flush_ready ();
-            (* one run_batch over every well-formed request, so distance
-               tables and warm route snapshots are shared across the file *)
-            ignore
-              (Service.Scheduler.run_batch ~first_slot
-                 ~on_result:(fun _job r ->
-                   (match !positions with
-                   | p :: rest ->
-                       positions := rest;
-                       place p r
-                   | [] -> assert false);
-                   flush_ready ())
-                 t !fresh_jobs);
-            flush_ready ();
-            Option.iter Service.Journal.close jnl;
-            Service.Protocol.exit_code (List.rev !all)
-          end)
+      | lines -> (
+          match
+            Service.Scheduler.serve_batch ~deterministic ?journal ~emit:print_endline t lines
+          with
+          | Ok code -> code
+          | Error e ->
+              Printf.eprintf "error: %s\n" e;
+              1))
   | None ->
       (* daemon mode: one request line in, one response line out, flushed
          per response so a pipe peer can interleave *)

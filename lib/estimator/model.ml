@@ -62,10 +62,6 @@ let ensure_scratch s ~nq ~ntraps ~n =
     s.heap_id <- Array.make (n + 1) 0
   end
 
-let warm_scratch ~num_qubits ~num_traps ~num_instrs =
-  ensure_scratch (Domain.DLS.get scratch_key)
-    ~nq:num_qubits ~ntraps:num_traps ~n:num_instrs
-
 let distance t = t.dist
 let num_qubits t = t.nq
 

@@ -61,13 +61,6 @@ type view = {
 
 val view : t -> view
 
-val warm_scratch : num_qubits:int -> num_traps:int -> num_instrs:int -> unit
-(** Pre-size this domain's estimation scratch for an instance of the given
-    dimensions, so the first [estimate] on the domain allocates nothing —
-    the service's per-job arena prewarm ([Service.Arena]) calls it before a
-    worker maps its first job.  Growth stays monotonic; an already-large
-    scratch is untouched. *)
-
 val estimate : t -> int array -> float
 (** [estimate t placement] — predicted execution latency in microseconds of
     mapping the program with [placement.(q)] as qubit [q]'s starting trap.

@@ -84,11 +84,10 @@ module Builder = struct
 
   let length b = b.len
 
-  let capacity b = Array.length b.tag
-
   let materialized b = b.materialized
 
-  let grow_to b cap =
+  let grow b =
+    let cap = Int.max 256 (2 * Array.length b.tag) in
     let g_int a = let n = Array.make cap 0 in Array.blit a 0 n 0 b.len; n in
     let g_float a = let n = Array.make cap 0.0 in Array.blit a 0 n 0 b.len; n in
     let g_coord a = let n = Array.make cap origin in Array.blit a 0 n 0 b.len; n in
@@ -100,10 +99,6 @@ module Builder = struct
     b.cb <- g_coord b.cb;
     b.q0 <- g_int b.q0;
     b.q1 <- g_int b.q1
-
-  let grow b = grow_to b (Int.max 256 (2 * Array.length b.tag))
-
-  let reserve b cap = if cap > Array.length b.tag then grow_to b cap
 
   let push b ~tag ~qa ~t0 ~t1 ~ca ~cb ~q0 ~q1 =
     if b.len >= Array.length b.tag then grow b;

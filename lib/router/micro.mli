@@ -54,17 +54,9 @@ module Builder : sig
 
   val length : t -> int
 
-  val capacity : t -> int
-  (** Current column capacity in commands (monotone under [reset]). *)
-
   val materialized : t -> int
   (** How many times {!to_commands} has run on this builder — what tests
       read to check that a mapped job materializes one trace. *)
-
-  val reserve : t -> int -> unit
-  (** Grow the columns to hold at least that many commands, keeping any
-      appended content — lets a fresh domain pre-size its arena to a known
-      trace high-watermark instead of doubling up to it. *)
 
   val add_move :
     t -> qubit:int -> from_:Ion_util.Coord.t -> to_:Ion_util.Coord.t -> start:float -> finish:float -> unit

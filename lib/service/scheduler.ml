@@ -187,10 +187,10 @@ type prepared = {
 let reject ?quote ?(findings = []) ~stage reason =
   Protocol.Rejected { stage; reason; quote_us = quote; findings }
 
-type admission =
-  | Run of prepared
-  | Refuse of Protocol.verdict
-  | Hit of Protocol.response  (** served verbatim from the response cache *)
+(* a response that needed no mapping: a refusal or a malformed line *)
+let answer ~job_id verdict = { Protocol.job_id; verdict; cache = None; cpu_s = 0.0; cached = false }
+
+type admission = Run of prepared | Refuse of Protocol.verdict
 
 let job_config t ?deadline (job : Protocol.job) =
   let base = t.base in
@@ -388,12 +388,9 @@ let map_rung p =
   | Full | Quote_only | Refused -> Qspr.Mapper.map p.p_strategy p.p_ctx
 
 (* Runs on a worker domain: map, certify, return pure data.  The private
-   route cache's counters are read on the main domain after the wave.
-   [Arena.prewarm] sizes the domain's trace builder and estimator scratch
-   up front so even a fresh pool domain maps its first job warm. *)
+   route cache's counters are read on the main domain after the wave. *)
 let run_one p =
   let t0 = Sys.time () in
-  Arena.prewarm p.p_ctx;
   let shed_audit =
     match p.p_rung with
     | Full | Quote_only | Refused -> []
@@ -444,7 +441,6 @@ let run_one p =
             attempts = shed_audit @ attempts_of sol.Qspr.Mapper.attempts;
           }
   in
-  Arena.record ();
   (verdict, Sys.time () -. t0)
 
 let cache_stats_of t p =
@@ -462,33 +458,16 @@ let count_verdict t = function
   | Protocol.Rejected _ -> t.rejected <- t.rejected + 1
   | Protocol.Failed _ -> t.failed <- t.failed + 1
 
-let run_batch ?(first_slot = 0) ?on_result t jobs =
-  let jobs = Array.of_list jobs in
-  let n = Array.length jobs in
-  let slot = ref first_slot in
-  let admissions =
-    Array.map
-      (fun job ->
-        match cache_lookup t job with
-        | Some r -> Hit r
-        | None -> admit t ~slot job)
-      jobs
-  in
-  let admitted = ref [] and admitted_inputs = ref [] in
-  Array.iteri
-    (fun i a ->
-      match a with
-      | Run p ->
-          admitted := p :: !admitted;
-          admitted_inputs := i :: !admitted_inputs
-      | Refuse _ | Hit _ -> ())
-    admissions;
-  let admitted = Array.of_list (List.rev !admitted) in
-  let admitted_inputs = Array.of_list (List.rev !admitted_inputs) in
-  (* responses materialize out of order (refusals instantly, mapped jobs per
-     wave); [flush] hands them to [on_result] strictly in input order, so a
-     journaling caller can persist-and-emit incrementally — crash-only: kill
-     the process mid-batch and every already-flushed response survives *)
+(* The one execution path behind [run_batch], [handle_line] and
+   [serve_batch].  [inputs] are decoded request lines: a malformed one
+   ([Error msg]) is answered in place with a ["request"] rejection and
+   consumes no ladder slot.  Responses materialize out of order (answers at
+   admission, mapped jobs per wave); [flush] hands them to [on_result]
+   strictly in input order, so a journaling caller can persist-and-emit
+   incrementally — crash-only: kill the process mid-batch and every
+   already-flushed response survives. *)
+let run ~first_slot ~on_result t inputs =
+  let n = Array.length inputs in
   let responses : Protocol.response option array = Array.make n None in
   let next = ref 0 in
   let flush () =
@@ -497,7 +476,7 @@ let run_batch ?(first_slot = 0) ?on_result t jobs =
       &&
       match responses.(!next) with
       | Some r ->
-          (match on_result with Some f -> f jobs.(!next) r | None -> ());
+          on_result !next r;
           true
       | None -> false
     do
@@ -508,27 +487,28 @@ let run_batch ?(first_slot = 0) ?on_result t jobs =
     count_verdict t response.Protocol.verdict;
     responses.(i) <- Some response
   in
+  let slot = ref first_slot in
+  let admitted = ref [] in
   Array.iteri
-    (fun i a ->
-      match a with
-      | Refuse verdict ->
-          finalize i
-            {
-              Protocol.job_id = jobs.(i).Protocol.id;
-              verdict;
-              cache = None;
-              cpu_s = 0.0;
-              cached = false;
-            }
-      | Hit r -> finalize i r
-      | Run _ -> ())
-    admissions;
+    (fun i input ->
+      match input with
+      | Error msg -> finalize i (answer ~job_id:"?" (reject ~stage:"request" msg))
+      | Ok (job : Protocol.job) -> (
+          match cache_lookup t job with
+          | Some r -> finalize i r
+          | None -> (
+              match admit t ~slot job with
+              | Refuse verdict -> finalize i (answer ~job_id:job.Protocol.id verdict)
+              | Run p -> admitted := (i, p) :: !admitted)))
+    inputs;
+  let admitted = Array.of_list (List.rev !admitted) in
   flush ();
-  let width = Int.max 1 t.limits.jobs in
+  (* no wider than the admitted jobs: a batch with none spawns no domain *)
+  let width = Int.max 1 (Int.min t.limits.jobs (Array.length admitted)) in
   Ion_util.Domain_pool.with_pool ~jobs:width (fun pool ->
       let k = ref 0 in
       while !k < Array.length admitted do
-        let wave = Array.sub admitted !k (Int.min width (Array.length admitted - !k)) in
+        let wave = Array.map snd (Array.sub admitted !k (Int.min width (Array.length admitted - !k))) in
         (* attach the current per-fabric snapshots on the main domain; the
            pool's queue mutex publishes them to the worker domains *)
         Array.iter
@@ -552,43 +532,86 @@ let run_batch ?(first_slot = 0) ?on_result t jobs =
         Array.iteri
           (fun j (verdict, cpu_s) ->
             let p = wave.(j) in
-            let i = admitted_inputs.(!k + j) in
             let response =
               {
-                Protocol.job_id = jobs.(i).Protocol.id;
+                Protocol.job_id = p.p_job.Protocol.id;
                 verdict;
                 cache = Some (cache_stats_of t p);
                 cpu_s;
                 cached = false;
               }
             in
-            cache_store t jobs.(i) response;
-            finalize i response)
+            cache_store t p.p_job response;
+            finalize (fst admitted.(!k + j)) response)
           outs;
         flush ();
         k := !k + Array.length wave
       done);
-  flush ();
-  Array.to_list (Array.map Option.get responses)
+  Array.map Option.get responses
+
+let run_batch ?(first_slot = 0) ?on_result t jobs =
+  let jobs = Array.of_list jobs in
+  let on_result = match on_result with Some f -> fun i r -> f jobs.(i) r | None -> fun _ _ -> () in
+  Array.to_list (run ~first_slot ~on_result t (Array.map Result.ok jobs))
 
 let submit t job =
   match run_batch t [ job ] with [ r ] -> r | _ -> assert false
 
 let handle_line ?deterministic t line =
-  match Protocol.job_of_line line with
-  | Error msg ->
-      let response =
-        {
-          Protocol.job_id = "?";
-          verdict = reject ~stage:"request" msg;
-          cache = None;
-          cpu_s = 0.0;
-          cached = false;
-        }
+  match run ~first_slot:0 ~on_result:(fun _ _ -> ()) t [| Protocol.job_of_line line |] with
+  | [| r |] -> Protocol.response_to_line ?deterministic r
+  | _ -> assert false
+
+let serve_batch ?deterministic ?journal ~emit t lines =
+  let lines = Array.of_list (List.filter (fun l -> String.trim l <> "") lines) in
+  let inputs = Array.map Protocol.job_of_line lines in
+  (* the journal's join key: the canonical encoding of a well-formed
+     request (so a reformatted but identical line still matches), the raw
+     line of a malformed one *)
+  let keys =
+    Array.map2
+      (fun line -> function
+        | Ok job -> Journal.key (Protocol.job_to_line job) | Error _ -> Journal.key line)
+      lines inputs
+  in
+  let replayed = match journal with Some path -> Journal.replay path | None -> [] in
+  let resume = List.length replayed in
+  let n = Array.length lines in
+  match journal with
+  | Some path
+    when resume > n
+         || not
+              (List.for_all2
+                 (fun (e : Journal.entry) k -> Int64.equal e.Journal.key k)
+                 replayed
+                 (Array.to_list (Array.sub keys 0 resume))) ->
+      Error (Printf.sprintf "journal %s does not match this batch input; refusing to resume" path)
+  | _ ->
+      (* replay the journaled prefix byte for byte, then resume at the first
+         unjournaled request with the ladder slot counter the interrupted
+         run had reached *)
+      List.iter (fun (e : Journal.entry) -> emit e.Journal.response_line) replayed;
+      let first_slot =
+        List.length
+          (List.filter (fun (e : Journal.entry) -> Journal.consumed_slot e.Journal.response) replayed)
       in
-      count_verdict t response.Protocol.verdict;
-      Protocol.response_to_line ?deterministic response
-  | Ok job -> Protocol.response_to_line ?deterministic (submit t job)
+      let jnl = Option.map Journal.open_append journal in
+      let fresh =
+        Fun.protect
+          ~finally:(fun () -> Option.iter Journal.close jnl)
+          (fun () ->
+            run ~first_slot
+              ~on_result:(fun i r ->
+                let line = Protocol.response_to_line ?deterministic r in
+                (* write-ahead: a response is durable before it is emitted *)
+                Option.iter (fun j -> Journal.append j ~key:keys.(resume + i) ~response_line:line) jnl;
+                emit line)
+              t
+              (Array.sub inputs resume (n - resume)))
+      in
+      Ok
+        (Protocol.exit_code
+           (List.map (fun (e : Journal.entry) -> e.Journal.response) replayed @ Array.to_list fresh))
 
 type stats = {
   fabrics : int;

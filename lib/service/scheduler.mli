@@ -126,22 +126,48 @@ val run_batch :
   t ->
   Protocol.job list ->
   Protocol.response list
-(** Admit every job, then map the admitted ones across [limits.jobs]
-    domains in waves, merging warm tables between waves.  Responses are
-    in input order, and their deterministic encodings are byte-identical
-    to [submit]ting each job sequentially.
+(** Admit every job, then map the admitted ones in waves across a pool of
+    [min limits.jobs admitted] domains (none is spawned beyond the main
+    one when at most one job is admitted), merging warm tables between
+    waves.  Responses are in input order, and their deterministic
+    encodings are byte-identical to [submit]ting each job sequentially.
 
-    [first_slot] (default 0) pre-advances the ladder slot counter — the
-    journal replay path uses it so a resumed batch sheds exactly as the
-    interrupted run would have.  [on_result] streams each (job, response)
-    pair in input order as soon as it is final: refusals immediately,
-    mapped jobs as their wave completes — the crash-only journal appends
-    from this callback. *)
+    [first_slot] (default 0) pre-advances the ladder slot counter, so a
+    batch resumed after [first_slot] slot-consuming responses sheds
+    exactly as the whole batch would have.  [on_result] streams each
+    (job, response) pair in input order as soon as it is final: refusals
+    immediately, mapped jobs as their wave completes. *)
 
 val handle_line : ?deterministic:bool -> t -> string -> string
-(** One protocol round: parse a request line, run it, render the response
-    line.  Malformed requests become structured [Rejected]/["request"]
+(** One protocol round: {!serve_batch}'s path for a single line (blank or
+    not).  Malformed requests become structured [Rejected]/["request"]
     responses rather than exceptions. *)
+
+val serve_batch :
+  ?deterministic:bool ->
+  ?journal:string ->
+  emit:(string -> unit) ->
+  t ->
+  string list ->
+  (int, string) result
+(** Serve a file of request lines as one batch ([qspr serve --batch]).
+    Blank lines are skipped; a malformed line is answered in place with a
+    [Rejected]/["request"] response and consumes no ladder slot; every
+    well-formed request shares one {!run_batch}, so distance tables and
+    warm route snapshots are amortized across the file.  [emit] receives
+    each response line ({!Protocol.response_to_line}) in input order as
+    soon as it and every line before it are final.
+
+    With [journal] the batch is crash-only ({!Journal}): the journaled
+    prefix is checked against the batch's request keys and re-emitted
+    verbatim, the ladder resumes at the slot the interrupted run had
+    reached, and each fresh response is appended to the journal before
+    it is emitted.  The concatenated output is byte-identical to an
+    uninterrupted run.
+
+    Returns the tiered exit code over every response
+    ({!Protocol.exit_code}), or [Error] — before emitting anything — when
+    the journal does not match the batch. *)
 
 (** The degradation-ladder rungs, cheapest-to-serve last. *)
 type rung = Full | Prescreen | Budgeted | Quote_only | Refused

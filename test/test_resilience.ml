@@ -235,55 +235,100 @@ let test_fabric_registry_eviction () =
 
 let journal_path name = Filename.concat (Filename.get_temp_dir_name ()) name
 
+let overload_lines n = List.map Protocol.job_to_line (overload_jobs n)
+
+(* [Scheduler.serve_batch] on an overloaded service (ladder at slot 2 of 8)
+   with the emitted lines collected.  [kill_at] makes the [kill_at]-th
+   emit raise, standing in for the process dying once that response is
+   journaled; the exception escapes and no result is returned. *)
+let serve ?(jobs = 1) ?journal ?kill_at lines =
+  let t = Scheduler.create ~limits:(limits ~jobs ~max_pending:8 ~shed_start:2 ()) () in
+  let out = ref [] and emitted = ref 0 in
+  let emit line =
+    incr emitted;
+    if Some !emitted = kill_at then failwith "simulated kill";
+    out := line :: !out
+  in
+  let result = Scheduler.serve_batch ~deterministic:true ?journal ~emit t lines in
+  (result, List.rev !out)
+
+let check_lines what expected actual =
+  check_int (what ^ ": line count") (List.length expected) (List.length actual);
+  List.iteri
+    (fun i (a, b) -> check_string (Printf.sprintf "%s: line %d bit-identical" what i) a b)
+    (List.combine expected actual)
+
+(* serve [lines] journaling to [path] and die as the [kill_at]-th response
+   is emitted, leaving the torn tail of a dying write, which must not
+   poison the replay *)
+let interrupt ?jobs ~kill_at path lines =
+  (match serve ?jobs ~journal:path ~kill_at lines with
+  | _ -> Alcotest.fail "the simulated kill should have escaped serve_batch"
+  | exception Failure _ -> ());
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc "qspr-journal/1 00c0ffee {\"schema\":\"qspr-re";
+  close_out oc
+
 let test_journal_replay_bit_identity () =
   (* overloaded batch so the replayed prefix spans full service, shed rungs
      and a queue refusal — the resumed run must reconstruct the slot *)
-  let jobs = overload_jobs 10 in
-  let mk () = Scheduler.create ~limits:(limits ~max_pending:8 ~shed_start:2 ()) () in
-  let uninterrupted = List.map det_line (Scheduler.run_batch (mk ()) jobs) in
+  let lines = overload_lines 10 in
+  let code, uninterrupted = serve lines in
+  check_bool "uninterrupted exit code: rejections present" true (code = Ok 2);
   let path = journal_path "qspr_test_journal.jsonl" in
   if Sys.file_exists path then Sys.remove path;
-  (* phase 1: serve the batch, journaling every emitted response, and die
-     (exception out of the result callback) after the 7th *)
+  (* phase 1: serve the batch, journaling every response, and die as the
+     7th is emitted *)
   let kill_after = 7 in
-  (let jnl = Journal.open_append path in
-   let emitted = ref 0 in
-   match
-     Scheduler.run_batch
-       ~on_result:(fun j r ->
-         Journal.append jnl ~key:(Journal.key (Protocol.job_to_line j))
-           ~response_line:(det_line r);
-         incr emitted;
-         if !emitted = kill_after then failwith "simulated kill")
-       (mk ()) jobs
-   with
-   | _ -> Alcotest.fail "the simulated kill should have escaped run_batch"
-   | exception Failure _ -> Journal.close jnl);
-  (* a torn tail from the dying write must not poison the replay *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "qspr-journal/1 00c0ffee {\"schema\":\"qspr-re";
-  close_out oc;
-  (* phase 2: resume — replay the journaled prefix verbatim, reconstruct
-     the ladder slot, map only the remainder *)
+  interrupt ~kill_at:kill_after path lines;
   let replayed = Journal.replay path in
   check_int "journal holds the pre-kill prefix" kill_after (List.length replayed);
   List.iteri
     (fun i (e : Journal.entry) ->
       check_bool (Printf.sprintf "replay key %d matches input" i) true
-        (Int64.equal e.Journal.key
-           (Journal.key (Protocol.job_to_line (List.nth jobs i)))))
+        (Int64.equal e.Journal.key (Journal.key (List.nth lines i))))
     replayed;
-  let first_slot =
-    List.length (List.filter (fun (e : Journal.entry) -> Journal.consumed_slot e.Journal.response) replayed)
+  (* phase 2: resume — replay the journaled prefix verbatim, reconstruct
+     the ladder slot, map only the remainder *)
+  let code', resumed = serve ~journal:path lines in
+  check_bool "resumed exit code" true (code' = code);
+  check_lines "resumed" uninterrupted resumed;
+  Sys.remove path
+
+let malformed = [ "{\"schema\":\"qspr-job/1\""; "not json at all" ]
+
+let test_journal_torn_resume_at_widths () =
+  (* a malformed line in the batch is journaled under its raw-line key *)
+  let lines = List.concat_map (fun l -> [ l; List.nth malformed 1 ]) (overload_lines 5) in
+  List.iter
+    (fun jobs ->
+      let _, uninterrupted = serve ~jobs lines in
+      List.iter
+        (fun kill_at ->
+          let path = Filename.temp_file "qspr_torn" ".jnl" in
+          interrupt ~jobs ~kill_at path lines;
+          let _, resumed = serve ~jobs ~journal:path lines in
+          check_lines (Printf.sprintf "jobs %d, killed at %d" jobs kill_at) uninterrupted resumed;
+          Sys.remove path)
+        [ 1; 4; 9 ])
+    [ 1; 2 ]
+
+let test_journal_mismatch_refused () =
+  let lines = overload_lines 4 in
+  let path = Filename.temp_file "qspr_mismatch" ".jnl" in
+  ignore (serve ~journal:path lines);
+  let refused what lines =
+    match serve ~journal:path lines with
+    | Error _, [] -> ()
+    | Error _, _ -> Alcotest.failf "%s: refused, but emitted lines first" what
+    | Ok _, _ -> Alcotest.failf "%s: a mismatched journal was resumed" what
   in
-  let rest = List.filteri (fun i _ -> i >= kill_after) jobs in
-  let resumed =
-    List.map (fun (e : Journal.entry) -> e.Journal.response_line) replayed
-    @ List.map det_line (Scheduler.run_batch ~first_slot (mk ()) rest)
-  in
-  List.iteri
-    (fun i (a, b) -> check_string (Printf.sprintf "resumed line %d bit-identical" i) a b)
-    (List.combine uninterrupted resumed);
+  refused "different batch" (List.rev lines);
+  refused "shorter batch" (List.filteri (fun i _ -> i < 2) lines);
+  (* a prefix-consistent journal still resumes *)
+  (match serve ~journal:path (lines @ overload_lines 1) with
+  | Ok _, out -> check_int "extended batch resumes" 5 (List.length out)
+  | Error e, _ -> Alcotest.failf "extended batch: %s" e);
   Sys.remove path
 
 let test_journal_tolerates_missing_and_garbage () =
@@ -309,6 +354,36 @@ let test_streaming_preserves_input_order () =
   List.iteri
     (fun i id -> check_string (Printf.sprintf "stream order %d" i) (Printf.sprintf "j%d" i) id)
     (List.rev !seen)
+
+let test_malformed_lines_keep_order_and_slots () =
+  let clean = overload_lines 10 in
+  (* after every even job a malformed line and a blank one, which is skipped *)
+  let with_malformed f =
+    List.concat (List.mapi (fun i x -> if i mod 2 = 0 then x :: f i else [ x ]) clean)
+  in
+  let mixed = with_malformed (fun i -> [ List.nth malformed (i / 2 mod 2); "  " ]) in
+  let _, clean_out = serve clean in
+  let _, mixed_out = serve mixed in
+  let decoded =
+    List.map
+      (fun line ->
+        match Protocol.response_of_line line with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "response line must decode: %s" e)
+      mixed_out
+  in
+  let ids = List.mapi (fun i _ -> Printf.sprintf "j%d" i) clean in
+  let expected_ids = List.concat (List.mapi (fun i id -> if i mod 2 = 0 then [ id; "?" ] else [ id ]) ids) in
+  check_int "one response per non-blank line" (List.length expected_ids) (List.length decoded);
+  List.iteri
+    (fun i (id, (r : Protocol.response)) ->
+      check_string (Printf.sprintf "input order %d" i) id r.Protocol.job_id;
+      if id = "?" then check_string (Printf.sprintf "line %d stage" i) "request" (stage_of r))
+    (List.combine expected_ids decoded);
+  (* malformed lines consume no ladder slot: the jobs shed exactly as they
+     do without them *)
+  check_lines "jobs among malformed lines" clean_out
+    (List.filteri (fun i _ -> List.nth expected_ids i <> "?") mixed_out)
 
 let () =
   Alcotest.run "resilience"
@@ -338,9 +413,14 @@ let () =
             test_journal_replay_bit_identity;
           Alcotest.test_case "missing and garbage journals" `Quick
             test_journal_tolerates_missing_and_garbage;
+          Alcotest.test_case "torn journal resumes at jobs 1 and 2" `Quick
+            test_journal_torn_resume_at_widths;
+          Alcotest.test_case "mismatched journal refused" `Quick test_journal_mismatch_refused;
         ] );
       ( "streaming",
         [
           Alcotest.test_case "input order preserved" `Quick test_streaming_preserves_input_order;
+          Alcotest.test_case "malformed lines keep order and slots" `Quick
+            test_malformed_lines_keep_order_and_slots;
         ] );
     ]
