@@ -8,7 +8,8 @@
    estimator and its >= 10x speedup over from-scratch estimates, the
    portfolio race, the service batch against cold single-job services, and
    the allocation ceilings of the warm engine run, the delta-SA move loop,
-   the certificate digest and the whole certification.  The measured
+   the certificate digest, the whole certification and the estimator's
+   distance tables.  The measured
    figures are printed next to their bounds.  Throughput is measured by
    qbench/; the only wall-clock checks here are two relative floors, each
    timed within this process: delta-SA >= 10x the full-estimate loop, and
@@ -38,7 +39,8 @@ let () =
   let comp = match Fabric.Component.extract fabric with Ok c -> c | Error e -> fail "%s" e in
   let graph = Fabric.Graph.build comp in
   let cong = Router.Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
-  let w = Router.Congestion.weight cong ~turn_cost:10.0 in
+  let w = Array.make (Fabric.Graph.num_edges graph) 0.0 in
+  Router.Congestion.track_weights cong ~turn_cost:10.0 graph w;
   let ntraps = Array.length (Fabric.Component.traps comp) in
   let ws = Router.Workspace.create () in
   List.iter
@@ -49,18 +51,17 @@ let () =
         match shortest ~src ~dst with Some r -> r.Router.Dijkstra.cost | None -> fail "%s: no route" label
       in
       check_eq "dijkstra fresh vs reused"
-        (cost "fresh" (Router.Dijkstra.shortest_path graph ~weight:w))
-        (cost "reused" (Router.Dijkstra.shortest_path ~workspace:ws graph ~weight:w));
+        (cost "fresh" (Router.Dijkstra.shortest_path graph ~weights:w))
+        (cost "reused" (Router.Dijkstra.shortest_path ~workspace:ws graph ~weights:w));
       (* the PathFinder's guided search: A* over a lower-bound table *)
       let guided ~src ~dst =
         let lb = Router.Lower_bound.build graph ~turn_cost:10.0 ~dst in
-        Router.Dijkstra.run_into ~heuristic:(Router.Lower_bound.heuristic lb) ws graph ~weight:w ~src
-          ~dst;
+        Router.Dijkstra.run_into ~heuristic:lb ws graph ~weights:w ~src ~dst;
         Router.Dijkstra.path_to ws graph ~dst
       in
       check_eq "astar vs dijkstra reused"
         (cost "astar" guided)
-        (cost "reused" (Router.Dijkstra.shortest_path ~workspace:ws graph ~weight:w)))
+        (cost "reused" (Router.Dijkstra.shortest_path ~workspace:ws graph ~weights:w)))
     [ 0; 1; 2; 3 ];
   (* parallel group: serial and pooled searches agree latency-for-latency *)
   let p = List.assoc "[[5,1,3]]" (Circuits.Qecc.all ()) in
@@ -523,6 +524,23 @@ let () =
   if words > ceiling then
     fail "%s: certification allocates %.1f minor words per command (ceiling %.0f)" cname words
       ceiling;
+  (* Estimator.Distance.build on QUALE 45x85 tabulates the base weights
+     once and runs its 130 per-trap sweeps through Dijkstra's one relax
+     loop, whose rows are filled without boxing: about 500 minor words.
+     The closure relax loop with rows filled through a closure over the
+     workspace read about 644k (a boxed key per push, a boxed float per
+     node of every row, about half each), so a 20k ceiling catches a return
+     to either. *)
+  let words =
+    ignore (Estimator.Distance.build graph ~turn_cost:10.0);
+    let w0 = Gc.minor_words () in
+    ignore (Estimator.Distance.build graph ~turn_cost:10.0);
+    Gc.minor_words () -. w0
+  and ceiling = 20_000.0 in
+  Printf.printf "bench-smoke: QUALE 45x85 Distance.build %.0f minor words (ceiling %.0f)\n" words
+    ceiling;
+  if words > ceiling then
+    fail "QUALE 45x85: Distance.build allocates %.0f minor words (ceiling %.0f)" words ceiling;
   print_endline
     "bench-smoke: OK (workspace routing exact, parallel search exact, estimator pure, \
      prescreen consistent, winner certified, certified bound admissible and deterministic, \
@@ -531,5 +549,5 @@ let () =
      full-estimate SA on all six, portfolio deterministic and never worse than the anneal, \
      six-circuit service batch identical at jobs 1/2/4 and to independent certified runs with \
      fewer searches than cold services in <= 1.15x their wall time, warm full runs >= 5x \
-     leaner than BENCH_pr8, scored runs, delta-SA move loop, certificate digest and certification \
-     under their allocation ceilings)"
+     leaner than BENCH_pr8, scored runs, delta-SA move loop, certificate digest, certification \
+     and distance tables under their allocation ceilings)"

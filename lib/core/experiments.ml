@@ -524,7 +524,9 @@ let fig5 () =
     match Fabric.Component.extract lay with Ok c -> c | Error e -> failwith ("fig5: " ^ e)
   in
   let graph = Fabric.Graph.build comp in
-  let cong = Router.Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
+  (* an idle fabric: every weight is the congestion-free Eq. 2 cost *)
+  let turn_cost = Router.Timing.turn_cost_in_moves Router.Timing.paper in
+  let weights = Router.Lower_bound.base_weights graph ~turn_cost in
   let node_at pos orientation =
     let found = ref None in
     for n = 0 to Fabric.Graph.num_nodes graph - 1 do
@@ -544,11 +546,7 @@ let fig5 () =
   (* an unroutable leg skips its composed path (reported in the output)
      instead of aborting the whole figure *)
   let leg a b =
-    match
-      Router.Dijkstra.shortest_path graph
-        ~weight:(Router.Congestion.weight cong ~turn_cost:(Router.Timing.turn_cost_in_moves Router.Timing.paper))
-        ~src:a ~dst:b
-    with
+    match Router.Dijkstra.shortest_path graph ~weights ~src:a ~dst:b with
     | Some r -> Ok r.Router.Dijkstra.edges
     | None -> Error (Printf.sprintf "leg node %d -> node %d unroutable" a b)
   in
@@ -574,11 +572,11 @@ let fig5 () =
   let model_cost turn_cost p =
     let c = ref 0.0 in
     for i = 0 to Router.Path.step_count p - 1 do
-      c := !c +. Router.Congestion.weight cong ~turn_cost (Router.Path.step_kind p i)
+      c := !c +. Router.Lower_bound.base_weight ~turn_cost (Router.Path.step_kind p i)
     done;
     !c
   in
-  let turn_aware_cost = model_cost (Router.Timing.turn_cost_in_moves Router.Timing.paper) in
+  let turn_aware_cost = model_cost turn_cost in
   let blind_cost = model_cost 0.0 in
   let describe label = function
     | Ok p ->
@@ -591,12 +589,7 @@ let fig5 () =
     | Error reason -> Printf.sprintf "%s: skipped — %s\n" label reason
   in
   let chosen =
-    match
-      Router.Dijkstra.shortest_path graph
-        ~weight:
-          (Router.Congestion.weight cong ~turn_cost:(Router.Timing.turn_cost_in_moves Router.Timing.paper))
-        ~src ~dst
-    with
+    match Router.Dijkstra.shortest_path graph ~weights ~src ~dst with
     | Some r -> Ok (Router.Path.of_result ~src ~dst r)
     | None -> Error "src and dst are not connected"
   in

@@ -20,12 +20,14 @@ let build graph ~turn_cost =
   (* Row a is trap a's lower-bound table sampled at the trap nodes: the
      router's per-destination sweeps and these trap-to-trap tables are the
      same machinery (Lower_bound owns the base-weight definition), and the
-     fabric graph's base-weight symmetry makes from-a and to-a identical. *)
+     fabric graph's base-weight symmetry makes from-a and to-a identical.
+     The base weights are tabulated once for all n sweeps. *)
+  let weights = Router.Lower_bound.base_weights graph ~turn_cost in
   let dist = Array.make (n * n) infinity in
   for a = 0 to n - 1 do
-    let lb = Router.Lower_bound.build ~workspace:ws graph ~turn_cost ~dst:(Fabric.Graph.trap_node graph a) in
+    let row = Router.Dijkstra.distances ~workspace:ws graph ~weights ~src:(Fabric.Graph.trap_node graph a) in
     for b = 0 to n - 1 do
-      dist.((a * n) + b) <- Router.Lower_bound.to_dst lb (Fabric.Graph.trap_node graph b)
+      dist.((a * n) + b) <- row.(Fabric.Graph.trap_node graph b)
     done
   done;
   let meet_tbl = Array.make (n * n) 0 in

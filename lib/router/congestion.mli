@@ -46,7 +46,7 @@ val track_weights : t -> turn_cost:float -> Fabric.Graph.t -> float array -> uni
     edge index of [graph] into [out] and from then on keeps [out] equal to
     {!weight} at all times: every {!acquire}/{!release} rewrites just the
     edges of that resource (the graph's resource CSR), so a search can read
-    [out] as [Dijkstra.run_into]'s [edge_weights] with no per-search sweep.
+    [out] as [Dijkstra.run_into]'s [weights] with no per-search sweep.
     Only channel and junction edges ever change; turn and tap edges keep
     the values written here.  The array holds floats unboxed, and the
     refresh writes them without calling {!weight}, so tracking allocates

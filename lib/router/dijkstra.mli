@@ -1,11 +1,11 @@
-(** Dijkstra shortest paths on the fabric routing graph under a dynamic
-    edge-weight function (paper Section IV.B).
+(** Dijkstra shortest paths on the fabric routing graph (paper Section
+    IV.B), with an optional A* heuristic.
 
-    Weights are functions of the {e edge kind} (the resource an edge
-    consumes), which is all Eq. 2 congestion costing needs — and lets the
-    search scan the CSR adjacency without materializing edge records.
-    Weights of [infinity] model saturated resources; a route through them is
-    never returned.
+    Edge weights are a [float array] indexed by CSR edge (the [i] of
+    [Fabric.Graph.succ_start .. succ_stop - 1]) and the A* heuristic a
+    [float array] indexed by node, both read unboxed, so a search
+    allocates nothing per edge or push.  Weights of [infinity] model
+    saturated resources; a route through them is never returned.
 
     Every entry point takes an optional {!Workspace.t}.  Passing one reuses
     its arrays and frontier across queries, so a query allocates O(path)
@@ -18,55 +18,45 @@ type result = { cost : float; edges : Fabric.Graph.edge list }
 val shortest_path :
   ?workspace:Workspace.t ->
   Fabric.Graph.t ->
-  weight:(Fabric.Graph.edge_kind -> float) ->
+  weights:float array ->
   src:Fabric.Graph.node ->
   dst:Fabric.Graph.node ->
   result option
 (** [None] when the destination is unreachable under finite weights.
     A [src = dst] query yields a zero-cost empty path.
-    @raise Invalid_argument on a negative edge weight. *)
+    @raise Invalid_argument on a negative edge weight, or as {!run_into}. *)
 
 val distances :
   ?workspace:Workspace.t ->
   Fabric.Graph.t ->
-  weight:(Fabric.Graph.edge_kind -> float) ->
+  weights:float array ->
   src:Fabric.Graph.node ->
   float array
-(** Full distance vector from [src] ([infinity] where unreachable), used by
-    diagnostics and trap-selection heuristics. *)
+(** Full distance vector from [src] ([infinity] where unreachable), as a
+    fresh array: the sweep behind every {!Lower_bound} table. *)
 
 (** {2 Shared search core}
 
-    The primitives behind [shortest_path], exposed so guided searches
-    (the PathFinder's A* over a {!Lower_bound.t} heuristic) and the
-    engine's prefilled-weight searches run the exact same loop. *)
+    The primitives behind [shortest_path], exposed so the engine's and the
+    PathFinder's searches, guided or not, run the exact same loop. *)
 
 val run_into :
-  ?heuristic:(Fabric.Graph.node -> float) ->
-  ?edge_weights:float array ->
+  ?heuristic:float array ->
   Workspace.t ->
   Fabric.Graph.t ->
-  weight:(Fabric.Graph.edge_kind -> float) ->
+  weights:float array ->
   src:Fabric.Graph.node ->
   dst:Fabric.Graph.node ->
   unit
 (** Runs the search into the workspace's current generation.  [dst = -1]
     settles the whole reachable graph; otherwise the search stops once
-    [dst] settles.  [heuristic] must be admissible and consistent for the
-    settled costs to be exact (A* contract).
-
-    [edge_weights], when given, must hold the weight of every CSR edge
-    index — in the engine, the live array {!Congestion.track_weights}
-    keeps equal to {!Congestion.weight} for a whole run (see
-    {!Workspace.edge_weights_for}); the search then reads weights unboxed
-    instead of calling [weight] per edge, which boxes every returned float.
-    Values must equal what [weight] would return — the relax loop is
-    otherwise identical, including the negative-weight check, so the two
-    modes produce bit-identical predecessors and costs.  Without a
-    heuristic this path allocates nothing per edge or push.
-    @raise Invalid_argument when [edge_weights] is shorter than
-    [Fabric.Graph.num_edges graph] (checked once per call), or on an
-    out-of-range [src]/[dst]. *)
+    [dst] settles.  [heuristic] (in practice the {!Lower_bound.t} of
+    [dst]) keys the queue on distance + heuristic; it must be admissible
+    and consistent for the settled costs to be exact (A* contract).
+    @raise Invalid_argument when [weights] is shorter than
+    [Fabric.Graph.num_edges graph] or [heuristic] shorter than
+    [Fabric.Graph.num_nodes graph] (both checked once per call), on an
+    out-of-range [src]/[dst], or on a negative weight the search reads. *)
 
 val path_to : Workspace.t -> Fabric.Graph.t -> dst:Fabric.Graph.node -> result option
 (** The path recorded by the last {!run_into} on this workspace. *)

@@ -1,9 +1,14 @@
 module Graph = Fabric.Graph
 
-type t = { turn_cost : float; dst : Graph.node; dist : float array }
+type t = float array
 
 let base_weight ~turn_cost (kind : Graph.edge_kind) =
   match kind with Graph.Turn _ -> turn_cost | Graph.Chan _ | Graph.Junc _ | Graph.Tap _ -> 1.0
+
+let base_weights graph ~turn_cost =
+  if turn_cost < 0.0 || Float.is_nan turn_cost then
+    invalid_arg "Lower_bound: turn cost must be non-negative";
+  Array.init (Graph.num_edges graph) (fun i -> base_weight ~turn_cost (Graph.succ_kind graph i))
 
 (* The fabric graph is weight-symmetric under base costs: movement edges are
    inserted in both directions (entry kind of the destination cell, but both
@@ -11,14 +16,4 @@ let base_weight ~turn_cost (kind : Graph.edge_kind) =
    paired.  A single forward sweep from [dst] therefore yields the exact
    distance TO [dst] from every node. *)
 let build ?workspace graph ~turn_cost ~dst =
-  if turn_cost < 0.0 || Float.is_nan turn_cost then
-    invalid_arg "Lower_bound.build: turn cost must be non-negative";
-  let n = Graph.num_nodes graph in
-  if dst < 0 || dst >= n then invalid_arg "Lower_bound.build: destination out of range";
-  let dist = Dijkstra.distances ?workspace graph ~weight:(base_weight ~turn_cost) ~src:dst in
-  { turn_cost; dst; dist }
-
-let dst t = t.dst
-let turn_cost t = t.turn_cost
-let to_dst t n = t.dist.(n)
-let heuristic t n = t.dist.(n)
+  Dijkstra.distances ?workspace graph ~weights:(base_weights graph ~turn_cost) ~src:dst

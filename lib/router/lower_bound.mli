@@ -14,28 +14,24 @@
     weight-symmetric under base costs (movement, turn and tap edges are all
     inserted in both directions at equal base cost), so the forward sweep
     yields exact to-destination distances.  {!Route_cache} memoizes tables
-    across searches; {!Estimator.Distance} builds its trap-to-trap tables
-    from the same sweeps. *)
+    across searches, and {!Pathfinder}'s A* reads them;
+    {!Estimator.Distance} builds its trap-to-trap tables from the same
+    sweeps over one {!base_weights} array. *)
 
-type t
+type t = float array
+(** Exact base-cost distance to the destination per node ([infinity] when
+    disconnected).  Tables are shared across domains: never write one. *)
 
 val base_weight : turn_cost:float -> Fabric.Graph.edge_kind -> float
 (** The congestion-free Eq. 2 edge cost: [turn_cost] for turns, 1 move unit
     for everything else.  The shared definition all lower-bound machinery
     (and {!Estimator.Distance}) keys on. *)
 
+val base_weights : Fabric.Graph.t -> turn_cost:float -> float array
+(** {!base_weight} of every CSR edge, as {!Dijkstra}'s [weights].
+    @raise Invalid_argument on a negative/NaN turn cost. *)
+
 val build : ?workspace:Workspace.t -> Fabric.Graph.t -> turn_cost:float -> dst:Fabric.Graph.node -> t
-(** One full Dijkstra sweep from [dst] under base weights.
+(** One full Dijkstra sweep from [dst] under {!base_weights}.
     @raise Invalid_argument on a negative/NaN turn cost or an out-of-range
     destination. *)
-
-val dst : t -> Fabric.Graph.node
-val turn_cost : t -> float
-
-val to_dst : t -> Fabric.Graph.node -> float
-(** Exact base-cost distance from a node to the table's destination;
-    [infinity] when disconnected. *)
-
-val heuristic : t -> Fabric.Graph.node -> float
-(** [to_dst], named for its role as the A* heuristic plugged into
-    {!Dijkstra.run_into}. *)

@@ -43,6 +43,111 @@ let max_iterations = 30
 let present_factor = 0.5
 let history_increment = 1.0
 
+(* Occupancy of the CURRENT routes, maintained incrementally — never
+   rebuilt.  All negotiation state is flat arrays indexed by the packed
+   resource int (segment s -> 2s+1, junction j -> 2j).  [users] is the
+   reverse index (resource -> nets whose current route crosses it; each net
+   at most once, a path's footprint is distinct), [overused] the live set
+   of resources above capacity (bitmap + count), and [at_capacity] counts
+   resources whose next user would pay a present penalty — the negotiation
+   weight equals the base weight exactly when it is zero and no history has
+   accrued.  [weights] holds that weight for every CSR edge: a resource's
+   edges are rewritten when its occupancy or history changes, and every
+   resource at capacity when the round (and the present factor) advances. *)
+type state = {
+  graph : Graph.t;
+  capacity : Resource.t -> int;
+  history : float array;
+  occupancy : int array;
+  users : int list array;
+  overused : bool array;
+  routes : (int, Path.t) Hashtbl.t;
+  weights : float array;
+  mutable overused_count : int;
+  mutable at_capacity : int;
+  mutable iteration : int;
+}
+
+(* (base + history)·(1 + over·p_fac) on [r]'s edges, all of base cost 1 *)
+let refresh st r =
+  let over = max 0 (st.occupancy.(r) + 1 - st.capacity (Resource.of_int r)) in
+  let p_fac = 1.0 +. (present_factor *. float_of_int st.iteration) in
+  let w = (1.0 +. st.history.(r)) *. (1.0 +. (float_of_int over *. p_fac)) in
+  let res = Resource.of_int r and g = st.graph in
+  let id = Resource.id res and seg = Resource.is_segment res in
+  for k = (if seg then Graph.chan_edges_start g id else Graph.junc_edges_start g id)
+      to (if seg then Graph.chan_edges_stop g id else Graph.junc_edges_stop g id) - 1 do
+    st.weights.(Graph.resource_edge g k) <- w
+  done
+
+let iter_resources graph f =
+  let comp = Graph.component graph in
+  Array.iteri (fun s _ -> f (Resource.to_int (Resource.segment s))) (Fabric.Component.segments comp);
+  Array.iteri (fun j _ -> f (Resource.to_int (Resource.junction j))) (Fabric.Component.junctions comp)
+
+let create graph ~turn_cost ~capacity =
+  let comp = Graph.component graph in
+  (* bounds every packed resource on this fabric *)
+  let nres = Fabric.Component.((2 * Int.max (Array.length (segments comp)) (Array.length (junctions comp))) + 2) in
+  let st =
+    {
+      graph;
+      capacity;
+      history = Array.make nres 0.0;
+      occupancy = Array.make nres 0;
+      users = Array.make nres [];
+      overused = Array.make nres false;
+      routes = Hashtbl.create 16;
+      weights = Lower_bound.base_weights graph ~turn_cost;
+      overused_count = 0;
+      at_capacity = 0;
+      iteration = 0;
+    }
+  in
+  iter_resources graph (refresh st);
+  st
+
+let weights st = st.weights
+
+(* [d] = 1 places [net_id]'s [path], -1 rips it up *)
+let shift st net_id path d =
+  for i = 0 to Path.num_resources path - 1 do
+    let r = Resource.to_int (Path.resource path i) in
+    let before = st.occupancy.(r) in
+    let after = before + d in
+    if after < 0 then invalid_arg "Pathfinder: negative occupancy — a net was ripped up twice";
+    st.occupancy.(r) <- after;
+    let cap = st.capacity (Resource.of_int r) in
+    if before < cap && after >= cap then st.at_capacity <- st.at_capacity + 1
+    else if before >= cap && after < cap then st.at_capacity <- st.at_capacity - 1;
+    let over = after > cap in
+    if over <> st.overused.(r) then begin
+      st.overused.(r) <- over;
+      st.overused_count <- (st.overused_count + if over then 1 else -1)
+    end;
+    st.users.(r) <- (if d > 0 then net_id :: st.users.(r) else List.filter (( <> ) net_id) st.users.(r));
+    refresh st r
+  done
+
+let rip st net_id = Option.iter (fun old -> shift st net_id old (-1)) (Hashtbl.find_opt st.routes net_id)
+
+let place st net_id path =
+  Hashtbl.replace st.routes net_id path;
+  shift st net_id path 1
+
+let next_iteration st =
+  st.iteration <- st.iteration + 1;
+  iter_resources st.graph (fun r -> if st.occupancy.(r) >= st.capacity (Resource.of_int r) then refresh st r)
+
+(* history penalties on the still-overused resources *)
+let add_history st =
+  for r = 0 to Array.length st.overused - 1 do
+    if st.overused.(r) then begin
+      st.history.(r) <- st.history.(r) +. history_increment;
+      refresh st r
+    end
+  done
+
 let route_all graph ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
   if turn_cost < 0.0 then Error (Bad_parameters "negative turn cost")
   else begin
@@ -54,93 +159,18 @@ let route_all graph ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
     let cache = match cache with Some c -> c | None -> Route_cache.create () in
     Route_cache.for_graph cache graph;
     let workspace = Route_cache.workspace cache in
-    (* Occupancy of the CURRENT routes, maintained incrementally — never
-       rebuilt.  All negotiation state is flat arrays indexed by the packed
-       resource int: [nres] bounds every packed value on this fabric
-       (segment s -> 2s+1, junction j -> 2j).  [users] is the reverse index
-       (resource -> nets whose current route crosses it; each net at most
-       once, a path's footprint is distinct), [overused] the live set of
-       resources above capacity (bitmap + count), and [at_capacity] counts
-       resources whose next user would pay a present penalty — the
-       negotiation weight equals the base weight exactly when it is zero and
-       no history has accrued. *)
-    let comp = Graph.component graph in
-    let nres =
-      2
-      * Int.max
-          (Array.length (Fabric.Component.segments comp))
-          (Array.length (Fabric.Component.junctions comp))
-      + 2
-    in
-    let history = Array.make nres 0.0 in
-    let history_dirty = ref false in
-    let routes : (int, Path.t) Hashtbl.t = Hashtbl.create 16 in
-    let occupancy = Array.make nres 0 in
-    let users : int list array = Array.make nres [] in
-    let overused = Array.make nres false in
-    let overused_count = ref 0 in
-    let at_capacity = ref 0 in
-    let cap_of r = capacity (Resource.of_int r) in
-    let bump r d =
-      let before = occupancy.(r) in
-      let after = before + d in
-      if after < 0 then
-        invalid_arg "Pathfinder: negative occupancy — a net was ripped up twice";
-      occupancy.(r) <- after;
-      let cap = cap_of r in
-      if before < cap && after >= cap then incr at_capacity
-      else if before >= cap && after < cap then decr at_capacity;
-      if after > cap then begin
-        if not overused.(r) then begin
-          overused.(r) <- true;
-          incr overused_count
-        end
-      end
-      else if overused.(r) then begin
-        overused.(r) <- false;
-        decr overused_count
-      end
-    in
-    let rip net_id =
-      match Hashtbl.find_opt routes net_id with
-      | None -> ()
-      | Some old ->
-          for i = 0 to Path.num_resources old - 1 do
-            let r = Resource.to_int (Path.resource old i) in
-            bump r (-1);
-            users.(r) <- List.filter (( <> ) net_id) users.(r)
-          done
-    in
-    let place net_id path =
-      Hashtbl.replace routes net_id path;
-      for i = 0 to Path.num_resources path - 1 do
-        let r = Resource.to_int (Path.resource path i) in
-        bump r 1;
-        users.(r) <- net_id :: users.(r)
-      done
-    in
+    let st = create graph ~turn_cost ~capacity in
     let searches = ref 0 and seeded = ref 0 in
-    let iterations = ref 0 in
-    let weight (kind : Graph.edge_kind) =
-      let base = match kind with Graph.Turn _ -> turn_cost | _ -> 1.0 in
-      let r = Resource.pack_of_edge kind in
-      if r = Resource.none then base
-      else begin
-        let over = max 0 (occupancy.(r) + 1 - cap_of r) in
-        let p_fac = 1.0 +. (present_factor *. float_of_int !iterations) in
-        (base +. history.(r)) *. (1.0 +. (float_of_int over *. p_fac))
-      end
-    in
     (* One net's search: lower-bound-guided A* under the live negotiation
        weights (admissible: present/history penalties only add to the base
        cost the tables price).  While the live weights still equal the base
-       weights — nothing at capacity, no history — the search is a pure
-       function of (turn_cost, src, dst), so a caller-owned cache can seed
-       it from an earlier call and absorb its result for later ones.  The
-       seed substitutes verbatim for the search it skips: only exact
-       replays, never merely-equal-cost ones. *)
+       weights — nothing at capacity in round 1, before any history — the
+       search is a pure function of (turn_cost, src, dst), so a caller-owned
+       cache can seed it from an earlier call and absorb its result for
+       later ones.  The seed substitutes verbatim for the search it skips:
+       only exact replays, never merely-equal-cost ones. *)
     let route net =
-      let clean = !at_capacity = 0 && not !history_dirty in
+      let clean = st.at_capacity = 0 && st.iteration = 1 in
       let seed =
         if clean then
           Route_cache.find cache Route_cache.Guided ~turn_cost ~src:net.src ~dst:net.dst
@@ -153,7 +183,7 @@ let route_all graph ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
       | None ->
           incr searches;
           let lb = Route_cache.lower_bound cache graph ~turn_cost ~dst:net.dst in
-          Dijkstra.run_into ~heuristic:(Lower_bound.heuristic lb) workspace graph ~weight
+          Dijkstra.run_into ~heuristic:lb workspace graph ~weights:st.weights
             ~src:net.src ~dst:net.dst;
           let result = Path.of_workspace workspace graph ~src:net.src ~dst:net.dst in
           if clean then
@@ -166,20 +196,20 @@ let route_all graph ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
        expired deadline aborts between rip-up/re-route sweeps (the closure
        raises; see Engine.run's cancel for the contract) *)
     let checkpoint = match cancel with Some f -> f | None -> Fun.const () in
-    while (not !converged) && !error = None && !iterations < max_iterations do
+    while (not !converged) && !error = None && st.iteration < max_iterations do
       checkpoint ();
-      incr iterations;
+      next_iteration st;
       (* Iteration 1 routes everything.  Later iterations rip up and
          re-route only the dirty nets — those whose current route crosses an
          overused resource (straight off the reverse index), in input order.
          An overused resource always has users, so the worklist is never
          empty before convergence. *)
       let worklist =
-        if !iterations = 1 then nets
+        if st.iteration = 1 then nets
         else begin
           let dirty = Hashtbl.create 16 in
-          for r = 0 to nres - 1 do
-            if overused.(r) then List.iter (fun id -> Hashtbl.replace dirty id ()) users.(r)
+          for r = 0 to Array.length st.overused - 1 do
+            if st.overused.(r) then List.iter (fun id -> Hashtbl.replace dirty id ()) st.users.(r)
           done;
           List.filter (fun net -> Hashtbl.mem dirty net.net_id) nets
         end
@@ -187,37 +217,31 @@ let route_all graph ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
       List.iter
         (fun net ->
           if !error = None then begin
-            rip net.net_id;
+            rip st net.net_id;
             match route net with
             | None ->
                 error :=
                   Some
                     (No_route
-                       { net_id = net.net_id; src = net.src; dst = net.dst; iteration = !iterations })
-            | Some path -> place net.net_id path
+                       { net_id = net.net_id; src = net.src; dst = net.dst; iteration = st.iteration })
+            | Some path -> place st net.net_id path
           end)
         worklist;
       if !error = None then begin
-        (* history penalties on the still-overused resources; convergence is
-           "overused set empty" — both straight off the maintained state *)
-        if !overused_count = 0 then converged := true
-        else begin
-          history_dirty := true;
-          for r = 0 to nres - 1 do
-            if overused.(r) then history.(r) <- history.(r) +. history_increment
-          done
-        end
+        (* convergence is "overused set empty", straight off the
+           maintained state *)
+        if st.overused_count = 0 then converged := true else add_history st
       end
     done;
     match !error with
     | Some e -> Error e
     | None ->
-        let final = List.map (fun net -> (net.net_id, Hashtbl.find routes net.net_id)) nets in
+        let final = List.map (fun net -> (net.net_id, Hashtbl.find st.routes net.net_id)) nets in
         Ok
           {
             routes = final;
-            iterations = !iterations;
-            overused = !overused_count;
+            iterations = st.iteration;
+            overused = st.overused_count;
             searches = !searches;
             seeded = !seeded;
           }

@@ -68,3 +68,22 @@ val route_all :
 val max_overuse : Fabric.Graph.t -> capacity:(Resource.t -> int) -> (int * Path.t) list -> int
 (** Worst resource overuse of a set of routes — 0 iff every channel and
     junction is within capacity.  Exposed for tests and diagnostics. *)
+
+(** {2 Negotiation state}
+
+    The bookkeeping behind {!route_all}, exposed for tests.  Each search
+    reads {!weights} (per CSR edge) and the destination's {!Lower_bound.t};
+    {!weights} always holds [(base + history) * (1 + over * (1 + 0.5 *
+    iteration))], with [over = max 0 (occupancy + 1 - capacity)]. *)
+
+type state
+
+val create : Fabric.Graph.t -> turn_cost:float -> capacity:(Resource.t -> int) -> state
+(** @raise Invalid_argument on a negative or NaN [turn_cost]. *)
+
+val weights : state -> float array
+val place : state -> int -> Path.t -> unit
+val rip : state -> int -> unit
+val next_iteration : state -> unit
+val add_history : state -> unit
+(** Adds the history increment to every currently overused resource. *)

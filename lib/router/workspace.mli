@@ -20,8 +20,8 @@ type t = {
   mutable generation : int;
   queue : Ion_util.Fheap.t;  (** unboxed frontier: no allocation per push *)
   mutable edge_weights : float array;
-      (** per-edge weight slot for {!Dijkstra.run_into}'s [edge_weights]
-          fast path; sized by {!edge_weights_for}.  An engine run owns it
+      (** per-edge weight slot for {!Dijkstra.run_into}'s [weights];
+          sized by {!edge_weights_for}.  An engine run owns it
           from start to finish as its live Eq. 2 weights *)
 }
 
@@ -49,9 +49,7 @@ val edge_weights_for : t -> int -> float array
     least [m] slots.  [Simulator.Engine.run] hands it to
     {!Congestion.track_weights}, which keeps it equal to the live Eq. 2
     weights for the whole run, and passes it to every
-    {!Dijkstra.run_into} as [edge_weights] — the inner loop then reads
-    unboxed floats instead of calling the weight closure per edge, and no
-    run allocates an O(edges) array of its own.  Because the slot's
-    contents must stay live between searches, nothing else on the domain
-    may write it while an engine run is in progress; a run that starts
-    refills it from scratch. *)
+    {!Dijkstra.run_into} as [weights], so no run allocates an O(edges)
+    array of its own.  Because the slot's contents must stay live between
+    searches, nothing else on the domain may write it while an engine run
+    is in progress; a run that starts refills it from scratch. *)

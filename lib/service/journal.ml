@@ -26,19 +26,22 @@ let parse_record line =
           | Ok response -> Some { key; response_line; response }))
   | _ -> None
 
-let replay path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let lines = In_channel.with_open_text path In_channel.input_lines in
-    (* stop at the first unparseable record: everything after a torn or
-       corrupt line is positionally meaningless *)
-    let rec take acc = function
-      | [] -> List.rev acc
-      | line :: rest -> (
-          match parse_record line with None -> List.rev acc | Some e -> take (e :: acc) rest)
-    in
-    take [] lines
-  end
+(* The records before the first torn or corrupt line (everything after it
+   is positionally meaningless; a line missing its newline is torn), and
+   the offset just past the last one. *)
+let scan path =
+  let text = if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all else "" in
+  let rec take acc pos =
+    match String.index_from_opt text pos '\n' with
+    | None -> (List.rev acc, pos)
+    | Some nl -> (
+        match parse_record (String.sub text pos (nl - pos)) with
+        | Some e -> take (e :: acc) (nl + 1)
+        | None -> (List.rev acc, pos))
+  in
+  take [] 0
+
+let replay path = fst (scan path)
 
 let consumed_slot (r : Protocol.response) =
   match r.Protocol.verdict with
@@ -48,7 +51,10 @@ let consumed_slot (r : Protocol.response) =
 type t = { oc : out_channel }
 
 let open_append path =
-  { oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path }
+  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+  (* cut the torn tail the first appended record would be glued onto *)
+  Unix.truncate path (snd (scan path));
+  { oc }
 
 let append t ~key ~response_line =
   Printf.fprintf t.oc "%s %016Lx %s\n" magic key response_line;

@@ -13,7 +13,7 @@
 
     There is no recovery protocol beyond reading the file: a torn tail
     (the process died mid-append) fails to decode and is dropped, together
-    with anything after it. *)
+    with anything after it; {!open_append} cuts it off. *)
 
 val key : string -> int64
 (** FNV-1a 64 digest of a string.  Of a request's canonical line it is the
@@ -29,7 +29,8 @@ type entry = {
 
 val replay : string -> entry list
 (** Decode an existing journal in append order.  Missing file means an
-    empty journal; decoding stops at the first torn or corrupt record. *)
+    empty journal; decoding stops at the first torn or corrupt record (a
+    record missing its final newline is torn). *)
 
 val consumed_slot : Protocol.response -> bool
 (** Whether this response consumed a degradation-ladder slot when first
@@ -41,7 +42,7 @@ type t
 (** An open journal, in append mode. *)
 
 val open_append : string -> t
-(** Open (creating if absent) for appending. *)
+(** Open (creating if absent) for appending, cut back to what {!replay} reads. *)
 
 val append : t -> key:int64 -> response_line:string -> unit
 (** Durably record one response: write the record and flush. *)

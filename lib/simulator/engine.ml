@@ -90,17 +90,14 @@ type state = {
   mutable emitted_events : int;
   workspace : Router.Workspace.t; (* per-domain scratch for route searches *)
   edge_weights : float array;
-      (* the workspace's edge-weight slot, kept equal to [weight] on every
-         edge by [congestion] (Congestion.track_weights) for the whole run *)
+      (* the workspace's edge-weight slot, kept equal to Congestion.weight
+         by [congestion] (Congestion.track_weights) for the whole run *)
   route_cache : Route_cache.t option; (* congestion-free path memo; None = uncached *)
   mutable route_searches : int;
   mutable route_cache_hits : int;
 }
 
 let policy_turn_cost policy timing = if policy.turn_aware then Timing.turn_cost_in_moves timing else 0.0
-let turn_cost st = policy_turn_cost st.policy st.timing
-
-let weight st kind = Congestion.weight st.congestion ~turn_cost:(turn_cost st) kind
 
 let trap_pos st tid = (Component.traps st.comp).(tid).Component.tpos
 
@@ -202,15 +199,12 @@ let route_qubit st q ~to_trap =
             | Some c when Congestion.base_weights_active st.congestion -> Some c
             | Some _ | None -> None
           in
-          let tc = turn_cost st in
+          let tc = policy_turn_cost st.policy st.timing in
           (* uncached search: same run as Dijkstra.shortest_path, but the
              result packs straight out of the workspace predecessors *)
           let search () =
             st.route_searches <- st.route_searches + 1;
-            (* the live weights equal the closure's on every edge, and the
-               relax loop reads them unboxed — zero words per edge *)
-            Dijkstra.run_into ~edge_weights:st.edge_weights st.workspace st.graph ~weight:(weight st) ~src
-              ~dst;
+            Dijkstra.run_into st.workspace st.graph ~weights:st.edge_weights ~src ~dst;
             Path.of_workspace st.workspace st.graph ~src ~dst
           in
           match cache with

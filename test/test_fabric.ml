@@ -121,7 +121,7 @@ let test_layout_linear () =
       let dist = ref 0 in
       (match
          Router.Dijkstra.shortest_path g
-           ~weight:(fun kind -> match kind with Graph.Turn _ -> 10.0 | _ -> 1.0)
+           ~weights:(Router.Lower_bound.base_weights g ~turn_cost:10.0)
            ~src:(Graph.trap_node g 0) ~dst:(Graph.trap_node g 5)
        with
       | Some r -> dist := int_of_float r.Router.Dijkstra.cost

@@ -26,7 +26,7 @@ let test_single_net_matches_dijkstra () =
   | Ok o -> (
       check_int "one iteration" 1 o.Pathfinder.iterations;
       check_int "no overuse" 0 o.Pathfinder.overused;
-      match (o.Pathfinder.routes, Dijkstra.shortest_path g ~weight:(fun kind -> match kind with Graph.Turn _ -> 10.0 | _ -> 1.0) ~src ~dst) with
+      match (o.Pathfinder.routes, Dijkstra.shortest_path g ~weights:(Lower_bound.base_weights g ~turn_cost:10.0) ~src ~dst) with
       | [ (0, p) ], Some d -> check_bool "same cost" true (Float.abs (Path.cost p -. d.Dijkstra.cost) < 1e-9)
       | _ -> Alcotest.fail "route shape")
 
@@ -157,7 +157,8 @@ let legacy_route_all g ~capacity nets =
         if base_weights () then
           if Hashtbl.mem stored pair then incr seedable else Hashtbl.replace stored pair ();
         let lb = Route_cache.lower_bound cache g ~turn_cost ~dst:net.Pathfinder.dst in
-        Dijkstra.run_into ~heuristic:(Lower_bound.heuristic lb) ws g ~weight ~src:net.Pathfinder.src
+        let weights = Array.init (Graph.num_edges g) (fun i -> weight (Graph.succ_kind g i)) in
+        Dijkstra.run_into ~heuristic:lb ws g ~weights ~src:net.Pathfinder.src
           ~dst:net.Pathfinder.dst;
         match Path.of_workspace ws g ~src:net.Pathfinder.src ~dst:net.Pathfinder.dst with
         | None -> raise Exit
@@ -381,6 +382,86 @@ let prop_incremental_equals_legacy_when_clean =
              && seeded <= n - distinct
       | _ -> false)
 
+(* property: the live negotiation array.  Random waves at capacities 1
+   and 2 are routed round after round through [Pathfinder]'s state (every
+   net ripped up and re-searched on the live array, then history added);
+   after every placement, rip-up, history update and iteration, every
+   entry of [Pathfinder.weights] must equal the negotiation cost as a
+   per-kind function of a test-local model of occupancy, history and
+   round. *)
+let prop_live_negotiation_weights =
+  QCheck.Test.make ~name:"live negotiation weights = the negotiation formula" ~count:30
+    QCheck.(pair bool (list_of_size Gen.(2 -- 8) (pair (int_bound 1000) (int_bound 1000))))
+    (fun (tight, pairs) ->
+      let g = Lazy.force quale_graph in
+      let capacity = if tight then cap1 else cap2 in
+      let turn_cost = 10.0 in
+      let traps = Array.length (Component.traps (Graph.component g)) in
+      let nets =
+        List.mapi
+          (fun i (a, b) ->
+            { Pathfinder.net_id = i; src = Graph.trap_node g (a mod traps); dst = Graph.trap_node g (b mod traps) })
+          pairs
+      in
+      let st = Pathfinder.create g ~turn_cost ~capacity in
+      let occupancy = Hashtbl.create 64 and history = Hashtbl.create 64 and iteration = ref 0 in
+      let get tbl r d = Option.value ~default:d (Hashtbl.find_opt tbl r) in
+      let cap r = capacity (Resource.of_int r) in
+      let weight (kind : Graph.edge_kind) =
+        let base = match kind with Graph.Turn _ -> turn_cost | _ -> 1.0 in
+        let r = Resource.pack_of_edge kind in
+        if r = Resource.none then base
+        else begin
+          let over = max 0 (get occupancy r 0 + 1 - cap r) in
+          let p_fac = 1.0 +. (0.5 *. float_of_int !iteration) in
+          (base +. get history r 0.0) *. (1.0 +. (float_of_int over *. p_fac))
+        end
+      in
+      let ok = ref true in
+      let check () =
+        let live = Pathfinder.weights st in
+        for i = 0 to Graph.num_edges g - 1 do
+          if not (Float.equal live.(i) (weight (Graph.succ_kind g i))) then ok := false
+        done
+      in
+      let bump p d =
+        Path.iter_resources
+          (fun r ->
+            let r = Resource.to_int r in
+            Hashtbl.replace occupancy r (get occupancy r 0 + d))
+          p
+      in
+      let routes = Hashtbl.create 16 and ws = Workspace.create () in
+      check ();
+      for _ = 1 to 4 do
+        Pathfinder.next_iteration st;
+        incr iteration;
+        check ();
+        List.iter
+          (fun { Pathfinder.net_id; src; dst } ->
+            Option.iter
+              (fun p ->
+                Pathfinder.rip st net_id;
+                bump p (-1);
+                check ())
+              (Hashtbl.find_opt routes net_id);
+            Dijkstra.run_into ws g ~weights:(Pathfinder.weights st) ~src ~dst;
+            Option.iter
+              (fun p ->
+                Pathfinder.place st net_id p;
+                bump p 1;
+                Hashtbl.replace routes net_id p;
+                check ())
+              (Path.of_workspace ws g ~src ~dst))
+          nets;
+        Pathfinder.add_history st;
+        Hashtbl.iter
+          (fun r n -> if n > cap r then Hashtbl.replace history r (get history r 0.0 +. 1.0))
+          occupancy;
+        check ()
+      done;
+      !ok)
+
 let test_parameter_guards () =
   let comp = tile () in
   let g = Graph.build comp in
@@ -433,5 +514,6 @@ let () =
                prop_fixpoint_within_capacity;
                prop_incremental_equals_legacy_when_clean;
                prop_warm_cache_equals_fresh;
+               prop_live_negotiation_weights;
              ] );
     ]

@@ -313,6 +313,47 @@ let test_journal_torn_resume_at_widths () =
         [ 1; 4; 9 ])
     [ 1; 2 ]
 
+(* A resume cuts the journal back to its last complete record and that
+   record's newline before appending.  Otherwise its first fresh record is
+   glued onto the torn line, that record and every later one stop
+   replaying, and a second interruption re-maps them all.  Both tails: a
+   torn partial record, and a complete record that lost only its final
+   newline (which must not replay either). *)
+let test_journal_resume_cuts_torn_tail () =
+  let lines = overload_lines 10 in
+  let _, uninterrupted = serve lines in
+  let k = 3 and kill_at = 7 in
+  let kill path ~kill_at =
+    match serve ~journal:path ~kill_at lines with
+    | _ -> Alcotest.fail "the simulated kill should have escaped serve_batch"
+    | exception Failure _ -> ()
+  in
+  List.iter
+    (fun (what, cut) ->
+      let path = Filename.temp_file "qspr_tail" ".jnl" in
+      cut path;
+      check_int (what ^ ": replayable prefix") k (List.length (Journal.replay path));
+      kill path ~kill_at;
+      let replayed = Journal.replay path in
+      check_int (what ^ ": every record the resume wrote replays") kill_at (List.length replayed);
+      List.iteri
+        (fun i (e : Journal.entry) ->
+          check_bool (Printf.sprintf "%s: replay key %d matches input" what i) true
+            (Int64.equal e.Journal.key (Journal.key (List.nth lines i))))
+        replayed;
+      let _, resumed = serve ~journal:path lines in
+      check_lines (what ^ ": second resume") uninterrupted resumed;
+      Sys.remove path)
+    [
+      ("torn tail", fun path -> interrupt ~kill_at:k path lines);
+      ( "record without its newline",
+        fun path ->
+          kill path ~kill_at:(k + 1);
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (String.sub text 0 (String.length text - 1))) );
+    ]
+
 let test_journal_mismatch_refused () =
   let lines = overload_lines 4 in
   let path = Filename.temp_file "qspr_mismatch" ".jnl" in
@@ -416,6 +457,7 @@ let () =
           Alcotest.test_case "torn journal resumes at jobs 1 and 2" `Quick
             test_journal_torn_resume_at_widths;
           Alcotest.test_case "mismatched journal refused" `Quick test_journal_mismatch_refused;
+          Alcotest.test_case "resume cuts a torn tail" `Quick test_journal_resume_cuts_torn_tail;
         ] );
       ( "streaming",
         [

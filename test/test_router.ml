@@ -23,6 +23,9 @@ let quale () =
 
 let free_weight tm cong kind = Congestion.weight cong ~turn_cost:(Timing.turn_cost_in_moves tm) kind
 
+(* a per-kind weight function as the per-CSR-edge array searches read *)
+let tabulate g weight = Array.init (Graph.num_edges g) (fun i -> weight (Graph.succ_kind g i))
+
 (* find the graph node at a position with a given orientation *)
 let node_at g pos orientation =
   let found = ref None in
@@ -157,7 +160,7 @@ let test_congestion_capacity_one () =
 
 let test_dijkstra_self () =
   let g = Graph.build (tile ()) in
-  match Dijkstra.shortest_path g ~weight:(fun _ -> 1.0) ~src:0 ~dst:0 with
+  match Dijkstra.shortest_path g ~weights:(tabulate g (fun _ -> 1.0)) ~src:0 ~dst:0 with
   | Some { cost; edges } ->
       check_float "zero cost" 0.0 cost;
       check_int "no edges" 0 (List.length edges)
@@ -166,14 +169,14 @@ let test_dijkstra_self () =
 let test_dijkstra_blocked () =
   let g = Graph.build (tile ()) in
   let src = Graph.trap_node g 0 and dst = Graph.trap_node g 3 in
-  match Dijkstra.shortest_path g ~weight:(fun _ -> Float.infinity) ~src ~dst with
+  match Dijkstra.shortest_path g ~weights:(tabulate g (fun _ -> Float.infinity)) ~src ~dst with
   | None -> ()
   | Some _ -> Alcotest.fail "path through infinite weights"
 
 let test_dijkstra_negative_rejected () =
   let g = Graph.build (tile ()) in
   let src = Graph.trap_node g 0 and dst = Graph.trap_node g 3 in
-  match Dijkstra.shortest_path g ~weight:(fun _ -> -1.0) ~src ~dst with
+  match Dijkstra.shortest_path g ~weights:(tabulate g (fun _ -> -1.0)) ~src ~dst with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative weights accepted"
 
@@ -181,16 +184,18 @@ let test_dijkstra_short_edge_weights () =
   let g = Graph.build (tile ()) in
   let src = Graph.trap_node g 0 and dst = Graph.trap_node g 3 in
   let ws = Workspace.create () in
+  let weights = Array.make (Graph.num_edges g) 1.0 in
   List.iter
     (fun len ->
-      match
-        Dijkstra.run_into ~edge_weights:(Array.make len 1.0) ws g ~weight:(fun _ -> 1.0) ~src ~dst
-      with
+      match Dijkstra.run_into ws g ~weights:(Array.make len 1.0) ~src ~dst with
       | exception Invalid_argument _ -> ()
-      | () -> Alcotest.failf "edge_weights of length %d < %d accepted" len (Graph.num_edges g))
+      | () -> Alcotest.failf "weights of length %d < %d accepted" len (Graph.num_edges g))
     [ 0; Graph.num_edges g - 1 ];
-  (* an exactly sized array is accepted *)
-  Dijkstra.run_into ~edge_weights:(Array.make (Graph.num_edges g) 1.0) ws g ~weight:(fun _ -> 1.0) ~src ~dst;
+  (match Dijkstra.run_into ~heuristic:(Array.make (Graph.num_nodes g - 1) 0.0) ws g ~weights ~src ~dst with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a heuristic shorter than the node count accepted");
+  (* exactly sized arrays are accepted *)
+  Dijkstra.run_into ~heuristic:(Array.make (Graph.num_nodes g) 0.0) ws g ~weights ~src ~dst;
   check_bool "exact length routes" true (Workspace.is_settled ws dst)
 
 let test_dijkstra_trap_to_trap () =
@@ -199,7 +204,7 @@ let test_dijkstra_trap_to_trap () =
   let tm = Timing.paper in
   let cong = Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
   let src = Graph.trap_node g 0 and dst = Graph.trap_node g 3 in
-  match Dijkstra.shortest_path g ~weight:(free_weight tm cong) ~src ~dst with
+  match Dijkstra.shortest_path g ~weights:(tabulate g (free_weight tm cong)) ~src ~dst with
   | None -> Alcotest.fail "no route"
   | Some r ->
       let p = Path.of_result ~src ~dst r in
@@ -212,7 +217,7 @@ let test_dijkstra_trap_to_trap () =
 let test_dijkstra_distances () =
   let comp = tile () in
   let g = Graph.build comp in
-  let dist = Dijkstra.distances g ~weight:(fun _ -> 1.0) ~src:(Graph.trap_node g 0) in
+  let dist = Dijkstra.distances g ~weights:(tabulate g (fun _ -> 1.0)) ~src:(Graph.trap_node g 0) in
   check_float "self" 0.0 dist.(Graph.trap_node g 0);
   check_bool "all traps reachable" true
     (Array.for_all (fun tn -> dist.(tn) < Float.infinity)
@@ -228,7 +233,7 @@ let test_fig5_turn_aware_single_turn () =
      arriving vertically *)
   let src = node_at g (xy 2 7) (Some Cell.Horizontal) in
   let dst = node_at g (xy 8 2) (Some Cell.Vertical) in
-  match Dijkstra.shortest_path g ~weight:(Congestion.weight cong ~turn_cost:10.0) ~src ~dst with
+  match Dijkstra.shortest_path g ~weights:(tabulate g (Congestion.weight cong ~turn_cost:10.0)) ~src ~dst with
   | None -> Alcotest.fail "no route"
   | Some r ->
       let p = Path.of_result ~src ~dst r in
@@ -242,7 +247,7 @@ let test_fig5_turn_blind_ignores_turns () =
   let cong = Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
   let src = node_at g (xy 2 7) (Some Cell.Horizontal) in
   let dst = node_at g (xy 8 2) (Some Cell.Vertical) in
-  match Dijkstra.shortest_path g ~weight:(Congestion.weight cong ~turn_cost:0.0) ~src ~dst with
+  match Dijkstra.shortest_path g ~weights:(tabulate g (Congestion.weight cong ~turn_cost:0.0)) ~src ~dst with
   | None -> Alcotest.fail "no route"
   | Some r ->
       let p = Path.of_result ~src ~dst r in
@@ -258,7 +263,7 @@ let test_dijkstra_congestion_avoidance () =
   let cong = Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
   let src = Graph.trap_node g 0 and dst = Graph.trap_node g 3 in
   let baseline =
-    match Dijkstra.shortest_path g ~weight:(free_weight tm cong) ~src ~dst with
+    match Dijkstra.shortest_path g ~weights:(tabulate g (free_weight tm cong)) ~src ~dst with
     | Some r -> Path.of_result ~src ~dst r
     | None -> Alcotest.fail "no route"
   in
@@ -279,7 +284,7 @@ let test_dijkstra_congestion_avoidance () =
       Congestion.acquire cong r;
       Congestion.acquire cong r)
     blocked;
-  match Dijkstra.shortest_path g ~weight:(free_weight tm cong) ~src ~dst with
+  match Dijkstra.shortest_path g ~weights:(tabulate g (free_weight tm cong)) ~src ~dst with
   | None -> Alcotest.fail "no detour found"
   | Some r ->
       let detour = Path.of_result ~src ~dst r in
@@ -294,7 +299,7 @@ let route_tile src_tid dst_tid =
   let tm = Timing.paper in
   let cong = Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
   let src = Graph.trap_node g src_tid and dst = Graph.trap_node g dst_tid in
-  match Dijkstra.shortest_path g ~weight:(free_weight tm cong) ~src ~dst with
+  match Dijkstra.shortest_path g ~weights:(tabulate g (free_weight tm cong)) ~src ~dst with
   | Some r -> (g, tm, Path.of_result ~src ~dst r)
   | None -> Alcotest.fail "no route"
 
@@ -432,8 +437,7 @@ let prop_flat_path_equals_list_repr =
     QCheck.(pair (int_bound 10_000) (int_bound 10_000))
     (fun (a, b) ->
       let src = Graph.trap_node g (a mod ntraps) and dst = Graph.trap_node g (b mod ntraps) in
-      let weight = free_weight tm cong in
-      Dijkstra.run_into ws g ~weight ~src ~dst;
+      Dijkstra.run_into ws g ~weights:(tabulate g (free_weight tm cong)) ~src ~dst;
       match (Path.of_workspace ws g ~src ~dst, Dijkstra.path_to ws g ~dst) with
       | Some p, Some r ->
           let edges = r.Dijkstra.edges in
@@ -455,7 +459,7 @@ let prop_flat_path_equals_list_repr =
           &&
           let ew = Workspace.edge_weights_for ws2 (Graph.num_edges g) in
           Congestion.track_weights cong ~turn_cost:(Timing.turn_cost_in_moves tm) g ew;
-          Dijkstra.run_into ~edge_weights:ew ws2 g ~weight ~src ~dst;
+          Dijkstra.run_into ws2 g ~weights:ew ~src ~dst;
           (match Path.of_workspace ws2 g ~src ~dst with None -> false | Some p2 -> Path.equal p p2)
       | _ -> false)
 
@@ -504,8 +508,8 @@ let prop_live_weights_track =
             if not (Float.equal ew.(i) (weight (Graph.succ_kind g i))) then live := false
           done;
           let src = Graph.trap_node g (a mod ntraps) and dst = Graph.trap_node g (b mod ntraps) in
-          Dijkstra.run_into ws g ~weight ~src ~dst;
-          Dijkstra.run_into ~edge_weights:ew ws2 g ~weight ~src ~dst;
+          Dijkstra.run_into ws g ~weights:(tabulate g weight) ~src ~dst;
+          Dijkstra.run_into ws2 g ~weights:ew ~src ~dst;
           !live
           && Option.equal Path.equal (Path.of_workspace ws g ~src ~dst) (Path.of_workspace ws2 g ~src ~dst))
         ops)
@@ -523,7 +527,7 @@ let prop_random_trap_pairs_route =
       if src_t = dst_t then true
       else
         let src = Graph.trap_node g src_t and dst = Graph.trap_node g dst_t in
-        match Dijkstra.shortest_path g ~weight:(free_weight tm cong) ~src ~dst with
+        match Dijkstra.shortest_path g ~weights:(tabulate g (free_weight tm cong)) ~src ~dst with
         | None -> false
         | Some r ->
             let p = Path.of_result ~src ~dst r in
@@ -544,7 +548,7 @@ let prop_path_at_least_manhattan =
       if src_t = dst_t then true
       else
         let src = Graph.trap_node g src_t and dst = Graph.trap_node g dst_t in
-        match Dijkstra.shortest_path g ~weight:(Congestion.weight cong ~turn_cost:10.0) ~src ~dst with
+        match Dijkstra.shortest_path g ~weights:(tabulate g (Congestion.weight cong ~turn_cost:10.0)) ~src ~dst with
         | None -> false
         | Some r ->
             let p = Path.of_result ~src ~dst r in
@@ -555,10 +559,10 @@ let prop_path_at_least_manhattan =
 (* The PathFinder's guided search: Dijkstra's loop with the destination's
    lower-bound table as A* heuristic.  Every weight below prices a turn at
    10 move units, so a table built at turn cost 10 is admissible for it. *)
-let astar ?workspace g ~weight ~src ~dst =
+let astar ?workspace g ~weights ~src ~dst =
   let ws = match workspace with Some w -> w | None -> Workspace.create () in
   let lb = Lower_bound.build ~workspace:ws g ~turn_cost:10.0 ~dst in
-  Dijkstra.run_into ~heuristic:(Lower_bound.heuristic lb) ws g ~weight ~src ~dst;
+  Dijkstra.run_into ~heuristic:lb ws g ~weights ~src ~dst;
   Dijkstra.path_to ws g ~dst
 
 let test_astar_matches_dijkstra_cost () =
@@ -567,14 +571,17 @@ let test_astar_matches_dijkstra_cost () =
   let tm = Timing.paper in
   let cong = Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
   let src = Graph.trap_node g 0 and dst = Graph.trap_node g 101 in
-  let w = free_weight tm cong in
-  match (astar g ~weight:w ~src ~dst, Dijkstra.shortest_path g ~weight:w ~src ~dst) with
+  let w = tabulate g (free_weight tm cong) in
+  match (astar g ~weights:w ~src ~dst, Dijkstra.shortest_path g ~weights:w ~src ~dst) with
   | Some a, Some d -> check_float "same cost" d.Dijkstra.cost a.Dijkstra.cost
   | _ -> Alcotest.fail "route not found"
 
 let test_astar_blocked () =
   let g = Graph.build (tile ()) in
-  match astar g ~weight:(fun _ -> Float.infinity) ~src:(Graph.trap_node g 0) ~dst:(Graph.trap_node g 3) with
+  match
+    astar g ~weights:(tabulate g (fun _ -> Float.infinity)) ~src:(Graph.trap_node g 0)
+      ~dst:(Graph.trap_node g 3)
+  with
   | None -> ()
   | Some _ -> Alcotest.fail "path through infinite weights"
 
@@ -594,8 +601,8 @@ let prop_astar_equals_dijkstra =
         congested;
       let ntraps = Array.length (Component.traps comp) in
       let src = Graph.trap_node g (a mod ntraps) and dst = Graph.trap_node g (b mod ntraps) in
-      let w = Congestion.weight cong ~turn_cost:10.0 in
-      match (astar g ~weight:w ~src ~dst, Dijkstra.shortest_path g ~weight:w ~src ~dst) with
+      let w = tabulate g (Congestion.weight cong ~turn_cost:10.0) in
+      match (astar g ~weights:w ~src ~dst, Dijkstra.shortest_path g ~weights:w ~src ~dst) with
       | Some r1, Some r2 -> Float.abs (r1.Dijkstra.cost -. r2.Dijkstra.cost) < 1e-9
       | None, None -> true
       | _ -> false)
@@ -621,7 +628,7 @@ let prop_workspace_reuse_matches_fresh =
           let r = Resource.segment (s mod nsegs) in
           if Congestion.is_free cong r then Congestion.acquire cong r)
         congested;
-      let w = Congestion.weight cong ~turn_cost:10.0 in
+      let w = tabulate g (Congestion.weight cong ~turn_cost:10.0) in
       let ntraps = Array.length (Component.traps comp) in
       let ws = Workspace.create () in
       List.for_all
@@ -636,9 +643,9 @@ let prop_workspace_reuse_matches_fresh =
             | _ -> false
           in
           same
-            (Dijkstra.shortest_path ~workspace:ws g ~weight:w ~src ~dst)
-            (Dijkstra.shortest_path g ~weight:w ~src ~dst)
-          && same (astar ~workspace:ws g ~weight:w ~src ~dst) (astar g ~weight:w ~src ~dst))
+            (Dijkstra.shortest_path ~workspace:ws g ~weights:w ~src ~dst)
+            (Dijkstra.shortest_path g ~weights:w ~src ~dst)
+          && same (astar ~workspace:ws g ~weights:w ~src ~dst) (astar g ~weights:w ~src ~dst))
         queries)
 
 let prop_workspace_distances_match =
@@ -648,14 +655,165 @@ let prop_workspace_distances_match =
       let comp = quale () in
       let g = Graph.build comp in
       let cong = Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
-      let w = Congestion.weight cong ~turn_cost:10.0 in
+      let w = tabulate g (Congestion.weight cong ~turn_cost:10.0) in
       let ntraps = Array.length (Component.traps comp) in
       let ws = Workspace.create () in
       List.for_all
         (fun s ->
           let src = Graph.trap_node g (s mod ntraps) in
-          Dijkstra.distances ~workspace:ws g ~weight:w ~src = Dijkstra.distances g ~weight:w ~src)
+          Dijkstra.distances ~workspace:ws g ~weights:w ~src = Dijkstra.distances g ~weights:w ~src)
         srcs)
+
+(* ------------------------------------------------------ one relax loop *)
+
+(* The closure relax loop [Dijkstra.run_into] carried beside its array
+   loop, kept verbatim as the reference: it calls a per-kind weight
+   function per edge and a per-node heuristic function per push. *)
+let reference_run_into ?heuristic ws graph ~weight ~src ~dst =
+  let n = Graph.num_nodes graph in
+  let h = match heuristic with Some f -> f | None -> fun _ -> 0.0 in
+  Workspace.prepare ws n;
+  let gen = ws.Workspace.generation in
+  let dist = ws.Workspace.dist
+  and pred_edge = ws.Workspace.pred_edge
+  and pred_node = ws.Workspace.pred_node
+  and reached = ws.Workspace.reached
+  and settled = ws.Workspace.settled
+  and queue = ws.Workspace.queue in
+  dist.(src) <- 0.0;
+  pred_edge.(src) <- -1;
+  pred_node.(src) <- -1;
+  reached.(src) <- gen;
+  Ion_util.Fheap.add queue (h src) src;
+  let finished = ref false in
+  while (not !finished) && not (Ion_util.Fheap.is_empty queue) do
+    let u = Ion_util.Fheap.top_data queue in
+    Ion_util.Fheap.drop_min queue;
+    if settled.(u) <> gen then begin
+      settled.(u) <- gen;
+      if u = dst then finished := true
+      else begin
+        let du = dist.(u) in
+        for i = Graph.succ_start graph u to Graph.succ_stop graph u - 1 do
+          let w = weight (Graph.succ_kind graph i) in
+          if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
+          if w < Float.infinity then begin
+            let v = Graph.succ_dst graph i in
+            let nd = du +. w in
+            if nd < (if reached.(v) = gen then dist.(v) else Float.infinity) then begin
+              dist.(v) <- nd;
+              pred_edge.(v) <- i;
+              pred_node.(v) <- u;
+              reached.(v) <- gen;
+              Ion_util.Fheap.add queue (nd +. h v) v
+            end
+          end
+        done
+      end
+    end
+  done
+
+(* QUALE 45x85, a grid, a linear chain, then small random grids *)
+let loop_fabrics =
+  lazy
+    (List.map
+       (fun l -> (match Component.extract l with Ok c -> c | Error e -> Alcotest.failf "extract: %s" e) |> Graph.build)
+       [
+         Layout.quale_45x85 ();
+         Layout.make_grid ~width:23 ~height:17 ~pitch_x:7 ~pitch_y:5 ~margin:2 ~traps_per_channel:1 ();
+         Layout.linear ~traps:6 ();
+       ])
+
+let small_random_grid rng =
+  let px = 3 + Random.State.int rng 4 and py = 3 + Random.State.int rng 4 in
+  let tpc = min (Random.State.int rng 3) (px - 2) in
+  let l =
+    Layout.make_grid
+      ~width:(((1 + Random.State.int rng 3) * px) + 5)
+      ~height:(((1 + Random.State.int rng 3) * py) + 5)
+      ~pitch_x:px ~pitch_y:py ~margin:2 ~traps_per_channel:tpc ()
+  in
+  match Component.extract l with Ok c -> Graph.build c | Error e -> Alcotest.failf "extract: %s" e
+
+(* A per-kind weight function: a random draw per kind (zeros, infinities,
+   integers and fractions), the turn-blind QUALE base costs, or Eq. 2
+   under random congestion at turn cost 0 or 10. *)
+let random_weight rng g =
+  match Random.State.int rng 3 with
+  | 0 ->
+      let tbl = Hashtbl.create 64 in
+      for i = 0 to Graph.num_edges g - 1 do
+        let k = Graph.succ_kind g i in
+        if not (Hashtbl.mem tbl k) then
+          Hashtbl.add tbl k
+            (match Random.State.int rng 5 with
+            | 0 -> 0.0
+            | 1 -> Float.infinity
+            | 2 -> float_of_int (1 + Random.State.int rng 10)
+            | 3 -> 0.5 *. float_of_int (Random.State.int rng 30)
+            | _ -> Random.State.float rng 12.0)
+      done;
+      Hashtbl.find tbl
+  | 1 -> Lower_bound.base_weight ~turn_cost:0.0
+  | _ ->
+      let comp = Graph.component g in
+      let cap = 1 + Random.State.int rng 2 in
+      let cong = Congestion.create comp ~channel_capacity:cap ~junction_capacity:cap in
+      Array.iter
+        (fun r -> if Random.State.int rng 4 = 0 && Congestion.is_free cong r then Congestion.acquire cong r)
+        (all_resources comp);
+      Congestion.weight cong ~turn_cost:(if Random.State.bool rng then 10.0 else 0.0)
+
+(* Same dist bits, predecessors and settled set on every node, and the
+   same [Path.t] to [target]. *)
+let same_search g ws ws' ~src ~target =
+  let n = Graph.num_nodes g in
+  let ok = ref true in
+  for v = 0 to n - 1 do
+    let reached = ws.Workspace.reached.(v) = ws.Workspace.generation
+    and reached' = ws'.Workspace.reached.(v) = ws'.Workspace.generation in
+    if
+      reached <> reached'
+      || Workspace.is_settled ws v <> Workspace.is_settled ws' v
+      || Int64.bits_of_float (Workspace.dist ws v) <> Int64.bits_of_float (Workspace.dist ws' v)
+      || reached
+         && (ws.Workspace.pred_edge.(v) <> ws'.Workspace.pred_edge.(v)
+            || ws.Workspace.pred_node.(v) <> ws'.Workspace.pred_node.(v))
+    then ok := false
+  done;
+  !ok
+  && Option.equal Path.equal (Path.of_workspace ws g ~src ~dst:target)
+       (Path.of_workspace ws' g ~src ~dst:target)
+
+let prop_one_loop_equals_closure_reference =
+  QCheck.Test.make ~name:"one relax loop = closure reference loop" ~count:300
+    QCheck.(pair (int_bound 3) (int_bound 1_000_000))
+    (fun (fi, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let g =
+        if fi < 3 then List.nth (Lazy.force loop_fabrics) fi else small_random_grid rng
+      in
+      let n = Graph.num_nodes g in
+      let weight = random_weight rng g in
+      let weights = tabulate g weight in
+      let ws = Workspace.create () and ws' = Workspace.create () in
+      List.for_all
+        (fun _ ->
+          let src = Random.State.int rng n in
+          let target = Random.State.int rng n in
+          (* full sweeps and point queries, with and without a table *)
+          let dst = if Random.State.bool rng then -1 else target in
+          let table =
+            if Random.State.bool rng then None
+            else
+              Some
+                (Lower_bound.build g ~turn_cost:(if Random.State.bool rng then 10.0 else 0.0)
+                   ~dst:target)
+          in
+          reference_run_into ?heuristic:(Option.map Array.get table) ws g ~weight ~src ~dst;
+          Dijkstra.run_into ?heuristic:table ws' g ~weights ~src ~dst;
+          same_search g ws ws' ~src ~target)
+        (List.init 6 Fun.id))
 
 (* ------------------------------------------------------------------ Seal *)
 
@@ -742,7 +900,9 @@ let prop_seals_imply_no_path ~source_fires ~dest_fires ~dest_only =
           if d then incr dest_fires;
           if d && not s then incr dest_only;
           (not (s || d))
-          || Dijkstra.shortest_path ~workspace:ws g ~weight:(Congestion.weight cong ~turn_cost) ~src ~dst = None)
+          || Dijkstra.shortest_path ~workspace:ws g ~weights:(tabulate g (Congestion.weight cong ~turn_cost))
+               ~src ~dst
+             = None)
         queries)
 
 let test_seals_sound_and_fire () =
@@ -815,4 +975,5 @@ let () =
             prop_live_weights_track;
           ] );
       ("seal", [ Alcotest.test_case "sealed searches find no path; both seals fire" `Quick test_seals_sound_and_fire ]);
+      ("one loop", qsuite [ prop_one_loop_equals_closure_reference ]);
     ]
