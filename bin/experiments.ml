@@ -14,10 +14,6 @@ let certify = ref false
 let m_small () = if !fast then 3 else 25
 let m_large () = if !fast then 6 else 100
 
-(* The paper's constants with the QSPR_* environment overrides; the
-   studies inside the library map with the paper's constants alone. *)
-let env_config () = Qspr.Config.of_env Sys.getenv_opt Qspr.Config.default
-
 let line title =
   Printf.printf "\n==== %s ====\n\n%!" title
 
@@ -40,7 +36,7 @@ let certify_table1 () =
   List.iter
     (fun (name, program) ->
       let status =
-        match Qspr.Mapper.create ~fabric ~config:(Qspr.Config.with_m (m_small ()) (env_config ())) program with
+        match Qspr.Mapper.create ~fabric ~config:(Qspr.Config.with_m (m_small ()) Qspr.Config.default) program with
         | Error e -> Error e
         | Ok ctx -> (
             match Qspr.Mapper.map Mvfb ctx with
@@ -62,10 +58,7 @@ let certify_table1 () =
 
 let run_table1 () =
   line "Table 1: MVFB vs Monte-Carlo (equal placement-run budget)";
-  let rows =
-    Qspr.Experiments.table1 ~m_small:(m_small ()) ~m_large:(m_large ())
-      ~jobs:(env_config ()).Qspr.Config.jobs ()
-  in
+  let rows = Qspr.Experiments.table1 ~m_small:(m_small ()) ~m_large:(m_large ()) () in
   print_string (Qspr.Report.render_table1 rows);
   Printf.printf "\nCSV:\n%s" (Qspr.Report.csv_table1 rows);
   write_json "table1" (Qspr.Export.table1 rows);
@@ -254,7 +247,7 @@ let run_faults () =
   line "Fault-injection survivability ([[5,1,3]], retry cascade on degraded fabrics)";
   let levels = if !fast then [ 0; 2; 6 ] else [ 0; 2; 6; 12; 24 ] in
   let trials = if !fast then 2 else 5 in
-  let config = Qspr.Config.with_m (m_small ()) (env_config ()) in
+  let config = Qspr.Config.with_m (m_small ()) Qspr.Config.default in
   match
     Fault.campaign ~config ~seed:2012 ~levels ~trials ~fabric:(Fabric.Layout.quale_45x85 ())
       (Circuits.Qecc.c513 ())

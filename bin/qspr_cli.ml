@@ -35,27 +35,20 @@ let load_program ~circuit ~qasm =
 let load_program_msg ~circuit ~qasm =
   Result.map_error Qasm.Parser.error_to_string (load_program ~circuit ~qasm)
 
-(* The QSPR_* environment overrides (Config.of_env) on top of a base
-   config: the library never reads the environment, the tools do. *)
-let env_config base = Qspr.Config.of_env Sys.getenv_opt base
-
 (* The fabric and base config of a mapping run: a PMD file supplies both,
    otherwise the ASCII fabric (or the paper's grid) with the paper's
    constants. *)
 let load_target ~fabric_path ~pmd_path =
   let ( let* ) = Result.bind in
-  let* fabric, config =
-    match pmd_path with
-    | Some path ->
-        if fabric_path <> None then Error "give --fabric or --pmd, not both"
-        else
-          let* pmd = Qspr.Pmd.parse_file path in
-          Ok (pmd.Qspr.Pmd.layout, Qspr.Pmd.config pmd)
-    | None ->
-        let* fabric = load_fabric fabric_path in
-        Ok (fabric, Qspr.Config.default)
-  in
-  Ok (fabric, env_config config)
+  match pmd_path with
+  | Some path ->
+      if fabric_path <> None then Error "give --fabric or --pmd, not both"
+      else
+        let* pmd = Qspr.Pmd.parse_file path in
+        Ok (pmd.Qspr.Pmd.layout, Qspr.Pmd.config pmd)
+  | None ->
+      let* fabric = load_fabric fabric_path in
+      Ok (fabric, Qspr.Config.default)
 
 (* ------------------------------------------------------------------ map *)
 
@@ -74,29 +67,17 @@ let gate_on_fabric_lint ~program ~config fabric =
   if Analysis.Finding.is_clean findings then Ok ()
   else Error "fabric fails lint (errors above; `qspr lint` shows the full report)"
 
-let do_map circuit qasm fabric_path pmd_path (placer, strategy) m sa_moves seed
+let do_map circuit qasm fabric_path pmd_path (placer, strategy) m sa_moves seed jobs
     prescreen_k budget_s budget_evals show_trace certify json_out =
   let ( let* ) = Result.bind in
   let result =
     let* program = load_program_msg ~circuit ~qasm in
     let* fabric, base_config = load_target ~fabric_path ~pmd_path in
     let* () = gate_on_fabric_lint ~program ~config:base_config fabric in
-    (* explicit flags win; otherwise keep the config's (env-derived) budget *)
-    let base_budget = base_config.Qspr.Config.budget in
-    let budget =
-      {
-        Qspr.Config.wall_s =
-          (match budget_s with Some _ -> budget_s | None -> base_budget.Qspr.Config.wall_s);
-        max_evals =
-          (match budget_evals with
-          | Some _ -> budget_evals
-          | None -> base_budget.Qspr.Config.max_evals);
-        deadline = base_budget.Qspr.Config.deadline;
-      }
-    in
+    let budget = { Qspr.Config.wall_s = budget_s; max_evals = budget_evals; deadline = None } in
     let config =
       Qspr.Config.(
-        base_config |> with_m m |> with_seed seed |> with_budget budget
+        base_config |> with_m m |> with_seed seed |> with_jobs jobs |> with_budget budget
         |> (match sa_moves with Some n -> with_sa_moves n | None -> Fun.id)
         |> match prescreen_k with
            | Some 0 -> with_prescreen None
@@ -203,7 +184,7 @@ let budget_arg =
     & info [ "budget" ] ~docv:"SECONDS"
         ~doc:
           "Wall-clock budget for the placement search; when it runs out the search returns \
-           best-so-far marked degraded (default: QSPR_BUDGET, else off).")
+           best-so-far marked degraded (default: off).")
 
 let budget_evals_arg =
   Arg.(
@@ -212,7 +193,7 @@ let budget_evals_arg =
     & info [ "budget-evals" ] ~docv:"N"
         ~doc:
           "Deterministic evaluation budget: at most $(docv) full engine evaluations per search \
-           (default: QSPR_BUDGET_EVALS, else off).")
+           (default: off).")
 
 let prescreen_arg =
   Arg.(
@@ -221,8 +202,7 @@ let prescreen_arg =
     & info [ "prescreen" ] ~docv:"K"
         ~doc:
           "Estimator pre-screening: score every candidate placement with the fast latency \
-           estimator and fully route only the $(docv) best (0 disables; default: \
-           QSPR_PRESCREEN, else off).")
+           estimator and fully route only the $(docv) best (0 disables; default: off).")
 
 let m_arg = Arg.(value & opt int 25 & info [ "m"; "seeds" ] ~docv:"M" ~doc:"MVFB seeds / MC runs (-m or --seeds).")
 
@@ -233,9 +213,17 @@ let sa_moves_arg =
     & info [ "sa-moves" ] ~docv:"N"
         ~doc:
           "Delta-annealing move budget per stream: proposals scored by the incremental \
-           estimator, with only improved incumbents routed (default: QSPR_SA_MOVES, else \
-           20000).  Used by the portfolio placer's delta-SA streams.")
+           estimator, with only improved incumbents routed (default: 20000).  Used by the \
+           portfolio placer's delta-SA streams.")
 let seed_arg = Arg.(value & opt int 2012 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
+
+let jobs_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "jobs" ] ~docv:"J"
+        ~doc:
+          "Worker domains: placement-search fan-out for map, concurrent jobs for serve, trials \
+           for faults.  Output is bit-identical at any value.")
 let trace_arg = Arg.(value & flag & info [ "trace" ] ~doc:"Print the micro-command trace.")
 
 let certify_arg =
@@ -254,7 +242,7 @@ let map_cmd =
     (Cmd.info "map" ~doc:"Schedule, place and route a circuit onto an ion-trap fabric")
     Term.(
       const do_map $ circuit_arg $ qasm_arg $ fabric_arg $ pmd_arg $ placer_arg $ m_arg
-      $ sa_moves_arg $ seed_arg $ prescreen_arg $ budget_arg $ budget_evals_arg
+      $ sa_moves_arg $ seed_arg $ jobs_arg $ prescreen_arg $ budget_arg $ budget_evals_arg
       $ trace_arg $ certify_arg $ json_arg)
 
 (* --------------------------------------------------------------- fabric *)
@@ -278,7 +266,7 @@ let do_fabric fabric_path lint qubits =
             Fabric.Render.legend (Fabric.Render.fabric lay);
           if lint then begin
             let findings =
-              fabric_lint ~config:(env_config Qspr.Config.default) ?num_qubits:qubits lay
+              fabric_lint ~config:Qspr.Config.default ?num_qubits:qubits lay
             in
             if findings = [] then print_endline "\nlint: clean"
             else begin
@@ -305,8 +293,7 @@ let do_flow circuit qasm fabric_path threshold =
     let* program = load_program_msg ~circuit ~qasm in
     let* fabric = load_fabric fabric_path in
     let* o =
-      Qspr.Flow.run ~error_threshold:threshold ~fabric ~config:(env_config Qspr.Config.default)
-        program
+      Qspr.Flow.run ~error_threshold:threshold ~fabric ~config:Qspr.Config.default program
     in
     Printf.printf "synthesis optimization: %d gate(s) removed, %d remain\n" o.Qspr.Flow.gates_removed
       (Qasm.Program.gate_count o.Qspr.Flow.program);
@@ -354,7 +341,7 @@ let map_for_viz circuit qasm fabric_path m seed =
   let ( let* ) = Result.bind in
   let* program = load_program_msg ~circuit ~qasm in
   let* fabric = load_fabric fabric_path in
-  let config = Qspr.Config.(env_config default |> with_m m |> with_seed seed) in
+  let config = Qspr.Config.(default |> with_m m |> with_seed seed) in
   let* ctx = Qspr.Mapper.create ~fabric ~config program in
   let* sol = Result.map_error Qspr.Mapper.error_to_string (Qspr.Mapper.map Mvfb ctx) in
   Ok (program, ctx, sol)
@@ -410,11 +397,10 @@ let do_lint circuit qasm fabric_path pmd_path json_out =
       match pmd_path with
       | Some path -> (
           match Qspr.Pmd.parse_file path with
-          | Ok pmd -> (Some (Ok pmd.Qspr.Pmd.layout), env_config (Qspr.Pmd.config pmd))
-          | Error e -> (Some (Error e), env_config Qspr.Config.default))
+          | Ok pmd -> (Some (Ok pmd.Qspr.Pmd.layout), Qspr.Pmd.config pmd)
+          | Error e -> (Some (Error e), Qspr.Config.default))
       | None ->
-          ( (if fabric_given then Some (load_fabric fabric_path) else None),
-            env_config Qspr.Config.default )
+          ((if fabric_given then Some (load_fabric fabric_path) else None), Qspr.Config.default)
     in
     let findings = Analysis.Registry.lint ?program ?fabric ~config () in
     if json_out then
@@ -670,7 +656,7 @@ let do_serve batch jobs deterministic max_pending max_quote_us max_evals shed_st
       response_ttl_s;
     }
   in
-  let t = Service.Scheduler.create ~limits ~config:(env_config Qspr.Config.default) () in
+  let t = Service.Scheduler.create ~limits ~config:Qspr.Config.default () in
   match batch with
   | Some path -> (
       match In_channel.with_open_text path In_channel.input_lines with
@@ -723,10 +709,7 @@ let serve_cmd =
                 "Read every request line from $(docv) and run them as one batch (distance \
                  tables and warm route caches amortized across the file) instead of serving \
                  stdin line by line.")
-      $ Arg.(
-          value & opt int 1
-          & info [ "jobs" ] ~docv:"J"
-              ~doc:"Jobs mapped concurrently (responses are bit-identical at any value).")
+      $ jobs_arg
       $ Arg.(
           value & flag
           & info [ "deterministic" ]
@@ -793,8 +776,7 @@ let do_faults circuit qasm fabric_path seed levels_s trials jobs json_out =
       with Failure _ -> Error (Printf.sprintf "bad --levels %s (expected e.g. 0,1,2,4)" levels_s)
     in
     let* report =
-      Fault.campaign ~jobs ~config:(env_config Qspr.Config.default) ~seed ~levels ~trials ~fabric
-        program
+      Fault.campaign ~jobs ~config:Qspr.Config.default ~seed ~levels ~trials ~fabric program
     in
     Format.printf "@[<v>%a@]@." Fault.pp report;
     (match json_out with
@@ -823,9 +805,7 @@ let faults_cmd =
           value & opt string "0,1,2,4"
           & info [ "levels" ] ~docv:"N,N,..." ~doc:"Comma-separated fault counts to sweep.")
       $ Arg.(value & opt int 5 & info [ "trials" ] ~docv:"T" ~doc:"Sampled fault sets per level.")
-      $ Arg.(
-          value & opt int 1
-          & info [ "jobs" ] ~docv:"J" ~doc:"Trial-level parallelism (bit-identical at any value).")
+      $ jobs_arg
       $ json_arg)
 
 let () =

@@ -9,19 +9,6 @@ let check ?num_qubits (cfg : Qspr.Config.t) =
   (match Qspr.Config.validate cfg with
   | Error msg -> emit (F.make ~pass ~kind:"invalid" F.Error "%s" msg)
   | Ok _ -> ());
-  let cores = Domain.recommended_domain_count () in
-  if cfg.Qspr.Config.jobs > cores then
-    emit
-      (F.make ~pass ~kind:"jobs-oversubscribed" ~loc:(F.Key "jobs")
-         ~extra:[ ("cores", Ion_util.Json.Int cores) ]
-         F.Warning "jobs=%d exceeds the %d available cores: worker domains will contend"
-         cfg.Qspr.Config.jobs cores);
-  if cfg.Qspr.Config.jobs = 1 && cores >= 4 then
-    emit
-      (F.make ~pass ~kind:"jobs-unused" ~loc:(F.Key "jobs")
-         ~extra:[ ("cores", Ion_util.Json.Int cores) ]
-         F.Hint "placement search is sequential on a %d-core machine: set jobs (QSPR_JOBS) to parallelize"
-         cores);
   (match cfg.Qspr.Config.prescreen_k with
   | Some k when k >= cfg.Qspr.Config.m ->
       emit

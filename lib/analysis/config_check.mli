@@ -2,8 +2,6 @@
     are legal but waste work or quietly change the experiment.
 
     - [invalid] (error): {!Qspr.Config.validate} rejects the record;
-    - [jobs-oversubscribed] (warning): more worker domains than the machine
-      has cores — domains spin, everything slows down;
     - [prescreen-ineffective] (warning): [prescreen_k >= m] routes every
       candidate anyway, paying the estimator for nothing;
     - [prescreen-trusts-estimator] (hint): [prescreen_k < 3] lets the
@@ -13,8 +11,10 @@
       cost model the turn-aware router exists for;
     - [gate2-faster-than-gate1] (hint): unusual technology, worth a look;
     - [capacity-unusual] (hint): channel capacity beyond the paper's
-      ion-multiplexing assumption of 2;
-    - [jobs-unused] (hint): sequential search on a many-core machine. *)
+      ion-multiplexing assumption of 2.
+
+    No finding reads the host: the same config gets the same findings on
+    every machine, at any [jobs]. *)
 
 val check : ?num_qubits:int -> Qspr.Config.t -> Finding.t list
 (** All findings, errors first.  [num_qubits] reserved for future

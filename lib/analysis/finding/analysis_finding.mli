@@ -1,11 +1,11 @@
 (** The shared diagnostic currency of the static-analysis subsystem.
 
     Every checker in the tree — the QASM program passes, the fabric lint,
-    the config sanity pass, the schedule validator, the trace certifier and
+    the config sanity pass, the trace certifier and
     the parallel-determinism detector — reports problems as values of one
     finding type, so the CLI, CI and tests can render, count and gate on
     them uniformly.  This module lives below every producer ({!Fabric.Lint},
-    [Scheduler.Static], the [analysis] library) and is re-exported there as
+    the [analysis] library) and is re-exported there as
     [Analysis.Finding].
 
     A finding carries the {e pass} that produced it, a {e severity}, a

@@ -6,8 +6,7 @@ let passes =
   [
     { name = "program"; description = "QASM dependency-graph analysis: initialization, dead qubits, removable and commuting gates" };
     { name = "fabric"; description = "fabric structure: connectivity, capacity, cut-vertex bottlenecks, dead ends" };
-    { name = "config"; description = "parameter sanity: jobs vs cores, prescreen width, timing model" };
-    { name = "schedule"; description = "static-schedule feasibility oracle (Scheduler.Static.validate)" };
+    { name = "config"; description = "parameter sanity: prescreen width, timing model, channel capacity" };
     { name = "certify"; description = "independent trace replay: certifies a mapping's micro-command trace" };
     { name = "determinism"; description = "bit-for-bit sequential-vs-parallel diff of a placement search" };
     { name = "bound"; description = "optimality-gap audit: admissible latency lower bounds, capacity feasibility, small-instance exact optimum (qspr audit)" };

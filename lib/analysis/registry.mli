@@ -12,8 +12,8 @@ type pass = {
 
 val passes : pass list
 (** All registered passes, in run order: ["program"], ["fabric"],
-    ["config"], plus the on-demand ["schedule"], ["certify"],
-    ["determinism"] and ["bound"] passes that need a mapping run to
+    ["config"], plus the on-demand ["certify"], ["determinism"] and
+    ["bound"] passes that need a mapping run to
     check. *)
 
 val lint :

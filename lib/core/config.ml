@@ -39,31 +39,6 @@ let with_incremental on t =
   if on then t
   else invalid_arg "Config.with_incremental false: the legacy routing stack was removed"
 
-(* Each variable overrides one field when it parses and is in range;
-   unset, unparsable or out-of-range values keep the base's value. *)
-let of_env getenv t =
-  let lookup conv in_range name =
-    match Option.map String.trim (getenv name) with
-    | None -> None
-    | Some s -> ( match conv s with Some v when in_range v -> Some v | _ -> None)
-  in
-  let count name = lookup int_of_string_opt (fun k -> k >= 1) name in
-  let keep base = function Some v -> v | None -> base in
-  let keep_opt base = function Some _ as v -> v | None -> base in
-  {
-    t with
-    jobs = keep t.jobs (count "QSPR_JOBS");
-    prescreen_k = keep_opt t.prescreen_k (count "QSPR_PRESCREEN");
-    sa_moves = keep t.sa_moves (count "QSPR_SA_MOVES");
-    budget =
-      {
-        t.budget with
-        wall_s =
-          keep_opt t.budget.wall_s (lookup float_of_string_opt (fun w -> w > 0.0) "QSPR_BUDGET");
-        max_evals = keep_opt t.budget.max_evals (count "QSPR_BUDGET_EVALS");
-      };
-  }
-
 let validate t =
   if t.m < 1 then Error "Config: m must be at least 1"
   else if t.sa_moves < 1 then Error "Config: sa_moves must be at least 1"

@@ -55,19 +55,6 @@ val default : t
     pre-screening, no budget, 20_000 delta-annealing moves.  A constant:
     the library never reads the environment. *)
 
-val of_env : (string -> string option) -> t -> t
-(** [of_env getenv base] applies the environment overrides that the
-    command-line tools honour, looking each variable up with [getenv]:
-    - [QSPR_JOBS] sets [jobs];
-    - [QSPR_PRESCREEN] sets [prescreen_k];
-    - [QSPR_SA_MOVES] sets [sa_moves];
-    - [QSPR_BUDGET] sets [budget.wall_s] (seconds, a float);
-    - [QSPR_BUDGET_EVALS] sets [budget.max_evals].
-
-    Values are trimmed; integers must be at least 1 and the wall-clock
-    budget positive.  An unset, unparsable or out-of-range variable leaves
-    [base]'s field as it was. *)
-
 val with_m : int -> t -> t
 val with_sa_moves : int -> t -> t
 val with_seed : int -> t -> t

@@ -9,6 +9,12 @@ let context ?config program =
 
 let default_circuits () = Circuits.Qecc.all ()
 
+(* a builtin circuit by name; [study] names the caller in the failure *)
+let builtin study circuit =
+  match List.assoc_opt circuit (default_circuits ()) with
+  | Some p -> p
+  | None -> failwith (Printf.sprintf "Experiments.%s: unknown circuit %s" study circuit)
+
 let solve_exn label = function
   | Ok (s : Mapper.solution) -> s
   | Error e ->
@@ -27,20 +33,18 @@ let placer_pair ctx ~m =
   let mc = map_exn ~m:mvfb.Mapper.placement_runs Monte_carlo "MC" ctx in
   (cell_of mvfb, cell_of mc)
 
-let table1 ?(m_small = 25) ?(m_large = 100) ?(jobs = 1) ?circuits () =
+let table1 ?(m_small = 25) ?(m_large = 100) ?circuits () =
   let circuits = match circuits with Some c -> c | None -> default_circuits () in
-  (* The sweep parallelizes across circuits; each circuit's searches run
-     sequentially ([Config.default]'s one job), so there is no nested
-     fan-out, and every search is bit-identical at any job count. *)
-  let one (name, p) =
-    let ctx = context p in
-    let mvfb_25, mc_25 = placer_pair ctx ~m:m_small in
-    let mvfb_100, mc_100 = placer_pair ctx ~m:m_large in
-    { Report.circuit = name; mvfb_25; mc_25; mvfb_100; mc_100 }
-  in
-  Ion_util.Domain_pool.with_pool ~jobs (fun pool ->
-      Ion_util.Domain_pool.map pool one (Array.of_list circuits))
-  |> Array.to_list
+  (* One circuit at a time, one search at a time: [Sys.time] is
+     process-wide, so the CPU columns are per search only when nothing
+     else runs beside it. *)
+  List.map
+    (fun (name, p) ->
+      let ctx = context p in
+      let mvfb_25, mc_25 = placer_pair ctx ~m:m_small in
+      let mvfb_100, mc_100 = placer_pair ctx ~m:m_large in
+      { Report.circuit = name; mvfb_25; mc_25; mvfb_100; mc_100 })
+    circuits
 
 let table2 ?(m = 100) ?circuits () =
   let circuits = match circuits with Some c -> c | None -> default_circuits () in
@@ -92,11 +96,7 @@ let table2_with_paper rows =
   Ion_util.Ascii_table.render_simple ~header ~rows:cells
 
 let sensitivity ?(ms = [ 1; 5; 10; 25; 50; 100 ]) ?(circuit = "[[9,1,3]]") () =
-  let p =
-    match List.assoc_opt circuit (default_circuits ()) with
-    | Some p -> p
-    | None -> failwith ("Experiments.sensitivity: unknown circuit " ^ circuit)
-  in
+  let p = builtin "sensitivity" circuit in
   let ctx = context p in
   List.map
     (fun m ->
@@ -106,11 +106,7 @@ let sensitivity ?(ms = [ 1; 5; 10; 25; 50; 100 ]) ?(circuit = "[[9,1,3]]") () =
     ms
 
 let congestion_maps ?(circuit = "[[19,1,7]]") () =
-  let p =
-    match List.assoc_opt circuit (default_circuits ()) with
-    | Some p -> p
-    | None -> failwith ("Experiments.congestion_maps: unknown circuit " ^ circuit)
-  in
+  let p = builtin "congestion_maps" circuit in
   let ctx = context p in
   let comp = Mapper.component ctx in
   let qspr = map_exn ~m:3 Mvfb "QSPR" ctx in
@@ -130,11 +126,7 @@ let scaling_study ?(cases = [ (5, 30); (10, 60); (15, 120); (20, 200) ]) () =
     cases
 
 let placer_comparison ?(circuit = "[[9,1,3]]") () =
-  let p =
-    match List.assoc_opt circuit (default_circuits ()) with
-    | Some p -> p
-    | None -> failwith ("Experiments.placer_comparison: unknown circuit " ^ circuit)
-  in
+  let p = builtin "placer_comparison" circuit in
   let ctx = context p in
   let comp = Mapper.component ctx in
   let nq = Qasm.Program.num_qubits p in
@@ -193,11 +185,7 @@ type prescreen_stats = {
 }
 
 let prescreen_study ?(circuit = "[[9,1,3]]") ?(runs = 25) ?(k = 5) () =
-  let p =
-    match List.assoc_opt circuit (default_circuits ()) with
-    | Some p -> p
-    | None -> failwith ("Experiments.prescreen_study: unknown circuit " ^ circuit)
-  in
+  let p = builtin "prescreen_study" circuit in
   let ctx = context p in
   let mc label prescreen_k =
     solve_exn label
@@ -213,11 +201,7 @@ let prescreen_study ?(circuit = "[[9,1,3]]") ?(runs = 25) ?(k = 5) () =
   }
 
 let fabric_study ?(circuit = "[[9,1,3]]") () =
-  let p =
-    match List.assoc_opt circuit (default_circuits ()) with
-    | Some p -> p
-    | None -> failwith ("Experiments.fabric_study: unknown circuit " ^ circuit)
-  in
+  let p = builtin "fabric_study" circuit in
   let solve ?config lay =
     match Mapper.create ~fabric:lay ?config p with
     | Error e -> failwith ("Experiments.fabric_study: " ^ e)
@@ -253,11 +237,7 @@ let fabric_study ?(circuit = "[[9,1,3]]") () =
   geometry @ capacity @ linear
 
 let optimality_study ?(circuit = "[[5,1,3]]") ?(candidate_traps = 6) () =
-  let p =
-    match List.assoc_opt circuit (default_circuits ()) with
-    | Some p -> p
-    | None -> failwith ("Experiments.optimality_study: unknown circuit " ^ circuit)
-  in
+  let p = builtin "optimality_study" circuit in
   let ctx = context p in
   let nq = Qasm.Program.num_qubits p in
   let exhaustive =
@@ -296,11 +276,7 @@ let noise_study ?(m = 10) ?circuits () =
     circuits
 
 let empirical_noise ?(circuit = "[[9,1,3]]") ?(trials = 300) () =
-  let p =
-    match List.assoc_opt circuit (default_circuits ()) with
-    | Some p -> p
-    | None -> failwith ("Experiments.empirical_noise: unknown circuit " ^ circuit)
-  in
+  let p = builtin "empirical_noise" circuit in
   let ctx = context p in
   let nq = Qasm.Program.num_qubits p in
   (* transport-heavy model so mapping quality matters *)
@@ -322,11 +298,7 @@ let empirical_noise ?(circuit = "[[9,1,3]]") ?(trials = 300) () =
     [ ("QSPR", qspr); ("QUALE", quale) ]
 
 let objective_study ?(circuit = "[[9,1,3]]") ?(samples = 40) () =
-  let p =
-    match List.assoc_opt circuit (default_circuits ()) with
-    | Some p -> p
-    | None -> failwith ("Experiments.objective_study: unknown circuit " ^ circuit)
-  in
+  let p = builtin "objective_study" circuit in
   let ctx = context p in
   let nq = Qasm.Program.num_qubits p in
   let model = Noise.Model.make ~eps_move:0.002 ~eps_turn:0.01 ~t2_us:50_000.0 () in
@@ -402,11 +374,7 @@ let eq1_breakdown ?(m = 5) ?circuits () =
     circuits
 
 let noise_sweep ?(circuit = "[[9,1,3]]") ?(scales = [ 0.5; 1.0; 2.0; 4.0 ]) ?(trials = 200) () =
-  let p =
-    match List.assoc_opt circuit (default_circuits ()) with
-    | Some p -> p
-    | None -> failwith ("Experiments.noise_sweep: unknown circuit " ^ circuit)
-  in
+  let p = builtin "noise_sweep" circuit in
   let ctx = context p in
   let qspr = map_exn ~m:5 Mvfb "QSPR" ctx in
   let quale = solve_exn "QUALE" (Mapper.map Quale ctx) in
@@ -446,11 +414,7 @@ let center_latencies who ctx rows =
     rows
 
 let priority_study ?(circuit = "[[9,1,3]]") () =
-  let p =
-    match List.assoc_opt circuit (default_circuits ()) with
-    | Some p -> p
-    | None -> failwith ("Experiments.priority_study: unknown circuit " ^ circuit)
-  in
+  let p = builtin "priority_study" circuit in
   let ctx = context p in
   let cfg = Mapper.config ctx in
   let delay = Router.Timing.gate_delay cfg.Config.timing in

@@ -15,14 +15,13 @@ val context : ?config:Config.t -> Qasm.Program.t -> Mapper.t
 val table1 :
   ?m_small:int ->
   ?m_large:int ->
-  ?jobs:int ->
   ?circuits:(string * Qasm.Program.t) list ->
   unit ->
   Report.table1_row list
 (** Table 1: MVFB vs Monte-Carlo at two seed counts (defaults 25 and 100),
     with the MC run budget set to MVFB's total placement runs — the paper's
-    equal-CPU protocol.  [jobs] (default 1) sweeps the
-    circuits on a domain pool; rows are bit-identical at any job count. *)
+    equal-CPU protocol.  Circuits and searches run one at a time, so each
+    CPU column is the time of that search alone. *)
 
 val table2 : ?m:int -> ?circuits:(string * Qasm.Program.t) list -> unit -> Report.table2_row list
 (** Table 2: ideal baseline vs QUALE vs QSPR (MVFB, default m = 100). *)

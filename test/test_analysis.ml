@@ -366,13 +366,37 @@ let test_config_invalid () =
   check_bool "invalid config is an error" true (has_kind "invalid" fs);
   check_int "exit 2" 2 (F.exit_code fs)
 
+(* The config pass reads only the config, never the host: the same
+   parameters get the same findings at any [jobs], so a lint rejection in
+   a deterministic service response cannot vary with the machine's cores. *)
+let prop_config_findings_ignore_jobs =
+  QCheck.Test.make ~name:"config findings equal at jobs 1 and 1000" ~count:200
+    QCheck.(
+      quad (0 -- 40) (option (0 -- 40)) (0 -- 4)
+        (pair (float_bound_inclusive 20.0) (float_bound_inclusive 20.0)))
+    (fun (m, prescreen, capacity, (t_turn, t_gate2)) ->
+      let cfg =
+        {
+          Qspr.Config.(default |> with_m m |> with_prescreen prescreen) with
+          Qspr.Config.timing = { Router.Timing.paper with Router.Timing.t_turn; t_gate2 };
+          qspr_policy =
+            { Simulator.Engine.qspr_policy with Simulator.Engine.channel_capacity = capacity };
+        }
+      in
+      let at jobs = Analysis.Config_check.check (Qspr.Config.with_jobs jobs cfg) in
+      at 1 = at 1000)
+
+let test_config_findings_ignore_jobs () =
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |]) prop_config_findings_ignore_jobs
+
 (* ------------------------------------------------------------ registry *)
 
 let test_registry_passes_documented () =
   let names = List.map (fun (p : Analysis.Registry.pass) -> p.Analysis.Registry.name) Analysis.Registry.passes in
-  List.iter
-    (fun n -> check_bool (n ^ " registered") true (List.mem n names))
-    [ "program"; "fabric"; "config"; "schedule"; "certify"; "determinism" ]
+  Alcotest.(check (list string))
+    "registered passes"
+    [ "program"; "fabric"; "config"; "certify"; "determinism"; "bound" ]
+    names
 
 let test_registry_lint_merges () =
   let fs =
@@ -780,6 +804,7 @@ let () =
         [
           Alcotest.test_case "prescreen" `Quick test_config_prescreen;
           Alcotest.test_case "invalid" `Quick test_config_invalid;
+          Alcotest.test_case "findings ignore jobs" `Quick test_config_findings_ignore_jobs;
         ] );
       ( "registry",
         [

@@ -48,36 +48,6 @@ let test_config_guards () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "m=0 accepted"
 
-(* Config.of_env over a fake environment: each variable valid, unparsable,
-   out of range and unset.  Only a valid value moves its field off the base;
-   the base is not the default, so "keeps the base" is observable. *)
-let test_config_of_env () =
-  let base =
-    Config.(
-      default |> with_jobs 3 |> with_prescreen (Some 4) |> with_sa_moves 777
-      |> with_budget { no_budget with wall_s = Some 9.0; max_evals = Some 11 })
-  in
-  let apply bindings = Config.of_env (fun name -> List.assoc_opt name bindings) base in
-  let cases name ~valid ~set =
-    check_bool (name ^ " valid") true (apply [ (name, valid) ] = set base);
-    List.iter
-      (fun (label, bindings) -> check_bool (name ^ " " ^ label) true (apply bindings = base))
-      [
-        ("unparsable", [ (name, "lots") ]);
-        ("out of range", [ (name, "0") ]);
-        ("unset", [ ("OTHER", valid) ]);
-      ]
-  in
-  let budget f c = Config.with_budget (f c.Config.budget) c in
-  cases "QSPR_JOBS" ~valid:" 4 " ~set:(Config.with_jobs 4);
-  cases "QSPR_PRESCREEN" ~valid:"2" ~set:(Config.with_prescreen (Some 2));
-  cases "QSPR_SA_MOVES" ~valid:"50" ~set:(Config.with_sa_moves 50);
-  cases "QSPR_BUDGET" ~valid:"0.5" ~set:(budget (fun b -> { b with Config.wall_s = Some 0.5 }));
-  cases "QSPR_BUDGET_EVALS" ~valid:"1" ~set:(budget (fun b -> { b with Config.max_evals = Some 1 }));
-  check_bool "an empty environment changes nothing" true (apply [] = base);
-  check_bool "a negative wall-clock budget is out of range" true
-    ((apply [ ("QSPR_BUDGET", "-1") ]).Config.budget.Config.wall_s = Some 9.0)
-
 let test_with_search () =
   let ctx = ctx_of (c513 ()) in
   let ctx' = Mapper.with_search (Config.with_m 7) ctx in
@@ -483,7 +453,6 @@ let () =
         [
           Alcotest.test_case "paper defaults" `Quick test_config_default_is_paper;
           Alcotest.test_case "guards" `Quick test_config_guards;
-          Alcotest.test_case "of_env" `Quick test_config_of_env;
           Alcotest.test_case "with_search" `Quick test_with_search;
         ] );
       ( "mapper",

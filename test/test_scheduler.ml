@@ -339,55 +339,6 @@ let prop_frontier_matches_scan =
       if incremental = scan then true
       else QCheck.Test.fail_reportf "incremental:\n%s\nscan:\n%s" incremental scan)
 
-(* --------------------------------------------------------------- Static *)
-
-let test_static_asap_equals_critical_path () =
-  let g = fig3_dag () in
-  let s = Static.asap ~delay:paper_delay g in
-  Alcotest.(check (float 1e-9)) "makespan = critical path" 510.0 s.Static.makespan;
-  check_bool "valid at infinite resources" true
-    (Static.validate ~delay:paper_delay ~max_two_qubit:100 g s = [])
-
-let test_static_constrained_k1_serializes () =
-  let g = fig3_dag () in
-  let prios = Priority.compute Priority.qspr_default ~delay:paper_delay g in
-  let s = Static.resource_constrained ~delay:paper_delay ~max_two_qubit:1 ~priorities:prios g in
-  (* 8 two-qubit gates fully serialized: at least 800us *)
-  check_bool "serialized bound" true (s.Static.makespan >= 800.0);
-  check_bool "valid" true (Static.validate ~delay:paper_delay ~max_two_qubit:1 g s = [])
-
-let test_static_monotone_in_k () =
-  let g = fig3_dag () in
-  let prios = Priority.compute Priority.qspr_default ~delay:paper_delay g in
-  let mk k = (Static.resource_constrained ~delay:paper_delay ~max_two_qubit:k ~priorities:prios g).Static.makespan in
-  let m1 = mk 1 and m2 = mk 2 and m8 = mk 8 in
-  check_bool "k=1 >= k=2" true (m1 >= m2 -. 1e-9);
-  check_bool "k=2 >= k=8" true (m2 >= m8 -. 1e-9);
-  (* with enough resources the schedule meets the critical path *)
-  Alcotest.(check (float 1e-9)) "k=8 = critical path" 510.0 m8
-
-let test_static_guards () =
-  let g = fig3_dag () in
-  let prios = Priority.compute Priority.qspr_default ~delay:paper_delay g in
-  (match Static.resource_constrained ~delay:paper_delay ~max_two_qubit:0 ~priorities:prios g with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "k=0 accepted");
-  match Static.resource_constrained ~delay:paper_delay ~max_two_qubit:1 ~priorities:[| 1.0 |] g with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bad priorities accepted"
-
-let prop_static_schedules_valid =
-  QCheck.Test.make ~name:"constrained schedules are always feasible" ~count:60
-    QCheck.(pair (1 -- 4) (int_bound 100000))
-    (fun (k, seed) ->
-      let rng = Ion_util.Rng.create seed in
-      let p = Circuits.Library.random_clifford rng ~num_qubits:5 ~gates:25 in
-      let g = Dag.of_program p in
-      let prios = Priority.compute Priority.qspr_default ~delay:paper_delay g in
-      let s = Static.resource_constrained ~delay:paper_delay ~max_two_qubit:k ~priorities:prios g in
-      Static.validate ~delay:paper_delay ~max_two_qubit:k g s = []
-      && s.Static.makespan >= Dag.critical_path ~delay:paper_delay g -. 1e-9)
-
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "scheduler"
@@ -412,12 +363,4 @@ let () =
           Alcotest.test_case "full drain" `Quick test_ready_full_drain;
         ]
         @ qsuite [ prop_drain_respects_deps; prop_frontier_matches_scan ] );
-      ( "static",
-        [
-          Alcotest.test_case "asap = critical path" `Quick test_static_asap_equals_critical_path;
-          Alcotest.test_case "k=1 serializes" `Quick test_static_constrained_k1_serializes;
-          Alcotest.test_case "monotone in k" `Quick test_static_monotone_in_k;
-          Alcotest.test_case "guards" `Quick test_static_guards;
-        ]
-        @ qsuite [ prop_static_schedules_valid ] );
     ]
