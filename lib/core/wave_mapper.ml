@@ -68,8 +68,8 @@ let map_unguarded ?placement ctx =
     in
     let trap_pos tid = traps.(tid).Fabric.Component.tpos in
     let dag = Mapper.dag ctx in
-    (* one cache across all wave levels: lower-bound tables and the
-       congestion-free routes of earlier levels seed the later ones *)
+    (* one cache across all wave levels: the lower-bound tables built for
+       earlier levels guide the later levels' searches *)
     let cache = Router.Route_cache.create () in
     let error = ref None in
     let stats = ref [] in

@@ -7,7 +7,6 @@ type outcome = {
   iterations : int;
   overused : int;
   searches : int;
-  seeded : int;
 }
 
 type error =
@@ -45,26 +44,20 @@ let history_increment = 1.0
 
 (* Occupancy of the CURRENT routes, maintained incrementally — never
    rebuilt.  All negotiation state is flat arrays indexed by the packed
-   resource int (segment s -> 2s+1, junction j -> 2j).  [users] is the
-   reverse index (resource -> nets whose current route crosses it; each net
-   at most once, a path's footprint is distinct), [overused] the live set
-   of resources above capacity (bitmap + count), and [at_capacity] counts
-   resources whose next user would pay a present penalty — the negotiation
-   weight equals the base weight exactly when it is zero and no history has
-   accrued.  [weights] holds that weight for every CSR edge: a resource's
-   edges are rewritten when its occupancy or history changes, and every
-   resource at capacity when the round (and the present factor) advances. *)
+   resource int (segment s -> 2s+1, junction j -> 2j).  [overused] is the
+   live set of resources above capacity (bitmap + count).  [weights] holds
+   the negotiation weight for every CSR edge: a resource's edges are
+   rewritten when its occupancy or history changes, and every resource at
+   capacity when the round (and the present factor) advances. *)
 type state = {
   graph : Graph.t;
   capacity : Resource.t -> int;
   history : float array;
   occupancy : int array;
-  users : int list array;
   overused : bool array;
   routes : (int, Path.t) Hashtbl.t;
   weights : float array;
   mutable overused_count : int;
-  mutable at_capacity : int;
   mutable iteration : int;
 }
 
@@ -95,12 +88,10 @@ let create graph ~turn_cost ~capacity =
       capacity;
       history = Array.make nres 0.0;
       occupancy = Array.make nres 0;
-      users = Array.make nres [];
       overused = Array.make nres false;
       routes = Hashtbl.create 16;
       weights = Lower_bound.base_weights graph ~turn_cost;
       overused_count = 0;
-      at_capacity = 0;
       iteration = 0;
     }
   in
@@ -109,31 +100,35 @@ let create graph ~turn_cost ~capacity =
 
 let weights st = st.weights
 
-(* [d] = 1 places [net_id]'s [path], -1 rips it up *)
-let shift st net_id path d =
+(* [d] = 1 places [path], -1 rips it up *)
+let shift st path d =
   for i = 0 to Path.num_resources path - 1 do
     let r = Resource.to_int (Path.resource path i) in
-    let before = st.occupancy.(r) in
-    let after = before + d in
+    let after = st.occupancy.(r) + d in
     if after < 0 then invalid_arg "Pathfinder: negative occupancy — a net was ripped up twice";
     st.occupancy.(r) <- after;
-    let cap = st.capacity (Resource.of_int r) in
-    if before < cap && after >= cap then st.at_capacity <- st.at_capacity + 1
-    else if before >= cap && after < cap then st.at_capacity <- st.at_capacity - 1;
-    let over = after > cap in
+    let over = after > st.capacity (Resource.of_int r) in
     if over <> st.overused.(r) then begin
       st.overused.(r) <- over;
       st.overused_count <- (st.overused_count + if over then 1 else -1)
     end;
-    st.users.(r) <- (if d > 0 then net_id :: st.users.(r) else List.filter (( <> ) net_id) st.users.(r));
     refresh st r
   done
 
-let rip st net_id = Option.iter (fun old -> shift st net_id old (-1)) (Hashtbl.find_opt st.routes net_id)
+let rip st net_id = Option.iter (fun old -> shift st old (-1)) (Hashtbl.find_opt st.routes net_id)
 
 let place st net_id path =
   Hashtbl.replace st.routes net_id path;
-  shift st net_id path 1
+  shift st path 1
+
+(* a net is dirty when its current route crosses an overused resource *)
+let dirty st net =
+  let path = Hashtbl.find st.routes net.net_id in
+  let rec crosses i =
+    i < Path.num_resources path
+    && (st.overused.(Resource.to_int (Path.resource path i)) || crosses (i + 1))
+  in
+  crosses 0
 
 let next_iteration st =
   st.iteration <- st.iteration + 1;
@@ -149,46 +144,26 @@ let add_history st =
   done
 
 let route_all graph ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
-  if turn_cost < 0.0 then Error (Bad_parameters "negative turn cost")
+  if not (turn_cost >= 0.0) then Error (Bad_parameters "negative or NaN turn cost")
   else begin
     (* The cache supplies the per-destination lower-bound tables guiding
-       every search; a caller-owned cache additionally carries tables and
-       congestion-free routes across calls (wave levels, placement
-       candidates).  A private one still shares tables between the nets of
-       this call — gates contribute two nets to the same destination trap. *)
+       every search; a caller-owned cache carries them across calls (wave
+       levels).  A private one still shares tables between the nets of this
+       call — gates contribute two nets to the same destination trap. *)
     let cache = match cache with Some c -> c | None -> Route_cache.create () in
     Route_cache.for_graph cache graph;
     let workspace = Route_cache.workspace cache in
     let st = create graph ~turn_cost ~capacity in
-    let searches = ref 0 and seeded = ref 0 in
+    let searches = ref 0 in
     (* One net's search: lower-bound-guided A* under the live negotiation
        weights (admissible: present/history penalties only add to the base
-       cost the tables price).  While the live weights still equal the base
-       weights — nothing at capacity in round 1, before any history — the
-       search is a pure function of (turn_cost, src, dst), so a caller-owned
-       cache can seed it from an earlier call and absorb its result for
-       later ones.  The seed substitutes verbatim for the search it skips:
-       only exact replays, never merely-equal-cost ones. *)
+       cost the tables price). *)
     let route net =
-      let clean = st.at_capacity = 0 && st.iteration = 1 in
-      let seed =
-        if clean then
-          Route_cache.find cache Route_cache.Guided ~turn_cost ~src:net.src ~dst:net.dst
-        else None
-      in
-      match seed with
-      | Some result ->
-          incr seeded;
-          result
-      | None ->
-          incr searches;
-          let lb = Route_cache.lower_bound cache graph ~turn_cost ~dst:net.dst in
-          Dijkstra.run_into ~heuristic:lb workspace graph ~weights:st.weights
-            ~src:net.src ~dst:net.dst;
-          let result = Path.of_workspace workspace graph ~src:net.src ~dst:net.dst in
-          if clean then
-            Route_cache.store cache Route_cache.Guided ~turn_cost ~src:net.src ~dst:net.dst result;
-          result
+      incr searches;
+      let lb = Route_cache.lower_bound cache graph ~turn_cost ~dst:net.dst in
+      Dijkstra.run_into ~heuristic:lb workspace graph ~weights:st.weights ~src:net.src
+        ~dst:net.dst;
+      Path.of_workspace workspace graph ~src:net.src ~dst:net.dst
     in
     let error = ref None in
     let converged = ref false in
@@ -200,20 +175,10 @@ let route_all graph ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
       checkpoint ();
       next_iteration st;
       (* Iteration 1 routes everything.  Later iterations rip up and
-         re-route only the dirty nets — those whose current route crosses an
-         overused resource (straight off the reverse index), in input order.
-         An overused resource always has users, so the worklist is never
-         empty before convergence. *)
-      let worklist =
-        if st.iteration = 1 then nets
-        else begin
-          let dirty = Hashtbl.create 16 in
-          for r = 0 to Array.length st.overused - 1 do
-            if st.overused.(r) then List.iter (fun id -> Hashtbl.replace dirty id ()) st.users.(r)
-          done;
-          List.filter (fun net -> Hashtbl.mem dirty net.net_id) nets
-        end
-      in
+         re-route only the dirty nets, in input order.  An overused resource
+         always lies on some current route, so the worklist is never empty
+         before convergence. *)
+      let worklist = if st.iteration = 1 then nets else List.filter (dirty st) nets in
       List.iter
         (fun net ->
           if !error = None then begin
@@ -243,6 +208,5 @@ let route_all graph ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
             iterations = st.iteration;
             overused = st.overused_count;
             searches = !searches;
-            seeded = !seeded;
           }
   end

@@ -9,12 +9,13 @@
     resource has ever been overused).  Nets gradually negotiate away from
     contested channels until no resource exceeds its capacity.
 
-    Occupancy, the resource->nets reverse index and the overused set are
-    maintained incrementally across rip-ups — never rebuilt — so the
-    convergence check is O(1), and each iteration after the first rips up
-    and re-routes only the {e dirty} nets (those whose current route crosses
-    an overused resource).  Clean nets keep their routes.  [doc/router.md]
-    walks through the loop and the admissibility argument.
+    Occupancy and the overused set are maintained incrementally across
+    rip-ups — never rebuilt — so the convergence check is O(1), and each
+    iteration after the first rips up and re-routes only the {e dirty} nets
+    (those whose current route crosses an overused resource, found by
+    scanning each net's route against the overused set).  Clean nets keep
+    their routes.  [doc/router.md] walks through the loop and the
+    admissibility argument.
 
     QSPR's own engine routes incrementally in event order instead; this
     module exists as the faithful baseline substrate: [Wave_mapper] routes
@@ -27,8 +28,7 @@ type outcome = {
   routes : (int * Path.t) list;  (** net id -> final route, in input order *)
   iterations : int;  (** negotiation rounds used *)
   overused : int;  (** resources still over capacity (0 = success) *)
-  searches : int;  (** single-net shortest-path searches actually run *)
-  seeded : int;  (** routes served verbatim from the cross-call cache *)
+  searches : int;  (** single-net shortest-path searches run *)
 }
 
 type error =
@@ -36,7 +36,7 @@ type error =
       (** A net's endpoints are not connected at all — carries the net, its
           endpoint nodes, and the negotiation round in which the dead end was
           discovered, so callers can name the offending traps. *)
-  | Bad_parameters of string  (** A negative turn cost. *)
+  | Bad_parameters of string  (** A negative or NaN turn cost. *)
 
 val string_of_error : error -> string
 (** Human-readable rendering of a routing failure. *)
@@ -52,11 +52,12 @@ val route_all :
 (** The negotiation schedule is fixed: at most 30 rounds, present factor
     0.5 (scaled by the round number), history increment 1.0.  [turn_cost]
     defaults to 10.0 move units.  [cache],
-    when given, carries lower-bound tables and congestion-free routes across
-    calls (it is rebound to this graph, dropping entries from any other
-    fabric); without one a private per-call cache still shares tables
-    between nets.  [Error] when some net
-    has no route at all (disconnected endpoints) or [turn_cost] is negative.
+    when given, carries lower-bound tables across calls (it is rebound to
+    this graph, dropping entries from any other fabric); PathFinder never
+    stores or replays a path there.  Without one a private per-call cache
+    still shares tables between nets.  Every net in a round's worklist is
+    searched.  [Error] when some net has no route at all (disconnected
+    endpoints) or [turn_cost] is negative or NaN.
     [overused > 0] in the result means negotiation did not converge within
     the budget — the caller decides whether to accept the shared routes
     (the engine's busy queue would instead serialize).  [cancel] is a

@@ -1,7 +1,5 @@
 module Graph = Fabric.Graph
 
-type flavor = Plain | Guided
-
 (* Soft caps: beyond them lookups keep working but new entries are not
    stored, so a pathological workload degrades to the uncached cost instead
    of growing without bound.  Hit/miss behaviour stays deterministic — the
@@ -19,16 +17,14 @@ let max_bounds = 512
 type snapshot = {
   snap_graph : Graph.t;
   snap_bounds : (float * int, Lower_bound.t) Hashtbl.t;
-  snap_plain : (float * int * int, Path.t option) Hashtbl.t;
-  snap_guided : (float * int * int, Path.t option) Hashtbl.t;
+  snap_paths : (float * int * int, Path.t option) Hashtbl.t;
 }
 
 type t = {
   workspace : Workspace.t;  (* scratch for table builds and cached searches *)
   mutable graph : Graph.t option;  (* physical identity of the cached fabric *)
   bounds : (float * int, Lower_bound.t) Hashtbl.t;
-  plain : (float * int * int, Path.t option) Hashtbl.t;
-  guided : (float * int * int, Path.t option) Hashtbl.t;
+  paths : (float * int * int, Path.t option) Hashtbl.t;
   mutable shared : snapshot option;  (* read-only fallback layer *)
   mutable hits : int;
   mutable misses : int;
@@ -41,8 +37,7 @@ let create () =
     workspace = Workspace.create ();
     graph = None;
     bounds = Hashtbl.create 32;
-    plain = Hashtbl.create 256;
-    guided = Hashtbl.create 256;
+    paths = Hashtbl.create 256;
     shared = None;
     hits = 0;
     misses = 0;
@@ -54,8 +49,7 @@ let clear t =
   t.graph <- None;
   t.shared <- None;
   Hashtbl.reset t.bounds;
-  Hashtbl.reset t.plain;
-  Hashtbl.reset t.guided
+  Hashtbl.reset t.paths
 
 let for_graph t graph =
   match t.graph with
@@ -74,8 +68,7 @@ let freeze t =
   | None -> invalid_arg "Route_cache.freeze: cache is not bound to a graph"
   | Some graph ->
       let bounds = Hashtbl.copy t.bounds in
-      let plain = Hashtbl.copy t.plain in
-      let guided = Hashtbl.copy t.guided in
+      let paths = Hashtbl.copy t.paths in
       (* union with the attached layer so folding freeze over a wave of
          job caches accumulates every entry seen so far; local entries
          win ties, which is value-neutral (both sides cached the same
@@ -86,12 +79,11 @@ let freeze t =
       (match t.shared with
       | Some s when s.snap_graph == graph ->
           union bounds s.snap_bounds;
-          union plain s.snap_plain;
-          union guided s.snap_guided
+          union paths s.snap_paths
       | _ -> ());
-      { snap_graph = graph; snap_bounds = bounds; snap_plain = plain; snap_guided = guided }
+      { snap_graph = graph; snap_bounds = bounds; snap_paths = paths }
 
-let snapshot_paths s = Hashtbl.length s.snap_plain + Hashtbl.length s.snap_guided
+let snapshot_paths s = Hashtbl.length s.snap_paths
 let snapshot_bounds s = Hashtbl.length s.snap_bounds
 
 let workspace t = t.workspace
@@ -115,20 +107,16 @@ let lower_bound t graph ~turn_cost ~dst =
           if Hashtbl.length t.bounds < max_bounds then Hashtbl.add t.bounds key lb;
           lb)
 
-let table t = function Plain -> t.plain | Guided -> t.guided
-
-let shared_table s = function Plain -> s.snap_plain | Guided -> s.snap_guided
-
-let find t flavor ~turn_cost ~src ~dst =
+let find t ~turn_cost ~src ~dst =
   let key = (turn_cost, src, dst) in
-  match Hashtbl.find_opt (table t flavor) key with
+  match Hashtbl.find_opt t.paths key with
   | Some _ as hit ->
       t.hits <- t.hits + 1;
       hit
   | None -> (
       match t.shared with
       | Some s -> (
-          match Hashtbl.find_opt (shared_table s flavor) key with
+          match Hashtbl.find_opt s.snap_paths key with
           | Some _ as hit ->
               t.hits <- t.hits + 1;
               t.shared_hits <- t.shared_hits + 1;
@@ -140,9 +128,8 @@ let find t flavor ~turn_cost ~src ~dst =
           t.misses <- t.misses + 1;
           None)
 
-let store t flavor ~turn_cost ~src ~dst path =
-  let tbl = table t flavor in
-  if Hashtbl.length tbl < max_paths then Hashtbl.replace tbl (turn_cost, src, dst) path
+let store t ~turn_cost ~src ~dst path =
+  if Hashtbl.length t.paths < max_paths then Hashtbl.replace t.paths (turn_cost, src, dst) path
 
 let hits t = t.hits
 let misses t = t.misses

@@ -14,11 +14,11 @@
       is a pure function of [(turn_cost, src, dst)] and its result can be
       replayed bit-identically.
 
-    Paths come in two flavors because two different searches cache here and
-    equal-cost ties break differently: {!Plain} entries are what the
-    engine's un-heuristic Dijkstra returns, {!Guided} entries what the
-    Pathfinder's lower-bound-guided A* returns.  Mixing them would silently
-    swap equal-cost paths and break bit-identity with the uncached runs.
+    There is one path table, and only the engine's un-heuristic Dijkstra
+    fills it ([Simulator.Engine]).  Equal-cost ties break by heap pop
+    order, so a lower-bound-guided A* may settle a different equal-cost
+    path; PathFinder therefore reads only the lower-bound tables here and
+    never stores or replays a path.
 
     A cache is single-domain mutable state.  {!domain_local} hands every
     domain its own (values are pure functions of the key, so results never
@@ -32,8 +32,6 @@
     per-domain state to per-fabric shared state. *)
 
 type t
-
-type flavor = Plain | Guided
 
 type snapshot
 (** Frozen tables for one fabric graph.  Immutable after {!freeze}
@@ -60,13 +58,13 @@ val lower_bound :
 (** The memoized per-destination table, built on first request (one Dijkstra
     sweep) and shared by every later search toward [dst] at that turn cost. *)
 
-val find : t -> flavor -> turn_cost:float -> src:int -> dst:int -> Path.t option option
-(** [Some result] when a base-weight search of this flavor was cached for the
+val find : t -> turn_cost:float -> src:int -> dst:int -> Path.t option option
+(** [Some result] when a base-weight search was cached for the
     key — [result] itself is [None] for a cached unreachable pair.  Only
     consult this while the caller's live weight function equals the base
     weights; a hit then substitutes for the search verbatim. *)
 
-val store : t -> flavor -> turn_cost:float -> src:int -> dst:int -> Path.t option -> unit
+val store : t -> turn_cost:float -> src:int -> dst:int -> Path.t option -> unit
 (** Record a base-weight search result.  Dropped silently once the soft
     entry cap is reached. *)
 
@@ -96,7 +94,7 @@ val attach : t -> snapshot -> unit
     {!shared_hits}.  Replaces any previously attached snapshot. *)
 
 val snapshot_paths : snapshot -> int
-(** Cached path entries (both flavors) in the snapshot. *)
+(** Cached path entries in the snapshot. *)
 
 val snapshot_bounds : snapshot -> int
 (** Lower-bound tables in the snapshot. *)

@@ -56,8 +56,11 @@
     keeps: the extracted component and routing graph (shared physically by
     every job, so cache keys agree), the estimator's trap-to-trap distance
     tables (one Dijkstra per trap, built once and shared), and a frozen
-    {!Router.Route_cache.snapshot} of warm lower-bound tables and
-    base-weight paths.  Jobs run with a private route cache that consults
+    {!Router.Route_cache.snapshot} of warm base-weight paths.  The
+    snapshot also has room for lower-bound tables, but only PathFinder
+    builds those and no service strategy runs it, so they stay empty (and
+    every response's [bound_builds] reads 0) until the engine searches
+    with A*.  Jobs run with a private route cache that consults
     the snapshot read-only; after each wave the private caches are frozen
     back into the snapshot, so later jobs on the fabric start warm.
     Snapshots are immutable after build and published through the pool's

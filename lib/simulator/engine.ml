@@ -177,9 +177,10 @@ let trap_candidates st ~control ~target =
    an already-there qubit yields the empty path.  While nothing is in
    flight the live weights equal the base weights and the search is a pure
    function of (turn_cost, src, dst): serve it from the domain's route
-   cache when one is armed, or run it and remember the result.  Cached
-   entries are the plain-Dijkstra answers (flavor Plain), so a hit replays
-   the uncached search bit-for-bit — equal-cost tie-breaking included. *)
+   cache when one is armed, or run it and remember the result.  The engine
+   is the only searcher that stores paths there, so every entry is a
+   plain-Dijkstra answer and a hit replays the uncached search bit-for-bit —
+   equal-cost tie-breaking included. *)
 let route_qubit st q ~to_trap =
   match qubit_trap st q with
   | None -> None
@@ -209,13 +210,13 @@ let route_qubit st q ~to_trap =
           in
           match cache with
           | Some c -> (
-              match Route_cache.find c Route_cache.Plain ~turn_cost:tc ~src ~dst with
+              match Route_cache.find c ~turn_cost:tc ~src ~dst with
               | Some result ->
                   st.route_cache_hits <- st.route_cache_hits + 1;
                   result
               | None ->
                   let result = search () in
-                  Route_cache.store c Route_cache.Plain ~turn_cost:tc ~src ~dst result;
+                  Route_cache.store c ~turn_cost:tc ~src ~dst result;
                   result)
           | None -> search ()
         end

@@ -103,17 +103,11 @@ let same_routes a b =
        a b
 
 (* The legacy schedule of reference [3], kept here as a reference model:
-   every iteration rips up and re-routes every net, in input order, with no
-   route seeding; [None] when some net has no route.  Costs and the A*
-   search are those of [Pathfinder] at its default parameters, so where
-   both schedules converge in one iteration they must agree route for
-   route.  They need not agree search for search: [Pathfinder] seeds a net
-   from its per-call cache when an earlier net of the same call has the
-   same (src, dst) pair and was searched while the live weights still
-   equalled the base weights (no resource at capacity, no history), and the
-   weights are still base now.  The model counts those nets as [seedable]:
-   in a one-iteration wave every seedable net is a seed, every other net a
-   search. *)
+   every iteration rips up and re-routes every net, in input order; [None]
+   when some net has no route.  Costs and the A* search are those of
+   [Pathfinder] at its default parameters, so where both schedules converge
+   in one iteration they must agree route for route and search for search
+   (one search per net). *)
 let legacy_route_all g ~capacity nets =
   let turn_cost = 10.0 and present_factor = 0.5 and history_increment = 1.0 in
   let cache = Route_cache.create () in
@@ -130,11 +124,7 @@ let legacy_route_all g ~capacity nets =
         Hashtbl.replace occupancy r (get occupancy r + d))
       path
   in
-  let iterations = ref 0 and searches = ref 0 and seedable = ref 0 in
-  let stored = Hashtbl.create 16 in
-  let base_weights () =
-    !iterations = 1 && not (Hashtbl.fold (fun r n acc -> acc || n >= cap r) occupancy false)
-  in
+  let iterations = ref 0 and searches = ref 0 in
   let weight (kind : Graph.edge_kind) =
     let base = match kind with Graph.Turn _ -> turn_cost | _ -> 1.0 in
     let r = Resource.pack_of_edge kind in
@@ -153,9 +143,6 @@ let legacy_route_all g ~capacity nets =
       (fun net ->
         Option.iter (fun p -> bump p (-1)) (Hashtbl.find_opt routes net.Pathfinder.net_id);
         incr searches;
-        let pair = (net.Pathfinder.src, net.Pathfinder.dst) in
-        if base_weights () then
-          if Hashtbl.mem stored pair then incr seedable else Hashtbl.replace stored pair ();
         let lb = Route_cache.lower_bound cache g ~turn_cost ~dst:net.Pathfinder.dst in
         let weights = Array.init (Graph.num_edges g) (fun i -> weight (Graph.succ_kind g i)) in
         Dijkstra.run_into ~heuristic:lb ws g ~weights ~src:net.Pathfinder.src
@@ -183,8 +170,7 @@ let legacy_route_all g ~capacity nets =
       Some
         ( List.map (fun net -> (net.Pathfinder.net_id, Hashtbl.find routes net.Pathfinder.net_id)) nets,
           !iterations,
-          !searches,
-          !seedable )
+          !searches )
 
 let test_incremental_matches_legacy_uncongested () =
   (* plenty of capacity: both schedules converge in one iteration, so the
@@ -201,7 +187,7 @@ let test_incremental_matches_legacy_uncongested () =
     | Ok o -> o
     | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
   in
-  let routes, iterations, searches, seedable =
+  let routes, iterations, searches =
     match legacy_route_all g ~capacity:cap2 nets with
     | Some l -> l
     | None -> Alcotest.fail "legacy: unroutable net"
@@ -210,40 +196,13 @@ let test_incremental_matches_legacy_uncongested () =
   check_int "legacy fixpoint within capacity" 0 (Pathfinder.max_overuse g ~capacity:cap2 routes);
   check_bool "identical routes" true (same_routes inc.Pathfinder.routes routes);
   check_int "same iterations" iterations inc.Pathfinder.iterations;
-  check_int "no duplicate pair, nothing seeded" 0 seedable;
   check_int "same searches" searches inc.Pathfinder.searches
-
-(* Two nets with the same endpoints (both reduce to trap 7 -> trap 18 on
-   the 45x85 fabric's 130 traps, as QCHECK_SEED=985047121 drew them): the
-   wave converges in one iteration with both on one route, and the second
-   net is seeded from the call's own cache where the legacy schedule
-   searches it again. *)
-let test_duplicate_nets_seeded () =
-  let g = Graph.build (quale ()) in
-  let net i = { Pathfinder.net_id = i; src = Graph.trap_node g 7; dst = Graph.trap_node g 18 } in
-  let nets = [ net 0; net 1 ] in
-  let inc =
-    match Pathfinder.route_all g ~capacity:cap2 nets with
-    | Ok o -> o
-    | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
-  in
-  let routes, iterations, searches, seedable =
-    match legacy_route_all g ~capacity:cap2 nets with
-    | Some l -> l
-    | None -> Alcotest.fail "legacy: unroutable net"
-  in
-  check_int "one iteration" 1 iterations;
-  check_int "incremental one iteration" 1 inc.Pathfinder.iterations;
-  check_bool "identical routes" true (same_routes inc.Pathfinder.routes routes);
-  check_int "legacy searches both" 2 searches;
-  check_int "the duplicate is seedable" 1 seedable;
-  check_int "one search" 1 inc.Pathfinder.searches;
-  check_int "one seed: nets - distinct pairs" 1 inc.Pathfinder.seeded
 
 (* After iteration 1 only dirty nets are re-searched, so a negotiation that
    needs [iterations] rounds over [nets] nets must run fewer searches than
-   the [nets * iterations] a full reroute of every net would.  The counts
-   are pinned: the schedule is deterministic. *)
+   the [nets * iterations] a full reroute of every net would.  Every net in
+   a round's worklist is searched once, so the pinned counts check the
+   dirty-net worklist itself: the schedule is deterministic. *)
 let check_fewer_searches label g ~capacity ~searches ~iterations nets =
   let o =
     match Pathfinder.route_all g ~capacity nets with
@@ -293,30 +252,28 @@ let test_incremental_fewer_searches_when_congested () =
            dst = Graph.trap_node g (traps - 1 - (i * 9 mod traps));
          }))
 
-let test_cache_seeds_across_calls () =
-  let comp = tile () in
-  let g = Graph.build comp in
-  let nets = [ { Pathfinder.net_id = 0; src = Graph.trap_node g 0; dst = Graph.trap_node g 3 } ] in
-  let cache = Route_cache.create () in
-  let run () =
-    match Pathfinder.route_all g ~cache ~capacity:cap2 nets with
-    | Ok o -> o
-    | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
+let test_stores_no_path () =
+  (* a wave routed on a caller-owned cache leaves lower-bound tables in it,
+     never a path: the engine is the only searcher that stores paths *)
+  let g = Graph.build (quale ()) in
+  let traps = Array.length (Component.traps (Graph.component g)) in
+  let nets =
+    List.init 6 (fun i ->
+        { Pathfinder.net_id = i; src = Graph.trap_node g (i * 7); dst = Graph.trap_node g (traps - 1 - (i * 11)) })
   in
-  let cold = run () in
-  check_int "cold call searches" 1 cold.Pathfinder.searches;
-  check_int "cold call unseeded" 0 cold.Pathfinder.seeded;
-  let warm = run () in
-  check_int "warm call seeded" 1 warm.Pathfinder.seeded;
-  check_int "warm call searches nothing" 0 warm.Pathfinder.searches;
-  check_bool "identical routes" true (same_routes cold.Pathfinder.routes warm.Pathfinder.routes)
+  let cache = Route_cache.create () in
+  (match Pathfinder.route_all g ~cache ~capacity:cap1 nets with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Pathfinder.string_of_error e));
+  let snap = Route_cache.freeze cache in
+  check_int "no path stored" 0 (Route_cache.snapshot_paths snap);
+  check_bool "lower-bound tables kept" true (Route_cache.snapshot_bounds snap > 0)
 
-(* property: a warm cache changes counters only.  A wave routed a second
-   time on the cache its first routing filled returns the same routes in the
-   same number of iterations, and serves every lookup the fresh routing
-   made, as a seed or a search: seeds are exact replays, taken only while
-   the negotiation weights still equal the base weights.  Capacities 1 and
-   2 make many waves negotiate over several iterations. *)
+(* property: a warm cache is invisible.  A wave routed a second time on the
+   cache its first routing filled (lower-bound tables only) returns the same
+   routes in the same number of iterations with the same number of
+   searches.  Capacities 1 and 2 make many waves negotiate over several
+   iterations. *)
 let quale_graph = lazy (Graph.build (quale ()))
 
 let prop_warm_cache_equals_fresh =
@@ -342,16 +299,12 @@ let prop_warm_cache_equals_fresh =
           same_routes f.Pathfinder.routes w.Pathfinder.routes
           && f.Pathfinder.iterations = w.Pathfinder.iterations
           && f.Pathfinder.overused = w.Pathfinder.overused
-          && w.Pathfinder.searches + w.Pathfinder.seeded
-             = f.Pathfinder.searches + f.Pathfinder.seeded
+          && w.Pathfinder.searches = f.Pathfinder.searches
       | _ -> false)
 
 (* property: incremental and legacy schedules agree exactly whenever the
-   wave converges without negotiation (one iteration): the same routes,
-   every net served once (searches + seeded = nets), and exactly the
-   model's seedable nets seeded.  Seeds come only from earlier nets of the
-   call, so at most nets - distinct (src, dst) pairs are seeded, and
-   exactly that many while no resource reaches capacity. *)
+   wave converges without negotiation (one iteration): the same routes, and
+   every net searched once on both sides. *)
 let prop_incremental_equals_legacy_when_clean =
   QCheck.Test.make ~name:"incremental = legacy on one-iteration waves" ~count:25
     QCheck.(list_of_size Gen.(2 -- 8) (pair (int_bound 1000) (int_bound 1000)))
@@ -366,20 +319,14 @@ let prop_incremental_equals_legacy_when_clean =
       in
       match (Pathfinder.route_all g ~capacity:cap2 nets, legacy_route_all g ~capacity:cap2 nets) with
       | Error _, None -> true
-      | Ok inc, Some (routes, iterations, searches, seedable) ->
+      | Ok inc, Some (routes, iterations, searches) ->
           (* multi-iteration negotiations may land on different equal-quality
              fixpoints; single-iteration waves must agree exactly *)
           let n = List.length nets in
-          let distinct =
-            List.length (List.sort_uniq compare (List.map (fun net -> (net.Pathfinder.src, net.Pathfinder.dst)) nets))
-          in
-          let seeded = inc.Pathfinder.seeded in
           iterations > 1
           || same_routes inc.Pathfinder.routes routes
              && searches = n
-             && inc.Pathfinder.searches + seeded = n
-             && seeded = seedable
-             && seeded <= n - distinct
+             && inc.Pathfinder.searches = n
       | _ -> false)
 
 (* property: the live negotiation array.  Random waves at capacities 1
@@ -465,10 +412,13 @@ let prop_live_negotiation_weights =
 let test_parameter_guards () =
   let comp = tile () in
   let g = Graph.build comp in
-  match Pathfinder.route_all g ~turn_cost:(-1.0) ~capacity:cap2 [] with
-  | Error (Pathfinder.Bad_parameters _) -> ()
-  | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
-  | Ok _ -> Alcotest.fail "negative turn cost accepted"
+  List.iter
+    (fun turn_cost ->
+      match Pathfinder.route_all g ~turn_cost ~capacity:cap2 [] with
+      | Error (Pathfinder.Bad_parameters _) -> ()
+      | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
+      | Ok _ -> Alcotest.failf "turn cost %g accepted" turn_cost)
+    [ -1.0; Float.nan ]
 
 (* property: on random net sets over the big fabric, a converged outcome
    never exceeds capacity *)
@@ -505,8 +455,7 @@ let () =
             test_incremental_matches_legacy_uncongested;
           Alcotest.test_case "incremental saves searches" `Quick
             test_incremental_fewer_searches_when_congested;
-          Alcotest.test_case "duplicate nets seeded" `Quick test_duplicate_nets_seeded;
-          Alcotest.test_case "cache seeds across calls" `Quick test_cache_seeds_across_calls;
+          Alcotest.test_case "PathFinder stores no path" `Quick test_stores_no_path;
           Alcotest.test_case "guards" `Quick test_parameter_guards;
         ]
         @ qsuite
