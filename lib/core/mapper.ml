@@ -405,7 +405,8 @@ let fixed_run t strategy =
   |> Result.map (fun (r : Engine.result) ->
          let result =
            { Engine.latency = r.latency; final_placement = r.final_placement;
-             route_searches = r.route_searches; route_cache_hits = r.route_cache_hits }
+             route_searches = r.route_searches; route_cache_hits = r.route_cache_hits;
+             settled_nodes = r.settled_nodes }
          in
          ( { Placer.Search.placement; result; direction = Placer.Search.Forward; runs = 1;
              evaluations = 1; latencies = [ r.latency ]; truncated = false },

@@ -50,6 +50,8 @@ let succ_start t n = t.row_start.(n)
 let succ_stop t n = t.row_start.(n + 1)
 let succ_dst t i = t.edge_dst.(i)
 let succ_kind t i = t.edge_kinds.(i)
+let row_start t = t.row_start
+let edge_dst t = t.edge_dst
 let edge_at t i = { dst = t.edge_dst.(i); kind = t.edge_kinds.(i) }
 let edge_src t i = t.edge_src.(i)
 

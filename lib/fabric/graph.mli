@@ -46,6 +46,17 @@ val succ_stop : t -> node -> int
 val succ_dst : t -> int -> node
 val succ_kind : t -> int -> edge_kind
 
+val row_start : t -> int array
+(** The CSR row offsets themselves (length [num_nodes t + 1]):
+    [(row_start t).(n)] is [succ_start t n].  Shared, not copied — read
+    only.  For the router's relax loop, which reads the arrays directly
+    because the dev profile compiles with [-opaque] and so keeps every
+    accessor call a real call. *)
+
+val edge_dst : t -> int array
+(** The CSR destination array (length [num_edges t]):
+    [(edge_dst t).(i)] is [succ_dst t i].  Shared, not copied — read only. *)
+
 val edge_at : t -> int -> edge
 (** The edge record at a CSR index — allocates; used to materialize the
     O(path) result of a search. *)

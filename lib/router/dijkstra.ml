@@ -1,11 +1,21 @@
 module Graph = Fabric.Graph
+module Fheap = Ion_util.Fheap
 
 type result = { cost : float; edges : Graph.edge list }
 
 (* The one Dijkstra/A* relax loop over the CSR adjacency.  Fills [ws] for
    the current generation; with a heuristic table the queue key is
    dist + h but settled distances are exact g-costs.  [dst = -1] sweeps
-   the whole graph, otherwise the search stops when [dst] settles. *)
+   the whole graph, otherwise the search stops when [dst] settles.
+
+   The loop is self-contained (it pops and pushes the workspace's heap
+   inline and reads the CSR arrays directly) because the dev profile's
+   [-opaque] keeps every [Fheap]/[Graph] accessor a real call per pop,
+   push and edge (doc/router.md).  Both sifts move a hole with exactly
+   [Fheap]'s comparisons, so the pop order, ties included, is [Fheap]'s.
+   Reads are unchecked: [weights] and [h] are length-checked below,
+   [Workspace.prepare] sizes the node arrays to [n], CSR indices come from
+   the graph, and [ensure_room] keeps the queue slots within its arrays. *)
 let run_into ?heuristic ws graph ~weights ~src ~dst =
   let n = Graph.num_nodes graph in
   if src < 0 || src >= n then invalid_arg "Dijkstra: source out of range";
@@ -22,47 +32,92 @@ let run_into ?heuristic ws graph ~weights ~src ~dst =
   and pred_node = ws.Workspace.pred_node
   and reached = ws.Workspace.reached
   and settled = ws.Workspace.settled
-  and queue = ws.Workspace.queue in
+  and q = ws.Workspace.queue in
+  let row_start = Graph.row_start graph and edge_dst = Graph.edge_dst graph in
   dist.(src) <- 0.0;
   pred_edge.(src) <- -1;
   pred_node.(src) <- -1;
   reached.(src) <- gen;
-  (* alone in the queue, the source pops first whatever its key *)
-  Ion_util.Fheap.add queue 0.0 src;
+  (* alone in the (cleared, never empty-capacity) queue, the source pops
+     first whatever its key *)
+  q.Fheap.prio.(0) <- 0.0;
+  q.Fheap.data.(0) <- src;
+  q.Fheap.size <- 1;
+  let count = ref 0 in
   let finished = ref false in
-  while (not !finished) && not (Ion_util.Fheap.is_empty queue) do
-    let u = Ion_util.Fheap.top_data queue in
-    Ion_util.Fheap.drop_min queue;
-    if settled.(u) <> gen then begin
-      settled.(u) <- gen;
+  while (not !finished) && q.Fheap.size > 0 do
+    let prio = q.Fheap.prio and data = q.Fheap.data in
+    let u = Array.unsafe_get data 0 in
+    (* pop: the last entry fills the root hole and sifts down *)
+    let size = q.Fheap.size - 1 in
+    q.Fheap.size <- size;
+    if size > 0 then begin
+      let key = Array.unsafe_get prio size and item = Array.unsafe_get data size in
+      let hole = ref 0 and sinking = ref true in
+      while !sinking do
+        let i = !hole in
+        let l = (2 * i) + 1 in
+        let r = l + 1 in
+        let smallest = if l < size && Array.unsafe_get prio l < key then l else i in
+        let smallest =
+          if r < size
+             && Array.unsafe_get prio r < (if smallest = i then key else Array.unsafe_get prio smallest)
+          then r
+          else smallest
+        in
+        if smallest = i then sinking := false
+        else begin
+          Array.unsafe_set prio i (Array.unsafe_get prio smallest);
+          Array.unsafe_set data i (Array.unsafe_get data smallest);
+          hole := smallest
+        end
+      done;
+      Array.unsafe_set prio !hole key;
+      Array.unsafe_set data !hole item
+    end;
+    if Array.unsafe_get settled u <> gen then begin
+      Array.unsafe_set settled u gen;
+      incr count;
       if u = dst then finished := true
       else begin
-        let du = dist.(u) in
-        for i = Graph.succ_start graph u to Graph.succ_stop graph u - 1 do
+        let du = Array.unsafe_get dist u in
+        for i = Array.unsafe_get row_start u to Array.unsafe_get row_start (u + 1) - 1 do
           let w = Array.unsafe_get weights i in
-          if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
+          if not (w >= 0.0) then invalid_arg "Dijkstra: negative or NaN edge weight";
           if w < Float.infinity then begin
-            let v = Graph.succ_dst graph i in
+            let v = Array.unsafe_get edge_dst i in
             let nd = du +. w in
-            if nd < (if reached.(v) = gen then dist.(v) else Float.infinity) then begin
-              dist.(v) <- nd;
-              pred_edge.(v) <- i;
-              pred_node.(v) <- u;
-              reached.(v) <- gen;
+            if nd < (if Array.unsafe_get reached v = gen then Array.unsafe_get dist v else Float.infinity)
+            then begin
+              Array.unsafe_set dist v nd;
+              Array.unsafe_set pred_edge v i;
+              Array.unsafe_set pred_node v u;
+              Array.unsafe_set reached v gen;
               let key = if guided then nd +. Array.unsafe_get h v else nd in
-              (* manual push: Fheap.add would box the key at the call
-                 boundary (no flambda); see the recipe in fheap.mli *)
-              Ion_util.Fheap.ensure_room queue;
-              queue.Ion_util.Fheap.prio.(queue.Ion_util.Fheap.size) <- key;
-              queue.Ion_util.Fheap.data.(queue.Ion_util.Fheap.size) <- v;
-              queue.Ion_util.Fheap.size <- queue.Ion_util.Fheap.size + 1;
-              Ion_util.Fheap.sift_up queue (queue.Ion_util.Fheap.size - 1)
+              (* push: the new entry enters a hole at the end and sifts up *)
+              if q.Fheap.size = Array.length q.Fheap.prio then Fheap.ensure_room q;
+              let prio = q.Fheap.prio and data = q.Fheap.data in
+              let hole = ref q.Fheap.size and rising = ref true in
+              q.Fheap.size <- !hole + 1;
+              while !rising && !hole > 0 do
+                let i = !hole in
+                let parent = (i - 1) / 2 in
+                if key < Array.unsafe_get prio parent then begin
+                  Array.unsafe_set prio i (Array.unsafe_get prio parent);
+                  Array.unsafe_set data i (Array.unsafe_get data parent);
+                  hole := parent
+                end
+                else rising := false
+              done;
+              Array.unsafe_set prio !hole key;
+              Array.unsafe_set data !hole v
             end
           end
         done
       end
     end
-  done
+  done;
+  ws.Workspace.settled_nodes <- !count
 
 (* Rebuild the O(path) edge list from the workspace predecessors. *)
 let path_to ws graph ~dst =

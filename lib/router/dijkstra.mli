@@ -5,7 +5,8 @@
     [Fabric.Graph.succ_start .. succ_stop - 1]) and the A* heuristic a
     [float array] indexed by node, both read unboxed, so a search
     allocates nothing per edge or push.  Weights of [infinity] model
-    saturated resources; a route through them is never returned.
+    saturated resources; a route through them is never returned.  A NaN
+    weight is an error, not a wall.
 
     Every entry point takes an optional {!Workspace.t}.  Passing one reuses
     its arrays and frontier across queries, so a query allocates O(path)
@@ -24,7 +25,7 @@ val shortest_path :
   result option
 (** [None] when the destination is unreachable under finite weights.
     A [src = dst] query yields a zero-cost empty path.
-    @raise Invalid_argument on a negative edge weight, or as {!run_into}. *)
+    @raise Invalid_argument on a negative or NaN edge weight, or as {!run_into}. *)
 
 val distances :
   ?workspace:Workspace.t ->
@@ -56,7 +57,9 @@ val run_into :
     @raise Invalid_argument when [weights] is shorter than
     [Fabric.Graph.num_edges graph] or [heuristic] shorter than
     [Fabric.Graph.num_nodes graph] (both checked once per call), on an
-    out-of-range [src]/[dst], or on a negative weight the search reads. *)
+    out-of-range [src]/[dst], or on a negative or NaN weight the search
+    reads.  Records the number of nodes it settled in the workspace's
+    [settled_nodes]. *)
 
 val path_to : Workspace.t -> Fabric.Graph.t -> dst:Fabric.Graph.node -> result option
 (** The path recorded by the last {!run_into} on this workspace. *)

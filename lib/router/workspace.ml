@@ -5,6 +5,7 @@ type t = {
   mutable reached : int array;
   mutable settled : int array;
   mutable generation : int;
+  mutable settled_nodes : int;
   queue : Ion_util.Fheap.t;
   mutable edge_weights : float array;
 }
@@ -17,6 +18,7 @@ let create () =
     reached = [||];
     settled = [||];
     generation = 0;
+    settled_nodes = 0;
     queue = Ion_util.Fheap.create ();
     edge_weights = [||];
   }
@@ -35,6 +37,7 @@ let prepare t n =
     t.generation <- 0
   end;
   t.generation <- t.generation + 1;
+  t.settled_nodes <- 0;
   Ion_util.Fheap.clear t.queue
 
 let dist t n = if t.reached.(n) = t.generation then t.dist.(n) else Float.infinity

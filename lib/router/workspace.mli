@@ -18,6 +18,9 @@ type t = {
   mutable reached : int array;  (** generation stamp: dist/pred are valid *)
   mutable settled : int array;  (** generation stamp: node popped with final cost *)
   mutable generation : int;
+  mutable settled_nodes : int;
+      (** nodes the last {!Dijkstra.run_into} settled (popped with a final
+          cost) — the search's work count; 0 after {!prepare} *)
   queue : Ion_util.Fheap.t;  (** unboxed frontier: no allocation per push *)
   mutable edge_weights : float array;
       (** per-edge weight slot for {!Dijkstra.run_into}'s [weights];
@@ -36,7 +39,7 @@ val domain_local : unit -> t
 val prepare : t -> int -> unit
 (** [prepare t n] readies the workspace for a query on an [n]-node graph:
     grows the arrays if needed, invalidates all previous stamps by bumping
-    the generation and clears the queue. *)
+    the generation, zeroes [settled_nodes] and clears the queue. *)
 
 val dist : t -> int -> float
 (** Tentative distance of a node in the current generation, [infinity] when

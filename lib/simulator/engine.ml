@@ -33,6 +33,7 @@ type score = {
   final_placement : int array;
   route_searches : int;
   route_cache_hits : int;
+  settled_nodes : int;
 }
 
 type result = {
@@ -42,6 +43,7 @@ type result = {
   stats : instr_stats array;
   route_searches : int;
   route_cache_hits : int;
+  settled_nodes : int;
 }
 
 (* Events are int-packed for the unboxed event queue: bit 0 tags the kind
@@ -95,6 +97,7 @@ type state = {
   route_cache : Route_cache.t option; (* congestion-free path memo; None = uncached *)
   mutable route_searches : int;
   mutable route_cache_hits : int;
+  mutable settled_nodes : int; (* summed over the run's searches *)
 }
 
 let policy_turn_cost policy timing = if policy.turn_aware then Timing.turn_cost_in_moves timing else 0.0
@@ -206,6 +209,7 @@ let route_qubit st q ~to_trap =
           let search () =
             st.route_searches <- st.route_searches + 1;
             Dijkstra.run_into st.workspace st.graph ~weights:st.edge_weights ~src ~dst;
+            st.settled_nodes <- st.settled_nodes + st.workspace.Router.Workspace.settled_nodes;
             Path.of_workspace st.workspace st.graph ~src ~dst
           in
           match cache with
@@ -485,6 +489,7 @@ let simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_fac
           route_cache;
           route_searches = 0;
           route_cache_hits = 0;
+          settled_nodes = 0;
         }
       in
       (match route_cache with Some c -> Route_cache.for_graph c graph | None -> ());
@@ -568,6 +573,7 @@ let score ~graph ~timing ~policy ~dag ~priorities ~placement ?max_events_factor 
            final_placement = final_placement_of st;
            route_searches = st.route_searches;
            route_cache_hits = st.route_cache_hits;
+           settled_nodes = st.settled_nodes;
          })
 
 let run ~graph ~timing ~policy ~dag ~priorities ~placement ?max_events_factor ?route_cache ?cancel ()
@@ -592,4 +598,5 @@ let run ~graph ~timing ~policy ~dag ~priorities ~placement ?max_events_factor ?r
            stats;
            route_searches = st.route_searches;
            route_cache_hits = st.route_cache_hits;
+           settled_nodes = st.settled_nodes;
          })

@@ -51,6 +51,9 @@ type score = {
   final_placement : int array;  (** qubit -> trap id at completion *)
   route_searches : int;  (** single-net Dijkstra searches actually run *)
   route_cache_hits : int;  (** searches served verbatim from the route cache *)
+  settled_nodes : int;
+      (** nodes settled, summed over the [route_searches] searches: the
+          router's work count *)
 }
 (** What a placement search needs from a run: {!score}'s answer.  Its
     fields are bit-equal to the same-named fields of {!result} for the same
@@ -63,6 +66,9 @@ type result = {
   stats : instr_stats array;
   route_searches : int;  (** single-net Dijkstra searches actually run *)
   route_cache_hits : int;  (** searches served verbatim from the route cache *)
+  settled_nodes : int;
+      (** nodes settled, summed over the [route_searches] searches: the
+          router's work count *)
 }
 
 type error =

@@ -22,31 +22,52 @@ let ensure_room t =
     t.data <- data
   end
 
-let swap t i j =
-  let p = t.prio.(i) and d = t.data.(i) in
-  t.prio.(i) <- t.prio.(j);
-  t.data.(i) <- t.data.(j);
-  t.prio.(j) <- p;
-  t.data.(j) <- d
-
-let rec sift_up t i =
-  if i > 0 then begin
+(* Both sifts move a hole: the sifting entry is held in locals and
+   written once, where it lands, instead of being swapped level by level.
+   The comparisons are a swap-based sift's, in the same order, so the
+   layout (and with it the pop order, ties included) is the same.  Slots
+   read unchecked are below [size] (and [sift_up]'s start slot is read
+   checked), so they are within the arrays. *)
+let sift_up t i =
+  let prio = t.prio and data = t.data in
+  let p = prio.(i) and d = data.(i) in
+  let hole = ref i and rising = ref true in
+  while !rising && !hole > 0 do
+    let i = !hole in
     let parent = (i - 1) / 2 in
-    if t.prio.(i) < t.prio.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+    if p < Array.unsafe_get prio parent then begin
+      Array.unsafe_set prio i (Array.unsafe_get prio parent);
+      Array.unsafe_set data i (Array.unsafe_get data parent);
+      hole := parent
     end
-  end
+    else rising := false
+  done;
+  Array.unsafe_set prio !hole p;
+  Array.unsafe_set data !hole d
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.prio.(l) < t.prio.(!smallest) then smallest := l;
-  if r < t.size && t.prio.(r) < t.prio.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+let sift_down t i =
+  let prio = t.prio and data = t.data and size = t.size in
+  let p = prio.(i) and d = data.(i) in
+  let hole = ref i and sinking = ref true in
+  while !sinking do
+    let i = !hole in
+    let l = (2 * i) + 1 in
+    let r = l + 1 in
+    let smallest = if l < size && Array.unsafe_get prio l < p then l else i in
+    let smallest =
+      if r < size && Array.unsafe_get prio r < (if smallest = i then p else Array.unsafe_get prio smallest)
+      then r
+      else smallest
+    in
+    if smallest = i then sinking := false
+    else begin
+      Array.unsafe_set prio i (Array.unsafe_get prio smallest);
+      Array.unsafe_set data i (Array.unsafe_get data smallest);
+      hole := smallest
+    end
+  done;
+  Array.unsafe_set prio !hole p;
+  Array.unsafe_set data !hole d
 
 let add t p v =
   ensure_room t;

@@ -21,6 +21,24 @@
       Fheap.sift_up q (q.size - 1)
     ]}
 
+    and pop by reading slot 0 before {!drop_min}, which moves no float
+    either:
+
+    {[
+      let t = q.Fheap.prio.(0) and v = q.Fheap.data.(0) in
+      Fheap.drop_min q
+    ]}
+
+    Both sifts move a hole: the sifting entry is written once where it
+    lands, and the comparisons are a swap-based sift's, in the same order
+    — the strict [p < prio parent] going up; going down the left child
+    when strictly smaller than the entry, then the right child when
+    strictly smaller than the smaller of the two.  So a sequence of pushes
+    and pops leaves the same layout, and pops the same entries, ties
+    included, as a swap-based heap would.  [Router.Dijkstra.run_into]
+    inlines both sifts with exactly these comparisons (its loop would
+    otherwise pay a real call per pop and push under [-opaque]).
+
     Everyone else should keep to the functions below. *)
 
 type t = {

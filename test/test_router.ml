@@ -173,12 +173,17 @@ let test_dijkstra_blocked () =
   | None -> ()
   | Some _ -> Alcotest.fail "path through infinite weights"
 
+(* a NaN weight fails every comparison, so an unguarded loop would read
+   it as a wall; it must raise like a negative one *)
 let test_dijkstra_negative_rejected () =
   let g = Graph.build (tile ()) in
   let src = Graph.trap_node g 0 and dst = Graph.trap_node g 3 in
-  match Dijkstra.shortest_path g ~weights:(tabulate g (fun _ -> -1.0)) ~src ~dst with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative weights accepted"
+  List.iter
+    (fun w ->
+      match Dijkstra.shortest_path g ~weights:(tabulate g (fun _ -> w)) ~src ~dst with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "weight %g accepted" w)
+    [ -1.0; Float.nan ]
 
 let test_dijkstra_short_edge_weights () =
   let g = Graph.build (tile ()) in

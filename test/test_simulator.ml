@@ -397,7 +397,8 @@ let test_validate_wrong_durations () =
    shared by its 40 jobs in order, so warm-cache hits are pinned too.  Per
    fabric, the pin is an FNV-1a 64 fold over every job's latency bits,
    certificate digest, route searches and route-cache hits, plus the
-   search and hit totals.  Scheduler, router and engine rewrites must leave
+   search, hit and settled-node totals (the last counts the router's
+   work, so a search that visits more nodes for the same paths shows).  Scheduler, router and engine rewrites must leave
    all four rows untouched. *)
 let ingress_fabrics () =
   [
@@ -424,14 +425,14 @@ let fnv_add h (x : int64) =
   done;
   !h
 
-(* (fold, searches, hits) for one fabric *)
+(* (fold, searches, hits, settled nodes) for one fabric *)
 let ingress_row programs lay =
   let graph = build_graph lay in
   let comp = Graph.component graph in
   let cache = Route_cache.create () in
   Route_cache.for_graph cache graph;
   List.fold_left
-    (fun (h, searches, hits) p ->
+    (fun (h, searches, hits, settled) p ->
       let placement = Placer.Center.place comp ~num_qubits:(Program.num_qubits p) in
       let tm = Timing.paper and policy = Engine.qspr_policy in
       let dag = Dag.of_program p in
@@ -447,21 +448,26 @@ let ingress_row programs lay =
           let h = fnv_add h c.Analysis.Certify.digest in
           let h = fnv_add h (Int64.of_int r.Engine.route_searches) in
           let h = fnv_add h (Int64.of_int r.Engine.route_cache_hits) in
-          (h, searches + r.Engine.route_searches, hits + r.Engine.route_cache_hits))
-    (0xcbf29ce484222325L, 0, 0) programs
+          ( h,
+            searches + r.Engine.route_searches,
+            hits + r.Engine.route_cache_hits,
+            settled + r.Engine.settled_nodes ))
+    (0xcbf29ce484222325L, 0, 0, 0) programs
 
 let ingress_pins =
   [
-    ("quale 45x85", (-4083567073653792407L, 4560, 1768));
-    ("grid 45x27", (-2847217218187899708L, 4455, 1891));
-    ("grid 29x21", (8407068184133523162L, 4376, 1967));
-    ("linear 40", (-4307074857731519715L, 3447, 2565));
+    ("quale 45x85", (-4083567073653792407L, 4560, 1768, 976492));
+    ("grid 45x27", (-2847217218187899708L, 4455, 1891, 613068));
+    ("grid 29x21", (8407068184133523162L, 4376, 1967, 391804));
+    ("linear 40", (-4307074857731519715L, 3447, 2565, 82398));
   ]
 
 let test_ingress_pins () =
   let programs = ingress_programs () in
   let rows = List.map (fun (name, lay) -> (name, ingress_row programs lay)) (ingress_fabrics ()) in
-  let show (name, (h, s, k)) = Printf.sprintf "%s: fold %LdL, %d searches, %d hits" name h s k in
+  let show (name, (h, s, k, n)) =
+    Printf.sprintf "%s: fold %LdL, %d searches, %d hits, %d settled" name h s k n
+  in
   Alcotest.(check (list string)) "ingress rows" (List.map show ingress_pins) (List.map show rows)
 
 (* property: [Engine.score] is [Engine.run] without materialization.  On
@@ -503,6 +509,7 @@ let prop_score_equals_run =
             && s.final_placement = r.final_placement
             && s.route_searches = r.route_searches
             && s.route_cache_hits = r.route_cache_hits
+            && s.settled_nodes = r.settled_nodes
         | Error a, Error b -> a = b
         | Ok _, Error _ | Error _, Ok _ -> false
       in

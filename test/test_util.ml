@@ -232,6 +232,93 @@ let prop_manual_push_equals_add =
         xs;
       drain a = drain m)
 
+(* A copy of the swap-based binary heap Fheap used before its sifts moved
+   a hole, kept as the reference for the layout and pop order. *)
+module Swap_heap = struct
+  type t = { mutable prio : float array; mutable data : int array; mutable size : int }
+
+  let create () = { prio = Array.make 1 0.0; data = Array.make 1 0; size = 0 }
+
+  let swap t i j =
+    let p = t.prio.(i) and d = t.data.(i) in
+    t.prio.(i) <- t.prio.(j);
+    t.data.(i) <- t.data.(j);
+    t.prio.(j) <- p;
+    t.data.(j) <- d
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.prio.(i) < t.prio.(parent) then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.size && t.prio.(l) < t.prio.(!smallest) then smallest := l;
+    if r < t.size && t.prio.(r) < t.prio.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let add t p v =
+    if t.size = Array.length t.prio then begin
+      t.prio <- Array.append t.prio (Array.make t.size 0.0);
+      t.data <- Array.append t.data (Array.make t.size 0)
+    end;
+    t.prio.(t.size) <- p;
+    t.data.(t.size) <- v;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let pop t =
+    let top = (t.prio.(0), t.data.(0)) in
+    t.size <- t.size - 1;
+    if t.size > 0 then begin
+      t.prio.(0) <- t.prio.(t.size);
+      t.data.(0) <- t.data.(t.size);
+      sift_down t 0
+    end;
+    top
+end
+
+(* ops: 0 pops (when non-empty), 1..3 pushes that priority with the op's
+   index as payload — three priorities, so most comparisons are ties *)
+let prop_hole_sifts_equal_swaps =
+  QCheck.Test.make ~name:"hole sifts pop and lay out the same as swap sifts" ~count:500
+    QCheck.(list (int_bound 3))
+    (fun ops ->
+      let q = Fheap.create ~capacity:1 () and s = Swap_heap.create () in
+      let pop () =
+        let p = Fheap.top_prio q and d = Fheap.top_data q in
+        Fheap.drop_min q;
+        ((p, d), Swap_heap.pop s)
+      in
+      let pops =
+        List.concat
+          (List.mapi
+             (fun v op ->
+               if op > 0 then begin
+                 Fheap.add q (float_of_int op) v;
+                 Swap_heap.add s (float_of_int op) v;
+                 []
+               end
+               else if Fheap.is_empty q then []
+               else [ pop () ])
+             ops)
+      in
+      let same_layout =
+        Fheap.length q = s.Swap_heap.size
+        && Array.sub q.Fheap.prio 0 s.size = Array.sub s.prio 0 s.size
+        && Array.sub q.Fheap.data 0 s.size = Array.sub s.data 0 s.size
+      in
+      let rest = List.init (Fheap.length q) (fun _ -> pop ()) in
+      same_layout && List.for_all (fun (a, b) -> a = b) (pops @ rest))
+
 (* ---------------------------------------------------------------- Stats *)
 
 let test_stats_mean () =
@@ -459,7 +546,7 @@ let () =
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           Alcotest.test_case "growth" `Quick test_pqueue_growth;
         ]
-        @ qsuite [ prop_pqueue_sorts; prop_manual_push_equals_add ] );
+        @ qsuite [ prop_pqueue_sorts; prop_manual_push_equals_add; prop_hole_sifts_equal_swaps ] );
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
