@@ -133,7 +133,8 @@ let create ~fabric ?(config = Config.default) ?prebuilt ?distance ?route_cache p
               | Error _ -> (None, None)
             in
             let estimator =
-              lazy (Estimator.Model.create ~graph ~timing:config.Config.timing ?distance dag)
+              lazy
+                (Estimator.Model.create ~graph ~timing:config.Config.timing ?distance ~priorities dag)
             in
             Ok
               {

@@ -4,9 +4,11 @@
 
     The model pairs the {!Distance} tables of the fabric with an
     event-driven mirror of [Simulator.Engine.run] in which every route
-    search is replaced by a table lookup.  Instructions issue eagerly in
-    the engine's priority order ([Scheduler.Priority.qspr_default])
-    whenever their operands are free; a two-qubit gate sends both operands
+    search is replaced by a table lookup.  The mirror runs on the engine's
+    own frontier structures — a [Scheduler.Ready_set] over the caller's
+    issue priorities and an [Ion_util.Fheap] of completions — so
+    instructions issue in exactly the engine's order whenever their
+    operands are free; a two-qubit gate sends both operands
     at issue time to the trap nearest the midpoint of their positions that
     hosts no bystander ion — the engine's own trap choice — pays the
     modeled travel plus the gate delay, and leaves them co-located there.
@@ -17,10 +19,11 @@
     their moves are stretched by a per-extra-gate factor, a level-granular
     collapse of the router's contention term.
 
-    [estimate] performs no routing, no engine run, and no allocation
-    (clock/position scratch is domain-local), so thousands of candidate
-    placements can be scored for the cost of one routed evaluation — the
-    basis of the placement pre-screening pipeline. *)
+    [estimate] performs no routing and no engine run, so thousands of
+    candidate placements can be scored for the cost of one routed
+    evaluation — the basis of the placement pre-screening pipeline.  Each
+    call allocates its own frontier, heap and position arrays (O(n + traps)
+    words); the model holds no mutable state. *)
 
 type t
 
@@ -28,10 +31,11 @@ val create :
   graph:Fabric.Graph.t ->
   timing:Router.Timing.t ->
   ?distance:Distance.t ->
+  priorities:float array ->
   Qasm.Dag.t ->
   t
-(** Builds the distance tables (one Dijkstra per trap), the engine's issue
-    priorities and the per-level two-qubit gate census of the QIDG.
+(** Builds the distance tables (one Dijkstra per trap) and the per-level
+    two-qubit gate census of the QIDG.
     [distance] supplies prebuilt tables instead (the expensive per-fabric
     half — the service batch path shares one set across all jobs on a
     fabric); it must have been built on the same fabric at this timing's
@@ -39,8 +43,12 @@ val create :
     travel time grows by 1% for every concurrent two-qubit gate beyond 2 in
     its level, calibrated against the measured engine on the paper's
     Table-1 circuits (mean absolute relative error about 1%).
+    [priorities] are the engine's issue priorities for the DAG's nodes (the
+    mapper passes its [Scheduler.Priority.qspr_default] array).  The model
+    keeps the array without copying it, so the caller must not mutate it.
     @raise Invalid_argument on a [distance] that doesn't match the graph
-    and timing. *)
+    and timing, or a [priorities] array whose length is not the DAG's node
+    count. *)
 
 val distance : t -> Distance.t
 val num_qubits : t -> int
@@ -65,8 +73,8 @@ val estimate : t -> int array -> float
 (** [estimate t placement] — predicted execution latency in microseconds of
     mapping the program with [placement.(q)] as qubit [q]'s starting trap.
     A pure function of [(t, placement)]: fanning calls out on
-    [Ion_util.Domain_pool] is bit-identical to a sequential loop (scratch
-    state is per-domain).  Returns [infinity] when the placement puts
+    [Ion_util.Domain_pool] is bit-identical to a sequential loop (all
+    mutable state is per call).  Returns [infinity] when the placement puts
     interacting operands in mutually unreachable fabric components.
     @raise Invalid_argument when the placement's arity or trap ids don't
     match the model's program and fabric. *)

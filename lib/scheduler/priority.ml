@@ -1,13 +1,13 @@
 open Qasm
 
 type t =
-  | Qspr of { dependents_weight : float; path_weight : float }
+  | Qspr
   | Alap
   | Dependents_count
   | Dependent_delay
   | Fixed of float array
 
-let qspr_default = Qspr { dependents_weight = 1.0; path_weight = 1.0 }
+let qspr_default = Qspr
 
 (* total delay of all transitive dependents, per node: BFS from each node
    (circuits are small; O(V*E) is fine) *)
@@ -32,10 +32,10 @@ let dependent_delay ~delay g =
 let compute t ~delay g =
   let n = Dag.num_nodes g in
   match t with
-  | Qspr { dependents_weight; path_weight } ->
+  | Qspr ->
       let deps = Dag.dependents g in
       let lts = Dag.longest_to_sink ~delay g in
-      Array.init n (fun i -> (dependents_weight *. float_of_int deps.(i)) +. (path_weight *. lts.(i)))
+      Array.init n (fun i -> float_of_int deps.(i) +. lts.(i))
   | Alap ->
       let alap = Dag.alap_times ~delay g in
       Array.map (fun t -> -.t) alap

@@ -4,9 +4,9 @@
     all tools surveyed by the paper drive a list scheduler with a priority
     function over the QIDG:
 
-    - [Qspr]: the paper's policy — a linear combination of the number of
-      (transitively) dependent operations and the longest path delay from the
-      instruction to the end of the graph;
+    - [Qspr]: the paper's policy — the number of (transitively) dependent
+      operations plus the longest path delay from the instruction to the end
+      of the graph, both at unit weight;
     - [Alap]: QUALE's policy — instructions extracted in as-late-as-possible
       order (earlier ALAP start time means higher priority);
     - [Dependents_count]: QPOS's initial priority;
@@ -18,14 +18,14 @@
     Higher priority issues first; ties break toward lower instruction id. *)
 
 type t =
-  | Qspr of { dependents_weight : float; path_weight : float }
+  | Qspr
   | Alap
   | Dependents_count
   | Dependent_delay
   | Fixed of float array
 
 val qspr_default : t
-(** Unit weights on both terms. *)
+(** [Qspr], the priority the mapper and the estimator issue by. *)
 
 val compute : t -> delay:(Qasm.Instr.t -> float) -> Qasm.Dag.t -> float array
 (** Priority of every node.

@@ -120,6 +120,245 @@ let test_estimate_pins () =
     "estimate bits" estimate_pinned
     (List.map render_estimates (Circuits.Qecc.all ()))
 
+(* ------------------------------------------------------------ reference *)
+
+(* Reference for [Model.estimate]: the same event loop on its own
+   frontier, a ready list insertion-sorted by (priority desc, id asc) each
+   round and a 1-indexed binary heap of completions, over arrays rebuilt
+   from the model's view, the DAG and the fabric.  The two must return the
+   same bits on every placement. *)
+let reference_estimate ctx placement =
+  let v = Estimator.Model.view (Mapper.estimator_model ctx) in
+  let prio = Mapper.qspr_priorities ctx and dag = Mapper.dag ctx in
+  let traps = Fabric.Component.traps (Mapper.component ctx) in
+  let tx = Array.map (fun tr -> tr.Fabric.Component.tpos.Ion_util.Coord.x) traps in
+  let ty = Array.map (fun tr -> tr.Fabric.Component.tpos.Ion_util.Coord.y) traps in
+  let dist = v.Estimator.Model.v_dist and tm = v.Estimator.Model.v_timing in
+  let kind = v.Estimator.Model.v_kind and qa = v.Estimator.Model.v_qa in
+  let qb = v.Estimator.Model.v_qb and stretch = v.Estimator.Model.v_stretch in
+  let succs = v.Estimator.Model.v_succs in
+  let n = Array.length kind and ntraps = Array.length tx in
+  let choose_meet occ a b =
+    let mx = (tx.(a) + tx.(b)) / 2 and my = (ty.(a) + ty.(b)) / 2 in
+    let best = ref (-1) and best_d = ref max_int in
+    for m = 0 to ntraps - 1 do
+      if occ.(m) = 0 then begin
+        let d = abs (tx.(m) - mx) + abs (ty.(m) - my) in
+        if d < !best_d then begin
+          best := m;
+          best_d := d
+        end
+      end
+    done;
+    if !best < 0 then Estimator.Distance.meet dist a b else !best
+  in
+  let engaged = Array.make v.Estimator.Model.v_nq false and pos = Array.copy placement in
+  let occ = Array.make ntraps 0 in
+  Array.iter (fun p -> occ.(p) <- occ.(p) + 1) placement;
+  let indeg = Array.init n (fun i -> List.length (Qasm.Dag.node dag i).Qasm.Dag.preds) in
+  let status = Array.make n 0 and ready = Array.make n 0 in
+  let heap_time = Array.make (n + 1) 0.0 and heap_id = Array.make (n + 1) 0 in
+  let nready = ref 0 in
+  for i = 0 to n - 1 do
+    if indeg.(i) = 0 then begin
+      status.(i) <- 1;
+      ready.(!nready) <- i;
+      incr nready
+    end
+  done;
+  let nheap = ref 0 in
+  let heap_push time id =
+    incr nheap;
+    let k = ref !nheap in
+    while !k > 1 && heap_time.(!k / 2) > time do
+      heap_time.(!k) <- heap_time.(!k / 2);
+      heap_id.(!k) <- heap_id.(!k / 2);
+      k := !k / 2
+    done;
+    heap_time.(!k) <- time;
+    heap_id.(!k) <- id
+  in
+  let heap_pop () =
+    let id = heap_id.(1) in
+    let time = heap_time.(!nheap) and tid = heap_id.(!nheap) in
+    decr nheap;
+    let k = ref 1 in
+    let continue = ref (!nheap > 1) in
+    while !continue do
+      let l = 2 * !k in
+      let c =
+        if l > !nheap then 0
+        else if l + 1 <= !nheap && heap_time.(l + 1) < heap_time.(l) then l + 1
+        else l
+      in
+      if c = 0 || heap_time.(c) >= time then continue := false
+      else begin
+        heap_time.(!k) <- heap_time.(c);
+        heap_id.(!k) <- heap_id.(c);
+        k := c
+      end
+    done;
+    if !nheap > 0 then begin
+      heap_time.(!k) <- time;
+      heap_id.(!k) <- tid
+    end;
+    id
+  in
+  let clock = ref 0.0 and latency = ref 0.0 in
+  let ready_succs i =
+    Array.iter
+      (fun s ->
+        indeg.(s) <- indeg.(s) - 1;
+        if indeg.(s) = 0 && status.(s) = 0 then begin
+          status.(s) <- 1;
+          ready.(!nready) <- s;
+          incr nready
+        end)
+      succs.(i)
+  in
+  let complete i =
+    (match kind.(i) with
+    | 1 -> engaged.(qa.(i)) <- false
+    | 2 ->
+        engaged.(qa.(i)) <- false;
+        engaged.(qb.(i)) <- false
+    | _ -> ());
+    ready_succs i
+  in
+  let issue_round () =
+    let again = ref true in
+    while !again do
+      again := false;
+      let w = ref 0 in
+      for r = 0 to !nready - 1 do
+        if status.(ready.(r)) = 1 then begin
+          ready.(!w) <- ready.(r);
+          incr w
+        end
+      done;
+      nready := !w;
+      for r = 1 to !nready - 1 do
+        let id = ready.(r) in
+        let p = prio.(id) in
+        let j = ref r in
+        while
+          !j > 0 && (prio.(ready.(!j - 1)) < p || (prio.(ready.(!j - 1)) = p && ready.(!j - 1) > id))
+        do
+          ready.(!j) <- ready.(!j - 1);
+          decr j
+        done;
+        ready.(!j) <- id
+      done;
+      for r = 0 to !nready - 1 do
+        let i = ready.(r) in
+        match kind.(i) with
+        | 0 ->
+            status.(i) <- 2;
+            ready_succs i;
+            again := true
+        | 1 ->
+            let q = qa.(i) in
+            if not engaged.(q) then begin
+              status.(i) <- 2;
+              engaged.(q) <- true;
+              let finish = !clock +. tm.Router.Timing.t_gate1 in
+              if finish > !latency then latency := finish;
+              heap_push finish i;
+              again := true
+            end
+        | _ ->
+            let c = qa.(i) and tgt = qb.(i) in
+            if not (engaged.(c) || engaged.(tgt)) then begin
+              status.(i) <- 2;
+              engaged.(c) <- true;
+              engaged.(tgt) <- true;
+              let a = pos.(c) and b = pos.(tgt) in
+              let arrive =
+                if a = b then !clock
+                else begin
+                  occ.(a) <- occ.(a) - 1;
+                  occ.(b) <- occ.(b) - 1;
+                  let m = choose_meet occ a b in
+                  occ.(m) <- occ.(m) + 2;
+                  pos.(c) <- m;
+                  pos.(tgt) <- m;
+                  let scale = tm.Router.Timing.t_move *. stretch.(i) in
+                  !clock
+                  +. Float.max (Estimator.Distance.between dist a m) (Estimator.Distance.between dist b m)
+                     *. scale
+                end
+              in
+              let finish = arrive +. tm.Router.Timing.t_gate2 in
+              if finish > !latency then latency := finish;
+              heap_push finish i;
+              again := true
+            end
+      done
+    done
+  in
+  issue_round ();
+  while !nheap > 0 do
+    let time = heap_time.(1) in
+    clock := time;
+    while !nheap > 0 && heap_time.(1) <= time +. 1e-9 do
+      complete (heap_pop ())
+    done;
+    issue_round ()
+  done;
+  !latency
+
+(* The service benchmark's four fabrics, each extracted once with its
+   distance tables, so every context on a fabric shares them. *)
+let ingress_fabrics =
+  lazy
+    (List.map
+       (fun lay ->
+         match Fabric.Component.extract lay with
+         | Error e -> Alcotest.failf "extract: %s" e
+         | Ok comp ->
+             let graph = Fabric.Graph.build comp in
+             let turn_cost = Router.Timing.turn_cost_in_moves Config.default.Config.timing in
+             (lay, (comp, graph), Estimator.Distance.build graph ~turn_cost))
+       Fabric.Layout.
+         [
+           quale_45x85 ();
+           make_grid ~width:45 ~height:27 ~pitch_x:8 ~pitch_y:6 ~margin:2 ~traps_per_channel:1 ();
+           make_grid ~width:29 ~height:21 ~pitch_x:6 ~pitch_y:5 ~margin:2 ~traps_per_channel:1 ();
+           linear ~traps:40 ();
+         ])
+
+(* A Table-1 circuit (program < 6) or a random Clifford program of the
+   service benchmark's shape (6-19 qubits, 40-440 gates), on one of the
+   four fabrics, estimated at four random center permutations.  Table-1
+   circuits too large for a fabric's traps are skipped. *)
+let prop_estimate_equals_reference =
+  QCheck.Test.make ~count:200 ~name:"estimate = hand-rolled reference"
+    QCheck.(triple (int_range 0 3) (int_range 0 11) small_nat)
+    (fun (fabric, program, seed) ->
+      let lay, prebuilt, distance = List.nth (Lazy.force ingress_fabrics) fabric in
+      let rng = Ion_util.Rng.create seed in
+      let p =
+        if program < 6 then snd (List.nth (Circuits.Qecc.all ()) program)
+        else
+          let num_qubits = 6 + Ion_util.Rng.int rng 14 in
+          Circuits.Library.random_clifford rng ~num_qubits ~gates:(40 + Ion_util.Rng.int rng 401)
+      in
+      match Mapper.create ~fabric:lay ~prebuilt ~distance p with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok ctx ->
+          let model = Mapper.estimator_model ctx and comp = Mapper.component ctx in
+          let num_qubits = Qasm.Program.num_qubits p in
+          List.for_all
+            (fun _ ->
+              let placement = Placer.Center.place_permuted rng comp ~num_qubits in
+              let got = Estimator.Model.estimate model placement
+              and want = reference_estimate ctx placement in
+              Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
+              || QCheck.Test.fail_reportf "placement [%s]: estimate %h, reference %h"
+                   (String.concat ";" (Array.to_list (Array.map string_of_int placement)))
+                   got want)
+            [ 1; 2; 3; 4 ])
+
 (* ------------------------------------------------------------- accuracy *)
 
 let test_mean_relative_error_within_bound () =
@@ -251,6 +490,7 @@ let () =
             test_estimate_domain_pool_bit_identical;
           Alcotest.test_case "bad placements rejected" `Quick test_estimate_rejects_bad_placements;
           Alcotest.test_case "estimate pins on the Table-1 circuits" `Quick test_estimate_pins;
+          QCheck_alcotest.to_alcotest prop_estimate_equals_reference;
         ] );
       ( "accuracy",
         [
