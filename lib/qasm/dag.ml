@@ -1,6 +1,6 @@
 type node = { id : int; instr : Instr.t; preds : int list; succs : int list }
 
-type t = { program : Program.t; nodes : node array }
+type t = { program : Program.t; nodes : node array; in_degree : int array }
 
 (* Dependency semantics: the control operand of a two-qubit gate is a read,
    the target (and the operand of any one-qubit instruction) a write.  Two
@@ -43,12 +43,13 @@ let of_program (program : Program.t) =
     Array.init n (fun i ->
         { id = i; instr = program.instrs.(i); preds = preds.(i); succs = List.rev succs.(i) })
   in
-  { program; nodes }
+  { program; nodes; in_degree = Array.map List.length preds }
 
 let program t = t.program
 let nodes t = t.nodes
 let num_nodes t = Array.length t.nodes
 let node t i = t.nodes.(i)
+let in_degrees t = Array.copy t.in_degree
 
 let sources t =
   Array.to_list t.nodes |> List.filter (fun n -> n.preds = []) |> List.map (fun n -> n.id)

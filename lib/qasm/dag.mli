@@ -36,6 +36,10 @@ val nodes : t -> node array
 val num_nodes : t -> int
 val node : t -> int -> node
 
+val in_degrees : t -> int array
+(** A fresh copy of every node's predecessor count, tabulated once when
+    the graph is built. *)
+
 val sources : t -> int list
 (** Nodes with no predecessors. *)
 

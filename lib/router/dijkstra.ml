@@ -3,19 +3,35 @@ module Fheap = Ion_util.Fheap
 
 type result = { cost : float; edges : Graph.edge list }
 
+(* 2^20: hops below a million stay exact beside half-unit costs *)
+let hop_scale = 1048576.0
+
 (* The one Dijkstra/A* relax loop over the CSR adjacency.  Fills [ws] for
    the current generation; with a heuristic table the queue key is
    dist + h but settled distances are exact g-costs.  [dst = -1] sweeps
    the whole graph, otherwise the search stops when [dst] settles.
 
+   A search toward [dst] breaks ties canonically, so the path returned
+   never depends on the heap's pop order (doc/router.md, "Canonical
+   tie-break"):
+   - a node's label is (cost, hops), compared lexicographically, and the
+     queue key is [(cost + h) * 2^20 + hops], exact while weights and
+     heuristic values are multiples of 0.5;
+   - among the tight in-edges of a label, [pred_edge] keeps the lowest
+     CSR index.
+   Every edge adds a hop, so a tight predecessor's key is strictly below
+   its successor's and settles first, also through zero-weight turns and
+   under a consistent heuristic.  Hence Dijkstra and A* return the same
+   path.
+
    The loop is self-contained (it pops and pushes the workspace's heap
    inline and reads the CSR arrays directly) because the dev profile's
    [-opaque] keeps every [Fheap]/[Graph] accessor a real call per pop,
    push and edge (doc/router.md).  Both sifts move a hole with exactly
-   [Fheap]'s comparisons, so the pop order, ties included, is [Fheap]'s.
-   Reads are unchecked: [weights] and [h] are length-checked below,
-   [Workspace.prepare] sizes the node arrays to [n], CSR indices come from
-   the graph, and [ensure_room] keeps the queue slots within its arrays. *)
+   [Fheap]'s comparisons.  Reads are unchecked: [weights] and [h] are
+   length-checked below, [Workspace.prepare] sizes the node arrays to
+   [n], CSR indices come from the graph, and [ensure_room] keeps the
+   queue slots within its arrays. *)
 let run_into ?heuristic ws graph ~weights ~src ~dst =
   let n = Graph.num_nodes graph in
   if src < 0 || src >= n then invalid_arg "Dijkstra: source out of range";
@@ -25,9 +41,15 @@ let run_into ?heuristic ws graph ~weights ~src ~dst =
     invalid_arg "Dijkstra: weights shorter than the edge count";
   let h = Option.value heuristic ~default:[||] and guided = Option.is_some heuristic in
   if guided && Array.length h < n then invalid_arg "Dijkstra: heuristic shorter than the node count";
+  (* a sweep's only output is its distances, which ties cannot change, so
+     it orders labels by cost alone: no hop term in the key, no relabel on
+     fewer hops, no tie-break (and so no predecessor cycle through
+     zero-weight edges) *)
+  let sweep = dst = -1 in
   Workspace.prepare ws n;
   let gen = ws.Workspace.generation in
   let dist = ws.Workspace.dist
+  and hops = ws.Workspace.hops
   and pred_edge = ws.Workspace.pred_edge
   and pred_node = ws.Workspace.pred_node
   and reached = ws.Workspace.reached
@@ -35,6 +57,7 @@ let run_into ?heuristic ws graph ~weights ~src ~dst =
   and q = ws.Workspace.queue in
   let row_start = Graph.row_start graph and edge_dst = Graph.edge_dst graph in
   dist.(src) <- 0.0;
+  hops.(src) <- 0;
   pred_edge.(src) <- -1;
   pred_node.(src) <- -1;
   reached.(src) <- gen;
@@ -80,37 +103,51 @@ let run_into ?heuristic ws graph ~weights ~src ~dst =
       incr count;
       if u = dst then finished := true
       else begin
-        let du = Array.unsafe_get dist u in
+        let du = Array.unsafe_get dist u and nh = Array.unsafe_get hops u + 1 in
         for i = Array.unsafe_get row_start u to Array.unsafe_get row_start (u + 1) - 1 do
           let w = Array.unsafe_get weights i in
           if not (w >= 0.0) then invalid_arg "Dijkstra: negative or NaN edge weight";
           if w < Float.infinity then begin
             let v = Array.unsafe_get edge_dst i in
             let nd = du +. w in
-            if nd < (if Array.unsafe_get reached v = gen then Array.unsafe_get dist v else Float.infinity)
-            then begin
-              Array.unsafe_set dist v nd;
-              Array.unsafe_set pred_edge v i;
-              Array.unsafe_set pred_node v u;
-              Array.unsafe_set reached v gen;
-              let key = if guided then nd +. Array.unsafe_get h v else nd in
-              (* push: the new entry enters a hole at the end and sifts up *)
-              if q.Fheap.size = Array.length q.Fheap.prio then Fheap.ensure_room q;
-              let prio = q.Fheap.prio and data = q.Fheap.data in
-              let hole = ref q.Fheap.size and rising = ref true in
-              q.Fheap.size <- !hole + 1;
-              while !rising && !hole > 0 do
-                let i = !hole in
-                let parent = (i - 1) / 2 in
-                if key < Array.unsafe_get prio parent then begin
-                  Array.unsafe_set prio i (Array.unsafe_get prio parent);
-                  Array.unsafe_set data i (Array.unsafe_get data parent);
-                  hole := parent
+            let fresh = Array.unsafe_get reached v <> gen in
+            (* most edges reach a node already labelled lower: one test *)
+            if fresh || nd <= Array.unsafe_get dist v then begin
+              if (not fresh) && nd = Array.unsafe_get dist v && (sweep || nh >= Array.unsafe_get hops v)
+              then begin
+                (* an equal label only takes the lower-index tight in-edge *)
+                if (not sweep) && nh = Array.unsafe_get hops v && i < Array.unsafe_get pred_edge v then begin
+                  Array.unsafe_set pred_edge v i;
+                  Array.unsafe_set pred_node v u
                 end
-                else rising := false
-              done;
-              Array.unsafe_set prio !hole key;
-              Array.unsafe_set data !hole v
+              end
+              else begin
+                (* a better label moves and requeues [v] *)
+                Array.unsafe_set dist v nd;
+                Array.unsafe_set hops v nh;
+                Array.unsafe_set pred_edge v i;
+                Array.unsafe_set pred_node v u;
+                Array.unsafe_set reached v gen;
+                let f = if guided then nd +. Array.unsafe_get h v else nd in
+                let key = if sweep then f else (f *. hop_scale) +. float_of_int nh in
+                (* push: the new entry enters a hole at the end and sifts up *)
+                if q.Fheap.size = Array.length q.Fheap.prio then Fheap.ensure_room q;
+                let prio = q.Fheap.prio and data = q.Fheap.data in
+                let hole = ref q.Fheap.size and rising = ref true in
+                q.Fheap.size <- !hole + 1;
+                while !rising && !hole > 0 do
+                  let i = !hole in
+                  let parent = (i - 1) / 2 in
+                  if key < Array.unsafe_get prio parent then begin
+                    Array.unsafe_set prio i (Array.unsafe_get prio parent);
+                    Array.unsafe_set data i (Array.unsafe_get data parent);
+                    hole := parent
+                  end
+                  else rising := false
+                done;
+                Array.unsafe_set prio !hole key;
+                Array.unsafe_set data !hole v
+              end
             end
           end
         done

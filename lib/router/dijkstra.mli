@@ -54,6 +54,20 @@ val run_into :
     [dst] settles.  [heuristic] (in practice the {!Lower_bound.t} of
     [dst]) keys the queue on distance + heuristic; it must be admissible
     and consistent for the settled costs to be exact (A* contract).
+
+    A search toward [dst] returns the {e canonical} path, whatever the
+    heap's pop order: labels are (cost, hops), compared
+    lexicographically, and each node's predecessor is its tight in-edge
+    (one that attains the label) of lowest CSR index.  With a consistent
+    heuristic every tight predecessor settles before its successor, so
+    A* and Dijkstra return the same path and dist bits.  The queue key
+    [(cost + h)·2{^20} + hops] is exact while every finite weight and
+    heuristic value is a multiple of 0.5 (Eq. 2 weights, turn costs 10 and
+    0, PathFinder's negotiation costs); other weights, such as a turn cost
+    of [t_turn / t_move] = 10/3, still give least-cost paths, but ties may
+    then break by rounding.  The workspace's [hops] holds the labels' hop
+    counts.  A sweep ([dst = -1]) orders labels by cost alone: its
+    distances are the same and its predecessors are not canonical.
     @raise Invalid_argument when [weights] is shorter than
     [Fabric.Graph.num_edges graph] or [heuristic] shorter than
     [Fabric.Graph.num_nodes graph] (both checked once per call), on an

@@ -16,7 +16,7 @@
     yields exact to-destination distances.  {!Route_cache} memoizes tables
     across searches, and {!Pathfinder}'s A* reads them;
     {!Estimator.Distance} builds its trap-to-trap tables from the same
-    sweeps over one {!base_weights} array. *)
+    sweeps. *)
 
 type t = float array
 (** Exact base-cost distance to the destination per node ([infinity] when
@@ -32,6 +32,8 @@ val base_weights : Fabric.Graph.t -> turn_cost:float -> float array
     @raise Invalid_argument on a negative/NaN turn cost. *)
 
 val build : ?workspace:Workspace.t -> Fabric.Graph.t -> turn_cost:float -> dst:Fabric.Graph.node -> t
-(** One full Dijkstra sweep from [dst] under {!base_weights}.
+(** One full Dijkstra sweep from [dst] under {!base_weights}, tabulated
+    once per (graph, turn cost) on each domain and shared by the sweeps
+    that follow.
     @raise Invalid_argument on a negative/NaN turn cost or an out-of-range
     destination. *)

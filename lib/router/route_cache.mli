@@ -14,11 +14,12 @@
       is a pure function of [(turn_cost, src, dst)] and its result can be
       replayed bit-identically.
 
-    There is one path table, and only the engine's un-heuristic Dijkstra
-    fills it ([Simulator.Engine]).  Equal-cost ties break by heap pop
-    order, so a lower-bound-guided A* may settle a different equal-cost
-    path; PathFinder therefore reads only the lower-bound tables here and
-    never stores or replays a path.
+    There is one path table, and only the engine's searches fill it
+    ([Simulator.Engine]).  Every search breaks equal-cost ties by the
+    canonical rule of {!Dijkstra.run_into}, so A* and Dijkstra return the
+    same path; the engine searches with A* on the tables here, and a
+    stored path is the answer any search would give.  PathFinder reads
+    only the lower-bound tables and never stores or replays a path.
 
     A cache is single-domain mutable state.  {!domain_local} hands every
     domain its own (values are pure functions of the key, so results never

@@ -1,5 +1,6 @@
 type t = {
   mutable dist : float array;
+  mutable hops : int array;
   mutable pred_edge : int array;
   mutable pred_node : int array;
   mutable reached : int array;
@@ -13,6 +14,7 @@ type t = {
 let create () =
   {
     dist = [||];
+    hops = [||];
     pred_edge = [||];
     pred_node = [||];
     reached = [||];
@@ -30,6 +32,7 @@ let edge_weights_for t m =
 let prepare t n =
   if Array.length t.dist < n then begin
     t.dist <- Array.make n Float.infinity;
+    t.hops <- Array.make n 0;
     t.pred_edge <- Array.make n (-1);
     t.pred_node <- Array.make n (-1);
     t.reached <- Array.make n 0;

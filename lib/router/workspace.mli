@@ -13,7 +13,10 @@
 
 type t = {
   mutable dist : float array;  (** tentative cost; valid iff reached stamp matches *)
-  mutable pred_edge : int array;  (** CSR edge index that settled the node; -1 at the source *)
+  mutable hops : int array;
+      (** edge count of the tentative path, the label's tie-break
+          ({!Dijkstra.run_into}); valid iff reached stamp matches *)
+  mutable pred_edge : int array;  (** lowest-index tight in-edge of the node's label; -1 at the source *)
   mutable pred_node : int array;  (** predecessor node on the shortest path *)
   mutable reached : int array;  (** generation stamp: dist/pred are valid *)
   mutable settled : int array;  (** generation stamp: node popped with final cost *)

@@ -22,6 +22,7 @@ type t = {
   mutable n_done : int;
   mutable n_busy : int;
   mutable n_flight : int;
+  mutable n_readied : int; (* ids the last [mark_done] readied: the bag's tail *)
 }
 
 let add t i =
@@ -41,7 +42,7 @@ let remove t i =
 let create dag ~priorities =
   let n = Dag.num_nodes dag in
   if Array.length priorities <> n then invalid_arg "Ready_set.create: priorities length mismatch";
-  let pending_preds = Array.init n (fun i -> List.length (Dag.node dag i).Dag.preds) in
+  let pending_preds = Dag.in_degrees dag in
   let t =
     {
       dag;
@@ -56,6 +57,7 @@ let create dag ~priorities =
       n_done = 0;
       n_busy = 0;
       n_flight = 0;
+      n_readied = 0;
     }
   in
   for i = 0 to n - 1 do
@@ -102,8 +104,19 @@ let is_ready t i = t.status.(i) = Ready
 let mark_issued t i =
   if t.status.(i) <> Ready then invalid_arg "Ready_set.mark_issued: instruction not ready";
   remove t i;
+  t.n_readied <- 0;
   t.status.(i) <- In_flight;
   t.n_flight <- t.n_flight + 1
+
+(* [add] appends, so the ids a completion readies end up as the bag's
+   last [n_readied] entries, in successor order; [readied] reads them
+   there and nothing is allocated per completion *)
+let rec unblock t = function
+  | [] -> ()
+  | s :: rest ->
+      t.pending_preds.(s) <- t.pending_preds.(s) - 1;
+      if t.pending_preds.(s) = 0 && t.status.(s) = Waiting then add t s;
+      unblock t rest
 
 let mark_done t i =
   (match t.status.(i) with
@@ -112,19 +125,19 @@ let mark_done t i =
   | Waiting | Deferred | Done -> invalid_arg "Ready_set.mark_done: bad state");
   t.status.(i) <- Done;
   t.n_done <- t.n_done + 1;
-  List.filter
-    (fun s ->
-      t.pending_preds.(s) <- t.pending_preds.(s) - 1;
-      if t.pending_preds.(s) = 0 && t.status.(s) = Waiting then begin
-        add t s;
-        true
-      end
-      else false)
-    (Dag.node t.dag i).Dag.succs
+  let before = t.n_ready in
+  unblock t (Dag.node t.dag i).Dag.succs;
+  t.n_readied <- t.n_ready - before;
+  t.n_readied
+
+let readied t j =
+  if j < 0 || j >= t.n_readied then invalid_arg "Ready_set.readied: index out of range";
+  t.bag.(t.n_ready - t.n_readied + j)
 
 let defer t i =
   if t.status.(i) <> Ready then invalid_arg "Ready_set.defer: instruction not ready";
   remove t i;
+  t.n_readied <- 0;
   t.status.(i) <- Deferred;
   t.deferred.(t.n_busy) <- i;
   t.n_busy <- t.n_busy + 1
@@ -133,7 +146,8 @@ let requeue_busy t =
   for k = 0 to t.n_busy - 1 do
     add t t.deferred.(k)
   done;
-  t.n_busy <- 0
+  t.n_busy <- 0;
+  t.n_readied <- 0
 
 let busy_count t = t.n_busy
 let done_count t = t.n_done

@@ -39,10 +39,17 @@ val mark_issued : t -> int -> unit
 (** Removes from the ready set (the instruction is now in flight).
     @raise Invalid_argument if it was not ready. *)
 
-val mark_done : t -> int -> int list
-(** Completes an issued instruction, unblocking its dependents; returns the
-    instructions that became ready as a result (ascending id).  Source nodes
-    (declarations) may complete without being issued. *)
+val mark_done : t -> int -> int
+(** Completes an issued instruction, unblocking its dependents; returns
+    how many instructions became ready as a result, read with {!readied}.
+    Source nodes (declarations) may complete without being issued.
+    Allocates nothing. *)
+
+val readied : t -> int -> int
+(** [readied t j], for [j] below the count the last {!mark_done} returned,
+    is the [j]-th instruction it readied, in ascending id.  Valid until
+    the next operation on [t].
+    @raise Invalid_argument on an index out of that range. *)
 
 val defer : t -> int -> unit
 (** Moves a ready instruction to the busy queue. *)

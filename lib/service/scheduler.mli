@@ -56,12 +56,11 @@
     keeps: the extracted component and routing graph (shared physically by
     every job, so cache keys agree), the estimator's trap-to-trap distance
     tables (one Dijkstra per trap, built once and shared), and a frozen
-    {!Router.Route_cache.snapshot} of warm base-weight paths.  The
-    snapshot also has room for lower-bound tables, but only PathFinder
-    builds those and no service strategy runs it, so they stay empty (and
-    every response's [bound_builds] reads 0) until the engine searches
-    with A*.  Jobs run with a private route cache that consults
-    the snapshot read-only; after each wave the private caches are frozen
+    {!Router.Route_cache.snapshot} of warm base-weight paths and of the
+    lower-bound tables that guide the engine's A* searches (a job's
+    [bound_builds] counts the tables it had to build because the snapshot
+    did not hold them yet).  Jobs run with a private route cache that
+    consults the snapshot read-only; after each wave the private caches are frozen
     back into the snapshot, so later jobs on the fabric start warm.
     Snapshots are immutable after build and published through the pool's
     queue mutex, which is what makes cross-domain sharing safe.

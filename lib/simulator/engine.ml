@@ -62,6 +62,7 @@ let ev_resource_exit r = (Resource.to_int r lsl 1) lor 1
    deadlock whenever both operands need the same tap segment of the chosen
    trap. *)
 type in_flight = {
+  id : int; (* the instruction *)
   target_trap : int;
   operands : int list;
   mutable pending : int list;
@@ -79,7 +80,11 @@ type state = {
   qubit_trap : int option array; (* physical trap; None while traveling *)
   qubit_engaged : bool array; (* reserved by an in-flight instruction *)
   occupants : int list array; (* trap -> qubits assigned (resident or inbound) *)
-  flights : (int, in_flight) Hashtbl.t; (* instr id -> flight info *)
+  flights : in_flight array;
+      (* the in-flight instructions in ascending id, first [n_flights]
+         slots: at most one per qubit, and walked in id order so staged
+         operands are retried in an order no hash layout decides *)
+  mutable n_flights : int;
   events : Ion_util.Fheap.t; (* int-packed events keyed by time, see above *)
   mutable clock : float;
   trace_buf : Micro.Builder.t; (* per-domain arena; commands materialize once at the end *)
@@ -95,6 +100,12 @@ type state = {
       (* the workspace's edge-weight slot, kept equal to Congestion.weight
          by [congestion] (Congestion.track_weights) for the whole run *)
   route_cache : Route_cache.t option; (* congestion-free path memo; None = uncached *)
+  turn_cost : float; (* of the policy: the base weights' turn edges *)
+  bounds : Lower_bound.t array;
+      (* per destination trap, the A* table of this run's searches: looked
+         up once per run, [[||]] until the first search toward the trap *)
+  control_routes : Path.t option array;
+      (* per trap candidate, the control route [attempt_full] found *)
   mutable route_searches : int;
   mutable route_cache_hits : int;
   mutable settled_nodes : int; (* summed over the run's searches *)
@@ -176,14 +187,29 @@ let trap_candidates st ~control ~target =
       preferred :: collect_avail st control target ~skip:preferred [] (k - 1) (nearest_traps st anchor)
     else collect_avail st control target ~skip:(-1) [] k (nearest_traps st anchor)
 
+(* the base-weight lower-bound table toward [to_trap], fetched from the
+   route cache (or built, uncached) on the run's first search there *)
+let bound st ~to_trap ~dst =
+  let lb = st.bounds.(to_trap) in
+  if Array.length lb > 0 then lb
+  else begin
+    let lb =
+      match st.route_cache with
+      | Some c -> Route_cache.lower_bound c st.graph ~turn_cost:st.turn_cost ~dst
+      | None -> Lower_bound.build ~workspace:st.workspace st.graph ~turn_cost:st.turn_cost ~dst
+    in
+    st.bounds.(to_trap) <- lb;
+    lb
+  end
+
 (* route one qubit from its trap to the target trap under current weights;
-   an already-there qubit yields the empty path.  While nothing is in
-   flight the live weights equal the base weights and the search is a pure
-   function of (turn_cost, src, dst): serve it from the domain's route
-   cache when one is armed, or run it and remember the result.  The engine
-   is the only searcher that stores paths there, so every entry is a
-   plain-Dijkstra answer and a hit replays the uncached search bit-for-bit —
-   equal-cost tie-breaking included. *)
+   an already-there qubit yields the empty path.  Every search is A* on
+   the destination's base-weight table, which live Eq. 2 weights never
+   undercut, so the table is consistent and, under the relax loop's
+   canonical tie-break, A* returns plain Dijkstra's path.  While nothing is
+   in flight the live weights equal the base weights and the search is a
+   pure function of (turn_cost, src, dst): serve it from the domain's
+   route cache when one is armed, or run it and remember the result. *)
 let route_qubit st q ~to_trap =
   match qubit_trap st q with
   | None -> None
@@ -203,24 +229,24 @@ let route_qubit st q ~to_trap =
             | Some c when Congestion.base_weights_active st.congestion -> Some c
             | Some _ | None -> None
           in
-          let tc = policy_turn_cost st.policy st.timing in
-          (* uncached search: same run as Dijkstra.shortest_path, but the
-             result packs straight out of the workspace predecessors *)
+          (* the search itself; the result packs straight out of the
+             workspace predecessors *)
           let search () =
             st.route_searches <- st.route_searches + 1;
-            Dijkstra.run_into st.workspace st.graph ~weights:st.edge_weights ~src ~dst;
+            let heuristic = bound st ~to_trap ~dst in
+            Dijkstra.run_into ~heuristic st.workspace st.graph ~weights:st.edge_weights ~src ~dst;
             st.settled_nodes <- st.settled_nodes + st.workspace.Router.Workspace.settled_nodes;
             Path.of_workspace st.workspace st.graph ~src ~dst
           in
           match cache with
           | Some c -> (
-              match Route_cache.find c ~turn_cost:tc ~src ~dst with
+              match Route_cache.find c ~turn_cost:st.turn_cost ~src ~dst with
               | Some result ->
                   st.route_cache_hits <- st.route_cache_hits + 1;
                   result
               | None ->
                   let result = search () in
-                  Route_cache.store c ~turn_cost:tc ~src ~dst result;
+                  Route_cache.store c ~turn_cost:st.turn_cost ~src ~dst result;
                   result)
           | None -> search ()
         end
@@ -285,14 +311,24 @@ let dispatch_operand st id fl q path =
     schedule st (finish -. st.clock) (ev_instr_done id)
   end
 
+(* insert keeping the slots in ascending id *)
+let add_flight st fl =
+  let k = ref st.n_flights in
+  while !k > 0 && st.flights.(!k - 1).id > fl.id do
+    st.flights.(!k) <- st.flights.(!k - 1);
+    decr k
+  done;
+  st.flights.(!k) <- fl;
+  st.n_flights <- st.n_flights + 1
+
 let commit_gate2 st id ~trap ~control ~target ~dispatch_now =
   Scheduler.Ready_set.mark_issued st.ready_set id;
   st.issued_at.(id) <- st.clock;
   st.occupants.(trap) <- [ control; target ];
   st.qubit_engaged.(control) <- true;
   st.qubit_engaged.(target) <- true;
-  let fl = { target_trap = trap; operands = [ control; target ]; pending = [ control; target ]; arrivals = [] } in
-  Hashtbl.replace st.flights id fl;
+  let fl = { id; target_trap = trap; operands = [ control; target ]; pending = [ control; target ]; arrivals = [] } in
+  add_flight st fl;
   List.iter (fun (q, path) -> dispatch_operand st id fl q path) dispatch_now
 
 (* attempt to issue a two-qubit instruction; true on success *)
@@ -302,29 +338,34 @@ let try_issue_gate2 st id control target =
   else begin
     let candidates = trap_candidates st ~control ~target in
     (* pass 1: both operands routable now (source routed first, destination
-       under the source's committed congestion) *)
-    let rec attempt_full = function
+       under the source's committed congestion); each candidate's control
+       route is kept for pass 2 *)
+    let rec attempt_full i = function
       | [] -> false
       | trap :: rest -> (
-          match route_qubit st control ~to_trap:trap with
-          | None -> attempt_full rest
+          let routed = route_qubit st control ~to_trap:trap in
+          st.control_routes.(i) <- routed;
+          match routed with
+          | None -> attempt_full (i + 1) rest
           | Some p_control -> (
               acquire_path st p_control;
               match route_qubit st target ~to_trap:trap with
               | None ->
                   release_path st p_control;
-                  attempt_full rest
+                  attempt_full (i + 1) rest
               | Some p_target ->
                   acquire_path st p_target;
                   commit_gate2 st id ~trap ~control ~target
                     ~dispatch_now:[ (control, p_control); (target, p_target) ];
                   true))
     in
-    (* pass 2: only one operand can move yet — commit it, stage the other *)
-    let rec attempt_partial = function
+    (* pass 2: only one operand can move yet — commit it, stage the other.
+       Pass 1 released every path it tried, so the weights are the ones its
+       control searches saw and their routes still stand. *)
+    let rec attempt_partial i = function
       | [] -> false
       | trap :: rest -> (
-          match route_qubit st control ~to_trap:trap with
+          match st.control_routes.(i) with
           | Some p_control ->
               acquire_path st p_control;
               commit_gate2 st id ~trap ~control ~target ~dispatch_now:[ (control, p_control) ];
@@ -335,12 +376,12 @@ let try_issue_gate2 st id control target =
                   acquire_path st p_target;
                   commit_gate2 st id ~trap ~control ~target ~dispatch_now:[ (target, p_target) ];
                   true
-              | None -> attempt_partial rest))
+              | None -> attempt_partial (i + 1) rest))
     in
-    let r1 = attempt_full candidates in
+    let r1 = attempt_full 0 candidates in
     if r1 then true
     else begin
-      let r2 = attempt_partial candidates in
+      let r2 = attempt_partial 0 candidates in
       if r2 then true
       else begin
         Scheduler.Ready_set.defer st.ready_set id;
@@ -349,19 +390,19 @@ let try_issue_gate2 st id control target =
     end
   end
 
-(* retry the staged operands of in-flight instructions *)
+(* retry the staged operands of in-flight instructions, in ascending id *)
 let dispatch_pending st =
-  Hashtbl.iter
-    (fun id fl ->
-      List.iter
-        (fun q ->
-          match route_qubit st q ~to_trap:fl.target_trap with
-          | Some path ->
-              acquire_path st path;
-              dispatch_operand st id fl q path
-          | None -> ())
-        fl.pending)
-    st.flights
+  for k = 0 to st.n_flights - 1 do
+    let fl = st.flights.(k) in
+    List.iter
+      (fun q ->
+        match route_qubit st q ~to_trap:fl.target_trap with
+        | Some path ->
+            acquire_path st path;
+            dispatch_operand st fl.id fl q path
+        | None -> ())
+      fl.pending
+  done
 
 let try_issue_gate1 st id q =
   match (st.qubit_engaged.(q), st.qubit_trap.(q)) with
@@ -373,23 +414,29 @@ let try_issue_gate1 st id q =
       let finish = st.clock +. st.timing.Timing.t_gate1 in
       Micro.Builder.add_gate_start st.trace_buf ~instr_id:id ~trap:(trap_pos st tid) ~q0:q ~q1:(-1) ~time:st.clock;
       Micro.Builder.add_gate_end st.trace_buf ~instr_id:id ~trap:(trap_pos st tid) ~q0:q ~q1:(-1) ~time:finish;
-      Hashtbl.replace st.flights id { target_trap = tid; operands = [ q ]; pending = []; arrivals = [] };
+      add_flight st { id; target_trap = tid; operands = [ q ]; pending = []; arrivals = [] };
       schedule st (finish -. st.clock) (ev_instr_done id);
       true
 
+let rec flight_index st id k =
+  if k = st.n_flights then -1 else if st.flights.(k).id = id then k else flight_index st id (k + 1)
+
 let complete st id =
-  (match Hashtbl.find_opt st.flights id with
-  | Some { target_trap; operands; _ } ->
-      List.iter
-        (fun q ->
-          st.qubit_trap.(q) <- Some target_trap;
-          st.qubit_engaged.(q) <- false)
-        operands;
-      Hashtbl.remove st.flights id
-  | None -> ());
+  let k = flight_index st id 0 in
+  if k >= 0 then begin
+    let fl = st.flights.(k) in
+    List.iter
+      (fun q ->
+        st.qubit_trap.(q) <- Some fl.target_trap;
+        st.qubit_engaged.(q) <- false)
+      fl.operands;
+    Array.blit st.flights (k + 1) st.flights k (st.n_flights - k - 1);
+    st.n_flights <- st.n_flights - 1
+  end;
   st.completed_at.(id) <- st.clock;
-  let newly_ready = Scheduler.Ready_set.mark_done st.ready_set id in
-  List.iter (fun i -> st.ready_at.(i) <- st.clock) newly_ready
+  for j = 0 to Scheduler.Ready_set.mark_done st.ready_set id - 1 do
+    st.ready_at.(Scheduler.Ready_set.readied st.ready_set j) <- st.clock
+  done
 
 (* issue everything issuable at the current clock; declarations complete
    immediately, which can ready further instructions, so iterate *)
@@ -409,6 +456,9 @@ let rec issue_round st =
         if issued then progressed := true
       end);
   if !progressed then issue_round st
+
+(* the empty slot of [flights]; never mutated *)
+let no_flight = { id = -1; target_trap = -1; operands = []; pending = []; arrivals = [] }
 
 let max_events_factor = 10_000
 
@@ -460,7 +510,8 @@ let simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_fac
       in
       let workspace = Workspace.domain_local () in
       let edge_weights = Workspace.edge_weights_for workspace (Graph.num_edges graph) in
-      Congestion.track_weights congestion ~turn_cost:(policy_turn_cost policy timing) graph edge_weights;
+      let turn_cost = policy_turn_cost policy timing in
+      Congestion.track_weights congestion ~turn_cost graph edge_weights;
       let st =
         {
           graph;
@@ -473,7 +524,8 @@ let simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_fac
           qubit_trap = Array.map Option.some placement;
           qubit_engaged = Array.make nq false;
           occupants = Array.make ntraps [];
-          flights = Hashtbl.create 16;
+          flights = Array.make nq no_flight;
+          n_flights = 0;
           events = Ion_util.Fheap.create ();
           clock = 0.0;
           trace_buf = Micro.Builder.domain_local ();
@@ -487,6 +539,9 @@ let simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_fac
           workspace;
           edge_weights;
           route_cache;
+          turn_cost;
+          bounds = Array.make ntraps [||];
+          control_routes = Array.make (Int.max 1 policy.trap_candidates) None;
           route_searches = 0;
           route_cache_hits = 0;
           settled_nodes = 0;
@@ -518,7 +573,7 @@ let simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_fac
                    stuck =
                      Scheduler.Ready_set.busy_count st.ready_set
                      + Scheduler.Ready_set.ready_count st.ready_set
-                     + Hashtbl.length st.flights;
+                     + st.n_flights;
                  })
         else begin
             let t = st.events.Ion_util.Fheap.prio.(0) in

@@ -2,7 +2,9 @@
 
     Executes a QIDG on a fabric: issues ready instructions in priority order,
     selects a target trap for every two-qubit gate, routes operands with
-    Dijkstra under live Eq. 2 congestion weights, commits channel/junction
+    A* under live Eq. 2 congestion weights (guided by the destination's
+    base-weight {!Router.Lower_bound} table, which the canonical tie-break
+    makes return plain Dijkstra's path), commits channel/junction
     capacity for the duration of each crossing, parks unroutable instructions
     in the busy queue, and replays them when a qubit exits a channel or an
     instruction completes.  The result is the execution latency, the
@@ -120,14 +122,23 @@ val run :
     budget as [factor * (instructions + 1)] — exposed so tests can force the
     livelock branch cheaply.
 
-    [route_cache], when given, memoizes the searches issued while nothing is
-    in flight (see {!Router.Congestion.base_weights_active}) across runs and
-    candidates on the same fabric; hits replay the uncached plain-Dijkstra
-    result bit-for-bit, so the trace and latency are identical with or
+    Every search toward a trap reads that trap's lower-bound table, looked
+    up once per run: from [route_cache], which builds it on first request
+    and keeps it, or, in an uncached run, built for the run.
+    [route_cache], when given, also memoizes the searches issued while
+    nothing is in flight (see {!Router.Congestion.base_weights_active})
+    across runs and candidates on the same fabric; hits replay the uncached
+    search bit-for-bit, so the trace and latency are identical with or
     without a cache — only {!result.route_searches} shrinks.  The cache is
     single-domain state; pass each domain its own
     ({!Router.Route_cache.domain_local}).  Every [Mapper] run passes one;
     an uncached run is the reference the cache tests compare against.
+
+    Staged operands of in-flight instructions are retried in ascending
+    instruction id, and a two-qubit issue that falls back to moving one
+    operand reuses the control routes its first pass found (the weights
+    are the same again once that pass releases its paths), so no output
+    depends on a hash layout or on repeating a search.
 
     [cancel], when given, is a cooperative cancellation checkpoint polled
     once per event batch.  It returns unit on "keep going" and signals

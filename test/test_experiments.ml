@@ -35,12 +35,12 @@ let render_table1_row (r : Report.table1_row) =
 
 let table1_pinned =
   [
-    "[[5,1,3]] mvfb3 0x4086a00000000000L/13 mc3 0x4086a00000000000L/13 mvfb6 0x4086100000000000L/30 mc6 0x4086200000000000L/30";
+    "[[5,1,3]] mvfb3 0x4086a00000000000L/14 mc3 0x4086a00000000000L/14 mvfb6 0x4086100000000000L/32 mc6 0x4086200000000000L/32";
     "[[7,1,3]] mvfb3 0x4085380000000000L/18 mc3 0x4086200000000000L/18 mvfb6 0x4085380000000000L/36 mc6 0x4085480000000000L/36";
     "[[9,1,3]] mvfb3 0x4093400000000000L/16 mc3 0x4092e80000000000L/16 mvfb6 0x4091c80000000000L/36 mc6 0x4092d00000000000L/36";
-    "[[14,8,3]] mvfb3 0x40a88a0000000000L/26 mc3 0x40a9380000000000L/26 mvfb6 0x40a8520000000000L/50 mc6 0x40a9380000000000L/50";
-    "[[19,1,7]] mvfb3 0x40a8ba0000000000L/21 mc3 0x40a9840000000000L/21 mvfb6 0x40a83e0000000000L/44 mc6 0x40a9740000000000L/44";
-    "[[23,1,7]] mvfb3 0x409c480000000000L/20 mc3 0x409de00000000000L/20 mvfb6 0x409c480000000000L/36 mc6 0x409d540000000000L/36";
+    "[[14,8,3]] mvfb3 0x40a8c80000000000L/24 mc3 0x40a9380000000000L/24 mvfb6 0x40a8440000000000L/46 mc6 0x40a9380000000000L/46";
+    "[[19,1,7]] mvfb3 0x40a87c0000000000L/19 mc3 0x40a9d80000000000L/19 mvfb6 0x40a8720000000000L/38 mc6 0x40a8da0000000000L/38";
+    "[[23,1,7]] mvfb3 0x409d0c0000000000L/24 mc3 0x409d800000000000L/24 mvfb6 0x409be40000000000L/40 mc6 0x409d500000000000L/40";
   ]
 
 let test_table1_pins () =
@@ -148,9 +148,9 @@ let wave_pinned =
     "[[5,1,3]] wave 0x4090700000000000L qspr 0x4086a00000000000L overused 0";
     "[[7,1,3]] wave 0x408f300000000000L qspr 0x4085380000000000L overused 1";
     "[[9,1,3]] wave 0x409c3c0000000000L qspr 0x4093400000000000L overused 0";
-    "[[14,8,3]] wave 0x40bf280000000000L qspr 0x40a88a0000000000L overused 1";
-    "[[19,1,7]] wave 0x40b19b0000000000L qspr 0x40a8c20000000000L overused 24";
-    "[[23,1,7]] wave 0x40a55e0000000000L qspr 0x409df40000000000L overused 24";
+    "[[14,8,3]] wave 0x40bf280000000000L qspr 0x40a9500000000000L overused 1";
+    "[[19,1,7]] wave 0x40b1c00000000000L qspr 0x40a8b60000000000L overused 24";
+    "[[23,1,7]] wave 0x40a59c0000000000L qspr 0x409d0c0000000000L overused 25";
   ]
 
 let test_wave_study_pins () =
@@ -189,9 +189,9 @@ let golden =
     ("[[5,1,3]]", 805.0, 874.0);
     ("[[7,1,3]]", 751.0, 868.0);
     ("[[9,1,3]]", 1289.0, 1479.0);
-    ("[[14,8,3]]", 3233.0, 3942.0);
-    ("[[19,1,7]]", 3378.0, 4206.0);
-    ("[[23,1,7]]", 1859.0, 2313.0);
+    ("[[14,8,3]]", 3233.0, 3932.0);
+    ("[[19,1,7]]", 3341.0, 4177.0);
+    ("[[23,1,7]]", 1887.0, 2400.0);
   ]
 
 let test_golden_latencies () =

@@ -244,7 +244,7 @@ let test_incremental_fewer_searches_when_congested () =
   let comp = quale () in
   let g = Graph.build comp in
   let traps = Array.length (Component.traps comp) in
-  check_fewer_searches "wave10" g ~capacity:cap2 ~searches:46 ~iterations:8
+  check_fewer_searches "wave10" g ~capacity:cap2 ~searches:47 ~iterations:8
     (List.init 10 (fun i ->
          {
            Pathfinder.net_id = i;

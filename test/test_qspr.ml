@@ -410,20 +410,20 @@ let search_pinned =
   [
     "[[5,1,3]] mc: 0x4086a00000000000L runs 4 evals 4 [mc@2012=0x4086a00000000000L] digest a47cac75f9971341";
     "[[5,1,3]] sa: 0x4089280000000000L runs 4 evals 4 [sa@2012=0x4089280000000000L] digest 69ebefcde10fb7d9";
-    "[[5,1,3]] portfolio: 0x4086100000000000L runs 31 evals 31 [portfolio:mvfb@2012=0x4086100000000000L; portfolio:mc@2012=0x4086a00000000000L; portfolio:sa@2012=0x4089280000000000L; portfolio:delta-sa-0@2012=0x4086600000000000L; portfolio:delta-sa-1@2012=0x4087880000000000L] digest 0d4258a2732792aa";
-    "[[5,1,3]] robust: 0x4086100000000000L runs 19 evals 19 [mvfb@2012=0x4086100000000000L] digest 0d4258a2732792aa";
+    "[[5,1,3]] portfolio: 0x4086100000000000L runs 32 evals 32 [portfolio:mvfb@2012=0x4086100000000000L; portfolio:mc@2012=0x4086a00000000000L; portfolio:sa@2012=0x4089280000000000L; portfolio:delta-sa-0@2012=0x4086600000000000L; portfolio:delta-sa-1@2012=0x4087880000000000L] digest 0d4258a2732792aa";
+    "[[5,1,3]] robust: 0x4086100000000000L runs 20 evals 20 [mvfb@2012=0x4086100000000000L] digest 0d4258a2732792aa";
     "[[5,1,3]] mvfb+prescreen: 0x4086a00000000000L runs 8 evals 8 [mvfb@2012=0x4086a00000000000L] digest a47cac75f9971341";
     "[[5,1,3]] mc+prescreen: 0x4086a00000000000L runs 4 evals 2 [mc@2012=0x4086a00000000000L] digest a47cac75f9971341";
     "[[5,1,3]] mc+cap: 0x4086a00000000000L runs 4 evals 2 degraded [mc@2012=0x4086a00000000000L] digest a47cac75f9971341";
     "[[5,1,3]] sa+cap: 0x4089280000000000L runs 2 evals 2 degraded [sa@2012=0x4089280000000000L] digest 69ebefcde10fb7d9";
     "[[7,1,3]] mc: 0x4086600000000000L runs 4 evals 4 [mc@2012=0x4086600000000000L] digest 2bfbe962c36935f2";
-    "[[7,1,3]] sa: 0x4088100000000000L runs 4 evals 4 [sa@2012=0x4088100000000000L] digest 870fb556edd02770";
-    "[[7,1,3]] portfolio: 0x4085380000000000L runs 38 evals 38 [portfolio:mvfb@2012=0x4085380000000000L; portfolio:mc@2012=0x4086600000000000L; portfolio:sa@2012=0x4088100000000000L; portfolio:delta-sa-0@2012=0x4086a00000000000L; portfolio:delta-sa-1@2012=0x4088e80000000000L] digest a963cf19714ad05e";
-    "[[7,1,3]] robust: 0x4085380000000000L runs 24 evals 24 [mvfb@2012=0x4085380000000000L] digest a963cf19714ad05e";
-    "[[7,1,3]] mvfb+prescreen: 0x4085380000000000L runs 12 evals 12 [mvfb@2012=0x4085380000000000L] digest a963cf19714ad05e";
+    "[[7,1,3]] sa: 0x4088100000000000L runs 4 evals 4 [sa@2012=0x4088100000000000L] digest 5aad6c73b23d5ab8";
+    "[[7,1,3]] portfolio: 0x4085380000000000L runs 38 evals 38 [portfolio:mvfb@2012=0x4085380000000000L; portfolio:mc@2012=0x4086600000000000L; portfolio:sa@2012=0x4088100000000000L; portfolio:delta-sa-0@2012=0x4086a00000000000L; portfolio:delta-sa-1@2012=0x4088e80000000000L] digest 116a6ace2fa8edfa";
+    "[[7,1,3]] robust: 0x4085380000000000L runs 24 evals 24 [mvfb@2012=0x4085380000000000L] digest 116a6ace2fa8edfa";
+    "[[7,1,3]] mvfb+prescreen: 0x4085380000000000L runs 12 evals 12 [mvfb@2012=0x4085380000000000L] digest 116a6ace2fa8edfa";
     "[[7,1,3]] mc+prescreen: 0x4086600000000000L runs 4 evals 2 [mc@2012=0x4086600000000000L] digest 2bfbe962c36935f2";
     "[[7,1,3]] mc+cap: 0x4086600000000000L runs 4 evals 2 degraded [mc@2012=0x4086600000000000L] digest 2bfbe962c36935f2";
-    "[[7,1,3]] sa+cap: 0x4088100000000000L runs 2 evals 2 degraded [sa@2012=0x4088100000000000L] digest 870fb556edd02770";
+    "[[7,1,3]] sa+cap: 0x4088100000000000L runs 2 evals 2 degraded [sa@2012=0x4088100000000000L] digest 5aad6c73b23d5ab8";
   ]
 
 let test_search_pins () =

@@ -671,25 +671,36 @@ let prop_workspace_distances_match =
 
 (* ------------------------------------------------------ one relax loop *)
 
+(* a finite weight on the half-unit grid, or a wall *)
+let is_half_multiple w = w = Float.infinity || (w >= 0.0 && Float.of_int (Float.to_int (2.0 *. w)) = 2.0 *. w)
+
 (* The closure relax loop [Dijkstra.run_into] carried beside its array
-   loop, kept verbatim as the reference: it calls a per-kind weight
-   function per edge and a per-node heuristic function per push. *)
+   loop, kept as the reference: it calls a per-kind weight function per
+   edge and a per-node heuristic function per push, and goes through
+   [Fheap]'s API.  A search toward [dst] follows the canonical rule:
+   (cost, hops) labels, the queue keyed on (cost + h)·2^20 + hops, and the
+   lowest-index tight in-edge as predecessor.  A sweep ([dst = -1]) orders
+   labels by cost alone. *)
 let reference_run_into ?heuristic ws graph ~weight ~src ~dst =
   let n = Graph.num_nodes graph in
   let h = match heuristic with Some f -> f | None -> fun _ -> 0.0 in
   Workspace.prepare ws n;
   let gen = ws.Workspace.generation in
   let dist = ws.Workspace.dist
+  and hops = ws.Workspace.hops
   and pred_edge = ws.Workspace.pred_edge
   and pred_node = ws.Workspace.pred_node
   and reached = ws.Workspace.reached
   and settled = ws.Workspace.settled
   and queue = ws.Workspace.queue in
   dist.(src) <- 0.0;
+  hops.(src) <- 0;
   pred_edge.(src) <- -1;
   pred_node.(src) <- -1;
   reached.(src) <- gen;
-  Ion_util.Fheap.add queue (h src) src;
+  let sweep = dst = -1 in
+  let key f nh = if sweep then f else (f *. 1048576.0) +. float_of_int nh in
+  Ion_util.Fheap.add queue (key (h src) 0) src;
   let finished = ref false in
   while (not !finished) && not (Ion_util.Fheap.is_empty queue) do
     let u = Ion_util.Fheap.top_data queue in
@@ -704,14 +715,23 @@ let reference_run_into ?heuristic ws graph ~weight ~src ~dst =
           if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
           if w < Float.infinity then begin
             let v = Graph.succ_dst graph i in
-            let nd = du +. w in
-            if nd < (if reached.(v) = gen then dist.(v) else Float.infinity) then begin
-              dist.(v) <- nd;
-              pred_edge.(v) <- i;
-              pred_node.(v) <- u;
-              reached.(v) <- gen;
-              Ion_util.Fheap.add queue (nd +. h v) v
-            end
+            let nd = du +. w and nh = hops.(u) + 1 in
+            let old = if reached.(v) = gen then Some (dist.(v), hops.(v)) else None in
+            match old with
+            | Some (dv, _) when sweep && dv <= nd -> ()
+            | Some (dv, hv) when (dv, hv) < (nd, nh) -> ()
+            | Some (dv, hv) when (dv, hv) = (nd, nh) ->
+                if i < pred_edge.(v) then begin
+                  pred_edge.(v) <- i;
+                  pred_node.(v) <- u
+                end
+            | Some _ | None ->
+                dist.(v) <- nd;
+                hops.(v) <- nh;
+                pred_edge.(v) <- i;
+                pred_node.(v) <- u;
+                reached.(v) <- gen;
+                Ion_util.Fheap.add queue (key (nd +. h v) nh) v
           end
         done
       end
@@ -741,8 +761,9 @@ let small_random_grid rng =
   match Component.extract l with Ok c -> Graph.build c | Error e -> Alcotest.failf "extract: %s" e
 
 (* A per-kind weight function: a random draw per kind (zeros, infinities,
-   integers and fractions), the turn-blind QUALE base costs, or Eq. 2
-   under random congestion at turn cost 0 or 10. *)
+   integers and half units), the turn-blind QUALE base costs, or Eq. 2
+   under random congestion at turn cost 0 or 10.  Every finite weight is a
+   multiple of 0.5, the domain where the queue key is exact. *)
 let random_weight rng g =
   match Random.State.int rng 3 with
   | 0 ->
@@ -755,8 +776,7 @@ let random_weight rng g =
             | 0 -> 0.0
             | 1 -> Float.infinity
             | 2 -> float_of_int (1 + Random.State.int rng 10)
-            | 3 -> 0.5 *. float_of_int (Random.State.int rng 30)
-            | _ -> Random.State.float rng 12.0)
+            | _ -> 0.5 *. float_of_int (Random.State.int rng 30))
       done;
       Hashtbl.find tbl
   | 1 -> Lower_bound.base_weight ~turn_cost:0.0
@@ -769,8 +789,8 @@ let random_weight rng g =
         (all_resources comp);
       Congestion.weight cong ~turn_cost:(if Random.State.bool rng then 10.0 else 0.0)
 
-(* Same dist bits, predecessors and settled set on every node, and the
-   same [Path.t] to [target]. *)
+(* Same dist bits, hops, predecessors and settled set on every node, and
+   the same [Path.t] to [target]. *)
 let same_search g ws ws' ~src ~target =
   let n = Graph.num_nodes g in
   let ok = ref true in
@@ -782,7 +802,8 @@ let same_search g ws ws' ~src ~target =
       || Workspace.is_settled ws v <> Workspace.is_settled ws' v
       || Int64.bits_of_float (Workspace.dist ws v) <> Int64.bits_of_float (Workspace.dist ws' v)
       || reached
-         && (ws.Workspace.pred_edge.(v) <> ws'.Workspace.pred_edge.(v)
+         && (ws.Workspace.hops.(v) <> ws'.Workspace.hops.(v)
+            || ws.Workspace.pred_edge.(v) <> ws'.Workspace.pred_edge.(v)
             || ws.Workspace.pred_node.(v) <> ws'.Workspace.pred_node.(v))
     then ok := false
   done;
@@ -801,6 +822,7 @@ let prop_one_loop_equals_closure_reference =
       let n = Graph.num_nodes g in
       let weight = random_weight rng g in
       let weights = tabulate g weight in
+      if not (Array.for_all is_half_multiple weights) then QCheck.Test.fail_report "weight off the half grid";
       let ws = Workspace.create () and ws' = Workspace.create () in
       List.for_all
         (fun _ ->
@@ -918,6 +940,171 @@ let test_seals_sound_and_fire () =
   check_bool (Printf.sprintf "destination seal fires (%d)" !dest_fires) true (!dest_fires > 0);
   check_bool (Printf.sprintf "destination seal alone fires (%d)" !dest_only) true (!dest_only > 0)
 
+(* ------------------------------------------------- canonical tie-break *)
+
+(* The canonical path by brute force: every simple path from [src] to
+   [dst] over finite [weights].  The least (cost, hops) wins; equal labels
+   go to the least reversed CSR-index sequence, which is what taking the
+   lowest-index tight in-edge, node by node back from [dst], selects.
+   Least-label paths are simple (every edge adds a hop), so a partial path
+   already at or above the best label is cut. *)
+let brute_canonical g weights ~src ~dst =
+  let on_path = Array.make (Graph.num_nodes g) false in
+  let best = ref None in
+  let rec dfs u cost hops rev =
+    if u = dst then begin
+      match !best with
+      | Some (c, h, r) when (c, h, r) <= (cost, hops, rev) -> ()
+      | Some _ | None -> best := Some (cost, hops, rev)
+    end
+    else
+      match !best with
+      | Some (c, h, _) when (c, h) <= (cost, hops) -> ()
+      | Some _ | None ->
+          on_path.(u) <- true;
+          for i = Graph.succ_start g u to Graph.succ_stop g u - 1 do
+            let v = Graph.succ_dst g i in
+            if weights.(i) < Float.infinity && not on_path.(v) then
+              dfs v (cost +. weights.(i)) (hops + 1) (i :: rev)
+          done;
+          on_path.(u) <- false
+  in
+  dfs src 0.0 0 [];
+  !best
+
+(* a search's answer in the same shape: (cost, hops, reversed edges) *)
+let searched ws ~dst =
+  if Workspace.dist ws dst = Float.infinity then None
+  else
+    let rec walk v =
+      let e = ws.Workspace.pred_edge.(v) in
+      if e < 0 then [] else e :: walk ws.Workspace.pred_node.(v)
+    in
+    Some (Workspace.dist ws dst, ws.Workspace.hops.(dst), walk dst)
+
+let show_label = function
+  | None -> "none"
+  | Some (c, h, r) -> Printf.sprintf "%g/%d [%s]" c h (String.concat "," (List.map string_of_int r))
+
+(* fabrics small enough to enumerate: a two-trap chain, a 13x11 grid, the
+   2x2-junction tile and the ladder *)
+let tiny_fabrics =
+  lazy
+    (List.map
+       (fun l -> match Component.extract l with Ok c -> Graph.build c | Error e -> Alcotest.failf "extract: %s" e)
+       [
+         Layout.linear ~traps:2 ();
+         Layout.make_grid ~width:13 ~height:11 ~pitch_x:4 ~pitch_y:3 ~margin:2 ~traps_per_channel:1 ();
+         Layout.small_tile ();
+         ladder;
+       ])
+
+(* Dijkstra, and A* under the exact to-[dst] distances or half of them
+   (both consistent), return the brute-force canonical path on random
+   integer weights, zeros and walls included. *)
+let prop_searches_return_canonical_path =
+  QCheck.Test.make ~name:"Dijkstra and A* return the brute-force canonical path" ~count:200
+    QCheck.(pair (int_bound 3) (int_bound 1_000_000))
+    (fun (fi, seed) ->
+      let g = List.nth (Lazy.force tiny_fabrics) fi in
+      let rng = Random.State.make [| seed |] in
+      let n = Graph.num_nodes g in
+      let weights =
+        Array.init (Graph.num_edges g) (fun _ ->
+            match Random.State.int rng 12 with 0 -> Float.infinity | k -> float_of_int (k mod 3))
+      in
+      let ws = Workspace.create () in
+      List.for_all
+        (fun _ ->
+          let src = Random.State.int rng n and dst = Random.State.int rng n in
+          let expect = brute_canonical g weights ~src ~dst in
+          let to_dst = Array.init n (fun u -> (Dijkstra.distances g ~weights ~src:u).(dst)) in
+          List.for_all
+            (fun heuristic ->
+              Dijkstra.run_into ?heuristic ws g ~weights ~src ~dst;
+              let got = searched ws ~dst in
+              got = expect
+              || QCheck.Test.fail_reportf "src %d dst %d: expected %s, got %s" src dst (show_label expect)
+                   (show_label got))
+            [ None; Some to_dst; Some (Array.map (fun d -> d /. 2.0) to_dst) ])
+        (List.init 8 Fun.id))
+
+(* PathFinder's guided search (its negotiation weights, the destination's
+   lower-bound table) returns the brute-force canonical path after random
+   placements, iterations and history updates; every negotiation weight
+   it reads stays on the half-unit grid. *)
+let prop_guided_search_returns_canonical_path =
+  QCheck.Test.make ~name:"PathFinder's guided search returns the brute-force canonical path" ~count:100
+    QCheck.(pair (int_bound 3) (int_bound 1_000_000))
+    (fun (fi, seed) ->
+      let g = List.nth (Lazy.force tiny_fabrics) fi in
+      let rng = Random.State.make [| seed |] in
+      let n = Graph.num_nodes g in
+      let turn_cost = float_of_int (Random.State.int rng 4) in
+      let cap = 1 + Random.State.int rng 2 in
+      let st = Pathfinder.create g ~turn_cost ~capacity:(fun _ -> cap) in
+      let ws = Workspace.create () in
+      for net = 0 to Random.State.int rng 4 do
+        let src = Random.State.int rng n and dst = Random.State.int rng n in
+        Dijkstra.run_into ws g ~weights:(Pathfinder.weights st) ~src ~dst;
+        Option.iter (Pathfinder.place st net) (Path.of_workspace ws g ~src ~dst);
+        if Random.State.bool rng then Pathfinder.next_iteration st;
+        if Random.State.bool rng then Pathfinder.add_history st
+      done;
+      let weights = Pathfinder.weights st in
+      let src = Random.State.int rng n and dst = Random.State.int rng n in
+      let expect = brute_canonical g weights ~src ~dst in
+      Dijkstra.run_into ~heuristic:(Lower_bound.build g ~turn_cost ~dst) ws g ~weights ~src ~dst;
+      let got = searched ws ~dst in
+      (Array.for_all is_half_multiple weights || QCheck.Test.fail_report "weight off the half grid")
+      && (got = expect
+         || QCheck.Test.fail_reportf "src %d dst %d: expected %s, got %s" src dst (show_label expect)
+              (show_label got)))
+
+(* On QUALE 45x85 and the service benchmark's ingress grids, under random
+   Eq. 2 congestion at turn cost 10 or 0, A* on the destination's
+   lower-bound table returns Dijkstra's [Path.t] and dist bits. *)
+let ingress_grids =
+  lazy
+    (List.map
+       (fun l -> match Component.extract l with Ok c -> c | Error e -> Alcotest.failf "extract: %s" e)
+       [
+         Layout.quale_45x85 ();
+         Layout.make_grid ~width:45 ~height:27 ~pitch_x:8 ~pitch_y:6 ~margin:2 ~traps_per_channel:1 ();
+         Layout.make_grid ~width:29 ~height:21 ~pitch_x:6 ~pitch_y:5 ~margin:2 ~traps_per_channel:1 ();
+         Layout.linear ~traps:40 ();
+       ])
+
+let prop_astar_is_dijkstra =
+  QCheck.Test.make ~name:"A* = Dijkstra: same Path.t and dist bits" ~count:60
+    QCheck.(pair (int_bound 3) (int_bound 1_000_000))
+    (fun (fi, seed) ->
+      let comp = List.nth (Lazy.force ingress_grids) fi in
+      let g = Graph.build comp in
+      let rng = Random.State.make [| seed |] in
+      let cap = 1 + Random.State.int rng 2 in
+      let cong = Congestion.create comp ~channel_capacity:cap ~junction_capacity:2 in
+      let density = 1 + Random.State.int rng 3 in
+      Array.iter
+        (fun r -> if Random.State.int rng 4 < density && Congestion.is_free cong r then Congestion.acquire cong r)
+        (all_resources comp);
+      let turn_cost = if Random.State.bool rng then 10.0 else 0.0 in
+      let weights = tabulate g (Congestion.weight cong ~turn_cost) in
+      let ntraps = Array.length (Component.traps comp) in
+      let ws = Workspace.create () and ws' = Workspace.create () in
+      Array.for_all is_half_multiple weights
+      && List.for_all
+           (fun _ ->
+             let src = Graph.trap_node g (Random.State.int rng ntraps)
+             and dst = Graph.trap_node g (Random.State.int rng ntraps) in
+             Dijkstra.run_into ws g ~weights ~src ~dst;
+             Dijkstra.run_into ~heuristic:(Lower_bound.build g ~turn_cost ~dst) ws' g ~weights ~src ~dst;
+             Int64.equal
+               (Int64.bits_of_float (Workspace.dist ws dst))
+               (Int64.bits_of_float (Workspace.dist ws' dst))
+             && Option.equal Path.equal (Path.of_workspace ws g ~src ~dst) (Path.of_workspace ws' g ~src ~dst))
+           (List.init 10 Fun.id))
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "router"
@@ -981,4 +1168,11 @@ let () =
           ] );
       ("seal", [ Alcotest.test_case "sealed searches find no path; both seals fire" `Quick test_seals_sound_and_fire ]);
       ("one loop", qsuite [ prop_one_loop_equals_closure_reference ]);
+      ( "canonical",
+        qsuite
+          [
+            prop_searches_return_canonical_path;
+            prop_guided_search_returns_canonical_path;
+            prop_astar_is_dijkstra;
+          ] );
     ]

@@ -456,10 +456,10 @@ let ingress_row programs lay =
 
 let ingress_pins =
   [
-    ("quale 45x85", (-4083567073653792407L, 4560, 1768, 976492));
-    ("grid 45x27", (-2847217218187899708L, 4455, 1891, 613068));
-    ("grid 29x21", (8407068184133523162L, 4376, 1967, 391804));
-    ("linear 40", (-4307074857731519715L, 3447, 2565, 82398));
+    ("quale 45x85", (6837618049145143221L, 4553, 1752, 139597));
+    ("grid 45x27", (4763970608258525687L, 4417, 1892, 123621));
+    ("grid 29x21", (5723492676690143271L, 4329, 1939, 90698));
+    ("linear 40", (8167219955923778744L, 3306, 2562, 49578));
   ]
 
 let test_ingress_pins () =
