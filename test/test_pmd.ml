@@ -100,8 +100,19 @@ let test_map_with_custom_pmd () =
   in
   (* ideal baseline under the PMD's gate delays: 5 + 5*50 = 255 *)
   check_float "pmd baseline" 255.0 (Mapper.ideal_latency ctx);
-  match Mapper.map Mvfb ctx with
+  (match Mapper.map Mvfb ctx with
   | Ok sol -> check_bool "mapped above baseline" true (sol.Mapper.latency >= 255.0)
+  | Error e -> Alcotest.fail (Mapper.error_to_string e));
+  (* a turn cost off the half-unit grid (t_turn / t_move = 10/3): route
+     ties may break by rounding, but the searches accept it *)
+  let pmd = parse_exn "t_move_us = 3\nt_turn_us = 10\n" in
+  let ctx =
+    match Mapper.create ~fabric:pmd.Pmd.layout ~config:(Config.with_m 2 (Pmd.config pmd)) program with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  match Mapper.map Mvfb ctx with
+  | Ok sol -> check_bool "10/3 turn cost maps above baseline" true (sol.Mapper.latency >= Mapper.ideal_latency ctx)
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
 
 let () =
