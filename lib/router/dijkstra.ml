@@ -3,7 +3,8 @@ module Fheap = Ion_util.Fheap
 
 type result = { cost : float; edges : Graph.edge list }
 
-(* 2^20: hops below a million stay exact beside half-unit costs *)
+(* 2^20: a half-unit cost step is 2^19 in the key, above any hop count
+   (a least-label path is simple, so its hops stay below the node count) *)
 let hop_scale = 1048576.0
 
 (* The one Dijkstra/A* relax loop over the CSR adjacency.  Fills [ws] for
