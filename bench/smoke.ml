@@ -477,6 +477,38 @@ let () =
     ceiling;
   if words > ceiling then
     fail "[[9,1,3]]: search_delta allocates %.1f minor words per move (ceiling %.0f)" words ceiling;
+  (* A route search allocates nothing per edge or push (doc/memory.md).
+     200 A* searches between QUALE traps under Eq. 2 weights read 2
+     minor words each (the heuristic's option), at turn cost 10 (packed
+     queue keys) and at 10/3 (keys off the half-unit grid, so every
+     search starts over on pair comparisons).  A float boxed per push,
+     such as one passed to a helper function, read 132, so a 16-word
+     ceiling catches it. *)
+  List.iter
+    (fun turn_cost ->
+      let cong = Router.Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
+      let sw = Array.make (Fabric.Graph.num_edges graph) 0.0 in
+      Router.Congestion.track_weights cong ~turn_cost graph sw;
+      let tables =
+        Array.init ntraps (fun t ->
+            Router.Lower_bound.build graph ~turn_cost ~dst:(Fabric.Graph.trap_node graph t))
+      in
+      let search k =
+        let s = k * 17 mod ntraps and d = ((k * 37) + 11) mod ntraps in
+        Router.Dijkstra.run_into ~heuristic:tables.(d) ws graph ~weights:sw
+          ~src:(Fabric.Graph.trap_node graph s) ~dst:(Fabric.Graph.trap_node graph d)
+      in
+      search 0;
+      let w0 = Gc.minor_words () in
+      for k = 1 to 200 do
+        search k
+      done;
+      let words = (Gc.minor_words () -. w0) /. 200.0 and ceiling = 16.0 in
+      Printf.printf "bench-smoke: QUALE A* search at turn cost %g: %.1f minor words/search (ceiling %.0f)\n"
+        turn_cost words ceiling;
+      if words > ceiling then
+        fail "A* search at turn cost %g allocates %.1f minor words (ceiling %.0f)" turn_cost words ceiling)
+    [ 10.0; 10.0 /. 3.0 ];
   (* The certificate digest streams its canonical rendering through FNV-1a
      without Printf or a trace-sized string.  On a [[9,1,3]] center mapping
      it allocates about 1.4 minor words per command (the chunk buffer, the

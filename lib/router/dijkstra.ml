@@ -3,49 +3,63 @@ module Fheap = Ion_util.Fheap
 
 type result = { cost : float; edges : Graph.edge list }
 
-(* 2^20: a half-unit cost step is 2^19 in the key, above any hop count
-   (a least-label path is simple, so its hops stay below the node count) *)
+(* A queue slot's int packs the hop count above the node id. *)
+let node_bits = 24
+
+let node_mask = (1 lsl node_bits) - 1
+
+(* 2^20: a packed key is [f * 2^20 + hops].  While [f] is a multiple of
+   0.5 below 2^33 and hops stay below 2^19 (a least-label path is simple,
+   so its hops stay below the node count), that float is exact and a
+   half-unit step of [f] (2^19) outweighs any hop count: one float
+   comparison then orders keys as the (f, hops) pairs do. *)
 let hop_scale = 1048576.0
 
+let packed_max_nodes = 1 lsl 19
+
+(* 2^33: below it, [f * 2^20] stays within the 53-bit mantissa *)
+let packed_max_cost = 8589934592.0
+
 (* The one Dijkstra/A* relax loop over the CSR adjacency.  Fills [ws] for
-   the current generation; with a heuristic table the queue key is
-   dist + h but settled distances are exact g-costs.  [dst = -1] sweeps
+   the current generation; with a heuristic table the queue orders nodes
+   by dist + h but settled distances are exact g-costs.  [dst = -1] sweeps
    the whole graph, otherwise the search stops when [dst] settles.
 
    A search toward [dst] breaks ties canonically, so the path returned
    never depends on the heap's pop order (doc/router.md, "Canonical
    tie-break"):
    - a node's label is (cost, hops), compared lexicographically, and the
-     queue key is [(cost + h) * 2^20 + hops], exact while weights and
-     heuristic values are multiples of 0.5;
+     queue orders entries by the pair f = cost + h, then hops;
    - among the tight in-edges of a label, [pred_edge] keeps the lowest
      CSR index.
    Every edge adds a hop, so a tight predecessor's key is strictly below
    its successor's and settles first, also through zero-weight turns and
-   under a consistent heuristic.  Hence Dijkstra and A* return the same
-   path.
+   under a heuristic consistent in float arithmetic.  Hence Dijkstra and
+   A* return the same path.
+
+   The queue compares a pair in one of two encodings.  A search starts
+   with packed keys, one float comparison per step (Eq. 2 weights, turn
+   costs 10 and 0, PathFinder's costs and their tables are all on the
+   half-unit grid).  The first [f] off that grid makes the search start
+   over with [lex]: the slot's float is [f] and a tie compares the hops
+   packed in its int, exact for every weight.  Both orders are the pair
+   order, so the answer does not depend on the encoding.
 
    The loop is self-contained (it pops and pushes the workspace's heap
    inline and reads the CSR arrays directly) because the dev profile's
    [-opaque] keeps every [Fheap]/[Graph] accessor a real call per pop,
-   push and edge (doc/router.md).  Both sifts move a hole with exactly
-   [Fheap]'s comparisons.  Reads are unchecked: [weights] and [h] are
-   length-checked below, [Workspace.prepare] sizes the node arrays to
-   [n], CSR indices come from the graph, and [ensure_room] keeps the
-   queue slots within its arrays. *)
-let run_into ?heuristic ws graph ~weights ~src ~dst =
+   push and edge (doc/router.md).  Both sifts move a hole with [Fheap]'s
+   comparisons (and, under [lex], the hop tie-break).  Reads are
+   unchecked: [weights] and [h] are length-checked below,
+   [Workspace.prepare] sizes the node arrays to [n], CSR indices come
+   from the graph, and [ensure_room] keeps the queue slots within its
+   arrays. *)
+let rec search ~lex ~h ~guided ws graph ~weights ~src ~dst =
   let n = Graph.num_nodes graph in
-  if src < 0 || src >= n then invalid_arg "Dijkstra: source out of range";
-  if dst < -1 || dst >= n then invalid_arg "Dijkstra: destination out of range";
-  (* the relax loop reads both tables unchecked, so check their lengths once *)
-  if Array.length weights < Graph.num_edges graph then
-    invalid_arg "Dijkstra: weights shorter than the edge count";
-  let h = Option.value heuristic ~default:[||] and guided = Option.is_some heuristic in
-  if guided && Array.length h < n then invalid_arg "Dijkstra: heuristic shorter than the node count";
   (* a sweep's only output is its distances, which ties cannot change, so
-     it orders labels by cost alone: no hop term in the key, no relabel on
-     fewer hops, no tie-break (and so no predecessor cycle through
-     zero-weight edges) *)
+     it orders labels by cost alone: keys are [f], hop halves all 0, no
+     relabel on fewer hops, no tie-break (and so no predecessor cycle
+     through zero-weight edges) *)
   let sweep = dst = -1 in
   Workspace.prepare ws n;
   let gen = ws.Workspace.generation in
@@ -69,23 +83,40 @@ let run_into ?heuristic ws graph ~weights ~src ~dst =
   q.Fheap.size <- 1;
   let count = ref 0 in
   let finished = ref false in
-  while (not !finished) && q.Fheap.size > 0 do
+  (* every packed key pushed so far is exact *)
+  let exact = ref true in
+  while (not !finished) && !exact && q.Fheap.size > 0 do
     let prio = q.Fheap.prio and data = q.Fheap.data in
-    let u = Array.unsafe_get data 0 in
+    let u = Array.unsafe_get data 0 land node_mask in
     (* pop: the last entry fills the root hole and sifts down *)
     let size = q.Fheap.size - 1 in
     q.Fheap.size <- size;
     if size > 0 then begin
       let key = Array.unsafe_get prio size and item = Array.unsafe_get data size in
+      let key_hops = item lsr node_bits in
       let hole = ref 0 and sinking = ref true in
       while !sinking do
         let i = !hole in
         let l = (2 * i) + 1 in
         let r = l + 1 in
-        let smallest = if l < size && Array.unsafe_get prio l < key then l else i in
+        let smallest =
+          if l < size
+             &&
+             let p = Array.unsafe_get prio l in
+             p < key || (lex && p = key && Array.unsafe_get data l lsr node_bits < key_hops)
+          then l
+          else i
+        in
         let smallest =
           if r < size
-             && Array.unsafe_get prio r < (if smallest = i then key else Array.unsafe_get prio smallest)
+             &&
+             let p = Array.unsafe_get prio r in
+             let sp = if smallest = i then key else Array.unsafe_get prio smallest in
+             p < sp
+             || lex
+                && p = sp
+                && Array.unsafe_get data r lsr node_bits
+                   < if smallest = i then key_hops else Array.unsafe_get data smallest lsr node_bits
           then r
           else smallest
         in
@@ -130,7 +161,18 @@ let run_into ?heuristic ws graph ~weights ~src ~dst =
                 Array.unsafe_set pred_node v u;
                 Array.unsafe_set reached v gen;
                 let f = if guided then nd +. Array.unsafe_get h v else nd in
-                let key = if sweep then f else (f *. hop_scale) +. float_of_int nh in
+                let key =
+                  if sweep || lex then f
+                  else begin
+                    (* on the half-unit grid, tested inline: a call would
+                       box [f] *)
+                    let f2 = f *. 2.0 in
+                    if not (f < packed_max_cost && Float.of_int (Float.to_int f2) = f2) then exact := false;
+                    (f *. hop_scale) +. float_of_int nh
+                  end
+                in
+                let key_hops = if sweep then 0 else nh in
+                let item = (key_hops lsl node_bits) lor v in
                 (* push: the new entry enters a hole at the end and sifts up *)
                 if q.Fheap.size = Array.length q.Fheap.prio then Fheap.ensure_room q;
                 let prio = q.Fheap.prio and data = q.Fheap.data in
@@ -139,15 +181,16 @@ let run_into ?heuristic ws graph ~weights ~src ~dst =
                 while !rising && !hole > 0 do
                   let i = !hole in
                   let parent = (i - 1) / 2 in
-                  if key < Array.unsafe_get prio parent then begin
-                    Array.unsafe_set prio i (Array.unsafe_get prio parent);
-                    Array.unsafe_set data i (Array.unsafe_get data parent);
+                  let p = Array.unsafe_get prio parent and d = Array.unsafe_get data parent in
+                  if key < p || (lex && key = p && key_hops < d lsr node_bits) then begin
+                    Array.unsafe_set prio i p;
+                    Array.unsafe_set data i d;
                     hole := parent
                   end
                   else rising := false
                 done;
                 Array.unsafe_set prio !hole key;
-                Array.unsafe_set data !hole v
+                Array.unsafe_set data !hole item
               end
             end
           end
@@ -155,7 +198,22 @@ let run_into ?heuristic ws graph ~weights ~src ~dst =
       end
     end
   done;
-  ws.Workspace.settled_nodes <- !count
+  if !exact then ws.Workspace.settled_nodes <- !count
+  else (* an [f] left the half-unit grid: start over on exact pairs *)
+    search ~lex:true ~h ~guided ws graph ~weights ~src ~dst
+
+let run_into ?heuristic ws graph ~weights ~src ~dst =
+  let n = Graph.num_nodes graph in
+  if src < 0 || src >= n then invalid_arg "Dijkstra: source out of range";
+  if dst < -1 || dst >= n then invalid_arg "Dijkstra: destination out of range";
+  (* node ids and hop counts (below [n]) must fit a queue slot's int *)
+  if n > node_mask then invalid_arg "Dijkstra: graph too large";
+  (* the relax loop reads both tables unchecked, so check their lengths once *)
+  if Array.length weights < Graph.num_edges graph then
+    invalid_arg "Dijkstra: weights shorter than the edge count";
+  let h = Option.value heuristic ~default:[||] and guided = Option.is_some heuristic in
+  if guided && Array.length h < n then invalid_arg "Dijkstra: heuristic shorter than the node count";
+  search ~lex:(n > packed_max_nodes) ~h ~guided ws graph ~weights ~src ~dst
 
 (* Rebuild the O(path) edge list from the workspace predecessors. *)
 let path_to ws graph ~dst =

@@ -58,21 +58,28 @@ val run_into :
     A search toward [dst] returns the {e canonical} path, whatever the
     heap's pop order: labels are (cost, hops), compared
     lexicographically, and each node's predecessor is its tight in-edge
-    (one that attains the label) of lowest CSR index.  With a consistent
-    heuristic every tight predecessor settles before its successor, so
-    A* and Dijkstra return the same path and dist bits.  The queue key
-    [(cost + h)·2{^20} + hops] is exact while every finite weight and
-    heuristic value is a multiple of 0.5 (Eq. 2 weights, turn costs 10 and
-    0, PathFinder's negotiation costs); other weights, such as a turn cost
-    of [t_turn / t_move] = 10/3, still give least-cost paths, but ties may
-    then break by rounding.  The workspace's [hops] holds the labels' hop
-    counts.  A sweep ([dst = -1]) orders labels by cost alone: its
-    distances are the same and its predecessors are not canonical.
+    (one that attains the label) of lowest CSR index.  The queue orders
+    entries by the pair (cost + heuristic, hops), lexicographically too,
+    so the rule holds for every non-negative weight and Dijkstra's
+    labels are exact least labels in float arithmetic.  (A search packs
+    each pair into one float while every cost + heuristic it pushes is
+    a multiple of 0.5, and starts over comparing the pairs at the first
+    one that is not; [settled_nodes] counts the last run.)  With a
+    heuristic consistent in float arithmetic every tight predecessor
+    settles before its successor, so A* and Dijkstra return the same
+    path and dist bits; that holds whenever the sums cost + heuristic
+    are exact (Eq. 2 weights, turn costs 10 and 0, PathFinder's
+    negotiation costs).  Under other weights, such as a turn cost of
+    [t_turn / t_move] = 10/3, A* returns a least-cost path up to the
+    rounding of cost + heuristic.  The workspace's [hops] holds the
+    labels' hop counts.  A sweep ([dst = -1]) orders labels by cost
+    alone: its distances are the same and its predecessors are not
+    canonical.
     @raise Invalid_argument when [weights] is shorter than
     [Fabric.Graph.num_edges graph] or [heuristic] shorter than
     [Fabric.Graph.num_nodes graph] (both checked once per call), on an
-    out-of-range [src]/[dst], or on a negative or NaN weight the search
-    reads.  Records the number of nodes it settled in the workspace's
+    out-of-range [src]/[dst], on a graph of 2{^24} nodes or more, or on
+    a negative or NaN weight the search reads.  Records the number of nodes it settled in the workspace's
     [settled_nodes]. *)
 
 val path_to : Workspace.t -> Fabric.Graph.t -> dst:Fabric.Graph.node -> result option

@@ -10,25 +10,10 @@ let base_weights graph ~turn_cost =
     invalid_arg "Lower_bound: turn cost must be non-negative";
   Array.init (Graph.num_edges graph) (fun i -> base_weight ~turn_cost (Graph.succ_kind graph i))
 
-(* Every table sweeps the same base weights, so they are tabulated once
-   per (graph, turn cost) and domain: a one-entry memo, read only by the
-   sweeps (PathFinder writes into its own [base_weights] copy). *)
-let memo : (Graph.t * float * float array) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let shared_base_weights graph ~turn_cost =
-  let slot = Domain.DLS.get memo in
-  match !slot with
-  | Some (g, tc, w) when g == graph && Float.equal tc turn_cost -> w
-  | Some _ | None ->
-      let w = base_weights graph ~turn_cost in
-      slot := Some (graph, turn_cost, w);
-      w
-
 (* The fabric graph is weight-symmetric under base costs: movement edges are
    inserted in both directions (entry kind of the destination cell, but both
    kinds cost 1), turn edges exist both ways at [turn_cost], and tap links are
    paired.  A single forward sweep from [dst] therefore yields the exact
    distance TO [dst] from every node. *)
 let build ?workspace graph ~turn_cost ~dst =
-  Dijkstra.distances ?workspace graph ~weights:(shared_base_weights graph ~turn_cost) ~src:dst
+  Dijkstra.distances ?workspace graph ~weights:(base_weights graph ~turn_cost) ~src:dst

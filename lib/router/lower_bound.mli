@@ -14,9 +14,10 @@
     weight-symmetric under base costs (movement, turn and tap edges are all
     inserted in both directions at equal base cost), so the forward sweep
     yields exact to-destination distances.  {!Route_cache} memoizes tables
-    across searches, and {!Pathfinder}'s A* reads them;
+    across searches (sweeping one {!base_weights} array per graph and turn
+    cost), and the engine's and {!Pathfinder}'s A* read them;
     {!Estimator.Distance} builds its trap-to-trap tables from the same
-    sweeps. *)
+    sweeps over one {!base_weights} array. *)
 
 type t = float array
 (** Exact base-cost distance to the destination per node ([infinity] when
@@ -32,8 +33,6 @@ val base_weights : Fabric.Graph.t -> turn_cost:float -> float array
     @raise Invalid_argument on a negative/NaN turn cost. *)
 
 val build : ?workspace:Workspace.t -> Fabric.Graph.t -> turn_cost:float -> dst:Fabric.Graph.node -> t
-(** One full Dijkstra sweep from [dst] under {!base_weights}, tabulated
-    once per (graph, turn cost) on each domain and shared by the sweeps
-    that follow.
+(** One full Dijkstra sweep from [dst] under {!base_weights}.
     @raise Invalid_argument on a negative/NaN turn cost or an out-of-range
     destination. *)

@@ -23,6 +23,7 @@ type snapshot = {
 type t = {
   workspace : Workspace.t;  (* scratch for table builds and cached searches *)
   mutable graph : Graph.t option;  (* physical identity of the cached fabric *)
+  mutable base : (float * float array) option;  (* the graph's base weights at one turn cost *)
   bounds : (float * int, Lower_bound.t) Hashtbl.t;
   paths : (float * int * int, Path.t option) Hashtbl.t;
   mutable shared : snapshot option;  (* read-only fallback layer *)
@@ -36,6 +37,7 @@ let create () =
   {
     workspace = Workspace.create ();
     graph = None;
+    base = None;
     bounds = Hashtbl.create 32;
     paths = Hashtbl.create 256;
     shared = None;
@@ -47,6 +49,7 @@ let create () =
 
 let clear t =
   t.graph <- None;
+  t.base <- None;
   t.shared <- None;
   Hashtbl.reset t.bounds;
   Hashtbl.reset t.paths
@@ -93,6 +96,16 @@ let shared_lower_bound t key =
   | Some s -> Hashtbl.find_opt s.snap_bounds key
   | None -> None
 
+(* every table the cache builds sweeps the same base weights, so they are
+   tabulated once per graph and turn cost *)
+let base_weights t graph ~turn_cost =
+  match t.base with
+  | Some (tc, w) when Float.equal tc turn_cost -> w
+  | Some _ | None ->
+      let w = Lower_bound.base_weights graph ~turn_cost in
+      t.base <- Some (turn_cost, w);
+      w
+
 let lower_bound t graph ~turn_cost ~dst =
   for_graph t graph;
   let key = (turn_cost, dst) in
@@ -103,7 +116,9 @@ let lower_bound t graph ~turn_cost ~dst =
       | Some lb -> lb
       | None ->
           t.bound_builds <- t.bound_builds + 1;
-          let lb = Lower_bound.build ~workspace:t.workspace graph ~turn_cost ~dst in
+          (* the sweep of [Lower_bound.build], over the cache's base weights *)
+          let weights = base_weights t graph ~turn_cost in
+          let lb = Dijkstra.distances ~workspace:t.workspace graph ~weights ~src:dst in
           if Hashtbl.length t.bounds < max_bounds then Hashtbl.add t.bounds key lb;
           lb)
 

@@ -57,7 +57,9 @@ val workspace : t -> Workspace.t
 val lower_bound :
   t -> Fabric.Graph.t -> turn_cost:float -> dst:Fabric.Graph.node -> Lower_bound.t
 (** The memoized per-destination table, built on first request (one Dijkstra
-    sweep) and shared by every later search toward [dst] at that turn cost. *)
+    sweep) and shared by every later search toward [dst] at that turn cost.
+    The sweeps read the graph's base weights, which the cache tabulates
+    once per turn cost and drops with its tables. *)
 
 val find : t -> turn_cost:float -> src:int -> dst:int -> Path.t option option
 (** [Some result] when a base-weight search was cached for the

@@ -674,13 +674,65 @@ let prop_workspace_distances_match =
 (* a finite weight on the half-unit grid, or a wall *)
 let is_half_multiple w = w = Float.infinity || (w >= 0.0 && Float.of_int (Float.to_int (2.0 *. w)) = 2.0 *. w)
 
+(* A swap-based binary heap of (key, hops, node) entries ordered
+   lexicographically on (key, hops): the comparisons of
+   [Dijkstra.run_into]'s hole-moving sifts, in the same order, so both
+   pop equal keys alike. *)
+type ref_heap = { mutable keys : float array; mutable khops : int array; mutable nodes : int array; mutable size : int }
+
+let ref_heap_lt h i j = h.keys.(i) < h.keys.(j) || (h.keys.(i) = h.keys.(j) && h.khops.(i) < h.khops.(j))
+
+let ref_heap_swap h i j =
+  let k = h.keys.(i) and kh = h.khops.(i) and v = h.nodes.(i) in
+  h.keys.(i) <- h.keys.(j);
+  h.khops.(i) <- h.khops.(j);
+  h.nodes.(i) <- h.nodes.(j);
+  h.keys.(j) <- k;
+  h.khops.(j) <- kh;
+  h.nodes.(j) <- v
+
+let ref_heap_push h key kh v =
+  if h.size = Array.length h.keys then begin
+    let grow a fill = Array.append a (Array.make (max 1 (Array.length a)) fill) in
+    h.keys <- grow h.keys 0.0;
+    h.khops <- grow h.khops 0;
+    h.nodes <- grow h.nodes 0
+  end;
+  let i = ref h.size in
+  h.keys.(!i) <- key;
+  h.khops.(!i) <- kh;
+  h.nodes.(!i) <- v;
+  h.size <- h.size + 1;
+  while !i > 0 && ref_heap_lt h !i ((!i - 1) / 2) do
+    ref_heap_swap h !i ((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done
+
+let ref_heap_pop h =
+  let top = h.nodes.(0) in
+  h.size <- h.size - 1;
+  ref_heap_swap h 0 h.size;
+  let i = ref 0 and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let smallest = if l < h.size && ref_heap_lt h l !i then l else !i in
+    let smallest = if r < h.size && ref_heap_lt h r smallest then r else smallest in
+    if smallest = !i then sinking := false
+    else begin
+      ref_heap_swap h !i smallest;
+      i := smallest
+    end
+  done;
+  top
+
 (* The closure relax loop [Dijkstra.run_into] carried beside its array
    loop, kept as the reference: it calls a per-kind weight function per
-   edge and a per-node heuristic function per push, and goes through
-   [Fheap]'s API.  A search toward [dst] follows the canonical rule:
-   (cost, hops) labels, the queue keyed on (cost + h)·2^20 + hops, and the
-   lowest-index tight in-edge as predecessor.  A sweep ([dst = -1]) orders
-   labels by cost alone. *)
+   edge and a per-node heuristic function per push, and keeps its queue
+   in the heap above.  A search toward [dst] follows the canonical rule:
+   (cost, hops) labels, the queue ordered by (cost + h, hops), and the
+   lowest-index tight in-edge as predecessor.  A sweep ([dst = -1])
+   orders labels by cost alone. *)
 let reference_run_into ?heuristic ws graph ~weight ~src ~dst =
   let n = Graph.num_nodes graph in
   let h = match heuristic with Some f -> f | None -> fun _ -> 0.0 in
@@ -692,19 +744,17 @@ let reference_run_into ?heuristic ws graph ~weight ~src ~dst =
   and pred_node = ws.Workspace.pred_node
   and reached = ws.Workspace.reached
   and settled = ws.Workspace.settled
-  and queue = ws.Workspace.queue in
+  and queue = { keys = [||]; khops = [||]; nodes = [||]; size = 0 } in
   dist.(src) <- 0.0;
   hops.(src) <- 0;
   pred_edge.(src) <- -1;
   pred_node.(src) <- -1;
   reached.(src) <- gen;
   let sweep = dst = -1 in
-  let key f nh = if sweep then f else (f *. 1048576.0) +. float_of_int nh in
-  Ion_util.Fheap.add queue (key (h src) 0) src;
+  ref_heap_push queue (h src) 0 src;
   let finished = ref false in
-  while (not !finished) && not (Ion_util.Fheap.is_empty queue) do
-    let u = Ion_util.Fheap.top_data queue in
-    Ion_util.Fheap.drop_min queue;
+  while (not !finished) && queue.size > 0 do
+    let u = ref_heap_pop queue in
     if settled.(u) <> gen then begin
       settled.(u) <- gen;
       if u = dst then finished := true
@@ -731,7 +781,7 @@ let reference_run_into ?heuristic ws graph ~weight ~src ~dst =
                 pred_edge.(v) <- i;
                 pred_node.(v) <- u;
                 reached.(v) <- gen;
-                Ion_util.Fheap.add queue (key (nd +. h v) nh) v
+                ref_heap_push queue (nd +. h v) (if sweep then 0 else nh) v
           end
         done
       end
@@ -761,9 +811,8 @@ let small_random_grid rng =
   match Component.extract l with Ok c -> Graph.build c | Error e -> Alcotest.failf "extract: %s" e
 
 (* A per-kind weight function: a random draw per kind (zeros, infinities,
-   integers and half units), the turn-blind QUALE base costs, or Eq. 2
-   under random congestion at turn cost 0 or 10.  Every finite weight is a
-   multiple of 0.5, the domain where the queue key is exact. *)
+   integers, half units and arbitrary fractions), the turn-blind QUALE
+   base costs, or Eq. 2 under random congestion at turn cost 0 or 10. *)
 let random_weight rng g =
   match Random.State.int rng 3 with
   | 0 ->
@@ -776,7 +825,8 @@ let random_weight rng g =
             | 0 -> 0.0
             | 1 -> Float.infinity
             | 2 -> float_of_int (1 + Random.State.int rng 10)
-            | _ -> 0.5 *. float_of_int (Random.State.int rng 30))
+            | 3 -> 0.5 *. float_of_int (Random.State.int rng 30)
+            | _ -> Random.State.float rng 12.0)
       done;
       Hashtbl.find tbl
   | 1 -> Lower_bound.base_weight ~turn_cost:0.0
@@ -822,7 +872,6 @@ let prop_one_loop_equals_closure_reference =
       let n = Graph.num_nodes g in
       let weight = random_weight rng g in
       let weights = tabulate g weight in
-      if not (Array.for_all is_half_multiple weights) then QCheck.Test.fail_report "weight off the half grid";
       let ws = Workspace.create () and ws' = Workspace.create () in
       List.for_all
         (fun _ ->
@@ -1105,6 +1154,86 @@ let prop_astar_is_dijkstra =
              && Option.equal Path.equal (Path.of_workspace ws g ~src ~dst) (Path.of_workspace ws' g ~src ~dst))
            (List.init 10 Fun.id))
 
+(* Off the half-unit grid the queue order stays exact.  On the tiny
+   fabrics, with near ties (10 beside 10 + 2^-24, zeros, unit steps) whose
+   sums are all exact, Dijkstra and A* under the exact to-[dst] distances
+   return the brute-force canonical path; a cheaper path with more hops
+   is the case a packed key gets wrong off the grid.  Under
+   arbitrary fractions and 10 + 1e-6, Dijkstra's label at [dst] is the
+   brute-force least (cost, hops). *)
+let prop_least_label_off_grid =
+  QCheck.Test.make ~name:"Dijkstra and A* return the least label off the half grid" ~count:1500
+    QCheck.(triple (int_bound 3) bool (int_bound 1_000_000))
+    (fun (fi, exact, seed) ->
+      let g = List.nth (Lazy.force tiny_fabrics) fi in
+      let rng = Random.State.make [| seed |] in
+      let n = Graph.num_nodes g in
+      let weights =
+        Array.init (Graph.num_edges g) (fun _ ->
+            match Random.State.int rng 10 with
+            | 0 -> Float.infinity
+            | 1 | 2 | 3 -> 0.0
+            | 4 -> if exact then 1.0 else 10.000001
+            | 5 | 6 -> 10.0
+            | _ -> if exact then 10.0 +. ldexp 1.0 (-24) else Random.State.float rng 12.0)
+      in
+      let ws = Workspace.create () in
+      let show = function None -> "none" | Some (c, h, _) -> Printf.sprintf "%.17g/%d" c h in
+      List.for_all
+        (fun _ ->
+          let src = Random.State.int rng n and dst = Random.State.int rng n in
+          let expect = brute_canonical g weights ~src ~dst in
+          let label = Option.map (fun (c, h, _) -> (c, h)) in
+          let heuristics =
+            if exact then [ None; Some (Array.init n (fun u -> (Dijkstra.distances g ~weights ~src:u).(dst))) ]
+            else [ None ]
+          in
+          List.for_all
+            (fun heuristic ->
+              Dijkstra.run_into ?heuristic ws g ~weights ~src ~dst;
+              let got = searched ws ~dst in
+              (if exact then got = expect else label got = label expect)
+              || QCheck.Test.fail_reportf "src %d dst %d: expected %s, got %s" src dst (show expect) (show got))
+            heuristics)
+        (List.init 8 Fun.id))
+
+(* A turn cost a hair above 10 makes a path with one more turn and ten
+   less in channel weight dearer by the hair, though it may have fewer
+   hops.  On QUALE and the ingress grids, under random Eq. 2 congestion,
+   Dijkstra toward a trap returns the plain least cost (a sweep's), and so
+   does A* on the destination's table: exactly at 10 + 2^-24, whose sums
+   are exact, and within 1e-9 (the rounding of cost + h, far below the
+   1e-6 step) at 10.000001. *)
+let test_near_tie_turn_cost () =
+  List.iteri
+    (fun fi comp ->
+      let g = Graph.build comp in
+      let ntraps = Array.length (Component.traps comp) in
+      let rng = Random.State.make [| 32 + fi |] in
+      List.iter
+        (fun turn_cost ->
+          let ws = Workspace.create () in
+          for _ = 1 to 8 do
+            let cong = Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
+            Array.iter
+              (fun r -> if Random.State.int rng 3 = 0 && Congestion.is_free cong r then Congestion.acquire cong r)
+              (all_resources comp);
+            let weights = tabulate g (Congestion.weight cong ~turn_cost) in
+            let src = Graph.trap_node g (Random.State.int rng ntraps) in
+            let least = Dijkstra.distances g ~weights ~src in
+            for _ = 1 to 10 do
+              let dst = Graph.trap_node g (Random.State.int rng ntraps) in
+              let what = Printf.sprintf "fabric %d, turn %.17g, %d -> %d" fi turn_cost src dst in
+              Dijkstra.run_into ws g ~weights ~src ~dst;
+              Alcotest.(check (float 0.0)) (what ^ ": Dijkstra") least.(dst) (Workspace.dist ws dst);
+              Dijkstra.run_into ~heuristic:(Lower_bound.build g ~turn_cost ~dst) ws g ~weights ~src ~dst;
+              let tol = if turn_cost = 10.0 +. ldexp 1.0 (-24) then 0.0 else 1e-9 in
+              Alcotest.(check (float tol)) (what ^ ": A*") least.(dst) (Workspace.dist ws dst)
+            done
+          done)
+        [ 10.0 +. ldexp 1.0 (-24); 10.000001 ])
+    (Lazy.force ingress_grids)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "router"
@@ -1174,5 +1303,7 @@ let () =
             prop_searches_return_canonical_path;
             prop_guided_search_returns_canonical_path;
             prop_astar_is_dijkstra;
-          ] );
+            prop_least_label_off_grid;
+          ]
+        @ [ Alcotest.test_case "near-tie turn cost: least cost" `Quick test_near_tie_turn_cost ] );
     ]
