@@ -23,7 +23,7 @@ let () =
         match Qspr.Mapper.map Mvfb ctx with Ok s -> s.Qspr.Mapper.latency | Error e -> failwith (Qspr.Mapper.error_to_string e)
       in
       Printf.printf "%-12s %9.0fus %9.0fus %9.0fus %10.1f%%\n" name baseline quale qspr
-        (Qspr.Report.improvement_pct ~quale ~qspr))
+        (Qspr.Experiments.improvement_pct ~quale ~qspr))
     (Circuits.Qecc.all ());
   print_newline ();
   (* every benchmark is a genuine reversible encoder: verify one of them with

@@ -1,9 +1,25 @@
 module Coord = Ion_util.Coord
+module Json = Ion_util.Json
+
+type placer_cell = { latency : float; cpu_ms : float; runs : int }
+
+type table1_row = {
+  circuit : string;
+  mvfb_25 : placer_cell;
+  mc_25 : placer_cell;
+  mvfb_100 : placer_cell;
+  mc_100 : placer_cell;
+}
+
+type table2_row = { circuit : string; baseline : float; quale : float; qspr : float }
+
+let us v = if Float.is_integer v then Printf.sprintf "%.0f" v else Printf.sprintf "%.1f" v
+let improvement_pct ~quale ~qspr = (quale -. qspr) /. quale *. 100.0
 
 let fabric () = Fabric.Layout.quale_45x85 ()
 
-let context ?config program =
-  match Mapper.create ~fabric:(fabric ()) ?config program with
+let context program =
+  match Mapper.create ~fabric:(fabric ()) program with
   | Ok ctx -> ctx
   | Error e -> failwith ("Experiments.context: " ^ e)
 
@@ -25,7 +41,7 @@ let map_exn ~m strategy label ctx =
   solve_exn label (Mapper.map strategy (Mapper.with_search (Config.with_m m) ctx))
 
 let cell_of (s : Mapper.solution) =
-  { Report.latency = s.Mapper.latency; cpu_ms = s.Mapper.cpu_time_s *. 1000.0; runs = s.Mapper.placement_runs }
+  { latency = s.Mapper.latency; cpu_ms = s.Mapper.cpu_time_s *. 1000.0; runs = s.Mapper.placement_runs }
 
 (* one circuit, one seed count: MVFB then MC at the same run budget *)
 let placer_pair ctx ~m =
@@ -43,7 +59,7 @@ let table1 ?(m_small = 25) ?(m_large = 100) ?circuits () =
       let ctx = context p in
       let mvfb_25, mc_25 = placer_pair ctx ~m:m_small in
       let mvfb_100, mc_100 = placer_pair ctx ~m:m_large in
-      { Report.circuit = name; mvfb_25; mc_25; mvfb_100; mc_100 })
+      { circuit = name; mvfb_25; mc_25; mvfb_100; mc_100 })
     circuits
 
 let table2 ?(m = 100) ?circuits () =
@@ -54,46 +70,8 @@ let table2 ?(m = 100) ?circuits () =
       let baseline = Mapper.ideal_latency ctx in
       let quale = solve_exn "QUALE" (Mapper.map Quale ctx) in
       let qspr = map_exn ~m Mvfb "QSPR" ctx in
-      { Report.circuit = name; baseline; quale = quale.Mapper.latency; qspr = qspr.Mapper.latency })
+      ({ circuit = name; baseline; quale = quale.Mapper.latency; qspr = qspr.Mapper.latency } : table2_row))
     circuits
-
-let table2_with_paper rows =
-  let header =
-    [
-      "Circuit";
-      "Baseline";
-      "QUALE (ours)";
-      "QUALE (paper)";
-      "QSPR (ours)";
-      "QSPR (paper)";
-      "Impr% (ours)";
-      "Impr% (paper)";
-    ]
-  in
-  let cells =
-    List.map
-      (fun (r : Report.table2_row) ->
-        let paper v = match v with Some x -> Report.us x | None -> "?" in
-        let paper_q = Circuits.Qecc.paper_quale_latency_us r.Report.circuit in
-        let paper_s = Circuits.Qecc.paper_qspr_latency_us r.Report.circuit in
-        let paper_impr =
-          match (paper_q, paper_s) with
-          | Some q, Some s -> Printf.sprintf "%.1f" (Report.improvement_pct ~quale:q ~qspr:s)
-          | _ -> "?"
-        in
-        [
-          r.Report.circuit;
-          Report.us r.Report.baseline;
-          Report.us r.Report.quale;
-          paper paper_q;
-          Report.us r.Report.qspr;
-          paper paper_s;
-          Printf.sprintf "%.1f" (Report.improvement_pct ~quale:r.Report.quale ~qspr:r.Report.qspr);
-          paper_impr;
-        ])
-      rows
-  in
-  Ion_util.Ascii_table.render_simple ~header ~rows:cells
 
 let sensitivity ?(ms = [ 1; 5; 10; 25; 50; 100 ]) ?(circuit = "[[9,1,3]]") () =
   let p = builtin "sensitivity" circuit in
@@ -125,8 +103,8 @@ let scaling_study ?(cases = [ (5, 30); (10, 60); (15, 120); (20, 200) ]) () =
       (nq, gates, sol.Mapper.latency, Sys.time () -. t0))
     cases
 
-let placer_comparison ?(circuit = "[[9,1,3]]") () =
-  let p = builtin "placer_comparison" circuit in
+let placer_comparison () =
+  let p = Circuits.Qecc.c913 () in
   let ctx = context p in
   let comp = Mapper.component ctx in
   let nq = Qasm.Program.num_qubits p in
@@ -160,8 +138,7 @@ let placer_comparison ?(circuit = "[[9,1,3]]") () =
     ("MVFB (m=5)", mvfb.Mapper.latency, budget);
   ]
 
-let estimator_accuracy ?circuits () =
-  let circuits = match circuits with Some c -> c | None -> default_circuits () in
+let estimator_accuracy () =
   List.map
     (fun (name, p) ->
       let ctx = context p in
@@ -175,7 +152,7 @@ let estimator_accuracy ?circuits () =
         | Error e -> failwith ("Experiments.estimator_accuracy: " ^ Simulator.Engine.string_of_error e)
       in
       (name, estimated, measured, Float.abs (estimated -. measured) /. measured))
-    circuits
+    (default_circuits ())
 
 type prescreen_stats = {
   plain_latency : float;
@@ -184,7 +161,8 @@ type prescreen_stats = {
   prescreened_evals : int;
 }
 
-let prescreen_study ?(circuit = "[[9,1,3]]") ?(runs = 25) ?(k = 5) () =
+let prescreen_study ?(circuit = "[[9,1,3]]") () =
+  let runs = 25 and k = 5 in
   let p = builtin "prescreen_study" circuit in
   let ctx = context p in
   let mc label prescreen_k =
@@ -236,13 +214,13 @@ let fabric_study ?(circuit = "[[9,1,3]]") () =
   in
   geometry @ capacity @ linear
 
-let optimality_study ?(circuit = "[[5,1,3]]") ?(candidate_traps = 6) () =
-  let p = builtin "optimality_study" circuit in
+let optimality_study () =
+  let p = Circuits.Qecc.c513 () in
   let ctx = context p in
   let nq = Qasm.Program.num_qubits p in
   let exhaustive =
     match
-      Placer.Exhaustive.search ~candidate_traps ~evaluate:(Mapper.run_forward ctx) (Mapper.component ctx)
+      Placer.Exhaustive.search ~candidate_traps:6 ~evaluate:(Mapper.run_forward ctx) (Mapper.component ctx)
         ~num_qubits:nq
     with
     | Ok o -> o
@@ -347,8 +325,7 @@ let basis_study ?(m = 5) ?circuits () =
       (name, native.Mapper.latency, cx.Mapper.latency))
     circuits
 
-let eq1_breakdown ?(m = 5) ?circuits () =
-  let circuits = match circuits with Some c -> c | None -> default_circuits () in
+let eq1_breakdown ?(m = 5) () =
   List.map
     (fun (name, p) ->
       let ctx = context p in
@@ -371,10 +348,10 @@ let eq1_breakdown ?(m = 5) ?circuits () =
              ~priorities:(Mapper.quale_priorities ctx) ~placement:center)
       in
       (name, qspr, quale))
-    circuits
+    (default_circuits ())
 
-let noise_sweep ?(circuit = "[[9,1,3]]") ?(scales = [ 0.5; 1.0; 2.0; 4.0 ]) ?(trials = 200) () =
-  let p = builtin "noise_sweep" circuit in
+let noise_sweep ?(trials = 200) () =
+  let p = Circuits.Qecc.c913 () in
   let ctx = context p in
   let qspr = map_exn ~m:5 Mvfb "QSPR" ctx in
   let quale = solve_exn "QUALE" (Mapper.map Quale ctx) in
@@ -397,7 +374,7 @@ let noise_sweep ?(circuit = "[[9,1,3]]") ?(scales = [ 0.5; 1.0; 2.0; 4.0 ]) ?(tr
         | Error e -> failwith ("Experiments.noise_sweep: " ^ e)
       in
       (scale, rate qspr.Mapper.trace, rate quale.Mapper.trace))
-    scales
+    [ 0.5; 1.0; 2.0; 4.0 ]
 
 (* mapped latency of the center placement under each (name, engine policy,
    priorities) row; both engine studies below are tables of such rows *)
@@ -455,8 +432,7 @@ let ablation_study () =
 (* every solution already carries its certified lower bound; the study just
    lines them up against the achieved latencies so the optimality gap of
    the whole Table-1 suite is visible at a glance *)
-let gaps_study ?(m = 5) ?circuits () =
-  let circuits = match circuits with Some c -> c | None -> default_circuits () in
+let gaps_study ?(m = 5) () =
   List.map
     (fun (name, p) ->
       let ctx = context p in
@@ -467,7 +443,7 @@ let gaps_study ?(m = 5) ?circuits () =
         else 0.0
       in
       (name, s.Mapper.latency, s.Mapper.lower_bound_us, s.Mapper.bound_kind, gap))
-    circuits
+    (default_circuits ())
 
 let fig23 () =
   let p = Circuits.Qecc.c513 () in
@@ -581,3 +557,247 @@ let fig5 () =
     (describe "path (1), direct" direct)
     (describe "path (2), zigzag" zigzag)
     footer
+(* ------------------------------------------------------------------ *)
+(* Tables and the study registry                                      *)
+
+type cell = { text : string; value : Json.t }
+type column = { header : string; key : string }
+type table = { columns : column list; rows : cell list list }
+type section = Table of table | Text of { text : string; json : Json.t option }
+
+let markdown = function
+  | Table t ->
+      Ion_util.Ascii_table.render
+        ~header:(List.map (fun c -> c.header) t.columns)
+        ~rows:(List.map (List.map (fun c -> c.text)) t.rows)
+  | Text { text; _ } -> "```\n" ^ text ^ (if String.ends_with ~suffix:"\n" text then "" else "\n") ^ "```\n"
+
+let json t =
+  Json.List (List.map (fun row -> Json.Obj (List.map2 (fun c cell -> (c.key, cell.value)) t.columns row)) t.rows)
+
+(* cells: the printed text and the raw value behind it; a repeated row
+   label prints [blank] and keeps its value *)
+let str s = { text = s; value = Json.String s }
+let count n = { text = string_of_int n; value = Json.Int n }
+let num fmt v = { text = Printf.sprintf fmt v; value = Json.Float v }
+let lat v = { text = us v; value = Json.Float v }
+let blank s = { text = ""; value = Json.String s }
+let unknown = { text = "?"; value = Json.Null }
+let pct fmt v = { text = Printf.sprintf fmt (100.0 *. v); value = Json.Float v }
+
+(* [columns] are (header, JSON key) pairs *)
+let table columns rows = Table { columns = List.map (fun (header, key) -> { header; key }) columns; rows }
+let text s = Text { text = s; json = None }
+
+let plot series =
+  text (Ion_util.Plot.render (List.map (fun (label, glyph, points) -> { Ion_util.Plot.label; points; glyph }) series))
+
+(* (name, latency) rows: the engine and placement studies *)
+let latency_table label rows =
+  table [ (label, String.lowercase_ascii label); ("latency (us)", "latency_us") ]
+    (List.map (fun (name, latency) -> [ str name; num "%.1f" latency ]) rows)
+
+(* the JSON keys keep the paper's m = 25 / m = 100 names at any m *)
+let table1_section ~m_small ~m_large rows =
+  let columns m key =
+    [ (Printf.sprintf "m=%d latency (us)" m, key ^ "_latency_us"); (Printf.sprintf "m=%d CPU (ms)" m, key ^ "_cpu_ms");
+      (Printf.sprintf "m=%d runs" m, key ^ "_runs") ]
+  in
+  let cells c = [ lat c.latency; num "%.0f" c.cpu_ms; count c.runs ] in
+  table
+    ([ ("Circuit", "circuit"); ("Placer", "placer") ] @ columns m_small "m25" @ columns m_large "m100")
+    (List.concat_map
+       (fun (r : table1_row) ->
+         [ (str r.circuit :: str "MVFB" :: cells r.mvfb_25) @ cells r.mvfb_100;
+           (blank r.circuit :: str "MC" :: cells r.mc_25) @ cells r.mc_100 ])
+       rows)
+
+let table2_section rows =
+  let paper = function Some v -> lat v | None -> unknown in
+  table
+    [ ("Circuit", "circuit"); ("Baseline (us)", "baseline_us"); ("QUALE (us)", "quale_us");
+      ("QUALE paper (us)", "quale_paper_us"); ("QSPR (us)", "qspr_us"); ("QSPR paper (us)", "qspr_paper_us");
+      ("QUALE - baseline (us)", "quale_over_baseline_us"); ("QSPR - baseline (us)", "qspr_over_baseline_us");
+      ("Impr. (%)", "improvement_pct"); ("Impr. paper (%)", "improvement_paper_pct") ]
+    (List.map
+       (fun (r : table2_row) ->
+         let paper_quale = Circuits.Qecc.paper_quale_latency_us r.circuit in
+         let paper_qspr = Circuits.Qecc.paper_qspr_latency_us r.circuit in
+         [ str r.circuit; lat r.baseline; lat r.quale; paper paper_quale; lat r.qspr; paper paper_qspr;
+           lat (r.quale -. r.baseline); lat (r.qspr -. r.baseline);
+           num "%.2f" (improvement_pct ~quale:r.quale ~qspr:r.qspr);
+           (match (paper_quale, paper_qspr) with
+           | Some quale, Some qspr -> num "%.1f" (improvement_pct ~quale ~qspr)
+           | _ -> unknown) ])
+       rows)
+
+type study = { name : string; title : string; run : fast:bool -> section list }
+
+(* --fast shrinks the seed counts, trials and samples so the whole
+   registry runs in seconds; the full values are the paper's protocol *)
+let m_small ~fast = if fast then 3 else 25
+let m_large ~fast = if fast then 6 else 100
+let m_study ~fast = if fast then 2 else 5
+
+let studies =
+  [
+    { name = "table1"; title = "Table 1: MVFB vs Monte-Carlo (equal placement-run budget)";
+      run =
+        (fun ~fast ->
+          let m_small = m_small ~fast and m_large = m_large ~fast in
+          [ table1_section ~m_small ~m_large (table1 ~m_small ~m_large ()) ]) };
+    { name = "table2"; title = "Table 2: Baseline vs QUALE vs QSPR, measured and published";
+      run = (fun ~fast -> [ table2_section (table2 ~m:(m_large ~fast) ()) ]) };
+    { name = "sensitivity"; title = "Sensitivity to m (Section IV.A), circuit [[9,1,3]]";
+      run =
+        (fun ~fast ->
+          let rows = sensitivity ~ms:(if fast then [ 1; 2; 5 ] else [ 1; 5; 10; 25; 50; 100 ]) () in
+          [ table
+              [ ("m", "m"); ("MVFB latency (us)", "mvfb_latency_us"); ("MVFB runs", "mvfb_runs");
+                ("MC latency (us, equal runs)", "mc_latency_us") ]
+              (List.map (fun (m, mvfb, runs, mc) -> [ count m; lat mvfb; count runs; lat mc ]) rows);
+            plot
+              [ ("MVFB", 'v', List.map (fun (m, l, _, _) -> (float_of_int m, l)) rows);
+                ("MC (equal runs)", 'c', List.map (fun (m, _, _, l) -> (float_of_int m, l)) rows) ] ]) };
+    { name = "priorities"; title = "Scheduling-priority ablation (Section III), circuit [[9,1,3]]";
+      run = (fun ~fast:_ -> [ latency_table "Policy" (priority_study ()) ]) };
+    { name = "ablation"; title = "Design-choice ablation ([[9,1,3]], center placement)";
+      run = (fun ~fast:_ -> [ latency_table "Variant" (ablation_study ()) ]) };
+    { name = "noise"; title = "Noise study: estimated success probability, QSPR vs QUALE mappings";
+      run =
+        (fun ~fast ->
+          [ table
+              [ ("circuit", "circuit"); ("P(ok) QSPR", "p_success_qspr"); ("P(ok) QUALE", "p_success_quale");
+                ("error reduction (%)", "error_reduction_pct") ]
+              (List.map
+                 (fun (name, qspr, quale) ->
+                   [ str name; num "%.4f" qspr; num "%.4f" quale;
+                     num "%.1f" ((qspr -. quale) /. (1.0 -. quale) *. 100.0) ])
+                 (noise_study ~m:(m_small ~fast) ())) ]) };
+    { name = "empirical"; title = "Empirical noise validation (Monte-Carlo over the mapped trace, [[9,1,3]])";
+      run =
+        (fun ~fast ->
+          [ table
+              [ ("mapping", "mapping"); ("latency (us)", "latency_us"); ("P(ok) analytic", "p_success_analytic");
+                ("P(ok) measured", "p_success_measured") ]
+              (List.map
+                 (fun (label, latency, analytic, measured) ->
+                   [ str label; num "%.0f" latency; num "%.3f" analytic; num "%.3f" measured ])
+                 (empirical_noise ~trials:(if fast then 100 else 300) ())) ]) };
+    { name = "noise-sweep"; title = "Failure rate vs transport-noise scale (Monte-Carlo, [[9,1,3]])";
+      run =
+        (fun ~fast ->
+          let rows = noise_sweep ~trials:(if fast then 60 else 200) () in
+          [ table
+              [ ("scale", "scale"); ("QSPR failure", "qspr_failure_rate"); ("QUALE failure", "quale_failure_rate") ]
+              (List.map (fun (s, fq, fu) -> [ num "%.1f" s; num "%.3f" fq; num "%.3f" fu ]) rows);
+            plot
+              [ ("QSPR", 'q', List.map (fun (s, fq, _) -> (s, fq)) rows);
+                ("QUALE", 'u', List.map (fun (s, _, fu) -> (s, fu)) rows) ] ]) };
+    { name = "eq1"; title = "Eq. 1 latency decomposition (T_gate + T_routing + T_congestion)";
+      run =
+        (fun ~fast ->
+          let row name tag (t : Simulator.Breakdown.totals) =
+            [ str name; str tag; num "%.0f" t.gate_us; num "%.0f" t.routing_us; num "%.0f" t.congestion_us ]
+          in
+          [ table
+              [ ("circuit", "circuit"); ("mapper", "mapper"); ("T_gate (us)", "gate_us");
+                ("T_routing (us)", "routing_us"); ("T_congestion (us)", "congestion_us") ]
+              (List.concat_map
+                 (fun (name, qspr, quale) -> [ row name "QSPR" qspr; row name "QUALE" quale ])
+                 (eq1_breakdown ~m:(m_study ~fast) ())) ]) };
+    { name = "basis"; title = "Gate-basis cost: native controlled-Paulis vs CX-only machines";
+      run =
+        (fun ~fast ->
+          [ table
+              [ ("circuit", "circuit"); ("native (us)", "native_us"); ("cx-basis (us)", "cx_basis_us");
+                ("overhead (%)", "overhead_pct") ]
+              (List.map
+                 (fun (name, native, cx) ->
+                   [ str name; num "%.0f" native; num "%.0f" cx; num "%.1f" ((cx -. native) /. native *. 100.0) ])
+                 (basis_study ~m:(m_study ~fast) ())) ]) };
+    { name = "wave"; title = "Wave (phase-synchronous PathFinder) mapping vs the event-driven engine";
+      run =
+        (fun ~fast ->
+          [ table
+              [ ("circuit", "circuit"); ("wave (us)", "wave_us"); ("QSPR (us)", "qspr_us");
+                ("paper QUALE (us)", "quale_paper_us"); ("overuses", "overuses") ]
+              (List.map
+                 (fun (name, wave, qspr, overuses) ->
+                   [ str name; num "%.0f" wave; num "%.0f" qspr;
+                     Option.fold ~none:unknown ~some:(num "%.0f") (Circuits.Qecc.paper_quale_latency_us name);
+                     count overuses ])
+                 (wave_study ~m:(m_study ~fast) ())) ]) };
+    { name = "objective"; title = "Objective alignment: latency-optimal vs error-optimal placement ([[9,1,3]])";
+      run =
+        (fun ~fast ->
+          [ table
+              [ ("objective", "objective"); ("latency (us)", "latency_us"); ("error prob", "error_probability") ]
+              (List.map
+                 (fun (name, latency, error) -> [ str name; num "%.0f" latency; num "%.4f" error ])
+                 (objective_study ~samples:(if fast then 12 else 40) ())) ]) };
+    { name = "optimality"; title = "Optimality gap ([[5,1,3]], 6 candidate traps)";
+      run = (fun ~fast:_ -> [ latency_table "Placement" (optimality_study ()) ]) };
+    { name = "fabric-study"; title = "Fabric-geometry sensitivity ([[9,1,3]], MVFB m=5)";
+      run = (fun ~fast:_ -> [ latency_table "Fabric" (fabric_study ()) ]) };
+    { name = "placers"; title = "Placer comparison ([[9,1,3]], equal evaluation budgets)";
+      run =
+        (fun ~fast:_ ->
+          [ table
+              [ ("placer", "placer"); ("latency (us)", "latency_us"); ("evaluations", "evaluations") ]
+              (List.map
+                 (fun (name, latency, evals) -> [ str name; num "%.0f" latency; count evals ])
+                 (placer_comparison ())) ]) };
+    { name = "estimator"; title = "Estimator accuracy: fast model vs measured engine (center placements)";
+      run =
+        (fun ~fast:_ ->
+          let rows = estimator_accuracy () in
+          let mean = List.fold_left (fun acc (_, _, _, rel) -> acc +. rel) 0.0 rows /. float_of_int (List.length rows) in
+          [ table
+              [ ("circuit", "circuit"); ("estimated (us)", "estimated_us"); ("measured (us)", "measured_us");
+                ("rel error (%)", "relative_error") ]
+              (List.map (fun (name, est, meas, rel) -> [ str name; num "%.1f" est; num "%.1f" meas; pct "%+.1f" rel ]) rows);
+            table [ ("mean absolute relative error (%)", "mean_relative_error") ] [ [ pct "%.1f" mean ] ] ]) };
+    { name = "prescreen"; title = "Pre-screened vs exhaustive Monte-Carlo (runs=25, prescreen_k=5)";
+      run =
+        (fun ~fast:_ ->
+          [ table
+              [ ("circuit", "circuit"); ("plain (us)", "plain_latency_us"); ("plain evals", "plain_evals");
+                ("prescreened (us)", "prescreened_latency_us"); ("prescreened evals", "prescreened_evals");
+                ("speedup (x)", "speedup"); ("delta (%)", "latency_delta") ]
+              (List.map
+                 (fun (name, _) ->
+                   let s = prescreen_study ~circuit:name () in
+                   [ str name; num "%.0f" s.plain_latency; count s.plain_evals; num "%.0f" s.prescreened_latency;
+                     count s.prescreened_evals;
+                     num "%.1f" (float_of_int s.plain_evals /. float_of_int s.prescreened_evals);
+                     pct "%+.2f" ((s.prescreened_latency -. s.plain_latency) /. s.plain_latency) ])
+                 (default_circuits ())) ]) };
+    { name = "congestion"; title = "Congestion heatmaps ([[19,1,7]]): QSPR (capacity 2) vs QUALE (capacity 1)";
+      run =
+        (fun ~fast:_ ->
+          let qspr, quale = congestion_maps () in
+          [ text ("QSPR mapping:\n" ^ qspr); text ("QUALE mapping:\n" ^ quale) ]) };
+    { name = "scaling"; title = "Scaling on random Clifford workloads (MVFB m=3)";
+      run =
+        (fun ~fast:_ ->
+          [ table
+              [ ("qubits", "qubits"); ("gates", "gates"); ("latency (us)", "latency_us"); ("cpu (s)", "cpu_s") ]
+              (List.map
+                 (fun (nq, gates, latency, cpu) -> [ count nq; count gates; num "%.0f" latency; num "%.2f" cpu ])
+                 (scaling_study ())) ]) };
+    { name = "gaps"; title = "Optimality gaps: achieved latency vs certified lower bound (MVFB, Table-1 suite)";
+      run =
+        (fun ~fast ->
+          [ table
+              [ ("circuit", "circuit"); ("latency (us)", "latency_us"); ("bound (us)", "lower_bound_us");
+                ("kind", "bound_kind"); ("gap (%)", "optimality_gap") ]
+              (List.map
+                 (fun (c, latency, bound, kind, gap) ->
+                   [ str c; num "%.1f" latency; num "%.1f" bound; str (Estimator.Bound.kind_to_string kind);
+                     pct "%.1f" gap ])
+                 (gaps_study ~m:(if fast then 2 else 25) ())) ]) };
+    { name = "fig23"; title = "Figures 2-3"; run = (fun ~fast:_ -> [ text (fig23 ()) ]) };
+    { name = "fig4"; title = "Figure 4"; run = (fun ~fast:_ -> [ text (fig4 ()) ]) };
+    { name = "fig5"; title = "Figure 5"; run = (fun ~fast:_ -> [ text (fig5 ()) ]) };
+  ]

@@ -1,15 +1,36 @@
 (** Reproduction of every table and figure in the paper's evaluation
     (Section V), shared by the experiment driver, bench-smoke and the tests.
 
-    All functions are deterministic given the seed in the supplied config.
-    [fast] variants shrink [m] so smoke runs stay interactive; the defaults
-    reproduce the paper's protocol (m = 25 and m = 100). *)
+    Each study is a typed function (the tests pin its rows) and an entry in
+    {!studies}, which turns the rows into {!section}s: tables that one
+    markdown printer and one JSON encoder print, and preformatted pictures.
+    All functions are deterministic (the root seed of [Config.default]);
+    the defaults reproduce the paper's protocol (m = 25 and m = 100). *)
+
+type placer_cell = { latency : float; cpu_ms : float; runs : int }
+
+type table1_row = {
+  circuit : string;
+  mvfb_25 : placer_cell;
+  mc_25 : placer_cell;
+  mvfb_100 : placer_cell;
+  mc_100 : placer_cell;
+}
+
+type table2_row = { circuit : string; baseline : float; quale : float; qspr : float }
+
+val us : float -> string
+(** Latency formatting: integral microsecond values print without decimals. *)
+
+val improvement_pct : quale:float -> qspr:float -> float
+(** Percentage improvement of QSPR over QUALE, as reported in Table 2's last
+    column: [(quale - qspr) / quale * 100]. *)
 
 val fabric : unit -> Fabric.Layout.t
 (** The Figure 4 fabric used by every experiment. *)
 
-val context : ?config:Config.t -> Qasm.Program.t -> Mapper.t
-(** Mapper context on the standard fabric.
+val context : Qasm.Program.t -> Mapper.t
+(** Mapper context on the standard fabric at [Config.default].
     @raise Failure when construction fails (fabric/program mismatch). *)
 
 val table1 :
@@ -17,18 +38,14 @@ val table1 :
   ?m_large:int ->
   ?circuits:(string * Qasm.Program.t) list ->
   unit ->
-  Report.table1_row list
+  table1_row list
 (** Table 1: MVFB vs Monte-Carlo at two seed counts (defaults 25 and 100),
     with the MC run budget set to MVFB's total placement runs — the paper's
     equal-CPU protocol.  Circuits and searches run one at a time, so each
     CPU column is the time of that search alone. *)
 
-val table2 : ?m:int -> ?circuits:(string * Qasm.Program.t) list -> unit -> Report.table2_row list
+val table2 : ?m:int -> ?circuits:(string * Qasm.Program.t) list -> unit -> table2_row list
 (** Table 2: ideal baseline vs QUALE vs QSPR (MVFB, default m = 100). *)
-
-val table2_with_paper : Report.table2_row list -> string
-(** Renders Table 2 rows side by side with the paper's published numbers
-    (improvement percentages compared), for EXPERIMENTS.md. *)
 
 val sensitivity : ?ms:int list -> ?circuit:string -> unit -> (int * float * int * float) list
 (** Section IV.A sensitivity to m: for each m, (m, MVFB latency, MVFB runs,
@@ -45,17 +62,16 @@ val scaling_study : ?cases:(int * int) list -> unit -> (int * int * float * floa
     (qubits, gates) case, the mapped latency (us) and mapping CPU time (s)
     under MVFB m=3.  Defaults: (5,30), (10,60), (15,120), (20,200). *)
 
-val placer_comparison : ?circuit:string -> unit -> (string * float * int) list
-(** All five placers at (approximately) equal evaluation budgets on one
-    circuit: (placer, latency us, schedule-and-route evaluations).  Center
+val placer_comparison : unit -> (string * float * int) list
+(** All five placers at (approximately) equal evaluation budgets on
+    [[9,1,3]]: (placer, latency us, schedule-and-route evaluations).  Center
     and connectivity are single-shot constructions; Monte-Carlo, simulated
     annealing and MVFB get the same evaluation count (MVFB's own run
     count).  The spread quantifies how much schedule-awareness buys. *)
 
-val estimator_accuracy :
-  ?circuits:(string * Qasm.Program.t) list -> unit -> (string * float * float * float) list
-(** LEQA-style estimator vs the measured engine on each circuit's center
-    placement: (circuit, estimated us, measured us, relative error).  The
+val estimator_accuracy : unit -> (string * float * float * float) list
+(** LEQA-style estimator vs the measured engine on each Table-1 circuit's
+    center placement: (circuit, estimated us, measured us, relative error).  The
     mean of the last column is the headline accuracy number recorded in the
     benchmark JSON. *)
 
@@ -66,7 +82,7 @@ type prescreen_stats = {
   prescreened_evals : int;  (** engine evaluations with pre-screening *)
 }
 
-val prescreen_study : ?circuit:string -> ?runs:int -> ?k:int -> unit -> prescreen_stats
+val prescreen_study : ?circuit:string -> unit -> prescreen_stats
 (** Exhaustive Monte-Carlo vs estimator-pre-screened Monte-Carlo at the same
     candidate pool (default [[9,1,3]], runs = 25, k = 5): the pre-screened
     search should cut engine evaluations by about [runs/k] while staying
@@ -78,12 +94,11 @@ val fabric_study : ?circuit:string -> unit -> (string * float) list
     junction pitch {6, 8, 12}, one or two traps per channel, and channel
     capacity 1, 2 (the paper's value) and 4.  Default circuit [[9,1,3]]. *)
 
-val optimality_study : ?circuit:string -> ?candidate_traps:int -> unit -> (string * float) list
-(** How close the heuristics get to ground truth: latency of the exhaustive
-    optimum over the [candidate_traps] nearest-center traps (default 6)
-    versus center placement, Monte-Carlo and MVFB, plus the worst placement
-    for spread.  Only tractable on the small circuits (default
-    [[5,1,3]]). *)
+val optimality_study : unit -> (string * float) list
+(** How close the heuristics get to ground truth on [[5,1,3]]: latency of
+    the exhaustive optimum over the 6 nearest-center traps versus center
+    placement, Monte-Carlo and MVFB, plus the worst placement for
+    spread. *)
 
 val noise_study : ?m:int -> ?circuits:(string * Qasm.Program.t) list -> unit -> (string * float * float) list
 (** The paper's motivation made quantitative: estimated success probability
@@ -117,15 +132,15 @@ val basis_study : ?m:int -> ?circuits:(string * Qasm.Program.t) list -> unit -> 
     latency of each circuit as written vs rewritten into the CX-only basis
     (extra H/S gates) — (circuit, native us, cx-basis us). *)
 
-val eq1_breakdown : ?m:int -> ?circuits:(string * Qasm.Program.t) list -> unit -> (string * Simulator.Breakdown.totals * Simulator.Breakdown.totals) list
-(** The paper's Eq. 1 decomposition per circuit: total T_gate / T_routing /
+val eq1_breakdown : ?m:int -> unit -> (string * Simulator.Breakdown.totals * Simulator.Breakdown.totals) list
+(** The paper's Eq. 1 decomposition per Table-1 circuit: total T_gate / T_routing /
     T_congestion of the QSPR mapping and of the QUALE mapping — quantifying
     the closing observation that routing and congestion dominate larger
     circuits. *)
 
-val noise_sweep :
-  ?circuit:string -> ?scales:float list -> ?trials:int -> unit -> (float * float * float) list
-(** Measured failure-rate curves vs transport-noise scale: for each scale s,
+val noise_sweep : ?trials:int -> unit -> (float * float * float) list
+(** Measured failure-rate curves of [[9,1,3]] vs transport-noise scale: for
+    each scale s in 0.5, 1, 2 and 4,
     (s, QSPR failure rate, QUALE failure rate) with move/turn error
     probabilities multiplied by s.  The gap between the curves is the
     mapping-quality dividend. *)
@@ -144,12 +159,8 @@ val ablation_study : unit -> (string * float) list
     [full_qspr; turn_blind; capacity_1; dest_pinned; single_trap_candidate].
     Circuit [[9,1,3]]. *)
 
-val gaps_study :
-  ?m:int ->
-  ?circuits:(string * Qasm.Program.t) list ->
-  unit ->
-  (string * float * float * Estimator.Bound.kind * float) list
-(** Certified optimality gaps over the Table-1 suite (default circuits) on
+val gaps_study : ?m:int -> unit -> (string * float * float * Estimator.Bound.kind * float) list
+(** Certified optimality gaps over the Table-1 suite on
     the 45x85 fabric: for each circuit, the MVFB latency at [m] seeds, the
     certified admissible lower bound the solution carries, the bound kind
     that attained it and the relative gap [(latency - bound) / bound]. *)
@@ -163,3 +174,37 @@ val fig4 : unit -> string
 val fig5 : unit -> string
 (** Figure 5: corner-to-corner routing on a small tile under the turn-aware
     and turn-blind graph models — path renderings plus move/turn counts. *)
+
+(** {1 Tables and the study registry} *)
+
+type cell = { text : string; value : Ion_util.Json.t }
+(** What the markdown table prints, and the raw value the JSON carries: a
+    percentage cell prints rounded, a repeated row label prints blank. *)
+
+type column = { header : string; key : string }
+(** The markdown header and the JSON key of one column. *)
+
+type table = { columns : column list; rows : cell list list }
+(** Every row has one cell per column. *)
+
+type section =
+  | Table of table
+  | Text of { text : string; json : Ion_util.Json.t option }
+      (** A preformatted picture (plot, figure, heatmap, report); [json] is
+          its own document when it has one. *)
+
+val markdown : section -> string
+(** A table as a padded GitHub markdown table, a text as a fenced block. *)
+
+val json : table -> Ion_util.Json.t
+(** One object per row, keyed by the column keys. *)
+
+type study = { name : string; title : string; run : fast:bool -> section list }
+(** [run ~fast:true] shrinks seed counts, trials and samples so the whole
+    registry completes in seconds. *)
+
+val m_small : fast:bool -> int
+(** Table 1's smaller seed count: 25, or 3 under [--fast]. *)
+
+val studies : study list
+(** Every study of this module, in the driver's [all] order. *)

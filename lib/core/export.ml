@@ -89,40 +89,3 @@ let solution ?(include_trace = true) ~program (s : Mapper.solution) =
   Json.Obj (base @ trace_field)
 
 let solution_string ?include_trace ~program s = Json.to_string (solution ?include_trace ~program s)
-
-let table2 rows =
-  Json.List
-    (List.map
-       (fun (r : Report.table2_row) ->
-         Json.Obj
-           [
-             ("circuit", Json.String r.Report.circuit);
-             ("baseline_us", Json.Float r.Report.baseline);
-             ("quale_us", Json.Float r.Report.quale);
-             ("qspr_us", Json.Float r.Report.qspr);
-             ( "improvement_pct",
-               Json.Float (Report.improvement_pct ~quale:r.Report.quale ~qspr:r.Report.qspr) );
-           ])
-       rows)
-
-let cell (c : Report.placer_cell) =
-  Json.Obj
-    [
-      ("latency_us", Json.Float c.Report.latency);
-      ("cpu_ms", Json.Float c.Report.cpu_ms);
-      ("runs", Json.Int c.Report.runs);
-    ]
-
-let table1 rows =
-  Json.List
-    (List.map
-       (fun (r : Report.table1_row) ->
-         Json.Obj
-           [
-             ("circuit", Json.String r.Report.circuit);
-             ("mvfb_m25", cell r.Report.mvfb_25);
-             ("mc_m25", cell r.Report.mc_25);
-             ("mvfb_m100", cell r.Report.mvfb_100);
-             ("mc_m100", cell r.Report.mc_100);
-           ])
-       rows)

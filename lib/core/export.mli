@@ -10,9 +10,5 @@ val solution : ?include_trace:bool -> program:Qasm.Program.t -> Mapper.solution 
 
 val solution_string : ?include_trace:bool -> program:Qasm.Program.t -> Mapper.solution -> string
 
-val table2 : Report.table2_row list -> Ion_util.Json.t
-
-val table1 : Report.table1_row list -> Ion_util.Json.t
-
 val command : Router.Micro.command -> Ion_util.Json.t
 (** One micro-command as a typed JSON object. *)

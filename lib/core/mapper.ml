@@ -11,9 +11,8 @@ type t = {
   udag : Dag.t option;
   priorities : float array;
   backward_priorities : float array option;
-  estimator : Estimator.Model.t Lazy.t;
-      (* built on first use (one Dijkstra per trap); forced on the main
-         domain before any pool fan-out — Lazy.force is not domain-safe *)
+  estimator : Estimator.Model.t;
+      (* every mapped job reads its distance tables for the certified bound *)
   route_cache : Router.Route_cache.t option;
       (* explicit per-context cache overriding the domain-local one; the
          holder promises the context runs on a single domain *)
@@ -133,8 +132,7 @@ let create ~fabric ?(config = Config.default) ?prebuilt ?distance ?route_cache p
               | Error _ -> (None, None)
             in
             let estimator =
-              lazy
-                (Estimator.Model.create ~graph ~timing:config.Config.timing ?distance ~priorities dag)
+              Estimator.Model.create ~graph ~timing:config.Config.timing ?distance ~priorities dag
             in
             Ok
               {
@@ -231,11 +229,11 @@ let remap_trace_ids map trace =
 (* The full admissible-bound catalog for a forward-view initial placement:
    pure in (ctx, placement), so every surface (solutions, certificates, the
    audit pass, the service) reports bit-identical values at any jobs
-   count.  Forces the lazy estimator model for its distance tables — built
-   once per context and shared with pre-screening and quoting. *)
+   count.  Reads the estimator model's distance tables — built once per
+   context and shared with pre-screening and quoting. *)
 let certified_bound t ~initial_placement =
   Estimator.Bound.compute ~placement:initial_placement
-    ~distance:(Estimator.Model.distance (Lazy.force t.estimator))
+    ~distance:(Estimator.Model.distance t.estimator)
     ~timing:t.config.Config.timing
     ~num_traps:(Array.length (Fabric.Component.traps t.comp))
     t.dag
@@ -291,9 +289,9 @@ let solution_of t ~policy ~cpu ~attempts (o : Placer.Search.outcome) (r : Engine
     policy;
   }
 
-let estimator_model t = Lazy.force t.estimator
+let estimator_model t = t.estimator
 
-let estimate t placement = Estimator.Model.estimate (Lazy.force t.estimator) placement
+let estimate t placement = Estimator.Model.estimate t.estimator placement
 
 (* Arm the wall-clock side of a budget: the clock starts when the search
    starts, on the monotonized Ion_util.Clock — a stepped system wall clock
@@ -359,10 +357,8 @@ let policy_of t = function Quale -> Engine.quale_policy | _ -> t.config.Config.q
 
 (* One placement search, every parameter from the context's config: [m]
    seeds, runs or anneal steps, [jobs] domains, [prescreen_k] estimator
-   pre-screening and the evaluation cap.  The model is forced here, on
-   the calling domain, before any fan-out (Lazy.force is not domain-safe).
-   [out_of_time] is the armed wall-clock and deadline poll, shared by every
-   member of a portfolio. *)
+   pre-screening and the evaluation cap.  [out_of_time] is the armed
+   wall-clock and deadline poll, shared by every member of a portfolio. *)
 let search ~out_of_time t strategy =
   let cfg = t.config in
   let seed = cfg.Config.rng_seed and m = cfg.Config.m in
@@ -370,7 +366,7 @@ let search ~out_of_time t strategy =
   let num_qubits = Program.num_qubits t.program in
   let prescreen =
     Option.map
-      (fun k -> (k, Estimator.Model.estimate (Lazy.force t.estimator)))
+      (fun k -> (k, Estimator.Model.estimate t.estimator))
       cfg.Config.prescreen_k
   in
   let pooled f = Ion_util.Domain_pool.with_pool ~jobs:cfg.Config.jobs f in
@@ -442,8 +438,7 @@ let single strategy t =
 let portfolio t =
   let cfg = t.config in
   let seed = cfg.Config.rng_seed in
-  (* forced here, on the main domain, before any fan-out *)
-  let model = Lazy.force t.estimator in
+  let model = t.estimator in
   let t0 = Sys.time () in
   let out_of_time = out_of_time_of cfg.Config.budget in
   let member_ctx = { t with config = { cfg with Config.jobs = 1; prescreen_k = None } } in

@@ -24,7 +24,10 @@ val create :
   ?route_cache:Router.Route_cache.t ->
   Qasm.Program.t ->
   (t, string) result
-(** Builds the routing graph and dependency graphs.  Fails on fabrics with
+(** Builds the routing graph, the dependency graphs and the estimator
+    model, whose distance tables every mapped job's certified bound reads
+    (one Dijkstra sweep per trap unless [distance] supplies them).  Fails
+    on fabrics with
     fewer traps than qubits, on config errors, or on unroutable fabrics.
 
     The optional sharing hooks exist for the service's batch path, where
@@ -222,18 +225,18 @@ val map_portfolio : ?jobs:int -> t -> (solution, error) result
 val estimate : t -> int array -> float
 (** LEQA-style latency estimate ({!Estimator.Model}) of an initial
     placement: no routing, no engine — microseconds, comparable to (and
-    correlating with) {!run_forward} latencies.  Builds the distance model
-    on first use; subsequent calls are allocation-free. *)
+    correlating with) {!run_forward} latencies, on the model {!create}
+    built. *)
 
 val estimator_model : t -> Estimator.Model.t
-(** The underlying estimator (distance tables + DAG census), built lazily
-    on first use and cached on the context. *)
+(** The underlying estimator (distance tables + DAG census), built by
+    {!create}. *)
 
 val certified_bound : t -> initial_placement:int array -> Estimator.Bound.t
 (** The full admissible lower-bound catalog ({!Estimator.Bound.compute})
     for an initial placement on this context — the values every solution
     carries in [lower_bound_us]/[bound_kind].  Pure in (context,
-    placement); forces the estimator model for its distance tables. *)
+    placement); reads the estimator model's distance tables. *)
 
 val qspr_priorities : t -> float array
 (** The Section III priorities driving the forward schedule. *)

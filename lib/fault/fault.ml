@@ -311,7 +311,7 @@ let pp fmt r =
       let worst = match l.worst_latency with Some v -> Printf.sprintf "%.1f" v | None -> "-" in
       let deg =
         match l.mean_latency with
-        | Some v -> Printf.sprintf "+%.1f%%" (100.0 *. (v -. r.baseline_latency) /. r.baseline_latency)
+        | Some v -> Printf.sprintf "%+.1f%%" (100.0 *. (v -. r.baseline_latency) /. r.baseline_latency)
         | None -> "-"
       in
       Format.fprintf fmt "%8d %5d/%-3d %10d %12s %12s %14s@," l.fault_count l.survived

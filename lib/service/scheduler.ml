@@ -549,10 +549,10 @@ let run ~first_slot ~on_result t inputs =
       done);
   Array.map Option.get responses
 
-let run_batch ?(first_slot = 0) ?on_result t jobs =
+let run_batch ?on_result t jobs =
   let jobs = Array.of_list jobs in
   let on_result = match on_result with Some f -> fun i r -> f jobs.(i) r | None -> fun _ _ -> () in
-  Array.to_list (run ~first_slot ~on_result t (Array.map Result.ok jobs))
+  Array.to_list (run ~first_slot:0 ~on_result t (Array.map Result.ok jobs))
 
 let submit t job =
   match run_batch t [ job ] with [ r ] -> r | _ -> assert false

@@ -123,7 +123,6 @@ val submit : t -> Protocol.job -> Protocol.response
     on [t], so repeated submissions against one fabric get warmer. *)
 
 val run_batch :
-  ?first_slot:int ->
   ?on_result:(Protocol.job -> Protocol.response -> unit) ->
   t ->
   Protocol.job list ->
@@ -134,11 +133,9 @@ val run_batch :
     waves.  Responses are in input order, and their deterministic
     encodings are byte-identical to [submit]ting each job sequentially.
 
-    [first_slot] (default 0) pre-advances the ladder slot counter, so a
-    batch resumed after [first_slot] slot-consuming responses sheds
-    exactly as the whole batch would have.  [on_result] streams each
-    (job, response) pair in input order as soon as it is final: refusals
-    immediately, mapped jobs as their wave completes. *)
+    [on_result] streams each (job, response) pair in input order as soon
+    as it is final: refusals immediately, mapped jobs as their wave
+    completes. *)
 
 val handle_line : ?deterministic:bool -> t -> string -> string
 (** One protocol round: {!serve_batch}'s path for a single line (blank or

@@ -1,56 +1,19 @@
-type align = Left | Right | Center
-
-type column = { header : string; align : align }
-
-let column ?(align = Right) header = { header; align }
-
-let pad align width s =
-  let n = String.length s in
-  if n >= width then s
-  else
-    match align with
-    | Left -> s ^ String.make (width - n) ' '
-    | Right -> String.make (width - n) ' ' ^ s
-    | Center ->
-        let left = (width - n) / 2 in
-        String.make left ' ' ^ s ^ String.make (width - n - left) ' '
-
 let normalize_row ncols row =
   let len = List.length row in
   if len = ncols then row
   else if len > ncols then List.filteri (fun i _ -> i < ncols) row
   else row @ List.init (ncols - len) (fun _ -> "")
 
-let render ~columns ~rows =
-  if columns = [] then invalid_arg "Ascii_table.render: no columns";
-  let ncols = List.length columns in
-  let rows = List.map (normalize_row ncols) rows in
+let pad width s = s ^ String.make (width - String.length s) ' '
+
+let render ~header ~rows =
+  if header = [] then invalid_arg "Ascii_table.render: no columns";
+  let rows = List.map (normalize_row (List.length header)) rows in
   let widths =
     List.mapi
-      (fun i col ->
-        List.fold_left (fun w row -> max w (String.length (List.nth row i))) (String.length col.header) rows)
-      columns
+      (fun i h -> List.fold_left (fun w row -> max w (String.length (List.nth row i))) (String.length h) rows)
+      header
   in
-  let buf = Buffer.create 1024 in
-  let rule () =
-    List.iter (fun w -> Buffer.add_string buf ("+" ^ String.make (w + 2) '-')) widths;
-    Buffer.add_string buf "+\n"
-  in
-  let line cells aligns =
-    List.iteri
-      (fun i cell ->
-        let w = List.nth widths i and a = List.nth aligns i in
-        Buffer.add_string buf ("| " ^ pad a w cell ^ " "))
-      cells;
-    Buffer.add_string buf "|\n"
-  in
-  let header_cells = List.map (fun c -> c.header) columns in
-  let aligns = List.map (fun c -> c.align) columns in
-  rule ();
-  line header_cells (List.map (fun _ -> Center) columns);
-  rule ();
-  List.iter (fun row -> line row aligns) rows;
-  rule ();
-  Buffer.contents buf
-
-let render_simple ~header ~rows = render ~columns:(List.map column header) ~rows
+  let line cells = "| " ^ String.concat " | " (List.map2 pad widths cells) ^ " |\n" in
+  let rule = "|" ^ String.concat "|" (List.map (fun w -> String.make (w + 2) '-') widths) ^ "|\n" in
+  String.concat "" (line header :: rule :: List.map line rows)

@@ -1,20 +1,8 @@
-(** Plain-text table rendering for experiment reports.
+(** Plain-text table rendering for experiment reports: a GitHub markdown
+    table, every column padded to its widest cell so the text reads as a
+    table in a terminal too. *)
 
-    The experiment driver prints Table 1 / Table 2 of the paper in a layout
-    close to the original; this module handles column sizing, alignment and
-    rules. *)
-
-type align = Left | Right | Center
-
-type column = { header : string; align : align }
-
-val column : ?align:align -> string -> column
-(** Defaults to [Right], which suits numeric experiment columns. *)
-
-val render : columns:column list -> rows:string list list -> string
-(** Renders a boxed table.  Rows shorter than the column list are padded with
-    empty cells; longer rows are truncated.
-    @raise Invalid_argument if [columns] is empty. *)
-
-val render_simple : header:string list -> rows:string list list -> string
-(** [render] with all-right-aligned columns built from [header]. *)
+val render : header:string list -> rows:string list list -> string
+(** A header line, a [|---|] rule and one line per row.  Rows shorter than
+    the header are padded with empty cells; longer rows are truncated.
+    @raise Invalid_argument if [header] is empty. *)

@@ -15,23 +15,23 @@ let test_table1_shape_and_claims () =
   let rows = Experiments.table1 ~m_small:2 ~m_large:3 ~circuits:(small_circuits ()) () in
   check_int "two rows" 2 (List.length rows);
   List.iter
-    (fun (r : Report.table1_row) ->
+    (fun (r : Experiments.table1_row) ->
       (* equal-budget protocol *)
-      check_int "m_small budget equal" r.Report.mvfb_25.Report.runs r.Report.mc_25.Report.runs;
-      check_int "m_large budget equal" r.Report.mvfb_100.Report.runs r.Report.mc_100.Report.runs;
-      check_bool "m_large uses more runs" true (r.Report.mvfb_100.Report.runs > r.Report.mvfb_25.Report.runs))
+      check_int "m_small budget equal" r.Experiments.mvfb_25.Experiments.runs r.Experiments.mc_25.Experiments.runs;
+      check_int "m_large budget equal" r.Experiments.mvfb_100.Experiments.runs r.Experiments.mc_100.Experiments.runs;
+      check_bool "m_large uses more runs" true (r.Experiments.mvfb_100.Experiments.runs > r.Experiments.mvfb_25.Experiments.runs))
     rows
 
 (* Table 1 at the `experiments --fast` budgets (m 3 and 6), all six
    circuits: every MVFB and Monte-Carlo cell's latency bits and run count,
    so both halves of the paper's equal-budget comparison are pinned bit for
    bit. *)
-let render_table1_row (r : Report.table1_row) =
-  let cell (c : Report.placer_cell) =
-    Printf.sprintf "0x%LxL/%d" (Int64.bits_of_float c.Report.latency) c.Report.runs
+let render_table1_row (r : Experiments.table1_row) =
+  let cell (c : Experiments.placer_cell) =
+    Printf.sprintf "0x%LxL/%d" (Int64.bits_of_float c.Experiments.latency) c.Experiments.runs
   in
-  Printf.sprintf "%s mvfb3 %s mc3 %s mvfb6 %s mc6 %s" r.Report.circuit (cell r.Report.mvfb_25)
-    (cell r.Report.mc_25) (cell r.Report.mvfb_100) (cell r.Report.mc_100)
+  Printf.sprintf "%s mvfb3 %s mc3 %s mvfb6 %s mc6 %s" r.Experiments.circuit (cell r.Experiments.mvfb_25)
+    (cell r.Experiments.mc_25) (cell r.Experiments.mvfb_100) (cell r.Experiments.mc_100)
 
 let table1_pinned =
   [
@@ -50,17 +50,70 @@ let test_table1_pins () =
 let test_table2_claims () =
   let rows = Experiments.table2 ~m:2 ~circuits:(small_circuits ()) () in
   List.iter
-    (fun (r : Report.table2_row) ->
-      check_bool (r.Report.circuit ^ ": baseline <= qspr") true (r.Report.baseline <= r.Report.qspr +. 1e-9);
-      check_bool (r.Report.circuit ^ ": qspr < quale") true (r.Report.qspr < r.Report.quale);
-      (match Circuits.Qecc.expected_baseline_us r.Report.circuit with
-      | Some b -> check_bool "baseline exact" true (Float.abs (b -. r.Report.baseline) < 1e-9)
+    (fun (r : Experiments.table2_row) ->
+      check_bool (r.Experiments.circuit ^ ": baseline <= qspr") true (r.Experiments.baseline <= r.Experiments.qspr +. 1e-9);
+      check_bool (r.Experiments.circuit ^ ": qspr < quale") true (r.Experiments.qspr < r.Experiments.quale);
+      (match Circuits.Qecc.expected_baseline_us r.Experiments.circuit with
+      | Some b -> check_bool "baseline exact" true (Float.abs (b -. r.Experiments.baseline) < 1e-9)
       | None -> Alcotest.fail "missing paper baseline");
       ())
-    rows;
-  (* rendering works *)
-  check_bool "renders" true (String.length (Report.render_table2 rows) > 0);
-  check_bool "paper comparison renders" true (String.length (Experiments.table2_with_paper rows) > 0)
+    rows
+
+(* The one table printer, on the registry's own tables: every markdown
+   line of a table has the header's column count, and the JSON is one
+   object per row keyed by the column keys.  Table 1's MC rows print a blank
+   circuit cell that the JSON keeps. *)
+let check_table (t : Experiments.table) =
+  let ncols = List.length t.Experiments.columns in
+  let lines =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"|" l)
+      (String.split_on_char '\n' (Experiments.markdown (Experiments.Table t)))
+  in
+  check_int "header, rule and one line per row" (List.length t.Experiments.rows + 2) (List.length lines);
+  List.iter
+    (fun l ->
+      let bars = String.fold_left (fun n c -> if c = '|' then n + 1 else n) 0 l in
+      check_int ("cells of " ^ l) ncols (bars - 1))
+    lines;
+  let keys = List.map (fun (c : Experiments.column) -> c.Experiments.key) t.Experiments.columns in
+  match Ion_util.Json.parse (Ion_util.Json.to_string (Experiments.json t)) with
+  | Ok (Ion_util.Json.List objs) ->
+      check_int "one object per row" (List.length t.Experiments.rows) (List.length objs);
+      List.iter
+        (function
+          | Ion_util.Json.Obj fields -> Alcotest.(check (list string)) "row keys" keys (List.map fst fields)
+          | _ -> Alcotest.fail "a row is not an object")
+        objs
+  | Ok _ -> Alcotest.fail "the table's JSON is not a list"
+  | Error e -> Alcotest.fail e
+
+let test_table_printer () =
+  Alcotest.(check (float 1e-9)) "improvement" 25.0 (Experiments.improvement_pct ~quale:400.0 ~qspr:300.0);
+  let sections name =
+    (List.find (fun (s : Experiments.study) -> s.Experiments.name = name) Experiments.studies).Experiments.run
+      ~fast:true
+  in
+  let tables =
+    List.concat_map
+      (fun name -> List.filter_map (function Experiments.Table t -> Some t | Experiments.Text _ -> None) (sections name))
+      [ "table1"; "table2"; "sensitivity"; "estimator" ]
+  in
+  check_int "tables" 5 (List.length tables);
+  List.iter check_table tables;
+  (* table1: MVFB row then MC row per circuit; the MC row's circuit is blank
+     in the markdown only *)
+  match tables with
+  | t1 :: _ -> (
+      match Experiments.json t1 with
+      | Ion_util.Json.List (mvfb :: mc :: _) ->
+          check_bool "MC row prints no circuit" true
+            ((List.hd (List.nth t1.Experiments.rows 1)).Experiments.text = "");
+          check_bool "MC row's JSON keeps the circuit" true
+            (Ion_util.Json.member "circuit" mvfb = Ion_util.Json.member "circuit" mc
+            && Ion_util.Json.member "circuit" mc = Some (Ion_util.Json.String "[[5,1,3]]"))
+      | _ -> Alcotest.fail "table1 JSON shape")
+  | [] -> Alcotest.fail "no table1"
 
 let test_sensitivity_monotone_budget () =
   let rows = Experiments.sensitivity ~ms:[ 1; 3 ] ~circuit:"[[5,1,3]]" () in
@@ -222,6 +275,7 @@ let () =
           Alcotest.test_case "table1 shape and claims" `Slow test_table1_shape_and_claims;
           Alcotest.test_case "table1 pins at --fast budgets" `Quick test_table1_pins;
           Alcotest.test_case "table2 claims" `Slow test_table2_claims;
+          Alcotest.test_case "table printer" `Quick test_table_printer;
           Alcotest.test_case "sensitivity" `Quick test_sensitivity_monotone_budget;
           Alcotest.test_case "figures render" `Quick test_figures_render;
           Alcotest.test_case "priority study" `Quick test_priority_study_rows;

@@ -355,24 +355,6 @@ let test_flow_optimizes_first () =
       check_int "two gates removed" 2 o.Flow.gates_removed;
       check_int "one gate mapped" 1 (Qasm.Program.gate_count o.Flow.program)
 
-(* --------------------------------------------------------------- Report *)
-
-let test_report_improvement () =
-  check_float "improvement" 25.0 (Report.improvement_pct ~quale:400.0 ~qspr:300.0)
-
-let test_report_tables_render () =
-  let cell = { Report.latency = 634.0; cpu_ms = 546.0; runs = 88 } in
-  let t1 =
-    Report.render_table1 [ { Report.circuit = "[[5,1,3]]"; mvfb_25 = cell; mc_25 = cell; mvfb_100 = cell; mc_100 = cell } ]
-  in
-  check_bool "table1 nonempty" true (String.length t1 > 0);
-  let t2 =
-    Report.render_table2 [ { Report.circuit = "[[5,1,3]]"; baseline = 510.0; quale = 832.0; qspr = 634.0 } ]
-  in
-  check_bool "table2 nonempty" true (String.length t2 > 0);
-  let csv = Report.csv_table2 [ { Report.circuit = "x"; baseline = 1.0; quale = 2.0; qspr = 1.5 } ] in
-  check_bool "csv has header and row" true (List.length (String.split_on_char '\n' csv) >= 3)
-
 (* -------------------------------------------------------------- Pins *)
 
 (* Every search strategy that reports a placement-search outcome, on two
@@ -489,10 +471,5 @@ let () =
           Alcotest.test_case "meets loose threshold" `Quick test_flow_meets_loose_threshold;
           Alcotest.test_case "escalates then reports" `Quick test_flow_escalates_then_reports;
           Alcotest.test_case "optimizes first" `Quick test_flow_optimizes_first;
-        ] );
-      ( "report",
-        [
-          Alcotest.test_case "improvement" `Quick test_report_improvement;
-          Alcotest.test_case "tables render" `Quick test_report_tables_render;
         ] );
     ]

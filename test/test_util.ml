@@ -470,7 +470,7 @@ let prop_bitv_xor_involution =
 (* ----------------------------------------------------------- Ascii_table *)
 
 let test_table_render () =
-  let s = Ascii_table.render_simple ~header:[ "a"; "bb" ] ~rows:[ [ "1"; "2" ]; [ "10"; "20" ] ] in
+  let s = Ascii_table.render ~header:[ "a"; "bb" ] ~rows:[ [ "1"; "2" ]; [ "10"; "20" ] ] in
   check_bool "contains header" true (String.length s > 0);
   (* each data cell must appear in the output *)
   List.iter
@@ -484,12 +484,12 @@ let test_table_render () =
 
 let test_table_row_padding () =
   (* shorter rows padded, longer rows truncated: must not raise *)
-  let s = Ascii_table.render_simple ~header:[ "x"; "y" ] ~rows:[ [ "1" ]; [ "1"; "2"; "3" ] ] in
+  let s = Ascii_table.render ~header:[ "x"; "y" ] ~rows:[ [ "1" ]; [ "1"; "2"; "3" ] ] in
   check_bool "rendered" true (String.length s > 0)
 
 let test_table_empty_columns () =
   Alcotest.check_raises "no columns" (Invalid_argument "Ascii_table.render: no columns") (fun () ->
-      ignore (Ascii_table.render ~columns:[] ~rows:[]))
+      ignore (Ascii_table.render ~header:[] ~rows:[]))
 
 (* ----------------------------------------------------------------- Plot *)
 
