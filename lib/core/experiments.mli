@@ -199,6 +199,15 @@ val markdown : section -> string
 val json : table -> Ion_util.Json.t
 (** One object per row, keyed by the column keys. *)
 
+val table1_section : m_small:int -> m_large:int -> table1_row list -> section
+(** Table 1 as an MVFB row and an MC row per circuit; the MC row prints a
+    blank circuit cell that its JSON keeps. The JSON keys keep the paper's
+    m = 25 / m = 100 names at any [m_small] and [m_large]. *)
+
+val table2_section : table2_row list -> section
+(** Table 2 with the paper's QUALE and QSPR latencies beside the measured
+    ones, and both improvements. *)
+
 type study = { name : string; title : string; run : fast:bool -> section list }
 (** [run ~fast:true] shrinks seed counts, trials and samples so the whole
     registry completes in seconds. *)

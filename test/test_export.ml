@@ -122,6 +122,27 @@ let test_export_without_trace () =
   check_bool "no trace key" false (contains s "\"trace\"");
   check_bool "still has latency" true (contains s "\"latency_us\"")
 
+(* Tables 1 and 2 of hand-built rows through the one JSON encoder *)
+let test_export_tables () =
+  let table = function Qspr.Experiments.Table t -> t | Qspr.Experiments.Text _ -> Alcotest.fail "not a table" in
+  let t2 =
+    Qspr.Experiments.json
+      (table
+         (Qspr.Experiments.table2_section
+            [ { Qspr.Experiments.circuit = "[[5,1,3]]"; baseline = 510.0; quale = 832.0; qspr = 634.0 } ]))
+  in
+  let s = Json.to_string t2 in
+  check_bool "well-formed" true (well_formed s);
+  check_bool "improvement computed" true (contains s "improvement_pct");
+  let cell = { Qspr.Experiments.latency = 1.0; cpu_ms = 2.0; runs = 3 } in
+  let t1 =
+    Qspr.Experiments.json
+      (table
+         (Qspr.Experiments.table1_section ~m_small:25 ~m_large:100
+            [ { Qspr.Experiments.circuit = "x"; mvfb_25 = cell; mc_25 = cell; mvfb_100 = cell; mc_100 = cell } ]))
+  in
+  check_bool "table1 well-formed" true (well_formed (Json.to_string t1))
+
 let test_export_command_kinds () =
   let c = Ion_util.Coord.make 1 2 in
   let mv = Qspr.Export.command (Router.Micro.Move { qubit = 0; from_ = c; to_ = c; start = 0.0; finish = 1.0 }) in
@@ -145,6 +166,7 @@ let () =
         [
           Alcotest.test_case "solution fields" `Quick test_export_solution_fields;
           Alcotest.test_case "without trace" `Quick test_export_without_trace;
+          Alcotest.test_case "tables" `Quick test_export_tables;
           Alcotest.test_case "command kinds" `Quick test_export_command_kinds;
         ] );
     ]

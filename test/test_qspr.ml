@@ -355,6 +355,34 @@ let test_flow_optimizes_first () =
       check_int "two gates removed" 2 o.Flow.gates_removed;
       check_int "one gate mapped" 1 (Qasm.Program.gate_count o.Flow.program)
 
+(* --------------------------------------------------------------- Report *)
+
+let test_report_improvement () =
+  check_float "improvement" 25.0 (Experiments.improvement_pct ~quale:400.0 ~qspr:300.0)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* Tables 1 and 2 of hand-built rows through the one markdown printer *)
+let test_report_tables_render () =
+  let cell = { Experiments.latency = 634.0; cpu_ms = 546.0; runs = 88 } in
+  let t1 =
+    Experiments.markdown
+      (Experiments.table1_section ~m_small:25 ~m_large:100
+         [ { Experiments.circuit = "[[5,1,3]]"; mvfb_25 = cell; mc_25 = cell; mvfb_100 = cell; mc_100 = cell } ])
+  in
+  let lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s) in
+  check_int "table1: header, rule, MVFB and MC rows" 4 (List.length (lines t1));
+  check_bool "table1 names the budget" true (contains t1 "m=100 runs");
+  let t2 =
+    Experiments.markdown
+      (Experiments.table2_section [ { Experiments.circuit = "[[5,1,3]]"; baseline = 510.0; quale = 832.0; qspr = 634.0 } ])
+  in
+  check_int "table2: header, rule and one row" 3 (List.length (lines t2));
+  check_bool "table2 prints the improvement" true (contains t2 "23.80")
+
 (* -------------------------------------------------------------- Pins *)
 
 (* Every search strategy that reports a placement-search outcome, on two
@@ -471,5 +499,10 @@ let () =
           Alcotest.test_case "meets loose threshold" `Quick test_flow_meets_loose_threshold;
           Alcotest.test_case "escalates then reports" `Quick test_flow_escalates_then_reports;
           Alcotest.test_case "optimizes first" `Quick test_flow_optimizes_first;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "improvement" `Quick test_report_improvement;
+          Alcotest.test_case "tables render" `Quick test_report_tables_render;
         ] );
     ]
