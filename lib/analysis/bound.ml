@@ -249,9 +249,7 @@ let audit ?(exact = false) ?node_budget ctx (sol : Qspr.Mapper.solution) =
            ]
          F.Error "certified lower bound %.4f us (%s) exceeds the achieved latency %.4f us"
          lower_bound_us (EB.kind_to_string bound_kind) latency);
-  let optimality_gap =
-    if lower_bound_us > 0.0 then (latency -. lower_bound_us) /. lower_bound_us else 0.0
-  in
+  let optimality_gap = Option.value ~default:0.0 (EB.gap ~latency ~bound:lower_bound_us) in
   (match exact_r with
   | Some r when r.proved && optimality_gap <= 1e-9 && lower_bound_us <= latency +. 1e-6 ->
       emit

@@ -22,9 +22,7 @@ type certificate = {
 }
 
 let optimality_gap c =
-  match c.lower_bound with
-  | Some lb when lb > 0.0 -> Some ((c.claimed_latency -. lb) /. lb)
-  | _ -> None
+  Option.bind c.lower_bound (fun bound -> Estimator.Bound.gap ~latency:c.claimed_latency ~bound)
 
 (* Canonical rendering for the digest, one line per command:
 

@@ -438,9 +438,8 @@ let gaps_study ?(m = 5) () =
       let ctx = context p in
       let s = map_exn ~m Mvfb "MVFB" ctx in
       let gap =
-        if s.Mapper.lower_bound_us > 0.0 then
-          (s.Mapper.latency -. s.Mapper.lower_bound_us) /. s.Mapper.lower_bound_us
-        else 0.0
+        Option.value ~default:0.0
+          (Estimator.Bound.gap ~latency:s.Mapper.latency ~bound:s.Mapper.lower_bound_us)
       in
       (name, s.Mapper.latency, s.Mapper.lower_bound_us, s.Mapper.bound_kind, gap))
     (default_circuits ())

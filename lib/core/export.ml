@@ -67,9 +67,9 @@ let solution ?(include_trace = true) ~program (s : Mapper.solution) =
       ("lower_bound_us", Json.Float s.Mapper.lower_bound_us);
       ("bound_kind", Json.String (Estimator.Bound.kind_to_string s.Mapper.bound_kind));
       ( "optimality_gap",
-        if s.Mapper.lower_bound_us > 0.0 then
-          Json.Float ((s.Mapper.latency -. s.Mapper.lower_bound_us) /. s.Mapper.lower_bound_us)
-        else Json.Null );
+        match Estimator.Bound.gap ~latency:s.Mapper.latency ~bound:s.Mapper.lower_bound_us with
+        | Some g -> Json.Float g
+        | None -> Json.Null );
       ( "direction",
         Json.String (match s.Mapper.direction with Placer.Mvfb.Forward -> "forward" | Placer.Mvfb.Backward -> "backward") );
       ("placement_runs", Json.Int s.Mapper.placement_runs);

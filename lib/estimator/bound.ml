@@ -10,14 +10,6 @@ let kind_to_string = function
   | Placement -> "placement"
   | Exact -> "exact"
 
-let kind_of_string = function
-  | "critical-path" -> Some Critical_path
-  | "serialization" -> Some Serialization
-  | "capacity" -> Some Capacity
-  | "placement" -> Some Placement
-  | "exact" -> Some Exact
-  | _ -> None
-
 type t = {
   critical_path_us : float;
   serialization_us : float;
@@ -178,6 +170,8 @@ let compute ?placement ?distance ~timing ~num_traps dag =
     | None -> Critical_path
   in
   { critical_path_us; serialization_us; capacity_us; placement_us; lower_bound_us; kind }
+
+let gap ~latency ~bound = if bound > 0.0 then Some ((latency -. bound) /. bound) else None
 
 type infeasibility = {
   inf_qubits : int;

@@ -37,8 +37,6 @@ val kind_to_string : kind -> string
     ["exact"] — the wire encoding used by qspr-certificate/2 and
     qspr-result/2. *)
 
-val kind_of_string : string -> kind option
-
 type t = {
   critical_path_us : float;
   serialization_us : float;
@@ -61,6 +59,10 @@ val compute :
     its arguments — bit-identical across jobs widths and call sites.
     @raise Invalid_argument when [placement] is shorter than the program's
     qubit count or names a trap outside the tables. *)
+
+val gap : latency:float -> bound:float -> float option
+(** The optimality gap [(latency - bound) / bound] of a latency over its
+    lower bound; [None] when [bound] is not positive. *)
 
 type infeasibility = {
   inf_qubits : int;  (** qubits the program declares *)

@@ -21,7 +21,6 @@ let junctions t = t.junctions
 let segments t = t.segments
 let traps t = t.traps
 
-let segment_length t sid = Array.length t.segments.(sid).cells
 let segment_at t c = Coord.Tbl.find_opt t.seg_of_cell c
 let junction_at t c = Coord.Tbl.find_opt t.junc_of_cell c
 let trap_at t c = Coord.Tbl.find_opt t.trap_of_cell c

@@ -33,8 +33,6 @@ val junctions : t -> junction array
 val segments : t -> segment array
 val traps : t -> trap array
 
-val segment_length : t -> int -> int
-
 val segment_at : t -> Ion_util.Coord.t -> int option
 (** Segment owning a channel cell, if any. *)
 

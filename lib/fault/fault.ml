@@ -164,9 +164,10 @@ let campaign ?(jobs = 1) ?(config = Qspr.Config.default) ~seed
               (Printf.sprintf "pristine fabric fails to map: %s" (Qspr.Mapper.error_to_string e))
         | Ok baseline ->
             let comp = Qspr.Mapper.component ctx in
-            (* one task per trial, in level-major order: task index li*trials+i
-               is exactly the historical sample index, so map_seeded's derived
-               stream reproduces [sample ~seed ~index] bit-for-bit *)
+            (* one task per trial, in level-major order: task index
+               li*trials+i is the index [sample ~seed ~index] takes, so
+               map_seeded's derived stream draws the same faults as
+               [sample] does for that index *)
             let tasks = Array.concat (List.map (fun fc -> Array.make trials fc) levels) in
             let run_trial ~index ~rng fc =
               let faults = sample_with rng ~n:fc comp in

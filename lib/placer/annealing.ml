@@ -2,8 +2,7 @@ module Rng = Ion_util.Rng
 
 (* Occupancy-tracked neighbour proposal: the candidate free traps are a
    maintained array with a trap->slot index, so drawing a move is O(1) and
-   allocation-free where the old code filtered the whole pool against the
-   whole placement per proposal (O(pool * nq) and a fresh list). *)
+   allocation-free: no proposal scans the pool against the placement. *)
 module Proposal = struct
   type move =
     | Swap of int * int  (* exchange the traps of two distinct qubits *)
@@ -44,9 +43,9 @@ module Proposal = struct
   let num_free t = t.nfree
   let is_free t trap = t.slot.(trap) >= 0
 
-  (* Same rng consumption pattern as the historical [propose]: a coin only
-     when a swap is possible, then one or two bounded draws; the relocation
-     target is uniform over the free candidate traps. *)
+  (* The rng draws are fixed, and the anneal pins depend on them: a coin
+     only when a swap is possible, then one or two bounded draws; the
+     relocation target is uniform over the free candidate traps. *)
   let draw t rng ~num_qubits =
     if num_qubits >= 2 && Rng.bool rng then begin
       let i = Rng.int rng num_qubits in

@@ -11,8 +11,7 @@
 
 module Proposal : sig
   (** O(1) allocation-free neighbour proposal over a candidate trap pool:
-      occupancy bitset plus a swap-remove free-trap array, replacing the
-      historical per-proposal [List.filter]/[List.nth] scan. *)
+      occupancy bitset plus a swap-remove free-trap array. *)
 
   type move =
     | Swap of int * int  (** exchange the traps of two distinct qubits *)

@@ -128,27 +128,6 @@ let alap_times ~delay t =
   let lts = longest_to_sink ~delay t in
   Array.init n (fun i -> total -. lts.(i))
 
-let to_dot t =
-  let delay = function
-    | Instr.Qubit_decl _ -> 0.0
-    | Instr.Gate1 _ -> 10.0
-    | Instr.Gate2 _ -> 100.0
-  in
-  let asap = asap_times ~delay t and alap = alap_times ~delay t in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "digraph qidg {\n  rankdir=TB;\n  node [shape=box fontsize=10];\n";
-  Array.iter
-    (fun nd ->
-      let label = Printer.instr_to_string t.program nd.instr in
-      let critical = Float.abs (asap.(nd.id) -. alap.(nd.id)) < 1e-9 && Instr.is_gate nd.instr in
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [label=\"%d: %s\"%s];\n" nd.id nd.id label
-           (if critical then " style=bold" else ""));
-      List.iter (fun s -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" nd.id s)) nd.succs)
-    t.nodes;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let check_acyclic_consistency t =
   let ok = ref true in
   Array.iter

@@ -69,11 +69,6 @@ val alap_times : delay:(Instr.t -> float) -> t -> float array
 (** Latest start time of each node such that the critical path is met;
     QUALE's scheduling extracts instructions in ALAP order. *)
 
-val to_dot : t -> string
-(** Graphviz rendering of the dependency graph: nodes labelled with their
-    instruction text, critical-path nodes (zero slack under the paper's gate
-    delays) drawn bold. *)
-
 val check_acyclic_consistency : t -> bool
 (** Internal invariant: every edge goes from a lower to a higher node id and
     pred/succ lists mirror each other.  Exposed for property tests. *)

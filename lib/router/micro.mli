@@ -36,8 +36,8 @@ val pp : Format.formatter -> command -> unit
     the end — replacing a cons + record per emission plus a whole-list sort
     with amortized array writes — and an [Engine.score] never does.  A
     mapped job scores every placement candidate and materializes once per
-    job, for its winner.  The materialized list is bit-identical to the
-    former emission-list path (same values, same stable order).  A builder is
+    job, for its winner.  The materialized list is sorted by start time,
+    stable in emission order.  A builder is
     single-domain mutable state; {!Builder.domain_local} reuses one arena
     across all runs (and service jobs) on a domain. *)
 module Builder : sig

@@ -11,12 +11,11 @@
       bits 1..   segment / junction id
     v}
 
-    The packed value coincides with the hash the former boxed variant used,
-    so hashing, table iteration order and bit-identity of every downstream
-    consumer are preserved.  Because values are plain ints they index flat
-    arrays directly ({!to_int}) — the pathfinder's occupancy/history tables
-    and the congestion mirrors are arrays, not hashtables.  Pattern-matching
-    consumers unpack at the boundary via {!view}. *)
+    The packed value is a plain int, so its hash and the iteration order
+    of a table keyed on resources depend only on the ids, and it indexes
+    flat arrays directly ({!to_int}) — the pathfinder's occupancy/history
+    tables and the congestion mirrors are arrays, not hashtables.
+    Pattern-matching consumers unpack at the boundary via {!view}. *)
 
 type t = private int
 

@@ -84,9 +84,8 @@ val freeze : t -> snapshot
     structurally, and {!find} hands the stored value back as-is, so every
     consumer of a cached route reads the same flat arrays.  Because the
     flat representation answers [resource]/[step]/[duration] queries
-    without allocating (the former edge-list paths rebuilt tuple lists per
-    use), a warm service batch replaying snapshot routes allocates nothing
-    per hit.  @raise Invalid_argument if the cache is not bound to a
+    without allocating, a warm service batch replaying snapshot routes
+    allocates nothing per hit.  @raise Invalid_argument if the cache is not bound to a
     graph. *)
 
 val attach : t -> snapshot -> unit

@@ -43,11 +43,6 @@ let scan path =
 
 let replay path = fst (scan path)
 
-let consumed_slot (r : Protocol.response) =
-  match r.Protocol.verdict with
-  | Protocol.Completed _ | Protocol.Failed _ -> true
-  | Protocol.Rejected { stage; _ } -> String.equal stage "shed" || String.equal stage "queue"
-
 type t = { oc : out_channel }
 
 let open_append path =

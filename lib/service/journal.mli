@@ -4,9 +4,9 @@
     input order, flushed before the next response is computed.  Restarting
     an interrupted batch replays the journaled prefix verbatim (byte
     identity is free — the stored line {e is} the emitted line) and
-    resumes mapping at the first unjournaled request, with the degradation
-    ladder's slot counter reconstructed from the replayed verdicts so the
-    resumed run sheds exactly as the uninterrupted run would have.
+    resumes mapping at the first unjournaled request.  The journal is only
+    storage: the scheduler reads the replayed verdicts to restart its
+    degradation ladder where the interrupted run left it.
 
     Record grammar, one per line:
     {v qspr-journal/1 <16-hex request key> <verbatim response line> v}
@@ -24,19 +24,13 @@ val key : string -> int64
 type entry = {
   key : int64;  (** digest of the request line this record answers *)
   response_line : string;  (** the emitted response, byte-for-byte *)
-  response : Protocol.response;  (** its decoding, for exit codes and slots *)
+  response : Protocol.response;  (** its decoding *)
 }
 
 val replay : string -> entry list
 (** Decode an existing journal in append order.  Missing file means an
     empty journal; decoding stops at the first torn or corrupt record (a
     record missing its final newline is torn). *)
-
-val consumed_slot : Protocol.response -> bool
-(** Whether this response consumed a degradation-ladder slot when first
-    computed: every job that ran ([Completed]/[Failed]) plus shed and
-    queue-full rejections; pre-ladder refusals (request, lint, deadline,
-    budget, admission, quote) did not. *)
 
 type t
 (** An open journal, in append mode. *)

@@ -57,6 +57,16 @@ let rung_of limits ~slot =
     if slot < s + third then Prescreen else if slot < s + (2 * third) then Budgeted else Quote_only
   end
 
+(* Whether a response used a ladder slot when it was first computed: every
+   job that ran, and the ladder's own refusals (an estimate-only quote,
+   stage "shed", and a full queue, stage "queue"); the tiers before the
+   ladder refuse without one.  Counting them over a journaled prefix
+   resumes the ladder where the interrupted run left it. *)
+let consumed_slot (r : Protocol.response) =
+  match r.Protocol.verdict with
+  | Protocol.Completed _ | Protocol.Failed _ -> true
+  | Protocol.Rejected { stage; _ } -> String.equal stage "shed" || String.equal stage "queue"
+
 (* Per-fabric shared state: everything here is built once, read by every
    job on the fabric.  [comp]/[graph]/[distance]/[lint] are immutable after
    build; [snapshot] is replaced (never mutated) between waves on the main
@@ -120,56 +130,48 @@ let fabric_key t layout =
   let tc = Router.Timing.turn_cost_in_moves t.base.Qspr.Config.timing in
   Journal.key (Printf.sprintf "%.17g|%s" tc (Fabric.Layout.to_ascii layout))
 
+(* The registry's entry for [layout] under its digest [key], read with
+   [lookup] ([Lru.peek] or [Lru.find]).  A digest collision with another
+   layout reads as no entry. *)
+let registered lookup t ~key layout =
+  match lookup t.fabrics key with
+  | Some e when Fabric.Layout.equal e.layout layout -> Some e
+  | Some _ | None -> None
+
 let resolve_circuit ~id = function
+  | Protocol.Inline_qasm src -> Qasm.Parser.parse_located ~name:id src
   | Protocol.Builtin name -> (
       match List.assoc_opt name (Circuits.Qecc.all ()) with
       | Some p -> Ok p
       | None ->
-          Error
-            (Qasm.Parser.error_of_string
-               (Printf.sprintf "unknown builtin circuit %s (known: %s)" name
-                  (String.concat ", " (List.map fst (Circuits.Qecc.all ()))))))
-  | Protocol.Inline_qasm src -> Qasm.Parser.parse_located ~name:id src
+          let known = String.concat ", " (List.map fst (Circuits.Qecc.all ())) in
+          let msg = Printf.sprintf "unknown builtin circuit %s (known: %s)" name known in
+          Error (Qasm.Parser.error_of_string msg))
 
 let resolve_fabric = function
   | None -> Ok (Fabric.Layout.quale_45x85 ())
   | Some src -> Fabric.Layout.parse src
 
-(* The fabric's layout-only lint findings and its component and graph: a
-   registered fabric's are reused, looked up with [peek] so linting leaves
-   the registry's recency and counters exactly as they were; otherwise
-   they come from one cold extraction, which [entry_for] then registers. *)
-let fabric_static t ~key layout =
-  match Lru.peek t.fabrics key with
-  | Some e when Fabric.Layout.equal e.layout layout -> (e.lint, Ok (e.comp, e.graph))
-  | Some _ | None ->
-      let built =
-        Result.map (fun comp -> (comp, Fabric.Graph.build comp)) (Fabric.Component.extract layout)
-      in
-      (Analysis.Fabric_check.static_of built, built)
+(* A parsed fabric as the lint tier hands it to the admission tier: its
+   registry key, layout-only lint findings, and component and graph. *)
+type fabric_static = {
+  s_layout : Fabric.Layout.t;
+  s_key : int64;
+  s_lint : Analysis.Fabric_check.static;
+  s_built : (Fabric.Component.t * Fabric.Graph.t, string) result;
+}
 
-let entry_for t ~key ~lint ~built layout =
-  let build () =
-    Result.map
-      (fun (comp, graph) ->
-        let distance =
-          Estimator.Distance.build graph
-            ~turn_cost:(Router.Timing.turn_cost_in_moves t.base.Qspr.Config.timing)
-        in
-        { layout; comp; graph; distance; lint; snapshot = None })
-      built
-  in
-  match Lru.find t.fabrics key with
-  | Some e when Fabric.Layout.equal e.layout layout -> Ok e
-  | Some _ ->
-      (* digest collision with a different layout: run cold, don't register *)
-      build ()
-  | None -> (
-      match build () with
-      | Error _ as e -> e
-      | Ok e ->
-          Lru.put t.fabrics key e;
-          Ok e)
+(* A registered fabric's static data is reused, read with [Lru.peek] so
+   linting leaves the registry's recency and counters as they were;
+   otherwise it comes from one cold extraction. *)
+let fabric_static t s_layout =
+  let s_key = fabric_key t s_layout in
+  match registered Lru.peek t ~key:s_key s_layout with
+  | Some e -> { s_layout; s_key; s_lint = e.lint; s_built = Ok (e.comp, e.graph) }
+  | None ->
+      let extract = Fabric.Component.extract s_layout in
+      let s_built = Result.map (fun comp -> (comp, Fabric.Graph.build comp)) extract in
+      { s_layout; s_key; s_lint = Analysis.Fabric_check.static_of s_built; s_built }
 
 (* A job that cleared admission: everything a worker domain needs, plus the
    private route cache whose counters become the response's cache section. *)
@@ -190,14 +192,11 @@ let reject ?quote ?(findings = []) ~stage reason =
 (* a response that needed no mapping: a refusal or a malformed line *)
 let answer ~job_id verdict = { Protocol.job_id; verdict; cache = None; cpu_s = 0.0; cached = false }
 
-type admission = Run of prepared | Refuse of Protocol.verdict
-
 let job_config t ?deadline (job : Protocol.job) =
-  let base = t.base in
   let max_evals =
     match job.Protocol.max_evals with Some _ as e -> e | None -> t.limits.max_evals
   in
-  let base = Qspr.Config.with_seed job.Protocol.seed base in
+  let base = Qspr.Config.with_seed job.Protocol.seed t.base in
   let base = match job.Protocol.m with Some m -> Qspr.Config.with_m m base | None -> base in
   Qspr.Config.with_budget { Qspr.Config.wall_s = None; max_evals; deadline } base
 
@@ -229,151 +228,167 @@ let cache_store t job response =
     | _ -> ()
   end
 
-(* [slot] is shared mutable admission state for one submission: it counts
-   every job that reached the ladder decision point (so shedding decisions
-   depend only on upstream admission order, never on worker timing), and
-   is advanced here exactly once per such job. *)
-let admit t ~slot (job : Protocol.job) =
+let ( let* ) = Result.bind
+
+(* The admission tiers, in order.  Each returns what the next one needs,
+   or [Error] with its own refusal. *)
+
+(* request: the placer must be one of [Mapper.strategies] (malformed lines
+   never reach [admit]). *)
+let request_tier (job : Protocol.job) =
   match List.assoc_opt job.Protocol.placer Qspr.Mapper.strategies with
+  | Some strategy -> Ok strategy
   | None ->
-      Refuse
+      Error
         (reject ~stage:"request"
            (Printf.sprintf "unknown placer %s (%s)" job.Protocol.placer
               (String.concat "|" (List.map fst Qspr.Mapper.strategies))))
-  | Some strategy -> begin
-    (* the deadline tier: arm the request's end-to-end budget first — a
-       request that arrives already out of time is refused before any
-       lint/estimation work is spent on it *)
-    let deadline = Option.map Clock.after_ms job.Protocol.deadline_ms in
-    match deadline with
-    | Some d when Clock.expired d ->
-        Refuse
-          (reject ~stage:"deadline"
-             (Printf.sprintf "deadline of %.1f ms expired before admission" (Clock.budget_ms d)))
-    | _ ->
-        let config = job_config t ?deadline job in
-        let program_r = resolve_circuit ~id:job.Protocol.id job.Protocol.circuit in
-        let fabric_r =
-          Result.map
-            (fun layout ->
-              let key = fabric_key t layout in
-              let lint, built = fabric_static t ~key layout in
-              (layout, key, lint, built))
-            (resolve_fabric job.Protocol.fabric)
-        in
-        let fabric_lint =
-          match fabric_r with
-          | Ok (_, _, lint, _) -> lint
-          | Error msg -> Analysis.Fabric_check.static_result (Error msg)
-        in
-        (* mandatory lint ingress: parse failures and severity-2 findings both
-           land here as structured rejections, never mapper exceptions *)
-        let findings =
-          Analysis.Registry.lint_static ~program:program_r ~fabric:fabric_lint ~config ()
-        in
-        if not (Analysis.Finding.is_clean findings) then
-          Refuse
-            (reject ~stage:"lint"
-               ~findings:(List.map Analysis.Finding.to_json findings)
-               (Printf.sprintf "%d lint error(s) (run `qspr lint` for the report)"
-                  (Analysis.Finding.count Analysis.Finding.Error findings)))
-        else
-          match (program_r, fabric_r) with
-          | Error e, _ ->
-              (* unreachable while parse failures lint as errors; stay total *)
-              Refuse (reject ~stage:"lint" (Qasm.Parser.error_to_string e))
-          | _, Error e -> Refuse (reject ~stage:"lint" e)
-          | Ok program, Ok (layout, key, lint, built) -> (
-              match (job.Protocol.max_evals, t.limits.max_evals) with
-              | Some req, Some cap when req > cap ->
-                  Refuse
-                    (reject ~stage:"budget"
-                       (Printf.sprintf "requested max_evals %d exceeds the service ceiling %d" req
-                          cap))
-              | _ -> (
-                  match entry_for t ~key ~lint ~built layout with
-                  | Error e -> Refuse (reject ~stage:"admission" e)
-                  | Ok entry -> (
-                      let cache = Route_cache.create () in
-                      match
-                        Qspr.Mapper.create ~fabric:layout ~config
-                          ~prebuilt:(entry.comp, entry.graph) ~distance:entry.distance
-                          ~route_cache:cache program
-                      with
-                      | Error e -> Refuse (reject ~stage:"admission" e)
-                      | Ok ctx ->
-                          (* the quote: estimator latency of the deterministic
-                             center placement — no routing, ~89x cheaper *)
-                          let quote =
-                            Qspr.Mapper.estimate ctx
-                              (Placer.Center.place entry.comp
-                                 ~num_qubits:(Qasm.Program.num_qubits program))
-                          in
-                          if not (Float.is_finite quote) then
-                            Refuse
-                              (reject ~stage:"quote"
-                                 "estimator quote is infinite: interacting qubits are unreachable")
-                          else
-                            let ceiling =
-                              match (t.limits.max_quote_us, job.Protocol.max_quote_us) with
-                              | Some a, Some b -> Some (Float.min a b)
-                              | (Some _ as c), None | None, (Some _ as c) -> c
-                              | None, None -> None
-                            in
-                            (match ceiling with
-                            | Some cap when quote > cap ->
-                                Refuse
-                                  (reject ~stage:"quote" ~quote
-                                     (Printf.sprintf
-                                        "quoted %.1f us exceeds the admission ceiling %.1f us"
-                                        quote cap))
-                            | _ ->
-                                let rung = rung_of t.limits ~slot:!slot in
-                                incr slot;
-                                (match rung with
-                                | Refused ->
-                                    Refuse
-                                      (reject ~stage:"queue" ~quote
-                                         (Printf.sprintf
-                                            "queue full: %d job(s) already admitted \
-                                             (max_pending=%d)"
-                                            (!slot - 1) t.limits.max_pending))
-                                | Quote_only ->
-                                    t.shed <- t.shed + 1;
-                                    Refuse
-                                      (reject ~stage:"shed" ~quote
-                                         (Printf.sprintf
-                                            "overload: served an estimate-only quote of %.1f us \
-                                             (ladder rung quote, slot %d)"
-                                            quote (!slot - 1)))
-                                | (Full | Prescreen | Budgeted) as rung ->
-                                    if rung <> Full then t.shed <- t.shed + 1;
-                                    Run
-                                      {
-                                        p_job = job;
-                                        p_entry = entry;
-                                        p_ctx = ctx;
-                                        p_strategy = strategy;
-                                        p_cache = cache;
-                                        p_quote = quote;
-                                        p_rung = rung;
-                                        p_warm_paths = 0;
-                                      })))))
-  end
+
+(* deadline: the request's end-to-end budget is armed before any work, and
+   a request that arrives already out of time is refused. *)
+let deadline_tier (job : Protocol.job) =
+  match Option.map Clock.after_ms job.Protocol.deadline_ms with
+  | Some d when Clock.expired d ->
+      Error
+        (reject ~stage:"deadline"
+           (Printf.sprintf "deadline of %.1f ms expired before admission" (Clock.budget_ms d)))
+  | deadline -> Ok deadline
+
+(* lint: mandatory ingress.  Parse failures and severity-2 findings both
+   land here as structured refusals, never mapper exceptions. *)
+let lint_tier t ~config (job : Protocol.job) =
+  let program = resolve_circuit ~id:job.Protocol.id job.Protocol.circuit in
+  let fabric = Result.map (fabric_static t) (resolve_fabric job.Protocol.fabric) in
+  let fabric_lint =
+    match fabric with
+    | Ok f -> f.s_lint
+    | Error msg -> Analysis.Fabric_check.static_result (Error msg)
+  in
+  let findings = Analysis.Registry.lint_static ~program ~fabric:fabric_lint ~config () in
+  if not (Analysis.Finding.is_clean findings) then
+    Error
+      (reject ~stage:"lint"
+         ~findings:(List.map Analysis.Finding.to_json findings)
+         (Printf.sprintf "%d lint error(s) (run `qspr lint` for the report)"
+            (Analysis.Finding.count Analysis.Finding.Error findings)))
+  else
+    match (program, fabric) with
+    | Error e, _ ->
+        (* unreachable while parse failures lint as errors; stay total *)
+        Error (reject ~stage:"lint" (Qasm.Parser.error_to_string e))
+    | _, Error e -> Error (reject ~stage:"lint" e)
+    | Ok program, Ok f -> Ok (program, f)
+
+(* budget: a requested [max_evals] above the service ceiling. *)
+let budget_tier t (job : Protocol.job) =
+  match (job.Protocol.max_evals, t.limits.max_evals) with
+  | Some req, Some cap when req > cap ->
+      Error
+        (reject ~stage:"budget"
+           (Printf.sprintf "requested max_evals %d exceeds the service ceiling %d" req cap))
+  | _ -> Ok ()
+
+(* admission: the fabric's registry entry, read with [Lru.find] (a hit
+   refreshes its recency), and the job's mapper context.  A new fabric is
+   built from the lint tier's extraction and registered; under a digest
+   collision with another layout it runs cold, unregistered. *)
+let admission_tier t ~config program f =
+  let entry =
+    match registered Lru.find t ~key:f.s_key f.s_layout with
+    | Some e -> Ok e
+    | None ->
+        let* comp, graph = f.s_built in
+        let turn_cost = Router.Timing.turn_cost_in_moves t.base.Qspr.Config.timing in
+        let distance = Estimator.Distance.build graph ~turn_cost in
+        let e = { layout = f.s_layout; comp; graph; distance; lint = f.s_lint; snapshot = None } in
+        if not (Lru.mem t.fabrics f.s_key) then Lru.put t.fabrics f.s_key e;
+        Ok e
+  in
+  let refuse e = reject ~stage:"admission" e in
+  let* entry = Result.map_error refuse entry in
+  let cache = Route_cache.create () in
+  let* ctx =
+    Result.map_error refuse
+      (Qspr.Mapper.create ~fabric:f.s_layout ~config ~prebuilt:(entry.comp, entry.graph)
+         ~distance:entry.distance ~route_cache:cache program)
+  in
+  Ok (entry, cache, ctx)
+
+(* quote: the estimator latency of the deterministic center placement —
+   no routing, ~89x cheaper — refused when infinite or above the service's
+   or the client's ceiling. *)
+let quote_tier t (job : Protocol.job) program entry ctx =
+  let num_qubits = Qasm.Program.num_qubits program in
+  let quote = Qspr.Mapper.estimate ctx (Placer.Center.place entry.comp ~num_qubits) in
+  (* the lower of the service's and the client's ceilings; none is infinite *)
+  let cap =
+    List.fold_left Float.min infinity
+      (List.filter_map Fun.id [ t.limits.max_quote_us; job.Protocol.max_quote_us ])
+  in
+  if not (Float.is_finite quote) then
+    Error (reject ~stage:"quote" "estimator quote is infinite: interacting qubits are unreachable")
+  else if quote > cap then
+    Error
+      (reject ~stage:"quote" ~quote
+         (Printf.sprintf "quoted %.1f us exceeds the admission ceiling %.1f us" quote cap))
+  else Ok quote
+
+(* ladder: the job takes the next slot, and the slot's rung is its service
+   level; the quote-only rung and a full queue refuse with the quote.
+   [consumed_slot] names the same verdicts. *)
+let ladder_tier t ~slot ~quote =
+  let s = !slot in
+  incr slot;
+  match rung_of t.limits ~slot:s with
+  | Refused ->
+      Error
+        (reject ~stage:"queue" ~quote
+           (Printf.sprintf "queue full: %d job(s) already admitted (max_pending=%d)" s
+              t.limits.max_pending))
+  | Quote_only ->
+      t.shed <- t.shed + 1;
+      Error
+        (reject ~stage:"shed" ~quote
+           (Printf.sprintf
+              "overload: served an estimate-only quote of %.1f us (ladder rung quote, slot %d)"
+              quote s))
+  | (Full | Prescreen | Budgeted) as rung ->
+      if rung <> Full then t.shed <- t.shed + 1;
+      Ok rung
+
+(* [slot] counts the jobs of one submission that reached the ladder, so
+   shedding depends only on upstream admission order, never on worker
+   timing; only [ladder_tier] advances it. *)
+let admit t ~slot (job : Protocol.job) =
+  let* strategy = request_tier job in
+  let* deadline = deadline_tier job in
+  let config = job_config t ?deadline job in
+  let* program, fabric = lint_tier t ~config job in
+  let* () = budget_tier t job in
+  let* entry, cache, ctx = admission_tier t ~config program fabric in
+  let* quote = quote_tier t job program entry ctx in
+  let* rung = ladder_tier t ~slot ~quote in
+  Ok
+    {
+      p_job = job;
+      p_entry = entry;
+      p_ctx = ctx;
+      p_strategy = strategy;
+      p_cache = cache;
+      p_quote = quote;
+      p_rung = rung;
+      p_warm_paths = 0;
+    }
 
 (* ------------------------------------------------------------ execution *)
 
-let attempts_of = function
-  | [] -> []
-  | attempts ->
-      List.map
-        (fun (a : Qspr.Mapper.attempt) ->
-          {
-            Protocol.stage = a.Qspr.Mapper.stage;
-            seed = a.Qspr.Mapper.seed;
-            outcome = Result.map_error Qspr.Mapper.error_to_string a.Qspr.Mapper.outcome;
-          })
-        attempts
+let attempts_of =
+  List.map (fun (a : Qspr.Mapper.attempt) ->
+      {
+        Protocol.stage = a.Qspr.Mapper.stage;
+        seed = a.Qspr.Mapper.seed;
+        outcome = Result.map_error Qspr.Mapper.error_to_string a.Qspr.Mapper.outcome;
+      })
 
 (* What each ladder rung actually runs.  [Full] honors the request;
    [Prescreen] forces estimator-prescreened MVFB (every candidate is
@@ -397,23 +412,14 @@ let run_one p =
     | rung ->
         (* the ladder step is part of the response's audit trail: the rung
            and the quote that admitted the job at that rung *)
-        [
-          {
-            Protocol.stage = "shed:" ^ rung_name rung;
-            seed = p.p_job.Protocol.seed;
-            outcome = Ok p.p_quote;
-          };
-        ]
+        let stage = "shed:" ^ rung_name rung in
+        [ { Protocol.stage; seed = p.p_job.Protocol.seed; outcome = Ok p.p_quote } ]
   in
   let verdict =
     match map_rung p with
     | Error e ->
-        Protocol.Failed
-          {
-            reason = Qspr.Mapper.error_to_string e;
-            quote_us = Some p.p_quote;
-            attempts = shed_audit;
-          }
+        let reason = Qspr.Mapper.error_to_string e in
+        Protocol.Failed { reason; quote_us = Some p.p_quote; attempts = shed_audit }
     | Ok sol ->
         let cert = Analysis.Certify.of_solution p.p_ctx sol in
         Protocol.Completed
@@ -423,11 +429,8 @@ let run_one p =
             lower_bound_us = sol.Qspr.Mapper.lower_bound_us;
             bound_kind = Estimator.Bound.kind_to_string sol.Qspr.Mapper.bound_kind;
             optimality_gap =
-              (if sol.Qspr.Mapper.lower_bound_us > 0.0 then
-                 Some
-                   ((sol.Qspr.Mapper.latency -. sol.Qspr.Mapper.lower_bound_us)
-                   /. sol.Qspr.Mapper.lower_bound_us)
-               else None);
+              Estimator.Bound.gap ~latency:sol.Qspr.Mapper.latency
+                ~bound:sol.Qspr.Mapper.lower_bound_us;
             placement_runs = sol.Qspr.Mapper.placement_runs;
             engine_evals = sol.Qspr.Mapper.engine_evals;
             degraded = sol.Qspr.Mapper.degraded || p.p_rung <> Full;
@@ -498,8 +501,8 @@ let run ~first_slot ~on_result t inputs =
           | Some r -> finalize i r
           | None -> (
               match admit t ~slot job with
-              | Refuse verdict -> finalize i (answer ~job_id:job.Protocol.id verdict)
-              | Run p -> admitted := (i, p) :: !admitted)))
+              | Error verdict -> finalize i (answer ~job_id:job.Protocol.id verdict)
+              | Ok p -> admitted := (i, p) :: !admitted)))
     inputs;
   let admitted = Array.of_list (List.rev !admitted) in
   flush ();
@@ -593,7 +596,7 @@ let serve_batch ?deterministic ?journal ~emit t lines =
       List.iter (fun (e : Journal.entry) -> emit e.Journal.response_line) replayed;
       let first_slot =
         List.length
-          (List.filter (fun (e : Journal.entry) -> Journal.consumed_slot e.Journal.response) replayed)
+          (List.filter (fun (e : Journal.entry) -> consumed_slot e.Journal.response) replayed)
       in
       let jnl = Option.map Journal.open_append journal in
       let fresh =

@@ -6,17 +6,23 @@
 
     {2 Admission control}
 
-    Every job passes the same ingress tiers, in order: request validation
-    (placer name), the {b deadline} tier (a request whose end-to-end
-    [deadline_ms] has already expired on arrival is refused before any
-    work is spent on it), {b lint} ([Analysis.Registry.lint] over the
-    program and fabric — severity-2 findings produce a structured
-    rejection instead of a mapper exception), mapper-context construction,
-    the {b budget} tier (a requested [max_evals] above the service ceiling
-    is refused), the {b quote} tier (the LEQA-style estimator predicts the
-    latency of a deterministic center placement — ~89x cheaper than
-    routing — and the job is refused when the quote exceeds the service's
-    or the client's ceiling), and the {b ladder} tier (below).
+    Admission is one chain of seven tier functions in [scheduler.ml], in
+    order; the first that refuses answers with a [Rejected] verdict
+    naming its stage:
+
+    + [request_tier]: the placer must be a {!Qspr.Mapper.strategies} name;
+    + [deadline_tier]: a request whose [deadline_ms] has already expired
+      on arrival is refused before any work is spent on it;
+    + [lint_tier]: [Analysis.Registry.lint_static] over the program and
+      fabric; severity-2 findings refuse the job, never a mapper exception;
+    + [budget_tier]: a requested [max_evals] above the service ceiling;
+    + [admission_tier]: the fabric's registry entry and the mapper context
+      (refused when either cannot be built, e.g. for an empty program);
+    + [quote_tier]: the LEQA-style estimate of a deterministic center
+      placement (~89x cheaper than routing), refused when infinite or
+      above the service's or the client's ceiling;
+    + [ladder_tier]: the degradation ladder (below), the only tier that
+      takes a slot.
 
     {2 The degradation ladder}
 

@@ -153,9 +153,9 @@ let nearest_traps st anchor =
 
 (* first [n] available traps from the ranking, skipping [skip] (the
    preferred trap, or -1): toplevel recursion, so the only allocation is
-   the <= n-element result — the former List.filter materialized the whole
-   available set before truncating.  Availability is a pure read, so not
-   probing traps past the cut-off is invisible; result order is identical. *)
+   the <= n-element result and traps past the cut-off are never probed.
+   Availability is a pure read, so stopping early cannot change the
+   result or its order. *)
 let rec collect_avail st control target ~skip acc n = function
   | [] -> List.rev acc
   | tid :: tl ->
@@ -272,9 +272,9 @@ let schedule st delay ev =
   Ion_util.Fheap.sift_up q (q.Ion_util.Fheap.size - 1)
 
 (* lower one routed operand: append its micro-commands to the trace arena,
-   schedule its resource exits (offsets into the reusable scratch buffer, in
-   first-crossing order — identical event insertion order to the former
-   tuple-list walk), and return arrival time *)
+   schedule its resource exits (offsets into the reusable scratch buffer)
+   in first-crossing order, which fixes the event insertion order, and
+   return arrival time *)
 let dispatch_qubit st q path =
   let arrival = Micro.Builder.lower_path st.trace_buf st.graph st.timing ~qubit:q ~start:st.clock path in
   let k = Path.num_resources path in
@@ -582,8 +582,8 @@ let simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_fac
             st.clock <- t;
             (* drain all events at this timestamp before re-issuing,
                processing each as it pops: completions and releases never
-               enqueue events, so inline processing sees the same heap —
-               and the same order — the former collect-then-replay did *)
+               enqueue events, so every event of the timestamp is already
+               in the heap and they pop in the heap's order *)
             let process ev =
               if ev land 1 = 1 then Congestion.release st.congestion (Resource.of_int (ev asr 1))
               else complete st (ev asr 1)

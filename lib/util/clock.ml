@@ -21,7 +21,6 @@ type deadline = { at_ms : float; budget_ms : float }
 
 let after_ms budget_ms = { at_ms = now_ms () +. budget_ms; budget_ms }
 let budget_ms d = d.budget_ms
-let remaining_ms d = d.at_ms -. now_ms ()
 
 (* a non-positive budget is expired by definition: the high-water clock can
    return the arming instant's exact reading again, and [>] alone would

@@ -42,8 +42,6 @@ val budget_ms : deadline -> float
 (** The budget the deadline was armed with. *)
 
 val expired : deadline -> bool
-val remaining_ms : deadline -> float
-(** Milliseconds until expiry; negative once expired. *)
 
 exception Expired of { budget_ms : float }
 (** Raised by {!check} at a cooperative cancellation checkpoint.  Carries

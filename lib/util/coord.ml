@@ -33,9 +33,6 @@ let dir_between a b =
 
 let is_horizontal = function East | West -> true | North | South -> false
 
-let pp_dir ppf d =
-  Format.pp_print_string ppf (match d with North -> "N" | South -> "S" | East -> "E" | West -> "W")
-
 module Ord = struct
   type nonrec t = t
 

@@ -31,7 +31,6 @@ val dir_between : t -> t -> dir option
     4-neighbours. *)
 
 val is_horizontal : dir -> bool
-val pp_dir : Format.formatter -> dir -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

@@ -9,8 +9,6 @@ let variance = function
       let sq = List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
       sq /. float_of_int (List.length xs)
 
-let stddev xs = sqrt (variance xs)
-
 let min_max = function
   | [] -> invalid_arg "Stats.min_max: empty list"
   | x :: xs -> List.fold_left (fun (lo, hi) v -> (min lo v, max hi v)) (x, x) xs

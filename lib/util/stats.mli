@@ -9,8 +9,6 @@ val mean : float list -> float
 val variance : float list -> float
 (** Population variance; 0 on lists shorter than 2. *)
 
-val stddev : float list -> float
-
 val min_max : float list -> float * float
 (** @raise Invalid_argument on the empty list. *)
 

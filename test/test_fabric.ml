@@ -332,33 +332,6 @@ let test_graph_junction_split () =
   check_bool "H and V" true
     (List.mem (Some Cell.Horizontal) orients && List.mem (Some Cell.Vertical) orients)
 
-(* ------------------------------------------------------------------ Dot *)
-
-let test_dot_component_graph () =
-  let c = extract (Layout.small_tile ()) in
-  let s = Dot.component_graph c in
-  check_bool "graph header" true (String.length s > 20 && String.sub s 0 12 = "graph fabric");
-  check_bool "has junction node" true
-    (let found = ref false in
-     String.iteri (fun i _ -> if i + 2 < String.length s && String.sub s i 3 = "j0 " then found := true) s;
-     !found);
-  (* braces balance *)
-  let depth = ref 0 in
-  String.iter (fun ch -> if ch = '{' then incr depth else if ch = '}' then decr depth) s;
-  check_int "balanced braces" 0 !depth
-
-let test_dot_routing_graph () =
-  let c = extract (Layout.small_tile ()) in
-  let g = Graph.build c in
-  let s = Dot.routing_graph g in
-  check_bool "digraph header" true (String.sub s 0 7 = "digraph");
-  check_bool "has dashed turn edges" true
-    (let found = ref false in
-     String.iteri
-       (fun i _ -> if i + 14 < String.length s && String.sub s i 14 = "[style=dashed]" then found := true)
-       s;
-     !found)
-
 (* ----------------------------------------------------------------- Lint *)
 
 (* The one fabric lint, [Analysis.Fabric_check], over the structural and
@@ -478,11 +451,6 @@ let () =
           Alcotest.test_case "quale connected" `Quick test_graph_quale_connected;
           Alcotest.test_case "junction split" `Quick test_graph_junction_split;
           Alcotest.test_case "reverse and resource CSR" `Quick test_graph_reverse_and_resource_csr;
-        ] );
-      ( "dot",
-        [
-          Alcotest.test_case "component graph" `Quick test_dot_component_graph;
-          Alcotest.test_case "routing graph" `Quick test_dot_routing_graph;
         ] );
       ( "lint",
         [

@@ -505,21 +505,6 @@ let prop_optimizer_never_grows =
   QCheck.Test.make ~name:"optimizer never increases gate count" ~count:100 arb_program (fun p ->
       Program.gate_count (Optimizer.optimize p) <= Program.gate_count p)
 
-let test_dag_to_dot () =
-  let g = Dag.of_program (fig3_program ()) in
-  let dot = Dag.to_dot g in
-  check_bool "digraph" true (String.sub dot 0 7 = "digraph");
-  (* critical-path gates are bold; H q2 is one of them *)
-  check_bool "has bold nodes" true
-    (let found = ref false in
-     String.iteri
-       (fun i _ -> if i + 10 < String.length dot && String.sub dot i 10 = "style=bold" then found := true)
-       dot;
-     !found);
-  let depth = ref 0 in
-  String.iter (fun ch -> if ch = '{' then incr depth else if ch = '}' then decr depth) dot;
-  check_int "balanced braces" 0 !depth
-
 (* ---------------------------------------------------------------- Basis *)
 
 let test_basis_translation () =
@@ -647,7 +632,6 @@ let () =
           Alcotest.test_case "asap/alap" `Quick test_dag_asap_alap;
           Alcotest.test_case "sources" `Quick test_dag_sources;
           Alcotest.test_case "empty program" `Quick test_dag_empty_program;
-          Alcotest.test_case "to_dot" `Quick test_dag_to_dot;
         ]
         @ qsuite
             [
