@@ -296,18 +296,17 @@ let[@inline] is_gate = function
 
 (* --- the replay's scratch ---
 
-   The fabric- and trace-sized state of a check lives in columns that each
-   domain reuses from check to check (a check never re-enters itself) and
-   grows on demand, so certifying a job puts no fabric- or trace-sized
-   block on the major heap; what a domain retains is bounded by the
-   largest fabric and trace it has certified.  A check owns the columns
+   The resource- and trace-sized state of a check lives in columns that
+   each domain reuses from check to check (a check never re-enters itself)
+   and grows on demand, so certifying a job puts no resource- or
+   trace-sized block on the major heap; what a domain retains is bounded
+   by the largest fabric and trace it has certified.  A check owns the columns
    until it returns.
 
-   [code] is the cell index: one int per layout cell, refilled from the
-   component's own tables at the start of every check.  A channel cell
-   holds its segment id [0..S-1], a junction its resource id [S + jid],
-   and traps and empty cells the two codes below.  Out-of-bounds
-   coordinates read as empty, like [Layout.get].
+   Cells are classified by the component's own cell index
+   ([Fabric.Component.cell_code]): a channel cell reads its segment id
+   [0..S-1], a junction its resource id [S + jid], a trap a code below
+   [empty_cell], and empty and out-of-bounds cells [empty_cell].
 
    [res], [qubit], [lo] and [hi] hold one row per visit: a qubit's run of
    touches on one resource, merged in place while each touch starts
@@ -316,10 +315,9 @@ let[@inline] is_gate = function
    in start order.  [first], [by_res], [ent] and [ext] serve the capacity
    sweep. *)
 let empty_cell = -1
-let trap_cell = -2
+let[@inline] is_trap code = code < empty_cell
 
 type scratch = {
-  mutable code : int array;
   mutable n : int;  (* visit rows in use *)
   mutable res : int array;
   mutable qubit : int array;
@@ -334,7 +332,6 @@ type scratch = {
 let scratch_key =
   Domain.DLS.new_key (fun () ->
       {
-        code = [||];
         n = 0;
         res = Array.make 64 0;
         qubit = Array.make 64 0;
@@ -349,33 +346,6 @@ let scratch_key =
 (* [a] when it holds [n] cells, else a fresh column of at least [n] *)
 let at_least a n fill =
   if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) fill
-
-type cells = { width : int; height : int; code : int array; nsegs : int }
-
-let index_cells (sc : scratch) comp =
-  let lay = Fabric.Component.layout comp in
-  let width = Fabric.Layout.width lay and height = Fabric.Layout.height lay in
-  sc.code <- at_least sc.code (width * height) empty_cell;
-  let code = sc.code in
-  Array.fill code 0 (width * height) empty_cell;
-  let put (c : Coord.t) v = code.((c.Coord.y * width) + c.Coord.x) <- v in
-  let segs = Fabric.Component.segments comp in
-  let nsegs = Array.length segs in
-  Array.iteri (fun s seg -> Array.iter (fun c -> put c s) seg.Fabric.Component.cells) segs;
-  Array.iteri
-    (fun j jn -> put jn.Fabric.Component.jpos (nsegs + j))
-    (Fabric.Component.junctions comp);
-  Array.iter (fun t -> put t.Fabric.Component.tpos trap_cell) (Fabric.Component.traps comp);
-  { width; height; code; nsegs }
-
-let[@inline] cell_index cells (c : Coord.t) =
-  if c.Coord.x >= 0 && c.Coord.x < cells.width && c.Coord.y >= 0 && c.Coord.y < cells.height then
-    (c.Coord.y * cells.width) + c.Coord.x
-  else -1
-
-let[@inline] code_at cells c =
-  let i = cell_index cells c in
-  if i < 0 then empty_cell else Array.unsafe_get cells.code i
 
 let grow a fill =
   let b = Array.make (2 * Array.length a) fill in
@@ -502,19 +472,26 @@ let check ~component:comp ~timing ~channel_capacity ~junction_capacity ~dag ~ini
   in
   let sc = Domain.DLS.get scratch_key in
   sc.n <- 0;
-  let cells = index_cells sc comp in
-  let nsegs = cells.nsegs in
-  let nres = nsegs + Array.length (Fabric.Component.junctions comp) in
-  (* faulted cells the same way, with off-layout ones kept in the list *)
+  let code_at = Fabric.Component.cell_code comp in
+  let nsegs = Array.length (Fabric.Component.segments comp) in
+  let nres = Fabric.Component.num_resources comp in
+  (* faulted cells in a flat index too, with off-layout ones kept in the list *)
+  let lay = Fabric.Component.layout comp in
+  let width = Fabric.Layout.width lay in
+  let cell_index (c : Coord.t) =
+    if Fabric.Layout.in_bounds lay c then (c.Coord.y * width) + c.Coord.x else -1
+  in
   let any_faulted = faulted <> [] in
-  let faulted_cell = Array.make (if any_faulted then cells.width * cells.height else 0) false in
+  let faulted_cell =
+    Array.make (if any_faulted then width * Fabric.Layout.height lay else 0) false
+  in
   List.iter
     (fun c ->
-      let i = cell_index cells c in
+      let i = cell_index c in
       if i >= 0 then faulted_cell.(i) <- true)
     faulted;
   let is_faulted c =
-    let i = cell_index cells c in
+    let i = cell_index c in
     if i >= 0 then faulted_cell.(i) else List.exists (same_cell c) faulted
   in
   let nfind = ref 0 and findings = ref [] in
@@ -634,7 +611,7 @@ let check ~component:comp ~timing ~channel_capacity ~junction_capacity ~dag ~ini
                   (F.make ~pass ~kind:"bad-duration" ~loc:(F.Command idx) F.Error
                      "move takes %.4f us, the technology's t_move is %.4f us" (finish -. start)
                      timing.Router.Timing.t_move);
-              let from_code = code_at cells from_ in
+              let from_code = code_at from_ in
               let unit_step = unit_step from_ to_ in
               if not unit_step then
                 emit
@@ -642,7 +619,7 @@ let check ~component:comp ~timing ~channel_capacity ~junction_capacity ~dag ~ini
                      "move %s -> %s is not a unit step" (Coord.to_string from_)
                      (Coord.to_string to_))
               else begin
-                let to_code = code_at cells to_ in
+                let to_code = code_at to_ in
                 if to_code = empty_cell then
                   emit
                     (F.make ~pass ~kind:"off-fabric" ~loc:(F.Command idx) F.Error
@@ -655,7 +632,7 @@ let check ~component:comp ~timing ~channel_capacity ~junction_capacity ~dag ~ini
                 let prev = prev_axis.(qubit) in
                 if
                   continuous && prev <> No_axis && prev <> axis_of from_ to_
-                  && to_code <> trap_cell
+                  && not (is_trap to_code)
                 then
                   if from_code >= nsegs then begin
                     if not turned.(qubit) then
@@ -675,7 +652,7 @@ let check ~component:comp ~timing ~channel_capacity ~junction_capacity ~dag ~ini
               pos.(qubit) <- to_;
               free_at.(qubit) <- finish;
               prev_axis.(qubit) <-
-                (if unit_step && from_code <> trap_cell then axis_of from_ to_ else No_axis);
+                (if unit_step && not (is_trap from_code) then axis_of from_ to_ else No_axis);
               turned.(qubit) <- false
             end
         | Micro.Turn { qubit; at; start; finish } ->
@@ -696,7 +673,7 @@ let check ~component:comp ~timing ~channel_capacity ~junction_capacity ~dag ~ini
                 emit
                   (F.make ~pass ~kind:"overlap" ~loc:(F.Command idx) F.Error
                      "q%d turns at %.2f us while busy until %.2f us" qubit start free_at.(qubit));
-              let at_code = code_at cells at in
+              let at_code = code_at at in
               if at_code < nsegs then
                 emit
                   (F.make ~pass ~kind:"turn-outside-junction" ~loc:(F.Command idx) F.Error
@@ -736,7 +713,7 @@ let check ~component:comp ~timing ~channel_capacity ~junction_capacity ~dag ~ini
                        "gate #%d runs on qubits [%s], the program says [%s]" instr_id (show qubits)
                        (show (Qasm.Instr.qubits instr)))
                 end;
-                if code_at cells trap <> trap_cell then
+                if not (is_trap (code_at trap)) then
                   emit
                     (F.make ~pass ~kind:"gate-site" ~loc:(F.Command idx) F.Error
                        "gate #%d executes at %s, which is not a trap" instr_id

@@ -2,8 +2,7 @@ module F = Finding
 
 let pass = "config"
 
-let check ?num_qubits (cfg : Qspr.Config.t) =
-  ignore num_qubits;
+let check (cfg : Qspr.Config.t) =
   let findings = ref [] in
   let emit f = findings := f :: !findings in
   (match Qspr.Config.validate cfg with

@@ -16,6 +16,5 @@
     No finding reads the host: the same config gets the same findings on
     every machine, at any [jobs]. *)
 
-val check : ?num_qubits:int -> Qspr.Config.t -> Finding.t list
-(** All findings, errors first.  [num_qubits] reserved for future
-    program-aware checks; currently unused. *)
+val check : Qspr.Config.t -> Finding.t list
+(** All findings, errors first. *)

@@ -27,7 +27,7 @@ let lint_static ?program ?fabric ?config () =
     | Some st -> Fabric_check.merge ?num_qubits ?channel_capacity st
     | None -> []
   in
-  let config_findings = match config with Some cfg -> Config_check.check ?num_qubits cfg | None -> [] in
+  let config_findings = match config with Some cfg -> Config_check.check cfg | None -> [] in
   F.sort (program_findings @ fabric_findings @ config_findings)
 
 let lint ?program ?fabric ?config () =

@@ -11,22 +11,16 @@ type level_stat = {
 
 type outcome = { latency : float; levels : level_stat list; final_placement : int array }
 
-let unit_delay instr = if Instr.is_gate instr then 1.0 else 0.0
-
-(* gate instruction ids grouped by ASAP level, ascending.  A logical level
+(* gate instruction ids grouped by QIDG level, ascending.  A logical level
    may hold two gates sharing a control qubit (the QIDG treats controls as
    reads), but one ion cannot visit two traps in one wave, so each level is
    further split into operand-disjoint sub-levels. *)
 let levels_of dag =
-  let asap = Dag.asap_times ~delay:unit_delay dag in
-  let tbl = Hashtbl.create 16 in
-  Array.iteri
-    (fun i start ->
-      if Instr.is_gate (Dag.node dag i).Dag.instr then begin
-        let key = int_of_float start in
-        Hashtbl.replace tbl key (i :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
-      end)
-    asap;
+  let level = Dag.gate_levels dag in
+  let by_level = Array.make (Array.fold_left max 0 level + 1) [] in
+  for i = Array.length level - 1 downto 0 do
+    if level.(i) > 0 then by_level.(level.(i)) <- i :: by_level.(level.(i))
+  done;
   let split_disjoint gates =
     let sublevels = ref [] in
     List.iter
@@ -43,9 +37,7 @@ let levels_of dag =
       gates;
     List.map (fun sub -> List.rev (fst !sub)) !sublevels
   in
-  Hashtbl.fold (fun k v acc -> (k, List.rev v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.concat_map (fun (_, gates) -> split_disjoint gates)
+  Array.to_list by_level |> List.concat_map split_disjoint
 
 let map_unguarded ?placement ctx =
   let program = Mapper.program ctx in
@@ -63,7 +55,7 @@ let map_unguarded ?placement ctx =
   else begin
     let traps = Fabric.Component.traps comp in
     let capacity r =
-      if Router.Resource.is_segment r then policy.Simulator.Engine.channel_capacity
+      if Fabric.Component.is_segment comp r then policy.Simulator.Engine.channel_capacity
       else policy.Simulator.Engine.junction_capacity
     in
     let trap_pos tid = traps.(tid).Fabric.Component.tpos in

@@ -68,13 +68,8 @@ let create ~graph ~timing ?distance ~priorities dag =
   in
   let nq = Qasm.Program.num_qubits (Qasm.Dag.program dag) in
   let kind = Array.make n 0 and qa = Array.make n 0 and qb = Array.make n 0 in
-  (* Gate levels — 1 + max level over predecessors, declarations at 0 — feed
-     the per-level two-qubit census behind the congestion stretch.  Node ids
-     are already topological, so one forward pass suffices. *)
-  let level = Array.make n 0 in
   for i = 0 to n - 1 do
-    let node = Qasm.Dag.node dag i in
-    (match node.Qasm.Dag.instr with
+    match (Qasm.Dag.node dag i).Qasm.Dag.instr with
     | Qasm.Instr.Qubit_decl _ -> ()
     | Gate1 (_, q) ->
         kind.(i) <- 1;
@@ -82,11 +77,11 @@ let create ~graph ~timing ?distance ~priorities dag =
     | Gate2 (_, c, tgt) ->
         kind.(i) <- 2;
         qa.(i) <- c;
-        qb.(i) <- tgt);
-    if kind.(i) <> 0 then
-      level.(i) <-
-        List.fold_left (fun acc p -> Int.max acc (level.(p) + 1)) 1 node.Qasm.Dag.preds
+        qb.(i) <- tgt
   done;
+  (* the gate levels feed the per-level two-qubit census behind the
+     congestion stretch *)
+  let level = Qasm.Dag.gate_levels dag in
   let max_level = Array.fold_left Int.max 0 level in
   let two_qubit_per_level = Array.make (max_level + 1) 0 in
   for i = 0 to n - 1 do

@@ -6,14 +6,19 @@ type segment = { sid : int; orientation : Cell.orientation; cells : Coord.t arra
 
 type trap = { tid : int; tpos : Coord.t; tap : Coord.t }
 
+type resource = int
+
+(* [cell_codes] is the flat cell index, row-major like the layout: the
+   resource id of a channel or junction cell, [-2 - tid] for trap [tid],
+   [-1] for an empty cell *)
 type t = {
   layout : Layout.t;
   junctions : junction array;
   segments : segment array;
   traps : trap array;
-  seg_of_cell : int Coord.Tbl.t;
-  junc_of_cell : int Coord.Tbl.t;
-  trap_of_cell : int Coord.Tbl.t;
+  width : int;
+  height : int;
+  cell_codes : int array;
 }
 
 let layout t = t.layout
@@ -21,18 +26,37 @@ let junctions t = t.junctions
 let segments t = t.segments
 let traps t = t.traps
 
-let segment_at t c = Coord.Tbl.find_opt t.seg_of_cell c
-let junction_at t c = Coord.Tbl.find_opt t.junc_of_cell c
-let trap_at t c = Coord.Tbl.find_opt t.trap_of_cell c
+let num_resources t = Array.length t.segments + Array.length t.junctions
+let is_segment t r = r < Array.length t.segments
 
+let empty_code = -1
+
+(* trap [tid]'s cell code, and its own inverse *)
+let trap_code tid = -2 - tid
+
+let cell_code t (c : Coord.t) =
+  if c.Coord.x >= 0 && c.Coord.x < t.width && c.Coord.y >= 0 && c.Coord.y < t.height then
+    Array.unsafe_get t.cell_codes ((c.Coord.y * t.width) + c.Coord.x)
+  else empty_code
+
+let segment_at t c =
+  let r = cell_code t c in
+  if r >= 0 && is_segment t r then Some r else None
+
+let junction_at t c =
+  let r = cell_code t c in
+  if r >= 0 && not (is_segment t r) then Some (r - Array.length t.segments) else None
+
+let trap_at t c =
+  let r = cell_code t c in
+  if r < empty_code then Some (trap_code r) else None
+
+(* Channel runs, each the maximal same-orientation run starting at a cell
+   whose west/north neighbour does not continue it, in layout order. *)
 let extract_segments lay =
   let segs = ref [] in
   let nsegs = ref 0 in
-  let seg_of_cell = Coord.Tbl.create 256 in
   let run_from c orientation =
-    (* collect the maximal run starting at [c] going east/south; [c] is the
-       first channel cell of the run (its west/north neighbour is not a
-       same-orientation channel) *)
     let dir = match orientation with Cell.Horizontal -> Coord.East | Cell.Vertical -> Coord.South in
     let rec collect acc cur =
       match Layout.get lay cur with
@@ -48,27 +72,22 @@ let extract_segments lay =
           let prev = Layout.get lay (Coord.step c back) in
           let starts = match prev with Cell.Channel o when o = orientation -> false | _ -> true in
           if starts then begin
-            let cells = Array.of_list (run_from c orientation) in
             let sid = !nsegs in
             incr nsegs;
-            Array.iter (fun cc -> Coord.Tbl.replace seg_of_cell cc sid) cells;
-            segs := { sid; orientation; cells } :: !segs
+            segs := { sid; orientation; cells = Array.of_list (run_from c orientation) } :: !segs
           end
       | Cell.Empty | Cell.Junction | Cell.Trap -> ());
-  (Array.of_list (List.rev !segs), seg_of_cell)
+  Array.of_list (List.rev !segs)
 
 let extract lay =
   let junctions = ref [] and njunc = ref 0 in
-  let junc_of_cell = Coord.Tbl.create 64 in
   let traps = ref [] and ntrap = ref 0 in
-  let trap_of_cell = Coord.Tbl.create 64 in
   let missing_tap = ref None in
   Layout.iter lay (fun c cell ->
       match cell with
       | Cell.Junction ->
           let jid = !njunc in
           incr njunc;
-          Coord.Tbl.replace junc_of_cell c jid;
           junctions := { jid; jpos = c } :: !junctions
       | Cell.Trap -> (
           let tap = List.find_opt (fun d -> Cell.is_walkable (Layout.get lay (Coord.step c d))) Coord.all_dirs in
@@ -76,7 +95,6 @@ let extract lay =
           | Some d ->
               let tid = !ntrap in
               incr ntrap;
-              Coord.Tbl.replace trap_of_cell c tid;
               traps := { tid; tpos = c; tap = Coord.step c d } :: !traps
           | None ->
               if !missing_tap = None then
@@ -85,17 +103,17 @@ let extract lay =
   match !missing_tap with
   | Some msg -> Error msg
   | None ->
-      let segments, seg_of_cell = extract_segments lay in
-      Ok
-        {
-          layout = lay;
-          junctions = Array.of_list (List.rev !junctions);
-          segments;
-          traps = Array.of_list (List.rev !traps);
-          seg_of_cell;
-          junc_of_cell;
-          trap_of_cell;
-        }
+      let segments = extract_segments lay in
+      let junctions = Array.of_list (List.rev !junctions) in
+      let traps = Array.of_list (List.rev !traps) in
+      let w = Layout.width lay and h = Layout.height lay in
+      let cell_codes = Array.make (w * h) empty_code in
+      let put (c : Coord.t) v = cell_codes.((c.Coord.y * w) + c.Coord.x) <- v in
+      let nsegs = Array.length segments in
+      Array.iter (fun s -> Array.iter (fun c -> put c s.sid) s.cells) segments;
+      Array.iter (fun j -> put j.jpos (nsegs + j.jid)) junctions;
+      Array.iter (fun tr -> put tr.tpos (trap_code tr.tid)) traps;
+      Ok { layout = lay; junctions; segments; traps; width = w; height = h; cell_codes }
 
 let nearest_traps t from =
   let keyed =

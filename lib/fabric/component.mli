@@ -33,6 +33,30 @@ val junctions : t -> junction array
 val segments : t -> segment array
 val traps : t -> trap array
 
+(** {2 Resources}
+
+    The contended transit resources of the paper's Eq. 2 — channel segments
+    and junctions — share one dense numbering, owned here: segment [s] is
+    resource [s] and junction [j] is resource [num_segments + j], so
+    [0 .. num_resources - 1] indexes a flat array directly.  The graph's
+    [Chan]/[Junc]/[Turn] edge kinds, paths, congestion counts and the
+    certifier's capacity sweep all speak these ids. *)
+
+type resource = int
+
+val num_resources : t -> int
+(** Segments plus junctions. *)
+
+val is_segment : t -> resource -> bool
+
+(** {2 Cell index}
+
+    One flat int per layout cell, built at extraction. *)
+
+val cell_code : t -> Ion_util.Coord.t -> int
+(** The resource id of a channel or junction cell, [-2 - tid] for the trap
+    [tid], and [-1] for empty and out-of-bounds cells. *)
+
 val segment_at : t -> Ion_util.Coord.t -> int option
 (** Segment owning a channel cell, if any. *)
 

@@ -26,10 +26,9 @@ type t = {
      [in_edges.(in_start.(n)) .. in_edges.(in_start.(n+1) - 1)] *)
   in_start : int array; (* length num_nodes + 1 *)
   in_edges : int array;
-  (* resource CSR: the edges whose weight a resource's congestion sets —
-     [Chan s] edges under row [s], [Junc j] edges under row [num_segments + j] *)
-  num_segments : int;
-  res_start : int array; (* length num_segments + num_junctions + 1 *)
+  (* resource CSR: the edges whose weight a resource's congestion sets,
+     [Chan r] and [Junc r] edges under row [r] *)
+  res_start : int array; (* length Component.num_resources + 1 *)
   res_edges : int array;
   trap_nodes : node array;
   positions : Coord.t array;
@@ -59,10 +58,8 @@ let pred_start t n = t.in_start.(n)
 let pred_stop t n = t.in_start.(n + 1)
 let pred_edge t k = t.in_edges.(k)
 
-let chan_edges_start t s = t.res_start.(s)
-let chan_edges_stop t s = t.res_start.(s + 1)
-let junc_edges_start t j = t.res_start.(t.num_segments + j)
-let junc_edges_stop t j = t.res_start.(t.num_segments + j + 1)
+let resource_edges_start t r = t.res_start.(r)
+let resource_edges_stop t r = t.res_start.(r + 1)
 let resource_edge t k = t.res_edges.(k)
 
 let trap_node t tid = t.trap_nodes.(tid)
@@ -123,12 +120,8 @@ let build comp =
   in
   (* the step cost of entering cell [c]: channel or junction resource *)
   let entry_kind c =
-    match Layout.get lay c with
-    | Cell.Channel _ -> (
-        match Component.segment_at comp c with Some s -> Some (Chan s) | None -> None)
-    | Cell.Junction -> (
-        match Component.junction_at comp c with Some j -> Some (Junc j) | None -> None)
-    | Cell.Empty | Cell.Trap -> None
+    let r = Component.cell_code comp c in
+    if r < 0 then None else if Component.is_segment comp r then Some (Chan r) else Some (Junc r)
   in
   (* movement edges: for each walkable cell, connect to east and south
      neighbours along the corresponding orientation (both directions) *)
@@ -147,10 +140,11 @@ let build comp =
   (* turn edges inside junctions *)
   Layout.iter lay (fun c cell ->
       if Cell.equal cell Cell.Junction then
-        match (Coord.Tbl.find_opt junc_node_h c, Coord.Tbl.find_opt junc_node_v c, Component.junction_at comp c) with
-        | Some h, Some v, Some j ->
-            add_edge h v (Turn j);
-            add_edge v h (Turn j)
+        match (Coord.Tbl.find_opt junc_node_h c, Coord.Tbl.find_opt junc_node_v c) with
+        | Some h, Some v ->
+            let r = Component.cell_code comp c in
+            add_edge h v (Turn r);
+            add_edge v h (Turn r)
         | _ -> ());
   (* tap edges: trap <-> its tap cell; junction taps connect to both
      orientation nodes.  Leaving the trap steps INTO the tap cell, so that
@@ -214,15 +208,9 @@ let build comp =
     (start, edges)
   in
   let in_start, in_edges = bucket n (fun i -> edge_dst.(i)) in
-  let num_segments = Array.length (Component.segments comp) in
   let res_start, res_edges =
-    bucket
-      (num_segments + Array.length (Component.junctions comp))
-      (fun i ->
-        match edge_kinds.(i) with
-        | Chan s -> s
-        | Junc j -> num_segments + j
-        | Turn _ | Tap _ -> -1)
+    bucket (Component.num_resources comp) (fun i ->
+        match edge_kinds.(i) with Chan r | Junc r -> r | Turn _ | Tap _ -> -1)
   in
   {
     component = comp;
@@ -233,7 +221,6 @@ let build comp =
     edge_src;
     in_start;
     in_edges;
-    num_segments;
     res_start;
     res_edges;
     trap_nodes;

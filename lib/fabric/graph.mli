@@ -8,10 +8,11 @@
     cell.
 
     Edges carry the resource they consume so the router can weight them by
-    live congestion (Eq. 2) and the simulator can account occupancy:
-    - [Chan s] — a one-cell step inside channel segment [s];
-    - [Junc j] — a one-cell step into junction [j];
-    - [Turn j] — a 90-degree rotation inside junction [j];
+    live congestion (Eq. 2) and the simulator can account occupancy.  The
+    payload of [Chan], [Junc] and [Turn] is a {!Component.resource} id:
+    - [Chan r] — a one-cell step inside channel segment [r];
+    - [Junc r] — a one-cell step into the junction with resource id [r];
+    - [Turn r] — a 90-degree rotation inside that junction;
     - [Tap t] — the hop between trap [t] and its tap cell.
 
     Turns outside junctions are impossible: perpendicular channels meeting
@@ -76,16 +77,13 @@ val pred_edge : t -> int -> int
 
 (** {2 Resource CSR}
 
-    The edges whose Eq. 2 weight a resource's congestion sets: the [Chan s]
-    edges of segment [s] are [resource_edge t k] for
-    [k = chan_edges_start t s .. chan_edges_stop t s - 1], and likewise the
-    [Junc j] edges of junction [j] via [junc_edges_start]/[junc_edges_stop].
-    Turn and tap edges have fixed weights and belong to no row. *)
+    The edges whose Eq. 2 weight a resource's congestion sets: the [Chan r]
+    and [Junc r] edges of resource [r] are [resource_edge t k] for
+    [k = resource_edges_start t r .. resource_edges_stop t r - 1].  Turn
+    and tap edges have fixed weights and belong to no row. *)
 
-val chan_edges_start : t -> int -> int
-val chan_edges_stop : t -> int -> int
-val junc_edges_start : t -> int -> int
-val junc_edges_stop : t -> int -> int
+val resource_edges_start : t -> Component.resource -> int
+val resource_edges_stop : t -> Component.resource -> int
 val resource_edge : t -> int -> int
 
 val trap_node : t -> int -> node

@@ -122,6 +122,15 @@ let asap_times ~delay t =
   done;
   start
 
+let gate_levels t =
+  let level = Array.make (num_nodes t) 0 in
+  Array.iteri
+    (fun i nd ->
+      if Instr.is_gate nd.instr then
+        level.(i) <- List.fold_left (fun acc p -> Int.max acc (level.(p) + 1)) 1 nd.preds)
+    t.nodes;
+  level
+
 let alap_times ~delay t =
   let n = num_nodes t in
   let total = critical_path ~delay t in

@@ -65,6 +65,12 @@ val dependents : t -> int array
 val asap_times : delay:(Instr.t -> float) -> t -> float array
 (** Earliest start time of each node under infinite resources. *)
 
+val gate_levels : t -> int array
+(** The QIDG levelization: 0 for a declaration, and for a gate 1 + the
+    largest level among its predecessors.  On a validated program (every
+    declaration precedes the gates on its qubit) a gate's level is its
+    {!asap_times} start under unit gate delay, plus one. *)
+
 val alap_times : delay:(Instr.t -> float) -> t -> float array
 (** Latest start time of each node such that the critical path is met;
     QUALE's scheduling extracts instructions in ALAP order. *)

@@ -17,23 +17,15 @@ let paper_delay = function
   | Instr.Gate1 _ -> 10.0
   | Instr.Gate2 _ -> 100.0
 
-let unit_delay instr = if Instr.is_gate instr then 1.0 else 0.0
-
 let of_program p =
   let g = Dag.of_program p in
-  let depth = int_of_float (Dag.critical_path ~delay:unit_delay g) in
+  (* depth: the deepest gate level; parallelism: gates sharing a level *)
+  let level = Dag.gate_levels g in
+  let depth = Array.fold_left max 0 level in
   let gates = Program.gate_count p in
-  (* parallelism: gates sharing an ASAP level under unit delays *)
-  let asap = Dag.asap_times ~delay:unit_delay g in
-  let levels = Hashtbl.create 16 in
-  Array.iteri
-    (fun i start ->
-      if Instr.is_gate (Dag.node g i).Dag.instr then begin
-        let key = int_of_float start in
-        Hashtbl.replace levels key (1 + Option.value ~default:0 (Hashtbl.find_opt levels key))
-      end)
-    asap;
-  let max_parallelism = Hashtbl.fold (fun _ c acc -> max acc c) levels 0 in
+  let per_level = Array.make (depth + 1) 0 in
+  Array.iter (fun l -> if l > 0 then per_level.(l) <- per_level.(l) + 1) level;
+  let max_parallelism = Array.fold_left max 0 per_level in
   let pairs =
     Array.to_list p.Program.instrs
     |> List.filter_map (function

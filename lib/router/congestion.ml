@@ -7,11 +7,11 @@ type live = { graph : Graph.t; weights : float array }
 type t = {
   chan_cap : int;
   junc_cap : int;
-  seg_users : int array;
-  junc_users : int array;
-  (* O(1) mirrors of the arrays, maintained by acquire/release: the engine
+  nsegs : int; (* resources below [nsegs] are segments *)
+  users : int array; (* per resource id *)
+  (* O(1) mirrors of [users], maintained by acquire/release: the engine
      asks "is anything in flight?" / "do live weights equal base weights?"
-     once per route, and folding the arrays there would dominate. *)
+     once per route, and folding the array there would dominate. *)
   mutable seg_total : int;
   mutable junc_total : int;
   mutable junc_saturated : int;
@@ -24,8 +24,8 @@ let create comp ~channel_capacity ~junction_capacity =
   {
     chan_cap = channel_capacity;
     junc_cap = junction_capacity;
-    seg_users = Array.make (Array.length (Fabric.Component.segments comp)) 0;
-    junc_users = Array.make (Array.length (Fabric.Component.junctions comp)) 0;
+    nsegs = Array.length (Fabric.Component.segments comp);
+    users = Array.make (Fabric.Component.num_resources comp) 0;
     seg_total = 0;
     junc_total = 0;
     junc_saturated = 0;
@@ -35,80 +35,72 @@ let create comp ~channel_capacity ~junction_capacity =
 let channel_capacity t = t.chan_cap
 let junction_capacity t = t.junc_cap
 
-let users t r =
-  if Resource.is_segment r then t.seg_users.(Resource.id r) else t.junc_users.(Resource.id r)
+let users t r = t.users.(r)
 
-let capacity t r = if Resource.is_segment r then t.chan_cap else t.junc_cap
+let capacity t r = if r < t.nsegs then t.chan_cap else t.junc_cap
 
 let is_free t r = users t r < capacity t r
 
-(* Rewrite the tracked weights of segment [s] / junction [j] after its
-   count changed.  The Eq. 2 formula is inlined rather than calling
-   [weight]: a float returned across a call is boxed, one block per edge. *)
-let refresh_seg t s =
-  match t.live with
-  | None -> ()
-  | Some { graph; weights } ->
-      let n = t.seg_users.(s) in
-      let w = if n >= t.chan_cap then Float.infinity else float_of_int (n + 1) in
-      for k = Graph.chan_edges_start graph s to Graph.chan_edges_stop graph s - 1 do
-        weights.(Graph.resource_edge graph k) <- w
-      done
+let pp_resource t ppf r =
+  if r < t.nsegs then Format.fprintf ppf "segment#%d" r
+  else Format.fprintf ppf "junction#%d" (r - t.nsegs)
 
-let refresh_junc t j =
+(* Rewrite the tracked weights of resource [r] after its count changed.
+   The Eq. 2 formula is inlined rather than calling [weight]: a float
+   returned across a call is boxed, one block per edge. *)
+let refresh t r =
   match t.live with
   | None -> ()
   | Some { graph; weights } ->
-      let w = if t.junc_users.(j) >= t.junc_cap then Float.infinity else 1.0 in
-      for k = Graph.junc_edges_start graph j to Graph.junc_edges_stop graph j - 1 do
+      let n = t.users.(r) in
+      let w =
+        if n >= capacity t r then Float.infinity
+        else if r < t.nsegs then float_of_int (n + 1)
+        else 1.0
+      in
+      for k = Graph.resource_edges_start graph r to Graph.resource_edges_stop graph r - 1 do
         weights.(Graph.resource_edge graph k) <- w
       done
 
 let acquire t r =
   if not (is_free t r) then
-    invalid_arg (Format.asprintf "Congestion.acquire: %a is at capacity" Resource.pp r);
-  if Resource.is_segment r then begin
-    let s = Resource.id r in
-    t.seg_users.(s) <- t.seg_users.(s) + 1;
+    invalid_arg (Format.asprintf "Congestion.acquire: %a is at capacity" (pp_resource t) r);
+  t.users.(r) <- t.users.(r) + 1;
+  if r < t.nsegs then begin
     t.seg_total <- t.seg_total + 1;
-    refresh_seg t s
+    refresh t r
   end
   else begin
-    let j = Resource.id r in
-    t.junc_users.(j) <- t.junc_users.(j) + 1;
     t.junc_total <- t.junc_total + 1;
-    if t.junc_users.(j) = t.junc_cap then begin
+    if t.users.(r) = t.junc_cap then begin
       t.junc_saturated <- t.junc_saturated + 1;
-      refresh_junc t j
+      refresh t r
     end
   end
 
 let release t r =
   if users t r <= 0 then
-    invalid_arg (Format.asprintf "Congestion.release: %a has no users" Resource.pp r);
-  if Resource.is_segment r then begin
-    let s = Resource.id r in
-    t.seg_users.(s) <- t.seg_users.(s) - 1;
+    invalid_arg (Format.asprintf "Congestion.release: %a has no users" (pp_resource t) r);
+  let was_saturated = t.users.(r) = t.junc_cap in
+  t.users.(r) <- t.users.(r) - 1;
+  if r < t.nsegs then begin
     t.seg_total <- t.seg_total - 1;
-    refresh_seg t s
+    refresh t r
   end
   else begin
-    let j = Resource.id r in
-    let was_saturated = t.junc_users.(j) = t.junc_cap in
-    t.junc_users.(j) <- t.junc_users.(j) - 1;
     t.junc_total <- t.junc_total - 1;
     if was_saturated then begin
       t.junc_saturated <- t.junc_saturated - 1;
-      refresh_junc t j
+      refresh t r
     end
   end
 
 let weight t ~turn_cost (kind : Fabric.Graph.edge_kind) =
   match kind with
-  | Fabric.Graph.Chan s ->
-      let n = t.seg_users.(s) in
+  | Fabric.Graph.Chan r ->
+      let n = t.users.(r) in
       if n >= t.chan_cap then Float.infinity else float_of_int (n + 1)
-  | Fabric.Graph.Junc j -> if t.junc_users.(j) >= t.junc_cap then Float.infinity else 1.0
+  | Fabric.Graph.Junc r -> if t.users.(r) >= t.junc_cap then Float.infinity else 1.0
   | Fabric.Graph.Turn _ -> turn_cost
   | Fabric.Graph.Tap _ -> 1.0
 
@@ -122,11 +114,8 @@ let track_weights t ~turn_cost graph weights =
     | Graph.Tap _ -> weights.(i) <- 1.0
     | Graph.Chan _ | Graph.Junc _ -> ()
   done;
-  for s = 0 to Array.length t.seg_users - 1 do
-    refresh_seg t s
-  done;
-  for j = 0 to Array.length t.junc_users - 1 do
-    refresh_junc t j
+  for r = 0 to Array.length t.users - 1 do
+    refresh t r
   done
 
 let total_in_flight t = t.seg_total + t.junc_total

@@ -22,17 +22,17 @@ val create : Fabric.Component.t -> channel_capacity:int -> junction_capacity:int
 val channel_capacity : t -> int
 val junction_capacity : t -> int
 
-val users : t -> Resource.t -> int
-val capacity : t -> Resource.t -> int
+val users : t -> Fabric.Component.resource -> int
+val capacity : t -> Fabric.Component.resource -> int
 
-val is_free : t -> Resource.t -> bool
+val is_free : t -> Fabric.Component.resource -> bool
 (** Residual capacity remains. *)
 
-val acquire : t -> Resource.t -> unit
+val acquire : t -> Fabric.Component.resource -> unit
 (** @raise Invalid_argument when the resource is already at capacity:
     committing past capacity is a router bug. *)
 
-val release : t -> Resource.t -> unit
+val release : t -> Fabric.Component.resource -> unit
 (** @raise Invalid_argument when the resource has no users. *)
 
 val weight : t -> turn_cost:float -> Fabric.Graph.edge_kind -> float
@@ -45,7 +45,7 @@ val track_weights : t -> turn_cost:float -> Fabric.Graph.t -> float array -> uni
 (** [track_weights t ~turn_cost graph out] writes {!weight} for every CSR
     edge index of [graph] into [out] and from then on keeps [out] equal to
     {!weight} at all times: every {!acquire}/{!release} rewrites just the
-    edges of that resource (the graph's resource CSR), so a search can read
+    edges of that resource (the graph's resource row), so a search can read
     [out] as [Dijkstra.run_into]'s [weights] with no per-search sweep.
     Only channel and junction edges ever change; turn and tap edges keep
     the values written here.  The array holds floats unboxed, and the

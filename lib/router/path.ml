@@ -5,8 +5,8 @@ module Graph = Fabric.Graph
      steps : one packed int per edge —
                bits 0..23   destination node
                bits 24..25  kind tag (0 Chan, 1 Junc, 2 Turn, 3 Tap)
-               bits 26..    kind id (segment / junction / trap)
-     res   : the distinct packed resources crossed, first-crossing order
+               bits 26..    kind id (resource id; trap id for a tap)
+     res   : the distinct resource ids crossed, first-crossing order
              (what acquire/release and the pathfinder's occupancy walk)
 
    plus precomputed move/turn counts.  Everything is immutable after
@@ -57,13 +57,8 @@ let step_kind t i : Graph.edge_kind =
   | 2 -> Graph.Turn id
   | _ -> Graph.Tap id
 
-(* Packed resource of a step, [Resource.none] for turn/tap edges.  Inlined
-   arithmetic mirror of [Resource.pack_of_edge] over the step encoding. *)
-let step_resource_packed t i =
-  match step_tag t i with
-  | 0 -> (step_id t i lsl 1) lor 1 (* segment *)
-  | 1 -> step_id t i lsl 1 (* junction *)
-  | _ -> Resource.none
+(* Resource id of a step, -1 for turn/tap edges *)
+let step_resource t i = if step_tag t i <= tag_junc then step_id t i else -1
 
 (* First-crossing-order distinct resources.  Paths are short (O(fabric
    diameter)) and their footprints shorter, so an O(n*k) scan beats a
@@ -77,8 +72,7 @@ let footprint steps =
     for i = 0 to n - 1 do
       let tag = (steps.(i) lsr tag_shift) land 3 in
       if tag <= tag_junc then begin
-        let id = steps.(i) lsr id_shift in
-        let r = if tag = tag_chan then (id lsl 1) lor 1 else id lsl 1 in
+        let r = steps.(i) lsr id_shift in
         let seen = ref false in
         for j = 0 to !k - 1 do
           if tmp.(j) = r then seen := true
@@ -162,11 +156,11 @@ let duration (tm : Timing.t) t =
   !d
 
 let num_resources t = Array.length t.res
-let resource t i : Resource.t = Resource.of_int t.res.(i)
+let resource t i = t.res.(i)
 
 let iter_resources f t =
   for i = 0 to Array.length t.res - 1 do
-    f (Resource.of_int t.res.(i))
+    f t.res.(i)
   done
 
 let resource_index t r =
@@ -194,11 +188,11 @@ let resource_exits_into (tm : Timing.t) t out =
     let turn = step_is_turn t i in
     clock := !clock +. (if turn then tm.Timing.t_turn else tm.Timing.t_move);
     if not turn then begin
-      let r = step_resource_packed t i in
-      let cur = if !current < 0 then Resource.none else t.res.(!current) in
+      let r = step_resource t i in
+      let cur = if !current < 0 then -1 else t.res.(!current) in
       if r <> cur then begin
         if !current >= 0 then out.(!current) <- !clock;
-        current := (if r = Resource.none then -1 else resource_index t r)
+        current := (if r < 0 then -1 else resource_index t r)
       end
     end
   done;

@@ -6,7 +6,7 @@
     crosses, each with the offset (from departure) at which the qubit leaves
     it — the simulator turns those offsets into channel-exit events.
 
-    Internally a path is two int arrays (packed steps + packed resource
+    Internally a path is two int arrays (packed steps + resource
     footprint, layout in [doc/memory.md]) computed once at construction and
     immutable afterwards: consumers on the engine's hot path iterate them
     index-wise without allocating ([num_resources]/[resource],
@@ -64,11 +64,11 @@ val step_kind : t -> int -> Fabric.Graph.edge_kind
 val num_resources : t -> int
 (** Distinct resources crossed.  O(1). *)
 
-val resource : t -> int -> Resource.t
+val resource : t -> int -> Fabric.Component.resource
 (** [resource t i] is the [i]-th distinct resource in first-crossing order.
-    Allocation-free (resources are immediate ints). *)
+    Allocation-free. *)
 
-val iter_resources : (Resource.t -> unit) -> t -> unit
+val iter_resources : (Fabric.Component.resource -> unit) -> t -> unit
 
 val resource_exits_into : Timing.t -> t -> float array -> unit
 (** Fill [out.(i)] with the time offset (from path departure) at which the

@@ -19,20 +19,13 @@ let string_of_error = function
         src dst iteration
   | Bad_parameters msg -> Printf.sprintf "Pathfinder.route_all: %s" msg
 
-(* occupancy bookkeeping over the distinct resources of each net's route *)
-let usage_table routes =
-  let tbl = Resource.Tbl.create 64 in
-  List.iter
-    (fun (_, path) ->
-      Path.iter_resources
-        (fun r -> Resource.Tbl.replace tbl r (1 + Option.value ~default:0 (Resource.Tbl.find_opt tbl r)))
-        path)
-    routes;
-  tbl
-
-let max_overuse _graph ~capacity routes =
-  let tbl = usage_table routes in
-  Resource.Tbl.fold (fun r users acc -> max acc (users - capacity r)) tbl 0
+(* worst [users - capacity] over the resources some route crosses *)
+let max_overuse graph ~capacity routes =
+  let users = Array.make (Fabric.Component.num_resources (Graph.component graph)) 0 in
+  List.iter (fun (_, path) -> Path.iter_resources (fun r -> users.(r) <- users.(r) + 1) path) routes;
+  let worst = ref 0 in
+  Array.iteri (fun r n -> if n > 0 then worst := max !worst (n - capacity r)) users;
+  !worst
 
 (* The negotiation schedule of reference [3]: at most [max_iterations]
    rounds; round [i]'s present-congestion penalty is scaled by
@@ -43,15 +36,15 @@ let present_factor = 0.5
 let history_increment = 1.0
 
 (* Occupancy of the CURRENT routes, maintained incrementally — never
-   rebuilt.  All negotiation state is flat arrays indexed by the packed
-   resource int (segment s -> 2s+1, junction j -> 2j).  [overused] is the
+   rebuilt.  All negotiation state is flat arrays indexed by the resource
+   id ({!Fabric.Component.resource}).  [overused] is the
    live set of resources above capacity (bitmap + count).  [weights] holds
    the negotiation weight for every CSR edge: a resource's edges are
    rewritten when its occupancy or history changes, and every resource at
    capacity when the round (and the present factor) advances. *)
 type state = {
   graph : Graph.t;
-  capacity : Resource.t -> int;
+  capacity : Fabric.Component.resource -> int;
   history : float array;
   occupancy : int array;
   overused : bool array;
@@ -63,25 +56,16 @@ type state = {
 
 (* (base + history)·(1 + over·p_fac) on [r]'s edges, all of base cost 1 *)
 let refresh st r =
-  let over = max 0 (st.occupancy.(r) + 1 - st.capacity (Resource.of_int r)) in
+  let over = max 0 (st.occupancy.(r) + 1 - st.capacity r) in
   let p_fac = 1.0 +. (present_factor *. float_of_int st.iteration) in
   let w = (1.0 +. st.history.(r)) *. (1.0 +. (float_of_int over *. p_fac)) in
-  let res = Resource.of_int r and g = st.graph in
-  let id = Resource.id res and seg = Resource.is_segment res in
-  for k = (if seg then Graph.chan_edges_start g id else Graph.junc_edges_start g id)
-      to (if seg then Graph.chan_edges_stop g id else Graph.junc_edges_stop g id) - 1 do
+  let g = st.graph in
+  for k = Graph.resource_edges_start g r to Graph.resource_edges_stop g r - 1 do
     st.weights.(Graph.resource_edge g k) <- w
   done
 
-let iter_resources graph f =
-  let comp = Graph.component graph in
-  Array.iteri (fun s _ -> f (Resource.to_int (Resource.segment s))) (Fabric.Component.segments comp);
-  Array.iteri (fun j _ -> f (Resource.to_int (Resource.junction j))) (Fabric.Component.junctions comp)
-
 let create graph ~turn_cost ~capacity =
-  let comp = Graph.component graph in
-  (* bounds every packed resource on this fabric *)
-  let nres = Fabric.Component.((2 * Int.max (Array.length (segments comp)) (Array.length (junctions comp))) + 2) in
+  let nres = Fabric.Component.num_resources (Graph.component graph) in
   let st =
     {
       graph;
@@ -95,7 +79,9 @@ let create graph ~turn_cost ~capacity =
       iteration = 0;
     }
   in
-  iter_resources graph (refresh st);
+  for r = 0 to nres - 1 do
+    refresh st r
+  done;
   st
 
 let weights st = st.weights
@@ -103,11 +89,11 @@ let weights st = st.weights
 (* [d] = 1 places [path], -1 rips it up *)
 let shift st path d =
   for i = 0 to Path.num_resources path - 1 do
-    let r = Resource.to_int (Path.resource path i) in
+    let r = Path.resource path i in
     let after = st.occupancy.(r) + d in
     if after < 0 then invalid_arg "Pathfinder: negative occupancy — a net was ripped up twice";
     st.occupancy.(r) <- after;
-    let over = after > st.capacity (Resource.of_int r) in
+    let over = after > st.capacity r in
     if over <> st.overused.(r) then begin
       st.overused.(r) <- over;
       st.overused_count <- (st.overused_count + if over then 1 else -1)
@@ -126,13 +112,15 @@ let dirty st net =
   let path = Hashtbl.find st.routes net.net_id in
   let rec crosses i =
     i < Path.num_resources path
-    && (st.overused.(Resource.to_int (Path.resource path i)) || crosses (i + 1))
+    && (st.overused.(Path.resource path i) || crosses (i + 1))
   in
   crosses 0
 
 let next_iteration st =
   st.iteration <- st.iteration + 1;
-  iter_resources st.graph (fun r -> if st.occupancy.(r) >= st.capacity (Resource.of_int r) then refresh st r)
+  for r = 0 to Array.length st.occupancy - 1 do
+    if st.occupancy.(r) >= st.capacity r then refresh st r
+  done
 
 (* history penalties on the still-overused resources *)
 let add_history st =

@@ -46,7 +46,7 @@ val route_all :
   ?turn_cost:float ->
   ?cache:Route_cache.t ->
   ?cancel:(unit -> unit) ->
-  capacity:(Resource.t -> int) ->
+  capacity:(Fabric.Component.resource -> int) ->
   net list ->
   (outcome, error) result
 (** The negotiation schedule is fixed: at most 30 rounds, present factor
@@ -66,7 +66,7 @@ val route_all :
     @raise Invalid_argument if occupancy bookkeeping ever goes negative
     (a double rip-up — an internal invariant, not a caller error). *)
 
-val max_overuse : Fabric.Graph.t -> capacity:(Resource.t -> int) -> (int * Path.t) list -> int
+val max_overuse : Fabric.Graph.t -> capacity:(Fabric.Component.resource -> int) -> (int * Path.t) list -> int
 (** Worst resource overuse of a set of routes — 0 iff every channel and
     junction is within capacity.  Exposed for tests and diagnostics. *)
 
@@ -79,7 +79,7 @@ val max_overuse : Fabric.Graph.t -> capacity:(Resource.t -> int) -> (int * Path.
 
 type state
 
-val create : Fabric.Graph.t -> turn_cost:float -> capacity:(Resource.t -> int) -> state
+val create : Fabric.Graph.t -> turn_cost:float -> capacity:(Fabric.Component.resource -> int) -> state
 (** @raise Invalid_argument on a negative or NaN [turn_cost]. *)
 
 val weights : state -> float array

@@ -48,12 +48,12 @@ type result = {
 
 (* Events are int-packed for the unboxed event queue: bit 0 tags the kind
    (0 = instruction done, 1 = resource exit), the upper bits carry the
-   instruction id or the packed resource.  Packing keeps the warm path free
+   instruction id or the resource id.  Packing keeps the warm path free
    of per-event variant blocks and boxed priorities — the queue is an
    {!Ion_util.Fheap}, whose binary-heap sifts are deterministic, so pop
    order (ties included) depends only on the push sequence. *)
 let ev_instr_done id = id lsl 1
-let ev_resource_exit r = (Resource.to_int r lsl 1) lor 1
+let ev_resource_exit r = (r lsl 1) lor 1
 
 (* A two-qubit instruction may commit with only one operand routable: the
    other stays *pending* in its trap (reserved, engaged) and is dispatched as
@@ -585,7 +585,7 @@ let simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_fac
                enqueue events, so every event of the timestamp is already
                in the heap and they pop in the heap's order *)
             let process ev =
-              if ev land 1 = 1 then Congestion.release st.congestion (Resource.of_int (ev asr 1))
+              if ev land 1 = 1 then Congestion.release st.congestion (ev asr 1)
               else complete st (ev asr 1)
             in
             process ev0;

@@ -2,34 +2,26 @@ module Coord = Ion_util.Coord
 module Component = Fabric.Component
 open Router
 
-(* entries per resource: a Move counts when its destination cell's resource
-   differs from its source cell's *)
+(* entries per resource id: a Move counts when its destination cell's
+   resource differs from its source cell's *)
 let crossings comp trace =
-  let nseg = Array.length (Component.segments comp) in
-  let njunc = Array.length (Component.junctions comp) in
-  let segs = Array.make nseg 0 in
-  let juncs = Array.make njunc 0 in
-  let resource_of c =
-    match Component.segment_at comp c with
-    | Some s -> Some (`Seg s)
-    | None -> ( match Component.junction_at comp c with Some j -> Some (`Junc j) | None -> None)
-  in
+  let counts = Array.make (Component.num_resources comp) 0 in
+  let resource_of c = Int.max (-1) (Component.cell_code comp c) in
   List.iter
     (fun cmd ->
       match cmd with
-      | Micro.Move { from_; to_; _ } -> (
-          let rf = resource_of from_ and rt = resource_of to_ in
-          if rf <> rt then
-            match rt with
-            | Some (`Seg s) -> segs.(s) <- segs.(s) + 1
-            | Some (`Junc j) -> juncs.(j) <- juncs.(j) + 1
-            | None -> ())
+      | Micro.Move { from_; to_; _ } ->
+          let rt = resource_of to_ in
+          if rt >= 0 && resource_of from_ <> rt then counts.(rt) <- counts.(rt) + 1
       | Micro.Turn _ | Micro.Gate_start _ | Micro.Gate_end _ -> ())
     trace;
-  (segs, juncs)
+  counts
 
-let segment_crossings comp trace = fst (crossings comp trace)
-let junction_crossings comp trace = snd (crossings comp trace)
+let nsegs comp = Array.length (Component.segments comp)
+let segment_crossings comp trace = Array.sub (crossings comp trace) 0 (nsegs comp)
+
+let junction_crossings comp trace =
+  Array.sub (crossings comp trace) (nsegs comp) (Array.length (Component.junctions comp))
 
 let busiest_segments comp trace k =
   let segs = segment_crossings comp trace in
@@ -39,18 +31,10 @@ let busiest_segments comp trace k =
 
 let render comp trace =
   let lay = Component.layout comp in
-  let segs, juncs = crossings comp trace in
+  let counts = crossings comp trace in
   let digit n = if n = 0 then '.' else if n < 10 then Char.chr (Char.code '0' + n) else '*' in
   let marks = ref [] in
-  Fabric.Layout.iter lay (fun c cell ->
-      match cell with
-      | Fabric.Cell.Channel _ -> (
-          match Component.segment_at comp c with
-          | Some s -> marks := (c, digit segs.(s)) :: !marks
-          | None -> ())
-      | Fabric.Cell.Junction -> (
-          match Component.junction_at comp c with
-          | Some j -> marks := (c, digit juncs.(j)) :: !marks
-          | None -> ())
-      | Fabric.Cell.Empty | Fabric.Cell.Trap -> ());
+  Fabric.Layout.iter lay (fun c _ ->
+      let r = Component.cell_code comp c in
+      if r >= 0 then marks := (c, digit counts.(r)) :: !marks);
   Fabric.Render.with_marks lay !marks

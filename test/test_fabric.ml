@@ -276,20 +276,21 @@ let test_graph_reverse_and_resource_csr () =
       as_in.(i) <- as_in.(i) + 1
     done
   done;
-  let resource_rows count start stop owns =
-    for r = 0 to count - 1 do
-      ascending (start g r) (stop g r) (Graph.resource_edge g);
-      for k = start g r to stop g r - 1 do
-        let i = Graph.resource_edge g k in
-        check_bool "edge under its own resource" true (owns r (Graph.succ_kind g i));
-        as_res.(i) <- as_res.(i) + 1
-      done
-    done
+  (* a segment's row holds only [Chan] edges of that segment, a junction's
+     only [Junc] edges of that junction *)
+  let owns r = function
+    | Graph.Chan r' -> r = r' && Component.is_segment c r
+    | Graph.Junc r' -> r = r' && not (Component.is_segment c r)
+    | Graph.Turn _ | Graph.Tap _ -> false
   in
-  resource_rows (Array.length (Component.segments c)) Graph.chan_edges_start Graph.chan_edges_stop (fun s ->
-    function Graph.Chan s' -> s = s' | _ -> false);
-  resource_rows (Array.length (Component.junctions c)) Graph.junc_edges_start Graph.junc_edges_stop (fun j ->
-    function Graph.Junc j' -> j = j' | _ -> false);
+  for r = 0 to Component.num_resources c - 1 do
+    ascending (Graph.resource_edges_start g r) (Graph.resource_edges_stop g r) (Graph.resource_edge g);
+    for k = Graph.resource_edges_start g r to Graph.resource_edges_stop g r - 1 do
+      let i = Graph.resource_edge g k in
+      check_bool "edge under its own resource" true (owns r (Graph.succ_kind g i));
+      as_res.(i) <- as_res.(i) + 1
+    done
+  done;
   for i = 0 to m - 1 do
     check_int "listed once as an in-edge" 1 as_in.(i);
     let weighted = match Graph.succ_kind g i with Graph.Chan _ | Graph.Junc _ -> 1 | Graph.Turn _ | Graph.Tap _ -> 0 in

@@ -14,8 +14,12 @@ let comp_of lay = match Component.extract lay with Ok c -> c | Error e -> Alcote
 let tile () = comp_of (Layout.small_tile ())
 let quale () = comp_of (Layout.quale_45x85 ())
 
-let cap1 r = if Resource.is_segment r then 1 else 2
-let cap2 r = if Resource.is_segment r then 2 else 2
+(* capacity 1 channels and 2 junctions on [g]'s fabric; 2 everywhere *)
+let cap1 g r = if Component.is_segment (Graph.component g) r then 1 else 2
+let cap2 _ = 2
+
+(* the resource id an edge kind's weight depends on, -1 for turns and taps *)
+let resource_of_kind = function Graph.Chan r | Graph.Junc r -> r | Graph.Turn _ | Graph.Tap _ -> -1
 
 let test_single_net_matches_dijkstra () =
   let comp = tile () in
@@ -50,11 +54,11 @@ let test_contested_nets_negotiate_apart () =
   let src = node_at g (Ion_util.Coord.make 2 2) (Some Cell.Horizontal) in
   let dst = node_at g (Ion_util.Coord.make 14 2) (Some Cell.Horizontal) in
   let nets = [ { Pathfinder.net_id = 0; src; dst }; { Pathfinder.net_id = 1; src; dst } ] in
-  match Pathfinder.route_all g ~capacity:cap1 nets with
+  match Pathfinder.route_all g ~capacity:(cap1 g) nets with
   | Error e -> Alcotest.fail (Pathfinder.string_of_error e)
   | Ok o ->
       check_int "converged" 0 o.Pathfinder.overused;
-      check_int "max overuse 0" 0 (Pathfinder.max_overuse g ~capacity:cap1 o.Pathfinder.routes);
+      check_int "max overuse 0" 0 (Pathfinder.max_overuse g ~capacity:(cap1 g) o.Pathfinder.routes);
       (* the two routes must differ: one straight, one detoured *)
       (match o.Pathfinder.routes with
       | [ (0, a); (1, b) ] ->
@@ -62,9 +66,7 @@ let test_contested_nets_negotiate_apart () =
           check_bool "disjoint channel usage" true
             (List.for_all
                (fun r ->
-                 match Resource.view r with
-                 | Resource.Segment _ -> not (List.mem r (resources b))
-                 | Resource.Junction _ -> true)
+                 (not (Component.is_segment comp r)) || not (List.mem r (resources b)))
                (resources a))
       | _ -> Alcotest.fail "route shape");
       ()
@@ -116,27 +118,24 @@ let legacy_route_all g ~capacity nets =
   let get tbl r = Option.value ~default:0 (Hashtbl.find_opt tbl r) in
   let occupancy = Hashtbl.create 64 and history = Hashtbl.create 64 in
   let routes = Hashtbl.create 16 in
-  let cap r = capacity (Resource.of_int r) in
   let bump path d =
     Path.iter_resources
-      (fun r ->
-        let r = Resource.to_int r in
-        Hashtbl.replace occupancy r (get occupancy r + d))
+      (fun r -> Hashtbl.replace occupancy r (get occupancy r + d))
       path
   in
   let iterations = ref 0 and searches = ref 0 in
   let weight (kind : Graph.edge_kind) =
     let base = match kind with Graph.Turn _ -> turn_cost | _ -> 1.0 in
-    let r = Resource.pack_of_edge kind in
-    if r = Resource.none then base
+    let r = resource_of_kind kind in
+    if r < 0 then base
     else begin
-      let over = max 0 (get occupancy r + 1 - cap r) in
+      let over = max 0 (get occupancy r + 1 - capacity r) in
       let p_fac = 1.0 +. (present_factor *. float_of_int !iterations) in
       let h = Option.value ~default:0.0 (Hashtbl.find_opt history r) in
       (base +. h) *. (1.0 +. (float_of_int over *. p_fac))
     end
   in
-  let overused () = Hashtbl.fold (fun r n acc -> if n > cap r then r :: acc else acc) occupancy [] in
+  let overused () = Hashtbl.fold (fun r n acc -> if n > capacity r then r :: acc else acc) occupancy [] in
   let rec loop () =
     incr iterations;
     List.iter
@@ -233,7 +232,7 @@ let test_incremental_fewer_searches_when_congested () =
   let top_dst = node_at g (Ion_util.Coord.make 14 2) (Some Cell.Horizontal) in
   let bot_src = node_at g (Ion_util.Coord.make 2 12) (Some Cell.Horizontal) in
   let bot_dst = node_at g (Ion_util.Coord.make 14 12) (Some Cell.Horizontal) in
-  check_fewer_searches "tile" g ~capacity:cap1 ~searches:7 ~iterations:3
+  check_fewer_searches "tile" g ~capacity:(cap1 g) ~searches:7 ~iterations:3
     [
       { Pathfinder.net_id = 0; src = top_src; dst = top_dst };
       { Pathfinder.net_id = 1; src = top_src; dst = top_dst };
@@ -262,7 +261,7 @@ let test_stores_no_path () =
         { Pathfinder.net_id = i; src = Graph.trap_node g (i * 7); dst = Graph.trap_node g (traps - 1 - (i * 11)) })
   in
   let cache = Route_cache.create () in
-  (match Pathfinder.route_all g ~cache ~capacity:cap1 nets with
+  (match Pathfinder.route_all g ~cache ~capacity:(cap1 g) nets with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Pathfinder.string_of_error e));
   let snap = Route_cache.freeze cache in
@@ -281,7 +280,7 @@ let prop_warm_cache_equals_fresh =
     QCheck.(pair bool (list_of_size Gen.(2 -- 10) (pair (int_bound 1000) (int_bound 1000))))
     (fun (tight, pairs) ->
       let g = Lazy.force quale_graph in
-      let capacity = if tight then cap1 else cap2 in
+      let capacity = if tight then cap1 g else cap2 in
       let traps = Array.length (Component.traps (Graph.component g)) in
       let nets =
         List.mapi
@@ -341,7 +340,7 @@ let prop_live_negotiation_weights =
     QCheck.(pair bool (list_of_size Gen.(2 -- 8) (pair (int_bound 1000) (int_bound 1000))))
     (fun (tight, pairs) ->
       let g = Lazy.force quale_graph in
-      let capacity = if tight then cap1 else cap2 in
+      let capacity = if tight then cap1 g else cap2 in
       let turn_cost = 10.0 in
       let traps = Array.length (Component.traps (Graph.component g)) in
       let nets =
@@ -353,13 +352,12 @@ let prop_live_negotiation_weights =
       let st = Pathfinder.create g ~turn_cost ~capacity in
       let occupancy = Hashtbl.create 64 and history = Hashtbl.create 64 and iteration = ref 0 in
       let get tbl r d = Option.value ~default:d (Hashtbl.find_opt tbl r) in
-      let cap r = capacity (Resource.of_int r) in
       let weight (kind : Graph.edge_kind) =
         let base = match kind with Graph.Turn _ -> turn_cost | _ -> 1.0 in
-        let r = Resource.pack_of_edge kind in
-        if r = Resource.none then base
+        let r = resource_of_kind kind in
+        if r < 0 then base
         else begin
-          let over = max 0 (get occupancy r 0 + 1 - cap r) in
+          let over = max 0 (get occupancy r 0 + 1 - capacity r) in
           let p_fac = 1.0 +. (0.5 *. float_of_int !iteration) in
           (base +. get history r 0.0) *. (1.0 +. (float_of_int over *. p_fac))
         end
@@ -373,9 +371,7 @@ let prop_live_negotiation_weights =
       in
       let bump p d =
         Path.iter_resources
-          (fun r ->
-            let r = Resource.to_int r in
-            Hashtbl.replace occupancy r (get occupancy r 0 + d))
+          (fun r -> Hashtbl.replace occupancy r (get occupancy r 0 + d))
           p
       in
       let routes = Hashtbl.create 16 and ws = Workspace.create () in
@@ -403,7 +399,7 @@ let prop_live_negotiation_weights =
           nets;
         Pathfinder.add_history st;
         Hashtbl.iter
-          (fun r n -> if n > cap r then Hashtbl.replace history r (get history r 0.0 +. 1.0))
+          (fun r n -> if n > capacity r then Hashtbl.replace history r (get history r 0.0 +. 1.0))
           occupancy;
         check ()
       done;

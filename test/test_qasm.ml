@@ -407,6 +407,19 @@ let prop_reverse_preserves_critical_path =
           Float.abs (Dag.critical_path ~delay:paper_delay g -. Dag.critical_path ~delay:paper_delay g')
           < 1e-6)
 
+let prop_gate_levels_are_asap =
+  QCheck.Test.make ~name:"gate levels = unit-delay ASAP + 1, declarations 0" ~count:100 arb_program
+    (fun p ->
+      let g = Dag.of_program p in
+      let unit_delay i = if Instr.is_gate i then 1.0 else 0.0 in
+      let asap = Dag.asap_times ~delay:unit_delay g in
+      let level = Dag.gate_levels g in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun i instr ->
+             if Instr.is_gate instr then float_of_int level.(i) = asap.(i) +. 1.0 else level.(i) = 0)
+           p.Program.instrs))
+
 let prop_parse_print_roundtrip =
   QCheck.Test.make ~name:"print/parse round-trip" ~count:100 arb_program (fun p ->
       match Parser.parse ~name:"rt" (Printer.to_string p) with
@@ -638,6 +651,7 @@ let () =
               prop_dag_consistent;
               prop_critical_path_bounds;
               prop_reverse_preserves_critical_path;
+              prop_gate_levels_are_asap;
               prop_parse_print_roundtrip;
             ] );
     ]

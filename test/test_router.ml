@@ -56,47 +56,54 @@ let test_timing_guards () =
 
 (* ------------------------------------------------------------- Resource *)
 
-let test_resource_of_edge () =
-  check_bool "chan" true (Resource.of_edge (Graph.Chan 3) = Some (Resource.segment 3));
-  check_bool "junc" true (Resource.of_edge (Graph.Junc 1) = Some (Resource.junction 1));
-  check_bool "turn free" true (Resource.of_edge (Graph.Turn 1) = None);
-  check_bool "tap free" true (Resource.of_edge (Graph.Tap 0) = None)
-
-(* Resources are packed immediates (PR 10): every resource of a fabric must
-   survive the to_int/of_int round trip with view/is_segment/id agreeing,
-   and the allocation-free [pack_of_edge] must agree with [of_edge] on
-   every edge kind.  Checked on the full 45x85 fabric and on a
-   fault-degraded variant whose id space has holes. *)
-let roundtrip_component label comp =
-  let check_res r =
-    let packed = Resource.to_int r in
-    check_bool (label ^ ": packed non-negative") true (packed >= 0);
-    check_bool (label ^ ": packed is not the sentinel") true (packed <> Resource.none);
-    check_bool (label ^ ": of_int inverts to_int") true (Resource.equal (Resource.of_int packed) r);
-    match Resource.view r with
-    | Resource.Segment s ->
-        check_bool (label ^ ": is_segment") true (Resource.is_segment r);
-        check_int (label ^ ": segment id") s (Resource.id r)
-    | Resource.Junction j ->
-        check_bool (label ^ ": is_segment") false (Resource.is_segment r);
-        check_int (label ^ ": junction id") j (Resource.id r)
-  in
-  Array.iteri
-    (fun s _ ->
-      check_res (Resource.segment s);
-      check_int (label ^ ": chan pack")
-        (Resource.to_int (Resource.segment s))
-        (Resource.pack_of_edge (Graph.Chan s)))
+(* One resource numbering, owned by the component.  The flat cell index
+   must answer [segment_at]/[junction_at]/[trap_at] exactly like reference
+   tables built from the component's own segment, junction and trap lists
+   (on every cell and a one-cell border off the layout), and the graph's
+   resource rows must agree with its edge kinds: a [Chan r]/[Junc r] edge
+   names a segment/junction resource, enters a cell whose code is [r] and
+   is listed once, in row [r]; [Turn]/[Tap] edges are in no row. *)
+let resource_numbering_ok comp =
+  let seg = Coord.Tbl.create 64 and junc = Coord.Tbl.create 64 and trap = Coord.Tbl.create 64 in
+  Array.iter
+    (fun (s : Component.segment) -> Array.iter (fun c -> Coord.Tbl.replace seg c s.Component.sid) s.Component.cells)
     (Component.segments comp);
-  Array.iteri
-    (fun j _ ->
-      check_res (Resource.junction j);
-      check_int (label ^ ": junc pack")
-        (Resource.to_int (Resource.junction j))
-        (Resource.pack_of_edge (Graph.Junc j)))
-    (Component.junctions comp);
-  check_int (label ^ ": turn free") Resource.none (Resource.pack_of_edge (Graph.Turn 0));
-  check_int (label ^ ": tap free") Resource.none (Resource.pack_of_edge (Graph.Tap 0))
+  Array.iter (fun (j : Component.junction) -> Coord.Tbl.replace junc j.Component.jpos j.Component.jid) (Component.junctions comp);
+  Array.iter (fun (t : Component.trap) -> Coord.Tbl.replace trap t.Component.tpos t.Component.tid) (Component.traps comp);
+  let lay = Component.layout comp in
+  let ok = ref true in
+  for y = -1 to Layout.height lay do
+    for x = -1 to Layout.width lay do
+      let c = xy x y in
+      if
+        Component.segment_at comp c <> Coord.Tbl.find_opt seg c
+        || Component.junction_at comp c <> Coord.Tbl.find_opt junc c
+        || Component.trap_at comp c <> Coord.Tbl.find_opt trap c
+      then ok := false
+    done
+  done;
+  let g = Graph.build comp in
+  let m = Graph.num_edges g in
+  let row = Array.make m (-1) and listed = Array.make m 0 in
+  for r = 0 to Component.num_resources comp - 1 do
+    for k = Graph.resource_edges_start g r to Graph.resource_edges_stop g r - 1 do
+      let i = Graph.resource_edge g k in
+      row.(i) <- r;
+      listed.(i) <- listed.(i) + 1
+    done
+  done;
+  let enters i r = Component.cell_code comp (Graph.node_pos g (Graph.succ_dst g i)) = r in
+  for i = 0 to m - 1 do
+    let edge_ok =
+      match Graph.succ_kind g i with
+      | Graph.Chan r -> Component.is_segment comp r && enters i r && listed.(i) = 1 && row.(i) = r
+      | Graph.Junc r ->
+          (not (Component.is_segment comp r)) && enters i r && listed.(i) = 1 && row.(i) = r
+      | Graph.Turn _ | Graph.Tap _ -> listed.(i) = 0
+    in
+    if not edge_ok then ok := false
+  done;
+  !ok
 
 let degraded_quale () =
   let layout = Layout.quale_45x85 () in
@@ -108,16 +115,45 @@ let degraded_quale () =
       | Ok c -> c
       | Error e -> Alcotest.failf "extract degraded: %s" e)
 
-let test_resource_pack_roundtrip () =
-  roundtrip_component "quale" (quale ());
-  roundtrip_component "degraded" (degraded_quale ())
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* QUALE 45x85, a fault-degraded variant whose junction and segment lists
+   have holes, and every corpus fabric that extracts *)
+let test_resource_numbering_fabrics () =
+  check_bool "quale" true (resource_numbering_ok (quale ()));
+  check_bool "degraded quale" true (resource_numbering_ok (degraded_quale ()));
+  let extracted =
+    Sys.readdir "corpus/bad" |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".fabric")
+    |> List.filter_map (fun f ->
+           match Layout.parse (read_file (Filename.concat "corpus/bad" f)) with
+           | Error _ -> None
+           | Ok lay -> (
+               match Component.extract lay with
+               | Error _ -> None
+               | Ok comp ->
+                   check_bool f true (resource_numbering_ok comp);
+                   Some f))
+  in
+  check_bool "some corpus fabrics extract" true (List.length extracted >= 3)
+
+let prop_resource_numbering_grids =
+  QCheck.Test.make ~name:"cell index and rows on random grids" ~count:40
+    QCheck.(quad (3 -- 10) (3 -- 10) (0 -- 3) (pair (2 -- 4) (2 -- 4)))
+    (fun (px, py, tpc, (nx, ny)) ->
+      let tpc = min tpc (px - 2) in
+      let lay =
+        Layout.make_grid ~width:((nx * px) + 5) ~height:((ny * py) + 5) ~pitch_x:px ~pitch_y:py
+          ~margin:2 ~traps_per_channel:tpc ()
+      in
+      match Component.extract lay with Error _ -> false | Ok comp -> resource_numbering_ok comp)
 
 (* ----------------------------------------------------------- Congestion *)
 
 let test_congestion_lifecycle () =
   let c = tile () in
   let cong = Congestion.create c ~channel_capacity:2 ~junction_capacity:2 in
-  let r = Resource.segment 0 in
+  let r = 0 (* segment 0 *) in
   check_int "zero users" 0 (Congestion.users cong r);
   check_bool "free" true (Congestion.is_free cong r);
   Congestion.acquire cong r;
@@ -138,21 +174,29 @@ let test_congestion_weights () =
   let c = tile () in
   let cong = Congestion.create c ~channel_capacity:2 ~junction_capacity:2 in
   check_float "empty chan" 1.0 (Congestion.weight cong ~turn_cost:10.0 (Graph.Chan 0));
-  Congestion.acquire cong (Resource.segment 0);
+  Congestion.acquire cong 0;
   check_float "one user chan" 2.0 (Congestion.weight cong ~turn_cost:10.0 (Graph.Chan 0));
-  Congestion.acquire cong (Resource.segment 0);
+  Congestion.acquire cong 0;
   check_bool "full chan infinite" true
     (Congestion.weight cong ~turn_cost:10.0 (Graph.Chan 0) = Float.infinity);
-  check_float "junction" 1.0 (Congestion.weight cong ~turn_cost:10.0 (Graph.Junc 0));
-  check_float "turn" 10.0 (Congestion.weight cong ~turn_cost:10.0 (Graph.Turn 0));
+  let j0 = Array.length (Component.segments c) (* junction 0 *) in
+  check_float "junction" 1.0 (Congestion.weight cong ~turn_cost:10.0 (Graph.Junc j0));
+  check_float "turn" 10.0 (Congestion.weight cong ~turn_cost:10.0 (Graph.Turn j0));
   check_float "tap" 1.0 (Congestion.weight cong ~turn_cost:10.0 (Graph.Tap 0));
-  check_int "in flight" 2 (Congestion.total_in_flight cong)
+  check_int "in flight" 2 (Congestion.total_in_flight cong);
+  (* a junction counts in the same users array, apart from the segments *)
+  Congestion.acquire cong j0;
+  Congestion.acquire cong j0;
+  check_int "segment 0 untouched" 2 (Congestion.users cong 0);
+  check_bool "full junction infinite" true
+    (Congestion.weight cong ~turn_cost:10.0 (Graph.Junc j0) = Float.infinity);
+  check_int "junction capacity" 2 (Congestion.capacity cong j0)
 
 let test_congestion_capacity_one () =
   (* QUALE mode: capacity-1 channels saturate after a single user *)
   let c = tile () in
   let cong = Congestion.create c ~channel_capacity:1 ~junction_capacity:2 in
-  Congestion.acquire cong (Resource.segment 0);
+  Congestion.acquire cong 0;
   check_bool "saturated at 1" true
     (Congestion.weight cong ~turn_cost:0.0 (Graph.Chan 0) = Float.infinity)
 
@@ -278,9 +322,7 @@ let test_dijkstra_congestion_avoidance () =
   let blocked =
     List.filter
       (fun r ->
-        match Resource.view r with
-        | Resource.Segment s -> segs.(s).Component.orientation = Cell.Vertical
-        | Resource.Junction _ -> false)
+        Component.is_segment comp r && segs.(r).Component.orientation = Cell.Vertical)
       (resources baseline)
   in
   check_bool "baseline crosses a vertical segment" true (blocked <> []);
@@ -320,7 +362,7 @@ let test_path_resources_order () =
   let rs = resources p in
   check_bool "has resources" true (List.length rs >= 3);
   (* no duplicates *)
-  check_int "distinct" (List.length rs) (List.length (List.sort_uniq Resource.compare rs))
+  check_int "distinct" (List.length rs) (List.length (List.sort_uniq Int.compare rs))
 
 let test_path_resource_exits_monotone_and_bounded () =
   let _, tm, p = route_tile 0 3 in
@@ -419,7 +461,7 @@ let reference_exits tm edges =
     (fun (e : Graph.edge) ->
       clock := !clock +. edge_time tm e;
       if not (is_turn e) then begin
-        let r = Resource.of_edge e.Graph.kind in
+        let r = match e.Graph.kind with Graph.Chan r | Graph.Junc r -> Some r | Graph.Turn _ | Graph.Tap _ -> None in
         if r <> !current then begin
           close ();
           Option.iter (fun r -> if not (List.mem r !order) then order := r :: !order) r;
@@ -468,12 +510,6 @@ let prop_flat_path_equals_list_repr =
           (match Path.of_workspace ws2 g ~src ~dst with None -> false | Some p2 -> Path.equal p p2)
       | _ -> false)
 
-(* every segment and junction of a component *)
-let all_resources comp =
-  Array.append
-    (Array.init (Array.length (Component.segments comp)) Resource.segment)
-    (Array.init (Array.length (Component.junctions comp)) Resource.junction)
-
 (* The engine's live weight array: after every acquire or release it must
    equal Congestion.weight on every edge, and a search reading it must
    return the same path as the closure-weight search. *)
@@ -481,7 +517,7 @@ let prop_live_weights_track =
   let comp = quale () in
   let g = Graph.build comp in
   let turn_cost = Timing.turn_cost_in_moves Timing.paper in
-  let res = all_resources comp in
+  let nres = Component.num_resources comp in
   let ntraps = Array.length (Component.traps comp) in
   let ws = Workspace.create () and ws2 = Workspace.create () in
   QCheck.Test.make ~name:"live edge weights = Congestion.weight after every acquire/release" ~count:30
@@ -500,10 +536,10 @@ let prop_live_weights_track =
           | _ :: _ when op = 0 ->
               let r = List.nth !held (pick mod List.length !held) in
               Congestion.release cong r;
-              let rec drop = function [] -> [] | x :: tl -> if Resource.equal x r then tl else x :: drop tl in
+              let rec drop = function [] -> [] | x :: tl -> if x = r then tl else x :: drop tl in
               held := drop !held
           | _ ->
-              let r = res.(pick mod Array.length res) in
+              let r = pick mod nres in
               if Congestion.is_free cong r then begin
                 Congestion.acquire cong r;
                 held := r :: !held
@@ -601,7 +637,7 @@ let prop_astar_equals_dijkstra =
       let nsegs = Array.length (Component.segments comp) in
       List.iter
         (fun s ->
-          let r = Resource.segment (s mod nsegs) in
+          let r = s mod nsegs in
           if Congestion.is_free cong r then Congestion.acquire cong r)
         congested;
       let ntraps = Array.length (Component.traps comp) in
@@ -630,7 +666,7 @@ let prop_workspace_reuse_matches_fresh =
       let nsegs = Array.length (Component.segments comp) in
       List.iter
         (fun s ->
-          let r = Resource.segment (s mod nsegs) in
+          let r = s mod nsegs in
           if Congestion.is_free cong r then Congestion.acquire cong r)
         congested;
       let w = tabulate g (Congestion.weight cong ~turn_cost:10.0) in
@@ -834,9 +870,9 @@ let random_weight rng g =
       let comp = Graph.component g in
       let cap = 1 + Random.State.int rng 2 in
       let cong = Congestion.create comp ~channel_capacity:cap ~junction_capacity:cap in
-      Array.iter
-        (fun r -> if Random.State.int rng 4 = 0 && Congestion.is_free cong r then Congestion.acquire cong r)
-        (all_resources comp);
+      for r = 0 to Component.num_resources comp - 1 do
+        if Random.State.int rng 4 = 0 && Congestion.is_free cong r then Congestion.acquire cong r
+      done;
       Congestion.weight cong ~turn_cost:(if Random.State.bool rng then 10.0 else 0.0)
 
 (* Same dist bits, hops, predecessors and settled set on every node, and
@@ -929,13 +965,12 @@ let prop_seals_imply_no_path ~source_fires ~dest_fires ~dest_only =
       let turn_cost = Timing.turn_cost_in_moves Timing.paper in
       let ew = Array.make (Graph.num_edges g) 0.0 in
       Congestion.track_weights cong ~turn_cost g ew;
-      Array.iter
-        (fun r ->
-          if Random.State.int rng 100 < density then
-            for _ = 1 to 1 + Random.State.int rng cap do
-              if Congestion.is_free cong r then Congestion.acquire cong r
-            done)
-        (all_resources comp);
+      for r = 0 to Component.num_resources comp - 1 do
+        if Random.State.int rng 100 < density then
+          for _ = 1 to 1 + Random.State.int rng cap do
+            if Congestion.is_free cong r then Congestion.acquire cong r
+          done
+      done;
       let ntraps = Array.length (Component.traps comp) and n = Graph.num_nodes g in
       (* a random node one or two hops along out-edges ([`Out]) or
          in-edges ([`In]) from [v]: near pairs are where the seals'
@@ -1134,9 +1169,9 @@ let prop_astar_is_dijkstra =
       let cap = 1 + Random.State.int rng 2 in
       let cong = Congestion.create comp ~channel_capacity:cap ~junction_capacity:2 in
       let density = 1 + Random.State.int rng 3 in
-      Array.iter
-        (fun r -> if Random.State.int rng 4 < density && Congestion.is_free cong r then Congestion.acquire cong r)
-        (all_resources comp);
+      for r = 0 to Component.num_resources comp - 1 do
+        if Random.State.int rng 4 < density && Congestion.is_free cong r then Congestion.acquire cong r
+      done;
       let turn_cost = if Random.State.bool rng then 10.0 else 0.0 in
       let weights = tabulate g (Congestion.weight cong ~turn_cost) in
       let ntraps = Array.length (Component.traps comp) in
@@ -1215,9 +1250,9 @@ let test_near_tie_turn_cost () =
           let ws = Workspace.create () in
           for _ = 1 to 8 do
             let cong = Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
-            Array.iter
-              (fun r -> if Random.State.int rng 3 = 0 && Congestion.is_free cong r then Congestion.acquire cong r)
-              (all_resources comp);
+            for r = 0 to Component.num_resources comp - 1 do
+              if Random.State.int rng 3 = 0 && Congestion.is_free cong r then Congestion.acquire cong r
+            done;
             let weights = tabulate g (Congestion.weight cong ~turn_cost) in
             let src = Graph.trap_node g (Random.State.int rng ntraps) in
             let least = Dijkstra.distances g ~weights ~src in
@@ -1244,10 +1279,8 @@ let () =
           Alcotest.test_case "guards" `Quick test_timing_guards;
         ] );
       ( "resource",
-        [
-          Alcotest.test_case "of_edge" `Quick test_resource_of_edge;
-          Alcotest.test_case "pack round-trip" `Quick test_resource_pack_roundtrip;
-        ] );
+        Alcotest.test_case "cell index and rows on fixed fabrics" `Quick test_resource_numbering_fabrics
+        :: qsuite [ prop_resource_numbering_grids ] );
       ( "congestion",
         [
           Alcotest.test_case "lifecycle" `Quick test_congestion_lifecycle;
