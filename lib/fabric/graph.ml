@@ -10,11 +10,12 @@ type edge = { dst : node; kind : edge_kind }
    occupy indices [row_start.(n) .. row_start.(n+1) - 1] of the flat
    [edge_dst]/[edge_kinds] arrays.  The router's Dijkstra/A* inner loop scans
    these with plain int indexing — no list traversal and no per-query edge
-   allocation; [adj] rebuilds the list view for diagnostics and tests.  Two
+   allocation; [adj] rebuilds the list view for diagnostics and tests.  Three
    more CSR indexes over the same edge numbering are built once here: the
-   in-edges of each node (the router's destination-seal check) and the
-   edges of each segment and junction (refreshed in place when that
-   resource's congestion changes). *)
+   in-edges of each node (the router's destination-seal check), the edges
+   of each segment and junction (refreshed in place when that resource's
+   congestion changes) and the edges entering each segment's pocket (the
+   router's pocket-seal check). *)
 type t = {
   component : Component.t;
   num_nodes : int;
@@ -30,6 +31,10 @@ type t = {
      [Chan r] and [Junc r] edges under row [r] *)
   res_start : int array; (* length Component.num_resources + 1 *)
   res_edges : int array;
+  (* pocket CSR: the edges entering segment [s]'s pocket from outside *)
+  pocket_start : int array; (* length num_segments + 1 *)
+  pocket_edges : int array;
+  trap_segments : int array; (* tap segment of each trap, -1 on a junction *)
   trap_nodes : node array;
   positions : Coord.t array;
   orientations : Cell.orientation option array;
@@ -61,6 +66,11 @@ let pred_edge t k = t.in_edges.(k)
 let resource_edges_start t r = t.res_start.(r)
 let resource_edges_stop t r = t.res_start.(r + 1)
 let resource_edge t k = t.res_edges.(k)
+
+let pocket_edges_start t s = t.pocket_start.(s)
+let pocket_edges_stop t s = t.pocket_start.(s + 1)
+let pocket_edge t k = t.pocket_edges.(k)
+let trap_segment t tid = t.trap_segments.(tid)
 
 let trap_node t tid = t.trap_nodes.(tid)
 let node_pos t n = t.positions.(n)
@@ -212,6 +222,67 @@ let build comp =
     bucket (Component.num_resources comp) (fun i ->
         match edge_kinds.(i) with Chan r | Junc r -> r | Turn _ | Tap _ -> -1)
   in
+  let positions = Array.of_list (List.rev !positions) in
+  let trap_segments =
+    Array.map
+      (fun (tr : Component.trap) ->
+        let r = Component.cell_code comp tr.Component.tap in
+        if r >= 0 && Component.is_segment comp r then r else -1)
+      traps
+  in
+  (* Segment [s]'s pocket: its cells, the traps tapped on them and both
+     orientation nodes of the junctions at its ends.  A cell's in-edges
+     come from its own segment, its end junctions and its own traps, and a
+     trap's only in-edge is from its tap cell, so only a step into an end
+     junction can enter the pocket: [pocket_cut s visit] visits those
+     in-edges of the end junctions' nodes whose source lies outside. *)
+  let segments = Component.segments comp in
+  let junction_code c =
+    let r = Component.cell_code comp c in
+    if r >= 0 && not (Component.is_segment comp r) then r else -1
+  in
+  let pocket_cut s visit =
+    let seg = segments.(s) in
+    let lo_dir, hi_dir =
+      match seg.Component.orientation with
+      | Cell.Horizontal -> (Coord.West, Coord.East)
+      | Cell.Vertical -> (Coord.North, Coord.South)
+    in
+    let lo = Coord.step seg.Component.cells.(0) lo_dir in
+    let hi = Coord.step seg.Component.cells.(Array.length seg.Component.cells - 1) hi_dir in
+    (* no node sits on an empty cell, so an absent end's -1 matches none *)
+    let jlo = junction_code lo and jhi = junction_code hi in
+    let inside u =
+      let r = Component.cell_code comp positions.(u) in
+      r = s || r = jlo || r = jhi || (r <= -2 && trap_segments.(-2 - r) = s)
+    in
+    let cross tbl c =
+      match Coord.Tbl.find_opt tbl c with
+      | Some v ->
+          for k = in_start.(v) to in_start.(v + 1) - 1 do
+            if not (inside edge_src.(in_edges.(k))) then visit in_edges.(k)
+          done
+      | None -> ()
+    in
+    cross junc_node_h lo;
+    cross junc_node_v lo;
+    cross junc_node_h hi;
+    cross junc_node_v hi
+  in
+  (* counting pass, then fill pass: no per-segment list is kept *)
+  let nseg = Array.length segments in
+  let pocket_start = Array.make (nseg + 1) 0 in
+  for s = 0 to nseg - 1 do
+    pocket_start.(s + 1) <- pocket_start.(s);
+    pocket_cut s (fun _ -> pocket_start.(s + 1) <- pocket_start.(s + 1) + 1)
+  done;
+  let pocket_edges = Array.make pocket_start.(nseg) 0 in
+  for s = 0 to nseg - 1 do
+    let fill = ref pocket_start.(s) in
+    pocket_cut s (fun i ->
+        pocket_edges.(!fill) <- i;
+        incr fill)
+  done;
   {
     component = comp;
     num_nodes = n;
@@ -223,7 +294,10 @@ let build comp =
     in_edges;
     res_start;
     res_edges;
+    pocket_start;
+    pocket_edges;
+    trap_segments;
     trap_nodes;
-    positions = Array.of_list (List.rev !positions);
+    positions;
     orientations = Array.of_list (List.rev !orientations);
   }

@@ -86,6 +86,28 @@ val resource_edges_start : t -> Component.resource -> int
 val resource_edges_stop : t -> Component.resource -> int
 val resource_edge : t -> int -> int
 
+(** {2 Pocket CSR}
+
+    Segment [s]'s {e pocket} is its cells, the traps tapped on them, and
+    the horizontal and vertical nodes of the junctions at its ends (one or
+    none for a dead-end segment).  The edges entering the pocket from
+    outside are [pocket_edge t k] for [k = pocket_edges_start t s ..
+    pocket_edges_stop t s - 1].  Every one is a [Junc j] step into an end
+    junction [j] — from the other segments and junctions meeting at [j]
+    and from traps tapped on [j] — so the whole row weighs [infinity]
+    once the end junctions are saturated.  The steps from an end
+    junction into [s]'s end cells are [Chan s] edges inside the pocket.
+    Rows are filled by a counting pass and a fill pass at {!build}; on the
+    grid fabrics they hold 3–6 edges. *)
+
+val pocket_edges_start : t -> int -> int
+val pocket_edges_stop : t -> int -> int
+val pocket_edge : t -> int -> int
+
+val trap_segment : t -> int -> int
+(** The channel segment a trap is tapped on, or [-1] for a trap tapped on
+    a junction — the segment whose pocket holds the trap's node. *)
+
 val trap_node : t -> int -> node
 (** Node of a trap id — route endpoints. *)
 

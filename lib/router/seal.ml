@@ -37,3 +37,13 @@ let rec dest_go graph ew ~src ~dst k stop =
 
 let dest_sealed graph ew ~src ~dst =
   dest_go graph ew ~src ~dst (Graph.pred_start graph dst) (Graph.pred_stop graph dst)
+
+(* every pocket in-edge in [k, stop) is saturated *)
+let rec pocket_cut graph ew k stop =
+  k >= stop || (ew.(Graph.pocket_edge graph k) = Float.infinity && pocket_cut graph ew (k + 1) stop)
+
+let pocket_sealed graph ew ~src_trap ~dst_trap =
+  let s = Graph.trap_segment graph dst_trap in
+  s >= 0
+  && Graph.trap_segment graph src_trap <> s
+  && pocket_cut graph ew (Graph.pocket_edges_start graph s) (Graph.pocket_edges_stop graph s)

@@ -218,9 +218,11 @@ let route_qubit st q ~to_trap =
       else
         let src = Graph.trap_node st.graph from_trap and dst = Graph.trap_node st.graph to_trap in
         (* a staged operand whose tap segment its partner's crossing still
-           holds would otherwise flood everything reachable before failing;
-           both seals are exact, so the skip is bit-identical *)
-        if Seal.source_sealed st.graph st.edge_weights ~src ~dst
+           holds, or a destination whose segment's end junctions are both
+           full, would otherwise flood everything reachable before failing;
+           all three seals are exact, so the skip is bit-identical *)
+        if Seal.pocket_sealed st.graph st.edge_weights ~src_trap:from_trap ~dst_trap:to_trap
+           || Seal.source_sealed st.graph st.edge_weights ~src ~dst
            || Seal.dest_sealed st.graph st.edge_weights ~src ~dst
         then None
         else begin

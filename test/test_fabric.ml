@@ -297,6 +297,75 @@ let test_graph_reverse_and_resource_csr () =
     check_int "listed under its resource iff weighted by one" weighted as_res.(i)
   done
 
+(* The pocket CSR against its definition: segment [s]'s pocket is its
+   cells, the traps tapped on them and the junction nodes just past its
+   two ends, and its row must list exactly the edges from outside into
+   it, every one a [Junc] step into one of those junctions.  Trap tap
+   segments are checked against [Component.segment_at].  The ring's trap
+   is tapped on a junction, so its step into the junction is a cut edge
+   of both segments that end there. *)
+let test_graph_pocket_csr () =
+  List.iter
+    (fun lay ->
+      let c = extract lay in
+      let g = Graph.build c in
+      Array.iter
+        (fun (tr : Component.trap) ->
+          check_int "trap tap segment"
+            (Option.value ~default:(-1) (Component.segment_at c tr.Component.tap))
+            (Graph.trap_segment g tr.Component.tid))
+        (Component.traps c);
+      Array.iter
+        (fun (seg : Component.segment) ->
+          let cells = seg.Component.cells in
+          let before, after =
+            match seg.Component.orientation with
+            | Cell.Horizontal -> (Coord.West, Coord.East)
+            | Cell.Vertical -> (Coord.North, Coord.South)
+          in
+          let ends =
+            List.filter_map
+              (fun p -> Component.junction_at c p)
+              [ Coord.step cells.(0) before; Coord.step cells.(Array.length cells - 1) after ]
+          in
+          let inside n =
+            let p = Graph.node_pos g n in
+            match (Component.trap_at c p, Component.junction_at c p) with
+            | Some tid, _ -> Array.exists (Coord.equal (Component.traps c).(tid).Component.tap) cells
+            | None, Some j -> List.mem j ends
+            | None, None -> Array.exists (Coord.equal p) cells
+          in
+          let expected =
+            List.filter
+              (fun i -> inside (Graph.succ_dst g i) && not (inside (Graph.edge_src g i)))
+              (List.init (Graph.num_edges g) Fun.id)
+          in
+          let s = seg.Component.sid in
+          let row =
+            List.init (Graph.pocket_edges_stop g s - Graph.pocket_edges_start g s) (fun k ->
+                Graph.pocket_edge g (Graph.pocket_edges_start g s + k))
+          in
+          Alcotest.(check (list int)) (Printf.sprintf "segment %d pocket in-edges" s) expected
+            (List.sort compare row);
+          List.iter
+            (fun i ->
+              match Graph.succ_kind g i with
+              | Graph.Junc r ->
+                  check_bool "a step into an end junction" true
+                    (List.mem (r - Array.length (Component.segments c)) ends)
+              | Graph.Chan _ | Graph.Turn _ | Graph.Tap _ -> Alcotest.fail "pocket in-edge is not a junction step")
+            row)
+        (Component.segments c))
+    [
+      tiny ();
+      (match Layout.parse (String.concat "\n" [ " T    "; " J--J "; " |  | "; " J--J " ]) with
+      | Ok l -> l
+      | Error e -> Alcotest.failf "ring parse: %s" e);
+      Layout.quale_45x85 ();
+      Layout.make_grid ~width:23 ~height:17 ~pitch_x:7 ~pitch_y:5 ~margin:2 ~traps_per_channel:1 ();
+      Layout.linear ~traps:6 ();
+    ]
+
 let test_graph_quale_connected () =
   (* BFS from trap 0 must reach every trap: the fabric is one component *)
   let c = extract (Layout.quale_45x85 ()) in
@@ -452,6 +521,7 @@ let () =
           Alcotest.test_case "quale connected" `Quick test_graph_quale_connected;
           Alcotest.test_case "junction split" `Quick test_graph_junction_split;
           Alcotest.test_case "reverse and resource CSR" `Quick test_graph_reverse_and_resource_csr;
+          Alcotest.test_case "pocket CSR" `Quick test_graph_pocket_csr;
         ] );
       ( "lint",
         [

@@ -951,26 +951,38 @@ let seal_fabrics =
          ladder;
        ])
 
+let seal_turn_cost = Timing.turn_cost_in_moves Timing.paper
+
 (* Random congestion at capacity 1 or 2: each resource is taken with
-   probability [density]%, by 1..capacity users.  Whenever a seal holds,
-   plain closure-weight Dijkstra must find no path.  The fire counters
+   probability [density]%, by 1..capacity users.  Returns the congestion
+   and its live weight array. *)
+let random_congestion comp g rng ~cap ~density =
+  let cong = Congestion.create comp ~channel_capacity:cap ~junction_capacity:cap in
+  let ew = Array.make (Graph.num_edges g) 0.0 in
+  Congestion.track_weights cong ~turn_cost:seal_turn_cost g ew;
+  for r = 0 to Component.num_resources comp - 1 do
+    if Random.State.int rng 100 < density then
+      for _ = 1 to 1 + Random.State.int rng cap do
+        if Congestion.is_free cong r then Congestion.acquire cong r
+      done
+  done;
+  (cong, ew)
+
+let seal_arb = QCheck.(quad (int_bound 3) (int_range 1 2) (int_bound 100) (int_bound 1_000_000))
+
+(* plain closure-weight Dijkstra finds no path *)
+let no_path ws g cong ~src ~dst =
+  let weights = tabulate g (Congestion.weight cong ~turn_cost:seal_turn_cost) in
+  Dijkstra.shortest_path ~workspace:ws g ~weights ~src ~dst = None
+
+(* Whenever a two-hop seal holds, there is no path.  The fire counters
    let the caller reject a vacuous pass. *)
 let prop_seals_imply_no_path ~source_fires ~dest_fires ~dest_only =
-  QCheck.Test.make ~name:"a sealed search finds no path" ~count:80
-    QCheck.(quad (int_bound 3) (int_range 1 2) (int_bound 100) (int_bound 1_000_000))
+  QCheck.Test.make ~name:"a sealed search finds no path" ~count:80 seal_arb
     (fun (fi, cap, density, seed) ->
       let comp, g = List.nth (Lazy.force seal_fabrics) fi in
       let rng = Random.State.make [| seed |] in
-      let cong = Congestion.create comp ~channel_capacity:cap ~junction_capacity:cap in
-      let turn_cost = Timing.turn_cost_in_moves Timing.paper in
-      let ew = Array.make (Graph.num_edges g) 0.0 in
-      Congestion.track_weights cong ~turn_cost g ew;
-      for r = 0 to Component.num_resources comp - 1 do
-        if Random.State.int rng 100 < density then
-          for _ = 1 to 1 + Random.State.int rng cap do
-            if Congestion.is_free cong r then Congestion.acquire cong r
-          done
-      done;
+      let cong, ew = random_congestion comp g rng ~cap ~density in
       let ntraps = Array.length (Component.traps comp) and n = Graph.num_nodes g in
       (* a random node one or two hops along out-edges ([`Out]) or
          in-edges ([`In]) from [v]: near pairs are where the seals'
@@ -1010,10 +1022,7 @@ let prop_seals_imply_no_path ~source_fires ~dest_fires ~dest_only =
           if s then incr source_fires;
           if d then incr dest_fires;
           if d && not s then incr dest_only;
-          (not (s || d))
-          || Dijkstra.shortest_path ~workspace:ws g ~weights:(tabulate g (Congestion.weight cong ~turn_cost))
-               ~src ~dst
-             = None)
+          (not (s || d)) || no_path ws g cong ~src ~dst)
         queries)
 
 let test_seals_sound_and_fire () =
@@ -1023,6 +1032,143 @@ let test_seals_sound_and_fire () =
   check_bool (Printf.sprintf "source seal fires (%d)" !source_fires) true (!source_fires > 0);
   check_bool (Printf.sprintf "destination seal fires (%d)" !dest_fires) true (!dest_fires > 0);
   check_bool (Printf.sprintf "destination seal alone fires (%d)" !dest_only) true (!dest_only > 0)
+
+(* The pocket seal on the engine's queries, trap pairs: random pairs and
+   pairs on one segment (where the seal must not fire, since the source
+   sits inside the destination's pocket).  Whenever it holds, plain
+   Dijkstra must find no path; [pocket_only] counts the queries it
+   settles that neither two-hop seal does. *)
+let prop_pocket_seal_implies_no_path ~pocket_only =
+  QCheck.Test.make ~name:"a pocket-sealed search finds no path" ~count:80 seal_arb
+    (fun (fi, cap, density, seed) ->
+      let comp, g = List.nth (Lazy.force seal_fabrics) fi in
+      let rng = Random.State.make [| seed |] in
+      let cong, ew = random_congestion comp g rng ~cap ~density in
+      let ntraps = Array.length (Component.traps comp) in
+      let same_segment dt =
+        let on = List.filter (fun t -> Graph.trap_segment g t = Graph.trap_segment g dt) (List.init ntraps Fun.id) in
+        List.nth on (Random.State.int rng (List.length on))
+      in
+      let pairs =
+        List.init 60 (fun _ -> (Random.State.int rng ntraps, Random.State.int rng ntraps))
+        @ List.init 20 (fun _ ->
+              let dt = Random.State.int rng ntraps in
+              (same_segment dt, dt))
+      in
+      let ws = Workspace.create () in
+      List.for_all
+        (fun (st, dt) ->
+          st = dt
+          ||
+          let src = Graph.trap_node g st and dst = Graph.trap_node g dt in
+          let p = Seal.pocket_sealed g ew ~src_trap:st ~dst_trap:dt in
+          if p && not (Seal.source_sealed g ew ~src ~dst || Seal.dest_sealed g ew ~src ~dst) then incr pocket_only;
+          (not p) || no_path ws g cong ~src ~dst)
+        pairs)
+
+let test_pocket_seal_sound_and_fires () =
+  let pocket_only = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 36 |]) (prop_pocket_seal_implies_no_path ~pocket_only);
+  check_bool (Printf.sprintf "pocket seal fires where neither two-hop seal does (%d)" !pocket_only) true
+    (!pocket_only > 0)
+
+(* The nodes that reach [dst] over finite edges, by a reverse flood over
+   in-edges, or [None] once more than [cap] are found: a small closed
+   pocket around [dst]. *)
+let closed_pocket g ew ~dst ~cap =
+  let seen = Hashtbl.create 32 and q = Queue.create () in
+  Hashtbl.replace seen dst ();
+  Queue.add dst q;
+  let rec go () =
+    if Hashtbl.length seen > cap then None
+    else if Queue.is_empty q then Some (List.of_seq (Hashtbl.to_seq_keys seen))
+    else begin
+      let v = Queue.pop q in
+      for k = Graph.pred_start g v to Graph.pred_stop g v - 1 do
+        let i = Graph.pred_edge g k in
+        let u = Graph.edge_src g i in
+        if ew.(i) < Float.infinity && not (Hashtbl.mem seen u) then begin
+          Hashtbl.replace seen u ();
+          Queue.add u q
+        end
+      done;
+      go ()
+    end
+  in
+  go ()
+
+(* The seals' one known miss: a closed pocket around [dst]'s tap segment
+   [s] that spills past an end junction of [s] left unsaturated — it holds
+   that junction and a cell of another segment beyond it, so its cut lies
+   a layer further out than [s]'s pocket row.  On QUALE it is the corner
+   case (one junction, one saturated segment); random saturation also
+   closes wider spills on the grid and the ladder. *)
+let spills comp g cong ~dst_trap pocket =
+  let s = Graph.trap_segment g dst_trap in
+  let code n = Component.cell_code comp (Graph.node_pos g n) in
+  s >= 0
+  && List.exists (fun n -> code n >= 0 && code n <> s && Component.is_segment comp (code n)) pocket
+  && List.exists (fun n -> code n >= 0 && (not (Component.is_segment comp (code n))) && Congestion.is_free cong (code n)) pocket
+
+(* The oracle: a reverse flood from [dst] over finite in-edges, capped at
+   16 nodes, finds every small closed pocket that excludes [src].  Each
+   one must be unroutable, and caught by one of the three seals or a
+   spill.  [misses] counts spills. *)
+let prop_closed_pockets_caught_or_spill ~closed ~misses =
+  QCheck.Test.make ~name:"every small closed pocket is sealed or a spill" ~count:80 seal_arb
+    (fun (fi, cap, density, seed) ->
+      let comp, g = List.nth (Lazy.force seal_fabrics) fi in
+      let rng = Random.State.make [| seed |] in
+      let cong, ew = random_congestion comp g rng ~cap ~density in
+      let ntraps = Array.length (Component.traps comp) in
+      let ws = Workspace.create () in
+      List.for_all
+        (fun (st, dt) ->
+          let src = Graph.trap_node g st and dst = Graph.trap_node g dt in
+          match closed_pocket g ew ~dst ~cap:16 with
+          | Some pocket when st <> dt && not (List.mem src pocket) ->
+              incr closed;
+              let sealed =
+                Seal.pocket_sealed g ew ~src_trap:st ~dst_trap:dt
+                || Seal.source_sealed g ew ~src ~dst || Seal.dest_sealed g ew ~src ~dst
+              in
+              if not sealed then incr misses;
+              no_path ws g cong ~src ~dst && (sealed || spills comp g cong ~dst_trap:dt pocket)
+          | Some _ | None -> true)
+        (List.init 60 (fun _ -> (Random.State.int rng ntraps, Random.State.int rng ntraps))))
+
+let test_closed_pockets () =
+  let closed = ref 0 and misses = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 36 |]) (prop_closed_pockets_caught_or_spill ~closed ~misses);
+  check_bool (Printf.sprintf "closed pockets found (%d)" !closed) true (!closed > 0);
+  check_bool (Printf.sprintf "spills occur (%d of %d)" !misses !closed) true (!misses > 0)
+
+(* The spill the Table-1 workload hits, fixed: QUALE trap 10 sits on
+   segment 0, between the corner junction (2,2) and junction (10,2).
+   With (10,2) full, (2,2) free and the segment below (2,3) full, the
+   pocket is closed but no seal fires: its cut is the saturated segment,
+   one layer past segment 0's pocket row. *)
+let test_corner_spill () =
+  let comp, g = List.hd (Lazy.force seal_fabrics) in
+  let cong = Congestion.create comp ~channel_capacity:1 ~junction_capacity:2 in
+  let ew = Array.make (Graph.num_edges g) 0.0 in
+  Congestion.track_weights cong ~turn_cost:seal_turn_cost g ew;
+  let code x y = Component.cell_code comp (Coord.make x y) in
+  check_int "trap 10's segment" 0 (Graph.trap_segment g 10);
+  check_int "segment 0 starts at (3,2)" 0 (code 3 2);
+  Congestion.acquire cong (code 10 2);
+  Congestion.acquire cong (code 10 2);
+  Congestion.acquire cong (code 2 3);
+  let src = Graph.trap_node g 20 and dst = Graph.trap_node g 10 in
+  check_bool "no seal fires" false
+    (Seal.pocket_sealed g ew ~src_trap:20 ~dst_trap:10
+    || Seal.source_sealed g ew ~src ~dst || Seal.dest_sealed g ew ~src ~dst);
+  match closed_pocket g ew ~dst ~cap:16 with
+  | None -> Alcotest.fail "no closed pocket"
+  | Some pocket ->
+      check_int "pocket size" 14 (List.length pocket);
+      check_bool "a spill" true (spills comp g cong ~dst_trap:10 pocket);
+      check_bool "unroutable" true (no_path (Workspace.create ()) g cong ~src ~dst)
 
 (* ------------------------------------------------- canonical tie-break *)
 
@@ -1328,7 +1474,14 @@ let () =
             prop_path_at_least_manhattan;
             prop_live_weights_track;
           ] );
-      ("seal", [ Alcotest.test_case "sealed searches find no path; both seals fire" `Quick test_seals_sound_and_fire ]);
+      ( "seal",
+        [
+          Alcotest.test_case "sealed searches find no path; both seals fire" `Quick test_seals_sound_and_fire;
+          Alcotest.test_case "pocket-sealed searches find no path; the pocket seal fires alone" `Quick
+            test_pocket_seal_sound_and_fires;
+          Alcotest.test_case "small closed pockets: sealed or a spill" `Quick test_closed_pockets;
+          Alcotest.test_case "the corner spill on QUALE" `Quick test_corner_spill;
+        ] );
       ("one loop", qsuite [ prop_one_loop_equals_closure_reference ]);
       ( "canonical",
         qsuite

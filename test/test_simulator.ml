@@ -465,9 +465,9 @@ let ingress_output_pins =
 
 let ingress_work_pins =
   [
-    ("quale 45x85", (4553, 1752, 139597));
-    ("grid 45x27", (4417, 1892, 123621));
-    ("grid 29x21", (4329, 1939, 90698));
+    ("quale 45x85", (4546, 1752, 131636));
+    ("grid 45x27", (4398, 1892, 116660));
+    ("grid 29x21", (4316, 1939, 88286));
     ("linear 40", (3306, 2562, 49578));
   ]
 
