@@ -57,7 +57,6 @@ let exact_optimum ?(node_budget = default_node_budget) ~distance ~timing ~placem
     let t1 = tmg.Router.Timing.t_gate1 and t2 = tmg.Router.Timing.t_gate2 in
     let delay = Router.Timing.gate_delay tmg in
     let tail = D.longest_to_sink ~delay dag in
-    let dist a b = Estimator.Distance.between distance a b *. t_move in
     let pos = Array.init nq (fun q -> placement.(q)) in
     let free = Array.make (max nq 1) 0.0 in
     let trap_free = Array.make (max ntraps 1) 0.0 in
@@ -125,11 +124,16 @@ let exact_optimum ?(node_budget = default_node_budget) ~distance ~timing ~placem
               if (not !budget_hit) && (not scheduled.(i)) && pending.(i) = 0 then
                 match nodes.(i).D.instr with
                 | Qasm.Instr.Gate2 (_, a, b) ->
+                    (* the DFS below restores pos before the next m *)
+                    let ra = Estimator.Distance.row distance pos.(a)
+                    and rb = Estimator.Distance.row distance pos.(b) in
                     for m = 0 to ntraps - 1 do
                       if not !budget_hit then begin
                         let st =
                           Float.max trap_free.(m)
-                            (Float.max (free.(a) +. dist pos.(a) m) (free.(b) +. dist pos.(b) m))
+                            (Float.max
+                               (free.(a) +. (ra.(m) *. t_move))
+                               (free.(b) +. (rb.(m) *. t_move)))
                         in
                         if st +. tail.(i) < !best then begin
                           incr expanded;

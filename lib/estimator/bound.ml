@@ -112,14 +112,10 @@ let placement_bound ~delay ~timing ~dist ~pl nodes nq =
              from its initial trap to m (a route's cumulative cost can only
              exceed the table distance).  Minimize over the unknown m. *)
           let wa = w nd.D.id a and wb = w nd.D.id b in
-          let pa = pl.(a) and pb = pl.(b) in
+          let ra = Distance.row dist pl.(a) and rb = Distance.row dist pl.(b) in
           let best = ref infinity in
           for m = 0 to ntraps - 1 do
-            let c =
-              Float.max
-                (wa +. (Distance.between dist pa m *. t_move))
-                (wb +. (Distance.between dist pb m *. t_move))
-            in
+            let c = Float.max (wa +. (ra.(m) *. t_move)) (wb +. (rb.(m) *. t_move)) in
             if c < !best then best := c
           done;
           release.(nd.D.id) <- !best)

@@ -236,11 +236,12 @@ let create model placement =
     via cna.(i);
     via cnb.(i)
   done;
+  let dtbl, mtbl = Distance.tables v.Model.v_dist in
   let t =
     {
       dist = v.Model.v_dist;
-      dtbl = fst (Distance.tables v.Model.v_dist);
-      mtbl = snd (Distance.tables v.Model.v_dist);
+      dtbl;
+      mtbl;
       ntr = ntraps;
       t_gate1;
       t_gate2;

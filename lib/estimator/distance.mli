@@ -1,23 +1,35 @@
-(** All-pairs trap-to-trap distance tables over the turn-aware routing
-    graph — the fabric half of the LEQA-style latency estimator.
+(** Trap-to-trap distance tables over the turn-aware routing graph — the
+    fabric half of the LEQA-style latency estimator.
 
-    Built once per fabric graph: one Dijkstra sweep per trap port under the
-    same move-unit metric the router uses (every channel/junction/tap step
-    costs one move, a turn costs [turn_cost] moves), cached as flat arrays
-    so a lookup in the per-placement estimation loop is one load and no
-    allocation.  A meeting-trap table mirrors the engine's two-qubit trap
-    selection: the meeting trap of operands at [a] and [b] is the trap
-    minimizing the makespan [max (d a m) (d b m)] of moving both operands
-    there (ties broken by total distance, then by trap id) — the estimator's
-    stand-in for "nearest available trap to the median". *)
+    Distances are in the move-unit metric the router uses (every
+    channel/junction/tap step costs one move, a turn costs [turn_cost]
+    moves).  Tables are lazy: {!build} runs no sweep, and row [a] (the
+    distances from trap [a] to every trap) is one Dijkstra sweep, run by
+    its first reader and kept.  A job reads only the rows of the traps its
+    qubits pass through, so a fabric's cost grows with its use, not with
+    its trap count.
+
+    The meeting trap mirrors the engine's two-qubit trap selection: the
+    meeting trap of operands at [a] and [b] is the trap minimizing the
+    makespan [max (d a m) (d b m)] of moving both operands there (ties
+    broken by total distance, then by trap id) — the estimator's stand-in
+    for "nearest available trap to the median".  {!meet} scans rows [a]
+    and [b] on every call; no meeting table is kept outside {!tables}.
+
+    A table set is shared across domains.  Its only mutable state is one
+    write-once cell per row and one for {!tables}, each published by an
+    [Atomic]; domains racing on a cell compute equal values and all adopt
+    the first one published, so every read returns the same bits at any
+    jobs width. *)
 
 type t
 
 val build : Fabric.Graph.t -> turn_cost:float -> t
-(** One Dijkstra per trap, all on one fresh workspace, plus the pairwise
-    meeting-trap scan; [turn_cost] is the turn-edge weight in move units
-    (see {!Router.Timing.turn_cost_in_moves}).
-    @raise Invalid_argument on a negative turn cost. *)
+(** Validates [turn_cost], tabulates the base edge weights once and
+    allocates one empty cell per row: O(edges + traps), no sweep.
+    [turn_cost] is the turn-edge weight in move units (see
+    {!Router.Timing.turn_cost_in_moves}).
+    @raise Invalid_argument on a negative or NaN turn cost. *)
 
 val num_traps : t -> int
 
@@ -25,16 +37,29 @@ val turn_cost : t -> float
 (** The turn-edge weight the tables were built at — lets a holder check a
     prebuilt table set matches its timing before sharing it. *)
 
-val tables : t -> float array * int array
-(** The raw row-major [num_traps * num_traps] distance and meeting-trap
-    tables behind {!between} and {!meet} — shared, not copied, and must be
-    treated as frozen.  Exposed for the {!Delta} model's proposal loop,
-    where the per-call indexing of the accessors is measurable. *)
+val row : t -> int -> float array
+(** [row t a] — the distances from trap [a] to every trap, indexed by trap
+    id; {!between}[ t a b] is [(row t a).(b)].  Built on the first read
+    (one sweep on the calling domain's {!Router.Workspace.domain_local}),
+    then shared, not copied: treat it as frozen.  Loops over many
+    destinations fetch the row once. *)
 
 val between : t -> int -> int -> float
 (** [between t a b] — shortest travel distance from trap [a] to trap [b] in
     move units ([infinity] when unreachable, [0.] when [a = b]). *)
 
 val meet : t -> int -> int -> int
-(** The meeting trap for operands at [a] and [b]; [meet t a a = a]. *)
+(** The meeting trap for operands at [a] and [b], by an O(traps) scan of
+    their rows; [meet t a a = a], [meet t a b = meet t b a], and a pair
+    with no finite meeting trap gets the lower of the two ids. *)
 
+val tables : t -> float array * int array
+(** Dense row-major [num_traps * num_traps] distance and meeting-trap
+    tables, equal to {!between} and {!meet} everywhere.  The first call
+    reads every row and runs the O(traps{^3}) meeting scan; the pair is
+    kept, so later calls return the same arrays.  Shared, not copied: treat
+    them as frozen.  Only the {!Delta} model's proposal loop needs them (a
+    CI step keeps other callers out). *)
+
+val rows_built : t -> int
+(** Rows built so far — the sweeps this table set has paid for. *)

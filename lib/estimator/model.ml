@@ -207,9 +207,8 @@ let estimate t placement =
                     pos.(c) <- m;
                     pos.(tgt) <- m;
                     let scale = tm.Router.Timing.t_move *. t.stretch.(i) in
-                    !clock
-                    +. (Float.max (Distance.between t.dist a m) (Distance.between t.dist b m)
-                       *. scale)
+                    let ra = Distance.row t.dist a and rb = Distance.row t.dist b in
+                    !clock +. (Float.max ra.(m) rb.(m) *. scale)
                   end
                 in
                 finish_at (arrive +. tm.Router.Timing.t_gate2) i;

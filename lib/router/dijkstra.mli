@@ -36,6 +36,19 @@ val distances :
 (** Full distance vector from [src] ([infinity] where unreachable), as a
     fresh array: the sweep behind every {!Lower_bound} table. *)
 
+val distances_at :
+  Workspace.t ->
+  Fabric.Graph.t ->
+  weights:float array ->
+  src:Fabric.Graph.node ->
+  nodes:Fabric.Graph.node array ->
+  float array
+(** The same sweep read at [nodes] only: element [i] is the distance from
+    [src] to [nodes.(i)] ([infinity] where unreachable), in a fresh array
+    of [Array.length nodes] — {!Estimator.Distance}'s rows at the trap
+    nodes, without a node-sized copy.  [nodes] must be nodes of [graph].
+    @raise Invalid_argument as {!run_into}. *)
+
 (** {2 Shared search core}
 
     The primitives behind [shortest_path], exposed so the engine's and the

@@ -68,8 +68,9 @@ let consumed_slot (r : Protocol.response) =
   | Protocol.Rejected { stage; _ } -> String.equal stage "shed" || String.equal stage "queue"
 
 (* Per-fabric shared state: everything here is built once, read by every
-   job on the fabric.  [comp]/[graph]/[distance]/[lint] are immutable after
-   build; [snapshot] is replaced (never mutated) between waves on the main
+   job on the fabric.  [comp]/[graph]/[lint] are immutable after build;
+   [distance] fills its write-once rows as jobs read them, on any domain;
+   [snapshot] is replaced (never mutated) between waves on the main
    domain. *)
 type fabric_entry = {
   layout : Fabric.Layout.t;
@@ -621,6 +622,7 @@ type stats = {
   fabric_evictions : int;
   shared_paths : int;
   shared_bounds : int;
+  distance_rows : int;
   response_hits : int;
   response_evictions : int;
   completed : int;
@@ -630,9 +632,10 @@ type stats = {
 }
 
 let stats (t : t) =
-  let shared_paths = ref 0 and shared_bounds = ref 0 in
+  let shared_paths = ref 0 and shared_bounds = ref 0 and distance_rows = ref 0 in
   Lru.iter
     (fun (_, e) ->
+      distance_rows := !distance_rows + Estimator.Distance.rows_built e.distance;
       match e.snapshot with
       | Some s ->
           shared_paths := !shared_paths + Route_cache.snapshot_paths s;
@@ -644,6 +647,7 @@ let stats (t : t) =
     fabric_evictions = Lru.evictions t.fabrics;
     shared_paths = !shared_paths;
     shared_bounds = !shared_bounds;
+    distance_rows = !distance_rows;
     response_hits = Lru.hits t.responses;
     response_evictions = Lru.evictions t.responses + Lru.expirations t.responses;
     completed = t.completed;

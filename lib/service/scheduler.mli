@@ -188,6 +188,9 @@ type stats = {
   fabric_evictions : int;  (** warm fabric entries dropped by the LRU cap *)
   shared_paths : int;  (** warm path entries across all snapshots *)
   shared_bounds : int;  (** warm lower-bound tables across all snapshots *)
+  distance_rows : int;
+      (** estimator distance rows built across the registry's fabrics
+          ({!Estimator.Distance.rows_built}); never part of a response *)
   response_hits : int;  (** responses served from the response cache *)
   response_evictions : int;  (** response entries evicted or expired *)
   completed : int;

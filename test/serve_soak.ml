@@ -72,9 +72,10 @@ let () =
   let s = Scheduler.stats t in
   Printf.printf
     "serve_soak: %d rounds x %d jobs: completed=%d rejected=%d shed=%d fabric_evictions=%d \
-     response_evictions=%d; live heap %d -> %d words (%+.1f%%)\n"
+     response_evictions=%d distance_rows=%d; live heap %d -> %d words (%+.1f%%)\n"
     !rounds !per_round s.Scheduler.completed s.Scheduler.rejected s.Scheduler.shed
-    s.Scheduler.fabric_evictions s.Scheduler.response_evictions !baseline final
+    s.Scheduler.fabric_evictions s.Scheduler.response_evictions s.Scheduler.distance_rows
+    !baseline final
     (100.0 *. (float_of_int final /. float_of_int !baseline -. 1.0));
   (* flat means: within 20% of the warmed-up baseline plus 256k words of
      slack for allocator noise — a real per-round leak of even a few

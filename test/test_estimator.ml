@@ -55,6 +55,203 @@ let test_distance_tables () =
       && Float.is_finite (Estimator.Distance.between d b m))
   done
 
+(* The eager tables the lazy ones must equal bit for bit: one
+   [Dijkstra.distances] sweep per trap on a fresh workspace, sampled at the
+   trap nodes, and the pairwise min-makespan scan with its tie-breaks
+   (least total travel, then lowest trap id; the lower id of a
+   disconnected pair) in both argument orders. *)
+let eager_reference graph ~turn_cost =
+  let n = Array.length (Fabric.Component.traps (Fabric.Graph.component graph)) in
+  let weights = Router.Lower_bound.base_weights graph ~turn_cost in
+  let dist = Array.make (n * n) infinity in
+  for a = 0 to n - 1 do
+    let row = Router.Dijkstra.distances graph ~weights ~src:(Fabric.Graph.trap_node graph a) in
+    for b = 0 to n - 1 do
+      dist.((a * n) + b) <- row.(Fabric.Graph.trap_node graph b)
+    done
+  done;
+  let meet = Array.make (n * n) 0 in
+  for a = 0 to n - 1 do
+    meet.((a * n) + a) <- a;
+    for b = a + 1 to n - 1 do
+      let best = ref (-1) and best_mk = ref infinity and best_sum = ref infinity in
+      for m = 0 to n - 1 do
+        let da = dist.((a * n) + m) and db = dist.((b * n) + m) in
+        let mk = Float.max da db and sum = da +. db in
+        if mk < !best_mk || (mk = !best_mk && sum < !best_sum) then begin
+          best := m;
+          best_mk := mk;
+          best_sum := sum
+        end
+      done;
+      let best = if !best < 0 then a else !best in
+      meet.((a * n) + b) <- best;
+      meet.((b * n) + a) <- best
+    done
+  done;
+  (dist, meet)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Every row, distance, meeting trap and both dense tables of [d] against
+   the reference; the first mismatch, if any. *)
+let lazy_mismatch d (rdist, rmeet) =
+  let n = Estimator.Distance.num_traps d in
+  let fail = ref None in
+  let note fmt = Printf.ksprintf (fun m -> if !fail = None then fail := Some m) fmt in
+  for a = 0 to n - 1 do
+    let row = Estimator.Distance.row d a in
+    if Array.length row <> n then note "row %d has %d entries" a (Array.length row);
+    for b = 0 to n - 1 do
+      let want = rdist.((a * n) + b) in
+      if not (same_bits (Estimator.Distance.between d a b) want && same_bits row.(b) want) then
+        note "between %d %d = %h, eager %h" a b (Estimator.Distance.between d a b) want;
+      if Estimator.Distance.meet d a b <> rmeet.((a * n) + b) then
+        note "meet %d %d = %d, eager %d" a b (Estimator.Distance.meet d a b) rmeet.((a * n) + b)
+    done
+  done;
+  let tdist, tmeet = Estimator.Distance.tables d in
+  if not (Array.for_all2 same_bits tdist rdist) then note "dense distance table differs";
+  if tmeet <> rmeet then note "dense meeting table differs";
+  !fail
+
+let graph_of lay =
+  match Fabric.Component.extract lay with
+  | Ok comp -> Fabric.Graph.build comp
+  | Error e -> Alcotest.failf "extract: %s" e
+
+let quale_graph = lazy (graph_of (fabric ()))
+
+(* Lazy tables on random [make_grid] fabrics, a linear chain or QUALE, at
+   turn costs 10 (the Table-1 timing's), 10/3 (off the half-unit grid) and
+   0, read in a random order: between, meet and row reads build exactly the
+   rows they touch, [tables] (read first, midway or last) builds every row,
+   and afterwards everything equals the eager reference bit for bit. *)
+let prop_lazy_equals_eager =
+  QCheck.Test.make ~count:60 ~name:"lazy rows, meet and tables = eager reference"
+    QCheck.(triple (int_range 0 9) (int_range 0 2) int)
+    (fun (shape, tc, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let graph =
+        if shape = 0 then Lazy.force quale_graph
+        else if shape = 1 then graph_of (Fabric.Layout.linear ~traps:(2 + Random.State.int rng 39) ())
+        else
+          let px = 3 + Random.State.int rng 6 and py = 3 + Random.State.int rng 6 in
+          let tpc = 1 + Random.State.int rng (min 2 (px - 2)) in
+          graph_of
+            (Fabric.Layout.make_grid
+               ~width:(((1 + Random.State.int rng 3) * px) + 5)
+               ~height:(((1 + Random.State.int rng 3) * py) + 5)
+               ~pitch_x:px ~pitch_y:py ~margin:2 ~traps_per_channel:tpc ())
+      in
+      let turn_cost = [| 10.0; 10.0 /. 3.0; 0.0 |].(tc) in
+      let d = Estimator.Distance.build graph ~turn_cost in
+      let n = Estimator.Distance.num_traps d in
+      let touched = Array.make n false in
+      let fail = ref None in
+      let expect_rows what =
+        let want = Array.fold_left (fun k b -> if b then k + 1 else k) 0 touched in
+        if Estimator.Distance.rows_built d <> want && !fail = None then
+          fail :=
+            Some
+              (Printf.sprintf "%s: %d rows built, %d read" what (Estimator.Distance.rows_built d)
+                 want)
+      in
+      expect_rows "build";
+      let reads = 1 + Random.State.int rng (2 * n) in
+      let dense_at = Random.State.int rng (reads + 1) in
+      for k = 0 to reads - 1 do
+        if k = dense_at then begin
+          ignore (Estimator.Distance.tables d);
+          Array.fill touched 0 n true
+        end;
+        let a = Random.State.int rng n and b = Random.State.int rng n in
+        (match Random.State.int rng 3 with
+        | 0 ->
+            ignore (Estimator.Distance.between d a b);
+            touched.(a) <- true
+        | 1 ->
+            ignore (Estimator.Distance.row d a);
+            touched.(a) <- true
+        | _ ->
+            (* meet a a = a reads no row *)
+            ignore (Estimator.Distance.meet d a b);
+            if a <> b then begin
+              touched.(a) <- true;
+              touched.(b) <- true
+            end);
+        expect_rows "read"
+      done;
+      let reference = eager_reference graph ~turn_cost in
+      (match lazy_mismatch d reference with Some m when !fail = None -> fail := Some m | _ -> ());
+      Array.fill touched 0 n true;
+      expect_rows "full";
+      match !fail with
+      | None -> true
+      | Some m -> QCheck.Test.fail_reportf "%d traps, turn cost %g: %s" n turn_cost m)
+
+(* Two domains fill one QUALE table set at once, in opposite row orders,
+   each reading every meeting trap of its rows and the dense tables: both
+   see one array per row and the eager reference's values. *)
+let test_concurrent_fill () =
+  let graph = Lazy.force quale_graph in
+  let d = Estimator.Distance.build graph ~turn_cost:10.0 in
+  let n = Estimator.Distance.num_traps d in
+  let fill order () =
+    let rows =
+      Array.map
+        (fun a ->
+          let row = Estimator.Distance.row d a in
+          for b = 0 to n - 1 do
+            ignore (Estimator.Distance.meet d a b)
+          done;
+          (a, row))
+        order
+    in
+    (rows, Estimator.Distance.tables d)
+  in
+  let up = Array.init n Fun.id and down = Array.init n (fun i -> n - 1 - i) in
+  let other = Domain.spawn (fill down) in
+  let mine_rows, mine_tables = fill up () in
+  let other_rows, other_tables = Domain.join other in
+  check_int "every row built once" n (Estimator.Distance.rows_built d);
+  Array.iter
+    (fun (a, row) ->
+      check_bool "one array per row" true (row == snd other_rows.(n - 1 - a)))
+    mine_rows;
+  check_bool "one dense pair" true
+    (fst mine_tables == fst other_tables && snd mine_tables == snd other_tables);
+  match lazy_mismatch d (eager_reference graph ~turn_cost:10.0) with
+  | None -> ()
+  | Some m -> Alcotest.fail m
+
+(* Two islands of two traps each: every cross pair has no finite meeting
+   trap and gets the lower id, in both argument orders. *)
+let test_disconnected_meet () =
+  let lay =
+    match Fabric.Layout.parse "T-T --T-T" with Ok l -> l | Error e -> Alcotest.failf "parse: %s" e
+  in
+  let graph = graph_of lay in
+  let d = Estimator.Distance.build graph ~turn_cost:10.0 in
+  let n = Estimator.Distance.num_traps d in
+  check_bool "at least three traps" true (n >= 3);
+  let cross = ref 0 in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      let m = Estimator.Distance.meet d a b in
+      check_int "symmetric" m (Estimator.Distance.meet d b a);
+      if Float.is_finite (Estimator.Distance.between d a b) then
+        check_bool "reachable meet" true (Float.is_finite (Estimator.Distance.between d a m))
+      else begin
+        incr cross;
+        check_int "disconnected pair meets at the lower id" (min a b) m
+      end
+    done
+  done;
+  check_bool "some pair is disconnected" true (!cross > 0);
+  check_bool "matches the eager table" true
+    (lazy_mismatch d (eager_reference graph ~turn_cost:10.0) = None)
+
 (* -------------------------------------------------- determinism / purity *)
 
 let test_estimate_deterministic () =
@@ -482,7 +679,12 @@ let () =
   Alcotest.run "estimator"
     [
       ( "distance",
-        [ Alcotest.test_case "tables are sane" `Quick test_distance_tables ] );
+        [
+          Alcotest.test_case "tables are sane" `Quick test_distance_tables;
+          QCheck_alcotest.to_alcotest prop_lazy_equals_eager;
+          Alcotest.test_case "two domains fill one table set" `Quick test_concurrent_fill;
+          Alcotest.test_case "disconnected meet is symmetric" `Quick test_disconnected_meet;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "estimate is deterministic" `Quick test_estimate_deterministic;

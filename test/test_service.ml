@@ -417,6 +417,30 @@ let test_stats_and_fabric_registry () =
   check_int "failures" 0 s.Scheduler.failed;
   check_bool "warm paths registered" true (s.Scheduler.shared_paths > 0)
 
+(* A cold inline 90x170 grid (560 traps) completes, and its distance
+   tables build only the rows the job's traps read: the fabric's
+   admission no longer sweeps from every trap. *)
+let test_cold_large_fabric_reads_few_rows () =
+  let lay =
+    Fabric.Layout.make_grid ~width:90 ~height:170 ~pitch_x:8 ~pitch_y:6 ~margin:2
+      ~traps_per_channel:1 ()
+  in
+  let t = Scheduler.create () in
+  let r =
+    Scheduler.submit t
+      (job ~fabric:(Fabric.Layout.to_ascii lay) ~placer:"center" "grid-90x170" "[[5,1,3]]")
+  in
+  check_string "completed" "<completed>" (stage_of r);
+  let traps =
+    match Fabric.Component.extract lay with
+    | Ok comp -> Array.length (Fabric.Component.traps comp)
+    | Error e -> Alcotest.failf "extract: %s" e
+  in
+  check_int "560 traps" 560 traps;
+  let rows = (Scheduler.stats t).Scheduler.distance_rows in
+  check_bool (Printf.sprintf "%d distance rows built, some and fewer than %d" rows traps) true
+    (rows > 0 && rows < traps)
+
 (* Lint reads the fabric registry without touching it: a job refused at
    lint never registers its fabric, and a refusal on a registered fabric
    does not refresh that fabric's recency. *)
@@ -500,6 +524,8 @@ let () =
           Alcotest.test_case "service = independent mapper" `Quick
             test_service_matches_independent_mapper;
           Alcotest.test_case "stats and fabric registry" `Quick test_stats_and_fabric_registry;
+          Alcotest.test_case "cold 560-trap fabric reads few distance rows" `Quick
+            test_cold_large_fabric_reads_few_rows;
           Alcotest.test_case "lint refusal does not register" `Quick
             test_lint_refusal_does_not_register;
           Alcotest.test_case "registry evictions with refusals" `Quick
