@@ -55,7 +55,7 @@ let () =
         (cost "reused" (Router.Dijkstra.shortest_path ~workspace:ws graph ~weights:w));
       (* the PathFinder's guided search: A* over a lower-bound table *)
       let guided ~src ~dst =
-        let lb = Router.Lower_bound.build graph ~turn_cost:10.0 ~dst in
+        let lb = Router.Lower_bound.toward (Router.Lower_bound.create graph ~turn_cost:10.0) dst in
         Router.Dijkstra.run_into ~heuristic:lb ws graph ~weights:w ~src ~dst;
         Router.Dijkstra.path_to ws graph ~dst
       in
@@ -489,9 +489,9 @@ let () =
       let cong = Router.Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
       let sw = Array.make (Fabric.Graph.num_edges graph) 0.0 in
       Router.Congestion.track_weights cong ~turn_cost graph sw;
+      let store = Router.Lower_bound.create graph ~turn_cost in
       let tables =
-        Array.init ntraps (fun t ->
-            Router.Lower_bound.build graph ~turn_cost ~dst:(Fabric.Graph.trap_node graph t))
+        Array.init ntraps (fun t -> Router.Lower_bound.toward store (Fabric.Graph.trap_node graph t))
       in
       let search k =
         let s = k * 17 mod ntraps and d = ((k * 37) + 11) mod ntraps in
@@ -556,20 +556,22 @@ let () =
   if words > ceiling then
     fail "%s: certification allocates %.1f minor words per command (ceiling %.0f)" cname words
       ceiling;
-  (* Estimator.Distance.build runs no sweep: it tabulates the base
-     weights and allocates one empty cell per row.  Fully materialized on
-     QUALE 45x85 (every row read, then the dense [tables] pair), a table
-     set runs its 130 sweeps through Dijkstra's one relax loop and keeps
-     each row as a 130-float array: about 17.6k minor words, nearly all of
-     them the rows themselves.  The closure relax loop with rows filled
-     through a closure over the workspace read about 644k (a boxed key per
-     push, a boxed float per node of every row, about half each), so a 20k
-     ceiling catches a return to either. *)
+  (* Estimator.Distance.build runs no sweep: it makes a Lower_bound
+     store, which tabulates the base weights and allocates one empty
+     write-once cell per graph node (QUALE 45x85: 1,170 cells, 2,340
+     minor words).  Fully materialized (every trap's table read, then
+     the dense [tables] pair), the store runs its 130 sweeps through
+     Dijkstra's one relax loop and keeps each table as a 1,170-float
+     array, which goes to the major heap: about 2.9k minor words in
+     all, most of them the cells.  Sampling a 130-float row per trap on top of the cells, as the
+     trap-indexed rows once did, adds about 17.3k and sits at the
+     ceiling; the closure relax loop with rows filled through a closure
+     over the workspace read about 644k (a boxed key per push, a boxed
+     float per node of every row).  A 20k ceiling catches any of them. *)
   let materialize () =
     let d = Estimator.Distance.build graph ~turn_cost:10.0 in
-    if Estimator.Distance.rows_built d <> 0 then
-      fail "QUALE 45x85: Distance.build built %d rows before any read"
-        (Estimator.Distance.rows_built d);
+    let swept = Router.Lower_bound.built (Estimator.Distance.store d) in
+    if swept <> 0 then fail "QUALE 45x85: Distance.build swept %d tables before any read" swept;
     for a = 0 to Estimator.Distance.num_traps d - 1 do
       ignore (Estimator.Distance.row d a)
     done;

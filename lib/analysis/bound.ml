@@ -38,6 +38,7 @@ let exact_optimum ?(node_budget = default_node_budget) ~distance ~timing ~placem
   let n = Array.length nodes in
   let nq = Qasm.Program.num_qubits (D.program dag) in
   let ntraps = Estimator.Distance.num_traps distance in
+  let trap_node = Estimator.Distance.trap_nodes distance in
   let g2 =
     Array.fold_left (fun acc nd -> if Qasm.Instr.is_two_qubit nd.D.instr then acc + 1 else acc) 0 nodes
   in
@@ -132,8 +133,8 @@ let exact_optimum ?(node_budget = default_node_budget) ~distance ~timing ~placem
                         let st =
                           Float.max trap_free.(m)
                             (Float.max
-                               (free.(a) +. (ra.(m) *. t_move))
-                               (free.(b) +. (rb.(m) *. t_move)))
+                               (free.(a) +. (ra.(trap_node.(m)) *. t_move))
+                               (free.(b) +. (rb.(trap_node.(m)) *. t_move)))
                         in
                         if st +. tail.(i) < !best then begin
                           incr expanded;

@@ -153,10 +153,12 @@ let create ~fabric ?(config = Config.default) ?prebuilt ?distance ?route_cache p
    run_forward/run_backward out over pool workers, each of which keeps its
    own), so it must be fetched inside the engine call, not captured when the
    closure is built on the main domain.  A context-held cache overrides the
-   domain-local one (the holder promises single-domain use). *)
+   domain-local one (the holder promises single-domain use).  Either reads
+   the lower-bound tables of the estimator's store, so the engine's A* and
+   the distance tables share one sweep per trap. *)
 let route_cache_of t =
   let cache = match t.route_cache with Some c -> c | None -> Router.Route_cache.domain_local () in
-  Router.Route_cache.for_graph cache t.graph;
+  Router.Route_cache.use_bounds cache (Estimator.Distance.store (Estimator.Model.distance t.estimator));
   cache
 
 (* The request deadline's cancellation checkpoint, armed from the config's

@@ -46,7 +46,7 @@ let placement_bound ~delay ~timing ~dist ~pl nodes nq =
   let n = Array.length nodes in
   if Array.length pl < nq then
     invalid_arg "Estimator.Bound.compute: placement shorter than the program's qubit count";
-  let ntraps = Distance.num_traps dist in
+  let ntraps = Distance.num_traps dist and trap_node = Distance.trap_nodes dist in
   for q = 0 to nq - 1 do
     if pl.(q) < 0 || pl.(q) >= ntraps then
       invalid_arg "Estimator.Bound.compute: placement names a trap outside the distance tables"
@@ -115,7 +115,8 @@ let placement_bound ~delay ~timing ~dist ~pl nodes nq =
           let ra = Distance.row dist pl.(a) and rb = Distance.row dist pl.(b) in
           let best = ref infinity in
           for m = 0 to ntraps - 1 do
-            let c = Float.max (wa +. (ra.(m) *. t_move)) (wb +. (rb.(m) *. t_move)) in
+            let v = trap_node.(m) in
+            let c = Float.max (wa +. (ra.(v) *. t_move)) (wb +. (rb.(v) *. t_move)) in
             if c < !best then best := c
           done;
           release.(nd.D.id) <- !best)

@@ -3,9 +3,10 @@
 
     Distances are in the move-unit metric the router uses (every
     channel/junction/tap step costs one move, a turn costs [turn_cost]
-    moves).  Tables are lazy: {!build} runs no sweep, and row [a] (the
-    distances from trap [a] to every trap) is one Dijkstra sweep, run by
-    its first reader and kept.  A job reads only the rows of the traps its
+    moves).  A table set is a view of one {!Router.Lower_bound} store at
+    the trap nodes: trap [a]'s row is the store's table toward trap [a]'s
+    node, swept on its first read by any layer ([Mapper] hands the store
+    to its route cache).  A job reads only the rows of the traps its
     qubits pass through, so a fabric's cost grows with its use, not with
     its trap count.
 
@@ -16,8 +17,8 @@
     for "nearest available trap to the median".  {!meet} scans rows [a]
     and [b] on every call; no meeting table is kept outside {!tables}.
 
-    A table set is shared across domains.  Its only mutable state is one
-    write-once cell per row and one for {!tables}, each published by an
+    A table set is shared across domains.  Its only mutable state is the
+    store's write-once cells and one for {!tables}, each published by an
     [Atomic]; domains racing on a cell compute equal values and all adopt
     the first one published, so every read returns the same bits at any
     jobs width. *)
@@ -25,24 +26,25 @@
 type t
 
 val build : Fabric.Graph.t -> turn_cost:float -> t
-(** Validates [turn_cost], tabulates the base edge weights once and
-    allocates one empty cell per row: O(edges + traps), no sweep.
-    [turn_cost] is the turn-edge weight in move units (see
-    {!Router.Timing.turn_cost_in_moves}).
+(** A view of a fresh store ({!Router.Lower_bound.create}): O(edges +
+    nodes), no sweep.  [turn_cost] is the turn-edge weight in move units
+    (see {!Router.Timing.turn_cost_in_moves}).
     @raise Invalid_argument on a negative or NaN turn cost. *)
 
 val num_traps : t -> int
 
-val turn_cost : t -> float
-(** The turn-edge weight the tables were built at — lets a holder check a
-    prebuilt table set matches its timing before sharing it. *)
+val store : t -> Router.Lower_bound.t
+(** The store the view reads; its turn cost is the one the tables were
+    built at. *)
 
-val row : t -> int -> float array
-(** [row t a] — the distances from trap [a] to every trap, indexed by trap
-    id; {!between}[ t a b] is [(row t a).(b)].  Built on the first read
-    (one sweep on the calling domain's {!Router.Workspace.domain_local}),
-    then shared, not copied: treat it as frozen.  Loops over many
-    destinations fetch the row once. *)
+val trap_nodes : t -> int array
+(** The graph node of each trap, by trap id.  Shared: treat it as frozen. *)
+
+val row : t -> int -> Router.Lower_bound.table
+(** [row t a] — trap [a]'s table ({!Router.Lower_bound.toward}), indexed
+    by graph node: {!between}[ t a b] is [(row t a).((trap_nodes t).(b))].
+    Shared, not copied: treat it as frozen.  Loops over many destinations
+    fetch the row once. *)
 
 val between : t -> int -> int -> float
 (** [between t a b] — shortest travel distance from trap [a] to trap [b] in
@@ -56,10 +58,7 @@ val meet : t -> int -> int -> int
 val tables : t -> float array * int array
 (** Dense row-major [num_traps * num_traps] distance and meeting-trap
     tables, equal to {!between} and {!meet} everywhere.  The first call
-    reads every row and runs the O(traps{^3}) meeting scan; the pair is
-    kept, so later calls return the same arrays.  Shared, not copied: treat
-    them as frozen.  Only the {!Delta} model's proposal loop needs them (a
-    CI step keeps other callers out). *)
-
-val rows_built : t -> int
-(** Rows built so far — the sweeps this table set has paid for. *)
+    reads every trap's row and runs the O(traps{^3}) meeting scan; the pair
+    is kept, so later calls return the same arrays.  Shared, not copied:
+    treat them as frozen.  Only the {!Delta} model's proposal loop needs
+    them (a CI step keeps other callers out). *)

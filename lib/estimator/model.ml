@@ -59,7 +59,7 @@ let create ~graph ~timing ?distance ~priorities dag =
   let dist =
     match distance with
     | Some d ->
-        if Distance.turn_cost d <> turn_cost then
+        if Router.Lower_bound.turn_cost (Distance.store d) <> turn_cost then
           invalid_arg "Estimator.Model.create: prebuilt distance tables use a different turn cost";
         if Distance.num_traps d <> Array.length (Fabric.Component.traps (Fabric.Graph.component graph))
         then invalid_arg "Estimator.Model.create: prebuilt distance tables are for a different fabric";
@@ -207,8 +207,8 @@ let estimate t placement =
                     pos.(c) <- m;
                     pos.(tgt) <- m;
                     let scale = tm.Router.Timing.t_move *. t.stretch.(i) in
-                    let ra = Distance.row t.dist a and rb = Distance.row t.dist b in
-                    !clock +. (Float.max ra.(m) rb.(m) *. scale)
+                    !clock
+                    +. (Float.max (Distance.between t.dist a m) (Distance.between t.dist b m) *. scale)
                   end
                 in
                 finish_at (arrive +. tm.Router.Timing.t_gate2) i;

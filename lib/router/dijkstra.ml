@@ -243,13 +243,3 @@ let distances ?workspace graph ~weights ~src =
     if ws.Workspace.reached.(v) = gen then out.(v) <- ws.Workspace.dist.(v)
   done;
   out
-
-let distances_at ws graph ~weights ~src ~nodes =
-  run_into ws graph ~weights ~src ~dst:(-1);
-  let out = Array.make (Array.length nodes) Float.infinity in
-  let gen = ws.Workspace.generation in
-  for i = 0 to Array.length nodes - 1 do
-    let v = nodes.(i) in
-    if ws.Workspace.reached.(v) = gen then out.(i) <- ws.Workspace.dist.(v)
-  done;
-  out

@@ -34,20 +34,8 @@ val distances :
   src:Fabric.Graph.node ->
   float array
 (** Full distance vector from [src] ([infinity] where unreachable), as a
-    fresh array: the sweep behind every {!Lower_bound} table. *)
-
-val distances_at :
-  Workspace.t ->
-  Fabric.Graph.t ->
-  weights:float array ->
-  src:Fabric.Graph.node ->
-  nodes:Fabric.Graph.node array ->
-  float array
-(** The same sweep read at [nodes] only: element [i] is the distance from
-    [src] to [nodes.(i)] ([infinity] where unreachable), in a fresh array
-    of [Array.length nodes] — {!Estimator.Distance}'s rows at the trap
-    nodes, without a node-sized copy.  [nodes] must be nodes of [graph].
-    @raise Invalid_argument as {!run_into}. *)
+    fresh array: the sweep behind every {!Lower_bound} table, and run by
+    nothing else in the library (a CI step keeps it there). *)
 
 (** {2 Shared search core}
 
@@ -64,7 +52,7 @@ val run_into :
   unit
 (** Runs the search into the workspace's current generation.  [dst = -1]
     settles the whole reachable graph; otherwise the search stops once
-    [dst] settles.  [heuristic] (in practice the {!Lower_bound.t} of
+    [dst] settles.  [heuristic] (in practice the {!Lower_bound.table} of
     [dst]) keys the queue on distance + heuristic; it must be admissible
     and consistent for the settled costs to be exact (A* contract).
 

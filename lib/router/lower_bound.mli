@@ -1,4 +1,5 @@
-(** Per-destination turn-aware base-cost distance tables.
+(** Per-destination turn-aware base-cost distance tables, one store per
+    fabric graph and turn cost.
 
     The {e base} weight of an edge is its congestion-free Eq. 2 cost: 1 move
     unit for channel, junction and tap steps, [turn_cost] for turns.  Every
@@ -13,26 +14,49 @@
     A table is one Dijkstra sweep from the destination; the fabric graph is
     weight-symmetric under base costs (movement, turn and tap edges are all
     inserted in both directions at equal base cost), so the forward sweep
-    yields exact to-destination distances.  {!Route_cache} memoizes tables
-    across searches (sweeping one {!base_weights} array per graph and turn
-    cost), and the engine's and {!Pathfinder}'s A* read them;
-    {!Estimator.Distance} builds its trap-to-trap tables from the same
-    sweeps over one {!base_weights} array. *)
+    yields exact to-destination distances.
 
-type t = float array
+    A store is the only keeper of these tables: the engine's and
+    {!Pathfinder}'s A* read them through {!Route_cache.lower_bound}, and
+    {!Estimator.Distance} reads the same store at the trap nodes, so a
+    table is swept once per store, whichever layer reads it first.  A
+    store is shared across domains: its only mutable state is one
+    write-once [Atomic] cell per node, and domains racing on a cell sweep
+    equal tables and all adopt the first one published. *)
+
+type t
+(** A store: the tables toward every node of one graph at one turn cost. *)
+
+type table = float array
 (** Exact base-cost distance to the destination per node ([infinity] when
     disconnected).  Tables are shared across domains: never write one. *)
 
 val base_weight : turn_cost:float -> Fabric.Graph.edge_kind -> float
 (** The congestion-free Eq. 2 edge cost: [turn_cost] for turns, 1 move unit
     for everything else.  The shared definition all lower-bound machinery
-    (and {!Estimator.Distance}) keys on. *)
+    keys on. *)
 
 val base_weights : Fabric.Graph.t -> turn_cost:float -> float array
 (** {!base_weight} of every CSR edge, as {!Dijkstra}'s [weights].
     @raise Invalid_argument on a negative/NaN turn cost. *)
 
-val build : ?workspace:Workspace.t -> Fabric.Graph.t -> turn_cost:float -> dst:Fabric.Graph.node -> t
-(** One full Dijkstra sweep from [dst] under {!base_weights}.
-    @raise Invalid_argument on a negative/NaN turn cost or an out-of-range
-    destination. *)
+val create : Fabric.Graph.t -> turn_cost:float -> t
+(** Validates [turn_cost], tabulates {!base_weights} once and allocates one
+    empty cell per node: O(edges + nodes), no sweep.
+    @raise Invalid_argument on a negative/NaN turn cost. *)
+
+val graph : t -> Fabric.Graph.t
+
+val turn_cost : t -> float
+
+val toward : t -> Fabric.Graph.node -> table
+(** [toward t dst] — the table toward [dst].  Its first reader sweeps it
+    (one Dijkstra sweep from [dst], on the calling domain's
+    {!Workspace.domain_local}) and publishes it; later reads return the
+    same array.  @raise Invalid_argument on an out-of-range destination. *)
+
+val is_built : t -> Fabric.Graph.node -> bool
+(** Whether a {!toward} on the node would return without sweeping. *)
+
+val built : t -> int
+(** Tables swept so far: the sweeps this store has paid for. *)

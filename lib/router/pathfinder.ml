@@ -140,7 +140,7 @@ let route_all graph ?(turn_cost = 10.0) ?cache ?cancel ~capacity nets =
        call — gates contribute two nets to the same destination trap. *)
     let cache = match cache with Some c -> c | None -> Route_cache.create () in
     Route_cache.for_graph cache graph;
-    let workspace = Route_cache.workspace cache in
+    let workspace = Workspace.domain_local () in
     let st = create graph ~turn_cost ~capacity in
     let searches = ref 0 in
     (* One net's search: lower-bound-guided A* under the live negotiation

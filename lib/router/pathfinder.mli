@@ -73,7 +73,7 @@ val max_overuse : Fabric.Graph.t -> capacity:(Fabric.Component.resource -> int) 
 (** {2 Negotiation state}
 
     The bookkeeping behind {!route_all}, exposed for tests.  Each search
-    reads {!weights} (per CSR edge) and the destination's {!Lower_bound.t};
+    reads {!weights} (per CSR edge) and the destination's {!Lower_bound.table};
     {!weights} always holds [(base + history) * (1 + over * (1 + 0.5 *
     iteration))], with [over = max 0 (occupancy + 1 - capacity)]. *)
 

@@ -1,30 +1,29 @@
 module Graph = Fabric.Graph
 
-(* Soft caps: beyond them lookups keep working but new entries are not
-   stored, so a pathological workload degrades to the uncached cost instead
-   of growing without bound.  Hit/miss behaviour stays deterministic — the
-   caps are reached at the same point for the same query sequence. *)
+(* Soft cap: beyond it lookups keep working but new paths are not stored,
+   so a pathological workload degrades to the uncached cost instead of
+   growing without bound.  Hit/miss behaviour stays deterministic — the cap
+   is reached at the same point for the same query sequence. *)
 let max_paths = 200_000
-let max_bounds = 512
 
-(* A frozen, immutable-after-build union of cache tables for one fabric
-   graph.  Built on a single domain (freeze), published through a mutex
-   (the Domain_pool queue gives the happens-before edge) and then only
-   read — which the OCaml memory model permits concurrently without
-   further synchronization.  Entries are pure functions of
+(* A frozen, immutable-after-build union of path tables for one fabric
+   graph, plus the stores the frozen caches read (shared as they are:
+   write-once cells).  Built on a single domain (freeze), published
+   through a mutex (the Domain_pool queue gives the happens-before edge)
+   and then only read — which the OCaml memory model permits concurrently
+   without further synchronization.  Entries are pure functions of
    (graph, turn_cost, src, dst), so a shared hit replays the uncached
    search bit-for-bit no matter which domain stored it. *)
 type snapshot = {
   snap_graph : Graph.t;
-  snap_bounds : (float * int, Lower_bound.t) Hashtbl.t;
   snap_paths : (float * int * int, Path.t option) Hashtbl.t;
+  snap_stores : Lower_bound.t list;
 }
 
 type t = {
-  workspace : Workspace.t;  (* scratch for table builds and cached searches *)
   mutable graph : Graph.t option;  (* physical identity of the cached fabric *)
-  mutable base : (float * float array) option;  (* the graph's base weights at one turn cost *)
-  bounds : (float * int, Lower_bound.t) Hashtbl.t;
+  mutable stores : Lower_bound.t list;
+      (* the bound graph's table stores, one per turn cost, a handed one first *)
   paths : (float * int * int, Path.t option) Hashtbl.t;
   mutable shared : snapshot option;  (* read-only fallback layer *)
   mutable hits : int;
@@ -35,10 +34,8 @@ type t = {
 
 let create () =
   {
-    workspace = Workspace.create ();
     graph = None;
-    base = None;
-    bounds = Hashtbl.create 32;
+    stores = [];
     paths = Hashtbl.create 256;
     shared = None;
     hits = 0;
@@ -49,9 +46,8 @@ let create () =
 
 let clear t =
   t.graph <- None;
-  t.base <- None;
+  t.stores <- [];
   t.shared <- None;
-  Hashtbl.reset t.bounds;
   Hashtbl.reset t.paths
 
 let for_graph t graph =
@@ -62,65 +58,54 @@ let for_graph t graph =
       t.graph <- Some graph
   | None -> t.graph <- Some graph
 
+let at_turn_cost turn_cost s = Float.equal (Lower_bound.turn_cost s) turn_cost
+
+(* [stores], then each of [others] at a turn cost [stores] lacks *)
+let union stores others =
+  stores
+  @ List.filter (fun o -> not (List.exists (at_turn_cost (Lower_bound.turn_cost o)) stores)) others
+
+let use_bounds t store =
+  for_graph t (Lower_bound.graph store);
+  match t.stores with s :: _ when s == store -> () | stores -> t.stores <- union [ store ] stores
+
 let attach t snap =
   for_graph t snap.snap_graph;
-  t.shared <- Some snap
+  t.shared <- Some snap;
+  t.stores <- union t.stores snap.snap_stores
 
 let freeze t =
   match t.graph with
   | None -> invalid_arg "Route_cache.freeze: cache is not bound to a graph"
   | Some graph ->
-      let bounds = Hashtbl.copy t.bounds in
       let paths = Hashtbl.copy t.paths in
       (* union with the attached layer so folding freeze over a wave of
          job caches accumulates every entry seen so far; local entries
          win ties, which is value-neutral (both sides cached the same
-         pure result) *)
-      let union dst src =
-        Hashtbl.iter (fun k v -> if not (Hashtbl.mem dst k) then Hashtbl.add dst k v) src
-      in
+         pure result).  [attach] already took the layer's stores. *)
       (match t.shared with
       | Some s when s.snap_graph == graph ->
-          union bounds s.snap_bounds;
-          union paths s.snap_paths
+          Hashtbl.iter (fun k v -> if not (Hashtbl.mem paths k) then Hashtbl.add paths k v) s.snap_paths
       | _ -> ());
-      { snap_graph = graph; snap_bounds = bounds; snap_paths = paths }
+      { snap_graph = graph; snap_paths = paths; snap_stores = t.stores }
 
 let snapshot_paths s = Hashtbl.length s.snap_paths
-let snapshot_bounds s = Hashtbl.length s.snap_bounds
 
-let workspace t = t.workspace
-
-let shared_lower_bound t key =
-  match t.shared with
-  | Some s -> Hashtbl.find_opt s.snap_bounds key
-  | None -> None
-
-(* every table the cache builds sweeps the same base weights, so they are
-   tabulated once per graph and turn cost *)
-let base_weights t graph ~turn_cost =
-  match t.base with
-  | Some (tc, w) when Float.equal tc turn_cost -> w
-  | Some _ | None ->
-      let w = Lower_bound.base_weights graph ~turn_cost in
-      t.base <- Some (turn_cost, w);
-      w
+(* the store at [turn_cost], made on the first lookup at a turn cost no
+   store was handed or attached for *)
+let rec store_at t graph turn_cost = function
+  | s :: _ when at_turn_cost turn_cost s -> s
+  | _ :: rest -> store_at t graph turn_cost rest
+  | [] ->
+      let s = Lower_bound.create graph ~turn_cost in
+      t.stores <- t.stores @ [ s ];
+      s
 
 let lower_bound t graph ~turn_cost ~dst =
   for_graph t graph;
-  let key = (turn_cost, dst) in
-  match Hashtbl.find_opt t.bounds key with
-  | Some lb -> lb
-  | None -> (
-      match shared_lower_bound t key with
-      | Some lb -> lb
-      | None ->
-          t.bound_builds <- t.bound_builds + 1;
-          (* the sweep of [Lower_bound.build], over the cache's base weights *)
-          let weights = base_weights t graph ~turn_cost in
-          let lb = Dijkstra.distances ~workspace:t.workspace graph ~weights ~src:dst in
-          if Hashtbl.length t.bounds < max_bounds then Hashtbl.add t.bounds key lb;
-          lb)
+  let store = store_at t graph turn_cost t.stores in
+  if not (Lower_bound.is_built store dst) then t.bound_builds <- t.bound_builds + 1;
+  Lower_bound.toward store dst
 
 let find t ~turn_cost ~src ~dst =
   let key = (turn_cost, src, dst) in

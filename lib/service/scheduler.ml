@@ -621,7 +621,6 @@ type stats = {
   fabrics : int;
   fabric_evictions : int;
   shared_paths : int;
-  shared_bounds : int;
   distance_rows : int;
   response_hits : int;
   response_evictions : int;
@@ -632,21 +631,17 @@ type stats = {
 }
 
 let stats (t : t) =
-  let shared_paths = ref 0 and shared_bounds = ref 0 and distance_rows = ref 0 in
+  let shared_paths = ref 0 and distance_rows = ref 0 in
   Lru.iter
     (fun (_, e) ->
-      distance_rows := !distance_rows + Estimator.Distance.rows_built e.distance;
-      match e.snapshot with
-      | Some s ->
-          shared_paths := !shared_paths + Route_cache.snapshot_paths s;
-          shared_bounds := !shared_bounds + Route_cache.snapshot_bounds s
-      | None -> ())
+      distance_rows :=
+        !distance_rows + Router.Lower_bound.built (Estimator.Distance.store e.distance);
+      Option.iter (fun s -> shared_paths := !shared_paths + Route_cache.snapshot_paths s) e.snapshot)
     t.fabrics;
   {
     fabrics = Lru.length t.fabrics;
     fabric_evictions = Lru.evictions t.fabrics;
     shared_paths = !shared_paths;
-    shared_bounds = !shared_bounds;
     distance_rows = !distance_rows;
     response_hits = Lru.hits t.responses;
     response_evictions = Lru.evictions t.responses + Lru.expirations t.responses;

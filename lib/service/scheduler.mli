@@ -60,12 +60,13 @@
     Per-fabric state is keyed by a digest of the fabric's canonical ASCII
     rendering plus the base-weight turn cost.  For each fabric the service
     keeps: the extracted component and routing graph (shared physically by
-    every job, so cache keys agree), the estimator's trap-to-trap distance
-    tables (one Dijkstra per trap, built once and shared), and a frozen
-    {!Router.Route_cache.snapshot} of warm base-weight paths and of the
-    lower-bound tables that guide the engine's A* searches (a job's
-    [bound_builds] counts the tables it had to build because the snapshot
-    did not hold them yet).  Jobs run with a private route cache that
+    every job, so cache keys agree), the estimator's distance tables (a
+    view of one {!Router.Lower_bound} store: the lower-bound table toward
+    each trap, one Dijkstra sweep swept by its first reader and shared by
+    the quote, the bounds and every job's engine A* searches; a job's
+    [bound_builds] counts the tables its own lookups swept because no
+    earlier reader had), and a frozen {!Router.Route_cache.snapshot} of
+    warm base-weight paths (and the stores behind them).  Jobs run with a private route cache that
     consults the snapshot read-only; after each wave the private caches are frozen
     back into the snapshot, so later jobs on the fabric start warm.
     Snapshots are immutable after build and published through the pool's
@@ -187,10 +188,11 @@ type stats = {
   fabrics : int;  (** distinct fabrics in the registry *)
   fabric_evictions : int;  (** warm fabric entries dropped by the LRU cap *)
   shared_paths : int;  (** warm path entries across all snapshots *)
-  shared_bounds : int;  (** warm lower-bound tables across all snapshots *)
   distance_rows : int;
-      (** estimator distance rows built across the registry's fabrics
-          ({!Estimator.Distance.rows_built}); never part of a response *)
+      (** lower-bound tables built in the registry's stores
+          ({!Router.Lower_bound.built} of each fabric's
+          {!Estimator.Distance.store}), whichever layer swept them; never
+          part of a response *)
   response_hits : int;  (** responses served from the response cache *)
   response_evictions : int;  (** response entries evicted or expired *)
   completed : int;

@@ -101,9 +101,9 @@ type state = {
          by [congestion] (Congestion.track_weights) for the whole run *)
   route_cache : Route_cache.t option; (* congestion-free path memo; None = uncached *)
   turn_cost : float; (* of the policy: the base weights' turn edges *)
-  bounds : Lower_bound.t array;
-      (* per destination trap, the A* table of this run's searches: looked
-         up once per run, [[||]] until the first search toward the trap *)
+  lower_bound : dst:Graph.node -> Lower_bound.table;
+      (* the A* table toward a destination: read through the route cache,
+         or from an uncached run's private store *)
   control_routes : Path.t option array;
       (* per trap candidate, the control route [attempt_full] found *)
   mutable route_searches : int;
@@ -187,21 +187,6 @@ let trap_candidates st ~control ~target =
       preferred :: collect_avail st control target ~skip:preferred [] (k - 1) (nearest_traps st anchor)
     else collect_avail st control target ~skip:(-1) [] k (nearest_traps st anchor)
 
-(* the base-weight lower-bound table toward [to_trap], fetched from the
-   route cache (or built, uncached) on the run's first search there *)
-let bound st ~to_trap ~dst =
-  let lb = st.bounds.(to_trap) in
-  if Array.length lb > 0 then lb
-  else begin
-    let lb =
-      match st.route_cache with
-      | Some c -> Route_cache.lower_bound c st.graph ~turn_cost:st.turn_cost ~dst
-      | None -> Lower_bound.build ~workspace:st.workspace st.graph ~turn_cost:st.turn_cost ~dst
-    in
-    st.bounds.(to_trap) <- lb;
-    lb
-  end
-
 (* route one qubit from its trap to the target trap under current weights;
    an already-there qubit yields the empty path.  Every search is A* on
    the destination's base-weight table, which live Eq. 2 weights never
@@ -235,7 +220,7 @@ let route_qubit st q ~to_trap =
              workspace predecessors *)
           let search () =
             st.route_searches <- st.route_searches + 1;
-            let heuristic = bound st ~to_trap ~dst in
+            let heuristic = st.lower_bound ~dst in
             Dijkstra.run_into ~heuristic st.workspace st.graph ~weights:st.edge_weights ~src ~dst;
             st.settled_nodes <- st.settled_nodes + st.workspace.Router.Workspace.settled_nodes;
             Path.of_workspace st.workspace st.graph ~src ~dst
@@ -542,7 +527,12 @@ let simulate ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_fac
           edge_weights;
           route_cache;
           turn_cost;
-          bounds = Array.make ntraps [||];
+          lower_bound =
+            (match route_cache with
+            | Some c -> Route_cache.lower_bound c graph ~turn_cost
+            | None ->
+                let store = Lower_bound.create graph ~turn_cost in
+                fun ~dst -> Lower_bound.toward store dst);
           control_routes = Array.make (Int.max 1 policy.trap_candidates) None;
           route_searches = 0;
           route_cache_hits = 0;

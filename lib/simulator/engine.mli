@@ -122,9 +122,9 @@ val run :
     budget as [factor * (instructions + 1)] — exposed so tests can force the
     livelock branch cheaply.
 
-    Every search toward a trap reads that trap's lower-bound table, looked
-    up once per run: from [route_cache], which builds it on first request
-    and keeps it, or, in an uncached run, built for the run.
+    Every search toward a trap reads that trap's lower-bound table: through
+    [route_cache] ({!Router.Route_cache.lower_bound}, from the store the
+    cache reads), or, in an uncached run, from a store made for the run.
     [route_cache], when given, also memoizes the searches issued while
     nothing is in flight (see {!Router.Congestion.base_weights_active})
     across runs and candidates on the same fabric; hits replay the uncached

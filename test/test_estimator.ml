@@ -56,16 +56,28 @@ let test_distance_tables () =
   done
 
 (* The eager tables the lazy ones must equal bit for bit: one
-   [Dijkstra.distances] sweep per trap on a fresh workspace, sampled at the
-   trap nodes, and the pairwise min-makespan scan with its tie-breaks
-   (least total travel, then lowest trap id; the lower id of a
+   [Dijkstra.distances] sweep per destination node on a fresh workspace
+   (made on demand and kept), the trap-to-trap distances sampled from the
+   trap nodes' sweeps, and the pairwise min-makespan scan with its
+   tie-breaks (least total travel, then lowest trap id; the lower id of a
    disconnected pair) in both argument orders. *)
+type reference = { sweep : int -> float array; rdist : float array; rmeet : int array }
+
 let eager_reference graph ~turn_cost =
   let n = Array.length (Fabric.Component.traps (Fabric.Graph.component graph)) in
   let weights = Router.Lower_bound.base_weights graph ~turn_cost in
+  let sweeps = Hashtbl.create 16 in
+  let sweep v =
+    match Hashtbl.find_opt sweeps v with
+    | Some d -> d
+    | None ->
+        let d = Router.Dijkstra.distances graph ~weights ~src:v in
+        Hashtbl.add sweeps v d;
+        d
+  in
   let dist = Array.make (n * n) infinity in
   for a = 0 to n - 1 do
-    let row = Router.Dijkstra.distances graph ~weights ~src:(Fabric.Graph.trap_node graph a) in
+    let row = sweep (Fabric.Graph.trap_node graph a) in
     for b = 0 to n - 1 do
       dist.((a * n) + b) <- row.(Fabric.Graph.trap_node graph b)
     done
@@ -89,30 +101,41 @@ let eager_reference graph ~turn_cost =
       meet.((b * n) + a) <- best
     done
   done;
-  (dist, meet)
+  { sweep; rdist = dist; rmeet = meet }
 
 let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
-(* Every row, distance, meeting trap and both dense tables of [d] against
-   the reference; the first mismatch, if any. *)
-let lazy_mismatch d (rdist, rmeet) =
+(* Every row, distance, meeting trap and both dense tables of [d], and
+   every node of every table its store has built, against the reference;
+   the first mismatch, if any. *)
+let lazy_mismatch d r =
   let n = Estimator.Distance.num_traps d in
+  let store = Estimator.Distance.store d in
+  let graph = Router.Lower_bound.graph store in
   let fail = ref None in
   let note fmt = Printf.ksprintf (fun m -> if !fail = None then fail := Some m) fmt in
   for a = 0 to n - 1 do
     let row = Estimator.Distance.row d a in
-    if Array.length row <> n then note "row %d has %d entries" a (Array.length row);
+    if row != Router.Lower_bound.toward store (Fabric.Graph.trap_node graph a) then
+      note "row %d is not the store's table toward its node" a;
     for b = 0 to n - 1 do
-      let want = rdist.((a * n) + b) in
-      if not (same_bits (Estimator.Distance.between d a b) want && same_bits row.(b) want) then
+      let want = r.rdist.((a * n) + b) in
+      let at_b = row.(Fabric.Graph.trap_node graph b) in
+      if not (same_bits (Estimator.Distance.between d a b) want && same_bits at_b want) then
         note "between %d %d = %h, eager %h" a b (Estimator.Distance.between d a b) want;
-      if Estimator.Distance.meet d a b <> rmeet.((a * n) + b) then
-        note "meet %d %d = %d, eager %d" a b (Estimator.Distance.meet d a b) rmeet.((a * n) + b)
+      if Estimator.Distance.meet d a b <> r.rmeet.((a * n) + b) then
+        note "meet %d %d = %d, eager %d" a b (Estimator.Distance.meet d a b) r.rmeet.((a * n) + b)
     done
   done;
+  for v = 0 to Fabric.Graph.num_nodes graph - 1 do
+    if Router.Lower_bound.is_built store v then
+      let table = Router.Lower_bound.toward store v and want = r.sweep v in
+      if not (Array.length table = Array.length want && Array.for_all2 same_bits table want) then
+        note "table toward node %d differs from its sweep" v
+  done;
   let tdist, tmeet = Estimator.Distance.tables d in
-  if not (Array.for_all2 same_bits tdist rdist) then note "dense distance table differs";
-  if tmeet <> rmeet then note "dense meeting table differs";
+  if not (Array.for_all2 same_bits tdist r.rdist) then note "dense distance table differs";
+  if tmeet <> r.rmeet then note "dense meeting table differs";
   !fail
 
 let graph_of lay =
@@ -124,9 +147,11 @@ let quale_graph = lazy (graph_of (fabric ()))
 
 (* Lazy tables on random [make_grid] fabrics, a linear chain or QUALE, at
    turn costs 10 (the Table-1 timing's), 10/3 (off the half-unit grid) and
-   0, read in a random order: between, meet and row reads build exactly the
-   rows they touch, [tables] (read first, midway or last) builds every row,
-   and afterwards everything equals the eager reference bit for bit. *)
+   0, read in a random order: between, meet and row reads, and reads of
+   the store toward any node, sweep exactly the tables they touch (the
+   store's [built] is checked after every read), [tables] (read first,
+   midway or last) sweeps every trap's, and afterwards every node of
+   every table equals a sweep from its destination bit for bit. *)
 let prop_lazy_equals_eager =
   QCheck.Test.make ~count:60 ~name:"lazy rows, meet and tables = eager reference"
     QCheck.(triple (int_range 0 9) (int_range 0 2) int)
@@ -146,56 +171,68 @@ let prop_lazy_equals_eager =
       in
       let turn_cost = [| 10.0; 10.0 /. 3.0; 0.0 |].(tc) in
       let d = Estimator.Distance.build graph ~turn_cost in
-      let n = Estimator.Distance.num_traps d in
-      let touched = Array.make n false in
+      let store = Estimator.Distance.store d in
+      let n = Estimator.Distance.num_traps d and nodes = Fabric.Graph.num_nodes graph in
+      let touched = Array.make nodes false in
+      let touch a = touched.(Fabric.Graph.trap_node graph a) <- true in
       let fail = ref None in
-      let expect_rows what =
+      let expect_built what =
         let want = Array.fold_left (fun k b -> if b then k + 1 else k) 0 touched in
-        if Estimator.Distance.rows_built d <> want && !fail = None then
+        if Router.Lower_bound.built store <> want && !fail = None then
           fail :=
             Some
-              (Printf.sprintf "%s: %d rows built, %d read" what (Estimator.Distance.rows_built d)
+              (Printf.sprintf "%s: %d tables built, %d read" what (Router.Lower_bound.built store)
                  want)
       in
-      expect_rows "build";
+      expect_built "build";
       let reads = 1 + Random.State.int rng (2 * n) in
       let dense_at = Random.State.int rng (reads + 1) in
       for k = 0 to reads - 1 do
         if k = dense_at then begin
           ignore (Estimator.Distance.tables d);
-          Array.fill touched 0 n true
+          for a = 0 to n - 1 do
+            touch a
+          done
         end;
         let a = Random.State.int rng n and b = Random.State.int rng n in
-        (match Random.State.int rng 3 with
+        (match Random.State.int rng 4 with
         | 0 ->
             ignore (Estimator.Distance.between d a b);
-            touched.(a) <- true
+            touch a
         | 1 ->
             ignore (Estimator.Distance.row d a);
-            touched.(a) <- true
+            touch a
+        | 2 ->
+            let v = Random.State.int rng nodes in
+            ignore (Router.Lower_bound.toward store v);
+            touched.(v) <- true
         | _ ->
             (* meet a a = a reads no row *)
             ignore (Estimator.Distance.meet d a b);
             if a <> b then begin
-              touched.(a) <- true;
-              touched.(b) <- true
+              touch a;
+              touch b
             end);
-        expect_rows "read"
+        expect_built "read"
       done;
       let reference = eager_reference graph ~turn_cost in
       (match lazy_mismatch d reference with Some m when !fail = None -> fail := Some m | _ -> ());
-      Array.fill touched 0 n true;
-      expect_rows "full";
+      for a = 0 to n - 1 do
+        touch a
+      done;
+      expect_built "full";
       match !fail with
       | None -> true
       | Some m -> QCheck.Test.fail_reportf "%d traps, turn cost %g: %s" n turn_cost m)
 
 (* Two domains fill one QUALE table set at once, in opposite row orders,
    each reading every meeting trap of its rows and the dense tables: both
-   see one array per row and the eager reference's values. *)
+   see one array per destination, in the view and in its store, and the
+   eager reference's values. *)
 let test_concurrent_fill () =
   let graph = Lazy.force quale_graph in
   let d = Estimator.Distance.build graph ~turn_cost:10.0 in
+  let store = Estimator.Distance.store d in
   let n = Estimator.Distance.num_traps d in
   let fill order () =
     let rows =
@@ -214,16 +251,55 @@ let test_concurrent_fill () =
   let other = Domain.spawn (fill down) in
   let mine_rows, mine_tables = fill up () in
   let other_rows, other_tables = Domain.join other in
-  check_int "every row built once" n (Estimator.Distance.rows_built d);
+  check_int "every table built once" n (Router.Lower_bound.built store);
   Array.iter
     (fun (a, row) ->
-      check_bool "one array per row" true (row == snd other_rows.(n - 1 - a)))
+      check_bool "one array per destination" true
+        (row == snd other_rows.(n - 1 - a)
+        && row == Router.Lower_bound.toward store (Fabric.Graph.trap_node graph a)))
     mine_rows;
   check_bool "one dense pair" true
     (fst mine_tables == fst other_tables && snd mine_tables == snd other_tables);
   match lazy_mismatch d (eager_reference graph ~turn_cost:10.0) with
   | None -> ()
   | Some m -> Alcotest.fail m
+
+(* An MVFB mapping through a context built with a fresh distance table
+   set and a fresh route cache: every trap table swept by either layer is
+   one array, read by the estimator's view and by the engine's A* lookups
+   alike, and the engine's lookups swept some of them. *)
+let test_one_table_per_trap () =
+  let lay = fabric () in
+  let comp = match Fabric.Component.extract lay with Ok c -> c | Error e -> Alcotest.failf "%s" e in
+  let graph = Fabric.Graph.build comp in
+  let turn_cost = Router.Timing.turn_cost_in_moves Config.default.Config.timing in
+  let d = Estimator.Distance.build graph ~turn_cost in
+  let cache = Router.Route_cache.create () in
+  let ctx =
+    match
+      Mapper.create ~fabric:lay ~prebuilt:(comp, graph) ~distance:d ~route_cache:cache
+        (List.assoc "[[5,1,3]]" (Circuits.Qecc.all ()))
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "Mapper.create: %s" e
+  in
+  (match map_at ~m:3 Mvfb ctx with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "map: %s" (Mapper.error_to_string e));
+  let store = Estimator.Distance.store d in
+  let tables = ref 0 in
+  for a = 0 to Estimator.Distance.num_traps d - 1 do
+    let v = Fabric.Graph.trap_node graph a in
+    if Router.Lower_bound.is_built store v then begin
+      incr tables;
+      check_bool
+        (Printf.sprintf "trap %d: one table for the view and the route cache" a)
+        true
+        (Estimator.Distance.row d a == Router.Route_cache.lower_bound cache graph ~turn_cost ~dst:v)
+    end
+  done;
+  check_int "only trap tables swept" !tables (Router.Lower_bound.built store);
+  check_bool "the engine's lookups swept tables" true (Router.Route_cache.bound_builds cache > 0)
 
 (* Two islands of two traps each: every cross pair has no finite meeting
    trap and gets the lower id, in both argument orders. *)
@@ -683,6 +759,8 @@ let () =
           Alcotest.test_case "tables are sane" `Quick test_distance_tables;
           QCheck_alcotest.to_alcotest prop_lazy_equals_eager;
           Alcotest.test_case "two domains fill one table set" `Quick test_concurrent_fill;
+          Alcotest.test_case "one table per trap across the estimator and the engine" `Quick
+            test_one_table_per_trap;
           Alcotest.test_case "disconnected meet is symmetric" `Quick test_disconnected_meet;
         ] );
       ( "determinism",

@@ -114,7 +114,7 @@ let legacy_route_all g ~capacity nets =
   let turn_cost = 10.0 and present_factor = 0.5 and history_increment = 1.0 in
   let cache = Route_cache.create () in
   Route_cache.for_graph cache g;
-  let ws = Route_cache.workspace cache in
+  let ws = Workspace.create () in
   let get tbl r = Option.value ~default:0 (Hashtbl.find_opt tbl r) in
   let occupancy = Hashtbl.create 64 and history = Hashtbl.create 64 in
   let routes = Hashtbl.create 16 in
@@ -252,8 +252,9 @@ let test_incremental_fewer_searches_when_congested () =
          }))
 
 let test_stores_no_path () =
-  (* a wave routed on a caller-owned cache leaves lower-bound tables in it,
-     never a path: the engine is the only searcher that stores paths *)
+  (* a wave routed on a caller-owned cache sweeps lower-bound tables in its
+     store, never stores a path: the engine is the only searcher that
+     stores paths *)
   let g = Graph.build (quale ()) in
   let traps = Array.length (Component.traps (Graph.component g)) in
   let nets =
@@ -266,7 +267,7 @@ let test_stores_no_path () =
   | Error e -> Alcotest.fail (Pathfinder.string_of_error e));
   let snap = Route_cache.freeze cache in
   check_int "no path stored" 0 (Route_cache.snapshot_paths snap);
-  check_bool "lower-bound tables kept" true (Route_cache.snapshot_bounds snap > 0)
+  check_bool "lower-bound tables swept" true (Route_cache.bound_builds cache > 0)
 
 (* property: a warm cache is invisible.  A wave routed a second time on the
    cache its first routing filled (lower-bound tables only) returns the same

@@ -602,7 +602,7 @@ let prop_path_at_least_manhattan =
    10 move units, so a table built at turn cost 10 is admissible for it. *)
 let astar ?workspace g ~weights ~src ~dst =
   let ws = match workspace with Some w -> w | None -> Workspace.create () in
-  let lb = Lower_bound.build ~workspace:ws g ~turn_cost:10.0 ~dst in
+  let lb = Lower_bound.toward (Lower_bound.create g ~turn_cost:10.0) dst in
   Dijkstra.run_into ~heuristic:lb ws g ~weights ~src ~dst;
   Dijkstra.path_to ws g ~dst
 
@@ -919,8 +919,9 @@ let prop_one_loop_equals_closure_reference =
             if Random.State.bool rng then None
             else
               Some
-                (Lower_bound.build g ~turn_cost:(if Random.State.bool rng then 10.0 else 0.0)
-                   ~dst:target)
+                (Lower_bound.toward
+                   (Lower_bound.create g ~turn_cost:(if Random.State.bool rng then 10.0 else 0.0))
+                   target)
           in
           reference_run_into ?heuristic:(Option.map Array.get table) ws g ~weight ~src ~dst;
           Dijkstra.run_into ?heuristic:table ws' g ~weights ~src ~dst;
@@ -1284,7 +1285,7 @@ let prop_guided_search_returns_canonical_path =
       let weights = Pathfinder.weights st in
       let src = Random.State.int rng n and dst = Random.State.int rng n in
       let expect = brute_canonical g weights ~src ~dst in
-      Dijkstra.run_into ~heuristic:(Lower_bound.build g ~turn_cost ~dst) ws g ~weights ~src ~dst;
+      Dijkstra.run_into ~heuristic:(Lower_bound.toward (Lower_bound.create g ~turn_cost) dst) ws g ~weights ~src ~dst;
       let got = searched ws ~dst in
       (Array.for_all is_half_multiple weights || QCheck.Test.fail_report "weight off the half grid")
       && (got = expect
@@ -1328,7 +1329,7 @@ let prop_astar_is_dijkstra =
              let src = Graph.trap_node g (Random.State.int rng ntraps)
              and dst = Graph.trap_node g (Random.State.int rng ntraps) in
              Dijkstra.run_into ws g ~weights ~src ~dst;
-             Dijkstra.run_into ~heuristic:(Lower_bound.build g ~turn_cost ~dst) ws' g ~weights ~src ~dst;
+             Dijkstra.run_into ~heuristic:(Lower_bound.toward (Lower_bound.create g ~turn_cost) dst) ws' g ~weights ~src ~dst;
              Int64.equal
                (Int64.bits_of_float (Workspace.dist ws dst))
                (Int64.bits_of_float (Workspace.dist ws' dst))
@@ -1407,7 +1408,7 @@ let test_near_tie_turn_cost () =
               let what = Printf.sprintf "fabric %d, turn %.17g, %d -> %d" fi turn_cost src dst in
               Dijkstra.run_into ws g ~weights ~src ~dst;
               Alcotest.(check (float 0.0)) (what ^ ": Dijkstra") least.(dst) (Workspace.dist ws dst);
-              Dijkstra.run_into ~heuristic:(Lower_bound.build g ~turn_cost ~dst) ws g ~weights ~src ~dst;
+              Dijkstra.run_into ~heuristic:(Lower_bound.toward (Lower_bound.create g ~turn_cost) dst) ws g ~weights ~src ~dst;
               let tol = if turn_cost = 10.0 +. ldexp 1.0 (-24) then 0.0 else 1e-9 in
               Alcotest.(check (float tol)) (what ^ ": A*") least.(dst) (Workspace.dist ws dst)
             done

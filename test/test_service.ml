@@ -379,6 +379,20 @@ let test_service_matches_independent_mapper () =
 (* A quale job is mapped at channel capacity 1 and certified at the policy
    its solution records: it completes with a valid certificate whose
    digest matches an independent Quale run. *)
+(* The turn-blind QUALE policy reads lower-bound tables at turn cost 0,
+   not from the fabric's distance store: its job cache makes a store, the
+   fabric's snapshot keeps it, and a second QUALE job on the fabric sweeps
+   no table its first one swept. *)
+let test_quale_store_shared () =
+  let t = Scheduler.create () in
+  let bound_builds id seed =
+    match (Scheduler.submit t (job ~placer:"quale" ~seed id "[[9,1,3]]")).Protocol.cache with
+    | Some c -> c.Protocol.bound_builds
+    | None -> Alcotest.failf "%s: no cache section" id
+  in
+  check_bool "the first job sweeps tables" true (bound_builds "q1" 7 > 0);
+  check_int "the second job sweeps none" 0 (bound_builds "q2" 8)
+
 let test_quale_job_certified () =
   let t = Scheduler.create () in
   let r = Scheduler.submit t (job ~placer:"quale" "q" "[[5,1,3]]") in
@@ -417,9 +431,9 @@ let test_stats_and_fabric_registry () =
   check_int "failures" 0 s.Scheduler.failed;
   check_bool "warm paths registered" true (s.Scheduler.shared_paths > 0)
 
-(* A cold inline 90x170 grid (560 traps) completes, and its distance
-   tables build only the rows the job's traps read: the fabric's
-   admission no longer sweeps from every trap. *)
+(* A cold inline 90x170 grid (560 traps) completes, and its table store
+   sweeps only the tables the job reads (its traps' rows and its engine
+   searches' destinations): the fabric's admission sweeps nothing. *)
 let test_cold_large_fabric_reads_few_rows () =
   let lay =
     Fabric.Layout.make_grid ~width:90 ~height:170 ~pitch_x:8 ~pitch_y:6 ~margin:2
@@ -438,7 +452,7 @@ let test_cold_large_fabric_reads_few_rows () =
   in
   check_int "560 traps" 560 traps;
   let rows = (Scheduler.stats t).Scheduler.distance_rows in
-  check_bool (Printf.sprintf "%d distance rows built, some and fewer than %d" rows traps) true
+  check_bool (Printf.sprintf "%d tables built, some and fewer than %d" rows traps) true
     (rows > 0 && rows < traps)
 
 (* Lint reads the fabric registry without touching it: a job refused at
@@ -531,5 +545,7 @@ let () =
           Alcotest.test_case "registry evictions with refusals" `Quick
             test_registry_evictions_with_refusals;
           Alcotest.test_case "quale job certified at capacity 1" `Quick test_quale_job_certified;
+          Alcotest.test_case "quale jobs share a turn-blind table store" `Quick
+            test_quale_store_shared;
         ] );
     ]
